@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (DiagonalizationError, LieAlgebraSpec, Vector,
                       weight_decomposition)
@@ -44,6 +44,17 @@ def _conj_vec(vec: Sequence[GaussianRational]) -> Vector:
 
 def _is_real_vec(vec) -> bool:
     return all(x.is_real() for x in vec)
+
+
+@dataclass(frozen=True)
+class ModeData:
+    """An adapted basis in one arithmetic mode, as 0-based tuples: the
+    vectors Z_j, their real and imaginary parts, and the flag subspaces
+    c_0 < c_1 < ... < c_dim."""
+    vectors: Tuple[Tuple, ...]
+    re: Tuple[Tuple, ...]
+    im: Tuple[Tuple, ...]
+    flags: Tuple[Subspace, ...]
 
 
 class AdaptableBasis:
@@ -80,6 +91,7 @@ class AdaptableBasis:
         self._verify_flag_conditions()
         self._compute_pairing()
         self._compute_weights()
+        self._modes: Dict[Optional[float], ModeData] = {}
 
     # -- structure -------------------------------------------------------
 
@@ -102,6 +114,29 @@ class AdaptableBasis:
     def flag(self, j: int) -> Subspace:
         """Span of the first j vectors, j in 0..dim."""
         return self._flags[j]
+
+    def mode(self, tol: Optional[float]) -> ModeData:
+        """The basis in the arithmetic mode of tol, built once per mode.
+
+        Exact mode (tol None) hands out the vectors and flags held here;
+        float mode hands out complex copies.
+        """
+        data = self._modes.get(tol)
+        if data is None:
+            re = [tuple(GaussianRational(x.re) for x in v) for v in self.vectors]
+            im = [tuple(GaussianRational(x.im) for x in v) for v in self.vectors]
+            if tol is None:
+                data = ModeData(tuple(self.vectors), tuple(re), tuple(im),
+                                tuple(self._flags))
+            else:
+                def numeric(vecs):
+                    return tuple(tuple(complex(x) for x in v) for v in vecs)
+                flags = tuple(Subspace([[complex(x) for x in r] for r in fl.rows],
+                                       self.dim, tol) for fl in self._flags)
+                data = ModeData(numeric(self.vectors), numeric(re), numeric(im),
+                                flags)
+            self._modes[tol] = data
+        return data
 
     def ambient(self, ambient: str) -> Tuple[int, Subspace]:
         if ambient == "n":
@@ -187,8 +222,7 @@ class AdaptableBasis:
                     raise HintInvalidError(
                         4, f"[{spec.h_names[t]}, Z_{j}] does not lie in the flag")
                 gamma = coeffs[j - 1]
-                row.append(gamma if isinstance(gamma, GaussianRational)
-                           else GaussianRational.coerce(gamma))
+                row.append(GaussianRational.coerce(gamma))
                 rest = [img[m] - gamma * zj[m] for m in range(spec.dim)]
                 if any(not x.is_zero() for x in rest):
                     self.diagonal_exact = False
@@ -219,23 +253,14 @@ class AdaptableBasis:
     # -- weights as functionals --------------------------------------------
 
     def weight_on(self, j: int, vec) -> GaussianRational | complex:
-        """gamma_j evaluated on the h-component of a g_C coordinate vector."""
-        row = self.weights[j - 1]
-        exact = isinstance(vec[self.spec.n_dim], GaussianRational) \
-            if self.spec.h_dim else True
-        total: GaussianRational | complex = ZERO if exact else 0j
-        for t in range(self.spec.h_dim):
-            c = vec[self.spec.n_dim + t]
-            if isinstance(c, GaussianRational):
-                if c.is_zero():
-                    continue
-                total = total + c * row[t] if isinstance(total, GaussianRational) \
-                    else total + complex(c) * complex(row[t])
-            else:
-                if c == 0:
-                    continue
-                total = (total if isinstance(total, complex) else complex(total)) \
-                    + c * complex(row[t])
+        """gamma_j evaluated on the h-component of a g_C coordinate vector.
+
+        The mode (exact or complex) is that of the vector's n-part, which
+        is never empty; the h-part is empty when dim h = 0.
+        """
+        total = ZERO if isinstance(vec[0], GaussianRational) else 0j
+        for c, w in zip(vec[self.spec.n_dim:], self.weights[j - 1]):
+            total = total + c * w
         return total
 
     def with_h_part(self, hvecs: Sequence[Vector]) -> "AdaptableBasis":

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gaussian import GaussianRational, ZERO, parse_gaussian
-from .linalg import Subspace, kernel, rref
+from .linalg import Subspace, is_zero, kernel, rref
 
 Vector = Tuple[GaussianRational, ...]
 
@@ -55,11 +55,6 @@ class HypothesisViolation(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
-
-
-def _gvec(coords) -> Vector:
-    return tuple(GaussianRational.coerce(c) if not isinstance(c, GaussianRational)
-                 else c for c in coords)
 
 
 class LieAlgebraSpec:
@@ -172,10 +167,10 @@ class LieAlgebraSpec:
         zero = ZERO if exact else 0j
         out = [zero] * self.dim
         for i, ui in enumerate(u):
-            if _iszero(ui):
+            if is_zero(ui):
                 continue
             for j, vj in enumerate(v):
-                if _iszero(vj) or i == j:
+                if is_zero(vj) or i == j:
                     continue
                 sparse = self.bracket_sparse(i, j)
                 if not sparse:
@@ -198,10 +193,6 @@ class LieAlgebraSpec:
     def n_is_commutative(self) -> bool:
         nd = self.n_dim
         return all(not (i < nd and j < nd) for (i, j) in self._table)
-
-
-def _iszero(x) -> bool:
-    return x.is_zero() if isinstance(x, GaussianRational) else x == 0
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +325,6 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
                     f"ad({spec.h_names[t]}) has no Gaussian-rational eigenbasis "
                     f"on a {sp.dim}-dimensional invariant subspace")
         spaces = new_spaces
-    if spec.h_dim == 0:
-        return spaces
     return spaces
 
 

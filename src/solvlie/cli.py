@@ -88,8 +88,7 @@ def cmd_analyze(args) -> int:
     if err:
         print(err[1], file=sys.stderr)
         return err[0]
-    wb = Workbench(spec, seed=args.seed, trials=args.trials,
-                   tolerance=args.tolerance)
+    wb = Workbench(spec, seed=args.seed, trials=args.trials)
     try:
         doc = wb.report()
     except HypothesisViolation as exc:
@@ -168,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--tolerance", type=float, default=1e-9,
-                   help="float-mode membership tolerance")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("admissible", help="one-line verdict")

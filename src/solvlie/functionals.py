@@ -18,12 +18,12 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec, ad_matrix, weight_decomposition
 from .gaussian import GaussianRational, ZERO
-from .linalg import solve
+from .linalg import FLOAT_TOL, is_zero, solve
 
 Scalar = Union[GaussianRational, complex]
 
@@ -55,17 +55,17 @@ class Functional:
         if len(self.values) != basis.dim:
             raise ValueError("wrong number of coordinates")
 
-    # -- constructors ---------------------------------------------------
+    @property
+    def tol(self) -> Optional[float]:
+        """Zero tolerance of computations at this point: None when exact."""
+        return None if self.exact else FLOAT_TOL
 
-    @classmethod
-    def from_real(cls, basis: AdaptableBasis, values, exact=True) -> "Functional":
-        return cls(basis, values, exact)
+    # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_adapted(cls, basis: AdaptableBasis, zvals: Sequence) -> "Functional":
         """Build from values on the adapted basis; enforces reality exactly."""
-        zs = [GaussianRational.coerce(z) if not isinstance(z, GaussianRational) else z
-              for z in zvals]
+        zs = [GaussianRational.coerce(z) for z in zvals]
         if len(zs) != basis.dim:
             raise ValueError("need one value per adapted basis vector")
         rows = [[basis.vectors[j][m] for m in range(basis.dim)]
@@ -195,9 +195,7 @@ def exp_unipotent_coadjoint(spec_or_basis, x_vec, l: Functional) -> Functional:
         x_vec = spec.vector_from_labels(x_vec)
     nd = spec.n_dim
     for m in range(nd, spec.dim):
-        c = x_vec[m]
-        bad = (not c.is_zero()) if isinstance(c, GaussianRational) else c != 0
-        if bad:
+        if not is_zero(x_vec[m]):
             raise NotUnipotentError("element has a nonzero h-component")
     emat = _nilpotent_exp_neg(spec, x_vec)
     if l.exact:
@@ -237,8 +235,7 @@ class _EigenData:
     def gamma_at_exact(self, idx: int, a_vec) -> GaussianRational:
         total = ZERO
         for t in range(self.spec.h_dim):
-            c = a_vec[self.spec.n_dim + t]
-            c = c if isinstance(c, GaussianRational) else GaussianRational.coerce(c)
+            c = GaussianRational.coerce(a_vec[self.spec.n_dim + t])
             total = total + c * self.weights[idx][t]
         return total
 
@@ -265,9 +262,7 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
     if isinstance(a_vec, dict):
         a_vec = spec.vector_from_labels(a_vec)
     for m in range(spec.n_dim):
-        c = a_vec[m]
-        bad = (not c.is_zero()) if isinstance(c, GaussianRational) else c != 0
-        if bad:
+        if not is_zero(a_vec[m]):
             raise ValueError("element has a nonzero n-component")
     eig = _eigen_data(spec)
 

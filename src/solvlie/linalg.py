@@ -5,6 +5,12 @@ and Python complex in float mode; the two never mix inside one matrix.
 Exact mode decides ranks deterministically, which is what makes the jump
 index machinery reproducible. Float mode exists only for coadjoint flows
 under the dilation group, where entries pick up factors e^{t}.
+
+This module owns the choice between the two: a ``tol`` of None means exact
+arithmetic, and float mode uses ``FLOAT_TOL``, the one float tolerance of
+the package. ``is_zero`` is the one zero test. (The eigenbasis solve of
+the dilation flow passes its own, smaller pivot threshold to ``solve``;
+that is a conditioning guard, not a zero test.)
 """
 
 from __future__ import annotations
@@ -17,7 +23,11 @@ Row = List
 Matrix = List[Row]
 
 
-def _is_zero(x, tol: Optional[float]) -> bool:
+FLOAT_TOL = 1e-9
+
+
+def is_zero(x, tol: Optional[float] = None) -> bool:
+    """The zero test: exact without a tolerance, else |x| <= tol."""
     if tol is None:
         return x.is_zero() if isinstance(x, GaussianRational) else x == 0
     return abs(x) <= tol
@@ -45,7 +55,7 @@ def rref(rows: Matrix, tol: Optional[float] = None) -> tuple[Matrix, List[int]]:
         pivot_row = None
         if tol is None:
             for k in range(r, len(rows)):
-                if not _is_zero(rows[k][c], tol):
+                if not is_zero(rows[k][c], tol):
                     pivot_row = k
                     break
         else:
@@ -58,18 +68,18 @@ def rref(rows: Matrix, tol: Optional[float] = None) -> tuple[Matrix, List[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c]
-        rows[r] = [x if _is_zero(x, tol) else x / inv for x in rows[r]]
+        rows[r] = [x if is_zero(x, tol) else x / inv for x in rows[r]]
         pivot_row_vals = rows[r]
         for k in range(len(rows)):
-            if k != r and not _is_zero(rows[k][c], tol):
+            if k != r and not is_zero(rows[k][c], tol):
                 f = rows[k][c]
-                rows[k] = [a if _is_zero(b, tol) else a - f * b
+                rows[k] = [a if is_zero(b, tol) else a - f * b
                            for a, b in zip(rows[k], pivot_row_vals)]
         pivots.append(c)
         r += 1
     kept = rows[: len(pivots)]
     if tol is not None:
-        kept = [[x if abs(x) > tol else 0j for x in row] for row in kept]
+        kept = [[0j if is_zero(x, tol) else x for x in row] for row in kept]
     return kept, pivots
 
 
@@ -103,11 +113,6 @@ def solve(rows: Matrix, rhs: Row, tol: Optional[float] = None) -> Optional[Row]:
             return None  # pivot in the constant column
         x[p] = row[-1]
     return x
-
-
-def mat_vec(rows: Matrix, x: Row) -> Row:
-    zero = ZERO if (x and isinstance(x[0], GaussianRational)) else 0j
-    return [sum((a * b for a, b in zip(r, x)), zero) for r in rows]
 
 
 class Subspace:
@@ -165,10 +170,6 @@ def full_space(n: int, tol: Optional[float] = None) -> Subspace:
     zero = _zero(tol)
     rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
     return Subspace(rows, n, tol)
-
-
-def zero_space(n: int, tol: Optional[float] = None) -> Subspace:
-    return Subspace([], n, tol)
 
 
 def det(rows: Matrix) -> GaussianRational:

@@ -14,6 +14,8 @@ Four nested membership oracles over a fixed generic layer:
 
 Membership always evaluates the defining equations directly at the point;
 the constraint lists only describe which simple form each equation takes.
+An equation holds exactly at an exact point and up to ``linalg.FLOAT_TOL``
+at a float one (such as a point moved by a dilation flow).
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
 from .functionals import Functional, exp_h_coadjoint
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, kernel, rank, rref, solve
+from .linalg import Subspace, is_zero, kernel, rank, rref, solve
 from .strata import (LayerDescriptor, LayerMismatchError, jump_data,
                      section_vectors)
-
-MEMBERSHIP_TOL = 1e-9
 
 
 class NormalizationFailedError(ValueError):
@@ -141,9 +141,7 @@ def pointwise_stabilizer(f: Functional, basis: AdaptableBasis) -> Subspace:
     spec = basis.spec
     rows = []
     for j in range(1, basis.n + 1):
-        zv = f.z(j)
-        nonzero = (not zv.is_zero()) if isinstance(zv, GaussianRational) else zv != 0
-        if nonzero:
+        if not is_zero(f.z(j), f.tol):
             w = basis.weights[j - 1]
             rows.append([GaussianRational(x.re) for x in w])
             rows.append([GaussianRational(x.im) for x in w])
@@ -193,12 +191,6 @@ def _case_of(j: int, layer: LayerDescriptor) -> int:
     if j in set(layer.i_seq):
         return 2
     return 3
-
-
-def _iszero(x, exact: bool, tol: float) -> bool:
-    if exact and isinstance(x, GaussianRational):
-        return x.is_zero()
-    return abs(complex(x)) <= tol
 
 
 class SectionOracle:
@@ -258,8 +250,8 @@ class SectionOracle:
 
     # -- the membership decision -------------------------------------------
 
-    def contains(self, f: Functional, tol: float = MEMBERSHIP_TOL) -> bool:
-        exact = f.exact
+    def contains(self, f: Functional) -> bool:
+        tol = f.tol
         basis = self.basis
         if self.check_layer:
             try:
@@ -272,10 +264,10 @@ class SectionOracle:
             jd = None
         try:
             sv = section_vectors(f, basis, jd, "n")
-        except (LayerMismatchError, ZeroDivisionError):
+        except LayerMismatchError:
             return False
         for j in self.n_layer.e_set:
-            if not _iszero(f.value(sv.z_at[j]), exact, tol):
+            if not is_zero(f.value(sv.z_at[j]), tol):
                 return False
         if self.kind == "Lambda":
             return True
@@ -283,18 +275,14 @@ class SectionOracle:
         for j in range(1, nd + 1):
             if j in set(self.n_layer.e_set):
                 continue
-            if _iszero(f.z(j), exact, tol):
+            if is_zero(f.z(j), tol):
                 return False
         if self.kind == "LambdaNu":
             return True
         for j in self.phi:
             zv = f.z(j)
-            if exact and isinstance(zv, GaussianRational):
-                if zv.abs2() != 1:
-                    return False
-            else:
-                if abs(abs(complex(zv)) - 1.0) > tol:
-                    return False
+            if not is_zero(zv * zv.conjugate() - 1, tol):
+                return False
         if self.kind == "SigmaCirc":
             return True
         if self.stab is None:
@@ -302,7 +290,7 @@ class SectionOracle:
         nd_full = basis.spec.n_dim
         for a in self.stab.a_basis:
             vec = [ZERO] * nd_full + [GaussianRational(c) for c in a]
-            if not _iszero(f.value(vec), exact, tol):
+            if not is_zero(f.value(vec), tol):
                 return False
         return True
 
@@ -434,28 +422,23 @@ def sample_sigma_circ(oracle: SectionOracle, rng: random.Random,
 
 def h_project(f: Functional, stab: StabilizerData,
               oracle_lambda_nu: SectionOracle,
-              oracle_sigma_circ: SectionOracle,
-              tol: float = MEMBERSHIP_TOL) -> Tuple[Tuple[float, ...], Functional]:
+              oracle_sigma_circ: SectionOracle) -> Tuple[Tuple[float, ...], Functional]:
     """Unique dilation parameters (mod the little group) moving f onto the
     dilation-orbit section, and the landed point.
 
     Solves Re weight_{phi_t}(X) = log|f(Z_{phi_t})| on the normalized
     complement, where the system is diagonal, then flows by exp(X).
     """
-    if not oracle_lambda_nu.contains(f, tol):
+    if not oracle_lambda_nu.contains(f):
         raise NotInSectionError("point is not in the dense invariant section part")
     basis = f.basis
     spec = basis.spec
-    params = []
-    for j in stab.phi:
-        zv = f.z(j)
-        a2 = float(zv.abs2()) if isinstance(zv, GaussianRational) else abs(zv) ** 2
-        params.append(0.5 * math.log(a2))
+    params = [math.log(abs(complex(f.z(j)))) for j in stab.phi]
     x = [0.0] * spec.dim
     for t, a in zip(params, stab.a_basis):
         for u, c in enumerate(a):
             x[spec.n_dim + u] += t * float(c)
     sigma = exp_h_coadjoint(spec, x, f.to_float(), mode="float")
-    if not oracle_sigma_circ.contains(sigma, tol):
+    if not oracle_sigma_circ.contains(sigma):
         raise NotInSectionError("projection missed the section; layer mismatch")
     return tuple(params), sigma

@@ -9,7 +9,9 @@ the form) and combinations Z_j(l) are produced case by case; they cut out
 the orbit cross-sections.
 
 All decisions are exact rank computations over Q(i); the float variant
-(tolerance-based ranks) exists for points produced by dilation flows.
+exists for points produced by dilation flows. The mode is the point's:
+every zero test and rank here uses ``l.tol``, which is None for an exact
+point and ``linalg.FLOAT_TOL`` for a float one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .adapted import AdaptableBasis
 from .functionals import Functional, sample_functional
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, kernel
+from .linalg import Subspace, is_zero, kernel
 
 GR1 = GaussianRational(1)
 
@@ -59,7 +61,7 @@ def bilinear_form(l: Functional, s: Subspace, t: Optional[Subspace] = None):
 
 def perp(l: Functional, s_rows: Sequence, ambient: Subspace) -> Subspace:
     """{v in ambient : l[s, v] = 0 for all s}, as a subspace of g_C."""
-    tol = None if l.exact else 1e-9
+    tol = l.tol
     if not s_rows:
         return ambient
     mat = [[l.pair(list(s), list(t)) for t in ambient.rows] for s in s_rows]
@@ -99,34 +101,34 @@ class JumpData:
         return (self.e_set, self.j_seq)
 
 
-def _flag_meet_profile(basis: AdaptableBasis, n_amb: int, sub: Subspace,
+def _flag_meet_profile(vectors: Sequence, n_amb: int, sub: Subspace,
                        tol) -> List[int]:
-    """dims of (span of the first j basis vectors) cap sub, for j = 0..n_amb.
+    """dims of (span of the first j vectors) cap sub, for j = 0..n_amb.
 
     Uses dim(c_j cap S) = j + dim S - dim(c_j + S) with one incremental
     elimination pass, instead of j separate intersections.
     """
-    dim = basis.dim
+    dim = sub.ambient_dim
     # sub.rows are already in RREF: each pivot column is zero elsewhere
     work: List[list] = [list(r) for r in sub.rows]
     pivots: List[int] = []
     for r in work:
-        pivots.append(next(c for c in range(dim) if not _is_zero_scalar(r[c], tol)))
+        pivots.append(next(c for c in range(dim) if not is_zero(r[c], tol)))
     s = len(work)
     out = [0]
     joined = s
     for j in range(1, n_amb + 1):
-        v = [x if tol is None else complex(x) for x in basis.vector(j)]
+        v = vectors[j - 1]
         for r, p in zip(work, pivots):
-            if not _is_zero_scalar(v[p], tol):
+            if not is_zero(v[p], tol):
                 f = v[p] / r[p]
                 v = [a - f * b for a, b in zip(v, r)]
-        piv = next((c for c in range(dim) if not _is_zero_scalar(v[c], tol)), None)
+        piv = next((c for c in range(dim) if not is_zero(v[c], tol)), None)
         if piv is not None:
             # keep every pivot column zero in the other rows, so one
             # elimination pass stays sufficient for later vectors
             for idx, r in enumerate(work):
-                if not _is_zero_scalar(r[piv], tol):
+                if not is_zero(r[piv], tol):
                     f = r[piv] / v[piv]
                     work[idx] = [a - f * b for a, b in zip(r, v)]
             work.append(v)
@@ -134,12 +136,6 @@ def _flag_meet_profile(basis: AdaptableBasis, n_amb: int, sub: Subspace,
             joined += 1
         out.append(j + s - joined)
     return out
-
-
-def _is_zero_scalar(x, tol) -> bool:
-    if tol is None:
-        return x.is_zero() if isinstance(x, GaussianRational) else x == 0
-    return abs(x) <= tol
 
 
 def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
@@ -151,15 +147,16 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """
     if basis is None:
         basis = l.basis
-    tol = None if l.exact else 1e-9
-    n_amb, amb = basis.ambient(ambient)
-    if tol is not None:
-        amb = Subspace([[complex(x) for x in r] for r in amb.rows], basis.dim, tol)
+    tol = l.tol
+    mode = basis.mode(tol)
+    n_amb, _ = basis.ambient(ambient)
+    amb = mode.flags[n_amb]
 
     def first_escape(inside: Subspace, outside: Subspace) -> Optional[int]:
         # min j with (c_j cap inside) not contained in outside
-        prof_in = _flag_meet_profile(basis, n_amb, inside, tol)
-        prof_out = _flag_meet_profile(basis, n_amb, inside.intersect(outside), tol)
+        prof_in = _flag_meet_profile(mode.vectors, n_amb, inside, tol)
+        prof_out = _flag_meet_profile(mode.vectors, n_amb,
+                                      inside.intersect(outside), tol)
         for j in range(1, n_amb + 1):
             if prof_in[j] > prof_out[j]:
                 return j
@@ -174,9 +171,7 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     i1 = first_escape(amb, rad)
     if i1 is None:
         return JumpData((), (), h_flag, ambient)
-    z_i1 = [basis.vector(i1)] if tol is None else \
-        [[complex(x) for x in basis.vector(i1)]]
-    h1 = perp(l, z_i1, amb)
+    h1 = perp(l, [mode.vectors[i1 - 1]], amb)
     j1 = first_escape(amb, h1)
     if j1 is None:
         raise LayerMismatchError("first jump has no partner")
@@ -184,18 +179,13 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     j_seq.append(j1)
     h_flag.append(h1)
 
-    flags = [basis.flag(j) for j in range(n_amb + 1)]
-    if tol is not None:
-        flags = [Subspace([[complex(x) for x in r] for r in fl.rows],
-                          basis.dim, tol) for fl in flags]
-
     while True:
         h_prev = h_flag[-1]
         p = perp(l, h_prev.rows, amb)
         ik = first_escape(h_prev, p)
         if ik is None:
             break
-        hk = perp(l, h_prev.intersect(flags[ik]).rows, amb).intersect(h_prev)
+        hk = perp(l, h_prev.intersect(mode.flags[ik]).rows, amb).intersect(h_prev)
         jk = first_escape(h_prev, hk)
         if jk is None:
             raise LayerMismatchError(f"jump {ik} has no partner")
@@ -281,7 +271,7 @@ class SectionVectors:
     jd: JumpData
     v_list: List[list]                 # V_k, dual pair first members
     u_list: List[list]                 # U_k, dual pair second members
-    z_at: Dict[int, list]              # j in e -> Z_j(l)
+    z_at: Dict[int, Sequence]          # j in e -> Z_j(l)
     b_at: Dict[int, object]            # i_k in phi -> b value
     pairings: List[object]             # l[V_k, U_k]
 
@@ -299,32 +289,12 @@ class SectionVectors:
         return out
 
 
-def _re_vec(vec):
-    return [GaussianRational(x.re) for x in vec]
-
-
-def _im_vec(vec):
-    return [GaussianRational(x.im) for x in vec]
-
-
 def _scale(vec, c):
     return [c * x for x in vec]
 
 
 def _add(u, v):
     return [a + b for a, b in zip(u, v)]
-
-
-def _as_numeric(vec, exact: bool):
-    if exact:
-        return list(vec)
-    return [complex(x) for x in vec]
-
-
-def _nonzero(x, exact: bool) -> bool:
-    if exact:
-        return not x.is_zero() if isinstance(x, GaussianRational) else x != 0
-    return abs(x) > 1e-9
 
 
 def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
@@ -341,7 +311,8 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
     if jd is None:
         jd = jump_data(l, basis, ambient)
     n_amb, _ = basis.ambient(ambient)
-    exact = l.exact
+    tol = l.tol
+    mode = basis.mode(tol)
     _, _, cases = _layer_data(basis, jd, n_amb)
     in_case = {c: set(v) for c, v in cases.items()}
 
@@ -351,16 +322,14 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
 
     for k in range(1, jd.d + 1):
         ik, jk = jd.i_seq[k - 1], jd.j_seq[k - 1]
-        z_ik_basis = _as_numeric(basis.vector(ik), exact)
-        re_i, im_i = _re_vec(basis.vector(ik)), _im_vec(basis.vector(ik))
-        re_i, im_i = _as_numeric(re_i, exact), _as_numeric(im_i, exact)
+        re_i, im_i = mode.re[ik - 1], mode.im[ik - 1]
 
         if k in in_case[5] and ik in pending_z:
             z_ik = pending_z.pop(ik)
         elif k in in_case[0]:
             z_ik = re_i
         elif k in in_case[1]:
-            rho_jk = sv.rho(_as_numeric(basis.vector(jk), exact), l)
+            rho_jk = sv.rho(mode.vectors[jk - 1], l)
             b1 = l.value(basis.spec.bracket(rho_jk, re_i))
             b2 = l.value(basis.spec.bracket(rho_jk, im_i))
             z_ik = _add(_scale(re_i, b1), _scale(im_i, b2))
@@ -371,10 +340,8 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             if m is None:
                 raise UnsupportedCaseError(
                     f"pair {k}: no computed partner below index {ik}")
-            a1 = l.pair(_as_numeric(_re_vec(basis.vector(jd.j_seq[m - 1])), exact),
-                        sv.v_list[m - 1])
-            a2 = l.pair(_as_numeric(_im_vec(basis.vector(jd.j_seq[m - 1])), exact),
-                        sv.v_list[m - 1])
+            a1 = l.pair(mode.re[jd.j_seq[m - 1] - 1], sv.v_list[m - 1])
+            a2 = l.pair(mode.im[jd.j_seq[m - 1] - 1], sv.v_list[m - 1])
             z_ik = _add(_scale(re_i, -a2), _scale(im_i, -a1))
         elif k in in_case[3]:
             z_ik = im_i
@@ -384,14 +351,13 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             raise UnsupportedCaseError(f"pair {k} falls in no supported case")
 
         vk = sv.rho(z_ik, l)
-        re_j = _as_numeric(_re_vec(basis.vector(jk)), exact)
-        im_j = _as_numeric(_im_vec(basis.vector(jk)), exact)
+        re_j, im_j = mode.re[jk - 1], mode.im[jk - 1]
         a1 = l.pair(re_j, vk)
         a2 = l.pair(im_j, vk)
         z_jk = _add(_scale(re_j, a1), _scale(im_j, a2))
         uk = sv.rho(z_jk, l)
         pairing = l.pair(vk, uk)
-        if not _nonzero(pairing, exact):
+        if is_zero(pairing, tol):
             raise LayerMismatchError(f"pairing of dual pair {k} vanishes")
 
         sv.v_list.append(vk)
@@ -404,14 +370,12 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
                 and basis.sigma[jd.j_seq[k]] == jk):
             num = l.value(basis.spec.bracket(uk, im_i))
             den = l.value(basis.spec.bracket(uk, re_i))
-            if not _nonzero(den, exact):
+            if is_zero(den, tol):
                 raise UnsupportedCaseError(
                     f"pair {k}: degenerate adjacent-pair combination")
             nxt = jd.i_seq[k]
-            re_n = _as_numeric(_re_vec(basis.vector(nxt)), exact)
-            im_n = _as_numeric(_im_vec(basis.vector(nxt)), exact)
-            z_next = _add(_scale(re_n, -(num / den)),
-                          _scale(im_n, -GR1 if exact else -1))
+            z_next = _add(_scale(mode.re[nxt - 1], -(num / den)),
+                          _scale(mode.im[nxt - 1], -1))
             pending_z[nxt] = z_next
 
     # b values on pair indices whose weight pairs with U_k
@@ -420,10 +384,10 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         if ik > basis.n:
             continue
         gamma = basis.weight_on(ik, sv.u_list[k - 1])
-        if not _nonzero(gamma, exact):
+        if is_zero(gamma, tol):
             continue
-        denom = l.pair(_as_numeric(basis.vector(ik), exact), sv.u_list[k - 1])
-        if not _nonzero(denom, exact):
+        denom = l.pair(mode.vectors[ik - 1], sv.u_list[k - 1])
+        if is_zero(denom, tol):
             raise LayerMismatchError(f"b value at index {ik} is singular")
         sv.b_at[ik] = gamma / denom
     return sv
@@ -467,7 +431,7 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
             continue
         try:
             desc = layer_descriptor(f, basis, ambient)
-        except (LayerMismatchError, ZeroDivisionError):
+        except LayerMismatchError:
             continue
         key = desc.key()
         count, _ = outcomes.get(key, (0, desc))
@@ -497,8 +461,8 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
         if len(mat[i]) != n:
             raise NotSkewError("matrix is not square")
         for j in range(i, n):
-            a = GaussianRational.coerce(mat[i][j]) if not isinstance(mat[i][j], GaussianRational) else mat[i][j]
-            b = GaussianRational.coerce(mat[j][i]) if not isinstance(mat[j][i], GaussianRational) else mat[j][i]
+            a = GaussianRational.coerce(mat[i][j])
+            b = GaussianRational.coerce(mat[j][i])
             if a != -b:
                 raise NotSkewError(f"entries ({i},{j}) and ({j},{i}) are not skew")
 
@@ -511,7 +475,7 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
         sign = GR1
         for pos, j in enumerate(rest):
             entry = mat[i0][j]
-            if not (entry.is_zero() if isinstance(entry, GaussianRational) else entry == 0):
+            if not is_zero(entry):
                 sub = tuple(x for x in rest if x != j)
                 total = total + sign * entry * pf(sub)
             sign = -sign

@@ -48,12 +48,10 @@ class PipelineError(RuntimeError):
 
 
 class Workbench:
-    def __init__(self, spec: LieAlgebraSpec, seed: int = 42, trials: int = 64,
-                 tolerance: float = 1e-9):
+    def __init__(self, spec: LieAlgebraSpec, seed: int = 42, trials: int = 64):
         self.spec = spec
         self.seed = seed
         self.trials = trials
-        self.tolerance = tolerance
         self._cache: Dict[str, object] = {}
 
     def _get(self, key, fn):
@@ -201,7 +199,7 @@ class Workbench:
             mat = skew_matrix(f, list(self.n_layer.e_set))
             pf = pfaffian(mat)
             return {
-                "point": {f"Z{j}": str(GaussianRational.coerce(v) if not isinstance(v, GaussianRational) else v)
+                "point": {f"Z{j}": str(GaussianRational.coerce(v))
                           for j, v in ((j, f.z(j)) for j in self.stabilizer.nu)},
                 "pf_abs2": str(pf.abs2()),
             }
@@ -221,7 +219,7 @@ class Workbench:
         """Dilation parameters and landing point of f on the orbit section."""
         from .sections import h_project
         return h_project(f, self.stabilizer, self.oracle_lambda_nu,
-                         self.oracle_sigma_circ, tol=self.tolerance)
+                         self.oracle_sigma_circ)
 
     def disintegration(self, mc_samples: int = 10 ** 6, seed: int = 1234):
         return adm.disintegration_check(

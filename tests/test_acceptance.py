@@ -131,8 +131,7 @@ def test_criterion_4_heisenberg_2param_end_to_end():
     worst = 0.0
     for _ in range(50):
         f = sample_lambda_nu(oracle, rng)
-        _, sigma = h_project(f, wb.stabilizer, oracle, wb.oracle_sigma_circ,
-                             tol=1e-9)
+        _, sigma = h_project(f, wb.stabilizer, oracle, wb.oracle_sigma_circ)
         zval = complex(sigma.z(1))
         residual = min(abs(zval - 1.0), abs(zval + 1.0))
         worst = max(worst, residual)
@@ -235,8 +234,6 @@ def test_criterion_6e_stabilizer_constant_over_50_samples():
     rng = random.Random(65)
     for entry_id in VALID_IDS:
         wb = wb_for(entry_id)
-        if wb.spec.h_dim == 0:
-            continue
         try:
             for _ in range(50):
                 f = sample_lambda_nu(wb.oracle_lambda_nu, rng)

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 from solvlie.gaussian import GaussianRational
-from solvlie.linalg import Subspace, det, full_space, kernel, rank, rref, solve
+from solvlie.linalg import (FLOAT_TOL, Subspace, det, full_space, is_zero,
+                            kernel, rank, rref, solve)
 
 
 def rand_mat(rng, rows, cols, complex_entries=True):
@@ -92,6 +93,14 @@ def test_det_matches_rank_and_products():
         m = rand_mat(rng, n, n)
         d = det(m)
         assert d.is_zero() == (rank(m) < n)
+
+
+def test_is_zero_exact_and_float():
+    assert is_zero(GaussianRational(0))
+    assert not is_zero(GaussianRational(0, Fraction(1, 10 ** 12)))
+    assert is_zero(0)
+    assert is_zero(complex(FLOAT_TOL / 2, 0), FLOAT_TOL)
+    assert not is_zero(complex(0, 2 * FLOAT_TOL), FLOAT_TOL)
 
 
 def test_float_mode_rank_with_tolerance():

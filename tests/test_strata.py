@@ -345,6 +345,17 @@ def test_generic_layer_deterministic():
     assert d1.as_dict() == d2.as_dict()
 
 
+def test_generic_layer_propagates_zero_division(monkeypatch):
+    # every division in layer_descriptor is guarded, so one that raises is
+    # a defect to surface, not a rejected sample
+    def divide_by_zero(*args, **kwargs):
+        raise ZeroDivisionError("unguarded division")
+    wb = wb_for("heisenberg-2param")
+    monkeypatch.setattr("solvlie.strata.layer_descriptor", divide_by_zero)
+    with pytest.raises(ZeroDivisionError):
+        generic_layer(wb.canonical_basis, "n", seed=7, trials=4)
+
+
 def test_generic_layer_adds_dilation_pair_on_g():
     wb = wb_for("heisenberg-2param")
     assert wb.n_layer.e_set == (2, 3)
