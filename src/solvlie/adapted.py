@@ -49,12 +49,10 @@ def _is_real_vec(vec) -> bool:
 @dataclass(frozen=True)
 class ModeData:
     """An adapted basis in one arithmetic mode, as 0-based tuples: the
-    vectors Z_j, their real and imaginary parts, and the flag subspaces
-    c_0 < c_1 < ... < c_dim."""
+    vectors Z_j and their real and imaginary parts."""
     vectors: Tuple[Tuple, ...]
     re: Tuple[Tuple, ...]
     im: Tuple[Tuple, ...]
-    flags: Tuple[Subspace, ...]
 
 
 class AdaptableBasis:
@@ -118,23 +116,19 @@ class AdaptableBasis:
     def mode(self, tol: Optional[float]) -> ModeData:
         """The basis in the arithmetic mode of tol, built once per mode.
 
-        Exact mode (tol None) hands out the vectors and flags held here;
-        float mode hands out complex copies.
+        Exact mode (tol None) hands out the vectors held here; float mode
+        hands out complex copies.
         """
         data = self._modes.get(tol)
         if data is None:
             re = [tuple(GaussianRational(x.re) for x in v) for v in self.vectors]
             im = [tuple(GaussianRational(x.im) for x in v) for v in self.vectors]
             if tol is None:
-                data = ModeData(tuple(self.vectors), tuple(re), tuple(im),
-                                tuple(self._flags))
+                data = ModeData(tuple(self.vectors), tuple(re), tuple(im))
             else:
                 def numeric(vecs):
                     return tuple(tuple(complex(x) for x in v) for v in vecs)
-                flags = tuple(Subspace([[complex(x) for x in r] for r in fl.rows],
-                                       self.dim, tol) for fl in self._flags)
-                data = ModeData(numeric(self.vectors), numeric(re), numeric(im),
-                                flags)
+                data = ModeData(numeric(self.vectors), numeric(re), numeric(im))
             self._modes[tol] = data
         return data
 

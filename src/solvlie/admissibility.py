@@ -162,22 +162,24 @@ def _pivots_in_adapted(sub: Subspace, basis: AdaptableBasis) -> Tuple[int, ...]:
 
 
 def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationData:
-    """Maximal isotropic subalgebra from the flag recursion at lam, with the
-    dimension data of the representation domain: dim X = dim(n/e) + dim(e/d)/2.
+    """Maximal isotropic subalgebra at lam, with the dimension data of the
+    representation domain: dim X = dim(n/e) + dim(e/d)/2.
+
+    The subalgebra is h_d, the last annihilator of the jump reduction on n
+    (``JumpData.polarizing_subspace``): h_k = h_{k-1} cap perp(y_{i_k}).
 
     When the isotropic subalgebra is not positive at lam, its conjugate is
     (same dimension data); the conjugate is reported in that case.
     """
     spec = basis.spec
-    jd = jump_data(lam, basis, "n")
-    p = jd.h_flag[-1]
+    p = jump_data(lam, basis, "n").polarizing_subspace
     dim = basis.dim
 
     # isotropy, exact
     for a in p.rows:
         for b in p.rows:
             if not lam.pair(list(a), list(b)).is_zero():
-                raise IsotropyError("flag recursion output is not isotropic")
+                raise IsotropyError("jump reduction output is not isotropic")
     pbar = _conj_subspace(p, dim)
     # p + pbar closed under bracket
     psum = p.add(pbar)

@@ -254,10 +254,7 @@ class SectionOracle:
         tol = f.tol
         basis = self.basis
         if self.check_layer:
-            try:
-                jd = jump_data(f, basis, "n")
-            except LayerMismatchError:
-                return False
+            jd = jump_data(f, basis, "n")
             if jd.e_set != self.n_layer.e_set or jd.j_seq != self.n_layer.j_seq:
                 return False
         else:

@@ -1,23 +1,26 @@
 """Jump indices, layers and section vectors of the coadjoint form.
 
 For a point l of g* and the flag c_1 < c_2 < ... of an adapted basis, the
-recursion below walks the flag and records where it escapes the successive
-annihilators of the form (X, Y) -> l[X, Y]. The escape positions come in
-pairs (i_k, j_k); their union e(l) has even cardinality and is constant on
-layers. On a fixed layer, point-dependent vectors V_k, U_k (dual pairs of
-the form) and combinations Z_j(l) are produced case by case; they cut out
-the orbit cross-sections.
+jump pairs (i_k, j_k) mark where the flag escapes the successive
+annihilators h_0 > h_1 > ... of the form (X, Y) -> l[X, Y]. They come from
+one symplectic Gram-Schmidt pass over the skew matrix M = (l[Z_p, Z_q]) in
+flag order (Pukanszky's characterization; see Currey, Michigan Math. J. 38,
+1991): each step pairs the first vector that still pairs with the first
+one it pairs with, and reduces the rest against them. Their union e(l) has
+even cardinality and is constant on layers. On a fixed layer,
+point-dependent vectors V_k, U_k (dual pairs of the form) and combinations
+Z_j(l) are produced case by case; they cut out the orbit cross-sections.
 
-All decisions are exact rank computations over Q(i); the float variant
-exists for points produced by dilation flows. The mode is the point's:
-every zero test and rank here uses ``l.tol``, which is None for an exact
-point and ``linalg.FLOAT_TOL`` for a float one.
+All decisions are exact over Q(i); the float variant exists for points
+produced by dilation flows. The mode is the point's: every zero test and
+rank here uses ``l.tol``, which is None for an exact point and
+``linalg.FLOAT_TOL`` for a float one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adapted import AdaptableBasis
@@ -74,20 +77,24 @@ def perp(l: Functional, s_rows: Sequence, ambient: Subspace) -> Subspace:
     return Subspace(rows, l.basis.dim, tol)
 
 
-def radical(l: Functional, ambient: Subspace) -> Subspace:
-    return perp(l, ambient.rows, ambient)
-
-
 # ---------------------------------------------------------------------------
 # jump data
 # ---------------------------------------------------------------------------
 
 @dataclass
 class JumpData:
+    """Jump pairs (i_k, j_k) at a point, and the reduction that found them.
+
+    ``reductions[k - 1]`` lists the (g, c) of step k: y_g <- y_g - c * y_{j_k}.
+    Replaying them on the adapted vectors gives ``polarizing_subspace``.
+    """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
-    h_flag: List[Subspace]          # h_0 (ambient) down to h_d
     ambient: str
+    basis: AdaptableBasis = field(repr=False, compare=False)
+    tol: Optional[float] = field(default=None, repr=False, compare=False)
+    reductions: Tuple[Tuple[Tuple[int, object], ...], ...] = field(
+        default=(), repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -100,47 +107,39 @@ class JumpData:
     def key(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         return (self.e_set, self.j_seq)
 
-
-def _flag_meet_profile(vectors: Sequence, n_amb: int, sub: Subspace,
-                       tol) -> List[int]:
-    """dims of (span of the first j vectors) cap sub, for j = 0..n_amb.
-
-    Uses dim(c_j cap S) = j + dim S - dim(c_j + S) with one incremental
-    elimination pass, instead of j separate intersections.
-    """
-    dim = sub.ambient_dim
-    # sub.rows are already in RREF: each pivot column is zero elsewhere
-    work: List[list] = [list(r) for r in sub.rows]
-    pivots: List[int] = []
-    for r in work:
-        pivots.append(next(c for c in range(dim) if not is_zero(r[c], tol)))
-    s = len(work)
-    out = [0]
-    joined = s
-    for j in range(1, n_amb + 1):
-        v = vectors[j - 1]
-        for r, p in zip(work, pivots):
-            if not is_zero(v[p], tol):
-                f = v[p] / r[p]
-                v = [a - f * b for a, b in zip(v, r)]
-        piv = next((c for c in range(dim) if not is_zero(v[c], tol)), None)
-        if piv is not None:
-            # keep every pivot column zero in the other rows, so one
-            # elimination pass stays sufficient for later vectors
-            for idx, r in enumerate(work):
-                if not is_zero(r[piv], tol):
-                    f = r[piv] / v[piv]
-                    work[idx] = [a - f * b for a, b in zip(r, v)]
-            work.append(v)
-            pivots.append(piv)
-            joined += 1
-        out.append(j + s - joined)
-    return out
+    @property
+    def polarizing_subspace(self) -> Subspace:
+        """h_d, the last member of the flag h_0 > h_1 > ... > h_d: the span
+        of the reduced vectors y_g at the positions g outside j_seq.
+        Built on each access, not stored."""
+        n_amb, _ = self.basis.ambient(self.ambient)
+        ys = [list(v) for v in self.basis.mode(self.tol).vectors[:n_amb]]
+        for jk, steps in zip(self.j_seq, self.reductions):
+            y_j = ys[jk - 1]
+            for g, c in steps:
+                ys[g - 1] = [a - c * b for a, b in zip(ys[g - 1], y_j)]
+        dead = set(self.j_seq)
+        rows = [y for g, y in enumerate(ys, start=1) if g not in dead]
+        return Subspace(rows, self.basis.dim, self.tol)
 
 
 def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
               ambient: str = "g") -> JumpData:
-    """Run the flag/annihilator recursion at l.
+    """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
+
+    Positions g of the ambient flag stay active while their reduced vector
+    y_g can still pair. Step k takes the first active row i_k with a nonzero
+    entry in an active column, and j_k as the first such column; every
+    active g with M[i_k][g] != 0 is reduced by y_g <- y_g - c * y_{j_k},
+    c = M[i_k][g] / M[i_k][j_k], which clears row i_k. Then i_k and j_k
+    leave the active set; y_{i_k} stays in h_k (in its radical) and y_{j_k}
+    does not.
+
+    This is the flag/annihilator recursion h_k = perp(h_{k-1} cap c_{i_k})
+    cap h_{k-1}: by the choice of i_k, h_{k-1} cap c_{i_k - 1} already lies
+    in perp(h_{k-1}), so h_k = h_{k-1} cap perp(y_{i_k}). The surviving y's
+    are therefore a flag-adapted basis of h_k, and the reduced M is the form
+    restricted to h_k.
 
     ambient 'n' restricts everything to the nilpotent part (giving the
     jump set of the restricted point); 'g' uses the whole algebra.
@@ -148,52 +147,50 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     if basis is None:
         basis = l.basis
     tol = l.tol
-    mode = basis.mode(tol)
     n_amb, _ = basis.ambient(ambient)
-    amb = mode.flags[n_amb]
+    vecs = basis.mode(tol).vectors
+    zero = ZERO if tol is None else 0j
+    m = [[zero] * n_amb for _ in range(n_amb)]
+    for p in range(n_amb):
+        for q in range(p + 1, n_amb):
+            x = l.pair(vecs[p], vecs[q])
+            m[p][q] = x
+            m[q][p] = -x
 
-    def first_escape(inside: Subspace, outside: Subspace) -> Optional[int]:
-        # min j with (c_j cap inside) not contained in outside
-        prof_in = _flag_meet_profile(mode.vectors, n_amb, inside, tol)
-        prof_out = _flag_meet_profile(mode.vectors, n_amb,
-                                      inside.intersect(outside), tol)
-        for j in range(1, n_amb + 1):
-            if prof_in[j] > prof_out[j]:
-                return j
-        return None
-
+    active = list(range(n_amb))
     i_seq: List[int] = []
     j_seq: List[int] = []
-    h_flag: List[Subspace] = [amb]
-
-    # first step: flag escapes the radical; h_1 annihilates a single vector
-    rad = radical(l, amb)
-    i1 = first_escape(amb, rad)
-    if i1 is None:
-        return JumpData((), (), h_flag, ambient)
-    h1 = perp(l, [mode.vectors[i1 - 1]], amb)
-    j1 = first_escape(amb, h1)
-    if j1 is None:
-        raise LayerMismatchError("first jump has no partner")
-    i_seq.append(i1)
-    j_seq.append(j1)
-    h_flag.append(h1)
-
+    reductions = []
     while True:
-        h_prev = h_flag[-1]
-        p = perp(l, h_prev.rows, amb)
-        ik = first_escape(h_prev, p)
-        if ik is None:
+        pivot = next(((p, q) for p in active for q in active
+                      if not is_zero(m[p][q], tol)), None)
+        if pivot is None:
             break
-        hk = perp(l, h_prev.intersect(mode.flags[ik]).rows, amb).intersect(h_prev)
-        jk = first_escape(h_prev, hk)
-        if jk is None:
-            raise LayerMismatchError(f"jump {ik} has no partner")
-        i_seq.append(ik)
-        j_seq.append(jk)
-        h_flag.append(hk)
+        ik, jk = pivot
+        active.remove(ik)
+        active.remove(jk)
+        row_i, row_j = m[ik], m[jk]
+        piv = row_i[jk]
+        # row j_k is fixed during the step; only its nonzero columns move
+        cols = [q for q in active if not is_zero(row_j[q], tol)]
+        steps = []
+        for g in active:
+            if is_zero(row_i[g], tol):
+                continue
+            c = row_i[g] / piv
+            steps.append((g + 1, c))
+            row_g = m[g]
+            for q in cols:
+                if q != g:
+                    x = row_g[q] - c * row_j[q]
+                    row_g[q] = x
+                    m[q][g] = -x
+        i_seq.append(ik + 1)
+        j_seq.append(jk + 1)
+        reductions.append(tuple(steps))
 
-    return JumpData(tuple(i_seq), tuple(j_seq), h_flag, ambient)
+    return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis, tol,
+                    tuple(reductions))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,146 @@
+"""The flag/annihilator recursion for jump data, kept as a test oracle.
+
+This is the recursion ``solvlie.strata.jump_data`` replaced by one
+symplectic reduction of the skew matrix. It walks the flag through the
+annihilators h_0 > h_1 > ... with ``perp``, ``Subspace.intersect`` and
+``_flag_meet_profile``, and keeps the whole flag ``h_flag``. The tests
+compare the two on corpus points, seeded points and flowed float points.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
+
+from solvlie.adapted import AdaptableBasis
+from solvlie.functionals import Functional
+from solvlie.linalg import Subspace, is_zero
+from solvlie.strata import LayerMismatchError, perp
+
+
+def _mode_flags(basis: AdaptableBasis, tol) -> List[Subspace]:
+    """The flag subspaces c_0 < c_1 < ... < c_dim in the mode of tol."""
+    flags = [basis.flag(j) for j in range(basis.dim + 1)]
+    if tol is None:
+        return flags
+    return [Subspace([[complex(x) for x in r] for r in fl.rows], basis.dim, tol)
+            for fl in flags]
+
+
+def radical(l: Functional, ambient: Subspace) -> Subspace:
+    return perp(l, ambient.rows, ambient)
+
+
+@dataclass
+class JumpData:
+    i_seq: Tuple[int, ...]
+    j_seq: Tuple[int, ...]
+    h_flag: List[Subspace]          # h_0 (ambient) down to h_d
+    ambient: str
+
+    @property
+    def d(self) -> int:
+        return len(self.i_seq)
+
+    @property
+    def e_set(self) -> Tuple[int, ...]:
+        return tuple(sorted(set(self.i_seq) | set(self.j_seq)))
+
+    def key(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        return (self.e_set, self.j_seq)
+
+
+def _flag_meet_profile(vectors: Sequence, n_amb: int, sub: Subspace,
+                       tol) -> List[int]:
+    """dims of (span of the first j vectors) cap sub, for j = 0..n_amb.
+
+    Uses dim(c_j cap S) = j + dim S - dim(c_j + S) with one incremental
+    elimination pass, instead of j separate intersections.
+    """
+    dim = sub.ambient_dim
+    # sub.rows are already in RREF: each pivot column is zero elsewhere
+    work: List[list] = [list(r) for r in sub.rows]
+    pivots: List[int] = []
+    for r in work:
+        pivots.append(next(c for c in range(dim) if not is_zero(r[c], tol)))
+    s = len(work)
+    out = [0]
+    joined = s
+    for j in range(1, n_amb + 1):
+        v = vectors[j - 1]
+        for r, p in zip(work, pivots):
+            if not is_zero(v[p], tol):
+                f = v[p] / r[p]
+                v = [a - f * b for a, b in zip(v, r)]
+        piv = next((c for c in range(dim) if not is_zero(v[c], tol)), None)
+        if piv is not None:
+            # keep every pivot column zero in the other rows, so one
+            # elimination pass stays sufficient for later vectors
+            for idx, r in enumerate(work):
+                if not is_zero(r[piv], tol):
+                    f = r[piv] / v[piv]
+                    work[idx] = [a - f * b for a, b in zip(r, v)]
+            work.append(v)
+            pivots.append(piv)
+            joined += 1
+        out.append(j + s - joined)
+    return out
+
+
+def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
+              ambient: str = "g") -> JumpData:
+    """Run the flag/annihilator recursion at l.
+
+    ambient 'n' restricts everything to the nilpotent part (giving the
+    jump set of the restricted point); 'g' uses the whole algebra.
+    """
+    if basis is None:
+        basis = l.basis
+    tol = l.tol
+    mode = basis.mode(tol)
+    flags = _mode_flags(basis, tol)
+    n_amb, _ = basis.ambient(ambient)
+    amb = flags[n_amb]
+
+    def first_escape(inside: Subspace, outside: Subspace) -> Optional[int]:
+        # min j with (c_j cap inside) not contained in outside
+        prof_in = _flag_meet_profile(mode.vectors, n_amb, inside, tol)
+        prof_out = _flag_meet_profile(mode.vectors, n_amb,
+                                      inside.intersect(outside), tol)
+        for j in range(1, n_amb + 1):
+            if prof_in[j] > prof_out[j]:
+                return j
+        return None
+
+    i_seq: List[int] = []
+    j_seq: List[int] = []
+    h_flag: List[Subspace] = [amb]
+
+    # first step: flag escapes the radical; h_1 annihilates a single vector
+    rad = radical(l, amb)
+    i1 = first_escape(amb, rad)
+    if i1 is None:
+        return JumpData((), (), h_flag, ambient)
+    h1 = perp(l, [mode.vectors[i1 - 1]], amb)
+    j1 = first_escape(amb, h1)
+    if j1 is None:
+        raise LayerMismatchError("first jump has no partner")
+    i_seq.append(i1)
+    j_seq.append(j1)
+    h_flag.append(h1)
+
+    while True:
+        h_prev = h_flag[-1]
+        p = perp(l, h_prev.rows, amb)
+        ik = first_escape(h_prev, p)
+        if ik is None:
+            break
+        hk = perp(l, h_prev.intersect(flags[ik]).rows, amb).intersect(h_prev)
+        jk = first_escape(h_prev, hk)
+        if jk is None:
+            raise LayerMismatchError(f"jump {ik} has no partner")
+        i_seq.append(ik)
+        j_seq.append(jk)
+        h_flag.append(hk)
+
+    return JumpData(tuple(i_seq), tuple(j_seq), h_flag, ambient)

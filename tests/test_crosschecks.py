@@ -20,15 +20,12 @@ from solvlie.strata import (LayerMismatchError, jump_data, section_vectors)
 
 def sigma_direct(wb, l) -> bool:
     basis = wb.canonical_basis
-    try:
-        jd = jump_data(l, basis, "g")
-    except LayerMismatchError:
-        return False
+    jd = jump_data(l, basis, "g")
     if jd.e_set != wb.g_layer.e_set or jd.j_seq != wb.g_layer.j_seq:
         return False
     try:
         sv = section_vectors(l, basis, jd, "g")
-    except (LayerMismatchError, ZeroDivisionError):
+    except LayerMismatchError:
         return False
     phi = set(wb.g_layer.phi)
     for j in jd.e_set:
