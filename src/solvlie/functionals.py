@@ -105,21 +105,26 @@ class Functional:
         return [self.z(j) for j in range(1, self.basis.dim + 1)]
 
     def _gram_matrix(self):
-        # G[p][q] = l([e_p, e_q]) over the real basis, cached per functional
+        # row p holds (q, l([e_p, e_q])) over the real basis for the nonzero
+        # values only, cached per functional; exact values are
+        # GaussianRationals (the structure constants are real)
         if self._gram is None:
             spec = self.basis.spec
             dim = spec.dim
-            zero = Fraction(0) if self.exact else 0.0
-            g = [[zero] * dim for _ in range(dim)]
+            zero = ZERO if self.exact else 0.0
+            g = []
             for p in range(dim):
+                row = []
                 for q in range(dim):
                     total = zero
                     for m, c in spec.bracket_sparse(p, q):
                         val = self.values[m]
                         if val:
-                            total = total + c.re * val if self.exact \
-                                else total + float(c.re) * val
-                    g[p][q] = total
+                            total = total + c * val if self.exact \
+                                else total + float(c) * val
+                    if total:
+                        row.append((q, total))
+                g.append(row)
             self._gram = g
         return self._gram
 
@@ -133,11 +138,11 @@ class Functional:
             for p, up in enumerate(u):
                 if up.is_zero():
                     continue
-                row = g[p]
                 inner = ZERO
-                for q, vq in enumerate(v):
-                    if row[q] and not vq.is_zero():
-                        inner = inner + vq * row[q]
+                for q, gq in g[p]:
+                    vq = v[q]
+                    if not vq.is_zero():
+                        inner = inner + vq * gq
                 if not inner.is_zero():
                     total = total + up * inner
             return total
@@ -146,11 +151,9 @@ class Functional:
             cu = complex(up)
             if cu == 0:
                 continue
-            row = g[p]
             inner = 0j
-            for q, vq in enumerate(v):
-                if row[q]:
-                    inner += complex(vq) * row[q]
+            for q, gq in g[p]:
+                inner += complex(v[q]) * gq
             total += cu * inner
         return total
 

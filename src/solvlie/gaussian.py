@@ -1,34 +1,53 @@
-"""Exact Gaussian-rational arithmetic (elements of Q(i))."""
+"""Exact Gaussian-rational arithmetic (elements of Q(i)).
+
+A value is held as three ints (n + m i)/d with d > 0 and gcd(n, m, d) = 1,
+so equal values have equal fields, the zero test is two int tests, and each
+operation is integer arithmetic followed by one ``math.gcd``. ``Fraction``
+appears only at the boundary: the constructor's arguments and the ``re`` and
+``im`` parts read by parsers, reports and weight code.
+"""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+def _parts(re, im):
+    """(n, m, d) of re + im*i for int or Fraction parts, in lowest terms."""
+    for x in (re, im):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+    a, b = int(re.numerator), int(re.denominator)
+    c, e = int(im.numerator), int(im.denominator)
+    if b == e:
+        return a, c, b
+    # both parts are in lowest terms, so gcd(n, m, lcm(b, e)) = 1 already
+    d = b // gcd(b, e) * e
+    return a * (d // b), c * (d // e), d
 
 
 class GaussianRational:
-    """A complex number re + im*i with rational real and imaginary parts.
+    """A complex number (n + m i)/d with integer n, m and d > 0.
 
     Immutable. Arithmetic with int/Fraction stays exact; mixing with float
     or complex falls through to Python complex (used by the float pipeline).
+    ``re`` and ``im`` return the parts as Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_n", "_m", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        n, m, d = _parts(re, im)
+        _set_n(self, n)
+        _set_m(self, m)
+        _set_d(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("GaussianRational is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors -------------------------------------------------
 
@@ -36,34 +55,50 @@ class GaussianRational:
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(_as_fraction(x))
+        return GaussianRational(x)
 
-    # -- predicates ----------------------------------------------------
+    # -- parts and predicates --------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._n, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._m, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._n and not self._m
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._m
 
     # -- involutions / norms --------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _made(self._n, -self._m, self._d)
 
     def abs2(self) -> Fraction:
         """|z|^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._n * self._n + self._m * self._m,
+                        self._d * self._d)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
-            if self.im == 0 and other.im == 0:
-                return GaussianRational(self.re + other.re)
-            return GaussianRational(self.re + other.re, self.im + other.im)
+            d, e = self._d, other._d
+            if d == e:
+                return _reduced(self._n + other._n, self._m + other._m, d)
+            return _reduced(self._n * e + other._n * d,
+                            self._m * e + other._m * d, d * e)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
+            p, q = other.numerator, other.denominator
+            if q == 1:
+                # n + p d keeps gcd(n + p d, m, d) = gcd(n, m, d) = 1
+                return _made(self._n + p * self._d, self._m, self._d)
+            return _reduced(self._n * q + p * self._d, self._m * q,
+                            self._d * q)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -71,37 +106,46 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _made(-self._n, -self._m, self._d)
 
     def __sub__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return self + (-other if isinstance(other, GaussianRational)
-                           else GaussianRational(-_as_fraction(other)))
+        if isinstance(other, GaussianRational):
+            d, e = self._d, other._d
+            if d == e:
+                return _reduced(self._n - other._n, self._m - other._m, d)
+            return _reduced(self._n * e - other._n * d,
+                            self._m * e - other._m * d, d * e)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            if q == 1:
+                return _made(self._n - p * self._d, self._m, self._d)
+            return _reduced(self._n * q - p * self._d, self._m * q,
+                            self._d * q)
         if isinstance(other, (float, complex)):
             return complex(self) - other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other - self.re, -self.im)
+            p, q = other.numerator, other.denominator
+            if q == 1:
+                return _made(p * self._d - self._n, -self._m, self._d)
+            return _reduced(p * self._d - self._n * q, -self._m * q,
+                            self._d * q)
         if isinstance(other, (float, complex)):
             return other - complex(self)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            if self.im == 0:
-                if other.im == 0:
-                    return GaussianRational(self.re * other.re)
-                return GaussianRational(self.re * other.re, self.re * other.im)
-            if other.im == 0:
-                return GaussianRational(self.re * other.re, self.im * other.re)
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            n, m, p, q = self._n, self._m, other._n, other._m
+            if not m and not q:
+                return _reduced(n * p, 0, self._d * other._d)
+            return _reduced(n * p - m * q, n * q + m * p, self._d * other._d)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
+            p = other.numerator
+            return _reduced(self._n * p, self._m * p,
+                            self._d * other.denominator)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -109,25 +153,36 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re / other, self.im / other)
         if isinstance(other, GaussianRational):
-            if other.im == 0:
-                if other.re == 0:
+            p, q, e = other._n, other._m, other._d
+            if not q:
+                if not p:
                     raise ZeroDivisionError("division by zero GaussianRational")
-                return GaussianRational(self.re / other.re, self.im / other.re)
-            d = other.abs2()
-            if d == 0:
-                raise ZeroDivisionError("division by zero GaussianRational")
-            num = self * other.conjugate()
-            return GaussianRational(num.re / d, num.im / d)
+                if p < 0:
+                    p, e = -p, -e
+                return _reduced(self._n * e, self._m * e, self._d * p)
+            n, m = self._n, self._m
+            return _reduced((n * p + m * q) * e, (m * p - n * q) * e,
+                            self._d * (p * p + q * q))
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            if not p:
+                raise ZeroDivisionError("division by zero")
+            if p < 0:
+                p, q = -p, -q
+            return _reduced(self._n * q, self._m * q, self._d * p)
         if isinstance(other, (float, complex)):
             return complex(self) / other
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other) / self
+            n, m = self._n, self._m
+            if not n and not m:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            # (p/q) / ((n + m i)/d) = p d (n - m i) / (q (n^2 + m^2))
+            pd = other.numerator * self._d
+            return _reduced(pd * n, -pd * m, other.denominator * (n * n + m * m))
         if isinstance(other, (float, complex)):
             return other / complex(self)
         return NotImplemented
@@ -135,7 +190,7 @@ class GaussianRational:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = GaussianRational(1)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -148,36 +203,68 @@ class GaussianRational:
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return (self._n == other._n and self._m == other._m
+                    and self._d == other._d)
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (not self._m and self._n == other.numerator
+                    and self._d == other.denominator)
         if isinstance(other, complex):
             return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self._m:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._n or self._m)
 
     # -- conversions -------------------------------------------------------
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as Fraction.__float__ is
+        return complex(self._n / self._d, self._m / self._d)
 
     def __float__(self):
-        if self.im != 0:
+        if self._m:
             raise ValueError(f"{self} has a nonzero imaginary part")
-        return float(self.re)
+        return self._n / self._d
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_gaussian(self)
+
+
+_set_n = GaussianRational._n.__set__
+_set_m = GaussianRational._m.__set__
+_set_d = GaussianRational._d.__set__
+_new = object.__new__
+
+
+def _made(n: int, m: int, d: int) -> GaussianRational:
+    """(n + m i)/d from fields already in canonical form."""
+    z = _new(GaussianRational)
+    _set_n(z, n)
+    _set_m(z, m)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(n: int, m: int, d: int) -> GaussianRational:
+    """(n + m i)/d for d > 0, brought to lowest terms."""
+    g = gcd(n, m, d)
+    if g != 1:
+        n //= g
+        m //= g
+        d //= g
+    z = _new(GaussianRational)
+    _set_n(z, n)
+    _set_m(z, m)
+    _set_d(z, d)
+    return z
 
 
 ZERO = GaussianRational(0)

@@ -1,7 +1,8 @@
 """Row-echelon linear algebra over Q(i), with a tolerance mode for floats.
 
-Matrices are lists of row lists. Scalars are GaussianRational in exact mode
-and Python complex in float mode; the two never mix inside one matrix.
+Matrices are lists of row lists. Scalars are GaussianRational (reduced
+integer triples (n + m i)/d) in exact mode and Python complex in float mode;
+the two never mix inside one matrix.
 Exact mode decides ranks deterministically, which is what makes the jump
 index machinery reproducible. Float mode exists only for coadjoint flows
 under the dilation group, where entries pick up factors e^{t}.
@@ -173,7 +174,7 @@ def full_space(n: int, tol: Optional[float] = None) -> Subspace:
 
 
 def det(rows: Matrix) -> GaussianRational:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Gaussian elimination with division by the pivots."""
     n = len(rows)
     if n == 0:
         return GaussianRational(1)

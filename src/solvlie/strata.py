@@ -327,8 +327,8 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             z_ik = re_i
         elif k in in_case[1]:
             rho_jk = sv.rho(mode.vectors[jk - 1], l)
-            b1 = l.value(basis.spec.bracket(rho_jk, re_i))
-            b2 = l.value(basis.spec.bracket(rho_jk, im_i))
+            b1 = l.pair(rho_jk, re_i)
+            b2 = l.pair(rho_jk, im_i)
             z_ik = _add(_scale(re_i, b1), _scale(im_i, b2))
         elif k in in_case[2]:
             # the partner pair index m with j_m immediately below i_k
@@ -365,8 +365,8 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
 
         if (k in in_case[4] and k + 1 <= jd.d and jd.i_seq[k] == ik + 1
                 and basis.sigma[jd.j_seq[k]] == jk):
-            num = l.value(basis.spec.bracket(uk, im_i))
-            den = l.value(basis.spec.bracket(uk, re_i))
+            num = l.pair(uk, im_i)
+            den = l.pair(uk, re_i)
             if is_zero(den, tol):
                 raise UnsupportedCaseError(
                     f"pair {k}: degenerate adjacent-pair combination")
