@@ -48,11 +48,17 @@ def _is_real_vec(vec) -> bool:
 
 @dataclass(frozen=True)
 class ModeData:
-    """An adapted basis in one arithmetic mode, as 0-based tuples: the
-    vectors Z_j and their real and imaginary parts."""
+    """An adapted basis in one arithmetic mode, 0-based throughout.
+
+    ``vectors`` are the Z_j over the real basis of g. ``brackets`` lists
+    (p, q, terms) for each p < q with [Z_p, Z_q] != 0, ordered by q, where
+    terms are the nonzero (m, c) of the bracket over the real basis.
+    ``h_weights[i][p - n]`` is gamma_{i+1}(Z_p) for the h-part vectors Z_p,
+    p >= n, and each n-part index i.
+    """
     vectors: Tuple[Tuple, ...]
-    re: Tuple[Tuple, ...]
-    im: Tuple[Tuple, ...]
+    brackets: Tuple[Tuple[int, int, Tuple[Tuple[int, object], ...]], ...]
+    h_weights: Tuple[Tuple, ...]
 
 
 class AdaptableBasis:
@@ -116,19 +122,33 @@ class AdaptableBasis:
     def mode(self, tol: Optional[float]) -> ModeData:
         """The basis in the arithmetic mode of tol, built once per mode.
 
-        Exact mode (tol None) hands out the vectors held here; float mode
-        hands out complex copies.
+        Exact mode (tol None) hands out the vectors held here and exact
+        tables; float mode hands out complex copies of all three.
         """
         data = self._modes.get(tol)
         if data is None:
-            re = [tuple(GaussianRational(x.re) for x in v) for v in self.vectors]
-            im = [tuple(GaussianRational(x.im) for x in v) for v in self.vectors]
             if tol is None:
-                data = ModeData(tuple(self.vectors), tuple(re), tuple(im))
+                spec, vecs, nd = self.spec, self.vectors, self.n
+                brackets = []
+                for q in range(self.dim):
+                    for p in range(q):
+                        terms = tuple((m, c) for m, c in
+                                      enumerate(spec.bracket(vecs[p], vecs[q])) if c)
+                        if terms:
+                            brackets.append((p, q, terms))
+                # gamma_i(Z_p) = sum_t Z_p[n + t] gamma_i(A_t)
+                h_weights = tuple(
+                    tuple(sum((z[nd + t] * w for t, w in enumerate(ws)), ZERO)
+                          for z in vecs[nd:])
+                    for ws in self.weights[:nd])
+                data = ModeData(tuple(vecs), tuple(brackets), h_weights)
             else:
-                def numeric(vecs):
-                    return tuple(tuple(complex(x) for x in v) for v in vecs)
-                data = ModeData(numeric(self.vectors), numeric(re), numeric(im))
+                exact = self.mode(None)
+                data = ModeData(
+                    tuple(tuple(complex(x) for x in v) for v in exact.vectors),
+                    tuple((p, q, tuple((m, complex(c)) for m, c in terms))
+                          for p, q, terms in exact.brackets),
+                    tuple(tuple(complex(w) for w in row) for row in exact.h_weights))
             self._modes[tol] = data
         return data
 
@@ -142,10 +162,10 @@ class AdaptableBasis:
     def self_conjugate_steps(self) -> Tuple[int, ...]:
         """1-based flag indices j (plus 0) with conj-stable span, over all of g."""
         out = [0]
-        closed: set = set()
+        reach = 0   # the largest sigma(p) over p <= j
         for j in range(1, self.dim + 1):
-            closed.add(j)
-            if all(self.sigma[p] in closed for p in closed):
+            reach = max(reach, self.sigma[j])
+            if reach <= j:
                 out.append(j)
         return tuple(out)
 
@@ -243,19 +263,6 @@ class AdaptableBasis:
                        "lambda*(1+i*alpha)")
             alphas.append(alpha)
         self.alpha = alphas
-
-    # -- weights as functionals --------------------------------------------
-
-    def weight_on(self, j: int, vec) -> GaussianRational | complex:
-        """gamma_j evaluated on the h-component of a g_C coordinate vector.
-
-        The mode (exact or complex) is that of the vector's n-part, which
-        is never empty; the h-part is empty when dim h = 0.
-        """
-        total = ZERO if isinstance(vec[0], GaussianRational) else 0j
-        for c, w in zip(vec[self.spec.n_dim:], self.weights[j - 1]):
-            total = total + c * w
-        return total
 
     def with_h_part(self, hvecs: Sequence[Vector]) -> "AdaptableBasis":
         return AdaptableBasis(self.spec, self.nvecs, hvecs)

@@ -11,6 +11,12 @@ even cardinality and is constant on layers. On a fixed layer,
 point-dependent vectors V_k, U_k (dual pairs of the form) and combinations
 Z_j(l) are produced case by case; they cut out the orbit cross-sections.
 
+M is built once per point from the basis's table of nonzero brackets
+[Z_p, Z_q], and both the jump pairs and the section vectors read it: the
+section vectors are computed in coordinates over the adapted vectors, where
+Re Z_i = (Z_i + Z_sigma(i)) / 2 and Im Z_i = (Z_i - Z_sigma(i)) / 2i, and
+paired through the nonzero entries of M.
+
 All decisions are exact over Q(i); the float variant exists for points
 produced by dilation flows. The mode is the point's: every zero test and
 rank here uses ``l.tol``, which is None for an exact point and
@@ -20,7 +26,10 @@ rank here uses ``l.tol``, which is None for an exact point and
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adapted import AdaptableBasis
@@ -29,6 +38,8 @@ from .gaussian import GaussianRational, ZERO
 from .linalg import Subspace, is_zero, kernel
 
 GR1 = GaussianRational(1)
+HALF = GaussianRational(Fraction(1, 2))
+MINUS_HALF_I = GaussianRational(0, Fraction(-1, 2))
 
 
 class LayerMismatchError(ValueError):
@@ -87,6 +98,7 @@ class JumpData:
 
     ``reductions[k - 1]`` lists the (g, c) of step k: y_g <- y_g - c * y_{j_k}.
     Replaying them on the adapted vectors gives ``polarizing_subspace``.
+    ``form`` is the unreduced M = (l[Z_p, Z_q]) at ``point``.
     """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
@@ -95,6 +107,8 @@ class JumpData:
     tol: Optional[float] = field(default=None, repr=False, compare=False)
     reductions: Tuple[Tuple[Tuple[int, object], ...], ...] = field(
         default=(), repr=False, compare=False)
+    form: Optional[List[list]] = field(default=None, repr=False, compare=False)
+    point: Optional[Functional] = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -122,10 +136,38 @@ class JumpData:
         rows = [y for g, y in enumerate(ys, start=1) if g not in dead]
         return Subspace(rows, self.basis.dim, self.tol)
 
+    @cached_property
+    def layer_table(self):
+        """(conj-stable positions, primes, case sets) of these jump pairs,
+        built on first read."""
+        n_amb, _ = self.basis.ambient(self.ambient)
+        return _layer_data(self.basis, self, n_amb)
+
+
+def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int) -> List[list]:
+    """M[p][q] = l[Z_{p+1}, Z_{q+1}] on the first n_amb adapted vectors,
+    read off the basis's bracket table: no Gram matrix, no ``l.pair``."""
+    zero = ZERO if l.exact else 0j
+    values = l.values
+    m = [[zero] * n_amb for _ in range(n_amb)]
+    for p, q, terms in basis.mode(l.tol).brackets:
+        if q >= n_amb:
+            break
+        x = zero
+        for k, c in terms:
+            v = values[k]
+            if v:
+                x = x + c * v
+        m[p][q] = x
+        m[q][p] = -x
+    return m
+
 
 def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
               ambient: str = "g") -> JumpData:
     """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
+
+    The reduction runs on a copy; the unreduced M stays on the result.
 
     Positions g of the ambient flag stay active while their reduced vector
     y_g can still pair. Step k takes the first active row i_k with a nonzero
@@ -148,14 +190,8 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
         basis = l.basis
     tol = l.tol
     n_amb, _ = basis.ambient(ambient)
-    vecs = basis.mode(tol).vectors
-    zero = ZERO if tol is None else 0j
-    m = [[zero] * n_amb for _ in range(n_amb)]
-    for p in range(n_amb):
-        for q in range(p + 1, n_amb):
-            x = l.pair(vecs[p], vecs[q])
-            m[p][q] = x
-            m[q][p] = -x
+    form = _orbit_form(l, basis, n_amb)
+    m = [list(row) for row in form]
 
     active = list(range(n_amb))
     i_seq: List[int] = []
@@ -190,7 +226,7 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
         reductions.append(tuple(steps))
 
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis, tol,
-                    tuple(reductions))
+                    tuple(reductions), form, l)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +271,9 @@ def _layer_data(basis: AdaptableBasis, jd: JumpData, top: int):
     stable_set = set(stable)
     primes = {}
     for j in range(1, top + 1):
-        lower = max(p for p in stable if p < j) if any(p < j for p in stable) else 0
-        upper = min((p for p in stable if p >= j), default=top)
-        primes[j] = (lower, upper)
+        # stable is sorted and starts at 0: the nearest positions around j
+        at = bisect_left(stable, j)
+        primes[j] = (stable[at - 1], stable[at] if at < len(stable) else top)
     e_set = set(jd.e_set)
     i_set = set(jd.i_seq)
     j_set = set(jd.j_seq)
@@ -265,12 +301,42 @@ def _layer_data(basis: AdaptableBasis, jd: JumpData, top: int):
 
 @dataclass
 class SectionVectors:
+    """Dual pairs V_k, U_k, combinations Z_j(l), b values and l[V_k, U_k].
+
+    The vectors are computed as sparse coordinates {p: x_p} over the
+    adapted vectors Z_{p+1} (``v_adapted``, ``u_adapted``, ``z_adapted``);
+    ``v_list``, ``u_list`` and ``z_at`` are the same vectors over the real
+    basis of g, built on first read.
+    """
     jd: JumpData
-    v_list: List[list]                 # V_k, dual pair first members
-    u_list: List[list]                 # U_k, dual pair second members
-    z_at: Dict[int, Sequence]          # j in e -> Z_j(l)
+    vectors: Sequence = field(repr=False)   # the Z_j in the point's mode
+    v_adapted: List[dict]
+    u_adapted: List[dict]
+    z_adapted: Dict[int, dict]
     b_at: Dict[int, object]            # i_k in phi -> b value
     pairings: List[object]             # l[V_k, U_k]
+
+    def _real(self, coords: dict) -> list:
+        out = [ZERO if self.jd.tol is None else 0j] * len(self.vectors[0])
+        for p, c in coords.items():
+            if c:
+                out = [o + c * x for o, x in zip(out, self.vectors[p])]
+        return out
+
+    @cached_property
+    def v_list(self) -> List[list]:
+        """V_k, dual pair first members."""
+        return [self._real(v) for v in self.v_adapted]
+
+    @cached_property
+    def u_list(self) -> List[list]:
+        """U_k, dual pair second members."""
+        return [self._real(u) for u in self.u_adapted]
+
+    @cached_property
+    def z_at(self) -> Dict[int, list]:
+        """j in e -> Z_j(l)."""
+        return {j: self._real(z) for j, z in self.z_adapted.items()}
 
     def rho(self, vec, l: Functional, upto: Optional[int] = None):
         """Project vec against the dual pairs V_m, U_m for m <= upto."""
@@ -286,18 +352,17 @@ class SectionVectors:
         return out
 
 
-def _scale(vec, c):
-    return [c * x for x in vec]
-
-
-def _add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
 def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
                     jd: Optional[JumpData] = None,
                     ambient: str = "g") -> SectionVectors:
     """Dual pairs V_k, U_k and the combinations Z_j(l), case by case.
+
+    Works in sparse coordinates x over the adapted vectors of the ambient,
+    pairing x and y as x . (M y) through the nonzero entries of the orbit
+    form M of ``jd`` (rebuilt when jd is not the jump data of l). There
+    Re Z_i = (e_i + e_s) / 2 and Im Z_i = (e_i - e_s) / 2i with s = sigma(i),
+    since the basis verified conj Z_i = Z_s; the b values read gamma_i on
+    the h-part from the basis's weight table.
 
     Raises LayerMismatchError when a pairing l[V_k, U_k] vanishes (the point
     is not in the layer the case table assumed) and UnsupportedCaseError for
@@ -310,36 +375,95 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
     n_amb, _ = basis.ambient(ambient)
     tol = l.tol
     mode = basis.mode(tol)
-    _, _, cases = _layer_data(basis, jd, n_amb)
+    if jd.point is l and jd.basis is basis and jd.ambient == ambient:
+        form = jd.form
+    else:
+        form = _orbit_form(l, basis, n_amb)
+    cols = [[(p, x) for p, x in enumerate(col) if x] for col in zip(*form)]
+    _, _, cases = jd.layer_table
     in_case = {c: set(v) for c, v in cases.items()}
+    if tol is None:
+        zero, one, half, minus_half_i = ZERO, GR1, HALF, MINUS_HALF_I
+    else:
+        zero, one, half, minus_half_i = 0j, 1 + 0j, 0.5 + 0j, -0.5j
+    sigma = basis.sigma
 
-    sv = SectionVectors(jd=jd, v_list=[], u_list=[], z_at={}, b_at={},
-                        pairings=[])
-    pending_z: Dict[int, list] = {}
+    def parts(i):
+        """Re Z_i and Im Z_i."""
+        s = sigma[i]
+        if s == i:
+            return {i - 1: one}, {}
+        return ({i - 1: half, s - 1: half},
+                {i - 1: minus_half_i, s - 1: -minus_half_i})
+
+    def image(y):
+        """M y, through the nonzero entries of M's columns."""
+        out = {}
+        for q, yq in y.items():
+            if yq:
+                for p, mpq in cols[q]:
+                    out[p] = out[p] + mpq * yq if p in out else mpq * yq
+        return out
+
+    def dot(x, w):
+        total = zero
+        for p, xp in x.items():
+            wp = w.get(p)
+            if wp:
+                total = total + xp * wp
+        return total
+
+    def pair(x, y):
+        return dot(x, image(y))
+
+    def add(out, c, x):
+        """out += c * x, in place."""
+        for q, xq in x.items():
+            out[q] = out[q] + c * xq if q in out else c * xq
+        return out
+
+    def combine(a, x, b, y):
+        return add(add({}, a, x), b, y)
+
+    v_ad: List[dict] = []
+    u_ad: List[dict] = []
+    mv_ad: List[dict] = []             # M V_k and M U_k, so that pairing
+    mu_ad: List[dict] = []             # with V_k or U_k is one dot product
+    pairings: List[object] = []
+    z_ad: Dict[int, dict] = {}
+
+    def rho(x):
+        for vm, um, mv, mu, den in zip(v_ad, u_ad, mv_ad, mu_ad, pairings):
+            c_u = dot(x, mu)
+            c_v = dot(x, mv)
+            if c_u or c_v:
+                x = add(add(dict(x), -(c_u / den), vm), c_v / den, um)
+        return x
+
+    pending_z: Dict[int, dict] = {}
 
     for k in range(1, jd.d + 1):
         ik, jk = jd.i_seq[k - 1], jd.j_seq[k - 1]
-        re_i, im_i = mode.re[ik - 1], mode.im[ik - 1]
+        re_i, im_i = parts(ik)
 
         if k in in_case[5] and ik in pending_z:
             z_ik = pending_z.pop(ik)
         elif k in in_case[0]:
             z_ik = re_i
         elif k in in_case[1]:
-            rho_jk = sv.rho(mode.vectors[jk - 1], l)
-            b1 = l.pair(rho_jk, re_i)
-            b2 = l.pair(rho_jk, im_i)
-            z_ik = _add(_scale(re_i, b1), _scale(im_i, b2))
+            rho_jk = rho({jk - 1: one})
+            z_ik = combine(pair(rho_jk, re_i), re_i, pair(rho_jk, im_i), im_i)
         elif k in in_case[2]:
             # the partner pair index m with j_m immediately below i_k
-            m = next((m for m in range(1, min(k, len(sv.v_list) + 1))
+            m = next((m for m in range(1, min(k, len(v_ad) + 1))
                       if jd.j_seq[m - 1] == ik - 1), None)
             if m is None:
                 raise UnsupportedCaseError(
                     f"pair {k}: no computed partner below index {ik}")
-            a1 = l.pair(mode.re[jd.j_seq[m - 1] - 1], sv.v_list[m - 1])
-            a2 = l.pair(mode.im[jd.j_seq[m - 1] - 1], sv.v_list[m - 1])
-            z_ik = _add(_scale(re_i, -a2), _scale(im_i, -a1))
+            re_m, im_m = parts(jd.j_seq[m - 1])
+            a1 = dot(re_m, mv_ad[m - 1])
+            a2 = dot(im_m, mv_ad[m - 1])
+            z_ik = combine(-a2, re_i, -a1, im_i)
         elif k in in_case[3]:
             z_ik = im_i
         elif k in in_case[4]:
@@ -347,47 +471,54 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         else:
             raise UnsupportedCaseError(f"pair {k} falls in no supported case")
 
-        vk = sv.rho(z_ik, l)
-        re_j, im_j = mode.re[jk - 1], mode.im[jk - 1]
-        a1 = l.pair(re_j, vk)
-        a2 = l.pair(im_j, vk)
-        z_jk = _add(_scale(re_j, a1), _scale(im_j, a2))
-        uk = sv.rho(z_jk, l)
-        pairing = l.pair(vk, uk)
+        vk = rho(z_ik)
+        mv = image(vk)
+        re_j, im_j = parts(jk)
+        z_jk = combine(dot(re_j, mv), re_j, dot(im_j, mv), im_j)
+        uk = rho(z_jk)
+        mu = image(uk)
+        pairing = dot(vk, mu)
         if is_zero(pairing, tol):
             raise LayerMismatchError(f"pairing of dual pair {k} vanishes")
 
-        sv.v_list.append(vk)
-        sv.u_list.append(uk)
-        sv.pairings.append(pairing)
-        sv.z_at[ik] = z_ik
-        sv.z_at[jk] = z_jk
+        v_ad.append(vk)
+        u_ad.append(uk)
+        mv_ad.append(mv)
+        mu_ad.append(mu)
+        pairings.append(pairing)
+        z_ad[ik] = z_ik
+        z_ad[jk] = z_jk
 
         if (k in in_case[4] and k + 1 <= jd.d and jd.i_seq[k] == ik + 1
-                and basis.sigma[jd.j_seq[k]] == jk):
-            num = l.pair(uk, im_i)
-            den = l.pair(uk, re_i)
+                and sigma[jd.j_seq[k]] == jk):
+            num = pair(uk, im_i)
+            den = pair(uk, re_i)
             if is_zero(den, tol):
                 raise UnsupportedCaseError(
                     f"pair {k}: degenerate adjacent-pair combination")
             nxt = jd.i_seq[k]
-            z_next = _add(_scale(mode.re[nxt - 1], -(num / den)),
-                          _scale(mode.im[nxt - 1], -1))
-            pending_z[nxt] = z_next
+            re_n, im_n = parts(nxt)
+            pending_z[nxt] = combine(-(num / den), re_n, -one, im_n)
 
     # b values on pair indices whose weight pairs with U_k
-    for k in range(1, jd.d + 1):
-        ik = jd.i_seq[k - 1]
-        if ik > basis.n:
+    nd = basis.n
+    b_at: Dict[int, object] = {}
+    for ik, uk, mu in zip(jd.i_seq, u_ad, mu_ad):
+        if ik > nd:
             continue
-        gamma = basis.weight_on(ik, sv.u_list[k - 1])
+        gamma = zero
+        for p, c in uk.items():
+            if p >= nd:
+                gamma = gamma + c * mode.h_weights[ik - 1][p - nd]
         if is_zero(gamma, tol):
             continue
-        denom = l.pair(mode.vectors[ik - 1], sv.u_list[k - 1])
+        denom = mu.get(ik - 1, zero)
         if is_zero(denom, tol):
             raise LayerMismatchError(f"b value at index {ik} is singular")
-        sv.b_at[ik] = gamma / denom
-    return sv
+        b_at[ik] = gamma / denom
+    return SectionVectors(jd=jd, vectors=mode.vectors[:n_amb], v_adapted=v_ad,
+                          u_adapted=u_ad, z_adapted=z_ad, b_at=b_at,
+                          pairings=pairings)
 
 
 def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
@@ -396,9 +527,8 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
     if basis is None:
         basis = l.basis
     jd = jump_data(l, basis, ambient)
-    n_amb, _ = basis.ambient(ambient)
-    stable, primes, cases = _layer_data(basis, jd, n_amb)
     sv = section_vectors(l, basis, jd, ambient)
+    stable, primes, cases = jd.layer_table
     phi = tuple(sorted(sv.b_at.keys()))
     return LayerDescriptor(ambient=ambient, e_set=jd.e_set, i_seq=jd.i_seq,
                            j_seq=jd.j_seq, stable_set=stable, primes=primes,
@@ -483,5 +613,5 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
 
 def skew_matrix(l: Functional, indices: Sequence[int]) -> List[List[GaussianRational]]:
     """The matrix [ l[Z_i, Z_j] ] over the given adapted indices (1-based)."""
-    vecs = [list(l.basis.vector(j)) for j in indices]
-    return [[l.pair(a, b) for b in vecs] for a in vecs]
+    form = _orbit_form(l, l.basis, max(indices, default=0))
+    return [[form[i - 1][j - 1] for j in indices] for i in indices]

@@ -1,0 +1,208 @@
+"""Section vectors over the real basis of g, kept as a test oracle.
+
+This is the computation ``solvlie.strata.section_vectors`` replaced by one
+in adapted coordinates. It builds every vector as a coordinate vector over
+the real basis of g, takes real and imaginary parts of the adapted vectors
+entry by entry, and pairs through ``Functional.pair``. ``layer_data`` is
+the case table as it was before ``JumpData.layer_table``. The tests
+compare the two on corpus points, seeded points and flowed float points.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
+
+from solvlie.adapted import AdaptableBasis
+from solvlie.functionals import Functional
+from solvlie.gaussian import GaussianRational, ZERO
+from solvlie.linalg import is_zero
+from solvlie.strata import (JumpData, LayerMismatchError, UnsupportedCaseError,
+                            jump_data)
+
+
+def _mode_parts(basis: AdaptableBasis, tol):
+    """Real and imaginary parts of the adapted vectors in the mode of tol."""
+    re = [tuple(GaussianRational(x.re) for x in v) for v in basis.vectors]
+    im = [tuple(GaussianRational(x.im) for x in v) for v in basis.vectors]
+    if tol is None:
+        return re, im
+    return ([tuple(complex(x) for x in v) for v in re],
+            [tuple(complex(x) for x in v) for v in im])
+
+
+def _self_conjugate_steps(basis: AdaptableBasis):
+    """1-based flag indices j (plus 0) with conj-stable span, over all of g."""
+    out = [0]
+    closed: set = set()
+    for j in range(1, basis.dim + 1):
+        closed.add(j)
+        if all(basis.sigma[p] in closed for p in closed):
+            out.append(j)
+    return tuple(out)
+
+
+def layer_data(basis: AdaptableBasis, jd: JumpData, top: int):
+    """(conj-stable positions, primes, case sets) of the jump pairs."""
+    stable = [j for j in _self_conjugate_steps(basis) if j <= top]
+    stable_set = set(stable)
+    primes = {}
+    for j in range(1, top + 1):
+        lower = max(p for p in stable if p < j) if any(p < j for p in stable) else 0
+        upper = min((p for p in stable if p >= j), default=top)
+        primes[j] = (lower, upper)
+    e_set = set(jd.e_set)
+    i_set = set(jd.i_seq)
+    j_set = set(jd.j_seq)
+    cases: Dict[int, List[int]] = {c: [] for c in range(6)}
+    for k, ik in enumerate(jd.i_seq, start=1):
+        lo, hi = primes[ik]
+        if hi - lo == 1:
+            cases[0].append(k)
+        if ik not in stable_set and ik + 1 not in e_set:
+            cases[1].append(k)
+        if ik - 1 in j_set and ik - 1 not in stable_set:
+            cases[2].append(k)
+        if ik not in stable_set and ik + 1 in j_set:
+            cases[3].append(k)
+        if ik not in stable_set and ik + 1 in i_set:
+            cases[4].append(k)
+        if ik - 1 in i_set and ik - 1 not in stable_set:
+            cases[5].append(k)
+    return tuple(stable), primes, {c: tuple(v) for c, v in cases.items()}
+
+
+def _weight_on(basis: AdaptableBasis, j: int, vec):
+    """gamma_j evaluated on the h-component of a g_C coordinate vector."""
+    total = ZERO if isinstance(vec[0], GaussianRational) else 0j
+    for c, w in zip(vec[basis.spec.n_dim:], basis.weights[j - 1]):
+        total = total + c * w
+    return total
+
+
+@dataclass
+class SectionVectors:
+    jd: JumpData
+    v_list: List[list]                 # V_k, dual pair first members
+    u_list: List[list]                 # U_k, dual pair second members
+    z_at: Dict[int, Sequence]          # j in e -> Z_j(l)
+    b_at: Dict[int, object]            # i_k in phi -> b value
+    pairings: List[object]             # l[V_k, U_k]
+
+    def rho(self, vec, l: Functional, upto: Optional[int] = None):
+        """Project vec against the dual pairs V_m, U_m for m <= upto."""
+        k = len(self.v_list) if upto is None else upto
+        out = list(vec)
+        for m in range(k):
+            vm, um = self.v_list[m], self.u_list[m]
+            c_u = l.pair(out, um)
+            c_v = l.pair(out, vm)
+            denom = self.pairings[m]
+            out = [o - (c_u / denom) * v + (c_v / denom) * u
+                   for o, v, u in zip(out, vm, um)]
+        return out
+
+
+def _scale(vec, c):
+    return [c * x for x in vec]
+
+
+def _add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
+                    jd: Optional[JumpData] = None,
+                    ambient: str = "g") -> SectionVectors:
+    """Dual pairs V_k, U_k and the combinations Z_j(l), case by case.
+
+    Raises LayerMismatchError when a pairing l[V_k, U_k] vanishes (the point
+    is not in the layer the case table assumed) and UnsupportedCaseError for
+    pair patterns outside the table.
+    """
+    if basis is None:
+        basis = l.basis
+    if jd is None:
+        jd = jump_data(l, basis, ambient)
+    n_amb, _ = basis.ambient(ambient)
+    tol = l.tol
+    vectors = basis.mode(tol).vectors
+    mode_re, mode_im = _mode_parts(basis, tol)
+    _, _, cases = layer_data(basis, jd, n_amb)
+    in_case = {c: set(v) for c, v in cases.items()}
+
+    sv = SectionVectors(jd=jd, v_list=[], u_list=[], z_at={}, b_at={},
+                        pairings=[])
+    pending_z: Dict[int, list] = {}
+
+    for k in range(1, jd.d + 1):
+        ik, jk = jd.i_seq[k - 1], jd.j_seq[k - 1]
+        re_i, im_i = mode_re[ik - 1], mode_im[ik - 1]
+
+        if k in in_case[5] and ik in pending_z:
+            z_ik = pending_z.pop(ik)
+        elif k in in_case[0]:
+            z_ik = re_i
+        elif k in in_case[1]:
+            rho_jk = sv.rho(vectors[jk - 1], l)
+            b1 = l.pair(rho_jk, re_i)
+            b2 = l.pair(rho_jk, im_i)
+            z_ik = _add(_scale(re_i, b1), _scale(im_i, b2))
+        elif k in in_case[2]:
+            # the partner pair index m with j_m immediately below i_k
+            m = next((m for m in range(1, min(k, len(sv.v_list) + 1))
+                      if jd.j_seq[m - 1] == ik - 1), None)
+            if m is None:
+                raise UnsupportedCaseError(
+                    f"pair {k}: no computed partner below index {ik}")
+            a1 = l.pair(mode_re[jd.j_seq[m - 1] - 1], sv.v_list[m - 1])
+            a2 = l.pair(mode_im[jd.j_seq[m - 1] - 1], sv.v_list[m - 1])
+            z_ik = _add(_scale(re_i, -a2), _scale(im_i, -a1))
+        elif k in in_case[3]:
+            z_ik = im_i
+        elif k in in_case[4]:
+            z_ik = re_i
+        else:
+            raise UnsupportedCaseError(f"pair {k} falls in no supported case")
+
+        vk = sv.rho(z_ik, l)
+        re_j, im_j = mode_re[jk - 1], mode_im[jk - 1]
+        a1 = l.pair(re_j, vk)
+        a2 = l.pair(im_j, vk)
+        z_jk = _add(_scale(re_j, a1), _scale(im_j, a2))
+        uk = sv.rho(z_jk, l)
+        pairing = l.pair(vk, uk)
+        if is_zero(pairing, tol):
+            raise LayerMismatchError(f"pairing of dual pair {k} vanishes")
+
+        sv.v_list.append(vk)
+        sv.u_list.append(uk)
+        sv.pairings.append(pairing)
+        sv.z_at[ik] = z_ik
+        sv.z_at[jk] = z_jk
+
+        if (k in in_case[4] and k + 1 <= jd.d and jd.i_seq[k] == ik + 1
+                and basis.sigma[jd.j_seq[k]] == jk):
+            num = l.pair(uk, im_i)
+            den = l.pair(uk, re_i)
+            if is_zero(den, tol):
+                raise UnsupportedCaseError(
+                    f"pair {k}: degenerate adjacent-pair combination")
+            nxt = jd.i_seq[k]
+            z_next = _add(_scale(mode_re[nxt - 1], -(num / den)),
+                          _scale(mode_im[nxt - 1], -1))
+            pending_z[nxt] = z_next
+
+    # b values on pair indices whose weight pairs with U_k
+    for k in range(1, jd.d + 1):
+        ik = jd.i_seq[k - 1]
+        if ik > basis.n:
+            continue
+        gamma = _weight_on(basis, ik, sv.u_list[k - 1])
+        if is_zero(gamma, tol):
+            continue
+        denom = l.pair(vectors[ik - 1], sv.u_list[k - 1])
+        if is_zero(denom, tol):
+            raise LayerMismatchError(f"b value at index {ik} is singular")
+        sv.b_at[ik] = gamma / denom
+    return sv

@@ -21,7 +21,8 @@ from solvlie.linalg import det
 from solvlie.sections import (UnsupportedLayerError, h_project,
                               pointwise_stabilizer, sample_lambda_nu,
                               stabilizer_data)
-from solvlie.strata import jump_data, pfaffian, section_vectors
+from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
+                            jump_data, pfaffian, section_vectors)
 from solvlie.workbench import Workbench
 
 VERDICTS = {
@@ -217,7 +218,7 @@ def test_criterion_6d_rho_orthogonality_exact():
             l = sample_functional(basis, rng, support="g")
             try:
                 sv = section_vectors(l, basis, ambient="g")
-            except Exception:
+            except (LayerMismatchError, UnsupportedCaseError):
                 continue
             for _ in range(3):
                 w = [G(rng.randint(-4, 4)) for _ in range(spec.dim)]

@@ -35,7 +35,9 @@ def _combination(rng, vectors):
 
 
 def _test_vectors(rng, mode):
-    vecs = [list(v) for v in mode.vectors + mode.re + mode.im]
+    vecs = [list(v) for v in mode.vectors]
+    vecs += [[GaussianRational(x.re) for x in v] for v in mode.vectors]
+    vecs += [[GaussianRational(x.im) for x in v] for v in mode.vectors]
     vecs += [_combination(rng, mode.vectors) for _ in range(6)]
     return vecs
 
