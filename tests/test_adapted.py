@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from solvlie.adapted import HintInvalidError, build_adaptable_basis
+from solvlie.algebra import spec_from_dict
 from solvlie.corpus import corpus_entry
 from solvlie.gaussian import GaussianRational as G
 
@@ -120,3 +121,65 @@ def test_construction_matches_hint_layer_for_spiral():
     vals = sorted(str(w[0]) for w in basis.weights[:6])
     assert vals == sorted(["1+1 i", "1-1 i", "1/2+1/2 i", "1/2-1/2 i",
                            "1/2+1/2 i", "1/2-1/2 i"])
+
+
+def _rotation_heisenberg(dilation: bool):
+    # [X, Y] = Z with A rotating the (X, Y) plane: ad(A) has the purely
+    # imaginary weights -i, i on X + iY, X - iY; B (optional) dilates X, Y
+    # by 1 and Z by 2
+    brackets = [
+        {"x": "X", "y": "Y", "value": [{"c": "1", "b": "Z"}]},
+        {"x": "A", "y": "X", "value": [{"c": "1", "b": "Y"}]},
+        {"x": "A", "y": "Y", "value": [{"c": "-1", "b": "X"}]},
+    ]
+    if dilation:
+        brackets += [
+            {"x": "B", "y": "X", "value": [{"c": "1", "b": "X"}]},
+            {"x": "B", "y": "Y", "value": [{"c": "1", "b": "Y"}]},
+            {"x": "B", "y": "Z", "value": [{"c": "2", "b": "Z"}]},
+        ]
+    return spec_from_dict({"name": "rotation-heisenberg", "n_basis": ["Z", "Y", "X"],
+                           "h_basis": ["A", "B"] if dilation else ["A"],
+                           "brackets": brackets})
+
+
+def _failing_hint(case):
+    """(spec, hint, condition, message) of a hint failing at a known j > 1."""
+    if case == 1:
+        # (Z, X, Y): [A, X] has a Y-component, so span{Z, X} is no ideal
+        spec = corpus_entry("heisenberg-complex-dilation").spec()
+        hint = [(G(1), G(0), G(0)), (G(0), G(0), G(1)), (G(0), G(1), G(0))]
+        return spec, hint, 1, "span of the first 2 vectors is not an ideal"
+    if case == 2:
+        # span{Z1 +- iZ2, Y1 + iY2} is not conj-stable, yet vector 4 is X1 + iX2
+        spec = corpus_entry("double-heisenberg").spec()
+
+        def vec(**kw):
+            out = [G(0)] * 6
+            for lab, v in kw.items():
+                out[spec.index(lab)] = v
+            return tuple(out)
+
+        hint = [vec(Z1=G(1), Z2=G(0, 1)), vec(Z1=G(1), Z2=G(0, -1)),
+                vec(Y1=G(1), Y2=G(0, 1)), vec(X1=G(1), X2=G(0, 1)),
+                vec(Y1=G(1), Y2=G(0, -1)), vec(X1=G(1), X2=G(0, -1))]
+        return spec, hint, 2, "vector 4 must be the conjugate of vector 3"
+    if case == 3:
+        # span{Z, iY} and span{Z} are conj-stable, so vector 2 must be real
+        spec = corpus_entry("heisenberg-2param").spec()
+        hint = [(G(1), G(0), G(0)), (G(0), G(0, 1), G(0)), (G(0), G(0), G(1))]
+        return spec, hint, 3, "vector 2 must be real"
+    spec = _rotation_heisenberg(dilation=case == "4b")
+    hint = [(G(1), G(0), G(0)), (G(0), G(0, 1), G(1)), (G(0), G(0, -1), G(1))]
+    if case == "4a":
+        return spec, hint, 4, "weight of vector 2 is purely imaginary"
+    return spec, hint, 4, "weight of vector 2 is not of the form lambda*(1+i*alpha)"
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, "4a", "4b"])
+def test_hint_failure_reports_condition_and_step(case):
+    spec, hint, condition, message = _failing_hint(case)
+    with pytest.raises(HintInvalidError) as err:
+        build_adaptable_basis(spec, hint=hint)
+    assert err.value.condition == condition
+    assert str(err.value) == f"adapted-basis condition {condition} fails: {message}"
