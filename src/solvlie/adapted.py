@@ -10,20 +10,33 @@ An adapted basis Z_1..Z_n (+ the h part) satisfies, for every k:
      member, with weight of the form lambda*(1 + i*alpha_j).
 
 Constructed bases are exact joint eigenbases ordered along the ascending
-central series of n; a user hint overrides the construction and is verified
-against the four conditions.
+central series of n. The series comes from the sparse structure constants
+(``LieAlgebraSpec.bracket_sparse``). Each level is h-invariant, so it
+splits by weight in one pass: its rows are expressed once over the joint
+eigenbasis (one inversion per spec), and the coordinates of each weight
+space give that space's piece of the level. A user hint overrides the
+construction.
+
+Every basis, built or hinted, is verified through its adapted structure
+constants: one inversion of the n block of the basis matrix gives C_pq^k,
+the coordinates of [Z_p, Z_q] over the Z_k, held as sparse rows, and the
+coordinates of [A_t, Z_j] and of conj Z_j. Condition 1 holds iff no bracket
+with Z_j has a coordinate beyond j; gamma_j(A_t) is the diagonal
+coefficient of [A_t, Z_j]; conj-stability of each flag member reads off the
+coordinates of the conjugates. Swapping the h part (``with_h_part``) checks
+only the new h vectors, since no n-part result depends on them.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (DiagonalizationError, LieAlgebraSpec, Vector,
-                      weight_decomposition)
+from .algebra import DiagonalizationError, LieAlgebraSpec, Vector
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, kernel, rank, rref, solve
+from .linalg import Subspace, kernel, rank, rref
 
 GR1 = GaussianRational(1)
 
@@ -44,6 +57,35 @@ def _conj_vec(vec: Sequence[GaussianRational]) -> Vector:
 
 def _is_real_vec(vec) -> bool:
     return all(x.is_real() for x in vec)
+
+
+def _terms(vec) -> Tuple[Tuple[int, GaussianRational], ...]:
+    return tuple((m, c) for m, c in enumerate(vec) if c)
+
+
+def _inverse_rows(rows: List[List[GaussianRational]]):
+    """Sparse rows of the inverse of a square matrix, or None if singular.
+
+    Row m of the result lists the nonzero (k, x) of row m of the inverse,
+    which is what ``_coords`` reads.
+    """
+    size = len(rows)
+    aug = [list(r) + [GR1 if i == k else ZERO for k in range(size)]
+           for i, r in enumerate(rows)]
+    red, pivots = rref(aug)
+    if pivots[:size] != list(range(size)):
+        return None
+    return [_terms(row[size:]) for row in red]
+
+
+def _coords(vec, inv) -> Dict[int, GaussianRational]:
+    """The nonzero coordinates k of vec over the rows whose inverse is inv."""
+    out: Dict[int, GaussianRational] = {}
+    for m, c in enumerate(vec[:len(inv)]):
+        if c:
+            for k, x in inv[m]:
+                out[k] = out.get(k, ZERO) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 @dataclass(frozen=True)
@@ -75,26 +117,28 @@ class AdaptableBasis:
         if hvecs is None:
             hvecs = [spec.basis_vector(spec.n_dim + t) for t in range(spec.h_dim)]
         self.nvecs = [tuple(v) for v in nvecs]
-        self.hvecs = [tuple(v) for v in hvecs]
-        self.vectors = self.nvecs + self.hvecs
-        if len(self.nvecs) != spec.n_dim or len(self.hvecs) != spec.h_dim:
+        if len(self.nvecs) != spec.n_dim or len(hvecs) != spec.h_dim:
             raise HintInvalidError(1, "wrong number of basis vectors")
         if any(any(not v[m].is_zero() for m in range(spec.n_dim, spec.dim))
                for v in self.nvecs):
             raise HintInvalidError(1, "n-part vectors must be supported in n")
-        if any(any(not v[m].is_zero() for m in range(spec.n_dim))
-               or not _is_real_vec(v) for v in self.hvecs):
+        self._set_h_part(hvecs)
+        self._verify()
+
+    def _set_h_part(self, hvecs: Sequence[Vector]):
+        """Check and install the h vectors: real, supported in h, a basis of h."""
+        nd = self.spec.n_dim
+        hvecs = [tuple(v) for v in hvecs]
+        if len(hvecs) != self.spec.h_dim:
+            raise HintInvalidError(1, "wrong number of basis vectors")
+        if any(any(not v[m].is_zero() for m in range(nd))
+               or not _is_real_vec(v) for v in hvecs):
             raise HintInvalidError(1, "h-part vectors must be real and supported in h")
-        if rank([list(v) for v in self.vectors]) != spec.dim:
+        if rank([list(v[nd:]) for v in hvecs]) != len(hvecs):
             raise HintInvalidError(1, "vectors are not a basis")
-
-        self._flags: List[Subspace] = [Subspace([], spec.dim)]
-        for v in self.vectors:
-            self._flags.append(Subspace(self._flags[-1].rows + [list(v)], spec.dim))
-
-        self._verify_flag_conditions()
-        self._compute_pairing()
-        self._compute_weights()
+        self.hvecs = hvecs
+        self.vectors = self.nvecs + hvecs
+        self._flags: Dict[int, Subspace] = {}
         self._modes: Dict[Optional[float], ModeData] = {}
 
     # -- structure -------------------------------------------------------
@@ -116,8 +160,12 @@ class AdaptableBasis:
         return self.vectors[j - 1]
 
     def flag(self, j: int) -> Subspace:
-        """Span of the first j vectors, j in 0..dim."""
-        return self._flags[j]
+        """Span of the first j vectors, j in 0..dim, built on first use."""
+        fl = self._flags.get(j)
+        if fl is None:
+            fl = Subspace([list(v) for v in self.vectors[:j]], self.dim)
+            self._flags[j] = fl
+        return fl
 
     def mode(self, tol: Optional[float]) -> ModeData:
         """The basis in the arithmetic mode of tol, built once per mode.
@@ -129,11 +177,10 @@ class AdaptableBasis:
         if data is None:
             if tol is None:
                 spec, vecs, nd = self.spec, self.vectors, self.n
-                brackets = []
-                for q in range(self.dim):
+                brackets = list(self._n_brackets)
+                for q in range(nd, self.dim):
                     for p in range(q):
-                        terms = tuple((m, c) for m, c in
-                                      enumerate(spec.bracket(vecs[p], vecs[q])) if c)
+                        terms = _terms(spec.bracket(vecs[p], vecs[q]))
                         if terms:
                             brackets.append((p, q, terms))
                 # gamma_i(Z_p) = sum_t Z_p[n + t] gamma_i(A_t)
@@ -152,11 +199,12 @@ class AdaptableBasis:
             self._modes[tol] = data
         return data
 
-    def ambient(self, ambient: str) -> Tuple[int, Subspace]:
+    def ambient(self, ambient: str) -> int:
+        """Number of leading basis vectors spanning the ambient 'n' or 'g'."""
         if ambient == "n":
-            return self.n, self._flags[self.n]
+            return self.n
         if ambient == "g":
-            return self.dim, self._flags[self.dim]
+            return self.dim
         raise ValueError(f"ambient must be 'n' or 'g', got {ambient!r}")
 
     def self_conjugate_steps(self) -> Tuple[int, ...]:
@@ -171,26 +219,63 @@ class AdaptableBasis:
 
     # -- verification ------------------------------------------------------
 
-    def _verify_flag_conditions(self):
-        spec = self.spec
-        conj_stable = [True]  # index 0: zero space
-        for j in range(1, self.dim + 1):
-            flag = self._flags[j]
-            conj_rows = [list(_conj_vec(r)) for r in flag.rows]
-            conj_stable.append(flag.contains(Subspace(conj_rows, spec.dim)))
-        self._conj_stable = conj_stable
+    def _verify(self):
+        """Check conditions 1-4 through the adapted structure constants.
 
-        for j in range(1, self.dim + 1):
-            # condition 1: ideal
-            flag = self._flags[j]
-            for m in range(spec.dim):
-                img = spec.bracket(spec.basis_vector(m), self.vectors[j - 1])
-                if not flag.contains_vector(img):
-                    raise HintInvalidError(
-                        1, f"span of the first {j} vectors is not an ideal")
+        The basis matrix is block diagonal (n part, h part), so one inversion
+        of the n block gives the adapted coordinates of everything in n_C:
+        the brackets [Z_p, Z_q] (C), the brackets [A_t, Z_j] with the real
+        basis A_t of h, and conj Z_j. Condition 1 at j holds iff no such
+        bracket with Z_j has a coordinate beyond j: the brackets with the
+        h-part vectors are real combinations of those with the A_t, and for
+        j > n the flag contains n_C, which holds every bracket. So nothing
+        checked here depends on the h-part vectors.
+        """
+        spec, nd, dim = self.spec, self.n, self.dim
+        inv = _inverse_rows([list(v[:nd]) for v in self.nvecs])
+        if inv is None:
+            raise HintInvalidError(1, "vectors are not a basis")
+
+        # C_pq^k for p < q < n as sparse rows; [Z_p, Z_q] leaves the flag at
+        # p + 1 (and then also at q + 1) iff it has a coordinate beyond p
+        self._n_brackets = []       # the same brackets over the real basis
+        first_bad = dim + 1         # the first j (1-based) failing condition 1
+        for q in range(nd):
+            for p in range(q):
+                img = spec.bracket(self.nvecs[p], self.nvecs[q])
+                terms = _terms(img)
+                if not terms:
+                    continue
+                self._n_brackets.append((p, q, terms))
+                row = _coords(img, inv)
+                if max(row) > p:
+                    first_bad = min(first_bad, p + 1)
+        ad_h = []                   # ad_h[t][j]: coordinates of [A_t, Z_j]
+        for t in range(spec.h_dim):
+            a = spec.basis_vector(nd + t)
+            ad_h.append([_coords(spec.bracket(a, z), inv) for z in self.nvecs])
+            for j, row in enumerate(ad_h[t]):
+                if row and max(row) > j:
+                    first_bad = min(first_bad, j + 1)
+
+        # conj(span of the first j) lies in it iff no conj Z_p, p <= j, has
+        # a coordinate beyond j; h-part vectors are real
+        reach = 0
+        conj_stable = [True]
+        for j, v in enumerate(self.vectors, start=1):
+            if j <= nd and not _is_real_vec(v):
+                reach = max(reach, max(_coords(_conj_vec(v), inv)) + 1)
+            else:
+                reach = max(reach, j)
+            conj_stable.append(reach <= j)
+
+        for j in range(1, dim + 1):
+            if j == first_bad:
+                raise HintInvalidError(
+                    1, f"span of the first {j} vectors is not an ideal")
             # condition 2: conjugate adjacency
             if not conj_stable[j]:
-                if j == self.dim:
+                if j == dim:
                     raise HintInvalidError(2, "the full span must be conj-stable")
                 nxt = self.vectors[j]
                 if any(a != b for a, b in zip(_conj_vec(self.vectors[j - 1]), nxt)):
@@ -201,52 +286,33 @@ class AdaptableBasis:
                 if not _is_real_vec(self.vectors[j - 1]):
                     raise HintInvalidError(3, f"vector {j} must be real")
 
-    def _compute_pairing(self):
-        sigma = [0] * (self.dim + 1)  # 1-based
-        for j in range(1, self.dim + 1):
-            if not self._conj_stable[j]:
+        sigma = [0] * (dim + 1)  # 1-based
+        for j in range(1, dim + 1):
+            if not conj_stable[j]:
                 sigma[j] = j + 1
-            elif not self._conj_stable[j - 1]:
+            elif not conj_stable[j - 1]:
                 sigma[j] = j - 1
             else:
                 sigma[j] = j
         self.sigma = tuple(sigma)
-        for j in range(1, self.dim + 1):
+        for j in range(1, dim + 1):
             target = self.vectors[self.sigma[j] - 1]
             if any(a != b for a, b in zip(_conj_vec(self.vectors[j - 1]), target)):
                 raise HintInvalidError(2, f"conjugate of vector {j} is not "
                                           f"vector {self.sigma[j]}")
 
-    def _compute_weights(self):
-        """Extract gamma_j(A_t) from [A_t, Z_j] = gamma Z_j mod previous flag."""
-        spec = self.spec
-        weights: List[Tuple[GaussianRational, ...]] = []
-        self.diagonal_exact = True
-        for j in range(1, self.dim + 1):
-            zj = self.vectors[j - 1]
-            row: List[GaussianRational] = []
-            for t in range(spec.h_dim):
-                a_vec = spec.basis_vector(spec.n_dim + t)
-                img = spec.bracket(a_vec, zj)
-                # solve img = sum_{p<=j} c_p Z_p; weight is c_j
-                cols = [[self.vectors[p][m] for p in range(j)]
-                        for m in range(spec.dim)]
-                coeffs = solve(cols, list(img))
-                if coeffs is None:
-                    raise HintInvalidError(
-                        4, f"[{spec.h_names[t]}, Z_{j}] does not lie in the flag")
-                gamma = coeffs[j - 1]
-                row.append(GaussianRational.coerce(gamma))
-                rest = [img[m] - gamma * zj[m] for m in range(spec.dim)]
-                if any(not x.is_zero() for x in rest):
-                    self.diagonal_exact = False
-            weights.append(tuple(row))
-        self.weights = weights
+        # condition 4: gamma_j(A_t) is the diagonal coefficient of [A_t, Z_j];
+        # the h-part vectors have weight 0 ([h, h] = 0)
+        self.weights: List[Tuple[GaussianRational, ...]] = [
+            tuple(ad_h[t][j].get(j, ZERO) for t in range(spec.h_dim))
+            for j in range(nd)] + [(ZERO,) * spec.h_dim] * spec.h_dim
+        self.diagonal_exact = all(set(row) <= {j} for rows in ad_h
+                                  for j, row in enumerate(rows))
 
         # factorization Im(gamma_j) = alpha_j * Re(gamma_j), per root
         alphas: List[Optional[Fraction]] = []
-        for j in range(1, self.dim + 1):
-            row = weights[j - 1]
+        for j in range(1, dim + 1):
+            row = self.weights[j - 1]
             re_part = [w.re for w in row]
             im_part = [w.im for w in row]
             if all(x == 0 for x in re_part):
@@ -265,7 +331,16 @@ class AdaptableBasis:
         self.alpha = alphas
 
     def with_h_part(self, hvecs: Sequence[Vector]) -> "AdaptableBasis":
-        return AdaptableBasis(self.spec, self.nvecs, hvecs)
+        """The same n part with new h vectors.
+
+        Only the new vectors are checked (real, supported in h, a basis of
+        h): the n-part checks, sigma, the weights and alpha do not depend on
+        them. The n-part flags built so far are kept.
+        """
+        out = copy.copy(self)
+        out._set_h_part(hvecs)
+        out._flags = {j: fl for j, fl in self._flags.items() if j <= self.n}
+        return out
 
     def describe(self) -> List[str]:
         """Human-readable expansion of each basis vector."""
@@ -281,7 +356,6 @@ class AdaptableBasis:
             out.append(" + ".join(terms) if terms else "0")
         return out
 
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -291,7 +365,12 @@ def _weight_key(ws_weights: Tuple[GaussianRational, ...]):
 
 
 def _real_rows(rows: List[List[GaussianRational]]) -> List[List[GaussianRational]]:
-    """Real points of a conj-stable span, as rational rows."""
+    """Real points of a conj-stable span given by RREF rows, as RREF rows.
+
+    Real RREF rows already are the answer: the RREF of a span is unique.
+    """
+    if all(_is_real_vec(r) for r in rows):
+        return rows
     cand = []
     for r in rows:
         cand.append([GaussianRational(x.re) for x in r])
@@ -318,34 +397,13 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
         return AdaptableBasis(spec, nvecs)
 
     try:
-        spaces = weight_decomposition(spec)
+        spaces = spec.weight_spaces()
     except DiagonalizationError as exc:
         raise ConstructionFailedError(
             f"CONSTRUCTION_FAILED: {exc}; supply an adaptable hint") from exc
 
     nd = spec.n_dim
-    # ascending central series of n: v in the next level iff [n, v] is in
-    # the previous one, expressed through the previous level's annihilator
-    levels = []
-    prev = Subspace([], spec.dim)
-    while prev.dim < nd:
-        ann = _annihilator_rows(prev, spec.dim)
-        cond_rows = []
-        for i in range(nd):
-            for a in ann:
-                row = []
-                for p in range(nd):
-                    img = spec.bracket_basis(i, p)
-                    row.append(sum((a[m] * img[m] for m in range(spec.dim)), ZERO))
-                cond_rows.append(row)
-        null = kernel(cond_rows, nd)
-        rows = [list(v) + [ZERO] * spec.h_dim for v in null]
-        level = Subspace(rows, spec.dim)
-        if level.dim <= prev.dim:
-            raise ConstructionFailedError(
-                "CONSTRUCTION_FAILED: central series stalls (n not nilpotent?)")
-        levels.append(level)
-        prev = level
+    levels = _central_series(spec)
 
     # order weight spaces deterministically; conjugate partners grouped
     indexed = sorted(range(len(spaces)), key=lambda i: _weight_key(spaces[i].weights))
@@ -357,9 +415,15 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
                 conj_of[i] = k
                 break
 
+    # each placed vector lies in one weight space, and the weight spaces are
+    # independent, so a candidate from W_i is in the span of everything
+    # placed iff it is in the span of what was placed from W_i
+    split = _weight_splitter(spaces, nd)
     placed: List[Vector] = []
-    placed_span = Subspace([], spec.dim)
+    spans: Dict[int, list] = {}
+    pad = (ZERO,) * spec.h_dim
     for level in levels:
+        pieces = split(level)
         for i in indexed:
             ws = spaces[i]
             partner = conj_of.get(i)
@@ -368,26 +432,96 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
                     "CONSTRUCTION_FAILED: weight spaces not closed under conjugation")
             if partner != i and _weight_key(spaces[partner].weights) < _weight_key(ws.weights):
                 continue  # handled together with the partner
-            full_rows = [list(r) + [ZERO] * spec.h_dim for r in ws.rows]
-            inter = Subspace(full_rows, spec.dim).intersect(level)
-            rows = _real_rows(inter.rows) if partner == i else inter.rows
+            rows = pieces[i]
+            if partner == i:
+                rows = _real_rows(rows)
             for row in rows:
-                if placed_span.contains_vector(row):
+                if not _extend(spans.setdefault(i, []), row):
                     continue
-                vec = tuple(row)
+                vec = tuple(row) + pad
                 placed.append(vec)
-                placed_span = Subspace(placed_span.rows + [list(vec)], spec.dim)
                 if partner != i:
-                    cv = _conj_vec(vec)
-                    placed.append(cv)
-                    placed_span = Subspace(placed_span.rows + [list(cv)], spec.dim)
+                    placed.append(_conj_vec(vec))
     if len(placed) != nd:
         raise ConstructionFailedError(
             f"CONSTRUCTION_FAILED: placed {len(placed)} of {nd} vectors")
     return AdaptableBasis(spec, placed)
 
 
-def _annihilator_rows(sub: Subspace, dim: int) -> List[List[GaussianRational]]:
-    if not sub.rows:
-        return [[GR1 if i == j else ZERO for j in range(dim)] for i in range(dim)]
-    return kernel(sub.rows, dim)
+def _central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
+    """The ascending central series of n, each level as RREF rows over n.
+
+    v is in the next level iff [n, v] lies in the previous one, i.e. every
+    annihilator a of the previous level has a([e_i, v]) = 0 for every i;
+    a([e_i, e_p]) sums over the nonzero structure constants only.
+    """
+    nd = spec.n_dim
+    consts = [[(p, m, c) for p in range(nd) for m, c in spec.bracket_sparse(i, p)]
+              for i in range(nd)]
+    levels: List[List[List[GaussianRational]]] = []
+    prev: List[List[GaussianRational]] = []
+    while len(prev) < nd:
+        ann = kernel(prev, nd)
+        cond_rows = []
+        for terms in consts:
+            for a in ann:
+                row = [ZERO] * nd
+                for p, m, c in terms:
+                    if not a[m].is_zero():
+                        row[p] = row[p] + a[m] * c
+                if any(not x.is_zero() for x in row):
+                    cond_rows.append(row)
+        level, _ = rref(kernel(cond_rows, nd))
+        if len(level) <= len(prev):
+            raise ConstructionFailedError(
+                "CONSTRUCTION_FAILED: central series stalls (n not nilpotent?)")
+        levels.append(level)
+        prev = level
+    return levels
+
+
+def _weight_splitter(spaces, nd: int):
+    """Split h-invariant subspaces of n_C by weight, one inversion per spec.
+
+    The returned function maps RREF rows of an invariant subspace L to, per
+    weight-space index i, the RREF rows of L cap W_i: each row of L is
+    written over the joint eigenbasis, and its coordinates on W_i give its
+    component there, which lies in L since L is invariant.
+    """
+    eig = [row for sp in spaces for row in sp.rows]
+    owner = [i for i, sp in enumerate(spaces) for _ in sp.rows]
+    inv = _inverse_rows(eig)
+
+    def split(level):
+        parts: List[list] = [[] for _ in spaces]
+        for row in level:
+            comps: Dict[int, List[GaussianRational]] = {}
+            for k, y in _coords(row, inv).items():
+                comp = comps.setdefault(owner[k], [ZERO] * nd)
+                for m, e in enumerate(eig[k]):
+                    if e:
+                        comp[m] = comp[m] + y * e
+            for i, comp in comps.items():
+                parts[i].append(comp)
+        pieces = [rref(rows)[0] if rows else [] for rows in parts]
+        if sum(map(len, pieces)) != len(level):
+            raise ConstructionFailedError(
+                "CONSTRUCTION_FAILED: a central series level is not "
+                "h-invariant (Jacobi fails?)")
+        return pieces
+    return split
+
+
+def _extend(echelon: list, row) -> bool:
+    """Add row to an echelon basis [(pivot, normalized row)] unless in its span."""
+    v = list(row)
+    for c, basis_row in echelon:
+        x = v[c]
+        if not x.is_zero():
+            v = [a - x * b for a, b in zip(v, basis_row)]
+    lead = next((c for c, x in enumerate(v) if not x.is_zero()), None)
+    if lead is None:
+        return False
+    inv = v[lead]
+    echelon.append((lead, [x / inv for x in v]))
+    return True

@@ -79,6 +79,7 @@ class LieAlgebraSpec:
         self._table: Dict[Tuple[int, int], Vector] = {}
         self._bvec_cache: Dict[Tuple[int, int], Vector] = {}
         self._bsparse_cache: Dict[Tuple[int, int], tuple] = {}
+        self._weight_spaces = None
         ndim = len(self.n_names)
         for (x, y), combo in brackets.items():
             for lab in (x, y):
@@ -166,11 +167,12 @@ class LieAlgebraSpec:
         exact = isinstance(u[0], GaussianRational) and isinstance(v[0], GaussianRational)
         zero = ZERO if exact else 0j
         out = [zero] * self.dim
+        v_nonzero = [(j, vj) for j, vj in enumerate(v) if not is_zero(vj)]
         for i, ui in enumerate(u):
             if is_zero(ui):
                 continue
-            for j, vj in enumerate(v):
-                if is_zero(vj) or i == j:
+            for j, vj in v_nonzero:
+                if i == j:
                     continue
                 sparse = self.bracket_sparse(i, j)
                 if not sparse:
@@ -189,6 +191,20 @@ class LieAlgebraSpec:
         for lab, c in combo.items():
             out[self._index[lab]] = out[self._index[lab]] + GaussianRational(c)
         return tuple(out)
+
+    def weight_spaces(self) -> List["WeightSpace"]:
+        """The joint weight decomposition of n_C, computed once per spec.
+
+        Every call raises the same DiagonalizationError when there is none.
+        """
+        if self._weight_spaces is None:
+            try:
+                self._weight_spaces = weight_decomposition(self)
+            except DiagonalizationError as exc:
+                self._weight_spaces = exc
+        if isinstance(self._weight_spaces, DiagonalizationError):
+            raise self._weight_spaces
+        return self._weight_spaces
 
     def n_is_commutative(self) -> bool:
         nd = self.n_dim
@@ -268,6 +284,17 @@ def _eigen_candidates(mat_float: np.ndarray) -> List[GaussianRational]:
     return cands
 
 
+def _combine(terms, size: int) -> List[GaussianRational]:
+    """sum of x * v over (x, v) in terms, each v given by its (index, value) pairs."""
+    out = [ZERO] * size
+    for x, vec in terms:
+        if not x.is_zero():
+            for r, a in vec:
+                if not a.is_zero():
+                    out[r] = out[r] + a * x
+    return out
+
+
 def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
     """Split n_C into joint eigenspaces of the commuting operators ad(A).
 
@@ -279,21 +306,20 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
     spaces = [WeightSpace(weights=(), rows=[[GaussianRational(1) if i == j else ZERO
                                              for j in range(nd)] for i in range(nd)])]
     for t in range(spec.h_dim):
-        a_vec = spec.basis_vector(spec.n_dim + t)
-        # matrix of ad(A_t) on n (columns = images), exact
-        cols = [spec.bracket(a_vec, spec.basis_vector(m))[:nd] for m in range(nd)]
-        mat = [[cols[c][r] for c in range(nd)] for r in range(nd)]
+        # ad(A_t) on n, exact: column m is [A_t, e_m] as sparse (r, c)
+        cols = [spec.bracket_sparse(nd + t, m) for m in range(nd)]
+        mat = [[ZERO] * nd for _ in range(nd)]
+        for c, col in enumerate(cols):
+            for r, x in col:
+                mat[r][c] = x
         mat_float = np.array([[complex(x) for x in row] for row in mat])
         new_spaces: List[WeightSpace] = []
         for sp in spaces:
             if sp.dim == 0:
                 continue
             # restriction of ad(A_t) to sp: sp is invariant since the ad(A)'s commute
-            images = []
-            for row in sp.rows:
-                img = [sum((mat[r][c] * row[c] for c in range(nd)), ZERO)
-                       for r in range(nd)]
-                images.append(img)
+            images = [_combine(((x, cols[c]) for c, x in enumerate(row)), nd)
+                      for row in sp.rows]
             sub_float = np.array([[complex(x) for x in r] for r in sp.rows])
             img_float = np.array([[complex(x) for x in r] for r in images])
             # coefficients of images in the row basis, to get the restricted matrix
@@ -301,7 +327,8 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
             restricted = coef.T
             found_dim = 0
             for cand in _eigen_candidates(restricted):
-                shifted = [[images[i][c] - cand * sp.rows[i][c] for c in range(nd)]
+                shifted = [[x if y.is_zero() else x - cand * y
+                            for x, y in zip(images[i], sp.rows[i])]
                            for i in range(len(sp.rows))]
                 # kernel of (ad A - cand) inside sp, in sp-coordinates
                 coeff_rows = [[shifted[i][c] for i in range(len(sp.rows))]
@@ -309,11 +336,9 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
                 null = kernel(coeff_rows, len(sp.rows))
                 if not null:
                     continue
-                rows = []
-                for combo in null:
-                    vec = [sum((combo[i] * sp.rows[i][c] for i in range(len(sp.rows))),
-                               ZERO) for c in range(nd)]
-                    rows.append(vec)
+                rows = [_combine(((x, enumerate(sp.rows[i]))
+                                  for i, x in enumerate(combo)), nd)
+                        for combo in null]
                 red, _ = rref(rows)
                 if not red:
                     continue
@@ -411,14 +436,15 @@ def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
     else:
         add(CheckResult("h_abelian", True))
 
-    # Jacobi on all basis triples
+    # Jacobi on all basis triples, from the sparse structure constants
     jac_witness = None
     for a, b, c in itertools.combinations(range(spec.dim), 3):
-        va, vb, vc = (spec.basis_vector(k) for k in (a, b, c))
-        s1 = spec.bracket(spec.bracket(va, vb), vc)
-        s2 = spec.bracket(spec.bracket(vb, vc), va)
-        s3 = spec.bracket(spec.bracket(vc, va), vb)
-        if any(not (x + y + z).is_zero() for x, y, z in zip(s1, s2, s3)):
+        total: Dict[int, GaussianRational] = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for k, u in spec.bracket_sparse(x, y):      # [[e_x, e_y], e_z]
+                for m, w in spec.bracket_sparse(k, z):
+                    total[m] = total.get(m, ZERO) + u * w
+        if any(not t.is_zero() for t in total.values()):
             jac_witness = (spec.names[a], spec.names[b], spec.names[c])
             break
     if jac_witness:
@@ -436,7 +462,10 @@ def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
         gens = []
         for i in range(nd):
             for row in current.rows:
-                gens.append(spec.bracket(spec.basis_vector(i), list(row)))
+                img = _combine(((x, spec.bracket_sparse(i, p))
+                                for p, x in enumerate(row)), spec.dim)
+                if any(img):
+                    gens.append(img)
         nxt = Subspace(gens, spec.dim)
         if nxt.dim == 0:
             break
@@ -455,7 +484,7 @@ def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
     # carrying on with eigen-structure only makes sense on a Lie algebra
     if jac_witness is None and not spec.antisymmetry_conflicts:
         try:
-            spaces = weight_decomposition(spec)
+            spaces = spec.weight_spaces()
             add(CheckResult("h_diagonalizable", True))
             report.weight_spaces = spaces
             msg = check_exponential_roots(spaces)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
 from .adapted import AdaptableBasis
-from .algebra import LieAlgebraSpec, ad_matrix, weight_decomposition
+from .algebra import LieAlgebraSpec, ad_matrix
 from .gaussian import GaussianRational, ZERO
 from .linalg import FLOAT_TOL, is_zero, solve
 
@@ -215,10 +215,10 @@ def exp_unipotent_coadjoint(spec_or_basis, x_vec, l: Functional) -> Functional:
 # ---------------------------------------------------------------------------
 
 class _EigenData:
-    """Exact joint eigenbasis of the dilation action, cached per spec."""
+    """Exact joint eigenbasis of the dilation action, as full-width rows."""
 
     def __init__(self, spec: LieAlgebraSpec):
-        spaces = weight_decomposition(spec)
+        spaces = spec.weight_spaces()
         rows = []
         weights = []
         for sp in spaces:
@@ -243,14 +243,6 @@ class _EigenData:
         return total
 
 
-def _eigen_data(spec: LieAlgebraSpec) -> _EigenData:
-    cached = getattr(spec, "_eigen_cache", None)
-    if cached is None:
-        cached = _EigenData(spec)
-        spec._eigen_cache = cached
-    return cached
-
-
 def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
                     mode: str = "float") -> Functional:
     """Coadjoint action of exp(a), a in h.
@@ -267,7 +259,7 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
     for m in range(spec.n_dim):
         if not is_zero(a_vec[m]):
             raise ValueError("element has a nonzero n-component")
-    eig = _eigen_data(spec)
+    eig = _EigenData(spec)
 
     if mode == "exact":
         if not l.exact:

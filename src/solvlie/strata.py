@@ -126,7 +126,7 @@ class JumpData:
         """h_d, the last member of the flag h_0 > h_1 > ... > h_d: the span
         of the reduced vectors y_g at the positions g outside j_seq.
         Built on each access, not stored."""
-        n_amb, _ = self.basis.ambient(self.ambient)
+        n_amb = self.basis.ambient(self.ambient)
         ys = [list(v) for v in self.basis.mode(self.tol).vectors[:n_amb]]
         for jk, steps in zip(self.j_seq, self.reductions):
             y_j = ys[jk - 1]
@@ -140,7 +140,7 @@ class JumpData:
     def layer_table(self):
         """(conj-stable positions, primes, case sets) of these jump pairs,
         built on first read."""
-        n_amb, _ = self.basis.ambient(self.ambient)
+        n_amb = self.basis.ambient(self.ambient)
         return _layer_data(self.basis, self, n_amb)
 
 
@@ -189,22 +189,35 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     if basis is None:
         basis = l.basis
     tol = l.tol
-    n_amb, _ = basis.ambient(ambient)
+    n_amb = basis.ambient(ambient)
     form = _orbit_form(l, basis, n_amb)
     m = [list(row) for row in form]
 
     active = list(range(n_amb))
+    # the active rows not yet seen to be zero in every active column; such a
+    # row never changes again (zero in column i_k, it is not reduced; zero in
+    # column j_k, it is not among the columns that move), so it leaves the
+    # scan for good
+    scan = list(active)
     i_seq: List[int] = []
     j_seq: List[int] = []
     reductions = []
     while True:
-        pivot = next(((p, q) for p in active for q in active
-                      if not is_zero(m[p][q], tol)), None)
+        pivot = None
+        while scan:
+            row_p = m[scan[0]]
+            q = next((q for q in active if not is_zero(row_p[q], tol)), None)
+            if q is not None:
+                pivot = scan[0], q
+                break
+            del scan[0]
         if pivot is None:
             break
         ik, jk = pivot
         active.remove(ik)
         active.remove(jk)
+        scan.remove(ik)
+        scan.remove(jk)
         row_i, row_j = m[ik], m[jk]
         piv = row_i[jk]
         # row j_k is fixed during the step; only its nonzero columns move
@@ -372,7 +385,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         basis = l.basis
     if jd is None:
         jd = jump_data(l, basis, ambient)
-    n_amb, _ = basis.ambient(ambient)
+    n_amb = basis.ambient(ambient)
     tol = l.tol
     mode = basis.mode(tol)
     if jd.point is l and jd.basis is basis and jd.ambient == ambient:

@@ -99,7 +99,7 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     tol = l.tol
     mode = basis.mode(tol)
     flags = _mode_flags(basis, tol)
-    n_amb, _ = basis.ambient(ambient)
+    n_amb = basis.ambient(ambient)
     amb = flags[n_amb]
 
     def first_escape(inside: Subspace, outside: Subspace) -> Optional[int]:

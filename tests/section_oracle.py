@@ -124,7 +124,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         basis = l.basis
     if jd is None:
         jd = jump_data(l, basis, ambient)
-    n_amb, _ = basis.ambient(ambient)
+    n_amb = basis.ambient(ambient)
     tol = l.tol
     vectors = basis.mode(tol).vectors
     mode_re, mode_im = _mode_parts(basis, tol)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from adapted_oracle import OracleBasis, construct, verify
+from adapted_oracle import construct, verify
 from conftest import VALID_IDS, wb_for
 from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import SpecFormatError, spec_from_dict

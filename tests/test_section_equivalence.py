@@ -46,7 +46,7 @@ def _assert_vec(got, want, exact):
 def _check_form(l, basis, ambient):
     jd = jump_data(l, basis, ambient)
     vecs = basis.mode(l.tol).vectors
-    n_amb, _ = basis.ambient(ambient)
+    n_amb = basis.ambient(ambient)
     assert len(jd.form) == n_amb
     for p in range(n_amb):
         for q in range(n_amb):
@@ -60,7 +60,7 @@ def _check_point(l, basis, ambient, jd=None) -> bool:
     exact = l.exact
     if jd is None:
         jd = _check_form(l, basis, ambient)
-    n_amb, _ = basis.ambient(ambient)
+    n_amb = basis.ambient(ambient)
     assert jd.layer_table == oracle_layer_data(basis, jd, n_amb)
     try:
         old = oracle_section_vectors(l, basis, jd, ambient)

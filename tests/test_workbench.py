@@ -63,3 +63,39 @@ def test_workbench_caches_are_pure():
     wb = wb_for("heisenberg-2param", trials=12)
     assert wb.report() == wb.report()
     assert wb.verdict() is wb.verdict()
+
+
+def test_one_weight_decomposition_per_spec(monkeypatch):
+    # validation, the basis construction and the dilation flow share it
+    from solvlie import algebra
+    from solvlie.corpus import corpus_entry
+    from solvlie.workbench import Workbench
+
+    calls = []
+    real = algebra.weight_decomposition
+    monkeypatch.setattr(algebra, "weight_decomposition",
+                        lambda spec: calls.append(spec) or real(spec))
+    wb = Workbench(corpus_entry("heisenberg-2param").spec(), trials=12)
+    wb.report()
+    l = sample_functional(wb.canonical_basis, random.Random(3))
+    exp_h_coadjoint(wb.spec, wb.spec.basis_vector(wb.spec.n_dim), l)
+    assert len(calls) == 1
+
+
+def test_canonical_basis_skips_the_n_part_verification(monkeypatch):
+    from solvlie.adapted import AdaptableBasis
+    from solvlie.corpus import corpus_entry
+    from solvlie.workbench import Workbench
+
+    wb = Workbench(corpus_entry("five-dilations-repaired").spec(), trials=12)
+    basis = wb.basis
+    runs = []
+    real = AdaptableBasis._verify
+    monkeypatch.setattr(AdaptableBasis, "_verify",
+                        lambda self: runs.append(self) or real(self))
+    canonical = wb.canonical_basis
+    assert runs == []
+    assert canonical.hvecs != basis.hvecs        # the h part did change
+    assert canonical.nvecs == basis.nvecs
+    assert (canonical.weights, canonical.sigma, canonical.alpha) == \
+        (basis.weights, basis.sigma, basis.alpha)
