@@ -202,23 +202,16 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     i_seq: List[int] = []
     j_seq: List[int] = []
     reductions = []
-    while True:
-        pivot = None
-        while scan:
-            row_p = m[scan[0]]
-            q = next((q for q in active if not is_zero(row_p[q], tol)), None)
-            if q is not None:
-                pivot = scan[0], q
-                break
-            del scan[0]
-        if pivot is None:
-            break
-        ik, jk = pivot
+    while scan:
+        ik = scan.pop(0)
+        row_i = m[ik]
+        jk = next((q for q in active if not is_zero(row_i[q], tol)), None)
+        if jk is None:
+            continue
         active.remove(ik)
         active.remove(jk)
-        scan.remove(ik)
         scan.remove(jk)
-        row_i, row_j = m[ik], m[jk]
+        row_j = m[jk]
         piv = row_i[jk]
         # row j_k is fixed during the step; only its nonzero columns move
         cols = [q for q in active if not is_zero(row_j[q], tol)]
