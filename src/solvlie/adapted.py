@@ -19,7 +19,7 @@ construction.
 
 Every basis, built or hinted, is verified through its adapted structure
 constants: one inversion of the n block of the basis matrix gives C_pq^k,
-the coordinates of [Z_p, Z_q] over the Z_k, held as sparse rows, and the
+the coordinates of [Z_p, Z_q] over the Z_k, as sparse rows, and the
 coordinates of [A_t, Z_j] and of conj Z_j. Condition 1 holds iff no bracket
 with Z_j has a coordinate beyond j; gamma_j(A_t) is the diagonal
 coefficient of [A_t, Z_j]; conj-stability of each flag member reads off the
