@@ -25,6 +25,12 @@ with Z_j has a coordinate beyond j; gamma_j(A_t) is the diagonal
 coefficient of [A_t, Z_j]; conj-stability of each flag member reads off the
 coordinates of the conjugates. Swapping the h part (``with_h_part``) checks
 only the new h vectors, since no n-part result depends on them.
+
+The basis keeps what the verification computed: C as sparse rows
+(``structure``), the inverse of the n block (``n_inverse``) and, from the
+h-part check, the inverse of the h block (``h_inverse``). The verdict
+algebra, the disintegration check and ``Functional.from_adapted`` read
+them; ``with_h_part`` carries C and the n-block inverse over unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import DiagonalizationError, LieAlgebraSpec, Vector
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, kernel, rank, rref
+from .linalg import Subspace, kernel, rref
 
 GR1 = GaussianRational(1)
 
@@ -108,7 +114,14 @@ class AdaptableBasis:
 
     ``nvecs`` are Gaussian-rational coordinate vectors over the real basis
     of g (support inside n); ``hvecs`` are real vectors supported in h.
-    Verification of the flag conditions happens at construction.
+    Verification of the flag conditions happens at construction, and keeps
+    the adapted structure constants and the block inverses (0-based):
+
+    - ``structure[(p, q)]``, p < q < n, is {k: C_pq^k} for each nonzero
+      bracket [Z_p, Z_q] = sum_k C_pq^k Z_k;
+    - ``n_inverse[m]`` and ``h_inverse[m]`` list the nonzero (k, x) of row
+      m of the inverse of the n block and of the h block of the basis
+      matrix (the rows of the blocks are the Z_j).
     """
 
     def __init__(self, spec: LieAlgebraSpec, nvecs: Sequence[Vector],
@@ -134,8 +147,10 @@ class AdaptableBasis:
         if any(any(not v[m].is_zero() for m in range(nd))
                or not _is_real_vec(v) for v in hvecs):
             raise HintInvalidError(1, "h-part vectors must be real and supported in h")
-        if rank([list(v[nd:]) for v in hvecs]) != len(hvecs):
+        inv = _inverse_rows([list(v[nd:]) for v in hvecs])
+        if inv is None:
             raise HintInvalidError(1, "vectors are not a basis")
+        self.h_inverse = inv
         self.hvecs = hvecs
         self.vectors = self.nvecs + hvecs
         self._flags: Dict[int, Subspace] = {}
@@ -158,6 +173,11 @@ class AdaptableBasis:
     def vector(self, j: int) -> Vector:
         """The j-th basis vector, 1-based."""
         return self.vectors[j - 1]
+
+    def coords(self, vec) -> Dict[int, GaussianRational]:
+        """The nonzero coordinates {p: x_p} of vec in n_C over Z_{p+1},
+        0-based, from the stored inverse of the n block."""
+        return _coords(vec, self.n_inverse)
 
     def flag(self, j: int) -> Subspace:
         """Span of the first j vectors, j in 0..dim, built on first use."""
@@ -238,6 +258,8 @@ class AdaptableBasis:
 
         # C_pq^k for p < q < n as sparse rows; [Z_p, Z_q] leaves the flag at
         # p + 1 (and then also at q + 1) iff it has a coordinate beyond p
+        self.n_inverse = inv
+        self.structure: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
         self._n_brackets = []       # the same brackets over the real basis
         first_bad = dim + 1         # the first j (1-based) failing condition 1
         for q in range(nd):
@@ -248,6 +270,7 @@ class AdaptableBasis:
                     continue
                 self._n_brackets.append((p, q, terms))
                 row = _coords(img, inv)
+                self.structure[(p, q)] = row
                 if max(row) > p:
                     first_bad = min(first_bad, p + 1)
         ad_h = []                   # ad_h[t][j]: coordinates of [A_t, Z_j]
@@ -334,8 +357,9 @@ class AdaptableBasis:
         """The same n part with new h vectors.
 
         Only the new vectors are checked (real, supported in h, a basis of
-        h): the n-part checks, sigma, the weights and alpha do not depend on
-        them. The n-part flags built so far are kept.
+        h, which also inverts the h block): the n-part checks, sigma, the
+        weights, alpha, C and the n-block inverse do not depend on them.
+        The n-part flags built so far are kept.
         """
         out = copy.copy(self)
         out._set_h_part(hvecs)

@@ -6,6 +6,14 @@ with the dilation part, and, for the decomposition summary, the
 multiplicity of the generic irreducibles (a power of two read off a weight
 matrix of the little group, or infinity).
 
+The traces sum the diagonal structure constants [e_p, e_i]_i, and the
+center is the kernel of the nonzero rows of w -> ([w, e_m])_m. The
+polarization runs in adapted coordinates over Z_1..Z_n: p is the jump
+reduction replayed on unit vectors, the form is x . M y with the point's
+orbit form M, conjugation is conjugate-and-sigma-permute, brackets read
+the basis's adapted structure constants C, and the pivot sets are read off
+the adapted rows.
+
 Verdict rule: a unimodular group never admits an admissible vector; a
 nonunimodular one does exactly when the dilation part meets the center
 trivially.
@@ -25,7 +33,7 @@ from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec, trace_ad
 from .functionals import Functional
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, kernel, rank
+from .linalg import Subspace, kernel, rank, rref
 from .sections import (SectionOracle, StabilizerData, UnsupportedLayerError,
                        sample_sigma_circ)
 from .strata import LayerDescriptor, jump_data
@@ -66,21 +74,22 @@ class CenterData:
 
 
 def center_data(spec: LieAlgebraSpec) -> CenterData:
-    """z(g) as the joint kernel of w -> [w, basis], intersected with h."""
-    dim = spec.dim
-    rows = []
+    """z(g) as the joint kernel of w -> [w, e_m], and z(g) cap h.
+
+    Row (m, k) of the system is w -> [w, e_m]_k = sum_p w_p [e_p, e_m]_k;
+    only the nonzero rows are built. An element of h is central iff it is
+    in the kernel of the same rows restricted to the h columns.
+    """
+    dim, nd = spec.dim, spec.n_dim
+    rows: Dict[Tuple[int, int], list] = {}
     for m in range(dim):
-        for out_coord in range(dim):
-            row = []
-            for p in range(dim):
-                img = spec.bracket_basis(p, m)
-                row.append(img[out_coord])
-            rows.append(row)
-    z_rows = kernel(rows, dim)
-    z_g = Subspace(z_rows, dim)
-    h_rows = [[GaussianRational(1) if m == spec.n_dim + t else ZERO
-               for m in range(dim)] for t in range(spec.h_dim)]
-    z_cap_h = z_g.intersect(Subspace(h_rows, dim))
+        for p in range(dim):
+            for k, c in spec.bracket_sparse(p, m):
+                rows.setdefault((m, k), [ZERO] * dim)[p] = c
+    system = list(rows.values())
+    z_g = Subspace(kernel(system, dim), dim)
+    z_h = kernel([row[nd:] for row in system], spec.h_dim)
+    z_cap_h = Subspace([[ZERO] * nd + row for row in z_h], dim)
     return CenterData(z_g=z_g, z_cap_h=z_cap_h)
 
 
@@ -120,45 +129,20 @@ class PolarizationData:
         }
 
 
-def _conj_subspace(sub: Subspace, dim: int) -> Subspace:
-    return Subspace([[x.conjugate() for x in r] for r in sub.rows], dim)
+def _flag_pivots(p_rows, q_rows, nd: int):
+    """Flag positions (1-based) where P + Q and where P cap Q grow, for
+    subspaces of n_C given by rows over Z_1..Z_n.
 
-
-def _pivots_in_adapted(sub: Subspace, basis: AdaptableBasis) -> Tuple[int, ...]:
-    """Flag positions where the subspace grows, i.e. rightmost-pivot set
-    of the rows rewritten in adapted coordinates (1-based)."""
-    if sub.dim == 0:
-        return ()
-    # adapted coordinates: solve row = sum_j c_j Z_j
-    cols = [[basis.vectors[j][m] for j in range(basis.dim)]
-            for m in range(basis.dim)]
-    coords = []
-    from .linalg import solve
-    for row in sub.rows:
-        c = solve(cols, list(row))
-        if c is None:
-            raise ValueError("vector outside the basis span")
-        coords.append(c)
-    # eliminate from the right: pivot = largest index with nonzero coord
-    pivots = []
-    rows = [list(r) for r in coords]
-    for _ in range(len(rows)):
-        best, best_piv = None, -1
-        for idx, r in enumerate(rows):
-            piv = max((j for j in range(basis.dim) if not r[j].is_zero()),
-                      default=-1)
-            if piv > best_piv:
-                best, best_piv = idx, piv
-        if best is None or best_piv < 0:
-            break
-        lead = rows.pop(best)
-        pivots.append(best_piv + 1)
-        for r in rows:
-            if not r[best_piv].is_zero():
-                f = r[best_piv] / lead[best_piv]
-                for j in range(basis.dim):
-                    r[j] = r[j] - f * lead[j]
-    return tuple(sorted(pivots))
+    One RREF of the Zassenhaus matrix [[p, p], [q, 0]] with every half
+    written in reverse order: the leftmost pivots of a span in reversed
+    coordinates are its rightmost pivots in the flag. Rows with a pivot in
+    the left half span P + Q, the others P cap Q (in the right half).
+    """
+    zeros = [ZERO] * nd
+    _, pivots = rref([a[::-1] + a[::-1] for a in p_rows] +
+                     [b[::-1] + zeros for b in q_rows])
+    return ({nd - c for c in pivots if c < nd},
+            {2 * nd - c for c in pivots if c >= nd})
 
 
 def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationData:
@@ -166,55 +150,81 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     representation domain: dim X = dim(n/e) + dim(e/d)/2.
 
     The subalgebra is h_d, the last annihilator of the jump reduction on n
-    (``JumpData.polarizing_subspace``): h_k = h_{k-1} cap perp(y_{i_k}).
+    (``JumpData.polarizing_rows``): h_k = h_{k-1} cap perp(y_{i_k}).
+    Everything but positivity works on its rows over Z_1..Z_n; e = p + conj
+    p and d = p cap conj p, so dim d = 2 dim p - dim e and p is real iff
+    e = p.
 
     When the isotropic subalgebra is not positive at lam, its conjugate is
     (same dimension data); the conjugate is reported in that case.
     """
-    spec = basis.spec
-    p = jump_data(lam, basis, "n").polarizing_subspace
-    dim = basis.dim
+    jd = jump_data(lam, basis, "n")
+    nd, sigma, form = basis.n, basis.sigma, jd.form
 
-    # isotropy, exact
-    for a in p.rows:
-        for b in p.rows:
-            if not lam.pair(list(a), list(b)).is_zero():
+    def image(y):
+        """M y, over the nonzero coordinates of y."""
+        out = [ZERO] * nd
+        for q, yq in enumerate(y):
+            if yq:
+                for p in range(nd):
+                    if form[p][q]:
+                        out[p] = out[p] + form[p][q] * yq
+        return out
+
+    def dot(x, w):
+        return sum((a * b for a, b in zip(x, w) if a and b), ZERO)
+
+    def conj(x):
+        """conj(sum x_p Z_p) = sum conj(x_p) Z_sigma(p)."""
+        out = [ZERO] * nd
+        for p, xp in enumerate(x):
+            if xp:
+                out[sigma[p + 1] - 1] = xp.conjugate()
+        return out
+
+    # isotropy, exact: lam[a, b] = a . M b
+    rows = jd.polarizing_rows()
+    images = [image(b) for b in rows]
+    for i, a in enumerate(rows):
+        for mb in images[i + 1:]:
+            if dot(a, mb):
                 raise IsotropyError("jump reduction output is not isotropic")
-    pbar = _conj_subspace(p, dim)
-    # p + pbar closed under bracket
-    psum = p.add(pbar)
-    for a in psum.rows:
-        for b in psum.rows:
-            if not psum.contains_vector(spec.bracket(list(a), list(b))):
+    conj_rows = [conj(a) for a in rows]
+    # p + pbar closed under bracket: [a, b] = sum a_p b_q C_pq over p < q
+    psum = Subspace(rows + conj_rows, nd)
+    for i, a in enumerate(psum.rows):
+        for b in psum.rows[i + 1:]:
+            br = [ZERO] * nd
+            for (p, q), cpq in basis.structure.items():
+                c = a[p] * b[q] - a[q] * b[p]
+                if c:
+                    for k, x in cpq.items():
+                        br[k] = br[k] + c * x
+            if not psum.contains_vector(br):
                 raise IsotropyError("p + conj(p) is not a subalgebra")
 
-    pint = p.intersect(pbar)
-    dim_d = pint.dim
     dim_e = psum.dim
-    if (dim_e - dim_d) % 2:
-        raise IsotropyError("e/d has odd dimension")
-    dim_x = (basis.n - dim_e) + (dim_e - dim_d) // 2
-    is_real = p == pbar
+    dim_d = 2 * len(rows) - dim_e
+    dim_x = (nd - dim_e) + (dim_e - dim_d) // 2
+    is_real = dim_e == len(rows)
 
-    # positivity: i*lam[w, conj w] >= 0 on a basis of p; else swap to conj(p)
-    def positive(sub: Subspace) -> bool:
-        for w in sub.rows:
-            val = lam.pair(list(w), [x.conjugate() for x in w])
-            v = GaussianRational(0, 1) * val
-            if not v.is_real() or v.re < 0:
-                return False
-        return True
-
-    pos = positive(p)
-    if not pos and not is_real:
-        if positive(pbar):
-            p, pbar = pbar, p
-            pos = True
+    # positivity: i*lam[w, conj w] >= 0 on the RREF rows w over the real
+    # basis; lam[conj w, w] = -lam[w, conj w] decides it for conj(p)
+    p = jd.polarizing_subspace
+    vals = []
+    for w in p.rows:
+        x = [ZERO] * nd
+        for k, xk in basis.coords(w).items():
+            x[k] = xk
+        vals.append(GaussianRational(0, 1) * dot(x, image(conj(x))))
+    pos = all(v.is_real() and v.re >= 0 for v in vals)
+    if not pos and not is_real and all(v.is_real() and v.re <= 0 for v in vals):
+        p = Subspace([[x.conjugate() for x in w] for w in p.rows], basis.dim)
+        pos = True
 
     # domain coordinate indices: complement of e in the flag, plus one index
     # per conjugate pair from the e/d gap
-    e_pivots = set(_pivots_in_adapted(psum, basis))
-    d_pivots = set(_pivots_in_adapted(pint, basis))
+    e_pivots, d_pivots = _flag_pivots(rows, conj_rows, nd)
     if not d_pivots <= e_pivots:
         raise IsotropyError("nested pivot sets expected")
     outside = [j for j in range(1, basis.n + 1) if j not in e_pivots]
@@ -410,22 +420,16 @@ def disintegration_check(spec: LieAlgebraSpec, basis: AdaptableBasis,
     f1, f2 = test_functions
 
     # |Pf| on the section variety: the skew matrix entry over (Z_a, Z_b) is
-    # the adapted expansion of [Z_a, Z_b] paired with the free coordinates
-    # (all other adapted coordinates vanish on the variety)
-    from .linalg import solve as _solve
-    adapted_cols = [[basis.vectors[j][m] for j in range(basis.dim)]
-                    for m in range(basis.dim)]
+    # the adapted expansion of [Z_a, Z_b] (the basis's C) paired with the
+    # free coordinates (all other adapted coordinates vanish on the variety)
     lin_forms = {}
     for a, ja in enumerate(e_idx):
         for b, jb in enumerate(e_idx):
             if a >= b:
                 continue
-            bracket = spec.bracket(list(basis.vector(ja)), list(basis.vector(jb)))
-            coords_exact = _solve(adapted_cols, list(bracket))
-            if coords_exact is None:
-                raise RuntimeError("bracket outside basis span")
+            cab = basis.structure.get((ja - 1, jb - 1), {})
             lin_forms[(a, b)] = np.array(
-                [complex(coords_exact[j - 1]) for j in nu])
+                [complex(cab.get(j - 1, ZERO)) for j in nu])
 
     def skew_entries(coords: np.ndarray) -> np.ndarray:
         m = coords.shape[0]

@@ -80,6 +80,7 @@ class LieAlgebraSpec:
         self._bvec_cache: Dict[Tuple[int, int], Vector] = {}
         self._bsparse_cache: Dict[Tuple[int, int], tuple] = {}
         self._weight_spaces = None
+        self._eigenbasis = None
         ndim = len(self.n_names)
         for (x, y), combo in brackets.items():
             for lab in (x, y):
@@ -206,6 +207,12 @@ class LieAlgebraSpec:
             raise self._weight_spaces
         return self._weight_spaces
 
+    def eigenbasis(self) -> "EigenBasis":
+        """The joint eigenbasis of the weight spaces, built once per spec."""
+        if self._eigenbasis is None:
+            self._eigenbasis = eigenbasis(self)
+        return self._eigenbasis
+
     def n_is_commutative(self) -> bool:
         nd = self.n_dim
         return all(not (i < nd and j < nd) for (i, j) in self._table)
@@ -239,8 +246,25 @@ def ad_matrix(spec: LieAlgebraSpec, w: Sequence) -> List[List[Fraction]]:
 
 
 def trace_ad(spec: LieAlgebraSpec, w) -> Fraction:
-    mat = ad_matrix(spec, w)
-    return sum((mat[i][i] for i in range(spec.dim)), Fraction(0))
+    """tr(ad w) = sum_p w_p sum_i [e_p, e_i]_i, from the diagonal structure
+    constants; ``w`` as for ``ad_matrix``, whose matrix must be real."""
+    if isinstance(w, str):
+        w = spec.basis_vector(w)
+    elif isinstance(w, dict):
+        w = spec.vector_from_labels(w)
+    w = [GaussianRational.coerce(x) for x in w]
+    im = [GaussianRational(x.im) for x in w]
+    if any(im) and any(any(spec.bracket(im, spec.basis_vector(m)))
+                       for m in range(spec.dim)):
+        raise ValueError("ad matrix of a real element must be real")
+    total = ZERO
+    for p, wp in enumerate(w):
+        if wp:
+            for i in range(spec.dim):
+                for m, c in spec.bracket_sparse(p, i):
+                    if m == i:
+                        total = total + wp * c
+    return total.re
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +375,32 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
                     f"on a {sp.dim}-dimensional invariant subspace")
         spaces = new_spaces
     return spaces
+
+
+@dataclass(frozen=True)
+class EigenBasis:
+    """The rows of all weight spaces, in order, for the dilation flow.
+
+    ``rows`` are the eigenvectors over n padded to full width, ``weights``
+    gives gamma(A_t) for each t per row, and ``matrix`` is the complex
+    square matrix of the rows over n (the flow solves against it).
+    """
+    rows: Tuple[Tuple[GaussianRational, ...], ...]
+    weights: Tuple[Tuple[GaussianRational, ...], ...]
+    matrix: Tuple[Tuple[complex, ...], ...]
+
+
+def eigenbasis(spec: LieAlgebraSpec) -> EigenBasis:
+    """Collect the rows of ``spec.weight_spaces()`` (which may raise)."""
+    nd = spec.n_dim
+    pad = (ZERO,) * spec.h_dim
+    rows, weights = [], []
+    for sp in spec.weight_spaces():
+        for r in sp.rows:
+            rows.append(tuple(r) + pad)
+            weights.append(sp.weights)
+    matrix = tuple(tuple(complex(r[m]) for m in range(nd)) for r in rows)
+    return EigenBasis(tuple(rows), tuple(weights), matrix)
 
 
 def check_exponential_roots(spaces: List[WeightSpace]) -> Optional[str]:

@@ -10,7 +10,8 @@ Conventions fixed once for the whole package:
     [A, Z_j] = gamma_j(A) Z_j        (g * l)(X) = l(Ad_{g^{-1}} X)
 
 so exp(A) scales adapted coordinates by e^{-gamma_j(A)} and exp(X), X in n,
-acts through the exact polynomial series of -ad(X) transposed.
+acts through the exact series l_{k+1} = l_k (-ad X) / (k + 1), which ends
+because ad X is nilpotent.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
 from .adapted import AdaptableBasis
-from .algebra import LieAlgebraSpec, ad_matrix
+from .algebra import LieAlgebraSpec
 from .gaussian import GaussianRational, ZERO
 from .linalg import FLOAT_TOL, is_zero, solve
 
@@ -64,15 +65,17 @@ class Functional:
 
     @classmethod
     def from_adapted(cls, basis: AdaptableBasis, zvals: Sequence) -> "Functional":
-        """Build from values on the adapted basis; enforces reality exactly."""
+        """Build from values on the adapted basis; enforces reality exactly.
+
+        The basis matrix is block diagonal, so the values x on the real
+        basis are the stored block inverses applied to zvals.
+        """
         zs = [GaussianRational.coerce(z) for z in zvals]
         if len(zs) != basis.dim:
             raise ValueError("need one value per adapted basis vector")
-        rows = [[basis.vectors[j][m] for m in range(basis.dim)]
-                for j in range(basis.dim)]
-        x = solve(rows, zs)
-        if x is None:
-            raise RealityError("inconsistent adapted values")
+        nd = basis.n
+        x = [sum((c * zs[k] for k, c in row), ZERO) for row in basis.n_inverse] + \
+            [sum((c * zs[nd + k] for k, c in row), ZERO) for row in basis.h_inverse]
         if any(not xi.is_real() for xi in x):
             raise RealityError("values violate l(conj Z) = conj l(Z)")
         return cls(basis, [xi.re for xi in x], exact=True)
@@ -169,29 +172,28 @@ class Functional:
 # unipotent coadjoint flow: exact polynomial series
 # ---------------------------------------------------------------------------
 
-def _nilpotent_exp_neg(spec: LieAlgebraSpec, x_vec) -> List[List[Fraction]]:
-    """e^{-ad x} for x in n, as an exact rational matrix."""
-    m = ad_matrix(spec, x_vec)
-    dim = spec.dim
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-           for i in range(dim)]
-    term = [[-m[i][j] for j in range(dim)] for i in range(dim)]
-    k = 1
-    while any(any(e != 0 for e in row) for row in term):
-        if k > dim + 1:
-            raise NotUnipotentError("ad(x) is not nilpotent")
-        for i in range(dim):
-            for j in range(dim):
-                out[i][j] += term[i][j]
-        nxt = [[sum((term[i][p] * -m[p][j] for p in range(dim)), Fraction(0))
-                for j in range(dim)] for i in range(dim)]
-        term = [[e / (k + 1) for e in row] for row in nxt]
-        k += 1
-    return out
+def _neg_ad_columns(spec: LieAlgebraSpec, x_vec) -> List[List[tuple]]:
+    """Column j of -ad x as its nonzero (k, -[x, e_j]_k), from the sparse
+    structure constants; the entries are real Fractions."""
+    cols = []
+    for j in range(spec.dim):
+        col: dict = {}
+        for i, xi in enumerate(x_vec):
+            if xi:
+                for k, c in spec.bracket_sparse(i, j):
+                    col[k] = col.get(k, ZERO) - xi * c
+        if any(not c.is_real() for c in col.values()):
+            raise ValueError("ad matrix of a real element must be real")
+        cols.append([(k, c.re) for k, c in col.items() if c])
+    return cols
 
 
 def exp_unipotent_coadjoint(spec_or_basis, x_vec, l: Functional) -> Functional:
-    """Coadjoint action of exp(x), x in n: exact on exact functionals."""
+    """Coadjoint action of exp(x), x in n: exact on exact functionals.
+
+    Sums the series l_0 = l, l_{k+1} = l_k (-ad x) / (k + 1) over the
+    values of l on the real basis, where (l (-ad x))_j = -l([x, e_j]).
+    """
     basis = l.basis
     spec = basis.spec
     if isinstance(x_vec, dict):
@@ -200,48 +202,28 @@ def exp_unipotent_coadjoint(spec_or_basis, x_vec, l: Functional) -> Functional:
     for m in range(nd, spec.dim):
         if not is_zero(x_vec[m]):
             raise NotUnipotentError("element has a nonzero h-component")
-    emat = _nilpotent_exp_neg(spec, x_vec)
-    if l.exact:
-        new = [sum((Fraction(emat[p][m]) * l.values[p] for p in range(spec.dim)),
-                   Fraction(0)) for m in range(spec.dim)]
-        return Functional(basis, new, exact=True)
-    new = [sum(float(emat[p][m]) * l.values[p] for p in range(spec.dim))
-           for m in range(spec.dim)]
-    return Functional(basis, new, exact=False)
+    x_vec = [GaussianRational.coerce(c) for c in x_vec]
+    cols = _neg_ad_columns(spec, x_vec)
+    if not l.exact:
+        cols = [[(k, float(c)) for k, c in col] for col in cols]
+    zero = Fraction(0) if l.exact else 0.0
+    term = list(l.values)
+    out = list(term)
+    k = 1
+    while True:
+        term = [sum((c * term[p] for p, c in col), zero) / k for col in cols]
+        if not any(term):
+            break
+        if k > spec.dim + 1:
+            raise NotUnipotentError("ad(x) is not nilpotent")
+        out = [a + b for a, b in zip(out, term)]
+        k += 1
+    return Functional(basis, out, exact=l.exact)
 
 
 # ---------------------------------------------------------------------------
 # dilation coadjoint flow: diagonal in an exact joint eigenbasis
 # ---------------------------------------------------------------------------
-
-class _EigenData:
-    """Exact joint eigenbasis of the dilation action, as full-width rows."""
-
-    def __init__(self, spec: LieAlgebraSpec):
-        spaces = spec.weight_spaces()
-        rows = []
-        weights = []
-        for sp in spaces:
-            for r in sp.rows:
-                rows.append(list(r) + [ZERO] * spec.h_dim)
-                weights.append(sp.weights)
-        self.rows = rows          # eigenvectors over n, as full-width rows
-        self.weights = weights    # per row: gamma(A_t) for each t
-        self.spec = spec
-
-    def gamma_at(self, idx: int, a_vec) -> complex:
-        total = 0j
-        for t in range(self.spec.h_dim):
-            total += complex(a_vec[self.spec.n_dim + t]) * complex(self.weights[idx][t])
-        return total
-
-    def gamma_at_exact(self, idx: int, a_vec) -> GaussianRational:
-        total = ZERO
-        for t in range(self.spec.h_dim):
-            c = GaussianRational.coerce(a_vec[self.spec.n_dim + t])
-            total = total + c * self.weights[idx][t]
-        return total
-
 
 def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
                     mode: str = "float") -> Functional:
@@ -250,7 +232,9 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
     Exact mode is only available when every eigen-coordinate of l that the
     flow would rescale has weight value gamma(a) = 0 (then nothing moves).
     Float mode transforms to the exact eigenbasis, scales by e^{-gamma(a)},
-    and transforms back in double precision.
+    and transforms back in double precision. The eigenbasis and its complex
+    matrix are built once per spec (``LieAlgebraSpec.eigenbasis``); each
+    call solves against the matrix.
     """
     basis = l.basis
     spec = basis.spec
@@ -259,13 +243,16 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
     for m in range(spec.n_dim):
         if not is_zero(a_vec[m]):
             raise ValueError("element has a nonzero n-component")
-    eig = _EigenData(spec)
+    eig = spec.eigenbasis()
+    nd, hd = spec.n_dim, spec.h_dim
 
     if mode == "exact":
         if not l.exact:
             raise NeedsFloatError("exact mode requires an exact functional")
-        for idx, row in enumerate(eig.rows):
-            gamma = eig.gamma_at_exact(idx, a_vec)
+        for row, ws in zip(eig.rows, eig.weights):
+            gamma = ZERO
+            for t in range(hd):
+                gamma = gamma + GaussianRational.coerce(a_vec[nd + t]) * ws[t]
             if gamma.is_zero():
                 continue
             if not l.value(row).is_zero():
@@ -276,15 +263,15 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
         raise ValueError("mode must be 'exact' or 'float'")
 
     lf = l.to_float()
-    nd = spec.n_dim
     # eigen coordinates of the n-part, scaled by e^{-gamma(a)}
     y = []
-    for idx, row in enumerate(eig.rows):
-        g = eig.gamma_at(idx, a_vec)
+    for row, ws in zip(eig.rows, eig.weights):
+        g = 0j
+        for t in range(hd):
+            g += complex(a_vec[nd + t]) * complex(ws[t])
         y.append(lf.value(row) * cmath.exp(-g))
     # recover the real coordinates: sum_m rows[i][m] x_m = y_i
-    mat = [[complex(eig.rows[i][m]) for m in range(nd)] for i in range(nd)]
-    x = solve(mat, y, tol=1e-13)
+    x = solve(eig.matrix, y, tol=1e-13)
     if x is None:
         raise RuntimeError("eigenbasis transform failed")
     new = list(lf.values)

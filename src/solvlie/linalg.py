@@ -137,7 +137,16 @@ class Subspace:
         return len(self.rows)
 
     def contains_vector(self, vec: Row) -> bool:
-        return rank(self.rows + [list(vec)], self.tol) == self.dim
+        """Reduce vec against the held RREF rows: each pivot entry is 1 and
+        the only nonzero entry of its column, so vec is in the span iff
+        nothing is left."""
+        v = list(vec)
+        for row, c in zip(self.rows, self.pivots):
+            x = v[c]
+            if not is_zero(x, self.tol):
+                v = [a if is_zero(b, self.tol) else a - x * b
+                     for a, b in zip(v, row)]
+        return all(is_zero(x, self.tol) for x in v)
 
     def contains(self, other: "Subspace") -> bool:
         return rank(self.rows + other.rows, self.tol) == self.dim
@@ -166,11 +175,15 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def full_space(n: int, tol: Optional[float] = None) -> Subspace:
+def identity(n: int, tol: Optional[float] = None) -> Matrix:
+    """The rows of the n x n identity matrix in the mode of tol."""
     one = GaussianRational(1) if tol is None else 1 + 0j
     zero = _zero(tol)
-    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return Subspace(rows, n, tol)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def full_space(n: int, tol: Optional[float] = None) -> Subspace:
+    return Subspace(identity(n, tol), n, tol)
 
 
 def det(rows: Matrix) -> GaussianRational:

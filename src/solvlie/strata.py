@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .adapted import AdaptableBasis
 from .functionals import Functional, sample_functional
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, is_zero, kernel
+from .linalg import Subspace, identity, is_zero, kernel
 
 GR1 = GaussianRational(1)
 HALF = GaussianRational(Fraction(1, 2))
@@ -97,7 +97,9 @@ class JumpData:
     """Jump pairs (i_k, j_k) at a point, and the reduction that found them.
 
     ``reductions[k - 1]`` lists the (g, c) of step k: y_g <- y_g - c * y_{j_k}.
-    Replaying them on the adapted vectors gives ``polarizing_subspace``.
+    Replaying them on unit vectors gives ``polarizing_rows``, h_d over the
+    adapted vectors, and ``polarizing_subspace`` is the same over the real
+    basis.
     ``form`` is the unreduced M = (l[Z_p, Z_q]) at ``point``.
     """
     i_seq: Tuple[int, ...]
@@ -121,19 +123,33 @@ class JumpData:
     def key(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         return (self.e_set, self.j_seq)
 
-    @property
-    def polarizing_subspace(self) -> Subspace:
-        """h_d, the last member of the flag h_0 > h_1 > ... > h_d: the span
-        of the reduced vectors y_g at the positions g outside j_seq.
-        Built on each access, not stored."""
-        n_amb = self.basis.ambient(self.ambient)
-        ys = [list(v) for v in self.basis.mode(self.tol).vectors[:n_amb]]
+    def polarizing_rows(self) -> List[list]:
+        """h_d, the last member of the flag h_0 > h_1 > ... > h_d, in
+        coordinates over the ambient's adapted vectors: the reduced vectors
+        y_g at the positions g outside j_seq, from the reductions replayed
+        on unit vectors. Each y_g is e_g plus terms at positions in j_seq,
+        so the rows are independent."""
+        ys = identity(self.basis.ambient(self.ambient), self.tol)
         for jk, steps in zip(self.j_seq, self.reductions):
             y_j = ys[jk - 1]
             for g, c in steps:
-                ys[g - 1] = [a - c * b for a, b in zip(ys[g - 1], y_j)]
+                ys[g - 1] = [a - c * b if b else a
+                             for a, b in zip(ys[g - 1], y_j)]
         dead = set(self.j_seq)
-        rows = [y for g, y in enumerate(ys, start=1) if g not in dead]
+        return [y for g, y in enumerate(ys, start=1) if g not in dead]
+
+    @property
+    def polarizing_subspace(self) -> Subspace:
+        """h_d as a subspace of g_C over the real basis: ``polarizing_rows``
+        mapped through the adapted vectors. Built on each access."""
+        vecs = self.basis.mode(self.tol).vectors
+        rows = []
+        for y in self.polarizing_rows():
+            terms = [(yp, z) for yp, z in zip(y, vecs) if yp]
+            out = [terms[0][0] * x for x in terms[0][1]]
+            for yp, z in terms[1:]:
+                out = [o + yp * x if x else o for o, x in zip(out, z)]
+            rows.append(out)
         return Subspace(rows, self.basis.dim, self.tol)
 
     @cached_property

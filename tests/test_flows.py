@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import point, wb_for
-from solvlie.functionals import (NeedsFloatError, NotUnipotentError,
-                                 exp_h_coadjoint, exp_unipotent_coadjoint,
-                                 sample_element, sample_functional)
+import unipotent_oracle
+from conftest import VALID_IDS, point, wb_for
+from solvlie.functionals import (Functional, NeedsFloatError, NotUnipotentError,
+                                 RealityError, exp_h_coadjoint,
+                                 exp_unipotent_coadjoint, sample_element,
+                                 sample_functional)
 from solvlie.gaussian import GaussianRational as G
+from solvlie.linalg import solve
 
 
 def _nilpotent_exp_oracle(spec, x_vec, l):
@@ -60,6 +63,27 @@ def test_unipotent_flow_matches_series_oracle():
             moved = exp_unipotent_coadjoint(spec, x, l)
             oracle = _nilpotent_exp_oracle(spec, x, l)
             assert list(moved.values) == oracle
+
+
+@pytest.mark.parametrize("entry_id", VALID_IDS)
+def test_unipotent_flow_matches_matrix_oracle(entry_id):
+    # the vector series against the dense matrix e^{-ad x}: identical on
+    # exact points, within rounding on float points
+    rng = random.Random(25 + VALID_IDS.index(entry_id))
+    wb = wb_for(entry_id)
+    spec = wb.spec
+    for k in range(8):
+        l = sample_functional(wb.canonical_basis, rng, support="g",
+                              bound=(2, 9)[k % 2])
+        x = sample_element(spec, rng, bound=3, support="n")
+        new = exp_unipotent_coadjoint(spec, x, l)
+        old = unipotent_oracle.exp_unipotent_coadjoint(x, l)
+        assert new.exact and new.values == old.values
+        lf = l.to_float()
+        new = exp_unipotent_coadjoint(spec, x, lf)
+        old = unipotent_oracle.exp_unipotent_coadjoint(x, lf)
+        for a, b in zip(new.values, old.values):
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-9)
 
 
 def test_unipotent_flow_identity_and_inverse():
@@ -172,3 +196,64 @@ def test_reality_constraint_survives_flows():
         for j in range(1, wb.canonical_basis.dim + 1):
             s = wb.canonical_basis.sigma[j]
             assert moved.z(j).conjugate() == moved.z(s)
+
+
+def _real_point_values(basis, rng):
+    """Adapted values of a real functional: z_sigma(j) = conj z_j."""
+    z = [G(0)] * basis.dim
+    for j in range(1, basis.dim + 1):
+        s = basis.sigma[j]
+        if s == j:
+            z[j - 1] = G(rng.randint(-9, 9))
+        elif s > j:
+            z[j - 1] = G(rng.randint(-9, 9), rng.randint(-9, 9))
+            z[s - 1] = z[j - 1].conjugate()
+    return z
+
+
+@pytest.mark.parametrize("entry_id", VALID_IDS)
+def test_from_adapted_matches_solve_route(entry_id):
+    # the stored block inverses against one solve of the basis matrix
+    rng = random.Random(26 + VALID_IDS.index(entry_id))
+    wb = wb_for(entry_id)
+    for basis in (wb.basis, wb.canonical_basis):
+        rows = [list(v) for v in basis.vectors]
+        for _ in range(5):
+            z = _real_point_values(basis, rng)
+            x = solve(rows, z)
+            assert all(xi.is_real() for xi in x)
+            f = Functional.from_adapted(basis, z)
+            assert f.values == tuple(xi.re for xi in x)
+            assert [f.z(j) for j in range(1, basis.dim + 1)] == z
+        # an imaginary part on a real position, or a broken conjugate pair
+        z = _real_point_values(basis, rng)
+        for j in range(1, basis.dim + 1):
+            bad = list(z)
+            bad[j - 1] = bad[j - 1] + (G(0, 1) if basis.sigma[j] == j else G(1))
+            with pytest.raises(RealityError):
+                Functional.from_adapted(basis, bad)
+
+
+def test_one_eigenbasis_per_spec(monkeypatch):
+    # the dilation flow builds the eigen rows and their complex matrix once
+    # per spec, across float and exact flows
+    from solvlie import algebra
+    from solvlie.corpus import corpus_entry
+    from solvlie.workbench import Workbench
+
+    calls = []
+    real = algebra.eigenbasis
+    monkeypatch.setattr(algebra, "eigenbasis",
+                        lambda spec: calls.append(spec) or real(spec))
+    wb = Workbench(corpus_entry("heisenberg-2param").spec(), trials=12)
+    spec, basis = wb.spec, wb.canonical_basis
+    rng = random.Random(27)
+    for t in (0.5, -1.25, 2.0):
+        l = sample_functional(basis, rng, support="g")
+        a = [0.0] * spec.dim
+        a[spec.index("A")] = t
+        exp_h_coadjoint(spec, a, l, mode="float")
+    b = [G(0)] * spec.dim
+    b[spec.index("B")] = G(3)
+    exp_h_coadjoint(spec, b, point(wb, Z=9), mode="exact")
+    assert len(calls) == 1

@@ -86,6 +86,34 @@ def test_full_space_contains_everything():
                               for _ in range(4)])
 
 
+def test_contains_vector_agrees_with_rank_test():
+    # reduction against the RREF rows decides membership as a rank of rows
+    # plus vector did, on the zero subspace, the full space and random ones
+    rng = random.Random(9)
+    zero = GaussianRational(0)
+    checked = inside = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        subs = [Subspace([], n), full_space(n),
+                Subspace(rand_mat(rng, k, n), n),
+                Subspace(rand_mat(rng, k, n, complex_entries=False), n)]
+        for sub in subs:
+            combo = [GaussianRational(rng.randint(-3, 3)) for _ in sub.rows]
+            in_span = [sum((c * row[m] for c, row in zip(combo, sub.rows)), zero)
+                       for m in range(n)]
+            nudged = list(in_span)
+            j = rng.randrange(n)
+            nudged[j] = nudged[j] + GaussianRational(1)
+            vecs = [in_span, [zero] * n, rand_mat(rng, 1, n)[0], nudged]
+            for vec in vecs:
+                want = rank(sub.rows + [vec]) == sub.dim
+                assert sub.contains_vector(vec) == want, (sub.rows, vec)
+                checked += 1
+                inside += want
+    assert checked == 640 and 0 < inside < checked
+
+
 def test_det_matches_rank_and_products():
     rng = random.Random(8)
     for _ in range(20):

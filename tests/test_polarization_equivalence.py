@@ -1,0 +1,111 @@
+"""The verdict algebra in adapted coordinates against polarization_oracle.py.
+
+``polarization_data`` is compared with the real-basis oracle on every valid
+corpus entry and on the generated specs of perfbench/specgen.py at seeds 1,
+7 and 13, on the Workbench's canonical basis: at six Sigma-circ section
+points per spec (generic points of n* where the section cannot be
+sampled), at the negatives of two of them (where a complex p is not
+positive, so the conjugate is reported) and at four sparsified points of
+n*, which mostly lie off the generic layer. At each point both must give
+the same exact p and the same ``as_dict()``, or raise the same
+IsotropyError. No such point makes p + conj p fail to be a subalgebra;
+jump data with the reductions dropped make p fail to be isotropic, and
+both raise the same error there. ``center_data`` and ``unimodularity`` are
+compared with the dense oracles on the same specs.
+"""
+
+import dataclasses
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import polarization_oracle as oracle
+from conftest import VALID_IDS, wb_for
+from solvlie import admissibility as adm
+from solvlie import strata
+from solvlie.algebra import spec_from_dict
+from solvlie.functionals import Functional, sample_functional
+from solvlie.sections import UnsupportedLayerError, sample_sigma_circ
+from solvlie.workbench import Workbench
+
+_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
+_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
+specgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(specgen)
+
+GENERATED = {doc["name"]: doc for seed in (1, 7, 13)
+             for doc, _ in specgen.generate(seed)}
+CASES = VALID_IDS + sorted(GENERATED)
+
+
+def _workbench(case) -> Workbench:
+    if case in GENERATED:
+        return Workbench(spec_from_dict(GENERATED[case]), trials=16)
+    return wb_for(case)
+
+
+def _outcome(fn, lam, basis):
+    try:
+        pol = fn(lam, basis)
+    except adm.IsotropyError as exc:
+        return "IsotropyError", str(exc)
+    return pol.p, pol.as_dict()
+
+
+def _points(wb, rng):
+    basis = wb.canonical_basis
+    try:
+        pts = [sample_sigma_circ(wb.oracle_sigma_circ, rng) for _ in range(6)]
+    except UnsupportedLayerError:
+        pts = [sample_functional(basis, rng, support="n") for _ in range(6)]
+    pts += [Functional(basis, [-v for v in l.values], exact=True)
+            for l in pts[:2]]
+    for _ in range(4):
+        l = sample_functional(basis, rng, bound=3, support="n")
+        pts.append(Functional(basis, [v if rng.random() < 0.4 else Fraction(0)
+                                      for v in l.values], exact=True))
+    return pts
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_polarization_matches_oracle(case):
+    wb = _workbench(case)
+    basis = wb.canonical_basis
+    for lam in _points(wb, random.Random(case)):
+        new = _outcome(adm.polarization_data, lam, basis)
+        old = _outcome(oracle.polarization_data, lam, basis)
+        assert new == old, (case, lam)
+
+
+def test_isotropy_failure_matches_oracle(monkeypatch):
+    # without the reductions, p is spanned by the unit vectors at the
+    # positions outside j_seq, which need not be isotropic
+    real = strata.jump_data
+
+    def unreduced(l, basis=None, ambient="g"):
+        return dataclasses.replace(real(l, basis, ambient), reductions=())
+
+    monkeypatch.setattr(adm, "jump_data", unreduced)
+    monkeypatch.setattr(oracle, "jump_data", unreduced)
+    raised = 0
+    for case in VALID_IDS:
+        wb = wb_for(case)
+        for lam in _points(wb, random.Random(case)):
+            new = _outcome(adm.polarization_data, lam, wb.canonical_basis)
+            assert new == _outcome(oracle.polarization_data, lam,
+                                   wb.canonical_basis), (case, lam)
+            raised += new == ("IsotropyError",
+                              "jump reduction output is not isotropic")
+    assert raised > 0
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_center_and_unimodularity_match_dense_oracles(case):
+    spec = _workbench(case).spec
+    new, old = adm.center_data(spec), oracle.center_data(spec)
+    assert (new.z_g, new.z_cap_h) == (old.z_g, old.z_cap_h)
+    assert new.as_dict(spec) == old.as_dict(spec)
+    assert adm.unimodularity(spec) == oracle.unimodularity(spec)

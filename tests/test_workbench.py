@@ -99,3 +99,7 @@ def test_canonical_basis_skips_the_n_part_verification(monkeypatch):
     assert canonical.nvecs == basis.nvecs
     assert (canonical.weights, canonical.sigma, canonical.alpha) == \
         (basis.weights, basis.sigma, basis.alpha)
+    # C and the n-block inverse are carried over; the h block is new
+    assert canonical.structure is basis.structure
+    assert canonical.n_inverse is basis.n_inverse
+    assert canonical.h_inverse != basis.h_inverse
