@@ -42,10 +42,9 @@ class RealityError(ValueError):
 
 
 class Functional:
-    __slots__ = ("basis", "values", "exact", "_gram")
+    __slots__ = ("basis", "values", "exact")
 
     def __init__(self, basis: AdaptableBasis, values: Sequence, exact: bool):
-        self._gram = None
         self.basis = basis
         if exact:
             self.values = tuple(Fraction(v) if not isinstance(v, Fraction) else v
@@ -107,58 +106,9 @@ class Functional:
     def zvalues(self) -> List[Scalar]:
         return [self.z(j) for j in range(1, self.basis.dim + 1)]
 
-    def _gram_matrix(self):
-        # row p holds (q, l([e_p, e_q])) over the real basis for the nonzero
-        # values only, cached per functional; exact values are
-        # GaussianRationals (the structure constants are real)
-        if self._gram is None:
-            spec = self.basis.spec
-            dim = spec.dim
-            zero = ZERO if self.exact else 0.0
-            g = []
-            for p in range(dim):
-                row = []
-                for q in range(dim):
-                    total = zero
-                    for m, c in spec.bracket_sparse(p, q):
-                        val = self.values[m]
-                        if val:
-                            total = total + c * val if self.exact \
-                                else total + float(c) * val
-                    if total:
-                        row.append((q, total))
-                g.append(row)
-            self._gram = g
-        return self._gram
-
     def pair(self, u: Sequence, v: Sequence) -> Scalar:
         """The orbit form at this point: l([u, v])."""
-        g = self._gram_matrix()
-        exact = self.exact and isinstance(u[0], GaussianRational) \
-            and isinstance(v[0], GaussianRational)
-        if exact:
-            total = ZERO
-            for p, up in enumerate(u):
-                if up.is_zero():
-                    continue
-                inner = ZERO
-                for q, gq in g[p]:
-                    vq = v[q]
-                    if not vq.is_zero():
-                        inner = inner + vq * gq
-                if not inner.is_zero():
-                    total = total + up * inner
-            return total
-        total = 0j
-        for p, up in enumerate(u):
-            cu = complex(up)
-            if cu == 0:
-                continue
-            inner = 0j
-            for q, gq in g[p]:
-                inner += complex(v[q]) * gq
-            total += cu * inner
-        return total
+        return self.value(self.basis.spec.bracket(u, v))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)

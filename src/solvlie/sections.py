@@ -335,40 +335,6 @@ def _assert_simple_layer(oracle: SectionOracle):
             "reduce to coordinate vanishing")
 
 
-def sample_lambda_nu(oracle: SectionOracle, rng: random.Random,
-                     bound: int = 9, max_tries: int = 200) -> Functional:
-    """Random exact point of the dense invariant part of the section.
-
-    Draws free coordinates and rejects the (measure-zero) draws that fall
-    into a lower layer; nonzero coordinates alone do not guarantee
-    genericity.
-    """
-    _assert_simple_layer(oracle)
-    basis = oracle.basis
-    e = set(oracle.n_layer.e_set)
-    for _ in range(max_tries):
-        zvals: List[GaussianRational] = [ZERO] * basis.dim
-        for j in range(1, basis.n + 1):
-            if j in e:
-                continue
-            s = basis.sigma[j]
-            if s == j:
-                v = 0
-                while v == 0:
-                    v = rng.randint(-bound, bound)
-                zvals[j - 1] = GaussianRational(v)
-            elif s > j:
-                re = im = 0
-                while re == 0 and im == 0:
-                    re, im = rng.randint(-bound, bound), rng.randint(-bound, bound)
-                zvals[j - 1] = GaussianRational(re, im)
-                zvals[s - 1] = GaussianRational(re, -im)
-        f = Functional.from_adapted(basis, zvals)
-        if oracle.contains(f):
-            return f
-    raise UnsupportedLayerError("could not hit the generic layer by sampling")
-
-
 def _rational_circle_point(rng: random.Random) -> GaussianRational:
     # (1-t^2, 2t)/(1+t^2) runs over rational points of the unit circle
     t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -376,13 +342,19 @@ def _rational_circle_point(rng: random.Random) -> GaussianRational:
     return GaussianRational((1 - t * t) / d, 2 * t / d)
 
 
-def sample_sigma_circ(oracle: SectionOracle, rng: random.Random,
-                      bound: int = 9, max_tries: int = 200) -> Functional:
-    """Random exact point of the dilation-orbit section (rejection sampled)."""
+def _sample_section(oracle: SectionOracle, rng: random.Random, phi,
+                    bound: int, max_tries: int) -> Functional:
+    """Rejection-sample an exact point of the oracle's section.
+
+    Each free adapted coordinate Z_j, j outside e, gets a nonzero integer
+    (a nonzero Gaussian integer when conj Z_j = Z_s, s > j, and its
+    conjugate at Z_s); for j in phi it gets a point of the unit circle
+    instead, -1 or 1 when Z_j is conj-stable. Draws that the oracle
+    rejects (a lower layer) are drawn again.
+    """
     _assert_simple_layer(oracle)
     basis = oracle.basis
     e = set(oracle.n_layer.e_set)
-    phi = set(oracle.phi)
     for _ in range(max_tries):
         zvals: List[GaussianRational] = [ZERO] * basis.dim
         for j in range(1, basis.n + 1):
@@ -411,6 +383,24 @@ def sample_sigma_circ(oracle: SectionOracle, rng: random.Random,
         if oracle.contains(f):
             return f
     raise UnsupportedLayerError("could not hit the generic layer by sampling")
+
+
+def sample_lambda_nu(oracle: SectionOracle, rng: random.Random,
+                     bound: int = 9, max_tries: int = 200) -> Functional:
+    """Random exact point of the dense invariant part of the section.
+
+    Draws free coordinates and rejects the (measure-zero) draws that fall
+    into a lower layer; nonzero coordinates alone do not guarantee
+    genericity. The oracle's phi is ignored: no coordinate is put on the
+    unit circle.
+    """
+    return _sample_section(oracle, rng, (), bound, max_tries)
+
+
+def sample_sigma_circ(oracle: SectionOracle, rng: random.Random,
+                      bound: int = 9, max_tries: int = 200) -> Functional:
+    """Random exact point of the dilation-orbit section (rejection sampled)."""
+    return _sample_section(oracle, rng, set(oracle.phi), bound, max_tries)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ one symplectic Gram-Schmidt pass over the skew matrix M = (l[Z_p, Z_q]) in
 flag order (Pukanszky's characterization; see Currey, Michigan Math. J. 38,
 1991): each step pairs the first vector that still pairs with the first
 one it pairs with, and reduces the rest against them. Their union e(l) has
-even cardinality and is constant on layers. On a fixed layer,
+even cardinality and is constant on layers. The same reduction, run exact
+on any skew matrix, gives its Pfaffian as the signed product of its
+pivots; the Plancherel density |Pf| is read that way. On a fixed layer,
 point-dependent vectors V_k, U_k (dual pairs of the form) and combinations
 Z_j(l) are produced case by case; they cut out the orbit cross-sections.
 
@@ -162,7 +164,7 @@ class JumpData:
 
 def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int) -> List[list]:
     """M[p][q] = l[Z_{p+1}, Z_{q+1}] on the first n_amb adapted vectors,
-    read off the basis's bracket table: no Gram matrix, no ``l.pair``."""
+    read off the basis's bracket table, not through ``l.pair``."""
     zero = ZERO if l.exact else 0j
     values = l.values
     m = [[zero] * n_amb for _ in range(n_amb)]
@@ -179,37 +181,22 @@ def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int) -> List[list]:
     return m
 
 
-def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
-              ambient: str = "g") -> JumpData:
-    """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
+def _skew_reduce(m: List[list], tol: Optional[float]):
+    """One symplectic reduction of the skew matrix m, in place.
 
-    The reduction runs on a copy; the unreduced M stays on the result.
+    Positions g stay active while their reduced vector y_g can still pair.
+    Step k takes the first active row i_k with a nonzero entry in an active
+    column, and j_k as the first such column; every active g with
+    m[i_k][g] != 0 is reduced by y_g <- y_g - c * y_{j_k},
+    c = m[i_k][g] / m[i_k][j_k], which clears row i_k in the active
+    columns other than j_k. Then i_k and j_k leave the active set. Each
+    step is a congruence of determinant 1.
 
-    Positions g of the ambient flag stay active while their reduced vector
-    y_g can still pair. Step k takes the first active row i_k with a nonzero
-    entry in an active column, and j_k as the first such column; every
-    active g with M[i_k][g] != 0 is reduced by y_g <- y_g - c * y_{j_k},
-    c = M[i_k][g] / M[i_k][j_k], which clears row i_k. Then i_k and j_k
-    leave the active set; y_{i_k} stays in h_k (in its radical) and y_{j_k}
-    does not.
-
-    This is the flag/annihilator recursion h_k = perp(h_{k-1} cap c_{i_k})
-    cap h_{k-1}: by the choice of i_k, h_{k-1} cap c_{i_k - 1} already lies
-    in perp(h_{k-1}), so h_k = h_{k-1} cap perp(y_{i_k}). The surviving y's
-    are therefore a flag-adapted basis of h_k, and the reduced M is the form
-    restricted to h_k.
-
-    ambient 'n' restricts everything to the nilpotent part (giving the
-    jump set of the restricted point); 'g' uses the whole algebra.
+    Returns (i_seq, j_seq, reductions, pivots), positions 1-based:
+    ``reductions[k - 1]`` lists the (g, c) of step k and ``pivots[k - 1]``
+    is the reduced m[i_k][j_k].
     """
-    if basis is None:
-        basis = l.basis
-    tol = l.tol
-    n_amb = basis.ambient(ambient)
-    form = _orbit_form(l, basis, n_amb)
-    m = [list(row) for row in form]
-
-    active = list(range(n_amb))
+    active = list(range(len(m)))
     # the active rows not yet seen to be zero in every active column; such a
     # row never changes again (zero in column i_k, it is not reduced; zero in
     # column j_k, it is not among the columns that move), so it leaves the
@@ -218,6 +205,7 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     i_seq: List[int] = []
     j_seq: List[int] = []
     reductions = []
+    pivots = []
     while scan:
         ik = scan.pop(0)
         row_i = m[ik]
@@ -246,7 +234,34 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
         i_seq.append(ik + 1)
         j_seq.append(jk + 1)
         reductions.append(tuple(steps))
+        pivots.append(piv)
+    return i_seq, j_seq, reductions, pivots
 
+
+def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
+              ambient: str = "g") -> JumpData:
+    """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
+
+    The reduction (``_skew_reduce``) runs on a copy; the unreduced M stays
+    on the result. Positions g of the ambient flag stay active while their
+    reduced vector y_g can still pair; step k pairs the first active row
+    i_k that pairs with the first active column j_k it pairs with, and
+    y_{i_k} stays in h_k (in its radical) while y_{j_k} does not.
+
+    This is the flag/annihilator recursion h_k = perp(h_{k-1} cap c_{i_k})
+    cap h_{k-1}: by the choice of i_k, h_{k-1} cap c_{i_k - 1} already lies
+    in perp(h_{k-1}), so h_k = h_{k-1} cap perp(y_{i_k}). The surviving y's
+    are therefore a flag-adapted basis of h_k, and the reduced M is the form
+    restricted to h_k.
+
+    ambient 'n' restricts everything to the nilpotent part (giving the
+    jump set of the restricted point); 'g' uses the whole algebra.
+    """
+    if basis is None:
+        basis = l.basis
+    tol = l.tol
+    form = _orbit_form(l, basis, basis.ambient(ambient))
+    i_seq, j_seq, reductions, _ = _skew_reduce([list(row) for row in form], tol)
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis, tol,
                     tuple(reductions), form, l)
 
@@ -602,35 +617,35 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
 # ---------------------------------------------------------------------------
 
 def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
-    """Exact Pfaffian of a skew matrix by first-row expansion."""
+    """Exact Pfaffian of a skew matrix: the signed product of the pivots of
+    its symplectic reduction.
+
+    Each step of ``_skew_reduce`` is a congruence of determinant 1, so it
+    keeps the Pfaffian, and after step k row i_k is zero on every column
+    still active except j_k. Expanding along rows i_1, i_2, ... in turn
+    leaves one term: Pf = sgn(i_1 j_1 i_2 j_2 ...) * prod_k piv_k. When the
+    reduction finds fewer than n/2 pairs, what is left is a zero block and
+    Pf = 0. O(n^3) operations over Q(i).
+    """
     n = len(mat)
     if n % 2:
         raise OddDimensionError(f"Pfaffian needs even dimension, got {n}")
+    if any(len(row) != n for row in mat):
+        raise NotSkewError("matrix is not square")
+    m = [[GaussianRational.coerce(x) for x in row] for row in mat]
     for i in range(n):
-        if len(mat[i]) != n:
-            raise NotSkewError("matrix is not square")
         for j in range(i, n):
-            a = GaussianRational.coerce(mat[i][j])
-            b = GaussianRational.coerce(mat[j][i])
-            if a != -b:
+            if m[i][j] != -m[j][i]:
                 raise NotSkewError(f"entries ({i},{j}) and ({j},{i}) are not skew")
-
-    def pf(indices: Tuple[int, ...]) -> GaussianRational:
-        if not indices:
-            return GR1
-        i0 = indices[0]
-        rest = indices[1:]
-        total = ZERO
-        sign = GR1
-        for pos, j in enumerate(rest):
-            entry = mat[i0][j]
-            if not is_zero(entry):
-                sub = tuple(x for x in rest if x != j)
-                total = total + sign * entry * pf(sub)
-            sign = -sign
-        return total
-
-    return pf(tuple(range(n)))
+    i_seq, j_seq, _, pivots = _skew_reduce(m, None)
+    if 2 * len(pivots) < n:
+        return ZERO
+    order = [p for pair in zip(i_seq, j_seq) for p in pair]
+    inversions = sum(a > b for x, a in enumerate(order) for b in order[x + 1:])
+    out = -GR1 if inversions % 2 else GR1
+    for piv in pivots:
+        out = out * piv
+    return out
 
 
 def skew_matrix(l: Functional, indices: Sequence[int]) -> List[List[GaussianRational]]:

@@ -1,9 +1,9 @@
 """The orbit form l.pair(u, v) against its definition l([u, v]).
 
-``Functional.pair`` reads a sparse Gram matrix of l over the real basis;
-``l.value(spec.bracket(u, v))`` evaluates the bracket vector directly.
-They must agree exactly at exact points and within FLOAT_TOL at float
-points, for combinations of adapted vectors and of their real and
+``Functional.pair`` evaluates l on the bracket vector ``spec.bracket(u, v)``.
+Its result must be an exact GaussianRational equal to
+``l.value(spec.bracket(u, v))`` at exact points, and within FLOAT_TOL of it
+at float points, for combinations of adapted vectors and of their real and
 imaginary parts (the vectors ``section_vectors`` pairs).
 """
 

@@ -1,0 +1,157 @@
+"""The pivot-product Pfaffian against the first-row expansion in pfaffian_oracle.py.
+
+``strata.pfaffian`` is the signed product of the pivots of the jump
+reduction. It must equal the expansion, sign included, on seeded dense,
+sparse and rank-deficient skew matrices over Q(i), on int and Fraction
+input, on the orbit forms ``skew_matrix(f, e)`` at Lambda_nu points of the
+corpus and of generated specs, and on a dense-center 2-step family where
+the expansion is exponential. Past the sizes where the expansion is cheap,
+|Pf|^2 is checked against ``linalg.det``.
+"""
+
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import pfaffian_oracle
+from conftest import SAMPLABLE_IDS, wb_for
+from solvlie.algebra import spec_from_dict
+from solvlie.gaussian import GaussianRational as G
+from solvlie.linalg import det
+from solvlie.sections import sample_lambda_nu
+from solvlie.strata import pfaffian, skew_matrix
+from solvlie.workbench import Workbench
+
+_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
+_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
+specgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(specgen)
+
+
+def _entry(rng, density):
+    if rng.random() >= density:
+        return G(0)
+    return G(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+             Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def _skew(n, fill):
+    m = [[G(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = fill()
+            m[i][j], m[j][i] = v, -v
+    return m
+
+
+def _low_rank(rng, n, r):
+    """P S P^T with P n x r and S skew r x r: skew of rank <= r < n."""
+    s = _skew(r, lambda: _entry(rng, 1.0))
+    p = [[_entry(rng, 0.8) for _ in range(r)] for _ in range(n)]
+    ps = [[sum((p[i][a] * s[a][b] for a in range(r)), G(0)) for b in range(r)]
+          for i in range(n)]
+    return [[sum((ps[i][b] * p[j][b] for b in range(r)), G(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def _assert_agree(m):
+    assert pfaffian(m) == pfaffian_oracle.pfaffian(m)
+
+
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_pivot_product_matches_expansion_on_seeded_matrices(n):
+    rng = random.Random(800 + n)
+    for density in (1.0, 0.5, 0.2):
+        for _ in range(12):
+            _assert_agree(_skew(n, lambda: _entry(rng, density)))
+    for r in range(0, n, 2):
+        m = _low_rank(rng, n, r)
+        assert pfaffian(m) == 0
+        _assert_agree(m)
+
+
+def test_pivot_product_matches_expansion_on_int_and_fraction_input():
+    rng = random.Random(811)
+    for n in (2, 4, 6, 8):
+        ints = [[0] * n for _ in range(n)]
+        fracs = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a = rng.randint(-5, 5)
+                ints[i][j], ints[j][i] = a, -a
+                b = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                fracs[i][j], fracs[j][i] = b, -b
+        _assert_agree(ints)
+        _assert_agree(fracs)
+    assert pfaffian([[0, 3], [-3, 0]]) == 3
+    assert pfaffian([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]) == 0
+    # row 0 pairs with column 2 and row 1 with column 3: the matching
+    # (0 2)(1 3) is an odd permutation of (0 1)(2 3)
+    m = [[0, 0, 2, 0], [0, 0, 0, 5], [-2, 0, 0, 0], [0, -5, 0, 0]]
+    assert pfaffian(m) == -10
+    _assert_agree(m)
+
+
+def _lambda_nu_forms(wb, count, seed):
+    rng = random.Random(seed)
+    e = list(wb.n_layer.e_set)
+    for _ in range(count):
+        f = sample_lambda_nu(wb.oracle_lambda_nu, rng)
+        yield skew_matrix(f, e)
+
+
+@pytest.mark.parametrize("entry_id", SAMPLABLE_IDS)
+def test_pivot_product_matches_expansion_on_corpus_orbit_forms(entry_id):
+    for m in _lambda_nu_forms(wb_for(entry_id), 10, 820):
+        assert pfaffian(m) != 0
+        _assert_agree(m)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 13])
+def test_pivot_product_matches_expansion_on_generated_orbit_forms(seed):
+    for doc, _ in specgen.generate(seed):
+        wb = Workbench(spec_from_dict(doc), trials=16)
+        for m in _lambda_nu_forms(wb, 3, seed):
+            assert pfaffian(m) != 0
+            _assert_agree(m)
+
+
+def _dense_center_spec(m, seed=0):
+    """[X_a, X_b] = c_ab Z with every c_ab a nonzero integer; one dilation
+    with weight 1 on each X_a and 2 on Z. The generic jump set is every X,
+    so |e| = m, and the orbit form on it is l(Z) c: dense."""
+    rng = random.Random(seed)
+    xs = [f"X{a + 1}" for a in range(m)]
+    brackets = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            c = 0
+            while c == 0:
+                c = rng.randint(-5, 5)
+            brackets.append({"x": xs[a], "y": xs[b],
+                             "value": [{"c": str(c), "b": "Z"}]})
+    brackets += [{"x": "A", "y": x, "value": [{"c": "1", "b": x}]} for x in xs]
+    brackets.append({"x": "A", "y": "Z", "value": [{"c": "2", "b": "Z"}]})
+    return spec_from_dict({"name": f"dense-center-{m}", "n_basis": ["Z"] + xs,
+                           "h_basis": ["A"], "brackets": brackets})
+
+
+def test_dense_center_pfaffian_matches_expansion():
+    wb = Workbench(_dense_center_spec(10), trials=16)
+    assert len(wb.n_layer.e_set) == 10
+    for m in _lambda_nu_forms(wb, 3, 830):
+        _assert_agree(m)
+
+
+def test_dense_center_plancherel_samples_square_to_det():
+    wb = Workbench(_dense_center_spec(14))
+    assert len(wb.n_layer.e_set) == 14
+    samples = wb.plancherel_samples()["samples"]
+    forms = list(_lambda_nu_forms(wb, len(samples), wb.seed + 5))
+    for sample, m in zip(samples, forms):
+        pf = pfaffian(m)
+        assert pf ** 2 == det(m)
+        assert str(pf.abs2()) == sample["pf_abs2"]

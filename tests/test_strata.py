@@ -408,7 +408,7 @@ def test_pfaffian_heisenberg_density():
 def test_pfaffian_squared_is_det_random():
     rng = random.Random(39)
     for _ in range(60):
-        n = rng.choice((2, 4, 6, 8))
+        n = rng.choice(range(2, 21, 2))
         m = [[G(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
@@ -423,3 +423,7 @@ def test_pfaffian_rejects_bad_input():
         pfaffian([[G(0)]])
     with pytest.raises(NotSkewError):
         pfaffian([[G(0), G(1)], [G(1), G(0)]])
+    with pytest.raises(NotSkewError):
+        pfaffian([[G(0), G(1)], [G(0)]])
+    with pytest.raises(NotSkewError):
+        pfaffian([[G(1), G(1)], [G(-1), G(0)]])
