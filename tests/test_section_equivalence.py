@@ -20,6 +20,8 @@ import pytest
 from conftest import VALID_IDS, wb_for
 from section_oracle import layer_data as oracle_layer_data
 from section_oracle import section_vectors as oracle_section_vectors
+from solvlie.adapted import build_adaptable_basis
+from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint, sample_functional
 from solvlie.linalg import FLOAT_TOL
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
@@ -117,3 +119,39 @@ def test_section_vectors_match_oracle(entry_id):
         for ambient in ("n", "g"):
             outcomes.append(_check_point(moved, basis, ambient))
     assert outcomes.count(True) >= 12 and outcomes.count(False) >= 1
+
+
+def _lower_flag_heisenberg():
+    """Heisenberg with A weights 1, 1, 2 on X, Y, Z and the hint
+    (Z, Y + Z, X). Then [A, Z_2] = Z_2 + Z_1: the basis is not diagonal,
+    so the brackets with A have terms below the diagonal, which no corpus
+    basis has."""
+    spec = spec_from_dict({
+        "name": "heisenberg-lower-flag",
+        "n_basis": ["X", "Y", "Z"],
+        "h_basis": ["A"],
+        "brackets": [
+            {"x": "X", "y": "Y", "value": [{"c": "1", "b": "Z"}]},
+            {"x": "A", "y": "X", "value": [{"c": "1", "b": "X"}]},
+            {"x": "A", "y": "Y", "value": [{"c": "1", "b": "Y"}]},
+            {"x": "A", "y": "Z", "value": [{"c": "2", "b": "Z"}]}],
+        "adaptable_hint": [
+            {"label": "Z1", "value": [{"c": "1", "b": "Z"}]},
+            {"label": "Z2", "value": [{"c": "1", "b": "Y"}, {"c": "1", "b": "Z"}]},
+            {"label": "Z3", "value": [{"c": "1", "b": "X"}]}]})
+    return spec, build_adaptable_basis(spec, hint=spec.adaptable_hint)
+
+
+def test_section_vectors_match_oracle_off_diagonal_basis():
+    spec, basis = _lower_flag_heisenberg()
+    assert not basis.diagonal_exact
+    rng = random.Random(77)
+    outcomes = []
+    for ambient in ("n", "g"):
+        for _ in range(30):
+            l = sample_functional(basis, rng, support=ambient)
+            a = [0.0] * spec.n_dim + [rng.uniform(-1.5, 1.5)]
+            moved = exp_h_coadjoint(spec, a, l, mode="float")
+            outcomes.append(_check_point(l, basis, ambient))
+            outcomes.append(_check_point(moved, basis, ambient))
+    assert outcomes == [True] * 120
