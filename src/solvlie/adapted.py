@@ -28,15 +28,15 @@ only the new h vectors, since no n-part result depends on them.
 
 The basis keeps what the verification computed: C as sparse rows
 (``structure``), the inverse of the n block (``n_inverse``) and, from the
-h-part check, the inverse of the h block (``h_inverse``). The verdict
-algebra, the disintegration check and ``Functional.from_adapted`` read
-them; ``with_h_part`` carries C and the n-block inverse over unchanged.
+h-part check, the inverse of the h block (``h_inverse``), plus the rows of
+C for the brackets with the h-part vectors (``h_structure``). The orbit
+form, the verdict algebra and ``Functional.from_adapted`` read them;
+``with_h_part`` rebuilds only ``h_structure`` and the h-block inverse.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -94,21 +94,6 @@ def _coords(vec, inv) -> Dict[int, GaussianRational]:
     return {k: x for k, x in out.items() if x}
 
 
-@dataclass(frozen=True)
-class ModeData:
-    """An adapted basis in one arithmetic mode, 0-based throughout.
-
-    ``vectors`` are the Z_j over the real basis of g. ``brackets`` lists
-    (p, q, terms) for each p < q with [Z_p, Z_q] != 0, ordered by q, where
-    terms are the nonzero (m, c) of the bracket over the real basis.
-    ``h_weights[i][p - n]`` is gamma_{i+1}(Z_p) for the h-part vectors Z_p,
-    p >= n, and each n-part index i.
-    """
-    vectors: Tuple[Tuple, ...]
-    brackets: Tuple[Tuple[int, int, Tuple[Tuple[int, object], ...]], ...]
-    h_weights: Tuple[Tuple, ...]
-
-
 class AdaptableBasis:
     """An adapted basis for g; the h part defaults to the given h basis.
 
@@ -119,6 +104,9 @@ class AdaptableBasis:
 
     - ``structure[(p, q)]``, p < q < n, is {k: C_pq^k} for each nonzero
       bracket [Z_p, Z_q] = sum_k C_pq^k Z_k;
+    - ``h_structure[(p, q)]``, p < n <= q, is the same for the brackets
+      with the h-part vectors (all k < n, as [n, h] lies in n);
+    - ``terms[j]`` lists the nonzero (m, c) of Z_{j+1} over the real basis;
     - ``n_inverse[m]`` and ``h_inverse[m]`` list the nonzero (k, x) of row
       m of the inverse of the n block and of the h block of the basis
       matrix (the rows of the blocks are the Z_j).
@@ -137,6 +125,7 @@ class AdaptableBasis:
             raise HintInvalidError(1, "n-part vectors must be supported in n")
         self._set_h_part(hvecs)
         self._verify()
+        self._set_h_structure()
 
     def _set_h_part(self, hvecs: Sequence[Vector]):
         """Check and install the h vectors: real, supported in h, a basis of h."""
@@ -153,8 +142,8 @@ class AdaptableBasis:
         self.h_inverse = inv
         self.hvecs = hvecs
         self.vectors = self.nvecs + hvecs
+        self.terms = [_terms(v) for v in self.vectors]
         self._flags: Dict[int, Subspace] = {}
-        self._modes: Dict[Optional[float], ModeData] = {}
 
     # -- structure -------------------------------------------------------
 
@@ -186,38 +175,6 @@ class AdaptableBasis:
             fl = Subspace([list(v) for v in self.vectors[:j]], self.dim)
             self._flags[j] = fl
         return fl
-
-    def mode(self, tol: Optional[float]) -> ModeData:
-        """The basis in the arithmetic mode of tol, built once per mode.
-
-        Exact mode (tol None) hands out the vectors held here and exact
-        tables; float mode hands out complex copies of all three.
-        """
-        data = self._modes.get(tol)
-        if data is None:
-            if tol is None:
-                spec, vecs, nd = self.spec, self.vectors, self.n
-                brackets = list(self._n_brackets)
-                for q in range(nd, self.dim):
-                    for p in range(q):
-                        terms = _terms(spec.bracket(vecs[p], vecs[q]))
-                        if terms:
-                            brackets.append((p, q, terms))
-                # gamma_i(Z_p) = sum_t Z_p[n + t] gamma_i(A_t)
-                h_weights = tuple(
-                    tuple(sum((z[nd + t] * w for t, w in enumerate(ws)), ZERO)
-                          for z in vecs[nd:])
-                    for ws in self.weights[:nd])
-                data = ModeData(tuple(vecs), tuple(brackets), h_weights)
-            else:
-                exact = self.mode(None)
-                data = ModeData(
-                    tuple(tuple(complex(x) for x in v) for v in exact.vectors),
-                    tuple((p, q, tuple((m, complex(c)) for m, c in terms))
-                          for p, q, terms in exact.brackets),
-                    tuple(tuple(complex(w) for w in row) for row in exact.h_weights))
-            self._modes[tol] = data
-        return data
 
     def ambient(self, ambient: str) -> int:
         """Number of leading basis vectors spanning the ambient 'n' or 'g'."""
@@ -260,20 +217,16 @@ class AdaptableBasis:
         # p + 1 (and then also at q + 1) iff it has a coordinate beyond p
         self.n_inverse = inv
         self.structure: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
-        self._n_brackets = []       # the same brackets over the real basis
         first_bad = dim + 1         # the first j (1-based) failing condition 1
         for q in range(nd):
             for p in range(q):
-                img = spec.bracket(self.nvecs[p], self.nvecs[q])
-                terms = _terms(img)
-                if not terms:
+                row = _coords(spec.bracket(self.nvecs[p], self.nvecs[q]), inv)
+                if not row:
                     continue
-                self._n_brackets.append((p, q, terms))
-                row = _coords(img, inv)
                 self.structure[(p, q)] = row
                 if max(row) > p:
                     first_bad = min(first_bad, p + 1)
-        ad_h = []                   # ad_h[t][j]: coordinates of [A_t, Z_j]
+        self._ad_h = ad_h = []      # ad_h[t][j]: coordinates of [A_t, Z_j]
         for t in range(spec.h_dim):
             a = spec.basis_vector(nd + t)
             ad_h.append([_coords(spec.bracket(a, z), inv) for z in self.nvecs])
@@ -353,16 +306,36 @@ class AdaptableBasis:
             alphas.append(alpha)
         self.alpha = alphas
 
+    def _set_h_structure(self):
+        """The rows of C for the brackets with the h-part vectors.
+
+        For H = Z_q = sum_t H_t A_t, [Z_p, H] = -sum_t H_t [A_t, Z_p], from
+        the coordinates of [A_t, Z_p] that ``_verify`` kept; its diagonal
+        coefficient is -gamma_p(H). [h, h] = 0.
+        """
+        nd = self.n
+        self.h_structure: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
+        for q, h in enumerate(self.hvecs, start=nd):
+            for p in range(nd):
+                row: Dict[int, GaussianRational] = {}
+                for ht, ad_t in zip(h[nd:], self._ad_h):
+                    for k, c in ad_t[p].items():
+                        row[k] = row.get(k, ZERO) - ht * c
+                if any(row.values()):
+                    self.h_structure[(p, q)] = {k: x for k, x in row.items() if x}
+
     def with_h_part(self, hvecs: Sequence[Vector]) -> "AdaptableBasis":
         """The same n part with new h vectors.
 
         Only the new vectors are checked (real, supported in h, a basis of
-        h, which also inverts the h block): the n-part checks, sigma, the
-        weights, alpha, C and the n-block inverse do not depend on them.
+        h, which also inverts the h block), and the rows of C for the
+        brackets with them rebuilt: the n-part checks, sigma, the weights,
+        alpha, ``structure`` and the n-block inverse do not depend on them.
         The n-part flags built so far are kept.
         """
         out = copy.copy(self)
         out._set_h_part(hvecs)
+        out._set_h_structure()
         out._flags = {j: fl for j, fl in self._flags.items() if j <= self.n}
         return out
 

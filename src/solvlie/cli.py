@@ -5,9 +5,9 @@
     solvlie admissible SPEC.json
     solvlie corpus    list | run [ID ...]
 
-Exit codes: validate 0 pass / 2 hypothesis violation / 3 parse error;
-analyze adds 4 for sampling or pipeline failures; admissible 0 admissible,
-1 not admissible, 2 invalid input.
+Exit codes: validate 0 pass / 2 hypothesis violation or invalid hint /
+3 parse error; analyze adds 4 for sampling or pipeline failures; admissible
+0 admissible, 1 not admissible, 2 invalid input (an invalid hint included).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import admissibility as adm
+from .adapted import HintInvalidError, build_adaptable_basis
 from .algebra import (HypothesisViolation, SpecFormatError, load_spec,
                       require_noncommutative, validate_spec)
 from .sections import NormalizationFailedError, UnsupportedLayerError
@@ -54,6 +55,12 @@ def cmd_validate(args) -> int:
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 2
+    if spec.adaptable_hint is not None:
+        try:
+            build_adaptable_basis(spec, hint=spec.adaptable_hint)
+        except HintInvalidError as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
     print("all checks passed")
     return 0
 
@@ -94,6 +101,9 @@ def cmd_analyze(args) -> int:
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 2
+    except HintInvalidError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (InconsistentSamplingError, NormalizationFailedError,
             UnsupportedLayerError, PipelineError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -116,8 +126,8 @@ def cmd_admissible(args) -> int:
     except HypothesisViolation as exc:
         print(f"INVALID: {exc}")
         return 2
-    except (InconsistentSamplingError, NormalizationFailedError,
-            PipelineError) as exc:
+    except (HintInvalidError, InconsistentSamplingError,
+            NormalizationFailedError, PipelineError) as exc:
         print(f"INVALID: {type(exc).__name__}: {exc}")
         return 2
     note = ""

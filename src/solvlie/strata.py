@@ -13,8 +13,9 @@ pivots; the Plancherel density |Pf| is read that way. On a fixed layer,
 point-dependent vectors V_k, U_k (dual pairs of the form) and combinations
 Z_j(l) are produced case by case; they cut out the orbit cross-sections.
 
-M is built once per point from the basis's table of nonzero brackets
-[Z_p, Z_q], and both the jump pairs and the section vectors read it: the
+M is filled once per point from the basis's adapted structure constants,
+M[p][q] = sum_k C_pq^k l(Z_k), so a point is read only through its values
+l(Z_k), k <= n. Both the jump pairs and the section vectors read M: the
 section vectors are computed in coordinates over the adapted vectors, where
 Re Z_i = (Z_i + Z_sigma(i)) / 2 and Im Z_i = (Z_i - Z_sigma(i)) / 2i, and
 paired through the nonzero entries of M.
@@ -102,7 +103,8 @@ class JumpData:
     Replaying them on unit vectors gives ``polarizing_rows``, h_d over the
     adapted vectors, and ``polarizing_subspace`` is the same over the real
     basis.
-    ``form`` is the unreduced M = (l[Z_p, Z_q]) at ``point``.
+    ``form`` is the unreduced M = (l[Z_p, Z_q]) at ``point``, and
+    ``zvals[k]`` the value l(Z_{k+1}), k < n, it was filled from.
     """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
@@ -113,6 +115,7 @@ class JumpData:
         default=(), repr=False, compare=False)
     form: Optional[List[list]] = field(default=None, repr=False, compare=False)
     point: Optional[Functional] = field(default=None, repr=False, compare=False)
+    zvals: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -144,14 +147,8 @@ class JumpData:
     def polarizing_subspace(self) -> Subspace:
         """h_d as a subspace of g_C over the real basis: ``polarizing_rows``
         mapped through the adapted vectors. Built on each access."""
-        vecs = self.basis.mode(self.tol).vectors
-        rows = []
-        for y in self.polarizing_rows():
-            terms = [(yp, z) for yp, z in zip(y, vecs) if yp]
-            out = [terms[0][0] * x for x in terms[0][1]]
-            for yp, z in terms[1:]:
-                out = [o + yp * x if x else o for o, x in zip(out, z)]
-            rows.append(out)
+        rows = [_to_real(self.basis, enumerate(y), self.tol)
+                for y in self.polarizing_rows()]
         return Subspace(rows, self.basis.dim, self.tol)
 
     @cached_property
@@ -162,23 +159,45 @@ class JumpData:
         return _layer_data(self.basis, self, n_amb)
 
 
-def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int) -> List[list]:
-    """M[p][q] = l[Z_{p+1}, Z_{q+1}] on the first n_amb adapted vectors,
-    read off the basis's bracket table, not through ``l.pair``."""
+def _to_real(basis: AdaptableBasis, coords, tol: Optional[float]) -> list:
+    """sum_p x_p Z_{p+1} over the real basis of g, for the (p, x_p) pairs of
+    coords; float x_p times the exact entries of Z_{p+1} are complex."""
+    out = [ZERO if tol is None else 0j] * basis.dim
+    for p, x in coords:
+        if x:
+            for m, c in basis.terms[p]:
+                out[m] = out[m] + x * c
+    return out
+
+
+def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
+    """(zvals, M): the values zvals[k] = l(Z_{k+1}), k < n, and
+    M[p][q] = l[Z_{p+1}, Z_{q+1}] = sum_k C_pq^k l(Z_{k+1}) on the first
+    n_amb adapted vectors, from the basis's adapted structure constants."""
     zero = ZERO if l.exact else 0j
     values = l.values
-    m = [[zero] * n_amb for _ in range(n_amb)]
-    for p, q, terms in basis.mode(l.tol).brackets:
-        if q >= n_amb:
-            break
+    # each sum starts from its first nonzero product, not from zero
+    zvals = []
+    for terms in basis.terms[:basis.n]:
         x = zero
-        for k, c in terms:
-            v = values[k]
+        for m, c in terms:
+            v = values[m]
             if v:
-                x = x + c * v
-        m[p][q] = x
-        m[q][p] = -x
-    return m
+                x = c * v if x is zero else x + c * v
+        zvals.append(x)
+    form = [[zero] * n_amb for _ in range(n_amb)]
+    for table in (basis.structure, basis.h_structure):
+        for (p, q), row in table.items():   # ordered by q
+            if q >= n_amb:
+                break
+            x = zero
+            for k, c in row.items():
+                zk = zvals[k]
+                if zk:
+                    x = c * zk if x is zero else x + c * zk
+            form[p][q] = x
+            form[q][p] = -x
+    return zvals, form
 
 
 def _skew_reduce(m: List[list], tol: Optional[float]):
@@ -260,10 +279,10 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     if basis is None:
         basis = l.basis
     tol = l.tol
-    form = _orbit_form(l, basis, basis.ambient(ambient))
+    zvals, form = _orbit_form(l, basis, basis.ambient(ambient))
     i_seq, j_seq, reductions, _ = _skew_reduce([list(row) for row in form], tol)
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis, tol,
-                    tuple(reductions), form, l)
+                    tuple(reductions), form, l, zvals)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +365,6 @@ class SectionVectors:
     basis of g, built on first read.
     """
     jd: JumpData
-    vectors: Sequence = field(repr=False)   # the Z_j in the point's mode
     v_adapted: List[dict]
     u_adapted: List[dict]
     z_adapted: Dict[int, dict]
@@ -354,11 +372,7 @@ class SectionVectors:
     pairings: List[object]             # l[V_k, U_k]
 
     def _real(self, coords: dict) -> list:
-        out = [ZERO if self.jd.tol is None else 0j] * len(self.vectors[0])
-        for p, c in coords.items():
-            if c:
-                out = [o + c * x for o, x in zip(out, self.vectors[p])]
-        return out
+        return _to_real(self.jd.basis, coords.items(), self.jd.tol)
 
     @cached_property
     def v_list(self) -> List[list]:
@@ -398,8 +412,8 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
     pairing x and y as x . (M y) through the nonzero entries of the orbit
     form M of ``jd`` (rebuilt when jd is not the jump data of l). There
     Re Z_i = (e_i + e_s) / 2 and Im Z_i = (e_i - e_s) / 2i with s = sigma(i),
-    since the basis verified conj Z_i = Z_s; the b values read gamma_i on
-    the h-part from the basis's weight table.
+    since the basis verified conj Z_i = Z_s; the b values read gamma_i of
+    the h-part vectors off the diagonal of their rows of C.
 
     Raises LayerMismatchError when a pairing l[V_k, U_k] vanishes (the point
     is not in the layer the case table assumed) and UnsupportedCaseError for
@@ -411,11 +425,10 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         jd = jump_data(l, basis, ambient)
     n_amb = basis.ambient(ambient)
     tol = l.tol
-    mode = basis.mode(tol)
     if jd.point is l and jd.basis is basis and jd.ambient == ambient:
         form = jd.form
     else:
-        form = _orbit_form(l, basis, n_amb)
+        _, form = _orbit_form(l, basis, n_amb)
     cols = [[(p, x) for p, x in enumerate(col) if x] for col in zip(*form)]
     _, _, cases = jd.layer_table
     in_case = {c: set(v) for c, v in cases.items()}
@@ -537,7 +550,8 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             re_n, im_n = parts(nxt)
             pending_z[nxt] = combine(-(num / den), re_n, -one, im_n)
 
-    # b values on pair indices whose weight pairs with U_k
+    # b values on pair indices whose weight pairs with U_k; gamma_i of an
+    # h-part vector H is minus the diagonal coefficient of [Z_i, H]
     nd = basis.n
     b_at: Dict[int, object] = {}
     for ik, uk, mu in zip(jd.i_seq, u_ad, mu_ad):
@@ -546,14 +560,14 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         gamma = zero
         for p, c in uk.items():
             if p >= nd:
-                gamma = gamma + c * mode.h_weights[ik - 1][p - nd]
+                gamma = gamma - c * basis.h_structure.get((ik - 1, p), {}).get(ik - 1, ZERO)
         if is_zero(gamma, tol):
             continue
         denom = mu.get(ik - 1, zero)
         if is_zero(denom, tol):
             raise LayerMismatchError(f"b value at index {ik} is singular")
         b_at[ik] = gamma / denom
-    return SectionVectors(jd=jd, vectors=mode.vectors[:n_amb], v_adapted=v_ad,
+    return SectionVectors(jd=jd, v_adapted=v_ad,
                           u_adapted=u_ad, z_adapted=z_ad, b_at=b_at,
                           pairings=pairings)
 
@@ -650,5 +664,5 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
 
 def skew_matrix(l: Functional, indices: Sequence[int]) -> List[List[GaussianRational]]:
     """The matrix [ l[Z_i, Z_j] ] over the given adapted indices (1-based)."""
-    form = _orbit_form(l, l.basis, max(indices, default=0))
+    _, form = _orbit_form(l, l.basis, max(indices, default=0))
     return [[form[i - 1][j - 1] for j in indices] for i in indices]

@@ -27,6 +27,13 @@ def _mode_flags(basis: AdaptableBasis, tol) -> List[Subspace]:
             for fl in flags]
 
 
+def _mode_vectors(basis: AdaptableBasis, tol) -> List[tuple]:
+    """The adapted vectors in the mode of tol."""
+    if tol is None:
+        return basis.vectors
+    return [tuple(complex(x) for x in v) for v in basis.vectors]
+
+
 def radical(l: Functional, ambient: Subspace) -> Subspace:
     return perp(l, ambient.rows, ambient)
 
@@ -97,15 +104,15 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     if basis is None:
         basis = l.basis
     tol = l.tol
-    mode = basis.mode(tol)
+    vectors = _mode_vectors(basis, tol)
     flags = _mode_flags(basis, tol)
     n_amb = basis.ambient(ambient)
     amb = flags[n_amb]
 
     def first_escape(inside: Subspace, outside: Subspace) -> Optional[int]:
         # min j with (c_j cap inside) not contained in outside
-        prof_in = _flag_meet_profile(mode.vectors, n_amb, inside, tol)
-        prof_out = _flag_meet_profile(mode.vectors, n_amb,
+        prof_in = _flag_meet_profile(vectors, n_amb, inside, tol)
+        prof_out = _flag_meet_profile(vectors, n_amb,
                                       inside.intersect(outside), tol)
         for j in range(1, n_amb + 1):
             if prof_in[j] > prof_out[j]:
@@ -121,7 +128,7 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     i1 = first_escape(amb, rad)
     if i1 is None:
         return JumpData((), (), h_flag, ambient)
-    h1 = perp(l, [mode.vectors[i1 - 1]], amb)
+    h1 = perp(l, [vectors[i1 - 1]], amb)
     j1 = first_escape(amb, h1)
     if j1 is None:
         raise LayerMismatchError("first jump has no partner")

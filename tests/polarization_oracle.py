@@ -29,7 +29,11 @@ def polarizing_subspace(jd: JumpData) -> Subspace:
     """h_d: the reductions of jd replayed on the adapted vectors over the
     real basis, the rows at the positions outside j_seq."""
     n_amb = jd.basis.ambient(jd.ambient)
-    ys = [list(v) for v in jd.basis.mode(jd.tol).vectors[:n_amb]]
+    vecs = jd.basis.vectors[:n_amb]
+    if jd.tol is None:
+        ys = [list(v) for v in vecs]
+    else:
+        ys = [[complex(x) for x in v] for v in vecs]
     for jk, steps in zip(jd.j_seq, jd.reductions):
         y_j = ys[jk - 1]
         for g, c in steps:

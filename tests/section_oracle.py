@@ -22,13 +22,14 @@ from solvlie.strata import (JumpData, LayerMismatchError, UnsupportedCaseError,
 
 
 def _mode_parts(basis: AdaptableBasis, tol):
-    """Real and imaginary parts of the adapted vectors in the mode of tol."""
+    """The adapted vectors and their real and imaginary parts in the mode
+    of tol."""
     re = [tuple(GaussianRational(x.re) for x in v) for v in basis.vectors]
     im = [tuple(GaussianRational(x.im) for x in v) for v in basis.vectors]
     if tol is None:
-        return re, im
-    return ([tuple(complex(x) for x in v) for v in re],
-            [tuple(complex(x) for x in v) for v in im])
+        return basis.vectors, re, im
+    return tuple([tuple(complex(x) for x in v) for v in vecs]
+                 for vecs in (basis.vectors, re, im))
 
 
 def _self_conjugate_steps(basis: AdaptableBasis):
@@ -126,8 +127,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         jd = jump_data(l, basis, ambient)
     n_amb = basis.ambient(ambient)
     tol = l.tol
-    vectors = basis.mode(tol).vectors
-    mode_re, mode_im = _mode_parts(basis, tol)
+    vectors, mode_re, mode_im = _mode_parts(basis, tol)
     _, _, cases = layer_data(basis, jd, n_amb)
     in_case = {c: set(v) for c, v in cases.items()}
 

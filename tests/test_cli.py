@@ -61,6 +61,28 @@ def test_validate_unknown_label_exit_3(corpus_dir):
     assert "A6" in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def bad_hint_path(tmp_path_factory):
+    """heisenberg-2param with the hint (X, Y, Z): the span of X is not an
+    ideal, since [X, Y] = Z, so condition 1 fails at j = 1."""
+    doc = json.loads(corpus_file_text("heisenberg-2param"))
+    doc["adaptable_hint"] = [{"label": f"W{k}", "value": [{"c": "1", "b": lab}]}
+                             for k, lab in enumerate("XYZ", start=1)]
+    p = tmp_path_factory.mktemp("hint") / "bad-hint.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    return p
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "admissible"])
+def test_invalid_hint_exit_2(bad_hint_path, command):
+    proc = run_cli(command, str(bad_hint_path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    out = proc.stdout + proc.stderr
+    assert "condition 1 fails: span of the first 1 vectors is not an ideal" in out
+    assert "all checks passed" not in out
+
+
 def test_analyze_report_content(corpus_dir):
     proc = run_cli("analyze", str(corpus_dir / "heisenberg-2param.json"),
                    "--format", "json", "--trials", "16")

@@ -34,11 +34,11 @@ def _combination(rng, vectors):
     return out
 
 
-def _test_vectors(rng, mode):
-    vecs = [list(v) for v in mode.vectors]
-    vecs += [[GaussianRational(x.re) for x in v] for v in mode.vectors]
-    vecs += [[GaussianRational(x.im) for x in v] for v in mode.vectors]
-    vecs += [_combination(rng, mode.vectors) for _ in range(6)]
+def _test_vectors(rng, vectors):
+    vecs = [list(v) for v in vectors]
+    vecs += [[GaussianRational(x.re) for x in v] for v in vectors]
+    vecs += [[GaussianRational(x.im) for x in v] for v in vectors]
+    vecs += [_combination(rng, vectors) for _ in range(6)]
     return vecs
 
 
@@ -47,7 +47,7 @@ def test_pair_equals_value_of_bracket(entry_id):
     rng = random.Random(400 + VALID_IDS.index(entry_id))
     wb = wb_for(entry_id)
     basis, spec = wb.canonical_basis, wb.spec
-    vecs = _test_vectors(rng, basis.mode(None))
+    vecs = _test_vectors(rng, basis.vectors)
     points = [sample_functional(basis, rng, bound=b, support=s)
               for b in (1, 9) for s in ("n", "g")]
     for l in points:
