@@ -263,7 +263,7 @@ class SectionOracle:
             sv = section_vectors(f, basis, jd, "n")
         except LayerMismatchError:
             return False
-        zvals, zero = sv.jd.zvals, ZERO if tol is None else 0j   # l(Z_{p+1})
+        zvals, zero = sv.jd.zvals, ZERO if tol is None else 0j   # f(Z_{p+1})
         for j in self.n_layer.e_set:
             if not is_zero(sum((x * zvals[p] for p, x in sv.z_adapted[j].items()),
                                zero), tol):

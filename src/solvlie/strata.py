@@ -176,7 +176,7 @@ def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
     n_amb adapted vectors, from the basis's adapted structure constants."""
     zero = ZERO if l.exact else 0j
     values = l.values
-    # each sum starts from its first nonzero product, not from zero
+    # sums start at their first nonzero product, saving an addition to zero
     zvals = []
     for terms in basis.terms[:basis.n]:
         x = zero

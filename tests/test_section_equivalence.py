@@ -9,7 +9,9 @@ at exact points, within FLOAT_TOL times the size of the values at float
 points), or raise the same error; the orbit form kept on the jump data
 must be l[Z_p, Z_q], and its case table the oracle's. Sparse points paired with the jump data of a generic
 point leave the layer the case table assumes, so both sides must raise
-there as well.
+there as well. One more input, a Heisenberg basis on which ad(A) has a term
+below the diagonal, covers the lower-flag terms of the brackets with the
+h-part vectors, which no corpus basis has.
 """
 
 import random
