@@ -110,6 +110,9 @@ class AdaptableBasis:
     - ``n_inverse[m]`` and ``h_inverse[m]`` list the nonzero (k, x) of row
       m of the inverse of the n block and of the h block of the basis
       matrix (the rows of the blocks are the Z_j).
+
+    ``layer_tables`` memoizes the case table of ``strata`` per (ambient,
+    i_seq, j_seq), built on first use; ``with_h_part`` starts it empty.
     """
 
     def __init__(self, spec: LieAlgebraSpec, nvecs: Sequence[Vector],
@@ -144,6 +147,7 @@ class AdaptableBasis:
         self.vectors = self.nvecs + hvecs
         self.terms = [_terms(v) for v in self.vectors]
         self._flags: Dict[int, Subspace] = {}
+        self.layer_tables: Dict[tuple, tuple] = {}
 
     # -- structure -------------------------------------------------------
 
@@ -331,7 +335,7 @@ class AdaptableBasis:
         h, which also inverts the h block), and the rows of C for the
         brackets with them rebuilt: the n-part checks, sigma, the weights,
         alpha, ``structure`` and the n-block inverse do not depend on them.
-        The n-part flags built so far are kept.
+        The n-part flags built so far are kept; the case tables are not.
         """
         out = copy.copy(self)
         out._set_h_part(hvecs)

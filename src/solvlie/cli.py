@@ -8,6 +8,8 @@
 Exit codes: validate 0 pass / 2 hypothesis violation or invalid hint /
 3 parse error; analyze adds 4 for sampling or pipeline failures; admissible
 0 admissible, 1 not admissible, 2 invalid input (an invalid hint included).
+A malformed command line, --trials below 1 included, prints the usage and
+exits 2.
 """
 
 from __future__ import annotations
@@ -163,6 +165,17 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1, such as --trials."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="solvlie", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -175,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full orbital and admissibility report")
     p.add_argument("path")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=64)
+    p.add_argument("--trials", type=_positive_int, default=64)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=cmd_analyze)
 
@@ -187,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("ids", nargs="*")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=24)
+    p.add_argument("--trials", type=_positive_int, default=24)
     p.set_defaults(fn=cmd_corpus)
     return ap
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Union
 
 from .adapted import AdaptableBasis
@@ -236,17 +237,18 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
 # samplers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
+def _integer(v: int) -> Fraction:
+    """Fraction(v), one shared object per integer drawn by the samplers."""
+    return Fraction(v)
+
+
 def sample_functional(basis: AdaptableBasis, rng: random.Random,
                       bound: int = 9, support: str = "g") -> Functional:
     """Random exact functional with integer coordinates in [-bound, bound]."""
-    dim = basis.dim
-    nd = basis.n
-    vals = []
-    for m in range(dim):
-        if support == "n" and m >= nd:
-            vals.append(Fraction(0))
-        else:
-            vals.append(Fraction(rng.randint(-bound, bound)))
+    drawn = basis.n if support == "n" else basis.dim
+    vals = [_integer(rng.randint(-bound, bound)) for _ in range(drawn)]
+    vals += [_integer(0)] * (basis.dim - drawn)
     return Functional(basis, vals, exact=True)
 
 

@@ -9,14 +9,17 @@ under the dilation group, where entries pick up factors e^{t}.
 
 This module owns the choice between the two: a ``tol`` of None means exact
 arithmetic, and float mode uses ``FLOAT_TOL``, the one float tolerance of
-the package. ``is_zero`` is the one zero test. (The eigenbasis solve of
-the dilation flow passes its own, smaller pivot threshold to ``solve``;
-that is a conditioning guard, not a zero test.)
+the package. ``is_zero`` is the one zero test; ``zero_test`` is the same
+test with the tolerance bound, for the inner loops of a kernel. (The
+eigenbasis solve of the dilation flow passes its own, smaller pivot
+threshold to ``solve``; that is a conditioning guard, not a zero test.)
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+import operator
+from functools import lru_cache
+from typing import Callable, Iterable, List, Optional
 
 from .gaussian import GaussianRational, ZERO
 
@@ -27,11 +30,18 @@ Matrix = List[Row]
 FLOAT_TOL = 1e-9
 
 
+@lru_cache(maxsize=16)
+def zero_test(tol: Optional[float] = None) -> Callable[[object], bool]:
+    """The zero test as a one-argument predicate: exact (``not x``) without
+    a tolerance, else |x| <= tol. A kernel binds it once per call."""
+    if tol is None:
+        return operator.not_
+    return lambda x: abs(x) <= tol
+
+
 def is_zero(x, tol: Optional[float] = None) -> bool:
     """The zero test: exact without a tolerance, else |x| <= tol."""
-    if tol is None:
-        return x.is_zero() if isinstance(x, GaussianRational) else x == 0
-    return abs(x) <= tol
+    return zero_test(tol)(x)
 
 
 def _zero(tol: Optional[float]):
@@ -47,6 +57,7 @@ def rref(rows: Matrix, tol: Optional[float] = None) -> tuple[Matrix, List[int]]:
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
+    zero = zero_test(tol)
     ncols = len(rows[0])
     pivots: List[int] = []
     r = 0
@@ -56,7 +67,7 @@ def rref(rows: Matrix, tol: Optional[float] = None) -> tuple[Matrix, List[int]]:
         pivot_row = None
         if tol is None:
             for k in range(r, len(rows)):
-                if not is_zero(rows[k][c], tol):
+                if not zero(rows[k][c]):
                     pivot_row = k
                     break
         else:
@@ -69,18 +80,18 @@ def rref(rows: Matrix, tol: Optional[float] = None) -> tuple[Matrix, List[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c]
-        rows[r] = [x if is_zero(x, tol) else x / inv for x in rows[r]]
+        rows[r] = [x if zero(x) else x / inv for x in rows[r]]
         pivot_row_vals = rows[r]
         for k in range(len(rows)):
-            if k != r and not is_zero(rows[k][c], tol):
+            if k != r and not zero(rows[k][c]):
                 f = rows[k][c]
-                rows[k] = [a if is_zero(b, tol) else a - f * b
+                rows[k] = [a if zero(b) else a - f * b
                            for a, b in zip(rows[k], pivot_row_vals)]
         pivots.append(c)
         r += 1
     kept = rows[: len(pivots)]
     if tol is not None:
-        kept = [[0j if is_zero(x, tol) else x for x in row] for row in kept]
+        kept = [[0j if zero(x) else x for x in row] for row in kept]
     return kept, pivots
 
 
@@ -140,13 +151,13 @@ class Subspace:
         """Reduce vec against the held RREF rows: each pivot entry is 1 and
         the only nonzero entry of its column, so vec is in the span iff
         nothing is left."""
+        zero = zero_test(self.tol)
         v = list(vec)
         for row, c in zip(self.rows, self.pivots):
             x = v[c]
-            if not is_zero(x, self.tol):
-                v = [a if is_zero(b, self.tol) else a - x * b
-                     for a, b in zip(v, row)]
-        return all(is_zero(x, self.tol) for x in v)
+            if not zero(x):
+                v = [a if zero(b) else a - x * b for a, b in zip(v, row)]
+        return all(map(zero, v))
 
     def contains(self, other: "Subspace") -> bool:
         return rank(self.rows + other.rows, self.tol) == self.dim

@@ -18,7 +18,14 @@ M[p][q] = sum_k C_pq^k l(Z_k), so a point is read only through its values
 l(Z_k), k <= n. Both the jump pairs and the section vectors read M: the
 section vectors are computed in coordinates over the adapted vectors, where
 Re Z_i = (Z_i + Z_sigma(i)) / 2 and Im Z_i = (Z_i - Z_sigma(i)) / 2i, and
-paired through the nonzero entries of M.
+paired through the sparse columns of M, which the fill records from the
+nonzero entries of C.
+
+Which case of the section-vector table each pair falls in depends only on
+the jump pairs, not on the point. So the case table (conj-stable positions,
+primes, case sets) is built once per (ambient, i_seq, j_seq) and kept,
+read-only, on the basis (``AdaptableBasis.layer_tables``); the points of
+one layer share it, and each ``LayerDescriptor`` gets its own copies.
 
 All decisions are exact over Q(i); the float variant exists for points
 produced by dilation flows. The mode is the point's: every zero test and
@@ -33,12 +40,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adapted import AdaptableBasis
 from .functionals import Functional, sample_functional
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, identity, is_zero, kernel
+from .linalg import Subspace, identity, kernel, zero_test
 
 GR1 = GaussianRational(1)
 HALF = GaussianRational(Fraction(1, 2))
@@ -103,8 +111,10 @@ class JumpData:
     Replaying them on unit vectors gives ``polarizing_rows``, h_d over the
     adapted vectors, and ``polarizing_subspace`` is the same over the real
     basis.
-    ``form`` is the unreduced M = (l[Z_p, Z_q]) at ``point``, and
-    ``zvals[k]`` the value l(Z_{k+1}), k < n, it was filled from.
+    ``form`` is the unreduced M = (l[Z_p, Z_q]) at ``point``,
+    ``columns[q]`` lists the nonzero (p, M[p][q]) of its column q by
+    increasing p, and ``zvals[k]`` is the value l(Z_{k+1}), k < n, M was
+    filled from.
     """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
@@ -116,6 +126,8 @@ class JumpData:
     form: Optional[List[list]] = field(default=None, repr=False, compare=False)
     point: Optional[Functional] = field(default=None, repr=False, compare=False)
     zvals: Optional[list] = field(default=None, repr=False, compare=False)
+    columns: Optional[List[list]] = field(default=None, repr=False,
+                                          compare=False)
 
     @property
     def d(self) -> int:
@@ -151,12 +163,11 @@ class JumpData:
                 for y in self.polarizing_rows()]
         return Subspace(rows, self.basis.dim, self.tol)
 
-    @cached_property
+    @property
     def layer_table(self):
         """(conj-stable positions, primes, case sets) of these jump pairs,
-        built on first read."""
-        n_amb = self.basis.ambient(self.ambient)
-        return _layer_data(self.basis, self, n_amb)
+        read-only and shared with every point of the same jump pairs."""
+        return _case_table(self)[:3]
 
 
 def _to_real(basis: AdaptableBasis, coords, tol: Optional[float]) -> list:
@@ -171,9 +182,12 @@ def _to_real(basis: AdaptableBasis, coords, tol: Optional[float]) -> list:
 
 
 def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
-    """(zvals, M): the values zvals[k] = l(Z_{k+1}), k < n, and
+    """(zvals, M, columns): the values zvals[k] = l(Z_{k+1}), k < n, and
     M[p][q] = l[Z_{p+1}, Z_{q+1}] = sum_k C_pq^k l(Z_{k+1}) on the first
-    n_amb adapted vectors, from the basis's adapted structure constants."""
+    n_amb adapted vectors, from the basis's adapted structure constants.
+    ``columns[q]`` lists the nonzero (p, M[p][q]) by increasing p; they are
+    recorded as M is filled, since only the entries with a row of C can be
+    nonzero."""
     zero = ZERO if l.exact else 0j
     values = l.values
     # sums start at their first nonzero product, saving an addition to zero
@@ -186,8 +200,11 @@ def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
                 x = c * v if x is zero else x + c * v
         zvals.append(x)
     form = [[zero] * n_amb for _ in range(n_amb)]
+    # keys run by q, then by p, so each column gets its rows in order:
+    # first p < q at key (p, q), then p > q at the later keys (q, p)
+    columns: List[list] = [[] for _ in range(n_amb)]
     for table in (basis.structure, basis.h_structure):
-        for (p, q), row in table.items():   # ordered by q
+        for (p, q), row in table.items():
             if q >= n_amb:
                 break
             x = zero
@@ -195,9 +212,13 @@ def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
                 zk = zvals[k]
                 if zk:
                     x = c * zk if x is zero else x + c * zk
-            form[p][q] = x
-            form[q][p] = -x
-    return zvals, form
+            if x:
+                y = -x
+                form[p][q] = x
+                form[q][p] = y
+                columns[q].append((p, x))
+                columns[p].append((q, y))
+    return zvals, form, columns
 
 
 def _skew_reduce(m: List[list], tol: Optional[float]):
@@ -215,6 +236,7 @@ def _skew_reduce(m: List[list], tol: Optional[float]):
     ``reductions[k - 1]`` lists the (g, c) of step k and ``pivots[k - 1]``
     is the reduced m[i_k][j_k].
     """
+    zero = zero_test(tol)
     active = list(range(len(m)))
     # the active rows not yet seen to be zero in every active column; such a
     # row never changes again (zero in column i_k, it is not reduced; zero in
@@ -228,7 +250,7 @@ def _skew_reduce(m: List[list], tol: Optional[float]):
     while scan:
         ik = scan.pop(0)
         row_i = m[ik]
-        jk = next((q for q in active if not is_zero(row_i[q], tol)), None)
+        jk = next((q for q in active if not zero(row_i[q])), None)
         if jk is None:
             continue
         active.remove(ik)
@@ -237,10 +259,10 @@ def _skew_reduce(m: List[list], tol: Optional[float]):
         row_j = m[jk]
         piv = row_i[jk]
         # row j_k is fixed during the step; only its nonzero columns move
-        cols = [q for q in active if not is_zero(row_j[q], tol)]
+        cols = [q for q in active if not zero(row_j[q])]
         steps = []
         for g in active:
-            if is_zero(row_i[g], tol):
+            if zero(row_i[g]):
                 continue
             c = row_i[g] / piv
             steps.append((g + 1, c))
@@ -279,10 +301,10 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     if basis is None:
         basis = l.basis
     tol = l.tol
-    zvals, form = _orbit_form(l, basis, basis.ambient(ambient))
+    zvals, form, columns = _orbit_form(l, basis, basis.ambient(ambient))
     i_seq, j_seq, reductions, _ = _skew_reduce([list(row) for row in form], tol)
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis, tol,
-                    tuple(reductions), form, l, zvals)
+                    tuple(reductions), form, l, zvals, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +344,16 @@ class LayerDescriptor:
         }
 
 
-def _layer_data(basis: AdaptableBasis, jd: JumpData, top: int):
+def _case_table(jd: JumpData):
+    """(conj-stable positions, primes, case sets, case membership sets) of
+    the jump pairs of jd, built once per key and kept on the basis. Every
+    point of the layer shares it, so its mappings are read-only views."""
+    basis = jd.basis
+    key = (jd.ambient, jd.i_seq, jd.j_seq)
+    table = basis.layer_tables.get(key)
+    if table is not None:
+        return table
+    top = basis.ambient(jd.ambient)
     stable = [j for j in basis.self_conjugate_steps() if j <= top]
     stable_set = set(stable)
     primes = {}
@@ -348,7 +379,11 @@ def _layer_data(basis: AdaptableBasis, jd: JumpData, top: int):
             cases[4].append(k)
         if ik - 1 in i_set and ik - 1 not in stable_set:
             cases[5].append(k)
-    return tuple(stable), primes, {c: tuple(v) for c, v in cases.items()}
+    table = (tuple(stable), MappingProxyType(primes),
+             MappingProxyType({c: tuple(v) for c, v in cases.items()}),
+             MappingProxyType({c: frozenset(v) for c, v in cases.items()}))
+    basis.layer_tables[key] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +444,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
     """Dual pairs V_k, U_k and the combinations Z_j(l), case by case.
 
     Works in sparse coordinates x over the adapted vectors of the ambient,
-    pairing x and y as x . (M y) through the nonzero entries of the orbit
+    pairing x and y as x . (M y) through the sparse columns of the orbit
     form M of ``jd`` (rebuilt when jd is not the jump data of l). There
     Re Z_i = (e_i + e_s) / 2 and Im Z_i = (e_i - e_s) / 2i with s = sigma(i),
     since the basis verified conj Z_i = Z_s; the b values read gamma_i of
@@ -423,15 +458,13 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         basis = l.basis
     if jd is None:
         jd = jump_data(l, basis, ambient)
-    n_amb = basis.ambient(ambient)
     tol = l.tol
     if jd.point is l and jd.basis is basis and jd.ambient == ambient:
-        form = jd.form
+        cols = jd.columns
     else:
-        _, form = _orbit_form(l, basis, n_amb)
-    cols = [[(p, x) for p, x in enumerate(col) if x] for col in zip(*form)]
-    _, _, cases = jd.layer_table
-    in_case = {c: set(v) for c, v in cases.items()}
+        _, _, cols = _orbit_form(l, basis, basis.ambient(ambient))
+    in_case = _case_table(jd)[3]
+    vanishes = zero_test(tol)
     if tol is None:
         zero, one, half, minus_half_i = ZERO, GR1, HALF, MINUS_HALF_I
     else:
@@ -460,7 +493,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         for p, xp in x.items():
             wp = w.get(p)
             if wp:
-                total = total + xp * wp
+                total = xp * wp if total is zero else total + xp * wp
         return total
 
     def pair(x, y):
@@ -472,8 +505,13 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             out[q] = out[q] + c * xq if q in out else c * xq
         return out
 
-    def combine(a, x, b, y):
-        return add(add({}, a, x), b, y)
+    def mix(i, a, b):
+        """a Re Z_i + b Im Z_i."""
+        s = sigma[i]
+        if s == i:
+            return {i - 1: a}
+        x, y = a * half, b * minus_half_i
+        return {i - 1: x + y, s - 1: x - y}
 
     v_ad: List[dict] = []
     u_ad: List[dict] = []
@@ -502,7 +540,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             z_ik = re_i
         elif k in in_case[1]:
             rho_jk = rho({jk - 1: one})
-            z_ik = combine(pair(rho_jk, re_i), re_i, pair(rho_jk, im_i), im_i)
+            z_ik = mix(ik, pair(rho_jk, re_i), pair(rho_jk, im_i))
         elif k in in_case[2]:
             # the partner pair index m with j_m immediately below i_k
             m = next((m for m in range(1, min(k, len(v_ad) + 1))
@@ -513,7 +551,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             re_m, im_m = parts(jd.j_seq[m - 1])
             a1 = dot(re_m, mv_ad[m - 1])
             a2 = dot(im_m, mv_ad[m - 1])
-            z_ik = combine(-a2, re_i, -a1, im_i)
+            z_ik = mix(ik, -a2, -a1)
         elif k in in_case[3]:
             z_ik = im_i
         elif k in in_case[4]:
@@ -524,11 +562,11 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         vk = rho(z_ik)
         mv = image(vk)
         re_j, im_j = parts(jk)
-        z_jk = combine(dot(re_j, mv), re_j, dot(im_j, mv), im_j)
+        z_jk = mix(jk, dot(re_j, mv), dot(im_j, mv))
         uk = rho(z_jk)
         mu = image(uk)
         pairing = dot(vk, mu)
-        if is_zero(pairing, tol):
+        if vanishes(pairing):
             raise LayerMismatchError(f"pairing of dual pair {k} vanishes")
 
         v_ad.append(vk)
@@ -543,12 +581,11 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
                 and sigma[jd.j_seq[k]] == jk):
             num = pair(uk, im_i)
             den = pair(uk, re_i)
-            if is_zero(den, tol):
+            if vanishes(den):
                 raise UnsupportedCaseError(
                     f"pair {k}: degenerate adjacent-pair combination")
             nxt = jd.i_seq[k]
-            re_n, im_n = parts(nxt)
-            pending_z[nxt] = combine(-(num / den), re_n, -one, im_n)
+            pending_z[nxt] = mix(nxt, -(num / den), -one)
 
     # b values on pair indices whose weight pairs with U_k; gamma_i of an
     # h-part vector H is minus the diagonal coefficient of [Z_i, H]
@@ -560,11 +597,13 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         gamma = zero
         for p, c in uk.items():
             if p >= nd:
-                gamma = gamma - c * basis.h_structure.get((ik - 1, p), {}).get(ik - 1, ZERO)
-        if is_zero(gamma, tol):
+                g = basis.h_structure.get((ik - 1, p), {}).get(ik - 1)
+                if g is not None:
+                    gamma = gamma - c * g
+        if vanishes(gamma):
             continue
         denom = mu.get(ik - 1, zero)
-        if is_zero(denom, tol):
+        if vanishes(denom):
             raise LayerMismatchError(f"b value at index {ik} is singular")
         b_at[ik] = gamma / denom
     return SectionVectors(jd=jd, v_adapted=v_ad,
@@ -581,9 +620,10 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
     sv = section_vectors(l, basis, jd, ambient)
     stable, primes, cases = jd.layer_table
     phi = tuple(sorted(sv.b_at.keys()))
+    # copies, so that no descriptor shares the memo's mappings
     return LayerDescriptor(ambient=ambient, e_set=jd.e_set, i_seq=jd.i_seq,
-                           j_seq=jd.j_seq, stable_set=stable, primes=primes,
-                           case_sets=cases, phi=phi)
+                           j_seq=jd.j_seq, stable_set=stable,
+                           primes=dict(primes), case_sets=dict(cases), phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +636,8 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     """Layer of a Zariski-dense set, found by exact evaluation at random
     integer points. The winner has maximal card(e); ties break toward the
     lexicographically smallest (e, j). Raises InconsistentSamplingError
-    when under half of the samples agree with the winner.
+    unless more than half of the samples agree with the winner (exactly
+    half is not enough), or when no sample gives a usable layer.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -664,5 +705,5 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
 
 def skew_matrix(l: Functional, indices: Sequence[int]) -> List[List[GaussianRational]]:
     """The matrix [ l[Z_i, Z_j] ] over the given adapted indices (1-based)."""
-    _, form = _orbit_form(l, l.basis, max(indices, default=0))
+    _, form, _ = _orbit_form(l, l.basis, max(indices, default=0))
     return [[form[i - 1][j - 1] for j in indices] for i in indices]

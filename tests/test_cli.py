@@ -151,3 +151,20 @@ def test_corpus_run_single_verbatim_entry():
 def test_corpus_run_unknown_id():
     proc = run_cli("corpus", "run", "no-such-entry")
     assert proc.returncode != 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_analyze_trials_below_one_is_a_usage_error(corpus_dir, trials):
+    proc = run_cli("analyze", str(corpus_dir / "spiral-heisenberg.json"),
+                   "--trials", trials)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "--trials" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_corpus_run_trials_below_one_is_a_usage_error(trials):
+    proc = run_cli("corpus", "run", "--trials", trials)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "--trials" in proc.stderr
+    assert "MISMATCHED" not in proc.stderr

@@ -1,0 +1,103 @@
+"""The generic layer through the per-key case table and sparse kernels.
+
+``strata.layer_descriptor`` reads its case table from a memo on the basis
+(one table per ambient and jump pairs) and its section vectors from the
+sparse columns of the orbit form. The oracle path below evaluates every
+sample afresh instead: the real-basis section vectors of
+``section_oracle`` and a new ``section_oracle.layer_data`` table per
+sample. ``generic_layer`` must pick the same layer either way, in both
+ambients: on every valid corpus entry at three sampling seeds, and on the
+specs that ``perfbench/specgen.py`` generates for three seeds at the
+default sampling seed. Nothing a caller does to a returned descriptor may
+reach a later result.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from conftest import VALID_IDS, wb_for
+from section_oracle import layer_data as oracle_layer_data
+from section_oracle import section_vectors as oracle_section_vectors
+from solvlie.algebra import spec_from_dict
+from solvlie.strata import LayerDescriptor, generic_layer, jump_data
+from solvlie.workbench import Workbench
+
+_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
+_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
+specgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(specgen)
+
+CORPUS_SEEDS = (1, 7, 42)
+GENERATED = [doc for seed in (1, 7, 13) for doc, _ in specgen.generate(seed)]
+
+
+def oracle_descriptor(f, basis, ambient):
+    """layer_descriptor with a fresh case table and the real-basis section
+    vectors, for one sample."""
+    jd = jump_data(f, basis, ambient)
+    sv = oracle_section_vectors(f, basis, jd, ambient)
+    stable, primes, cases = oracle_layer_data(basis, jd, basis.ambient(ambient))
+    return LayerDescriptor(ambient=ambient, e_set=jd.e_set, i_seq=jd.i_seq,
+                           j_seq=jd.j_seq, stable_set=stable, primes=primes,
+                           case_sets=cases, phi=tuple(sorted(sv.b_at)))
+
+
+def _outcome(basis, ambient, seed):
+    try:
+        return generic_layer(basis, ambient, seed=seed, trials=64).as_dict()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_matches_oracle(monkeypatch, wb, seeds):
+    for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
+        for seed in seeds:
+            got = _outcome(basis, ambient, seed)
+            with monkeypatch.context() as m:
+                m.setattr("solvlie.strata.layer_descriptor", oracle_descriptor)
+                want = _outcome(basis, ambient, seed)
+            assert got == want, (ambient, seed)
+
+
+@pytest.mark.parametrize("entry_id", VALID_IDS)
+def test_generic_layer_matches_oracle_on_corpus(monkeypatch, entry_id):
+    _assert_matches_oracle(monkeypatch, wb_for(entry_id), CORPUS_SEEDS)
+
+
+@pytest.mark.parametrize("doc", GENERATED, ids=[d["name"] for d in GENERATED])
+def test_generic_layer_matches_oracle_on_generated_specs(monkeypatch, doc):
+    wb = Workbench(spec_from_dict(doc))
+    _assert_matches_oracle(monkeypatch, wb, (wb.seed,))
+
+
+def test_returned_descriptors_do_not_share_the_memo():
+    wb = wb_for("double-heisenberg")
+    basis = wb.canonical_basis
+    for ambient in ("n", "g"):
+        first = generic_layer(basis, ambient, seed=3, trials=64)
+        want = first.as_dict()
+        first.case_sets[0] = (99,)
+        first.case_sets.clear()
+        first.primes[1] = (7, 7)
+        first.primes.clear()
+        again = generic_layer(basis, ambient, seed=3, trials=64)
+        assert again.as_dict() == want
+        assert again.case_sets is not first.case_sets
+        assert again.primes is not first.primes
+
+
+def test_case_table_is_read_only_and_per_basis():
+    wb = wb_for("double-heisenberg")
+    basis = wb.basis
+    desc = generic_layer(basis, "n", seed=3, trials=64)
+    key = ("n", desc.i_seq, desc.j_seq)
+    assert key in basis.layer_tables
+    _, primes, cases, members = basis.layer_tables[key]
+    for table in (primes, cases, members):
+        with pytest.raises(TypeError):
+            table[0] = ()
+    other = basis.with_h_part(basis.hvecs)
+    assert other.layer_tables == {}
+    assert basis.layer_tables

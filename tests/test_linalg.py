@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from solvlie.gaussian import GaussianRational
 from solvlie.linalg import (FLOAT_TOL, Subspace, det, full_space, is_zero,
-                            kernel, rank, rref, solve)
+                            kernel, rank, rref, solve, zero_test)
 
 
 def rand_mat(rng, rows, cols, complex_entries=True):
@@ -129,6 +129,18 @@ def test_is_zero_exact_and_float():
     assert is_zero(0)
     assert is_zero(complex(FLOAT_TOL / 2, 0), FLOAT_TOL)
     assert not is_zero(complex(0, 2 * FLOAT_TOL), FLOAT_TOL)
+
+
+def test_zero_test_is_bound_once_per_tolerance():
+    assert zero_test(None) is zero_test(None)
+    assert zero_test(FLOAT_TOL) is zero_test(FLOAT_TOL)
+    exact = zero_test(None)
+    assert exact(GaussianRational(0)) and exact(Fraction(0)) and exact(0)
+    assert not exact(GaussianRational(0, Fraction(1, 10 ** 12)))
+    assert not exact(complex(FLOAT_TOL / 2, 0))
+    near = zero_test(FLOAT_TOL)
+    assert near(complex(FLOAT_TOL / 2, 0))
+    assert not near(complex(0, 2 * FLOAT_TOL))
 
 
 def test_float_mode_rank_with_tolerance():

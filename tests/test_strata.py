@@ -8,7 +8,8 @@ from solvlie.functionals import Functional, sample_element, sample_functional
 from solvlie.functionals import exp_unipotent_coadjoint
 from solvlie.gaussian import GaussianRational as G
 from solvlie.linalg import det, full_space
-from solvlie.strata import (LayerMismatchError, NotSkewError,
+from solvlie.strata import (InconsistentSamplingError, LayerDescriptor,
+                            LayerMismatchError, NotSkewError,
                             OddDimensionError, UnsupportedCaseError,
                             bilinear_form, generic_layer, jump_data,
                             layer_descriptor, perp, pfaffian, section_vectors,
@@ -359,6 +360,49 @@ def test_generic_layer_propagates_zero_division(monkeypatch):
     monkeypatch.setattr("solvlie.strata.layer_descriptor", divide_by_zero)
     with pytest.raises(ZeroDivisionError):
         generic_layer(wb.canonical_basis, "n", seed=7, trials=4)
+
+
+def _stub_samples(monkeypatch, outcomes):
+    """Make layer_descriptor answer the samples in turn from outcomes: a
+    descriptor, or None for a sample outside the layer."""
+    answers = iter(outcomes)
+
+    def stub(f, basis, ambient):
+        desc = next(answers)
+        if desc is None:
+            raise LayerMismatchError("stubbed mismatch")
+        return LayerDescriptor(ambient, desc.e_set, desc.i_seq, desc.j_seq,
+                               desc.stable_set, {}, {}, desc.phi)
+    monkeypatch.setattr("solvlie.strata.layer_descriptor", stub)
+    return answers
+
+
+WIDE = LayerDescriptor("n", (1, 2, 3, 4), (1, 2), (3, 4), (0,), {}, {}, ())
+NARROW = LayerDescriptor("n", (1, 2), (1,), (2,), (0,), {}, {}, ())
+
+
+@pytest.mark.parametrize("wide, rejects", [(32, True), (33, False)])
+def test_generic_layer_needs_more_than_half(monkeypatch, wide, rejects):
+    # the wider layer wins on card(e), whatever its count
+    basis = wb_for("heisenberg-2param").basis
+    left = _stub_samples(monkeypatch, [NARROW] * (64 - wide) + [WIDE] * wide)
+    if rejects:
+        with pytest.raises(InconsistentSamplingError, match="32/64"):
+            generic_layer(basis, "n", seed=7, trials=64)
+    else:
+        desc = generic_layer(basis, "n", seed=7, trials=64)
+        assert desc.key() == WIDE.key()
+        assert desc.consistency == 33 / 64
+    assert next(left, None) is None      # no sample was skipped
+
+
+def test_generic_layer_without_usable_samples(monkeypatch):
+    basis = wb_for("heisenberg-2param").basis
+    left = _stub_samples(monkeypatch, [None] * 64)
+    with pytest.raises(InconsistentSamplingError,
+                       match="no sample produced a usable layer"):
+        generic_layer(basis, "n", seed=7, trials=64)
+    assert next(left, None) is None
 
 
 def test_generic_layer_adds_dilation_pair_on_g():
