@@ -18,9 +18,9 @@ from .gaussian import GaussianRational, parse_gaussian
 from .linalg import Subspace
 from .strata import (InconsistentSamplingError, JumpData, LayerDescriptor,
                      LayerMismatchError, NotSkewError, OddDimensionError,
-                     SectionVectors, UnsupportedCaseError, bilinear_form,
-                     generic_layer, jump_data, layer_descriptor, perp,
-                     pfaffian, section_vectors, skew_matrix)
+                     SectionVectors, UnsupportedCaseError, generic_layer,
+                     jump_data, layer_descriptor, pfaffian, section_vectors,
+                     skew_matrix)
 from .sections import (NormalizationFailedError, NotInSectionError,
                        SectionOracle, StabilizerData, UnsupportedLayerError,
                        h_project, lambda_nu_oracle, lambda_oracle,

@@ -42,9 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import DiagonalizationError, LieAlgebraSpec, Vector
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, kernel, rref
-
-GR1 = GaussianRational(1)
+from .linalg import Subspace, invert, kernel, rref
 
 
 class HintInvalidError(ValueError):
@@ -75,13 +73,8 @@ def _inverse_rows(rows: List[List[GaussianRational]]):
     Row m of the result lists the nonzero (k, x) of row m of the inverse,
     which is what ``_coords`` reads.
     """
-    size = len(rows)
-    aug = [list(r) + [GR1 if i == k else ZERO for k in range(size)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots[:size] != list(range(size)):
-        return None
-    return [_terms(row[size:]) for row in red]
+    inv = invert(rows)
+    return None if inv is None else [_terms(row) for row in inv]
 
 
 def _coords(vec, inv) -> Dict[int, GaussianRational]:

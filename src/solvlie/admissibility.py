@@ -159,16 +159,15 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     (same dimension data); the conjugate is reported in that case.
     """
     jd = jump_data(lam, basis, "n")
-    nd, sigma, form = basis.n, basis.sigma, jd.form
+    nd, sigma, columns = basis.n, basis.sigma, jd.columns
 
     def image(y):
-        """M y, over the nonzero coordinates of y."""
+        """M y, over the nonzero coordinates of y and M's sparse columns."""
         out = [ZERO] * nd
         for q, yq in enumerate(y):
             if yq:
-                for p in range(nd):
-                    if form[p][q]:
-                        out[p] = out[p] + form[p][q] * yq
+                for p, mpq in columns[q]:
+                    out[p] = out[p] + mpq * yq
         return out
 
     def dot(x, w):

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gaussian import GaussianRational, ZERO, parse_gaussian
-from .linalg import Subspace, is_zero, kernel, rref
+from .linalg import Subspace, invert, is_zero, kernel, rref
 
 Vector = Tuple[GaussianRational, ...]
 
@@ -208,7 +208,8 @@ class LieAlgebraSpec:
         return self._weight_spaces
 
     def eigenbasis(self) -> "EigenBasis":
-        """The joint eigenbasis of the weight spaces, built once per spec."""
+        """The joint eigenbasis of the weight spaces and the inverse of its
+        n block, built once per spec on first use."""
         if self._eigenbasis is None:
             self._eigenbasis = eigenbasis(self)
         return self._eigenbasis
@@ -382,16 +383,19 @@ class EigenBasis:
     """The rows of all weight spaces, in order, for the dilation flow.
 
     ``rows`` are the eigenvectors over n padded to full width, ``weights``
-    gives gamma(A_t) for each t per row, and ``matrix`` is the complex
-    square matrix of the rows over n (the flow solves against it).
+    gives gamma(A_t) for each t per row, and ``inverse`` is the inverse of
+    the square matrix of the rows over n, as complex numbers: the flow maps
+    eigen coordinates y back to real coordinates by x = inverse y.
     """
     rows: Tuple[Tuple[GaussianRational, ...], ...]
     weights: Tuple[Tuple[GaussianRational, ...], ...]
-    matrix: Tuple[Tuple[complex, ...], ...]
+    inverse: Tuple[Tuple[complex, ...], ...]
 
 
 def eigenbasis(spec: LieAlgebraSpec) -> EigenBasis:
-    """Collect the rows of ``spec.weight_spaces()`` (which may raise)."""
+    """Collect the rows of ``spec.weight_spaces()`` (which may raise) and
+    invert their n block exactly. Rows of distinct joint eigenvalues are
+    independent and the weight spaces fill n, so the block is invertible."""
     nd = spec.n_dim
     pad = (ZERO,) * spec.h_dim
     rows, weights = [], []
@@ -399,8 +403,9 @@ def eigenbasis(spec: LieAlgebraSpec) -> EigenBasis:
         for r in sp.rows:
             rows.append(tuple(r) + pad)
             weights.append(sp.weights)
-    matrix = tuple(tuple(complex(r[m]) for m in range(nd)) for r in rows)
-    return EigenBasis(tuple(rows), tuple(weights), matrix)
+    inverse = invert([list(r[:nd]) for r in rows])
+    return EigenBasis(tuple(rows), tuple(weights),
+                      tuple(tuple(complex(x) for x in row) for row in inverse))
 
 
 def check_exponential_roots(spaces: List[WeightSpace]) -> Optional[str]:

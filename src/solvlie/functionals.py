@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Union
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
 from .gaussian import GaussianRational, ZERO
-from .linalg import FLOAT_TOL, is_zero, solve
+from .linalg import FLOAT_TOL, is_zero
 
 Scalar = Union[GaussianRational, complex]
 
@@ -182,10 +182,11 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
 
     Exact mode is only available when every eigen-coordinate of l that the
     flow would rescale has weight value gamma(a) = 0 (then nothing moves).
-    Float mode transforms to the exact eigenbasis, scales by e^{-gamma(a)},
-    and transforms back in double precision. The eigenbasis and its complex
-    matrix are built once per spec (``LieAlgebraSpec.eigenbasis``); each
-    call solves against the matrix.
+    Float mode reads the eigen coordinates y_i = l(row_i), scales them by
+    e^{-gamma_i(a)}, and maps them back to real coordinates by x = inverse y
+    in double precision. The eigen rows and the inverse of their n block
+    are computed exactly once per spec (``LieAlgebraSpec.eigenbasis``), so
+    a call does no elimination.
     """
     basis = l.basis
     spec = basis.spec
@@ -222,9 +223,7 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
             g += complex(a_vec[nd + t]) * complex(ws[t])
         y.append(lf.value(row) * cmath.exp(-g))
     # recover the real coordinates: sum_m rows[i][m] x_m = y_i
-    x = solve(eig.matrix, y, tol=1e-13)
-    if x is None:
-        raise RuntimeError("eigenbasis transform failed")
+    x = [sum(c * yi for c, yi in zip(row, y)) for row in eig.inverse]
     new = list(lf.values)
     for m in range(nd):
         if abs(x[m].imag) > 1e-8 * (1 + abs(x[m])):

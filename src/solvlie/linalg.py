@@ -1,18 +1,17 @@
-"""Row-echelon linear algebra over Q(i), with a tolerance mode for floats.
+"""Row-echelon linear algebra over Q(i), exact only.
 
-Matrices are lists of row lists. Scalars are GaussianRational (reduced
-integer triples (n + m i)/d) in exact mode and Python complex in float mode;
-the two never mix inside one matrix.
-Exact mode decides ranks deterministically, which is what makes the jump
-index machinery reproducible. Float mode exists only for coadjoint flows
-under the dilation group, where entries pick up factors e^{t}.
+Matrices are lists of row lists of GaussianRational (reduced integer
+triples (n + m i)/d). Every rank, kernel and solve is exact, which is what
+makes the jump index machinery reproducible; an entry is zero when it is
+falsy (``not x``), the exact zero test.
 
-This module owns the choice between the two: a ``tol`` of None means exact
-arithmetic, and float mode uses ``FLOAT_TOL``, the one float tolerance of
-the package. ``is_zero`` is the one zero test; ``zero_test`` is the same
-test with the tolerance bound, for the inner loops of a kernel. (The
-eigenbasis solve of the dilation flow passes its own, smaller pivot
-threshold to ``solve``; that is a conditioning guard, not a zero test.)
+Float values appear only at float points of g* (such as points moved by a
+dilation flow, whose coordinates pick up factors e^{t}), and nothing here
+eliminates in floats. The zero test those points need lives here too:
+``FLOAT_TOL`` is the one float tolerance of the package, ``is_zero`` is the
+one zero test (exact without a tolerance, |x| <= tol with one), and
+``zero_test`` is the same test with the tolerance bound, for the inner
+loops of a kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, List, Optional
 
 from .gaussian import GaussianRational, ZERO
+
+GR1 = GaussianRational(1)
 
 Row = List
 Matrix = List[Row]
@@ -44,82 +45,62 @@ def is_zero(x, tol: Optional[float] = None) -> bool:
     return zero_test(tol)(x)
 
 
-def _zero(tol: Optional[float]):
-    return ZERO if tol is None else 0j
-
-
-def rref(rows: Matrix, tol: Optional[float] = None) -> tuple[Matrix, List[int]]:
+def rref(rows: Matrix) -> tuple[Matrix, List[int]]:
     """Reduced row echelon form. Returns (rows, pivot column indices).
 
-    Exact mode picks the first nonzero pivot; float mode picks the largest
-    entry in the column (partial pivoting) and zeroes entries below tol.
+    The pivot of each column is its first nonzero entry at or below the
+    current row.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
-    zero = zero_test(tol)
     ncols = len(rows[0])
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
         if r >= len(rows):
             break
-        pivot_row = None
-        if tol is None:
-            for k in range(r, len(rows)):
-                if not zero(rows[k][c]):
-                    pivot_row = k
-                    break
-        else:
-            best = tol
-            for k in range(r, len(rows)):
-                if abs(rows[k][c]) > best:
-                    best = abs(rows[k][c])
-                    pivot_row = k
+        pivot_row = next((k for k in range(r, len(rows)) if rows[k][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c]
-        rows[r] = [x if zero(x) else x / inv for x in rows[r]]
+        rows[r] = [x / inv if x else x for x in rows[r]]
         pivot_row_vals = rows[r]
         for k in range(len(rows)):
-            if k != r and not zero(rows[k][c]):
+            if k != r and rows[k][c]:
                 f = rows[k][c]
-                rows[k] = [a if zero(b) else a - f * b
+                rows[k] = [a - f * b if b else a
                            for a, b in zip(rows[k], pivot_row_vals)]
         pivots.append(c)
         r += 1
-    kept = rows[: len(pivots)]
-    if tol is not None:
-        kept = [[0j if zero(x) else x for x in row] for row in kept]
-    return kept, pivots
+    return rows[: len(pivots)], pivots
 
 
-def rank(rows: Matrix, tol: Optional[float] = None) -> int:
-    return len(rref(rows, tol)[1])
+def rank(rows: Matrix) -> int:
+    return len(rref(rows)[1])
 
 
-def kernel(rows: Matrix, ncols: int, tol: Optional[float] = None) -> Matrix:
+def kernel(rows: Matrix, ncols: int) -> Matrix:
     """Basis of {x : rows @ x = 0} as row vectors of length ncols."""
-    red, pivots = rref(rows, tol)
+    red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    one = GaussianRational(1) if tol is None else 1 + 0j
     for f in free:
-        vec = [_zero(tol)] * ncols
-        vec[f] = one
+        vec = [ZERO] * ncols
+        vec[f] = GR1
         for row, p in zip(red, pivots):
             vec[p] = -row[f]
         basis.append(vec)
     return basis
 
 
-def solve(rows: Matrix, rhs: Row, tol: Optional[float] = None) -> Optional[Row]:
+def solve(rows: Matrix, rhs: Row) -> Optional[Row]:
     """One solution x of rows @ x = rhs, or None if inconsistent."""
     ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, tol)
-    x = [_zero(tol)] * ncols
+    red, pivots = rref(aug)
+    x = [ZERO] * ncols
     for row, p in zip(red, pivots):
         if p == ncols:
             return None  # pivot in the constant column
@@ -127,21 +108,29 @@ def solve(rows: Matrix, rhs: Row, tol: Optional[float] = None) -> Optional[Row]:
     return x
 
 
+def invert(rows: Matrix) -> Optional[Matrix]:
+    """The inverse of a square matrix by one elimination of [rows | I], or
+    None if it is singular."""
+    size = len(rows)
+    red, pivots = rref([list(r) + unit for r, unit in zip(rows, identity(size))])
+    if pivots[:size] != list(range(size)):
+        return None
+    return [row[size:] for row in red]
+
+
 class Subspace:
     """A subspace of the coordinate space, held in canonical RREF form.
 
-    Equality of exact subspaces is literal row comparison of the RREF basis.
+    Equality is literal row comparison of the RREF basis.
     """
 
-    __slots__ = ("rows", "ambient_dim", "pivots", "tol")
+    __slots__ = ("rows", "ambient_dim", "pivots")
 
-    def __init__(self, rows: Iterable[Row], ambient_dim: int,
-                 tol: Optional[float] = None):
-        red, pivots = rref([list(r) for r in rows], tol)
+    def __init__(self, rows: Iterable[Row], ambient_dim: int):
+        red, pivots = rref([list(r) for r in rows])
         self.rows = red
         self.pivots = pivots
         self.ambient_dim = ambient_dim
-        self.tol = tol
 
     @property
     def dim(self) -> int:
@@ -151,32 +140,28 @@ class Subspace:
         """Reduce vec against the held RREF rows: each pivot entry is 1 and
         the only nonzero entry of its column, so vec is in the span iff
         nothing is left."""
-        zero = zero_test(self.tol)
         v = list(vec)
         for row, c in zip(self.rows, self.pivots):
             x = v[c]
-            if not zero(x):
-                v = [a if zero(b) else a - x * b for a, b in zip(v, row)]
-        return all(map(zero, v))
+            if x:
+                v = [a - x * b if b else a for a, b in zip(v, row)]
+        return not any(v)
 
     def contains(self, other: "Subspace") -> bool:
-        return rank(self.rows + other.rows, self.tol) == self.dim
+        return rank(self.rows + other.rows) == self.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # S cap T = annihilator of (ann S + ann T); ann is an involution.
-        ann = kernel(self.rows, self.ambient_dim, self.tol) + \
-            kernel(other.rows, self.ambient_dim, self.tol)
-        return Subspace(kernel(ann, self.ambient_dim, self.tol),
-                        self.ambient_dim, self.tol)
+        ann = kernel(self.rows, self.ambient_dim) + \
+            kernel(other.rows, self.ambient_dim)
+        return Subspace(kernel(ann, self.ambient_dim), self.ambient_dim)
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.rows + other.rows, self.ambient_dim, self.tol)
+        return Subspace(self.rows + other.rows, self.ambient_dim)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.tol is not None or other.tol is not None:
-            raise ValueError("equality is only decidable for exact subspaces")
         return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self):
@@ -186,15 +171,13 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def identity(n: int, tol: Optional[float] = None) -> Matrix:
-    """The rows of the n x n identity matrix in the mode of tol."""
-    one = GaussianRational(1) if tol is None else 1 + 0j
-    zero = _zero(tol)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n: int) -> Matrix:
+    """The rows of the n x n identity matrix."""
+    return [[GR1 if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def full_space(n: int, tol: Optional[float] = None) -> Subspace:
-    return Subspace(identity(n, tol), n, tol)
+def full_space(n: int) -> Subspace:
+    return Subspace(identity(n), n)
 
 
 def det(rows: Matrix) -> GaussianRational:

@@ -417,6 +417,13 @@ def h_project(f: Functional, stab: StabilizerData,
 
     Solves Re weight_{phi_t}(X) = log|f(Z_{phi_t})| on the normalized
     complement, where the system is diagonal, then flows by exp(X).
+
+    f must be in the dense invariant part Lambda_nu (checked by its oracle).
+    H acts diagonally on the adapted basis, (exp X . l)(Z_j) =
+    e^{-gamma_j(X)} l(Z_j), and Lambda_nu is H-invariant, so the landed
+    point is in Lambda_nu too and lies in the dilation-orbit section exactly
+    when |l(Z_j)| = 1 on the oracle's phi. Only that modulus condition is
+    checked at the landing, with the landed point's zero test.
     """
     if not oracle_lambda_nu.contains(f):
         raise NotInSectionError("point is not in the dense invariant section part")
@@ -428,6 +435,9 @@ def h_project(f: Functional, stab: StabilizerData,
         for u, c in enumerate(a):
             x[spec.n_dim + u] += t * float(c)
     sigma = exp_h_coadjoint(spec, x, f.to_float(), mode="float")
-    if not oracle_sigma_circ.contains(sigma):
-        raise NotInSectionError("projection missed the section; layer mismatch")
+    for j in oracle_sigma_circ.phi:
+        zv = sigma.z(j)
+        if not is_zero(zv * zv.conjugate() - 1, sigma.tol):
+            raise NotInSectionError(
+                f"projection missed the section: |l(Z_{j})| is not 1")
     return tuple(params), sigma

@@ -27,10 +27,12 @@ primes, case sets) is built once per (ambient, i_seq, j_seq) and kept,
 read-only, on the basis (``AdaptableBasis.layer_tables``); the points of
 one layer share it, and each ``LayerDescriptor`` gets its own copies.
 
-All decisions are exact over Q(i); the float variant exists for points
-produced by dilation flows. The mode is the point's: every zero test and
-rank here uses ``l.tol``, which is None for an exact point and
-``linalg.FLOAT_TOL`` for a float one.
+All decisions are exact over Q(i). The kernels also run at a float point
+(one moved by a dilation flow, which the membership oracles may be asked
+about): the mode is the point's, and every zero test here uses ``l.tol``,
+None for an exact point and ``linalg.FLOAT_TOL`` for a float one. No
+elimination runs in floats; the polarizing rows, which feed exact
+subspaces, are available at exact points only.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adapted import AdaptableBasis
-from .functionals import Functional, sample_functional
+from .functionals import Functional, NeedsFloatError, sample_functional
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, identity, kernel, zero_test
+from .linalg import Subspace, identity, zero_test
 
 GR1 = GaussianRational(1)
 HALF = GaussianRational(Fraction(1, 2))
@@ -74,32 +76,6 @@ class NotSkewError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the bilinear form and annihilators
-# ---------------------------------------------------------------------------
-
-def bilinear_form(l: Functional, s: Subspace, t: Optional[Subspace] = None):
-    """Matrix of (X, Y) -> l[X, Y] on the given subspace bases."""
-    if t is None:
-        t = s
-    return [[l.pair(list(a), list(b)) for b in t.rows] for a in s.rows]
-
-
-def perp(l: Functional, s_rows: Sequence, ambient: Subspace) -> Subspace:
-    """{v in ambient : l[s, v] = 0 for all s}, as a subspace of g_C."""
-    tol = l.tol
-    if not s_rows:
-        return ambient
-    mat = [[l.pair(list(s), list(t)) for t in ambient.rows] for s in s_rows]
-    combos = kernel(mat, len(ambient.rows), tol)
-    rows = []
-    for combo in combos:
-        vec = [sum((combo[i] * ambient.rows[i][m] for i in range(len(ambient.rows))),
-                   ZERO if l.exact else 0j) for m in range(l.basis.dim)]
-        rows.append(vec)
-    return Subspace(rows, l.basis.dim, tol)
-
-
-# ---------------------------------------------------------------------------
 # jump data
 # ---------------------------------------------------------------------------
 
@@ -111,10 +87,9 @@ class JumpData:
     Replaying them on unit vectors gives ``polarizing_rows``, h_d over the
     adapted vectors, and ``polarizing_subspace`` is the same over the real
     basis.
-    ``form`` is the unreduced M = (l[Z_p, Z_q]) at ``point``,
-    ``columns[q]`` lists the nonzero (p, M[p][q]) of its column q by
-    increasing p, and ``zvals[k]`` is the value l(Z_{k+1}), k < n, M was
-    filled from.
+    ``columns[q]`` lists the nonzero (p, M[p][q]) of column q of the
+    unreduced orbit form M = (l[Z_p, Z_q]) at ``point``, by increasing p,
+    and ``zvals[k]`` is the value l(Z_{k+1}), k < n, M was filled from.
     """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
@@ -123,7 +98,6 @@ class JumpData:
     tol: Optional[float] = field(default=None, repr=False, compare=False)
     reductions: Tuple[Tuple[Tuple[int, object], ...], ...] = field(
         default=(), repr=False, compare=False)
-    form: Optional[List[list]] = field(default=None, repr=False, compare=False)
     point: Optional[Functional] = field(default=None, repr=False, compare=False)
     zvals: Optional[list] = field(default=None, repr=False, compare=False)
     columns: Optional[List[list]] = field(default=None, repr=False,
@@ -145,8 +119,11 @@ class JumpData:
         coordinates over the ambient's adapted vectors: the reduced vectors
         y_g at the positions g outside j_seq, from the reductions replayed
         on unit vectors. Each y_g is e_g plus terms at positions in j_seq,
-        so the rows are independent."""
-        ys = identity(self.basis.ambient(self.ambient), self.tol)
+        so the rows are independent. Exact points only: raises
+        NeedsFloatError at a float point."""
+        if self.tol is not None:
+            raise NeedsFloatError("polarizing_rows requires an exact functional")
+        ys = identity(self.basis.ambient(self.ambient))
         for jk, steps in zip(self.j_seq, self.reductions):
             y_j = ys[jk - 1]
             for g, c in steps:
@@ -158,10 +135,11 @@ class JumpData:
     @property
     def polarizing_subspace(self) -> Subspace:
         """h_d as a subspace of g_C over the real basis: ``polarizing_rows``
-        mapped through the adapted vectors. Built on each access."""
-        rows = [_to_real(self.basis, enumerate(y), self.tol)
+        mapped through the adapted vectors. Built on each access; exact
+        points only, like ``polarizing_rows``."""
+        rows = [_to_real(self.basis, enumerate(y), None)
                 for y in self.polarizing_rows()]
-        return Subspace(rows, self.basis.dim, self.tol)
+        return Subspace(rows, self.basis.dim)
 
     @property
     def layer_table(self):
@@ -283,8 +261,9 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
               ambient: str = "g") -> JumpData:
     """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
 
-    The reduction (``_skew_reduce``) runs on a copy; the unreduced M stays
-    on the result. Positions g of the ambient flag stay active while their
+    The reduction (``_skew_reduce``) runs in place on the dense M that
+    ``_orbit_form`` builds; the result keeps M's sparse columns, which the
+    reduction does not touch. Positions g of the ambient flag stay active while their
     reduced vector y_g can still pair; step k pairs the first active row
     i_k that pairs with the first active column j_k it pairs with, and
     y_{i_k} stays in h_k (in its radical) while y_{j_k} does not.
@@ -302,9 +281,9 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
         basis = l.basis
     tol = l.tol
     zvals, form, columns = _orbit_form(l, basis, basis.ambient(ambient))
-    i_seq, j_seq, reductions, _ = _skew_reduce([list(row) for row in form], tol)
+    i_seq, j_seq, reductions, _ = _skew_reduce(form, tol)
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis, tol,
-                    tuple(reductions), form, l, zvals, columns)
+                    tuple(reductions), l, zvals, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +641,8 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     agreement = count / trials
     if agreement <= 0.5:
         raise InconsistentSamplingError(
-            f"winning layer holds only {count}/{trials} samples; raise the bound")
+            f"winning layer holds only {count}/{trials} samples; more than "
+            f"half of the samples must agree with it")
     desc.consistency = agreement
     return desc
 

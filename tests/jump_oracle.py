@@ -4,7 +4,11 @@ This is the recursion ``solvlie.strata.jump_data`` replaced by one
 symplectic reduction of the skew matrix. It walks the flag through the
 annihilators h_0 > h_1 > ... with ``perp``, ``Subspace.intersect`` and
 ``_flag_meet_profile``, and keeps the whole flag ``h_flag``. The tests
-compare the two on corpus points, seeded points and flowed float points.
+compare the two on corpus points and seeded points, all exact.
+
+``bilinear_form`` and ``perp`` are the real-coordinate views of the orbit
+form the recursion is built on: the matrix of (X, Y) -> l[X, Y] on
+subspace bases, and the annihilator of a set of vectors inside a subspace.
 """
 
 from __future__ import annotations
@@ -14,24 +18,30 @@ from typing import List, Optional, Sequence, Tuple
 
 from solvlie.adapted import AdaptableBasis
 from solvlie.functionals import Functional
-from solvlie.linalg import Subspace, is_zero
-from solvlie.strata import LayerMismatchError, perp
+from solvlie.gaussian import ZERO
+from solvlie.linalg import Subspace, kernel
+from solvlie.strata import LayerMismatchError
 
 
-def _mode_flags(basis: AdaptableBasis, tol) -> List[Subspace]:
-    """The flag subspaces c_0 < c_1 < ... < c_dim in the mode of tol."""
-    flags = [basis.flag(j) for j in range(basis.dim + 1)]
-    if tol is None:
-        return flags
-    return [Subspace([[complex(x) for x in r] for r in fl.rows], basis.dim, tol)
-            for fl in flags]
+def bilinear_form(l: Functional, s: Subspace, t: Optional[Subspace] = None):
+    """Matrix of (X, Y) -> l[X, Y] on the given subspace bases."""
+    if t is None:
+        t = s
+    return [[l.pair(list(a), list(b)) for b in t.rows] for a in s.rows]
 
 
-def _mode_vectors(basis: AdaptableBasis, tol) -> List[tuple]:
-    """The adapted vectors in the mode of tol."""
-    if tol is None:
-        return basis.vectors
-    return [tuple(complex(x) for x in v) for v in basis.vectors]
+def perp(l: Functional, s_rows: Sequence, ambient: Subspace) -> Subspace:
+    """{v in ambient : l[s, v] = 0 for all s}, as a subspace of g_C; l exact."""
+    if not s_rows:
+        return ambient
+    mat = [[l.pair(list(s), list(t)) for t in ambient.rows] for s in s_rows]
+    combos = kernel(mat, len(ambient.rows))
+    rows = []
+    for combo in combos:
+        vec = [sum((combo[i] * ambient.rows[i][m] for i in range(len(ambient.rows))),
+                   ZERO) for m in range(l.basis.dim)]
+        rows.append(vec)
+    return Subspace(rows, l.basis.dim)
 
 
 def radical(l: Functional, ambient: Subspace) -> Subspace:
@@ -57,8 +67,8 @@ class JumpData:
         return (self.e_set, self.j_seq)
 
 
-def _flag_meet_profile(vectors: Sequence, n_amb: int, sub: Subspace,
-                       tol) -> List[int]:
+def _flag_meet_profile(vectors: Sequence, n_amb: int,
+                       sub: Subspace) -> List[int]:
     """dims of (span of the first j vectors) cap sub, for j = 0..n_amb.
 
     Uses dim(c_j cap S) = j + dim S - dim(c_j + S) with one incremental
@@ -69,22 +79,22 @@ def _flag_meet_profile(vectors: Sequence, n_amb: int, sub: Subspace,
     work: List[list] = [list(r) for r in sub.rows]
     pivots: List[int] = []
     for r in work:
-        pivots.append(next(c for c in range(dim) if not is_zero(r[c], tol)))
+        pivots.append(next(c for c in range(dim) if r[c]))
     s = len(work)
     out = [0]
     joined = s
     for j in range(1, n_amb + 1):
         v = vectors[j - 1]
         for r, p in zip(work, pivots):
-            if not is_zero(v[p], tol):
+            if v[p]:
                 f = v[p] / r[p]
                 v = [a - f * b for a, b in zip(v, r)]
-        piv = next((c for c in range(dim) if not is_zero(v[c], tol)), None)
+        piv = next((c for c in range(dim) if v[c]), None)
         if piv is not None:
             # keep every pivot column zero in the other rows, so one
             # elimination pass stays sufficient for later vectors
             for idx, r in enumerate(work):
-                if not is_zero(r[piv], tol):
+                if r[piv]:
                     f = r[piv] / v[piv]
                     work[idx] = [a - f * b for a, b in zip(r, v)]
             work.append(v)
@@ -96,24 +106,24 @@ def _flag_meet_profile(vectors: Sequence, n_amb: int, sub: Subspace,
 
 def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
               ambient: str = "g") -> JumpData:
-    """Run the flag/annihilator recursion at l.
+    """Run the flag/annihilator recursion at an exact point l.
 
     ambient 'n' restricts everything to the nilpotent part (giving the
     jump set of the restricted point); 'g' uses the whole algebra.
     """
     if basis is None:
         basis = l.basis
-    tol = l.tol
-    vectors = _mode_vectors(basis, tol)
-    flags = _mode_flags(basis, tol)
+    if not l.exact:
+        raise ValueError("the recursion runs at exact points only")
+    vectors = basis.vectors
+    flags = [basis.flag(j) for j in range(basis.dim + 1)]
     n_amb = basis.ambient(ambient)
     amb = flags[n_amb]
 
     def first_escape(inside: Subspace, outside: Subspace) -> Optional[int]:
         # min j with (c_j cap inside) not contained in outside
-        prof_in = _flag_meet_profile(vectors, n_amb, inside, tol)
-        prof_out = _flag_meet_profile(vectors, n_amb,
-                                      inside.intersect(outside), tol)
+        prof_in = _flag_meet_profile(vectors, n_amb, inside)
+        prof_out = _flag_meet_profile(vectors, n_amb, inside.intersect(outside))
         for j in range(1, n_amb + 1):
             if prof_in[j] > prof_out[j]:
                 return j

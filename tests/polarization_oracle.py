@@ -29,22 +29,18 @@ def polarizing_subspace(jd: JumpData) -> Subspace:
     """h_d: the reductions of jd replayed on the adapted vectors over the
     real basis, the rows at the positions outside j_seq."""
     n_amb = jd.basis.ambient(jd.ambient)
-    vecs = jd.basis.vectors[:n_amb]
-    if jd.tol is None:
-        ys = [list(v) for v in vecs]
-    else:
-        ys = [[complex(x) for x in v] for v in vecs]
+    ys = [list(v) for v in jd.basis.vectors[:n_amb]]
     for jk, steps in zip(jd.j_seq, jd.reductions):
         y_j = ys[jk - 1]
         for g, c in steps:
             ys[g - 1] = [a - c * b for a, b in zip(ys[g - 1], y_j)]
     dead = set(jd.j_seq)
     rows = [y for g, y in enumerate(ys, start=1) if g not in dead]
-    return Subspace(rows, jd.basis.dim, jd.tol)
+    return Subspace(rows, jd.basis.dim)
 
 
 def _contains(sub: Subspace, vec) -> bool:
-    return rank(sub.rows + [list(vec)], sub.tol) == sub.dim
+    return rank(sub.rows + [list(vec)]) == sub.dim
 
 
 def _conj_subspace(sub: Subspace, dim: int) -> Subspace:

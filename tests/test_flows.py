@@ -1,11 +1,14 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import unipotent_oracle
 from conftest import VALID_IDS, point, wb_for
+from solvlie.corpus import corpus_entry
 from solvlie.functionals import (Functional, NeedsFloatError, NotUnipotentError,
                                  RealityError, exp_h_coadjoint,
                                  exp_unipotent_coadjoint, sample_element,
@@ -235,10 +238,9 @@ def test_from_adapted_matches_solve_route(entry_id):
 
 
 def test_one_eigenbasis_per_spec(monkeypatch):
-    # the dilation flow builds the eigen rows and their complex matrix once
-    # per spec, across float and exact flows
+    # the dilation flow builds the eigen rows and the inverse of their n
+    # block once per spec, across float and exact flows
     from solvlie import algebra
-    from solvlie.corpus import corpus_entry
     from solvlie.workbench import Workbench
 
     calls = []
@@ -257,3 +259,29 @@ def test_one_eigenbasis_per_spec(monkeypatch):
     b[spec.index("B")] = G(3)
     exp_h_coadjoint(spec, b, point(wb, Z=9), mode="exact")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry_id", [i for i in VALID_IDS
+                                      if corpus_entry(i).spec().h_dim])
+def test_h_flow_matches_numpy_solve(entry_id):
+    # x = inverse y against an independent float solve of the eigen system
+    # rows x = y, with y_i = l(row_i) e^{-gamma_i(a)}
+    rng = random.Random(610 + VALID_IDS.index(entry_id))
+    wb = wb_for(entry_id)
+    spec, basis = wb.spec, wb.canonical_basis
+    nd, hd = spec.n_dim, spec.h_dim
+    eig = spec.eigenbasis()
+    rows = np.array([[complex(r[m]) for m in range(nd)] for r in eig.rows])
+    for k in range(6):
+        l = sample_functional(basis, rng, support="g", bound=(2, 9)[k % 2])
+        a = [0.0] * nd + [rng.uniform(-1.5, 1.5) for _ in range(hd)]
+        moved = exp_h_coadjoint(spec, a, l, mode="float")
+        y = [complex(l.value(r)) *
+             cmath.exp(-sum(a[nd + t] * complex(ws[t]) for t in range(hd)))
+             for r, ws in zip(eig.rows, eig.weights)]
+        x = np.linalg.solve(rows, np.array(y))
+        scale = max([1.0] + [abs(v) for v in x])
+        for m in range(nd):
+            assert abs(moved.values[m] - x[m].real) <= 1e-12 * scale
+            assert abs(x[m].imag) <= 1e-12 * scale
+        assert moved.values[nd:] == tuple(float(v) for v in l.values[nd:])

@@ -2,9 +2,11 @@
 
 ``jump_oracle.jump_data`` is the recursion the reduction replaced. Both
 must give the same jump pairs on every valid corpus entry, on exact points
-(dense and sparse, so that zero entries of the form occur) and on float
-points moved by the dilation flow; on exact points of n* the polarizing
-subspace must equal the recursion's last annihilator h_d.
+(dense and sparse, so that zero entries of the form occur); on points of
+n* the polarizing subspace must equal the recursion's last annihilator h_d.
+The recursion runs at exact points only. Jump pairs are H-invariant, so at
+a float point moved by the dilation flow the reduction must give the
+recursion's jump pairs at the exact start point.
 """
 
 import random
@@ -22,7 +24,7 @@ def _assert_same(l, basis, ambient):
     new = jump_data(l, basis, ambient)
     old = recursion_jump_data(l, basis, ambient)
     assert (new.i_seq, new.j_seq) == (old.i_seq, old.j_seq), l
-    if ambient == "n" and l.exact:
+    if ambient == "n":
         assert new.polarizing_subspace == old.h_flag[-1], l
 
 
@@ -48,4 +50,6 @@ def test_reduction_matches_recursion(entry_id):
         moved = exp_h_coadjoint(spec, a, l, mode="float")
         assert not moved.exact
         for ambient in ("n", "g"):
-            _assert_same(moved, basis, ambient)
+            got = jump_data(moved, basis, ambient)
+            want = recursion_jump_data(l, basis, ambient)
+            assert (got.i_seq, got.j_seq) == (want.i_seq, want.j_seq), moved

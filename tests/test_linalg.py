@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 from solvlie.gaussian import GaussianRational
-from solvlie.linalg import (FLOAT_TOL, Subspace, det, full_space, is_zero,
-                            kernel, rank, rref, solve, zero_test)
+from solvlie.linalg import (FLOAT_TOL, Subspace, det, full_space, identity,
+                            invert, is_zero, kernel, rank, rref, solve,
+                            zero_test)
 
 
 def rand_mat(rng, rows, cols, complex_entries=True):
@@ -47,6 +48,27 @@ def test_solve_consistency():
         check = [sum((a * b for a, b in zip(r, got)), GaussianRational(0))
                  for r in m]
         assert check == rhs
+
+
+def test_invert_is_a_two_sided_inverse_or_none():
+    rng = random.Random(10)
+    zero = GaussianRational(0)
+    inverted = 0
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        m = rand_mat(rng, n, n)
+        inv = invert(m)
+        if rank(m) < n:
+            assert inv is None
+            continue
+        inverted += 1
+        for a, b in ((m, inv), (inv, m)):
+            prod = [[sum((x * b[k][j] for k, x in enumerate(row)), zero)
+                     for j in range(n)] for row in a]
+            assert prod == identity(n)
+    assert inverted >= 20
+    one = GaussianRational(1)
+    assert invert([[one, one], [one, one]]) is None
 
 
 def test_solve_inconsistent_returns_none():
@@ -142,8 +164,3 @@ def test_zero_test_is_bound_once_per_tolerance():
     assert near(complex(FLOAT_TOL / 2, 0))
     assert not near(complex(0, 2 * FLOAT_TOL))
 
-
-def test_float_mode_rank_with_tolerance():
-    rows = [[1.0 + 0j, 2.0 + 0j], [1.0 + 1e-13, 2.0 - 1e-13]]
-    assert rank(rows, tol=1e-9) == 1
-    assert rank(rows, tol=1e-16) == 2

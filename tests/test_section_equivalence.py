@@ -6,8 +6,9 @@ both ambients, seeded exact points (half of them sparsified, so that zero
 entries of the form occur) and float points moved by the dilation flow,
 the two must give the same V_k, U_k, Z_j(l), b values and pairings (exactly
 at exact points, within FLOAT_TOL times the size of the values at float
-points), or raise the same error; the orbit form kept on the jump data
-must be l[Z_p, Z_q], and its case table the oracle's. Sparse points paired with the jump data of a generic
+points), or raise the same error; the orbit form rebuilt from the sparse
+columns kept on the jump data must be l[Z_p, Z_q] at every (p, q), and its
+case table the oracle's. Sparse points paired with the jump data of a generic
 point leave the layer the case table assumes, so both sides must raise
 there as well. One more input, a Heisenberg basis on which ad(A) has a term
 below the diagonal, covers the lower-flag terms of the brackets with the
@@ -25,6 +26,7 @@ from section_oracle import section_vectors as oracle_section_vectors
 from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint, sample_functional
+from solvlie.gaussian import ZERO
 from solvlie.linalg import FLOAT_TOL
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
                             jump_data, section_vectors)
@@ -53,10 +55,17 @@ def _check_form(l, basis, ambient):
     if not l.exact:
         vecs = [[complex(x) for x in v] for v in vecs]
     n_amb = basis.ambient(ambient)
-    assert len(jd.form) == n_amb
+    assert len(jd.columns) == n_amb
+    # M from its sparse columns, zero off the recorded entries
+    form = [[ZERO if l.exact else 0j] * n_amb for _ in range(n_amb)]
+    for q, col in enumerate(jd.columns):
+        assert [p for p, _ in col] == sorted({p for p, _ in col})
+        for p, x in col:
+            assert x
+            form[p][q] = x
     for p in range(n_amb):
         for q in range(n_amb):
-            _assert_close(jd.form[p][q], l.pair(vecs[p], vecs[q]), l.exact)
+            _assert_close(form[p][q], l.pair(vecs[p], vecs[q]), l.exact)
     return jd
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SAMPLABLE_IDS, point, wb_for
+from conftest import SAMPLABLE_IDS, VALID_IDS, point, wb_for
+from solvlie.corpus import corpus_entry
 from solvlie.functionals import exp_h_coadjoint
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import (NotInSectionError, UnsupportedLayerError,
@@ -235,6 +236,42 @@ def test_project_without_dilations_lands_on_start_point():
     params, sigma = wb.project(f)
     assert params == ()
     assert sigma.values == pytest.approx(f.values)
+
+
+DILATION_IDS = [i for i in VALID_IDS if corpus_entry(i).spec().h_dim]
+
+
+def _sigma_circ_starts(entry_id, wb, rng):
+    """Exact points of the dilation-orbit section: sampled where the layer
+    has a sampler, else the section points listed in the corpus entry."""
+    if entry_id in SAMPLABLE_IDS:
+        return [sample_sigma_circ(wb.oracle_sigma_circ, rng) for _ in range(3)]
+    listed = [e.value for e in corpus_entry(entry_id).expected
+              if e.check == "sigma_circ_contains"]
+    return [point(wb, **coords) for value in listed for coords in value]
+
+
+@pytest.mark.parametrize("entry_id", DILATION_IDS)
+def test_project_lands_on_the_section_at_its_start(entry_id):
+    # h_project checks its landing by the modulus condition alone; the full
+    # oracle must accept the landed point, and a section point moved by a
+    # dilation flow must come back to where it started
+    rng = random.Random(510 + VALID_IDS.index(entry_id))
+    wb = wb_for(entry_id)
+    spec = wb.spec
+    starts = _sigma_circ_starts(entry_id, wb, rng)
+    assert starts
+    for start in starts:
+        for _ in range(3):
+            a = [0.0] * spec.n_dim + [rng.uniform(-1.0, 1.0)
+                                      for _ in range(spec.h_dim)]
+            moved = exp_h_coadjoint(spec, a, start, mode="float")
+            _, landed = wb.project(moved)
+            assert wb.oracle_sigma_circ.contains(landed)
+            scale = 1.0 + max(abs(float(x)) for x in start.values)
+            err = max(abs(x - float(y))
+                      for x, y in zip(landed.values, start.values))
+            assert err <= 1e-6 * scale
 
 
 def test_h_project_rejects_non_members():

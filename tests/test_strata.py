@@ -4,16 +4,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import point, wb_for
-from solvlie.functionals import Functional, sample_element, sample_functional
-from solvlie.functionals import exp_unipotent_coadjoint
+from jump_oracle import bilinear_form, perp
+from solvlie.functionals import (Functional, NeedsFloatError, exp_h_coadjoint,
+                                 exp_unipotent_coadjoint, sample_element,
+                                 sample_functional)
 from solvlie.gaussian import GaussianRational as G
 from solvlie.linalg import det, full_space
 from solvlie.strata import (InconsistentSamplingError, LayerDescriptor,
                             LayerMismatchError, NotSkewError,
                             OddDimensionError, UnsupportedCaseError,
-                            bilinear_form, generic_layer, jump_data,
-                            layer_descriptor, perp, pfaffian, section_vectors,
-                            skew_matrix)
+                            generic_layer, jump_data, layer_descriptor,
+                            pfaffian, section_vectors, skew_matrix)
 
 
 # -- bilinear form ------------------------------------------------------------
@@ -102,6 +103,29 @@ def test_jump_data_double_heisenberg_top_point():
     jd = jump_data(l, wb.canonical_basis, "n")
     assert jd.e_set == (3, 4, 5, 6)
     assert jd.i_seq == (3, 4) and jd.j_seq == (5, 6)
+
+
+def test_polarizing_rows_need_an_exact_point():
+    # the rows replay the reduction on exact unit vectors; at a float point
+    # the products would mix GaussianRational and complex, so they refuse
+    wb = wb_for("heisenberg-2param")
+    spec, basis = wb.spec, wb.canonical_basis
+    l = point(wb, Z=1, Y=2, X=3)
+    a = [0.0] * spec.dim
+    a[spec.index("A")] = 0.5
+    moved = exp_h_coadjoint(spec, a, l, mode="float")
+    for ambient in ("n", "g"):
+        jd = jump_data(moved, basis, ambient)
+        assert jd.d >= 1
+        with pytest.raises(NeedsFloatError, match="requires an exact functional"):
+            jd.polarizing_rows()
+        with pytest.raises(NeedsFloatError, match="requires an exact functional"):
+            jd.polarizing_subspace
+        exact = jump_data(l, basis, ambient)
+        assert (exact.i_seq, exact.j_seq) == (jd.i_seq, jd.j_seq)
+        rows = exact.polarizing_rows()
+        assert all(isinstance(x, G) for row in rows for x in row)
+        assert exact.polarizing_subspace.dim == len(rows)
 
 
 def test_jump_data_abelian_n_empty():
@@ -387,8 +411,12 @@ def test_generic_layer_needs_more_than_half(monkeypatch, wide, rejects):
     basis = wb_for("heisenberg-2param").basis
     left = _stub_samples(monkeypatch, [NARROW] * (64 - wide) + [WIDE] * wide)
     if rejects:
-        with pytest.raises(InconsistentSamplingError, match="32/64"):
+        # the message states the rule it applies; no knob is offered
+        with pytest.raises(InconsistentSamplingError,
+                           match="32/64 samples; more than half of the "
+                                 "samples must agree") as err:
             generic_layer(basis, "n", seed=7, trials=64)
+        assert "bound" not in str(err.value)
     else:
         desc = generic_layer(basis, "n", seed=7, trials=64)
         assert desc.key() == WIDE.key()
