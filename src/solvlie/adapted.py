@@ -13,7 +13,8 @@ Constructed bases are exact joint eigenbases ordered along the ascending
 central series of n. The series comes from the sparse structure constants
 (``LieAlgebraSpec.bracket_sparse``). Each level is h-invariant, so it
 splits by weight in one pass: its rows are expressed once over the joint
-eigenbasis (one inversion per spec), and the coordinates of each weight
+eigenbasis (through the inverse ``LieAlgebraSpec.eigenbasis`` keeps, one
+inversion per spec), and the coordinates of each weight
 space give that space's piece of the level. A user hint overrides the
 construction.
 
@@ -412,7 +413,7 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
     # each placed vector lies in one weight space, and the weight spaces are
     # independent, so a candidate from W_i is in the span of everything
     # placed iff it is in the span of what was placed from W_i
-    split = _weight_splitter(spaces, nd)
+    split = _weight_splitter(spec)
     placed: List[Vector] = []
     spans: Dict[int, list] = {}
     pad = (ZERO,) * spec.h_dim
@@ -474,25 +475,28 @@ def _central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
     return levels
 
 
-def _weight_splitter(spaces, nd: int):
-    """Split h-invariant subspaces of n_C by weight, one inversion per spec.
+def _weight_splitter(spec: LieAlgebraSpec):
+    """Split h-invariant subspaces of n_C by weight, through the inverse of
+    the joint eigenbasis that ``spec.eigenbasis()`` keeps (one inversion
+    per spec, shared with the dilation flow).
 
     The returned function maps RREF rows of an invariant subspace L to, per
     weight-space index i, the RREF rows of L cap W_i: each row of L is
     written over the joint eigenbasis, and its coordinates on W_i give its
     component there, which lies in L since L is invariant.
     """
-    eig = [row for sp in spaces for row in sp.rows]
+    spaces = spec.weight_spaces()
+    eig = spec.eigenbasis()
     owner = [i for i, sp in enumerate(spaces) for _ in sp.rows]
-    inv = _inverse_rows(eig)
+    nd = spec.n_dim
 
     def split(level):
         parts: List[list] = [[] for _ in spaces]
         for row in level:
             comps: Dict[int, List[GaussianRational]] = {}
-            for k, y in _coords(row, inv).items():
+            for k, y in _coords(row, eig.exact_inverse).items():
                 comp = comps.setdefault(owner[k], [ZERO] * nd)
-                for m, e in enumerate(eig[k]):
+                for m, e in enumerate(eig.rows[k][:nd]):
                     if e:
                         comp[m] = comp[m] + y * e
             for i, comp in comps.items():

@@ -209,7 +209,8 @@ class LieAlgebraSpec:
 
     def eigenbasis(self) -> "EigenBasis":
         """The joint eigenbasis of the weight spaces and the inverse of its
-        n block, built once per spec on first use."""
+        n block, built once per spec on first use: the one inversion that
+        both the basis construction and the dilation flow read."""
         if self._eigenbasis is None:
             self._eigenbasis = eigenbasis(self)
         return self._eigenbasis
@@ -383,12 +384,16 @@ class EigenBasis:
     """The rows of all weight spaces, in order, for the dilation flow.
 
     ``rows`` are the eigenvectors over n padded to full width, ``weights``
-    gives gamma(A_t) for each t per row, and ``inverse`` is the inverse of
-    the square matrix of the rows over n, as complex numbers: the flow maps
-    eigen coordinates y back to real coordinates by x = inverse y.
+    gives gamma(A_t) for each t per row. ``exact_inverse[m]`` lists the
+    nonzero (k, x) of row m of the inverse of the square matrix of the rows
+    over n, so a vector v of n_C is sum_k (sum_m v_m x) rows[k]; the
+    adapted-basis construction splits by weight through it. ``inverse`` is
+    the same inverse, dense and complex: the flow maps eigen coordinates y
+    back to real coordinates by x = inverse y.
     """
     rows: Tuple[Tuple[GaussianRational, ...], ...]
     weights: Tuple[Tuple[GaussianRational, ...], ...]
+    exact_inverse: Tuple[Tuple[Tuple[int, GaussianRational], ...], ...]
     inverse: Tuple[Tuple[complex, ...], ...]
 
 
@@ -405,6 +410,8 @@ def eigenbasis(spec: LieAlgebraSpec) -> EigenBasis:
             weights.append(sp.weights)
     inverse = invert([list(r[:nd]) for r in rows])
     return EigenBasis(tuple(rows), tuple(weights),
+                      tuple(tuple((k, x) for k, x in enumerate(row) if x)
+                            for row in inverse),
                       tuple(tuple(complex(x) for x in row) for row in inverse))
 
 

@@ -61,6 +61,11 @@ class Functional:
         """Zero tolerance of computations at this point: None when exact."""
         return None if self.exact else FLOAT_TOL
 
+    @property
+    def zero(self) -> Scalar:
+        """The zero of computations at this point: exact or complex."""
+        return ZERO if self.exact else 0j
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -102,10 +107,10 @@ class Functional:
 
     def z(self, j: int) -> Scalar:
         """Value on the j-th adapted basis vector (1-based)."""
-        return self.value(self.basis.vector(j))
+        return adapted_values(self, self.basis.terms[j - 1:j])[0]
 
     def zvalues(self) -> List[Scalar]:
-        return [self.z(j) for j in range(1, self.basis.dim + 1)]
+        return adapted_values(self, self.basis.terms)
 
     def pair(self, u: Sequence, v: Sequence) -> Scalar:
         """The orbit form at this point: l([u, v])."""
@@ -117,6 +122,23 @@ class Functional:
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.values)
         return f"Functional[{'exact' if self.exact else 'float'}]({vals})"
+
+
+def adapted_values(l: Functional, terms) -> List[Scalar]:
+    """The values l(Z) on adapted vectors Z given by their nonzero entries
+    (m, c) over the real basis (rows of ``AdaptableBasis.terms``): the one
+    read of a point's adapted values. Each sum starts at its first nonzero
+    product, saving an addition to zero."""
+    zero, values = l.zero, l.values
+    out = []
+    for row in terms:
+        x = zero
+        for m, c in row:
+            v = values[m]
+            if v:
+                x = c * v if x is zero else x + c * v
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------

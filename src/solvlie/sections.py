@@ -30,7 +30,7 @@ from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
 from .functionals import Functional, exp_h_coadjoint
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, is_zero, kernel, rank, rref, solve
+from .linalg import Subspace, is_zero, kernel, rank, rref, solve, zero_test
 from .strata import (LayerDescriptor, LayerMismatchError, jump_data,
                      section_vectors)
 
@@ -199,8 +199,7 @@ class SectionOracle:
     def __init__(self, kind: str, basis: AdaptableBasis,
                  n_layer: LayerDescriptor,
                  stab: Optional[StabilizerData] = None,
-                 phi: Optional[Tuple[int, ...]] = None,
-                 check_layer: bool = True):
+                 phi: Optional[Tuple[int, ...]] = None):
         if kind not in ("Lambda", "LambdaNu", "SigmaCirc", "Sigma"):
             raise ValueError(f"unknown oracle kind {kind!r}")
         self.kind = kind
@@ -209,7 +208,6 @@ class SectionOracle:
         self.stab = stab
         self.phi = tuple(phi) if phi is not None else \
             (tuple(stab.phi) if stab is not None else ())
-        self.check_layer = check_layer
         self.constraints = self._build_constraints()
 
     def _build_constraints(self) -> List[Constraint]:
@@ -251,36 +249,34 @@ class SectionOracle:
     # -- the membership decision -------------------------------------------
 
     def contains(self, f: Functional) -> bool:
-        tol = f.tol
+        """Evaluate the oracle's equations at f. The jump, nonzero and
+        modulus equations read the adapted values f(Z_j) that the jump
+        data of f has read."""
+        vanishes = zero_test(f.tol)
         basis = self.basis
-        if self.check_layer:
-            jd = jump_data(f, basis, "n")
-            if jd.e_set != self.n_layer.e_set or jd.j_seq != self.n_layer.j_seq:
-                return False
-        else:
-            jd = None
+        e_set = self.n_layer.e_set
+        jd = jump_data(f, basis, "n")
+        if jd.e_set != e_set or jd.j_seq != self.n_layer.j_seq:
+            return False
         try:
             sv = section_vectors(f, basis, jd, "n")
         except LayerMismatchError:
             return False
-        zvals, zero = sv.jd.zvals, ZERO if tol is None else 0j   # f(Z_{p+1})
-        for j in self.n_layer.e_set:
-            if not is_zero(sum((x * zvals[p] for p, x in sv.z_adapted[j].items()),
-                               zero), tol):
+        zvals, zero = jd.zvals, f.zero   # f(Z_{p+1})
+        for j in e_set:
+            if not vanishes(sum((x * zvals[p] for p, x in sv.z_adapted[j].items()),
+                                zero)):
                 return False
         if self.kind == "Lambda":
             return True
-        nd = basis.n
-        for j in range(1, nd + 1):
-            if j in set(self.n_layer.e_set):
-                continue
-            if is_zero(f.z(j), tol):
-                return False
+        e = set(e_set)
+        if any(vanishes(z) for j, z in enumerate(zvals, start=1) if j not in e):
+            return False
         if self.kind == "LambdaNu":
             return True
         for j in self.phi:
-            zv = f.z(j)
-            if not is_zero(zv * zv.conjugate() - 1, tol):
+            zv = zvals[j - 1]
+            if not vanishes(zv * zv.conjugate() - 1):
                 return False
         if self.kind == "SigmaCirc":
             return True
@@ -289,7 +285,7 @@ class SectionOracle:
         nd_full = basis.spec.n_dim
         for a in self.stab.a_basis:
             vec = [ZERO] * nd_full + [GaussianRational(c) for c in a]
-            if not is_zero(f.value(vec), tol):
+            if not vanishes(f.value(vec)):
                 return False
         return True
 

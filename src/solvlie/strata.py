@@ -41,12 +41,12 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adapted import AdaptableBasis
-from .functionals import Functional, NeedsFloatError, sample_functional
+from .functionals import (Functional, NeedsFloatError, adapted_values,
+                          sample_functional)
 from .gaussian import GaussianRational, ZERO
 from .linalg import Subspace, identity, zero_test
 
@@ -137,7 +137,7 @@ class JumpData:
         """h_d as a subspace of g_C over the real basis: ``polarizing_rows``
         mapped through the adapted vectors. Built on each access; exact
         points only, like ``polarizing_rows``."""
-        rows = [_to_real(self.basis, enumerate(y), None)
+        rows = [_to_real(self.basis, enumerate(y))
                 for y in self.polarizing_rows()]
         return Subspace(rows, self.basis.dim)
 
@@ -148,10 +148,10 @@ class JumpData:
         return _case_table(self)[:3]
 
 
-def _to_real(basis: AdaptableBasis, coords, tol: Optional[float]) -> list:
-    """sum_p x_p Z_{p+1} over the real basis of g, for the (p, x_p) pairs of
-    coords; float x_p times the exact entries of Z_{p+1} are complex."""
-    out = [ZERO if tol is None else 0j] * basis.dim
+def _to_real(basis: AdaptableBasis, coords) -> list:
+    """sum_p x_p Z_{p+1} over the real basis of g, for the exact (p, x_p)
+    pairs of coords."""
+    out = [ZERO] * basis.dim
     for p, x in coords:
         if x:
             for m, c in basis.terms[p]:
@@ -160,23 +160,15 @@ def _to_real(basis: AdaptableBasis, coords, tol: Optional[float]) -> list:
 
 
 def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
-    """(zvals, M, columns): the values zvals[k] = l(Z_{k+1}), k < n, and
+    """(zvals, M, columns): the values zvals[k] = l(Z_{k+1}), k < n
+    (``functionals.adapted_values``), and
     M[p][q] = l[Z_{p+1}, Z_{q+1}] = sum_k C_pq^k l(Z_{k+1}) on the first
     n_amb adapted vectors, from the basis's adapted structure constants.
     ``columns[q]`` lists the nonzero (p, M[p][q]) by increasing p; they are
     recorded as M is filled, since only the entries with a row of C can be
     nonzero."""
-    zero = ZERO if l.exact else 0j
-    values = l.values
-    # sums start at their first nonzero product, saving an addition to zero
-    zvals = []
-    for terms in basis.terms[:basis.n]:
-        x = zero
-        for m, c in terms:
-            v = values[m]
-            if v:
-                x = c * v if x is zero else x + c * v
-        zvals.append(x)
+    zero = l.zero
+    zvals = adapted_values(l, basis.terms[:basis.n])
     form = [[zero] * n_amb for _ in range(n_amb)]
     # keys run by q, then by p, so each column gets its rows in order:
     # first p < q at key (p, q), then p > q at the later keys (q, p)
@@ -185,6 +177,8 @@ def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
         for (p, q), row in table.items():
             if q >= n_amb:
                 break
+            # sums start at their first nonzero product, saving an
+            # addition to zero
             x = zero
             for k, c in row.items():
                 zk = zvals[k]
@@ -373,10 +367,12 @@ def _case_table(jd: JumpData):
 class SectionVectors:
     """Dual pairs V_k, U_k, combinations Z_j(l), b values and l[V_k, U_k].
 
-    The vectors are computed as sparse coordinates {p: x_p} over the
-    adapted vectors Z_{p+1} (``v_adapted``, ``u_adapted``, ``z_adapted``);
-    ``v_list``, ``u_list`` and ``z_at`` are the same vectors over the real
-    basis of g, built on first read.
+    The vectors are sparse coordinates {p: x_p} over the adapted vectors
+    Z_{p+1} (``v_adapted``, ``u_adapted``, ``z_adapted``); the vector over
+    the real basis of g is sum_p x_p Z_{p+1}, with Z_{p+1} =
+    ``basis.vector(p + 1)``. Two of them pair as x . (M y) through the
+    orbit form M at the point, whose sparse columns are ``jd.columns`` when
+    jd is the point's own jump data.
     """
     jd: JumpData
     v_adapted: List[dict]
@@ -384,37 +380,6 @@ class SectionVectors:
     z_adapted: Dict[int, dict]
     b_at: Dict[int, object]            # i_k in phi -> b value
     pairings: List[object]             # l[V_k, U_k]
-
-    def _real(self, coords: dict) -> list:
-        return _to_real(self.jd.basis, coords.items(), self.jd.tol)
-
-    @cached_property
-    def v_list(self) -> List[list]:
-        """V_k, dual pair first members."""
-        return [self._real(v) for v in self.v_adapted]
-
-    @cached_property
-    def u_list(self) -> List[list]:
-        """U_k, dual pair second members."""
-        return [self._real(u) for u in self.u_adapted]
-
-    @cached_property
-    def z_at(self) -> Dict[int, list]:
-        """j in e -> Z_j(l)."""
-        return {j: self._real(z) for j, z in self.z_adapted.items()}
-
-    def rho(self, vec, l: Functional, upto: Optional[int] = None):
-        """Project vec against the dual pairs V_m, U_m for m <= upto."""
-        k = len(self.v_list) if upto is None else upto
-        out = list(vec)
-        for m in range(k):
-            vm, um = self.v_list[m], self.u_list[m]
-            c_u = l.pair(out, um)
-            c_v = l.pair(out, vm)
-            denom = self.pairings[m]
-            out = [o - (c_u / denom) * v + (c_v / denom) * u
-                   for o, v, u in zip(out, vm, um)]
-        return out
 
 
 def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,

@@ -5,11 +5,14 @@ in adapted coordinates. It builds every vector as a coordinate vector over
 the real basis of g, takes real and imaginary parts of the adapted vectors
 entry by entry, and pairs through ``Functional.pair``. ``layer_data`` is
 the case table as it was before ``JumpData.layer_table``. The tests
-compare the two on corpus points, seeded points and flowed float points.
+compare the two on corpus points, seeded points and flowed float points,
+reading the library's adapted coordinates over the real basis through
+``real_vector`` (sum_p x_p Z_{p+1}) and ``real_section_vectors``.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -21,15 +24,46 @@ from solvlie.strata import (JumpData, LayerMismatchError, UnsupportedCaseError,
                             jump_data)
 
 
+_PARTS = weakref.WeakKeyDictionary()   # basis -> {exact: _mode_parts}
+
+
 def _mode_parts(basis: AdaptableBasis, tol):
     """The adapted vectors and their real and imaginary parts in the mode
-    of tol."""
-    re = [tuple(GaussianRational(x.re) for x in v) for v in basis.vectors]
-    im = [tuple(GaussianRational(x.im) for x in v) for v in basis.vectors]
-    if tol is None:
-        return basis.vectors, re, im
-    return tuple([tuple(complex(x) for x in v) for v in vecs]
-                 for vecs in (basis.vectors, re, im))
+    of tol, built once per basis and mode (read-only tuples)."""
+    exact = tol is None
+    per_basis = _PARTS.setdefault(basis, {})
+    parts = per_basis.get(exact)
+    if parts is None:
+        re = tuple(tuple(GaussianRational(x.re) for x in v) for v in basis.vectors)
+        im = tuple(tuple(GaussianRational(x.im) for x in v) for v in basis.vectors)
+        parts = (tuple(basis.vectors), re, im)
+        if not exact:
+            parts = tuple(tuple(tuple(complex(x) for x in v) for v in vecs)
+                          for vecs in parts)
+        per_basis[exact] = parts
+    return parts
+
+
+def real_vector(basis: AdaptableBasis, coords: dict) -> list:
+    """sum_p x_p Z_{p+1} over the real basis of g, for the sparse adapted
+    coordinates {p: x_p} that ``solvlie.strata.section_vectors`` returns."""
+    out = [ZERO] * basis.dim
+    for p, x in coords.items():
+        for m, c in enumerate(basis.vector(p + 1)):
+            out[m] = out[m] + x * c
+    return out
+
+
+def real_section_vectors(sv) -> "SectionVectors":
+    """``solvlie.strata.SectionVectors`` (adapted coordinates) as this
+    oracle's vectors over the real basis of g."""
+    basis = sv.jd.basis
+    return SectionVectors(
+        jd=sv.jd,
+        v_list=[real_vector(basis, v) for v in sv.v_adapted],
+        u_list=[real_vector(basis, u) for u in sv.u_adapted],
+        z_at={j: real_vector(basis, z) for j, z in sv.z_adapted.items()},
+        b_at=dict(sv.b_at), pairings=list(sv.pairings))
 
 
 def _self_conjugate_steps(basis: AdaptableBasis):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import VALID_IDS, point, wb_for
+from section_oracle import real_section_vectors
 from solvlie import admissibility as adm
 from solvlie.algebra import validate_spec
 from solvlie.corpus import corpus_entry
@@ -66,7 +67,7 @@ def test_criterion_2_section_vector_formulas_exact():
         vals = [Fraction(0)] * spec.dim
         vals[iz], vals[iy], vals[ix], vals[spec.index("A")] = z, y, x, a
         l = Functional(basis, vals, exact=True)
-        sv = section_vectors(l, basis, ambient="g")
+        sv = real_section_vectors(section_vectors(l, basis, ambient="g"))
         v2 = sv.v_list[1]
         # V_2 = Y - ((x+y)/2z) Z, exactly, coordinate by coordinate
         expect_v2 = [G(0)] * spec.dim
@@ -217,7 +218,7 @@ def test_criterion_6d_rho_orthogonality_exact():
         for _ in range(5):
             l = sample_functional(basis, rng, support="g")
             try:
-                sv = section_vectors(l, basis, ambient="g")
+                sv = real_section_vectors(section_vectors(l, basis, ambient="g"))
             except (LayerMismatchError, UnsupportedCaseError):
                 continue
             for _ in range(3):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import point, wb_for
+from section_oracle import real_vector
 from solvlie.gaussian import GaussianRational as G
 from solvlie.strata import (LayerMismatchError, jump_data, section_vectors)
 
@@ -31,7 +32,7 @@ def sigma_direct(wb, l) -> bool:
     for j in jd.e_set:
         if j in phi:
             continue
-        if not l.value(sv.z_at[j]).is_zero():
+        if not l.value(real_vector(basis, sv.z_adapted[j])).is_zero():
             return False
     for j in phi:
         b = sv.b_at.get(j)

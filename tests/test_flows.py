@@ -261,6 +261,50 @@ def test_one_eigenbasis_per_spec(monkeypatch):
     assert len(calls) == 1
 
 
+def test_eigen_rows_inverted_once_per_spec(monkeypatch):
+    # a spec with no hint: the basis construction splits by weight through
+    # the same inverse of the eigen rows that the dilation flow reads (on
+    # this spec the n and h blocks of the basis differ from the eigen rows,
+    # so their own inversions are not counted)
+    from solvlie import adapted, algebra
+
+    spec = corpus_entry("anisotropic-heisenberg").spec()
+    assert spec.adaptable_hint is None
+    inverted = []
+    for module in (adapted, algebra):
+        monkeypatch.setattr(module, "invert",
+                            lambda rows, real=module.invert:
+                            inverted.append([list(r) for r in rows]) or real(rows))
+    basis = adapted.build_adaptable_basis(spec)
+    a = [0.0] * spec.n_dim + [0.75] * spec.h_dim
+    exp_h_coadjoint(spec, a, sample_functional(basis, random.Random(28)),
+                    mode="float")
+    eig_rows = [list(r[:spec.n_dim]) for r in spec.eigenbasis().rows]
+    assert [list(v[:spec.n_dim]) for v in basis.nvecs] != eig_rows
+    assert [list(v[spec.n_dim:]) for v in basis.hvecs] != eig_rows
+    assert inverted.count(eig_rows) == 1
+
+
+@pytest.mark.parametrize("entry_id", VALID_IDS)
+def test_z_is_value_on_the_adapted_vector(entry_id):
+    # the sparse read of the adapted values gives l(Z_j) exactly, at exact
+    # points and at float points moved by the dilation flow
+    rng = random.Random(29 + VALID_IDS.index(entry_id))
+    wb = wb_for(entry_id)
+    spec, basis = wb.spec, wb.canonical_basis
+    for k in range(4):
+        l = sample_functional(basis, rng, support="g", bound=(1, 9)[k % 2])
+        points = [l]
+        if spec.h_dim:
+            a = [0.0] * spec.n_dim + [rng.uniform(-1.5, 1.5)
+                                      for _ in range(spec.h_dim)]
+            points.append(exp_h_coadjoint(spec, a, l, mode="float"))
+        for f in points:
+            want = [f.value(basis.vector(j)) for j in range(1, basis.dim + 1)]
+            assert [f.z(j) for j in range(1, basis.dim + 1)] == want
+            assert f.zvalues() == want
+
+
 @pytest.mark.parametrize("entry_id", [i for i in VALID_IDS
                                       if corpus_entry(i).spec().h_dim])
 def test_h_flow_matches_numpy_solve(entry_id):

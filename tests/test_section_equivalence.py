@@ -4,7 +4,8 @@
 ``solvlie.strata.section_vectors`` replaced. On every valid corpus entry,
 both ambients, seeded exact points (half of them sparsified, so that zero
 entries of the form occur) and float points moved by the dilation flow,
-the two must give the same V_k, U_k, Z_j(l), b values and pairings (exactly
+the two must give the same V_k, U_k, Z_j(l) (the library's adapted
+coordinates read over the real basis), b values and pairings (exactly
 at exact points, within FLOAT_TOL times the size of the values at float
 points), or raise the same error; the orbit form rebuilt from the sparse
 columns kept on the jump data must be l[Z_p, Z_q] at every (p, q), and its
@@ -22,6 +23,7 @@ import pytest
 
 from conftest import VALID_IDS, wb_for
 from section_oracle import layer_data as oracle_layer_data
+from section_oracle import real_section_vectors
 from section_oracle import section_vectors as oracle_section_vectors
 from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import spec_from_dict
@@ -83,7 +85,7 @@ def _check_point(l, basis, ambient, jd=None) -> bool:
         with pytest.raises(type(exc)):
             section_vectors(l, basis, jd, ambient)
         return False
-    new = section_vectors(l, basis, jd, ambient)
+    new = real_section_vectors(section_vectors(l, basis, jd, ambient))
     assert len(new.v_list) == len(old.v_list) == jd.d
     for got, want in zip(new.v_list + new.u_list, old.v_list + old.u_list):
         _assert_vec(got, want, exact)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import point, wb_for
+from conftest import VALID_IDS, point, wb_for
 from jump_oracle import bilinear_form, perp
+from section_oracle import real_section_vectors
 from solvlie.functionals import (Functional, NeedsFloatError, exp_h_coadjoint,
                                  exp_unipotent_coadjoint, sample_element,
                                  sample_functional)
@@ -256,7 +257,7 @@ def _complex_dilation_sections(z, x, y, a):
     vals[spec.index("Y")] = Fraction(y)
     vals[spec.index("A")] = Fraction(a)
     l = Functional(basis, vals, exact=True)
-    return wb, l, section_vectors(l, basis, ambient="g")
+    return wb, l, real_section_vectors(section_vectors(l, basis, ambient="g"))
 
 
 def test_section_vectors_published_formulas_exact():
@@ -310,7 +311,7 @@ def test_section_vectors_coupled_pairs_published_combination():
         jd = jump_data(l, basis, "g")
         if jd.e_set != (1, 3, 4, 6):
             continue
-        sv = section_vectors(l, basis, jd, "g")
+        sv = real_section_vectors(section_vectors(l, basis, jd, "g"))
         z1, z2 = vals[spec.index("Z1")], vals[spec.index("Z2")]
         zi1 = sv.z_at[1]
         assert zi1[spec.index("Z1")] == G(z1 - z2)
@@ -342,28 +343,40 @@ def test_b_value_modulus_inverse_of_coordinate():
 
 
 def test_rho_orthogonality_exact():
+    # the dual pairs in adapted coordinates, paired through the orbit form
+    # M rebuilt from the sparse columns of the jump data: for m < k,
+    # x . M y = 0 for x in {V_k, U_k} and y in {V_m, U_m}, and
+    # V_k . M U_k = l[V_k, U_k] is the recorded pairing
     rng = random.Random(38)
     checked = 0
-    for entry_id in ("heisenberg-complex-dilation", "coupled-pairs",
-                     "five-dilations-repaired"):
-        wb = wb_for(entry_id)
-        basis = wb.canonical_basis
-        spec = wb.spec
-        for _ in range(5):
-            l = sample_functional(basis, rng, support="g")
-            try:
-                sv = section_vectors(l, basis, ambient="g")
-            except (LayerMismatchError, UnsupportedCaseError):
-                continue
-            d = len(sv.v_list)
-            for _ in range(3):
-                w = [G(rng.randint(-4, 4)) for _ in range(spec.dim)]
-                proj = sv.rho(w, l)
-                for m in range(d):
-                    assert l.pair(proj, sv.v_list[m]).is_zero()
-                    assert l.pair(proj, sv.u_list[m]).is_zero()
+    for entry_id in VALID_IDS:
+        basis = wb_for(entry_id).canonical_basis
+        for ambient in ("n", "g"):
+            for _ in range(6):
+                l = sample_functional(basis, rng, support=ambient)
+                jd = jump_data(l, basis, ambient)
+                try:
+                    sv = section_vectors(l, basis, jd, ambient)
+                except (LayerMismatchError, UnsupportedCaseError):
+                    continue
+                form = {}
+                for q, col in enumerate(jd.columns):
+                    for p, x in col:
+                        form[p, q] = x
+
+                def pair(x, y):
+                    return sum((xp * form[p, q] * yq for p, xp in x.items()
+                                for q, yq in y.items() if (p, q) in form), G(0))
+
+                pairs = list(zip(sv.v_adapted, sv.u_adapted))
+                for k, (vk, uk) in enumerate(pairs):
+                    assert pair(vk, uk) == sv.pairings[k]
+                    for vm, um in pairs[:k]:
+                        for x in (vk, uk):
+                            assert pair(x, vm).is_zero()
+                            assert pair(x, um).is_zero()
                 checked += 1
-    assert checked >= 30
+    assert checked >= 100
 
 
 # -- generic layers --------------------------------------------------------------
