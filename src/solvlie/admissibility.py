@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec, trace_ad
 from .functionals import Functional
@@ -393,8 +391,12 @@ def disintegration_check(spec: LieAlgebraSpec, basis: AdaptableBasis,
     Both sides are estimated for two bump functions; the two left/right
     ratios must agree (the identity holds up to one global constant).
     Supported for layers whose dense section part has all-real free
-    coordinates and a finite dilation-orbit section.
+    coordinates and a finite dilation-orbit section. It is the one user of
+    numpy in the package and imports it here, so that importing solvlie
+    does not load numpy.
     """
+    import numpy as np
+
     nu = stab.nu
     e_idx = list(n_layer.e_set)
     if set(stab.phi) != set(nu):
@@ -470,10 +472,10 @@ def disintegration_check(spec: LieAlgebraSpec, basis: AdaptableBasis,
     ts = rng.uniform(-tbox, tbox, size=(mc_samples, r))
     tvol = (2 * tbox) ** r
     modular = np.exp(-(ts @ np.array(traces)))
+    # flowed coordinates: x_j(t) = e^{-sum_t t_u Re w_j(A_u)} * s_j
+    scale = np.exp(-(ts @ re_weights))
     rhs1 = rhs2 = 0.0
     for s in signs:
-        # flowed coordinates: x_j(t) = e^{-sum_t t_u Re w_j(A_u)} * s_j
-        scale = np.exp(-(ts @ re_weights))
         flowed = scale * s
         pf_sigma = float(pf_abs(s.reshape(1, -1))[0])
         rhs1 += float(np.mean(f1(flowed) * modular) * tvol) * pf_sigma

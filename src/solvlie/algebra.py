@@ -26,16 +26,16 @@ antisymmetric completion is automatic.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .gaussian import GaussianRational, ZERO, parse_gaussian
-from .linalg import Subspace, invert, is_zero, kernel, rref
+from .gaussian import GaussianRational, ONE, ZERO, parse_gaussian
+from .linalg import Subspace, identity, invert, is_zero, kernel, rref
 
 Vector = Tuple[GaussianRational, ...]
 
@@ -289,27 +289,6 @@ class DiagonalizationError(ValueError):
         self.code = code
 
 
-def _rational_candidates(value: float) -> List[Fraction]:
-    out = []
-    for bound in (12, 1000, 10 ** 6):
-        f = Fraction(value).limit_denominator(bound)
-        if f not in out:
-            out.append(f)
-    return out
-
-
-def _eigen_candidates(mat_float: np.ndarray) -> List[GaussianRational]:
-    vals = np.linalg.eigvals(mat_float)
-    cands: List[GaussianRational] = []
-    for v in vals:
-        for fr in _rational_candidates(float(v.real)):
-            for fi in _rational_candidates(float(v.imag)):
-                g = GaussianRational(fr, fi)
-                if g not in cands:
-                    cands.append(g)
-    return cands
-
-
 def _combine(terms, size: int) -> List[GaussianRational]:
     """sum of x * v over (x, v) in terms, each v given by its (index, value) pairs."""
     out = [ZERO] * size
@@ -321,12 +300,162 @@ def _combine(terms, size: int) -> List[GaussianRational]:
     return out
 
 
+def _restricted(images, rows) -> List[List[GaussianRational]]:
+    """The matrix R of an operator on the span of the RREF ``rows``, given
+    the images of the rows, image_i = sum_j R[i][j] rows[j]. Row j is 1 at
+    its pivot and the only row nonzero there, so R[i][j] is image i at that
+    pivot."""
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    return [[img[p] for p in pivots] for img in images]
+
+
+def _triangular_diagonal(mat) -> Optional[List[GaussianRational]]:
+    """The distinct diagonal entries of a triangular matrix in order, or
+    None when mat is neither upper nor lower triangular."""
+    size = len(mat)
+    if any(mat[i][j] for i in range(size) for j in range(i)) and \
+            any(mat[i][j] for i in range(size) for j in range(i + 1, size)):
+        return None
+    return list(dict.fromkeys(mat[i][i] for i in range(size)))
+
+
+def _krylov_polynomial(mat, v) -> List[GaussianRational]:
+    """The monic minimal polynomial of the row vector v under x -> x mat,
+    coefficients from the constant term up. Taken as columns, v, v mat,
+    v mat^2, ... have their first dependency at the first column m of the
+    RREF without a pivot, whose entries write v mat^m over the earlier ones.
+    """
+    size = len(mat)
+    seq = [v]
+    for _ in range(size):
+        u = seq[-1]
+        seq.append([sum((u[i] * mat[i][j] for i in range(size) if u[i]), ZERO)
+                    for j in range(size)])
+    red, pivots = rref([list(row) for row in zip(*seq)])
+    m = len(pivots)
+    return [-red[i][m] for i in range(m)] + [ONE]
+
+
+def _horner(poly, x):
+    val = ZERO
+    for a in reversed(poly):
+        val = val * x + a
+    return val
+
+
+def _dk_sweep(lower, z, settle) -> bool:
+    """One Durand-Kerner sweep, in place, over approximations z of the roots
+    of the monic polynomial with lower coefficients ``lower`` (constant term
+    first); ``settle`` rounds each new value. Returns whether a value moved
+    by more than a relative 1e-15."""
+    moved = False
+    for k, zk in enumerate(z):
+        val = 1
+        for x in reversed(lower):
+            val = val * zk + x
+        den = 1
+        for j, zj in enumerate(z):
+            if j != k:
+                den *= zk - zj
+        if den:
+            step = val / den
+            z[k] = settle(zk - step)
+            moved = moved or abs(complex(step)) > 1e-15 * abs(complex(zk))
+    return moved
+
+
+def _round_gaussian(x: GaussianRational) -> GaussianRational:
+    return GaussianRational(round(x.re), round(x.im))
+
+
+_FLOAT_SWEEPS = 200
+
+
+def _gaussian_roots(poly) -> List[GaussianRational]:
+    """The distinct roots in Q(i) of a monic polynomial over Q(i),
+    coefficients from the constant term up.
+
+    Scaled by c, the lcm of its denominators, poly lies in Z[i][x] with
+    leading coefficient c, and Z[i] is integrally closed, so every root in
+    Q(i) is w/c with w in Z[i]. Durand-Kerner sweeps in complex floats,
+    started on a circle that holds every root, approximate the roots; c z
+    is rounded to the nearest Gaussian integer w for each approximation z,
+    and w/c is kept only if it is a root exactly. When some approximation
+    does not give a root (c z too large for a float to fix w, or roots too
+    close for floats to part), the sweeps go on in exact arithmetic, each
+    value rounded to a grid fine enough to fix w, until every approximation
+    gives a root or as many sweeps as the grid has bits have run.
+    """
+    deg = len(poly) - 1
+    if deg == 1:
+        return [-poly[0]]
+    c = math.lcm(*(d for a in poly for d in (a.re.denominator, a.im.denominator)))
+    lower = poly[:-1]
+
+    def roots_at(z):
+        found = []
+        for x in z:
+            r = _round_gaussian(x * c) / c
+            if r not in found and not _horner(poly, r):
+                found.append(r)
+        return found
+
+    floats = [complex(x) for x in lower]
+    radius = 2 * max(abs(x) ** (1 / (deg - k)) for k, x in enumerate(floats)) or 1.0
+    z = [cmath.rect(radius, 0.4 + 2 * math.pi * k / deg) for k in range(deg)]
+    for _ in range(_FLOAT_SWEEPS):
+        if not _dk_sweep(floats, z, complex):
+            break
+    if not all(map(cmath.isfinite, z)):
+        return []
+    z = [GaussianRational(Fraction(x.real), Fraction(x.imag)) for x in z]
+    roots = roots_at(z)
+    grid = 1 << (c.bit_length() + 64)
+    for _ in range(grid.bit_length()):
+        if len(roots) == deg:
+            break
+        _dk_sweep(lower, z, lambda x: _round_gaussian(x * grid) / grid)
+        roots = roots_at(z)
+    return roots
+
+
+def _candidates(mat) -> List[GaussianRational]:
+    """The eigenvalues in Q(i) of the square matrix mat, found exactly: its
+    diagonal when it is triangular, else the roots of the Krylov minimal
+    polynomial of a unit vector, taken outside the eigenspaces found so far
+    until they fill the space or a vector brings no new root."""
+    diagonal = _triangular_diagonal(mat)
+    if diagonal is not None:
+        return diagonal
+    size = len(mat)
+    columns = list(zip(*mat))
+    found: List[GaussianRational] = []
+    span = Subspace([], size)
+    while span.dim < size:
+        v = next(u for u in identity(size) if not span.contains_vector(u))
+        new = [r for r in _gaussian_roots(_krylov_polynomial(mat, v))
+               if r not in found]
+        if not new:
+            break
+        found += new
+        span = Subspace(span.rows + [
+            x for r in new
+            for x in kernel([[a - r if i == j else a for i, a in enumerate(col)]
+                             for j, col in enumerate(columns)], size)], size)
+    return found
+
+
 def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
     """Split n_C into joint eigenspaces of the commuting operators ad(A).
 
-    Eigenvalue candidates are read off numerically, then every acceptance
-    decision (membership, dimension counts) is made in exact arithmetic.
-    Raises DiagonalizationError when no Gaussian-rational eigenbasis exists.
+    For each A_t and each space found so far, the matrix of ad(A_t) on the
+    space is read off the pivots of its RREF rows, and its eigenvalue
+    candidates are found exactly (``_candidates``): the diagonal when that
+    matrix is triangular, else the Q(i) roots of Krylov minimal polynomials,
+    located by a float root search and accepted only as exact roots. Each
+    weight space is the exact kernel of ad(A_t) - candidate over n, and the
+    space splits only when those kernels fill it. Raises
+    DiagonalizationError when no Gaussian-rational eigenbasis exists.
     """
     nd = spec.n_dim
     spaces = [WeightSpace(weights=(), rows=[[GaussianRational(1) if i == j else ZERO
@@ -334,11 +463,6 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
     for t in range(spec.h_dim):
         # ad(A_t) on n, exact: column m is [A_t, e_m] as sparse (r, c)
         cols = [spec.bracket_sparse(nd + t, m) for m in range(nd)]
-        mat = [[ZERO] * nd for _ in range(nd)]
-        for c, col in enumerate(cols):
-            for r, x in col:
-                mat[r][c] = x
-        mat_float = np.array([[complex(x) for x in row] for row in mat])
         new_spaces: List[WeightSpace] = []
         for sp in spaces:
             if sp.dim == 0:
@@ -346,13 +470,8 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
             # restriction of ad(A_t) to sp: sp is invariant since the ad(A)'s commute
             images = [_combine(((x, cols[c]) for c, x in enumerate(row)), nd)
                       for row in sp.rows]
-            sub_float = np.array([[complex(x) for x in r] for r in sp.rows])
-            img_float = np.array([[complex(x) for x in r] for r in images])
-            # coefficients of images in the row basis, to get the restricted matrix
-            coef, *_ = np.linalg.lstsq(sub_float.T, img_float.T, rcond=None)
-            restricted = coef.T
             found_dim = 0
-            for cand in _eigen_candidates(restricted):
+            for cand in _candidates(_restricted(images, sp.rows)):
                 shifted = [[x if y.is_zero() else x - cand * y
                             for x, y in zip(images[i], sp.rows[i])]
                            for i in range(len(sp.rows))]
@@ -389,9 +508,12 @@ class EigenBasis:
     over n, so a vector v of n_C is sum_k (sum_m v_m x) rows[k]; the
     adapted-basis construction splits by weight through it. ``inverse`` is
     the same inverse, dense and complex: the flow maps eigen coordinates y
-    back to real coordinates by x = inverse y.
+    back to real coordinates by x = inverse y. ``float_terms[i]`` lists the
+    nonzero (m, complex(c)) of row i, from which the flow reads the eigen
+    coordinates of a float point.
     """
     rows: Tuple[Tuple[GaussianRational, ...], ...]
+    float_terms: Tuple[Tuple[Tuple[int, complex], ...], ...]
     weights: Tuple[Tuple[GaussianRational, ...], ...]
     exact_inverse: Tuple[Tuple[Tuple[int, GaussianRational], ...], ...]
     inverse: Tuple[Tuple[complex, ...], ...]
@@ -409,7 +531,10 @@ def eigenbasis(spec: LieAlgebraSpec) -> EigenBasis:
             rows.append(tuple(r) + pad)
             weights.append(sp.weights)
     inverse = invert([list(r[:nd]) for r in rows])
-    return EigenBasis(tuple(rows), tuple(weights),
+    return EigenBasis(tuple(rows),
+                      tuple(tuple((m, complex(c)) for m, c in enumerate(r) if c)
+                            for r in rows),
+                      tuple(weights),
                       tuple(tuple((k, x) for k, x in enumerate(row) if x)
                             for row in inverse),
                       tuple(tuple(complex(x) for x in row) for row in inverse))

@@ -6,8 +6,10 @@
     solvlie corpus    list | run [ID ...]
 
 Exit codes: validate 0 pass / 2 hypothesis violation or invalid hint /
-3 parse error; analyze adds 4 for sampling or pipeline failures; admissible
-0 admissible, 1 not admissible, 2 invalid input (an invalid hint included).
+3 parse error; analyze adds 4 for sampling or pipeline failures (a failed
+basis construction or a layer outside the supported section cases
+included); admissible 0 admissible, 1 not admissible, 2 invalid input (an
+invalid hint included) or a sampling or pipeline failure.
 A malformed command line, --trials below 1 included, prints the usage and
 exits 2.
 """
@@ -20,11 +22,12 @@ import sys
 
 from . import corpus as corpus_mod
 from . import admissibility as adm
-from .adapted import HintInvalidError, build_adaptable_basis
+from .adapted import (ConstructionFailedError, HintInvalidError,
+                      build_adaptable_basis)
 from .algebra import (HypothesisViolation, SpecFormatError, load_spec,
                       require_noncommutative, validate_spec)
 from .sections import NormalizationFailedError, UnsupportedLayerError
-from .strata import InconsistentSamplingError
+from .strata import InconsistentSamplingError, UnsupportedCaseError
 from .workbench import PipelineError, Workbench
 
 
@@ -106,7 +109,8 @@ def cmd_analyze(args) -> int:
     except HintInvalidError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (InconsistentSamplingError, NormalizationFailedError,
+    except (ConstructionFailedError, InconsistentSamplingError,
+            NormalizationFailedError, UnsupportedCaseError,
             UnsupportedLayerError, PipelineError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
@@ -128,8 +132,9 @@ def cmd_admissible(args) -> int:
     except HypothesisViolation as exc:
         print(f"INVALID: {exc}")
         return 2
-    except (HintInvalidError, InconsistentSamplingError,
-            NormalizationFailedError, PipelineError) as exc:
+    except (ConstructionFailedError, HintInvalidError,
+            InconsistentSamplingError, NormalizationFailedError,
+            UnsupportedCaseError, UnsupportedLayerError, PipelineError) as exc:
         print(f"INVALID: {type(exc).__name__}: {exc}")
         return 2
     note = ""

@@ -204,7 +204,8 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
 
     Exact mode is only available when every eigen-coordinate of l that the
     flow would rescale has weight value gamma(a) = 0 (then nothing moves).
-    Float mode reads the eigen coordinates y_i = l(row_i), scales them by
+    Float mode reads the eigen coordinates y_i = l(row_i) from the nonzero
+    entries of each row (``EigenBasis.float_terms``), scales them by
     e^{-gamma_i(a)}, and maps them back to real coordinates by x = inverse y
     in double precision. The eigen rows and the inverse of their n block
     are computed exactly once per spec (``LieAlgebraSpec.eigenbasis``), so
@@ -237,13 +238,14 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
         raise ValueError("mode must be 'exact' or 'float'")
 
     lf = l.to_float()
+    values = lf.values
     # eigen coordinates of the n-part, scaled by e^{-gamma(a)}
     y = []
-    for row, ws in zip(eig.rows, eig.weights):
+    for terms, ws in zip(eig.float_terms, eig.weights):
         g = 0j
         for t in range(hd):
             g += complex(a_vec[nd + t]) * complex(ws[t])
-        y.append(lf.value(row) * cmath.exp(-g))
+        y.append(sum((c * values[m] for m, c in terms), 0j) * cmath.exp(-g))
     # recover the real coordinates: sum_m rows[i][m] x_m = y_i
     x = [sum(c * yi for c, yi in zip(row, y)) for row in eig.inverse]
     new = list(lf.values)

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from solvlie.adapted import ConstructionFailedError
 from solvlie.corpus import corpus_entries, corpus_file_text
+from solvlie.sections import UnsupportedLayerError
+from solvlie.strata import UnsupportedCaseError
 
 
 def run_cli(*args):
@@ -168,3 +171,28 @@ def test_corpus_run_trials_below_one_is_a_usage_error(trials):
     assert proc.returncode == 2
     assert "usage:" in proc.stderr and "--trials" in proc.stderr
     assert "MISMATCHED" not in proc.stderr
+
+
+def _raise(exc):
+    def stub(*args, **kwargs):
+        raise exc
+    return stub
+
+
+@pytest.mark.parametrize("target, exc", [
+    ("solvlie.strata.section_vectors",
+     UnsupportedCaseError("pair 1 falls in no supported case")),
+    ("solvlie.workbench.build_adaptable_basis",
+     ConstructionFailedError("CONSTRUCTION_FAILED: no adapted basis")),
+    ("solvlie.workbench.generic_layer", UnsupportedLayerError("no sampler")),
+])
+@pytest.mark.parametrize("command, code", [("analyze", 4), ("admissible", 2)])
+def test_pipeline_failures_map_to_exit_codes(monkeypatch, capsys, corpus_dir,
+                                             target, exc, command, code):
+    # a failure inside the pipeline leaves by its documented exit code, not
+    # as a traceback (whose exit 1 would read as "not admissible")
+    from solvlie import cli
+    monkeypatch.setattr(target, _raise(exc))
+    assert cli.main([command, str(corpus_dir / "heisenberg-2param.json")]) == code
+    out = capsys.readouterr()
+    assert f"{type(exc).__name__}: {exc}" in out.out + out.err

@@ -307,6 +307,30 @@ def test_z_is_value_on_the_adapted_vector(entry_id):
 
 @pytest.mark.parametrize("entry_id", [i for i in VALID_IDS
                                       if corpus_entry(i).spec().h_dim])
+def test_h_flow_sparse_rows_equal_dense_evaluation(entry_id):
+    # the flow reads y_i = l(row_i) from the nonzero entries of each eigen
+    # row; the dense evaluation over every entry moves l to the same values
+    rng = random.Random(480 + VALID_IDS.index(entry_id))
+    wb = wb_for(entry_id)
+    spec, basis = wb.spec, wb.canonical_basis
+    nd, hd = spec.n_dim, spec.h_dim
+    eig = spec.eigenbasis()
+    for k in range(10):
+        l = sample_functional(basis, rng, support="g", bound=(2, 9)[k % 2])
+        if k % 3 == 2:  # a float point with non-integer values
+            l = exp_h_coadjoint(spec, [0.0] * nd + [0.3] * hd, l, mode="float")
+        a = [0.0] * nd + [rng.uniform(-1.5, 1.5) for _ in range(hd)]
+        moved = exp_h_coadjoint(spec, a, l, mode="float")
+        lf = l.to_float()
+        y = [lf.value(r) * cmath.exp(-sum((complex(a[nd + t]) * complex(ws[t])
+                                           for t in range(hd)), 0j))
+             for r, ws in zip(eig.rows, eig.weights)]
+        x = [sum(c * yi for c, yi in zip(row, y)) for row in eig.inverse]
+        assert moved.values[:nd] == tuple(v.real for v in x)
+
+
+@pytest.mark.parametrize("entry_id", [i for i in VALID_IDS
+                                      if corpus_entry(i).spec().h_dim])
 def test_h_flow_matches_numpy_solve(entry_id):
     # x = inverse y against an independent float solve of the eigen system
     # rows x = y, with y_i = l(row_i) e^{-gamma_i(a)}

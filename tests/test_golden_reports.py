@@ -11,10 +11,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import solvlie
 from solvlie import cli, corpus
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -31,3 +35,44 @@ def test_analyze_report_matches_digest(entry_id):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         cli.main(argv)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == want
+
+
+_WITHOUT_NUMPY = """
+import contextlib, hashlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import solvlie
+from solvlie import cli
+digests = {}
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["analyze", path, "--format", "json", "--seed", "42"])
+    digests[path] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_reports_without_numpy():
+    # numpy is loaded only by the Monte-Carlo disintegration check: the
+    # package, the weights and every report work with numpy unimportable
+    paths = [str(CORPUS_DIR / f"{e}.json") for e in ENTRY_IDS]
+    src = str(Path(solvlie.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *paths],
+                          capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert {Path(p).stem: h for p, h in got.items()} == \
+        {e: want[e] for e in ENTRY_IDS}
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, solvlie; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(solvlie.__file__).resolve().parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,0 +1,204 @@
+"""Exact weight recovery, against the numpy oracle and beyond its reach.
+
+``tests/weight_oracle.py`` keeps the decomposition that guessed each
+eigenvalue from ``np.linalg.eigvals`` through ``limit_denominator``. Where
+those guesses reach the weights (small denominators) both must give the
+same weight spaces: the same weights with the same RREF rows. Weights with
+large denominators, which the guesses never reach, are accepted now, and an
+action that is not diagonalizable is still rejected with the same code and
+message.
+"""
+
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import weight_oracle
+from solvlie import admissibility as adm
+from solvlie.algebra import (DiagonalizationError, LieAlgebraSpec,
+                             SpecFormatError, spec_from_dict, validate_spec,
+                             weight_decomposition)
+from solvlie.corpus import corpus_entries
+from solvlie.gaussian import GaussianRational as G
+from solvlie.linalg import invert
+from solvlie.workbench import Workbench
+from test_pfaffian_equivalence import _dense_center_spec
+
+_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
+_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
+specgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(specgen)
+
+
+def _outcome(decompose, spec):
+    """The weight spaces as sorted (weights, rows) pairs, or the error."""
+    try:
+        spaces = decompose(spec)
+    except DiagonalizationError as exc:
+        return exc.code, str(exc)
+    return sorted(((tuple((w.re, w.im) for w in sp.weights),
+                    [[(x.re, x.im) for x in row] for row in sp.rows])
+                   for sp in spaces), key=repr)
+
+
+def _assert_agree(spec):
+    assert _outcome(weight_decomposition, spec) == \
+        _outcome(weight_oracle.weight_decomposition, spec)
+
+
+def _parsed_specs():
+    out = []
+    for e in corpus_entries():
+        try:
+            out.append(pytest.param(e.spec(), id=e.entry_id))
+        except SpecFormatError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("spec", _parsed_specs())
+def test_corpus_weights_match_oracle(spec):
+    _assert_agree(spec)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 13])
+def test_generated_weights_match_oracle(seed):
+    for doc, _ in specgen.generate(seed):
+        _assert_agree(spec_from_dict(doc))
+
+
+@pytest.mark.parametrize("m", range(10, 25, 2))
+def test_dense_center_weights_match_oracle(m):
+    _assert_agree(_dense_center_spec(m))
+
+
+# -- weights the numpy guesses never reached ---------------------------------
+
+def _heisenberg(action, z_weight):
+    """[X, Y] = Z with A acting on (X, Y) by ``action`` (the images of X
+    and Y) and on Z by ``z_weight``."""
+    brackets = [{"x": "X", "y": "Y", "value": [{"c": "1", "b": "Z"}]},
+                {"x": "A", "y": "Z", "value": [{"c": str(z_weight), "b": "Z"}]}]
+    for lab, image in zip("XY", action):
+        brackets.append({"x": "A", "y": lab,
+                         "value": [{"c": str(c), "b": b} for b, c in image if c]})
+    return spec_from_dict({"name": "heisenberg", "n_basis": ["Z", "Y", "X"],
+                           "h_basis": ["A"], "brackets": brackets})
+
+
+def _dilated(w):
+    w = Fraction(w)
+    return _heisenberg(([("X", w)], []), w), {w, 0}
+
+
+def _rotated(a, b):
+    a, b = Fraction(a), Fraction(b)
+    spec = _heisenberg(([("X", a), ("Y", b)], [("X", -b), ("Y", a)]), 2 * a)
+    return spec, {G(2 * a), G(a, b), G(a, -b)}
+
+
+@pytest.mark.parametrize("spec, weights", [
+    _dilated("1/1000003"),
+    _dilated("123456789/987654321"),
+    _rotated("3/1000003", "5/1000003"),
+], ids=["1/1000003", "123456789/987654321", "(3+5i)/1000003"])
+def test_large_denominators_accepted_with_a_verdict(spec, weights):
+    with pytest.raises(DiagonalizationError) as err:
+        weight_oracle.weight_decomposition(spec)
+    assert err.value.code == "EIGEN_NOT_GAUSSIAN_RATIONAL"
+    report = validate_spec(spec)
+    assert report.ok
+    assert {sp.weights[0] for sp in report.weight_spaces} == weights
+    # nonunimodular, and A moves Z, so h meets the center trivially
+    assert Workbench(spec).verdict().verdict == adm.VERDICT_ADMISSIBLE
+
+
+# -- a dense action: the Krylov route -----------------------------------------
+
+def _blocks(*blocks):
+    size = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                out[at + i][at + j] = Fraction(x)
+        at += len(b)
+    return out
+
+
+def _rotation(a, b):
+    return [[a, -b], [b, a]]
+
+
+def _conjugated(blocks, seed):
+    """Abelian n with A acting by P blocks P^-1 for a random integer P, so
+    that the matrix of ad(A) is dense, not triangular."""
+    size = len(blocks)
+    rng = random.Random(seed)
+    while True:
+        p = [[G(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)]
+        p_inv = invert(p)
+        if p_inv is not None:
+            break
+    mat = [[sum((p[i][k] * blocks[k][l] * p_inv[l][j]
+                 for k in range(size) for l in range(size)), G(0)).re
+            for j in range(size)] for i in range(size)]
+    names = [f"X{i}" for i in range(size)]
+    return LieAlgebraSpec("dense-action", names, ["A"], {
+        ("A", names[m]): {names[r]: mat[r][m] for r in range(size) if mat[r][m]}
+        for m in range(size)})
+
+
+def _multiset(spec):
+    return sorted((str(sp.weights[0]), sp.dim) for sp in weight_decomposition(spec))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_repeated_weights_match_oracle(seed):
+    spec = _conjugated(_blocks([[1]], [[1]], [[2]], _rotation(1, 2),
+                               _rotation(1, 2)), seed)
+    _assert_agree(spec)
+    assert _multiset(spec) == [("1", 2), ("1+2 i", 2), ("1-2 i", 2), ("2", 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rotations_with_large_denominators_on_a_dense_action(seed):
+    # the minimal polynomial has leading coefficient about 10^36, so c z is
+    # past float precision and the exact sweeps fix the roots
+    q = [10 ** 9 + 7, 10 ** 9 + 9, 10 ** 9 + 21, 10 ** 9 + 33]
+    spec = _conjugated(_blocks(_rotation(Fraction(3, q[0]), Fraction(5, q[1])),
+                               _rotation(Fraction(7, q[2]), Fraction(2, q[3]))),
+                       seed)
+    assert _multiset(spec) == sorted(
+        (str(w), 1) for w in (G(Fraction(3, q[0]), Fraction(5, q[1])),
+                              G(Fraction(3, q[0]), Fraction(-5, q[1])),
+                              G(Fraction(7, q[2]), Fraction(2, q[3])),
+                              G(Fraction(7, q[2]), Fraction(-2, q[3]))))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_weights_closer_than_float_precision_come_apart(seed):
+    close = 1 + Fraction(1, 10 ** 12)
+    spec = _conjugated(_blocks([[1]], [[close]], [[2]]), seed)
+    assert _multiset(spec) == [("1", 1), (str(close), 1), ("2", 1)]
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["triangular", "dense"])
+def test_jordan_block_still_rejected(dense):
+    blocks = _blocks([[2, 1], [0, 2]], [[3]])
+    if dense:
+        spec = _conjugated(blocks, 0)
+    else:
+        names = ["X0", "X1", "X2"]
+        spec = LieAlgebraSpec("jordan", names, ["A"], {
+            ("A", names[m]): {names[r]: blocks[r][m] for r in range(3)
+                              if blocks[r][m]} for m in range(3)})
+    got = _outcome(weight_decomposition, spec)
+    assert got == _outcome(weight_oracle.weight_decomposition, spec)
+    assert got == ("EIGEN_NOT_GAUSSIAN_RATIONAL",
+                   "ad(A) has no Gaussian-rational eigenbasis on a "
+                   "3-dimensional invariant subspace")
