@@ -7,13 +7,13 @@ and the admissibility verdict for the natural representation on L^2(N).
 """
 
 from .algebra import (HypothesisViolation, LieAlgebraSpec, SpecFormatError,
-                      ad_matrix, load_spec, parse_spec_text, require_noncommutative,
+                      load_spec, parse_spec_text, require_noncommutative,
                       spec_from_dict, trace_ad, validate_spec)
 from .adapted import AdaptableBasis, ConstructionFailedError, HintInvalidError, \
     build_adaptable_basis
 from .functionals import (Functional, NeedsFloatError, NotUnipotentError,
                           exp_h_coadjoint, exp_unipotent_coadjoint,
-                          sample_element, sample_functional)
+                          sample_functional)
 from .gaussian import GaussianRational, parse_gaussian
 from .linalg import Subspace
 from .strata import (InconsistentSamplingError, JumpData, LayerDescriptor,
@@ -23,9 +23,8 @@ from .strata import (InconsistentSamplingError, JumpData, LayerDescriptor,
                      skew_matrix)
 from .sections import (NormalizationFailedError, NotInSectionError,
                        SectionOracle, StabilizerData, UnsupportedLayerError,
-                       h_project, lambda_nu_oracle, lambda_oracle,
-                       sample_lambda_nu, sample_sigma_circ, sigma_circ_oracle,
-                       sigma_oracle, stabilizer_data)
+                       h_project, sample_lambda_nu, sample_sigma_circ,
+                       stabilizer_data)
 from .admissibility import (INFINITE, AdmissibilityReport, CenterData,
                             IsotropyError, PolarizationData, center_data,
                             disintegration_check, multiplicity,

@@ -41,9 +41,9 @@ import copy
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import DiagonalizationError, LieAlgebraSpec, Vector
+from .algebra import DiagonalizationError, LieAlgebraSpec, Vector, root_factor
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, invert, kernel, rref
+from .linalg import invert, kernel, rref
 
 
 class HintInvalidError(ValueError):
@@ -140,7 +140,6 @@ class AdaptableBasis:
         self.hvecs = hvecs
         self.vectors = self.nvecs + hvecs
         self.terms = [_terms(v) for v in self.vectors]
-        self._flags: Dict[int, Subspace] = {}
         self.layer_tables: Dict[tuple, tuple] = {}
 
     # -- structure -------------------------------------------------------
@@ -148,10 +147,6 @@ class AdaptableBasis:
     @property
     def n(self) -> int:
         return self.spec.n_dim
-
-    @property
-    def r(self) -> int:
-        return self.spec.h_dim
 
     @property
     def dim(self) -> int:
@@ -165,14 +160,6 @@ class AdaptableBasis:
         """The nonzero coordinates {p: x_p} of vec in n_C over Z_{p+1},
         0-based, from the stored inverse of the n block."""
         return _coords(vec, self.n_inverse)
-
-    def flag(self, j: int) -> Subspace:
-        """Span of the first j vectors, j in 0..dim, built on first use."""
-        fl = self._flags.get(j)
-        if fl is None:
-            fl = Subspace([list(v) for v in self.vectors[:j]], self.dim)
-            self._flags[j] = fl
-        return fl
 
     def ambient(self, ambient: str) -> int:
         """Number of leading basis vectors spanning the ambient 'n' or 'g'."""
@@ -280,24 +267,15 @@ class AdaptableBasis:
         self.weights: List[Tuple[GaussianRational, ...]] = [
             tuple(ad_h[t][j].get(j, ZERO) for t in range(spec.h_dim))
             for j in range(nd)] + [(ZERO,) * spec.h_dim] * spec.h_dim
-        self.diagonal_exact = all(set(row) <= {j} for rows in ad_h
-                                  for j, row in enumerate(rows))
 
         # factorization Im(gamma_j) = alpha_j * Re(gamma_j), per root
         alphas: List[Optional[Fraction]] = []
         for j in range(1, dim + 1):
-            row = self.weights[j - 1]
-            re_part = [w.re for w in row]
-            im_part = [w.im for w in row]
-            if all(x == 0 for x in re_part):
-                if any(x != 0 for x in im_part):
-                    raise HintInvalidError(
-                        4, f"weight of vector {j} is purely imaginary")
-                alphas.append(None)
-                continue
-            t0 = next(i for i, x in enumerate(re_part) if x != 0)
-            alpha = im_part[t0] / re_part[t0]
-            if any(im != alpha * re for re, im in zip(re_part, im_part)):
+            alpha, why = root_factor(self.weights[j - 1])
+            if why == "imaginary":
+                raise HintInvalidError(
+                    4, f"weight of vector {j} is purely imaginary")
+            if why:
                 raise HintInvalidError(
                     4, f"weight of vector {j} is not of the form "
                        "lambda*(1+i*alpha)")
@@ -334,7 +312,6 @@ class AdaptableBasis:
         out = copy.copy(self)
         out._set_h_part(hvecs)
         out._set_h_structure()
-        out._flags = {j: fl for j, fl in self._flags.items() if j <= self.n}
         return out
 
     def describe(self) -> List[str]:

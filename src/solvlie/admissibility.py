@@ -22,7 +22,6 @@ trivially.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -32,8 +31,7 @@ from .algebra import LieAlgebraSpec, trace_ad
 from .functionals import Functional
 from .gaussian import GaussianRational, ZERO
 from .linalg import Subspace, kernel, rank, rref
-from .sections import (SectionOracle, StabilizerData, UnsupportedLayerError,
-                       sample_sigma_circ)
+from .sections import StabilizerData, UnsupportedLayerError
 from .strata import LayerDescriptor, jump_data
 
 INFINITE = math.inf
@@ -271,24 +269,6 @@ def multiplicity(basis: AdaptableBasis, stab: StabilizerData,
     if rank(weight_rows) == pol.dim_x:
         return 2 ** pol.dim_x
     return INFINITE
-
-
-def multiplicity_at_samples(basis: AdaptableBasis, stab: StabilizerData,
-                            sigma_oracle: SectionOracle, seed: int = 7,
-                            samples: int = 20):
-    """Multiplicity evaluated at several section points; asserts constancy."""
-    rng = random.Random(seed)
-    values = set()
-    result = None
-    for _ in range(samples):
-        lam = sample_sigma_circ(sigma_oracle, rng)
-        pol = polarization_data(lam, basis)
-        m = multiplicity(basis, stab, pol)
-        values.add(m)
-        result = m
-    if len(values) != 1:
-        raise IsotropyError(f"multiplicity not constant across samples: {values}")
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ class LieAlgebraSpec:
 
         # canonical table: key (i, j) with i < j, value = coord tuple over n
         self._table: Dict[Tuple[int, int], Vector] = {}
-        self._bvec_cache: Dict[Tuple[int, int], Vector] = {}
         self._bsparse_cache: Dict[Tuple[int, int], tuple] = {}
         self._weight_spaces = None
         self._eigenbasis = None
@@ -130,18 +129,6 @@ class LieAlgebraSpec:
 
     # -- brackets --------------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] as a coordinate vector over the full basis."""
-        cached = self._bvec_cache.get((i, j))
-        if cached is not None:
-            return cached
-        out = [ZERO] * self.dim
-        for m, c in self.bracket_sparse(i, j):
-            out[m] = c
-        out = tuple(out)
-        self._bvec_cache[(i, j)] = out
-        return out
-
     def bracket_sparse(self, i: int, j: int):
         """[e_i, e_j] as a tuple of (coordinate index, coefficient)."""
         cached = self._bsparse_cache.get((i, j))
@@ -163,11 +150,11 @@ class LieAlgebraSpec:
     def bracket(self, u: Sequence, v: Sequence) -> list:
         """Bilinear extension of the bracket to coordinate vectors.
 
-        Works for GaussianRational coordinates (exact) and complex (float).
+        Exact on GaussianRational coordinates; a term with a complex
+        coordinate is complex, as GaussianRational arithmetic with a
+        complex number falls through to complex.
         """
-        exact = isinstance(u[0], GaussianRational) and isinstance(v[0], GaussianRational)
-        zero = ZERO if exact else 0j
-        out = [zero] * self.dim
+        out = [ZERO] * self.dim
         v_nonzero = [(j, vj) for j, vj in enumerate(v) if not is_zero(vj)]
         for i, ui in enumerate(u):
             if is_zero(ui):
@@ -180,7 +167,7 @@ class LieAlgebraSpec:
                     continue
                 c = ui * vj
                 for m, bm in sparse:
-                    out[m] = out[m] + c * bm if exact else out[m] + c * complex(bm)
+                    out[m] = out[m] + c * bm
         return out
 
     def basis_vector(self, label_or_index) -> Vector:
@@ -221,35 +208,13 @@ class LieAlgebraSpec:
 
 
 # ---------------------------------------------------------------------------
-# ad matrices
+# traces of ad
 # ---------------------------------------------------------------------------
-
-def ad_matrix(spec: LieAlgebraSpec, w: Sequence) -> List[List[Fraction]]:
-    """Matrix of ad(w) on the ordered real basis; columns are images.
-
-    ``w`` is a real rational coordinate vector (or a label / label dict).
-    """
-    if isinstance(w, str):
-        w = spec.basis_vector(w)
-    elif isinstance(w, dict):
-        w = spec.vector_from_labels(w)
-    cols = []
-    for m in range(spec.dim):
-        img = spec.bracket(w, spec.basis_vector(m))
-        cols.append(img)
-    mat = [[Fraction(0)] * spec.dim for _ in range(spec.dim)]
-    for c, img in enumerate(cols):
-        for r, val in enumerate(img):
-            if not val.is_zero():
-                if not val.is_real():
-                    raise ValueError("ad matrix of a real element must be real")
-                mat[r][c] = val.re
-    return mat
-
 
 def trace_ad(spec: LieAlgebraSpec, w) -> Fraction:
     """tr(ad w) = sum_p w_p sum_i [e_p, e_i]_i, from the diagonal structure
-    constants; ``w`` as for ``ad_matrix``, whose matrix must be real."""
+    constants. ``w`` is a coordinate vector, a label or a label dict, and
+    ad w must be real."""
     if isinstance(w, str):
         w = spec.basis_vector(w)
     elif isinstance(w, dict):
@@ -419,29 +384,27 @@ def _gaussian_roots(poly) -> List[GaussianRational]:
     return roots
 
 
-def _candidates(mat) -> List[GaussianRational]:
-    """The eigenvalues in Q(i) of the square matrix mat, found exactly: its
-    diagonal when it is triangular, else the roots of the Krylov minimal
+def _eigenspaces(mat, eigenspace) -> List[Tuple[GaussianRational, list]]:
+    """The eigenvalues r in Q(i) of the square matrix mat, found exactly,
+    each with ``eigenspace(r)``, the rows x with x mat = r x: the diagonal
+    of mat when it is triangular, else the roots of the Krylov minimal
     polynomial of a unit vector, taken outside the eigenspaces found so far
     until they fill the space or a vector brings no new root."""
     diagonal = _triangular_diagonal(mat)
     if diagonal is not None:
-        return diagonal
+        return [(r, eigenspace(r)) for r in diagonal]
     size = len(mat)
-    columns = list(zip(*mat))
-    found: List[GaussianRational] = []
+    found: List[Tuple[GaussianRational, list]] = []
     span = Subspace([], size)
     while span.dim < size:
         v = next(u for u in identity(size) if not span.contains_vector(u))
-        new = [r for r in _gaussian_roots(_krylov_polynomial(mat, v))
-               if r not in found]
+        known = [r for r, _ in found]
+        roots = _gaussian_roots(_krylov_polynomial(mat, v))
+        new = [(r, eigenspace(r)) for r in roots if r not in known]
         if not new:
             break
         found += new
-        span = Subspace(span.rows + [
-            x for r in new
-            for x in kernel([[a - r if i == j else a for i, a in enumerate(col)]
-                             for j, col in enumerate(columns)], size)], size)
+        span = Subspace(span.rows + [x for _, null in new for x in null], size)
     return found
 
 
@@ -450,12 +413,13 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
 
     For each A_t and each space found so far, the matrix of ad(A_t) on the
     space is read off the pivots of its RREF rows, and its eigenvalue
-    candidates are found exactly (``_candidates``): the diagonal when that
+    candidates are found exactly (``_eigenspaces``): the diagonal when that
     matrix is triangular, else the Q(i) roots of Krylov minimal polynomials,
     located by a float root search and accepted only as exact roots. Each
-    weight space is the exact kernel of ad(A_t) - candidate over n, and the
-    space splits only when those kernels fill it. Raises
-    DiagonalizationError when no Gaussian-rational eigenbasis exists.
+    weight space is the exact kernel of ad(A_t) - candidate over n, computed
+    once per candidate and also read by the Krylov search, and the space
+    splits only when those kernels fill it. Raises DiagonalizationError
+    when no Gaussian-rational eigenbasis exists.
     """
     nd = spec.n_dim
     spaces = [WeightSpace(weights=(), rows=[[GaussianRational(1) if i == j else ZERO
@@ -470,15 +434,18 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
             # restriction of ad(A_t) to sp: sp is invariant since the ad(A)'s commute
             images = [_combine(((x, cols[c]) for c, x in enumerate(row)), nd)
                       for row in sp.rows]
-            found_dim = 0
-            for cand in _candidates(_restricted(images, sp.rows)):
+
+            def eigenspace(cand):
+                """The kernel of (ad A - cand) inside sp, in sp-coordinates."""
                 shifted = [[x if y.is_zero() else x - cand * y
                             for x, y in zip(images[i], sp.rows[i])]
                            for i in range(len(sp.rows))]
-                # kernel of (ad A - cand) inside sp, in sp-coordinates
-                coeff_rows = [[shifted[i][c] for i in range(len(sp.rows))]
-                              for c in range(nd)]
-                null = kernel(coeff_rows, len(sp.rows))
+                return kernel([[shifted[i][c] for i in range(len(sp.rows))]
+                               for c in range(nd)], len(sp.rows))
+
+            found_dim = 0
+            restricted = _restricted(images, sp.rows)
+            for cand, null in _eigenspaces(restricted, eigenspace):
                 if not null:
                     continue
                 rows = [_combine(((x, enumerate(sp.rows[i]))
@@ -540,6 +507,24 @@ def eigenbasis(spec: LieAlgebraSpec) -> EigenBasis:
                       tuple(tuple(complex(x) for x in row) for row in inverse))
 
 
+def root_factor(weights: Sequence[GaussianRational]):
+    """The factorization gamma = lambda (1 + i alpha) of the root gamma with
+    the given values on the h basis, i.e. Im gamma = alpha Re gamma as
+    functionals on h: (alpha, None), with alpha None for the zero root, or
+    (None, why) when there is none, ``why`` being "imaginary" when Re gamma
+    = 0 != Im gamma and "partly imaginary" when gamma is purely imaginary on
+    part of h only."""
+    re_part = [w.re for w in weights]
+    im_part = [w.im for w in weights]
+    if all(x == 0 for x in re_part):
+        return (None, "imaginary") if any(im_part) else (None, None)
+    t0 = next(i for i, x in enumerate(re_part) if x != 0)
+    alpha = im_part[t0] / re_part[t0]
+    if any(im != alpha * re for re, im in zip(re_part, im_part)):
+        return None, "partly imaginary"
+    return alpha, None
+
+
 def check_exponential_roots(spaces: List[WeightSpace]) -> Optional[str]:
     """Every root must satisfy Im(weight) = alpha * Re(weight) as functionals.
 
@@ -547,19 +532,13 @@ def check_exponential_roots(spaces: List[WeightSpace]) -> Optional[str]:
     on h. Returns an error message, or None when all roots are fine.
     """
     for sp in spaces:
-        re_part = [w.re for w in sp.weights]
-        im_part = [w.im for w in sp.weights]
-        if all(x == 0 for x in re_part):
-            if any(x != 0 for x in im_part):
-                return (f"root {tuple(str(w) for w in sp.weights)} is purely "
-                        "imaginary and nonzero")
-            continue
-        t0 = next(i for i, x in enumerate(re_part) if x != 0)
-        alpha = im_part[t0] / re_part[t0]
-        for r, im in zip(re_part, im_part):
-            if im != alpha * r:
-                return (f"root {tuple(str(w) for w in sp.weights)} takes a purely "
-                        "imaginary value on part of h")
+        _, why = root_factor(sp.weights)
+        if why == "imaginary":
+            return (f"root {tuple(str(w) for w in sp.weights)} is purely "
+                    "imaginary and nonzero")
+        if why:
+            return (f"root {tuple(str(w) for w in sp.weights)} takes a purely "
+                    "imaginary value on part of h")
     return None
 
 

@@ -7,9 +7,10 @@
 
 Exit codes: validate 0 pass / 2 hypothesis violation or invalid hint /
 3 parse error; analyze adds 4 for sampling or pipeline failures (a failed
-basis construction or a layer outside the supported section cases
-included); admissible 0 admissible, 1 not admissible, 2 invalid input (an
-invalid hint included) or a sampling or pipeline failure.
+basis construction, a layer outside the supported section cases or a
+polarization that fails its isotropy checks included); admissible 0
+admissible, 1 not admissible, 2 invalid input (an invalid hint included)
+or one of the same sampling or pipeline failures.
 A malformed command line, --trials below 1 included, prints the usage and
 exits 2.
 """
@@ -29,6 +30,12 @@ from .algebra import (HypothesisViolation, SpecFormatError, load_spec,
 from .sections import NormalizationFailedError, UnsupportedLayerError
 from .strata import InconsistentSamplingError, UnsupportedCaseError
 from .workbench import PipelineError, Workbench
+
+# sampling and pipeline failures past validation: analyze exits 4 on them,
+# admissible 2
+PIPELINE_FAILURES = (ConstructionFailedError, InconsistentSamplingError,
+                     adm.IsotropyError, NormalizationFailedError,
+                     UnsupportedCaseError, UnsupportedLayerError, PipelineError)
 
 
 def _load(path):
@@ -109,9 +116,7 @@ def cmd_analyze(args) -> int:
     except HintInvalidError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ConstructionFailedError, InconsistentSamplingError,
-            NormalizationFailedError, UnsupportedCaseError,
-            UnsupportedLayerError, PipelineError) as exc:
+    except PIPELINE_FAILURES as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     if args.format == "json":
@@ -132,9 +137,7 @@ def cmd_admissible(args) -> int:
     except HypothesisViolation as exc:
         print(f"INVALID: {exc}")
         return 2
-    except (ConstructionFailedError, HintInvalidError,
-            InconsistentSamplingError, NormalizationFailedError,
-            UnsupportedCaseError, UnsupportedLayerError, PipelineError) as exc:
+    except (HintInvalidError, *PIPELINE_FAILURES) as exc:
         print(f"INVALID: {type(exc).__name__}: {exc}")
         return 2
     note = ""

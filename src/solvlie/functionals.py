@@ -93,11 +93,12 @@ class Functional:
     # -- evaluation --------------------------------------------------------
 
     def value(self, vec: Sequence) -> Scalar:
-        """Evaluate on a coordinate vector of g_C (complex-linear extension)."""
-        if self.exact and vec and isinstance(vec[0], GaussianRational):
+        """Evaluate on a coordinate vector of g_C (complex-linear extension),
+        in the mode of this point."""
+        if self.exact:
             total = ZERO
             for c, v in zip(vec, self.values):
-                if not c.is_zero() and v != 0:
+                if c and v:
                     total = total + c * v
             return total
         total = 0j
@@ -274,11 +275,3 @@ def sample_functional(basis: AdaptableBasis, rng: random.Random,
     vals += [_integer(0)] * (basis.dim - drawn)
     return Functional(basis, vals, exact=True)
 
-
-def sample_element(spec: LieAlgebraSpec, rng: random.Random, bound: int = 5,
-                   support: str = "n"):
-    """Random exact element of n (or h, or g) as a coordinate vector."""
-    lo = 0 if support in ("n", "g") else spec.n_dim
-    hi = spec.dim if support in ("h", "g") else spec.n_dim
-    return tuple(GaussianRational(rng.randint(-bound, bound))
-                 if lo <= m < hi else ZERO for m in range(spec.dim))

@@ -147,17 +147,11 @@ class Subspace:
                 v = [a - x * b if b else a for a, b in zip(v, row)]
         return not any(v)
 
-    def contains(self, other: "Subspace") -> bool:
-        return rank(self.rows + other.rows) == self.dim
-
     def intersect(self, other: "Subspace") -> "Subspace":
         # S cap T = annihilator of (ann S + ann T); ann is an involution.
         ann = kernel(self.rows, self.ambient_dim) + \
             kernel(other.rows, self.ambient_dim)
         return Subspace(kernel(ann, self.ambient_dim), self.ambient_dim)
-
-    def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.rows + other.rows, self.ambient_dim)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -175,33 +169,3 @@ def identity(n: int) -> Matrix:
     """The rows of the n x n identity matrix."""
     return [[GR1 if i == j else ZERO for j in range(n)] for i in range(n)]
 
-
-def full_space(n: int) -> Subspace:
-    return Subspace(identity(n), n)
-
-
-def det(rows: Matrix) -> GaussianRational:
-    """Exact determinant by Gaussian elimination with division by the pivots."""
-    n = len(rows)
-    if n == 0:
-        return GaussianRational(1)
-    a = [list(r) for r in rows]
-    out = GaussianRational(1)
-    for c in range(n):
-        piv = None
-        for k in range(c, n):
-            if not a[k][c].is_zero():
-                piv = k
-                break
-        if piv is None:
-            return ZERO
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            out = -out
-        out = out * a[c][c]
-        inv = a[c][c]
-        for k in range(c + 1, n):
-            if not a[k][c].is_zero():
-                f = a[k][c] / inv
-                a[k] = [x - f * y for x, y in zip(a[k], a[c])]
-    return out

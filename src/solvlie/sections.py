@@ -30,7 +30,8 @@ from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
 from .functionals import Functional, exp_h_coadjoint
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, is_zero, kernel, rank, rref, solve, zero_test
+from .linalg import (Subspace, identity, is_zero, kernel, rank, rref, solve,
+                     zero_test)
 from .strata import (LayerDescriptor, LayerMismatchError, jump_data,
                      section_vectors)
 
@@ -93,9 +94,7 @@ def stabilizer_data(spec: LieAlgebraSpec, basis: AdaptableBasis,
         w = basis.weights[j - 1]
         rows.append([GaussianRational(x.re) for x in w])
         rows.append([GaussianRational(x.im) for x in w])
-    k_rows = kernel(rows, hd) if rows else \
-        [[GaussianRational(1) if i == t else ZERO for t in range(hd)]
-         for i in range(hd)]
+    k_rows = kernel(rows, hd) if rows else identity(hd)
     k_sub = Subspace(k_rows, hd)
 
     # phi indices: walk nu upward, keep those whose real weight is new
@@ -134,22 +133,6 @@ def stabilizer_data(spec: LieAlgebraSpec, basis: AdaptableBasis,
                 full[p] = val.re
             a_basis.append(tuple(full))
     return StabilizerData(nu=nu, k_subalg=k_sub, a_basis=a_basis, phi=tuple(phi))
-
-
-def pointwise_stabilizer(f: Functional, basis: AdaptableBasis) -> Subspace:
-    """{X in h : weight_j(X) = 0 whenever f(Z_j) != 0}, exact."""
-    spec = basis.spec
-    rows = []
-    for j in range(1, basis.n + 1):
-        if not is_zero(f.z(j), f.tol):
-            w = basis.weights[j - 1]
-            rows.append([GaussianRational(x.re) for x in w])
-            rows.append([GaussianRational(x.im) for x in w])
-    if not rows:
-        return Subspace([[GaussianRational(1) if i == t else ZERO
-                          for t in range(spec.h_dim)]
-                         for i in range(spec.h_dim)], spec.h_dim)
-    return Subspace(kernel(rows, spec.h_dim), spec.h_dim)
 
 
 def canonical_h_vectors(spec: LieAlgebraSpec, stab: StabilizerData):
@@ -198,16 +181,14 @@ class SectionOracle:
 
     def __init__(self, kind: str, basis: AdaptableBasis,
                  n_layer: LayerDescriptor,
-                 stab: Optional[StabilizerData] = None,
-                 phi: Optional[Tuple[int, ...]] = None):
+                 stab: Optional[StabilizerData] = None):
         if kind not in ("Lambda", "LambdaNu", "SigmaCirc", "Sigma"):
             raise ValueError(f"unknown oracle kind {kind!r}")
         self.kind = kind
         self.basis = basis
         self.n_layer = n_layer
         self.stab = stab
-        self.phi = tuple(phi) if phi is not None else \
-            (tuple(stab.phi) if stab is not None else ())
+        self.phi = tuple(stab.phi) if stab is not None else ()
         self.constraints = self._build_constraints()
 
     def _build_constraints(self) -> List[Constraint]:
@@ -300,28 +281,6 @@ class SectionOracle:
         return out
 
 
-def lambda_oracle(basis: AdaptableBasis, n_layer: LayerDescriptor) -> SectionOracle:
-    return SectionOracle("Lambda", basis, n_layer)
-
-
-def lambda_nu_oracle(basis: AdaptableBasis, n_layer: LayerDescriptor) -> SectionOracle:
-    return SectionOracle("LambdaNu", basis, n_layer)
-
-
-def sigma_circ_oracle(basis: AdaptableBasis, n_layer: LayerDescriptor,
-                      stab: StabilizerData,
-                      g_phi: Optional[Tuple[int, ...]] = None) -> SectionOracle:
-    phi = tuple(g_phi) if g_phi is not None else tuple(stab.phi)
-    return SectionOracle("SigmaCirc", basis, n_layer, stab=stab, phi=phi)
-
-
-def sigma_oracle(basis: AdaptableBasis, n_layer: LayerDescriptor,
-                 stab: StabilizerData,
-                 g_phi: Optional[Tuple[int, ...]] = None) -> SectionOracle:
-    phi = tuple(g_phi) if g_phi is not None else tuple(stab.phi)
-    return SectionOracle("Sigma", basis, n_layer, stab=stab, phi=phi)
-
-
 # ---------------------------------------------------------------------------
 # samplers on the sections (simple-equation layers only)
 # ---------------------------------------------------------------------------
@@ -340,20 +299,21 @@ def _rational_circle_point(rng: random.Random) -> GaussianRational:
     return GaussianRational((1 - t * t) / d, 2 * t / d)
 
 
-def _sample_section(oracle: SectionOracle, rng: random.Random, phi,
-                    bound: int, max_tries: int) -> Functional:
+def _sample_section(oracle: SectionOracle, rng: random.Random,
+                    phi) -> Functional:
     """Rejection-sample an exact point of the oracle's section.
 
     Each free adapted coordinate Z_j, j outside e, gets a nonzero integer
-    (a nonzero Gaussian integer when conj Z_j = Z_s, s > j, and its
-    conjugate at Z_s); for j in phi it gets a point of the unit circle
-    instead, -1 or 1 when Z_j is conj-stable. Draws that the oracle
-    rejects (a lower layer) are drawn again.
+    in [-9, 9] (a nonzero Gaussian integer with parts in [-9, 9] when
+    conj Z_j = Z_s, s > j, and its conjugate at Z_s); for j in phi it gets
+    a point of the unit circle instead, -1 or 1 when Z_j is conj-stable.
+    Draws that the oracle rejects (a lower layer) are drawn again, up to
+    200 draws in all.
     """
     _assert_simple_layer(oracle)
     basis = oracle.basis
     e = set(oracle.n_layer.e_set)
-    for _ in range(max_tries):
+    for _ in range(200):
         zvals: List[GaussianRational] = [ZERO] * basis.dim
         for j in range(1, basis.n + 1):
             if j in e:
@@ -365,7 +325,7 @@ def _sample_section(oracle: SectionOracle, rng: random.Random, phi,
                 else:
                     v = 0
                     while v == 0:
-                        v = rng.randint(-bound, bound)
+                        v = rng.randint(-9, 9)
                     zvals[j - 1] = GaussianRational(v)
             elif s > j:
                 if j in phi:
@@ -373,7 +333,7 @@ def _sample_section(oracle: SectionOracle, rng: random.Random, phi,
                 else:
                     re = im = 0
                     while re == 0 and im == 0:
-                        re, im = rng.randint(-bound, bound), rng.randint(-bound, bound)
+                        re, im = rng.randint(-9, 9), rng.randint(-9, 9)
                     z = GaussianRational(re, im)
                 zvals[j - 1] = z
                 zvals[s - 1] = z.conjugate()
@@ -383,8 +343,7 @@ def _sample_section(oracle: SectionOracle, rng: random.Random, phi,
     raise UnsupportedLayerError("could not hit the generic layer by sampling")
 
 
-def sample_lambda_nu(oracle: SectionOracle, rng: random.Random,
-                     bound: int = 9, max_tries: int = 200) -> Functional:
+def sample_lambda_nu(oracle: SectionOracle, rng: random.Random) -> Functional:
     """Random exact point of the dense invariant part of the section.
 
     Draws free coordinates and rejects the (measure-zero) draws that fall
@@ -392,13 +351,12 @@ def sample_lambda_nu(oracle: SectionOracle, rng: random.Random,
     genericity. The oracle's phi is ignored: no coordinate is put on the
     unit circle.
     """
-    return _sample_section(oracle, rng, (), bound, max_tries)
+    return _sample_section(oracle, rng, ())
 
 
-def sample_sigma_circ(oracle: SectionOracle, rng: random.Random,
-                      bound: int = 9, max_tries: int = 200) -> Functional:
+def sample_sigma_circ(oracle: SectionOracle, rng: random.Random) -> Functional:
     """Random exact point of the dilation-orbit section (rejection sampled)."""
-    return _sample_section(oracle, rng, set(oracle.phi), bound, max_tries)
+    return _sample_section(oracle, rng, set(oracle.phi))
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,6 @@ class JumpData:
     j_seq: Tuple[int, ...]
     ambient: str
     basis: AdaptableBasis = field(repr=False, compare=False)
-    tol: Optional[float] = field(default=None, repr=False, compare=False)
     reductions: Tuple[Tuple[Tuple[int, object], ...], ...] = field(
         default=(), repr=False, compare=False)
     point: Optional[Functional] = field(default=None, repr=False, compare=False)
@@ -121,7 +120,7 @@ class JumpData:
         on unit vectors. Each y_g is e_g plus terms at positions in j_seq,
         so the rows are independent. Exact points only: raises
         NeedsFloatError at a float point."""
-        if self.tol is not None:
+        if not self.point.exact:
             raise NeedsFloatError("polarizing_rows requires an exact functional")
         ys = identity(self.basis.ambient(self.ambient))
         for jk, steps in zip(self.j_seq, self.reductions):
@@ -273,10 +272,9 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """
     if basis is None:
         basis = l.basis
-    tol = l.tol
     zvals, form, columns = _orbit_form(l, basis, basis.ambient(ambient))
-    i_seq, j_seq, reductions, _ = _skew_reduce(form, tol)
-    return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis, tol,
+    i_seq, j_seq, reductions, _ = _skew_reduce(form, l.tol)
+    return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis,
                     tuple(reductions), l, zvals, columns)
 
 
@@ -575,13 +573,13 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
 # ---------------------------------------------------------------------------
 
 def generic_layer(basis: AdaptableBasis, ambient: str = "g",
-                  seed: int = 42, trials: int = 64,
-                  bound: int = 9) -> LayerDescriptor:
+                  seed: int = 42, trials: int = 64) -> LayerDescriptor:
     """Layer of a Zariski-dense set, found by exact evaluation at random
-    integer points. The winner has maximal card(e); ties break toward the
-    lexicographically smallest (e, j). Raises InconsistentSamplingError
-    unless more than half of the samples agree with the winner (exactly
-    half is not enough), or when no sample gives a usable layer.
+    integer points with coordinates in [-9, 9]. The winner has maximal
+    card(e); ties break toward the lexicographically smallest (e, j).
+    Raises InconsistentSamplingError unless more than half of the samples
+    agree with the winner (exactly half is not enough), or when no sample
+    gives a usable layer.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -589,7 +587,7 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     support = "n" if ambient == "n" else "g"
     outcomes: Dict[tuple, Tuple[int, LayerDescriptor]] = {}
     for _ in range(trials):
-        f = sample_functional(basis, rng, bound=bound, support=support)
+        f = sample_functional(basis, rng, support=support)
         if f.is_zero():
             continue
         try:

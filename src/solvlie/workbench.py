@@ -18,9 +18,8 @@ from .algebra import (HypothesisViolation, LieAlgebraSpec, ValidationReport,
 from .functionals import Functional
 from .gaussian import GaussianRational
 from .sections import (SectionOracle, StabilizerData, UnsupportedLayerError,
-                       canonical_h_vectors, lambda_nu_oracle, lambda_oracle,
-                       sample_lambda_nu, sample_sigma_circ, sigma_circ_oracle,
-                       sigma_oracle, stabilizer_data)
+                       canonical_h_vectors, sample_lambda_nu, sample_sigma_circ,
+                       stabilizer_data)
 from .strata import (LayerDescriptor, generic_layer, pfaffian, skew_matrix)
 
 SCHEMA = "solvlie-report/1"
@@ -111,27 +110,29 @@ class Workbench:
     # -- oracles (built on the canonical basis so the full-section test
     #    can see the normalized dilation directions) -----------------------
 
+    def _oracle(self, kind: str) -> SectionOracle:
+        def make():
+            stab = self.stabilizer if kind in ("SigmaCirc", "Sigma") else None
+            return SectionOracle(kind, self.canonical_basis, self.n_layer, stab)
+        return self._get(f"oracle {kind}", make)
+
     @property
     def oracle_lambda(self) -> SectionOracle:
-        return self._get("o_lambda", lambda: lambda_oracle(
-            self.canonical_basis, self.n_layer))
+        return self._oracle("Lambda")
 
     @property
     def oracle_lambda_nu(self) -> SectionOracle:
-        return self._get("o_lambda_nu", lambda: lambda_nu_oracle(
-            self.canonical_basis, self.n_layer))
+        return self._oracle("LambdaNu")
 
     # phi here comes from the stabilizer pairing; computing the g* layer
     # cross-checks it (see g_layer), and the report always runs both.
     @property
     def oracle_sigma_circ(self) -> SectionOracle:
-        return self._get("o_sigma_circ", lambda: sigma_circ_oracle(
-            self.canonical_basis, self.n_layer, self.stabilizer))
+        return self._oracle("SigmaCirc")
 
     @property
     def oracle_sigma(self) -> SectionOracle:
-        return self._get("o_sigma", lambda: sigma_oracle(
-            self.canonical_basis, self.n_layer, self.stabilizer))
+        return self._oracle("Sigma")
 
     # -- admissibility ingredients ----------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 
 from solvlie.corpus import corpus_entries, corpus_entry
 from solvlie.functionals import Functional
+from solvlie.gaussian import GaussianRational, ZERO
 from solvlie.workbench import Workbench
 
 _WB_CACHE = {}
@@ -25,6 +26,14 @@ def point(wb: Workbench, **coords) -> Functional:
     for lab, v in coords.items():
         vals[wb.spec.index(lab)] = Fraction(v)
     return Functional(wb.canonical_basis, vals, exact=True)
+
+
+def sample_element(spec, rng, bound: int = 5, support: str = "n"):
+    """Random exact element of n (or h, or g) as a coordinate vector."""
+    lo = 0 if support in ("n", "g") else spec.n_dim
+    hi = spec.dim if support in ("h", "g") else spec.n_dim
+    return tuple(GaussianRational(rng.randint(-bound, bound))
+                 if lo <= m < hi else ZERO for m in range(spec.dim))
 
 
 @pytest.fixture(scope="session")

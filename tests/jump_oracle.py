@@ -9,10 +9,12 @@ compare the two on corpus points and seeded points, all exact.
 ``bilinear_form`` and ``perp`` are the real-coordinate views of the orbit
 form the recursion is built on: the matrix of (X, Y) -> l[X, Y] on
 subspace bases, and the annihilator of a set of vectors inside a subspace.
+``flag(basis, j)`` is the span of the first j adapted vectors.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,6 +23,18 @@ from solvlie.functionals import Functional
 from solvlie.gaussian import ZERO
 from solvlie.linalg import Subspace, kernel
 from solvlie.strata import LayerMismatchError
+
+
+_FLAGS = weakref.WeakKeyDictionary()   # basis -> {j: flag subspace}
+
+
+def flag(basis: AdaptableBasis, j: int) -> Subspace:
+    """Span of the first j adapted vectors, j in 0..dim, built once per
+    basis and j."""
+    flags = _FLAGS.setdefault(basis, {})
+    if j not in flags:
+        flags[j] = Subspace([list(v) for v in basis.vectors[:j]], basis.dim)
+    return flags[j]
 
 
 def bilinear_form(l: Functional, s: Subspace, t: Optional[Subspace] = None):
@@ -116,7 +130,7 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     if not l.exact:
         raise ValueError("the recursion runs at exact points only")
     vectors = basis.vectors
-    flags = [basis.flag(j) for j in range(basis.dim + 1)]
+    flags = [flag(basis, j) for j in range(basis.dim + 1)]
     n_amb = basis.ambient(ambient)
     amb = flags[n_amb]
 

@@ -3,6 +3,8 @@
 This is the expansion ``solvlie.strata.pfaffian`` replaced by the signed
 product of the pivots of the jump reduction. It sums (2k-1)!! terms on a
 dense 2k x 2k matrix, so the tests use it only where that stays small.
+``det``, an exact determinant by Gaussian elimination, is the reference
+for |Pf|^2 = det.
 """
 
 from __future__ import annotations
@@ -46,3 +48,30 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
         return total
 
     return pf(tuple(range(n)))
+
+
+def det(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
+    """Exact determinant by Gaussian elimination with division by the pivots."""
+    n = len(rows)
+    if n == 0:
+        return GaussianRational(1)
+    a = [list(r) for r in rows]
+    out = GaussianRational(1)
+    for c in range(n):
+        piv = None
+        for k in range(c, n):
+            if not a[k][c].is_zero():
+                piv = k
+                break
+        if piv is None:
+            return ZERO
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            out = -out
+        out = out * a[c][c]
+        inv = a[c][c]
+        for k in range(c + 1, n):
+            if not a[k][c].is_zero():
+                f = a[k][c] / inv
+                a[k] = [x - f * y for x, y in zip(a[k], a[c])]
+    return out

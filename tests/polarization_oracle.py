@@ -16,13 +16,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from adapted_oracle import bracket_basis
 from solvlie.adapted import AdaptableBasis
 from solvlie.admissibility import CenterData, IsotropyError, PolarizationData
-from solvlie.algebra import LieAlgebraSpec, ad_matrix
+from solvlie.algebra import LieAlgebraSpec
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
 from solvlie.linalg import Subspace, kernel, rank, solve
 from solvlie.strata import JumpData, jump_data
+from unipotent_oracle import ad_matrix
 
 
 def polarizing_subspace(jd: JumpData) -> Subspace:
@@ -95,7 +97,7 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
                 raise IsotropyError("jump reduction output is not isotropic")
     pbar = _conj_subspace(p, dim)
     # p + pbar closed under bracket
-    psum = p.add(pbar)
+    psum = Subspace(p.rows + pbar.rows, dim)
     for a in psum.rows:
         for b in psum.rows:
             if not _contains(psum, spec.bracket(list(a), list(b))):
@@ -157,7 +159,7 @@ def center_data(spec: LieAlgebraSpec) -> CenterData:
         for out_coord in range(dim):
             row = []
             for p in range(dim):
-                img = spec.bracket_basis(p, m)
+                img = bracket_basis(spec, p, m)
                 row.append(img[out_coord])
             rows.append(row)
     z_rows = kernel(rows, dim)

@@ -8,6 +8,7 @@ the case table as it was before ``JumpData.layer_table``. The tests
 compare the two on corpus points, seeded points and flowed float points,
 reading the library's adapted coordinates over the real basis through
 ``real_vector`` (sum_p x_p Z_{p+1}) and ``real_section_vectors``.
+``pointwise_stabilizer`` is the little group read at one point.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from solvlie.adapted import AdaptableBasis
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
-from solvlie.linalg import is_zero
+from solvlie.linalg import Subspace, identity, is_zero, kernel
 from solvlie.strata import (JumpData, LayerMismatchError, UnsupportedCaseError,
                             jump_data)
 
@@ -42,6 +43,20 @@ def _mode_parts(basis: AdaptableBasis, tol):
                           for vecs in parts)
         per_basis[exact] = parts
     return parts
+
+
+def pointwise_stabilizer(f: Functional, basis: AdaptableBasis) -> Subspace:
+    """{X in h : weight_j(X) = 0 whenever f(Z_j) != 0}, exact: the little
+    group read at one point, which the tests compare with the common
+    stabilizer of the layer."""
+    hd = basis.spec.h_dim
+    rows = []
+    for j in range(1, basis.n + 1):
+        if not is_zero(f.z(j), f.tol):
+            w = basis.weights[j - 1]
+            rows.append([GaussianRational(x.re) for x in w])
+            rows.append([GaussianRational(x.im) for x in w])
+    return Subspace(kernel(rows, hd) if rows else identity(hd), hd)
 
 
 def real_vector(basis: AdaptableBasis, coords: dict) -> list:

@@ -10,18 +10,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import VALID_IDS, point, wb_for
-from section_oracle import real_section_vectors
+from conftest import VALID_IDS, point, sample_element, wb_for
+from pfaffian_oracle import det
+from section_oracle import pointwise_stabilizer, real_section_vectors
 from solvlie import admissibility as adm
 from solvlie.algebra import validate_spec
 from solvlie.corpus import corpus_entry
 from solvlie.functionals import (Functional, exp_unipotent_coadjoint,
-                                 sample_element, sample_functional)
+                                 sample_functional)
 from solvlie.gaussian import GaussianRational as G
-from solvlie.linalg import det
 from solvlie.sections import (UnsupportedLayerError, h_project,
-                              pointwise_stabilizer, sample_lambda_nu,
-                              stabilizer_data)
+                              sample_lambda_nu, stabilizer_data)
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
                             jump_data, pfaffian, section_vectors)
 from solvlie.workbench import Workbench

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jump_oracle import flag
 from solvlie.adapted import HintInvalidError, build_adaptable_basis
 from solvlie.algebra import spec_from_dict
 from solvlie.corpus import corpus_entry
@@ -26,7 +27,7 @@ def test_complex_dilation_hint_accepted_with_weights():
 
 def test_double_heisenberg_hint_accepted():
     spec, basis = _basis("double-heisenberg")
-    assert basis.n == 6 and basis.r == 0
+    assert basis.n == 6 and not basis.hvecs
     # conj pairs sit adjacent
     assert basis.sigma[1:7] == (2, 1, 4, 3, 6, 5)
 
@@ -93,12 +94,12 @@ def test_flag_ideal_property_everywhere():
                      "free-two-step", "five-dilations-repaired"):
         spec, basis = _basis(entry_id)
         for k in range(1, basis.dim + 1):
-            flag = basis.flag(k)
+            span = flag(basis, k)
             for _ in range(5):
                 w = [G(rng.randint(-3, 3)) for _ in range(spec.dim)]
-                for row in flag.rows:
+                for row in span.rows:
                     img = spec.bracket(w, list(row))
-                    assert flag.contains_vector(img)
+                    assert span.contains_vector(img)
 
 
 def test_conjugation_pairing_involution_and_weights():

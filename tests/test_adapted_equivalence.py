@@ -2,8 +2,8 @@
 
 Both build (or verify) the basis of every corpus spec that parses, with its
 hint and without, and of seeded filiform and two-step specs up to n = 12
-from perfbench/specgen.py; they must agree on the vectors, weights, sigma,
-alpha and diagonal_exact, or raise the same error. The h-part swap of the
+from perfbench/specgen.py; they must agree on the vectors, weights, sigma
+and alpha, or raise the same error. The h-part swap of the
 Workbench's canonical basis is checked against a full oracle verification.
 """
 
@@ -53,8 +53,7 @@ def _outcome(fn):
         b = fn()
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    return (list(b.vectors), list(b.weights), tuple(b.sigma), list(b.alpha),
-            b.diagonal_exact)
+    return list(b.vectors), list(b.weights), tuple(b.sigma), list(b.alpha)
 
 
 def _assert_agree(spec, hint):

@@ -157,9 +157,13 @@ def test_multiplicity_constant_across_section_samples():
     for entry_id in ("anisotropic-heisenberg", "heisenberg-2param",
                      "five-dilations-repaired"):
         wb = wb_for(entry_id)
-        m = adm.multiplicity_at_samples(wb.canonical_basis, wb.stabilizer,
-                                        wb.oracle_sigma_circ, samples=20)
-        assert m == wb.multiplicity
+        rng = random.Random(7)
+        values = set()
+        for _ in range(20):
+            lam = sample_sigma_circ(wb.oracle_sigma_circ, rng)
+            pol = adm.polarization_data(lam, wb.canonical_basis)
+            values.add(adm.multiplicity(wb.canonical_basis, wb.stabilizer, pol))
+        assert values == {wb.multiplicity}
 
 
 # -- verdicts ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from solvlie.adapted import ConstructionFailedError
+from solvlie.admissibility import IsotropyError
 from solvlie.corpus import corpus_entries, corpus_file_text
 from solvlie.sections import UnsupportedLayerError
 from solvlie.strata import UnsupportedCaseError
@@ -185,6 +186,8 @@ def _raise(exc):
     ("solvlie.workbench.build_adaptable_basis",
      ConstructionFailedError("CONSTRUCTION_FAILED: no adapted basis")),
     ("solvlie.workbench.generic_layer", UnsupportedLayerError("no sampler")),
+    ("solvlie.admissibility.polarization_data",
+     IsotropyError("jump reduction output is not isotropic")),
 ])
 @pytest.mark.parametrize("command, code", [("analyze", 4), ("admissible", 2)])
 def test_pipeline_failures_map_to_exit_codes(monkeypatch, capsys, corpus_dir,

@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 
 import unipotent_oracle
-from conftest import VALID_IDS, point, wb_for
+from conftest import VALID_IDS, point, sample_element, wb_for
 from solvlie.corpus import corpus_entry
 from solvlie.functionals import (Functional, NeedsFloatError, NotUnipotentError,
                                  RealityError, exp_h_coadjoint,
-                                 exp_unipotent_coadjoint, sample_element,
-                                 sample_functional)
+                                 exp_unipotent_coadjoint, sample_functional)
 from solvlie.gaussian import GaussianRational as G
 from solvlie.linalg import solve
 
 
 def _nilpotent_exp_oracle(spec, x_vec, l):
     """Independent oracle: transpose-series of ad(x) applied term by term."""
-    from solvlie.algebra import ad_matrix
-    m = ad_matrix(spec, x_vec)
+    m = unipotent_oracle.ad_matrix(spec, x_vec)
     dim = spec.dim
     vals = list(l.values)
     out = list(vals)
@@ -303,6 +301,23 @@ def test_z_is_value_on_the_adapted_vector(entry_id):
             want = [f.value(basis.vector(j)) for j in range(1, basis.dim + 1)]
             assert [f.z(j) for j in range(1, basis.dim + 1)] == want
             assert f.zvalues() == want
+
+
+def test_value_at_an_exact_point_is_exact_for_any_exact_vector():
+    # the point picks the mode: int, Fraction and GaussianRational entries
+    # give the same exact value, and only a float point evaluates in complex
+    wb = wb_for("heisenberg-2param")
+    spec = wb.spec
+    l = point(wb, Z=3, Y=Fraction(1, 2), A=-2)
+    coords = {"Z": 2, "Y": -4, "A": 1}
+    vec = [0] * spec.dim
+    for lab, c in coords.items():
+        vec[spec.index(lab)] = c
+    for entries in (vec, [Fraction(c) for c in vec], [G(c) for c in vec]):
+        got = l.value(entries)
+        assert isinstance(got, G) and got == G(2)
+    got = l.to_float().value(vec)
+    assert isinstance(got, complex) and got == 2
 
 
 @pytest.mark.parametrize("entry_id", [i for i in VALID_IDS

@@ -6,7 +6,7 @@ sparse and rank-deficient skew matrices over Q(i), on int and Fraction
 input, on the orbit forms ``skew_matrix(f, e)`` at Lambda_nu points of the
 corpus and of generated specs, and on a dense-center 2-step family where
 the expansion is exponential. Past the sizes where the expansion is cheap,
-|Pf|^2 is checked against ``linalg.det``.
+|Pf|^2 is checked against ``pfaffian_oracle.det``.
 """
 
 import importlib.util
@@ -20,7 +20,6 @@ import pfaffian_oracle
 from conftest import SAMPLABLE_IDS, wb_for
 from solvlie.algebra import spec_from_dict
 from solvlie.gaussian import GaussianRational as G
-from solvlie.linalg import det
 from solvlie.sections import sample_lambda_nu
 from solvlie.strata import pfaffian, skew_matrix
 from solvlie.workbench import Workbench
@@ -153,5 +152,5 @@ def test_dense_center_plancherel_samples_square_to_det():
     forms = list(_lambda_nu_forms(wb, len(samples), wb.seed + 5))
     for sample, m in zip(samples, forms):
         pf = pfaffian(m)
-        assert pf ** 2 == det(m)
+        assert pf ** 2 == pfaffian_oracle.det(m)
         assert str(pf.abs2()) == sample["pf_abs2"]

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import SAMPLABLE_IDS, VALID_IDS, point, wb_for
+from section_oracle import pointwise_stabilizer
 from solvlie.corpus import corpus_entry
 from solvlie.functionals import exp_h_coadjoint
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import (NotInSectionError, UnsupportedLayerError,
-                              h_project, pointwise_stabilizer,
-                              sample_lambda_nu, sample_sigma_circ)
+                              h_project, sample_lambda_nu, sample_sigma_circ)
 
 
 # -- membership oracles ---------------------------------------------------------

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import VALID_IDS, point, wb_for
-from jump_oracle import bilinear_form, perp
+from conftest import VALID_IDS, point, sample_element, wb_for
+from jump_oracle import bilinear_form, flag, perp
+from pfaffian_oracle import det
 from section_oracle import real_section_vectors
 from solvlie.functionals import (Functional, NeedsFloatError, exp_h_coadjoint,
-                                 exp_unipotent_coadjoint, sample_element,
-                                 sample_functional)
+                                 exp_unipotent_coadjoint, sample_functional)
 from solvlie.gaussian import GaussianRational as G
-from solvlie.linalg import det, full_space
 from solvlie.strata import (InconsistentSamplingError, LayerDescriptor,
                             LayerMismatchError, NotSkewError,
                             OddDimensionError, UnsupportedCaseError,
@@ -23,7 +22,7 @@ from solvlie.strata import (InconsistentSamplingError, LayerDescriptor,
 def test_bilinear_form_heisenberg_skew():
     wb = wb_for("heisenberg-2param")
     l = point(wb, Z=1)
-    n_amb = wb.canonical_basis.flag(3)
+    n_amb = flag(wb.canonical_basis, 3)
     mat = bilinear_form(l, n_amb)
     # on the (Z, Y, X) basis rows: only the (Y, X) slots are nonzero
     assert mat[1][2] == G(-1) and mat[2][1] == G(1)
@@ -34,7 +33,7 @@ def test_bilinear_form_heisenberg_skew():
 def test_bilinear_form_zero_functional():
     wb = wb_for("heisenberg-2param")
     l = point(wb)
-    mat = bilinear_form(l, wb.canonical_basis.flag(3))
+    mat = bilinear_form(l, flag(wb.canonical_basis, 3))
     assert all(v.is_zero() for row in mat for v in row)
 
 
@@ -43,7 +42,7 @@ def test_bilinear_form_rank_double_heisenberg():
     wb = wb_for("double-heisenberg")
     l = point(wb, Z1=1, Z2=2)
     from solvlie.linalg import rank
-    mat = bilinear_form(l, wb.canonical_basis.flag(6))
+    mat = bilinear_form(l, flag(wb.canonical_basis, 6))
     assert rank(mat) == 4
 
 
@@ -53,7 +52,7 @@ def test_perp_of_central_direction_is_everything():
     wb = wb_for("double-heisenberg")
     basis = wb.canonical_basis
     l = point(wb, Z1=3, Y1=1, X2=2)
-    amb = basis.flag(6)
+    amb = flag(basis, 6)
     sub = perp(l, [list(basis.vector(1))], amb)
     assert sub.dim == 6
 
@@ -65,13 +64,13 @@ def test_perp_single_direction_heisenberg():
     l = point(wb, Z=1)
     x_vec = [list(spec.basis_vector("X"))]
     # inside n: one nonzero condition l[X, Y] = l(Z), so span{Z, X} remains
-    sub_n = perp(l, x_vec, basis.flag(3))
+    sub_n = perp(l, x_vec, flag(basis, 3))
     assert sub_n.dim == 2
     for lab in ("Z", "X"):
         assert sub_n.contains_vector(list(spec.basis_vector(lab)))
     assert not sub_n.contains_vector(list(spec.basis_vector("Y")))
     # inside g the condition is still a single one: codimension 1
-    sub_g = perp(l, x_vec, full_space(spec.dim))
+    sub_g = perp(l, x_vec, flag(basis, spec.dim))
     assert sub_g.dim == 4
     for lab in ("Z", "X", "B"):
         assert sub_g.contains_vector(list(spec.basis_vector(lab)))
@@ -84,7 +83,7 @@ def test_radical_dimension_matches_jump_count():
     for _ in range(10):
         l = sample_functional(basis, rng, support="g")
         jd = jump_data(l, basis, "g")
-        amb = basis.flag(basis.dim)
+        amb = flag(basis, basis.dim)
         rad = perp(l, amb.rows, amb)
         assert rad.dim == basis.dim - 2 * jd.d
 

@@ -18,10 +18,11 @@ import pytest
 
 import weight_oracle
 from solvlie import admissibility as adm
+from solvlie import algebra
 from solvlie.algebra import (DiagonalizationError, LieAlgebraSpec,
                              SpecFormatError, spec_from_dict, validate_spec,
                              weight_decomposition)
-from solvlie.corpus import corpus_entries
+from solvlie.corpus import corpus_entries, corpus_entry
 from solvlie.gaussian import GaussianRational as G
 from solvlie.linalg import invert
 from solvlie.workbench import Workbench
@@ -73,6 +74,28 @@ def test_generated_weights_match_oracle(seed):
 @pytest.mark.parametrize("m", range(10, 25, 2))
 def test_dense_center_weights_match_oracle(m):
     _assert_agree(_dense_center_spec(m))
+
+
+@pytest.mark.parametrize("entry_id, calls", [
+    ("spiral-heisenberg", 4), ("coupled-pairs", 3), ("free-two-step", 3),
+    ("heisenberg-complex-dilation", 3), ("five-dilations-repaired", 22)])
+def test_krylov_route_computes_each_eigenspace_once(monkeypatch, entry_id,
+                                                    calls):
+    # on these specs the restricted matrix is not triangular; the exact
+    # kernel over n that decides a weight space also grows the Krylov span,
+    # so each eigenspace costs one kernel (twice as many before, less the
+    # triangular splits of five-dilations-repaired)
+    spec = corpus_entry(entry_id).spec()
+    want = _outcome(weight_oracle.weight_decomposition, spec)
+    count = [0]
+    kernel = algebra.kernel
+
+    def counted(*args):
+        count[0] += 1
+        return kernel(*args)
+    monkeypatch.setattr(algebra, "kernel", counted)
+    assert _outcome(weight_decomposition, spec) == want
+    assert count[0] == calls
 
 
 # -- weights the numpy guesses never reached ---------------------------------

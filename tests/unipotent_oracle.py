@@ -3,17 +3,41 @@
 This is the code ``solvlie.functionals.exp_unipotent_coadjoint`` replaced by
 the vector series l_{k+1} = l_k (-ad x) / (k + 1). It forms the whole
 matrix e^{-ad x} from dense ``ad_matrix`` products over Fractions and then
-applies it to l. The tests compare the two on corpus points.
+applies it to l. The tests compare the two on corpus points, and read
+``ad_matrix`` itself as the dense reference for ad.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import List, Sequence
 
-from solvlie.algebra import LieAlgebraSpec, ad_matrix
+from solvlie.algebra import LieAlgebraSpec
 from solvlie.functionals import Functional, NotUnipotentError
 from solvlie.linalg import is_zero
+
+
+def ad_matrix(spec: LieAlgebraSpec, w: Sequence) -> List[List[Fraction]]:
+    """Matrix of ad(w) on the ordered real basis; columns are images.
+
+    ``w`` is a real rational coordinate vector (or a label / label dict).
+    """
+    if isinstance(w, str):
+        w = spec.basis_vector(w)
+    elif isinstance(w, dict):
+        w = spec.vector_from_labels(w)
+    cols = []
+    for m in range(spec.dim):
+        img = spec.bracket(w, spec.basis_vector(m))
+        cols.append(img)
+    mat = [[Fraction(0)] * spec.dim for _ in range(spec.dim)]
+    for c, img in enumerate(cols):
+        for r, val in enumerate(img):
+            if not val.is_zero():
+                if not val.is_real():
+                    raise ValueError("ad matrix of a real element must be real")
+                mat[r][c] = val.re
+    return mat
 
 
 def nilpotent_exp_neg(spec: LieAlgebraSpec, x_vec) -> List[List[Fraction]]:
