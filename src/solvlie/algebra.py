@@ -286,19 +286,33 @@ def _triangular_diagonal(mat) -> Optional[List[GaussianRational]]:
 
 def _krylov_polynomial(mat, v) -> List[GaussianRational]:
     """The monic minimal polynomial of the row vector v under x -> x mat,
-    coefficients from the constant term up. Taken as columns, v, v mat,
-    v mat^2, ... have their first dependency at the first column m of the
-    RREF without a pivot, whose entries write v mat^m over the earlier ones.
+    coefficients from the constant term up. The Krylov vectors v, v mat,
+    v mat^2, ... are reduced in turn against the echelon rows of the
+    earlier ones, each row carrying its combination of Krylov vectors, and
+    the first that reduces to zero stops the sequence: its combination,
+    with coefficient 1 on itself, is the polynomial.
     """
     size = len(mat)
-    seq = [v]
-    for _ in range(size):
-        u = seq[-1]
-        seq.append([sum((u[i] * mat[i][j] for i in range(size) if u[i]), ZERO)
-                    for j in range(size)])
-    red, pivots = rref([list(row) for row in zip(*seq)])
-    m = len(pivots)
-    return [-red[i][m] for i in range(m)] + [ONE]
+    echelon = []        # (pivot column, row, combination); row[pivot] = 1
+    u = v
+    while True:
+        row = list(u)
+        comb = [ZERO] * len(echelon) + [ONE]
+        for c, e_row, e_comb in echelon:
+            x = row[c]
+            if x:
+                row = [a - x * b if b else a for a, b in zip(row, e_row)]
+                for i, b in enumerate(e_comb):
+                    if b:
+                        comb[i] = comb[i] - x * b
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
+            return comb
+        inv = row[c]
+        echelon.append((c, [x / inv if x else x for x in row],
+                        [x / inv if x else x for x in comb]))
+        u = [sum((u[i] * mat[i][j] for i in range(size) if u[i]), ZERO)
+             for j in range(size)]
 
 
 def _horner(poly, x):

@@ -18,6 +18,7 @@ exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -184,7 +185,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(prog="solvlie", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

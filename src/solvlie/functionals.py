@@ -162,14 +162,24 @@ def _neg_ad_columns(spec: LieAlgebraSpec, x_vec) -> List[List[tuple]]:
     return cols
 
 
+def _flow_algebra(spec_or_basis, l: Functional):
+    """(basis, spec) of l, once spec_or_basis is checked to be one of them:
+    a flow acts on the algebra l lives on."""
+    basis = l.basis
+    if spec_or_basis is not basis and spec_or_basis is not basis.spec:
+        raise ValueError("a flow takes the basis of l or its spec, "
+                         "l.basis or l.basis.spec")
+    return basis, basis.spec
+
+
 def exp_unipotent_coadjoint(spec_or_basis, x_vec, l: Functional) -> Functional:
     """Coadjoint action of exp(x), x in n: exact on exact functionals.
 
     Sums the series l_0 = l, l_{k+1} = l_k (-ad x) / (k + 1) over the
     values of l on the real basis, where (l (-ad x))_j = -l([x, e_j]).
+    spec_or_basis must be l.basis or l.basis.spec (else ValueError).
     """
-    basis = l.basis
-    spec = basis.spec
+    basis, spec = _flow_algebra(spec_or_basis, l)
     if isinstance(x_vec, dict):
         x_vec = spec.vector_from_labels(x_vec)
     nd = spec.n_dim
@@ -210,10 +220,10 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
     e^{-gamma_i(a)}, and maps them back to real coordinates by x = inverse y
     in double precision. The eigen rows and the inverse of their n block
     are computed exactly once per spec (``LieAlgebraSpec.eigenbasis``), so
-    a call does no elimination.
+    a call does no elimination. spec_or_basis must be l.basis or
+    l.basis.spec (else ValueError).
     """
-    basis = l.basis
-    spec = basis.spec
+    basis, spec = _flow_algebra(spec_or_basis, l)
     if isinstance(a_vec, dict):
         a_vec = spec.vector_from_labels(a_vec)
     for m in range(spec.n_dim):

@@ -140,12 +140,6 @@ class JumpData:
                 for y in self.polarizing_rows()]
         return Subspace(rows, self.basis.dim)
 
-    @property
-    def layer_table(self):
-        """(conj-stable positions, primes, case sets) of these jump pairs,
-        read-only and shared with every point of the same jump pairs."""
-        return _case_table(self)[:3]
-
 
 def _to_real(basis: AdaptableBasis, coords) -> list:
     """sum_p x_p Z_{p+1} over the real basis of g, for the exact (p, x_p)
@@ -316,9 +310,12 @@ class LayerDescriptor:
 
 
 def _case_table(jd: JumpData):
-    """(conj-stable positions, primes, case sets, case membership sets) of
-    the jump pairs of jd, built once per key and kept on the basis. Every
-    point of the layer shares it, so its mappings are read-only views."""
+    """(conj-stable positions, primes, case sets, case membership sets,
+    plain) of the jump pairs of jd, built once per key and kept on the
+    basis. Every point of the layer shares it, so its mappings are
+    read-only views. The layer is plain when every pair k is in case 0 and
+    sigma(j_k) = j_k: then Z_{i_k} (by condition 3) and Z_{j_k} are real,
+    and ``layer_descriptor`` reads an n* key without section vectors."""
     basis = jd.basis
     key = (jd.ambient, jd.i_seq, jd.j_seq)
     table = basis.layer_tables.get(key)
@@ -350,9 +347,12 @@ def _case_table(jd: JumpData):
             cases[4].append(k)
         if ik - 1 in i_set and ik - 1 not in stable_set:
             cases[5].append(k)
+    plain = (len(cases[0]) == jd.d
+             and all(basis.sigma[jk] == jk for jk in jd.j_seq))
     table = (tuple(stable), MappingProxyType(primes),
              MappingProxyType({c: tuple(v) for c, v in cases.items()}),
-             MappingProxyType({c: frozenset(v) for c, v in cases.items()}))
+             MappingProxyType({c: frozenset(v) for c, v in cases.items()}),
+             plain)
     basis.layer_tables[key] = table
     return table
 
@@ -555,13 +555,38 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
 
 def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
                      ambient: str = "g") -> LayerDescriptor:
-    """Full layer data at l: jumps, conj-stable positions, case sets, phi."""
+    """Full layer data at l: jumps, conj-stable positions, case sets, phi.
+
+    In the ambient 'n' phi is always (): no U_k has an h part, so there are
+    no b values, and the section vectors only check that every pairing
+    l[V_k, U_k] is nonzero. On a plain layer (``_case_table``) that check
+    cannot fail, and the key is read off the jump data alone:
+
+    - rho is the symplectic projection onto W^perp, W = span{V_m, U_m :
+      m < k}. By induction W = span{y_{i_m}, y_{j_m} : m < k}, with the y
+      vectors of ``_skew_reduce``: V_m lies in y_{i_m} + W_m and U_m in
+      a_m y_{j_m} + W_m, a_m != 0.
+    - I = span{y_{i_m}} is Lagrangian in W, and y_{i_k}, y_{j_k} are
+      orthogonal to I. V_k = rho(Z_{i_k}) = y_{i_k} - w with w in W and
+      V_k orthogonal to W, so w is orthogonal to I and lies in I. As
+      y_{j_k} - Z_{j_k} lies in W, omega(V_k, Z_{j_k}) =
+      omega(y_{i_k} - w, y_{j_k}) = omega(y_{i_k}, y_{j_k}) = pivot_k.
+    - Z_{j_k} is real, so z_{j_k} = a Z_{j_k} with a = l[Z_{j_k}, V_k] =
+      -pivot_k, and l[V_k, U_k] = -pivot_k^2 != 0.
+    - With no h part there are no b values, so neither LayerMismatchError
+      can occur, and case 0 never reaches UnsupportedCaseError.
+
+    Non-plain layers and the ambient 'g' run ``section_vectors``. At a
+    float point the layer then rests on the pivot test of ``jump_data``.
+    """
     if basis is None:
         basis = l.basis
     jd = jump_data(l, basis, ambient)
-    sv = section_vectors(l, basis, jd, ambient)
-    stable, primes, cases = jd.layer_table
-    phi = tuple(sorted(sv.b_at.keys()))
+    stable, primes, cases, _, plain = _case_table(jd)
+    if plain and ambient == "n":
+        phi = ()
+    else:
+        phi = tuple(sorted(section_vectors(l, basis, jd, ambient).b_at))
     # copies, so that no descriptor shares the memo's mappings
     return LayerDescriptor(ambient=ambient, e_set=jd.e_set, i_seq=jd.i_seq,
                            j_seq=jd.j_seq, stable_set=stable,

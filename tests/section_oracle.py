@@ -4,7 +4,8 @@ This is the computation ``solvlie.strata.section_vectors`` replaced by one
 in adapted coordinates. It builds every vector as a coordinate vector over
 the real basis of g, takes real and imaginary parts of the adapted vectors
 entry by entry, and pairs through ``Functional.pair``. ``layer_data`` is
-the case table as it was before ``JumpData.layer_table``. The tests
+the case table as it was before the per-key table of
+``strata._case_table``. The tests
 compare the two on corpus points, seeded points and flowed float points,
 reading the library's adapted coordinates over the real basis through
 ``real_vector`` (sum_p x_p Z_{p+1}) and ``real_section_vectors``.

@@ -193,9 +193,27 @@ def _raise(exc):
 def test_pipeline_failures_map_to_exit_codes(monkeypatch, capsys, corpus_dir,
                                              target, exc, command, code):
     # a failure inside the pipeline leaves by its documented exit code, not
-    # as a traceback (whose exit 1 would read as "not admissible")
+    # as a traceback (whose exit 1 would read as "not admissible"); the n*
+    # layer of spiral-heisenberg is not plain, so both commands reach
+    # section_vectors
     from solvlie import cli
     monkeypatch.setattr(target, _raise(exc))
-    assert cli.main([command, str(corpus_dir / "heisenberg-2param.json")]) == code
+    assert cli.main([command, str(corpus_dir / "spiral-heisenberg.json")]) == code
     out = capsys.readouterr()
     assert f"{type(exc).__name__}: {exc}" in out.out + out.err
+
+
+def test_parser_is_built_once_and_still_reports_usage(capsys, corpus_dir):
+    # one parser per process: a usage error after a successful in-process
+    # run still exits 2 with the usage text
+    from solvlie import cli
+    path = str(corpus_dir / "heisenberg-2param.json")
+    assert cli.main(["validate", path]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["analyze", path, "--trials", "0"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--trials" in err
+    assert cli.main(["validate", path]) == 0

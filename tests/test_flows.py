@@ -368,3 +368,25 @@ def test_h_flow_matches_numpy_solve(entry_id):
             assert abs(moved.values[m] - x[m].real) <= 1e-12 * scale
             assert abs(x[m].imag) <= 1e-12 * scale
         assert moved.values[nd:] == tuple(float(v) for v in l.values[nd:])
+
+
+def test_flows_reject_another_algebra():
+    # a flow acts on l's own algebra: its first argument must be l.basis or
+    # l.basis.spec; a different spec, even one with the same constants, or
+    # another point's basis is refused
+    wb = wb_for("heisenberg-2param")
+    spec, basis = wb.spec, wb.canonical_basis
+    l = point(wb, Z=3)
+    x = [G(0)] * spec.dim
+    x[spec.index("X")] = G(1)
+    a = [G(0)] * spec.dim
+    a[spec.index("A")] = G(1)
+    for first in (spec, basis):
+        exp_unipotent_coadjoint(first, x, l)
+        exp_h_coadjoint(first, a, l, mode="float")
+    for other in (corpus_entry("heisenberg-2param").spec(),
+                  wb_for("free-two-step").spec, wb.basis):
+        with pytest.raises(ValueError, match="l.basis or l.basis.spec"):
+            exp_unipotent_coadjoint(other, x, l)
+        with pytest.raises(ValueError, match="l.basis or l.basis.spec"):
+            exp_h_coadjoint(other, a, l, mode="float")

@@ -24,7 +24,7 @@ from solvlie.algebra import (DiagonalizationError, LieAlgebraSpec,
                              weight_decomposition)
 from solvlie.corpus import corpus_entries, corpus_entry
 from solvlie.gaussian import GaussianRational as G
-from solvlie.linalg import invert
+from solvlie.linalg import invert, rref
 from solvlie.workbench import Workbench
 from test_pfaffian_equivalence import _dense_center_spec
 
@@ -96,6 +96,40 @@ def test_krylov_route_computes_each_eigenspace_once(monkeypatch, entry_id,
     monkeypatch.setattr(algebra, "kernel", counted)
     assert _outcome(weight_decomposition, spec) == want
     assert count[0] == calls
+
+
+def _krylov_all_columns(mat, v):
+    """The minimal polynomial from all size + 1 Krylov vectors, as columns
+    of one RREF: the first column without a pivot writes its vector over
+    the earlier ones."""
+    size = len(mat)
+    seq = [v]
+    for _ in range(size):
+        u = seq[-1]
+        seq.append([sum((u[i] * mat[i][j] for i in range(size)), G(0))
+                    for j in range(size)])
+    red, pivots = rref([list(row) for row in zip(*seq)])
+    m = len(pivots)
+    return [-red[i][m] for i in range(m)] + [G(1)]
+
+
+@pytest.mark.parametrize("entry_id", [
+    "spiral-heisenberg", "coupled-pairs", "free-two-step",
+    "heisenberg-complex-dilation", "five-dilations-repaired"])
+def test_krylov_polynomial_stops_at_first_dependency(monkeypatch, entry_id):
+    # the minimal polynomial is unique, so stopping at the first dependent
+    # Krylov vector gives the same coefficients as the full sequence
+    seen = []
+    krylov = algebra._krylov_polynomial
+
+    def checked(mat, v):
+        got = krylov(mat, v)
+        assert got == _krylov_all_columns(mat, v)
+        seen.append(len(got) - 1)
+        return got
+    monkeypatch.setattr(algebra, "_krylov_polynomial", checked)
+    weight_decomposition(corpus_entry(entry_id).spec())
+    assert seen
 
 
 # -- weights the numpy guesses never reached ---------------------------------
