@@ -1,10 +1,13 @@
 """Byte-identity gate for the report document.
 
 `solvlie analyze --format json --seed 42` on every corpus file must hash to
-the SHA-256 recorded for it in perfbench/digests.json, so a change that is
+the SHA-256 recorded for it in perfbench/digests.json, and the same command
+at `--seed 7` to the one in tests/digests_seed7.json, so a change that is
 meant to leave the reports alone (a refactor, a speed-up) shows here the
-moment it alters one byte. Regenerate the digests only when a report is
-meant to change: `python3 perfbench/make_digests.py`.
+moment it alters one byte under either sampling seed. Regenerate the
+digests only when a report is meant to change:
+`python3 perfbench/make_digests.py` for seed 42 and
+`PYTHONPATH=src python3 tests/test_golden_reports.py` for seed 7.
 """
 
 import contextlib
@@ -22,19 +25,30 @@ import solvlie
 from solvlie import cli, corpus
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+SEED7_DIGESTS = Path(__file__).resolve().parent / "digests_seed7.json"
 CORPUS_DIR = Path(corpus.__file__).resolve().parent / "corpus"
 ENTRY_IDS = sorted(p.stem for p in CORPUS_DIR.glob("*.json"))
+
+
+def _report_digest(entry_id, seed):
+    argv = ["analyze", str(CORPUS_DIR / f"{entry_id}.json"),
+            "--format", "json", "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        cli.main(argv)
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)
 def test_analyze_report_matches_digest(entry_id):
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))[entry_id]
-    argv = ["analyze", str(CORPUS_DIR / f"{entry_id}.json"),
-            "--format", "json", "--seed", "42"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        cli.main(argv)
-    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == want
+    assert _report_digest(entry_id, 42) == want
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
+def test_analyze_report_matches_seed_7_digest(entry_id):
+    want = json.loads(SEED7_DIGESTS.read_text(encoding="utf-8"))[entry_id]
+    assert _report_digest(entry_id, 7) == want
 
 
 _WITHOUT_NUMPY = """
@@ -76,3 +90,9 @@ def test_import_leaves_numpy_unloaded():
              "PYTHONPATH": str(Path(solvlie.__file__).resolve().parents[1])})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+if __name__ == "__main__":
+    table = {e: _report_digest(e, 7) for e in ENTRY_IDS}
+    SEED7_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
+                             encoding="utf-8")
