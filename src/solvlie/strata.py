@@ -27,6 +27,12 @@ primes, case sets) is built once per (ambient, i_seq, j_seq) and kept,
 read-only, on the basis (``AdaptableBasis.layer_tables``); the points of
 one layer share it, and each ``LayerDescriptor`` gets its own copies.
 
+A layer key is (e, j, phi). On a plain layer (every pair in case 0 with
+Z_{j_k} real) ``layer_descriptor`` reads it off the jump reduction alone,
+in either ambient: the pairings never vanish there, and phi follows from
+the reduction's h coordinates. Only the other layers build section vectors
+per sampled point.
+
 All decisions are exact over Q(i). The kernels also run at a float point
 (one moved by a dilation flow, which the membership oracles may be asked
 about): the mode is the point's, and every zero test here uses ``l.tol``,
@@ -311,11 +317,13 @@ class LayerDescriptor:
 
 def _case_table(jd: JumpData):
     """(conj-stable positions, primes, case sets, case membership sets,
-    plain) of the jump pairs of jd, built once per key and kept on the
-    basis. Every point of the layer shares it, so its mappings are
+    plain, h pairs) of the jump pairs of jd, built once per key and kept on
+    the basis. Every point of the layer shares it, so its mappings are
     read-only views. The layer is plain when every pair k is in case 0 and
     sigma(j_k) = j_k: then Z_{i_k} (by condition 3) and Z_{j_k} are real,
-    and ``layer_descriptor`` reads an n* key without section vectors."""
+    and ``layer_descriptor`` reads the key without section vectors. The h
+    pairs are the (i_k, j_k) with i_k <= n < j_k, the only pairs whose b
+    value can be nonzero there."""
     basis = jd.basis
     key = (jd.ambient, jd.i_seq, jd.j_seq)
     table = basis.layer_tables.get(key)
@@ -349,10 +357,13 @@ def _case_table(jd: JumpData):
             cases[5].append(k)
     plain = (len(cases[0]) == jd.d
              and all(basis.sigma[jk] == jk for jk in jd.j_seq))
+    nd = basis.n
+    h_pairs = tuple((ik, jk) for ik, jk in zip(jd.i_seq, jd.j_seq)
+                    if ik <= nd < jk)
     table = (tuple(stable), MappingProxyType(primes),
              MappingProxyType({c: tuple(v) for c, v in cases.items()}),
              MappingProxyType({c: frozenset(v) for c, v in cases.items()}),
-             plain)
+             plain, h_pairs)
     basis.layer_tables[key] = table
     return table
 
@@ -553,38 +564,91 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
                           pairings=pairings)
 
 
+def _plain_phi(jd: JumpData, h_pairs: Tuple[Tuple[int, int], ...],
+               tol: Optional[float]) -> Tuple[int, ...]:
+    """phi on a plain layer, from the h coordinates of the y vectors of the
+    reduction (see ``layer_descriptor``): the i_k of the h pairs
+    (i_k, j_k), i_k <= n < j_k, with
+    sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p) != 0. () without h pairs, as
+    in the ambient 'n', where no j_k exceeds n."""
+    if not h_pairs:
+        return ()
+    basis = jd.basis
+    nd = basis.n
+    # yh[g]: the h coordinates {p: x} of y_g, g > n, replayed through the
+    # h-steps (j_p > n), the only steps that move them
+    yh = {g: {g: 1} for g in range(nd + 1, basis.ambient(jd.ambient) + 1)}
+    for jp, steps in zip(jd.j_seq, jd.reductions):
+        if jp <= nd:
+            continue
+        y_j = yh[jp]
+        for g, c in steps:
+            y_g = yh[g]
+            for p, x in y_j.items():
+                y_g[p] = y_g[p] - c * x if p in y_g else -(c * x)
+    vanishes = zero_test(tol)
+    phi = []
+    for ik, jk in h_pairs:
+        # gamma_{i_k}(Z_p) is minus this diagonal coefficient; the sign does
+        # not change whether the sum vanishes
+        total = 0
+        for p, x in yh[jk].items():
+            c = basis.h_structure.get((ik - 1, p - 1), {}).get(ik - 1)
+            if c is not None:
+                total = total + x * c
+        if not vanishes(total):
+            phi.append(ik)
+    return tuple(phi)
+
+
 def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
                      ambient: str = "g") -> LayerDescriptor:
     """Full layer data at l: jumps, conj-stable positions, case sets, phi.
 
-    In the ambient 'n' phi is always (): no U_k has an h part, so there are
-    no b values, and the section vectors only check that every pairing
-    l[V_k, U_k] is nonzero. On a plain layer (``_case_table``) that check
-    cannot fail, and the key is read off the jump data alone:
+    On a plain layer (``_case_table``) the key is read off the jump data
+    alone, in either ambient, and ``section_vectors`` is not run: each
+    pairing l[V_k, U_k] is -pivot_k^2, with the pivots of ``_skew_reduce``,
+    and phi (the i_k with a nonzero b value) follows from the reduction's
+    h coordinates. The argument:
 
     - rho is the symplectic projection onto W^perp, W = span{V_m, U_m :
       m < k}. By induction W = span{y_{i_m}, y_{j_m} : m < k}, with the y
       vectors of ``_skew_reduce``: V_m lies in y_{i_m} + W_m and U_m in
       a_m y_{j_m} + W_m, a_m != 0.
-    - I = span{y_{i_m}} is Lagrangian in W, and y_{i_k}, y_{j_k} are
-      orthogonal to I. V_k = rho(Z_{i_k}) = y_{i_k} - w with w in W and
-      V_k orthogonal to W, so w is orthogonal to I and lies in I. As
-      y_{j_k} - Z_{j_k} lies in W, omega(V_k, Z_{j_k}) =
+    - I_k = span{y_{i_m} : m < k} is Lagrangian in W, and y_{i_k}, y_{j_k}
+      are orthogonal to I_k. V_k = rho(Z_{i_k}) = y_{i_k} - w with w in W
+      and V_k orthogonal to W, so w is orthogonal to I_k and lies in I_k.
+      As y_{j_k} - Z_{j_k} lies in W, omega(V_k, Z_{j_k}) =
       omega(y_{i_k} - w, y_{j_k}) = omega(y_{i_k}, y_{j_k}) = pivot_k.
     - Z_{j_k} is real, so z_{j_k} = a Z_{j_k} with a = l[Z_{j_k}, V_k] =
-      -pivot_k, and l[V_k, U_k] = -pivot_k^2 != 0.
-    - With no h part there are no b values, so neither LayerMismatchError
-      can occur, and case 0 never reaches UnsupportedCaseError.
+      -pivot_k, and l[V_k, U_k] = -pivot_k^2 != 0. Case 0 never reaches
+      UnsupportedCaseError.
+    - Call step p an h-step when j_p > n. Row i_p is zero on every active
+      column below j_p, so an h-step reduces no position g <= n, and every
+      other step subtracts some y_{j_p} with j_p <= n. By induction every
+      y_g with g <= n lies in n, and only h-steps move h coordinates.
+    - In the same way rho(Z_{j_k}) = y_{j_k} - w' with w' in I_k. When
+      i_k <= n, every i_m < i_k is too, so w' lies in n and the h part of
+      U_k is a y_{j_k}^h.
+    - The b value at i_k <= n is gamma / (M U_k)_{i_k}. The denominator is
+      l[Z_{i_k}, U_k] = a omega(V_k, Z_{j_k}) = -pivot_k^2 != 0, so neither
+      LayerMismatchError can occur. The numerator is
+      gamma = a sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p), with
+      gamma_{i_k}(Z_p) = -C_{i_k, p}^{i_k} read from ``h_structure``. So
+      i_k is in phi exactly when i_k <= n < j_k and that sum is nonzero
+      (``_plain_phi``, tested exactly at each point). If j_k <= n, y_{j_k}
+      lies in n and i_k is not in phi. In the ambient 'n' there are no h
+      coordinates and phi is ().
 
-    Non-plain layers and the ambient 'g' run ``section_vectors``. At a
-    float point the layer then rests on the pivot test of ``jump_data``.
+    Non-plain layers run ``section_vectors``. At a float point the layer
+    then rests on the pivot test of ``jump_data``.
     """
     if basis is None:
         basis = l.basis
     jd = jump_data(l, basis, ambient)
-    stable, primes, cases, _, plain = _case_table(jd)
-    if plain and ambient == "n":
-        phi = ()
+    stable, primes, cases, _, plain, h_pairs = _case_table(jd)
+    if plain:
+        phi = _plain_phi(jd, h_pairs, l.tol)
     else:
         phi = tuple(sorted(section_vectors(l, basis, jd, ambient).b_at))
     # copies, so that no descriptor shares the memo's mappings

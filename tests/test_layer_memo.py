@@ -94,8 +94,9 @@ def test_case_table_is_read_only_and_per_basis():
     desc = generic_layer(basis, "n", seed=3, trials=64)
     key = ("n", desc.i_seq, desc.j_seq)
     assert key in basis.layer_tables
-    _, primes, cases, members, plain = basis.layer_tables[key]
+    _, primes, cases, members, plain, h_pairs = basis.layer_tables[key]
     assert isinstance(plain, bool)
+    assert h_pairs == ()
     for table in (primes, cases, members):
         with pytest.raises(TypeError):
             table[0] = ()

@@ -1,13 +1,16 @@
-"""Plain n* layers: the layer key read off the jump reduction alone.
+"""Plain layers: the layer key read off the jump reduction alone.
 
 A layer is plain when every pair k is in case 0 and sigma(j_k) = j_k. There
-``strata.layer_descriptor`` with ambient 'n' skips the section vectors,
+``strata.layer_descriptor`` skips the section vectors in either ambient,
 since each pairing l[V_k, U_k] is -pivot_k^2, with the pivots of
-``_skew_reduce``, and so never vanishes. The rule is checked here at
-degenerate points, where coordinates are drawn from {-1, 0, 1} with 30 %
-zeros, so that lower layers are hit as well as the generic one: on every
-valid corpus entry and on the specs ``perfbench/specgen.py`` generates for
-seeds 1, 7 and 13.
+``_skew_reduce``, and so never vanishes. On g* the b denominator
+(M U_k)_{i_k} is -pivot_k^2 too, and for i_k <= n the h part of U_k is
+-pivot_k times the h part of the reduced vector y_{j_k}, so phi follows
+from the reduction's h coordinates. The rule and these identities are
+checked here at degenerate points, where coordinates are drawn from
+{-1, 0, 1} with 30 % zeros, so that lower layers are hit as well as the
+generic one: on every valid corpus entry and on the specs
+``perfbench/specgen.py`` generates for seeds 1, 7 and 13.
 """
 
 import random
@@ -17,10 +20,12 @@ import pytest
 from conftest import VALID_IDS, wb_for
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional
-from solvlie.strata import (_case_table, _orbit_form, _skew_reduce, jump_data,
-                            layer_descriptor, section_vectors)
+from solvlie.linalg import identity
+from solvlie.strata import (JumpData, _case_table, _orbit_form, _plain_phi,
+                            _skew_reduce, jump_data, layer_descriptor,
+                            section_vectors)
 from solvlie.workbench import Workbench
-from test_layer_memo import GENERATED, oracle_descriptor
+from test_layer_memo import GENERATED, oracle_descriptor, specgen
 
 POINTS = 12
 
@@ -41,34 +46,101 @@ def _outcome(descriptor, f, basis, ambient):
         return type(exc).__name__
 
 
+def _reduced_vectors(jd):
+    """Every y_g of the reduction, over the ambient's adapted vectors: the
+    reductions replayed on unit vectors, j_seq positions included."""
+    ys = identity(jd.basis.ambient(jd.ambient))
+    for jk, steps in zip(jd.j_seq, jd.reductions):
+        for g, c in steps:
+            ys[g - 1] = [a - c * b for a, b in zip(ys[g - 1], ys[jk - 1])]
+    return ys
+
+
+def _check_plain_g(f, basis, jd, form, pivots, sv):
+    nd = basis.n
+    ys = _reduced_vectors(jd)
+    # every y_g with g <= n lies in n
+    assert all(not x for y in ys[:nd] for x in y[nd:]), f.values
+    for ik, jk, piv, uk in zip(jd.i_seq, jd.j_seq, pivots, sv.u_adapted):
+        # the b denominator l[Z_{i_k}, U_k]
+        denom = sum((form[ik - 1][q] * x for q, x in uk.items()), 0)
+        assert denom == -piv * piv, f.values
+        if ik <= nd:
+            assert [uk.get(p, 0) for p in range(nd, basis.dim)] == \
+                [-piv * x for x in ys[jk - 1][nd:]], f.values
+
+
 def _check(wb, seed):
-    plain_seen = 0
+    """Checks one spec; returns how many plain (n*, g*) points it saw."""
+    seen = {"n": 0, "g": 0}
     for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
         for f in _degenerate_points(basis, ambient, seed):
-            assert _outcome(layer_descriptor, f, basis, ambient) == \
-                _outcome(oracle_descriptor, f, basis, ambient), (ambient, f.values)
-            if ambient != "n":
-                continue
+            got = _outcome(layer_descriptor, f, basis, ambient)
+            assert got == _outcome(oracle_descriptor, f, basis, ambient), \
+                (ambient, f.values)
             jd = jump_data(f, basis, ambient)
             if not _case_table(jd)[4]:
                 continue
-            plain_seen += 1
+            seen[ambient] += 1
             _, form, _ = _orbit_form(f, basis, basis.ambient(ambient))
-            pivots = _skew_reduce(form, None)[3]
+            pivots = _skew_reduce([list(row) for row in form], None)[3]
             sv = section_vectors(f, basis, jd, ambient)
             assert sv.pairings == [-p * p for p in pivots], f.values
-    return plain_seen
+            assert got["phi"] == sorted(sv.b_at), f.values
+            if ambient == "g":
+                _check_plain_g(f, basis, jd, form, pivots, sv)
+    return seen["n"], seen["g"]
+
+
+# entries whose generic g* layer is plain; the other valid ones are not
+PLAIN_G = {"anisotropic-heisenberg", "filiform-dilations-repaired",
+           "heisenberg-2param", "three-dilations-repaired"}
 
 
 @pytest.mark.parametrize("entry_id", VALID_IDS)
 def test_plain_rule_on_corpus_degenerate_points(entry_id):
-    _check(wb_for(entry_id), seed=VALID_IDS.index(entry_id))
+    _, plain_g = _check(wb_for(entry_id), seed=VALID_IDS.index(entry_id))
+    if entry_id in PLAIN_G:
+        assert plain_g
 
 
 def test_plain_rule_on_generated_degenerate_points():
-    seen = sum(_check(Workbench(spec_from_dict(doc)), seed=k)
-               for k, doc in enumerate(GENERATED))
-    assert seen
+    seen = [_check(Workbench(spec_from_dict(doc)), seed=k)
+            for k, doc in enumerate(GENERATED)]
+    assert sum(n for n, _ in seen)
+    assert sum(g for _, g in seen)
+
+
+def test_plain_phi_reads_the_weight_not_the_positions():
+    # the canonical h part of heisenberg-2param is (B, A) at positions 4
+    # and 5, and B acts trivially: a pair (1, 4) has i <= n < j but its b
+    # value is zero. A fresh copy of the basis keeps these hand-made keys
+    # out of the shared basis's case-table memo.
+    shared = wb_for("heisenberg-2param").canonical_basis
+    basis = shared.with_h_part(shared.hvecs)
+    for jk, want in ((4, ()), (5, (1,))):
+        jd = JumpData((1,), (jk,), "g", basis)
+        assert _case_table(jd)[5] == ((1, jk),)
+        assert _plain_phi(jd, ((1, jk),), None) == want
+
+
+def test_plain_phi_replays_the_h_steps():
+    # gen-3-6-two-step (n = 11, three dilations at positions 12-14): at this
+    # point the pairs are (1, 14), (5, 12), (6, 7), (9, 13), (10, 11), and
+    # the h-step (5, 12) reduces y_13 by a multiple of Z_12. The weight of
+    # Z_9 vanishes on Z_13, so 9 is in phi only through the replayed y_13.
+    doc = next(d for d, _ in specgen.generate(3)
+               if d["name"] == "gen-3-6-two-step")
+    basis = Workbench(spec_from_dict(doc)).canonical_basis
+    f = Functional(basis, [1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+                   exact=True)
+    jd = jump_data(f, basis, "g")
+    assert _case_table(jd)[4]
+    assert (jd.i_seq, jd.j_seq) == ((1, 5, 6, 9, 10), (14, 12, 7, 13, 11))
+    assert (8, 12) not in basis.h_structure
+    assert dict(jd.reductions[1]).get(13)
+    want = sorted(section_vectors(f, basis, jd, "g").b_at)
+    assert list(layer_descriptor(f, basis, "g").phi) == want == [1, 5, 9]
 
 
 def test_plain_flag_follows_case_zero_and_real_j():
@@ -80,3 +152,9 @@ def test_plain_flag_follows_case_zero_and_real_j():
         desc = wb.n_layer
         key = ("n", desc.i_seq, desc.j_seq)
         assert wb.basis.layer_tables[key][4] is want, entry_id
+    for entry_id in VALID_IDS:
+        wb = wb_for(entry_id)
+        desc = wb.g_layer
+        key = ("g", desc.i_seq, desc.j_seq)
+        assert wb.canonical_basis.layer_tables[key][4] is \
+            (entry_id in PLAIN_G), entry_id
