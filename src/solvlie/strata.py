@@ -25,13 +25,16 @@ Which case of the section-vector table each pair falls in depends only on
 the jump pairs, not on the point. So the case table (conj-stable positions,
 primes, case sets) is built once per (ambient, i_seq, j_seq) and kept,
 read-only, on the basis (``AdaptableBasis.layer_tables``); the points of
-one layer share it, and each ``LayerDescriptor`` gets its own copies.
+one layer share it, and only the descriptor ``generic_layer`` returns gets
+its own copies.
 
-A layer key is (e, j, phi). On a plain layer (every pair in case 0 with
-Z_{j_k} real) ``layer_descriptor`` reads it off the jump reduction alone,
-in either ambient: the pairings never vanish there, and phi follows from
-the reduction's h coordinates. Only the other layers build section vectors
-per sampled point.
+A layer key is (e, j, phi). On a keyed layer, one whose dual pairs stay
+real at a real point (every pair in case 0, in case 1 with Z_{j_k} real,
+or in case 3; see ``_case_table``), ``layer_descriptor`` reads the key off
+the jump reduction alone, in either ambient: each pairing is -|p|^2,
+-|p|^4 or -|p|^2/4 there, with p a pivot of the reduction, so none
+vanishes, and phi follows from the reduction's h coordinates. Only the
+other layers build section vectors per sampled point.
 
 All decisions are exact over Q(i). The kernels also run at a float point
 (one moved by a dilation flow, which the membership oracles may be asked
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -317,13 +320,25 @@ class LayerDescriptor:
 
 def _case_table(jd: JumpData):
     """(conj-stable positions, primes, case sets, case membership sets,
-    plain, h pairs) of the jump pairs of jd, built once per key and kept on
+    keyed, h pairs) of the jump pairs of jd, built once per key and kept on
     the basis. Every point of the layer shares it, so its mappings are
-    read-only views. The layer is plain when every pair k is in case 0 and
-    sigma(j_k) = j_k: then Z_{i_k} (by condition 3) and Z_{j_k} are real,
-    and ``layer_descriptor`` reads the key without section vectors. The h
-    pairs are the (i_k, j_k) with i_k <= n < j_k, the only pairs whose b
-    value can be nonzero there."""
+    read-only views.
+
+    The layer is keyed when every pair k, taken in the case order of
+    ``section_vectors``, is in
+      (0) case 0, where Z_{i_k} is real; when Z_{j_k} is not, its
+          conjugate position sigma(j_k) is outside e and below i_{k+1};
+      (1) case 1, where sigma(i_k) = i_k + 1 is outside e, with Z_{j_k}
+          real;
+      (3) case 3 with j_k = i_k + 1 = sigma(i_k).
+    Then the dual pairs V_k, U_k stay real at a real point, and
+    ``layer_descriptor`` reads the key without section vectors. Cases 2, 4
+    and 5, and case 1 with Z_{j_k} complex, are left out, since no such
+    argument covers them: spiral-heisenberg and double-heisenberg share
+    the case sets {4: (1,), 5: (2,)}, yet only the spiral pairings are
+    functions of the pivots. The h pairs are the (i_k, j_k) with
+    i_k <= n < j_k, the only pairs whose b value can be nonzero on a keyed
+    layer."""
     basis = jd.basis
     key = (jd.ambient, jd.i_seq, jd.j_seq)
     table = basis.layer_tables.get(key)
@@ -355,15 +370,26 @@ def _case_table(jd: JumpData):
             cases[4].append(k)
         if ik - 1 in i_set and ik - 1 not in stable_set:
             cases[5].append(k)
-    plain = (len(cases[0]) == jd.d
-             and all(basis.sigma[jk] == jk for jk in jd.j_seq))
+    sigma = basis.sigma
+    bounds = jd.i_seq[1:] + (top + 1,)     # i_{k+1}, past the end for k = d
+
+    def stays_real(k, ik, jk, nxt):
+        sj = sigma[jk]
+        if k in cases[0]:
+            return sj == jk or (sj not in e_set and sj < nxt)
+        if k in cases[1]:
+            return sj == jk
+        return k not in cases[2] and k in cases[3] and jk == ik + 1
+
+    keyed = all(stays_real(k, *pair) for k, pair in
+                enumerate(zip(jd.i_seq, jd.j_seq, bounds), start=1))
     nd = basis.n
     h_pairs = tuple((ik, jk) for ik, jk in zip(jd.i_seq, jd.j_seq)
                     if ik <= nd < jk)
     table = (tuple(stable), MappingProxyType(primes),
              MappingProxyType({c: tuple(v) for c, v in cases.items()}),
              MappingProxyType({c: frozenset(v) for c, v in cases.items()}),
-             plain, h_pairs)
+             keyed, h_pairs)
     basis.layer_tables[key] = table
     return table
 
@@ -564,9 +590,9 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
                           pairings=pairings)
 
 
-def _plain_phi(jd: JumpData, h_pairs: Tuple[Tuple[int, int], ...],
-               tol: Optional[float]) -> Tuple[int, ...]:
-    """phi on a plain layer, from the h coordinates of the y vectors of the
+def _reduction_phi(jd: JumpData, h_pairs: Tuple[Tuple[int, int], ...],
+                   tol: Optional[float]) -> Tuple[int, ...]:
+    """phi on a keyed layer, from the h coordinates of the y vectors of the
     reduction (see ``layer_descriptor``): the i_k of the h pairs
     (i_k, j_k), i_k <= n < j_k, with
     sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p) != 0. () without h pairs, as
@@ -605,56 +631,88 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
                      ambient: str = "g") -> LayerDescriptor:
     """Full layer data at l: jumps, conj-stable positions, case sets, phi.
 
-    On a plain layer (``_case_table``) the key is read off the jump data
-    alone, in either ambient, and ``section_vectors`` is not run: each
-    pairing l[V_k, U_k] is -pivot_k^2, with the pivots of ``_skew_reduce``,
-    and phi (the i_k with a nonzero b value) follows from the reduction's
-    h coordinates. The argument:
+    The primes and case sets are read-only views of the case table that
+    the basis keeps for the key (``_case_table``).
 
-    - rho is the symplectic projection onto W^perp, W = span{V_m, U_m :
-      m < k}. By induction W = span{y_{i_m}, y_{j_m} : m < k}, with the y
-      vectors of ``_skew_reduce``: V_m lies in y_{i_m} + W_m and U_m in
-      a_m y_{j_m} + W_m, a_m != 0.
-    - I_k = span{y_{i_m} : m < k} is Lagrangian in W, and y_{i_k}, y_{j_k}
-      are orthogonal to I_k. V_k = rho(Z_{i_k}) = y_{i_k} - w with w in W
-      and V_k orthogonal to W, so w is orthogonal to I_k and lies in I_k.
-      As y_{j_k} - Z_{j_k} lies in W, omega(V_k, Z_{j_k}) =
-      omega(y_{i_k} - w, y_{j_k}) = omega(y_{i_k}, y_{j_k}) = pivot_k.
-    - Z_{j_k} is real, so z_{j_k} = a Z_{j_k} with a = l[Z_{j_k}, V_k] =
-      -pivot_k, and l[V_k, U_k] = -pivot_k^2 != 0. Case 0 never reaches
-      UnsupportedCaseError.
-    - Call step p an h-step when j_p > n. Row i_p is zero on every active
-      column below j_p, so an h-step reduces no position g <= n, and every
-      other step subtracts some y_{j_p} with j_p <= n. By induction every
-      y_g with g <= n lies in n, and only h-steps move h coordinates.
-    - In the same way rho(Z_{j_k}) = y_{j_k} - w' with w' in I_k. When
-      i_k <= n, every i_m < i_k is too, so w' lies in n and the h part of
-      U_k is a y_{j_k}^h.
-    - The b value at i_k <= n is gamma / (M U_k)_{i_k}. The denominator is
-      l[Z_{i_k}, U_k] = a omega(V_k, Z_{j_k}) = -pivot_k^2 != 0, so neither
-      LayerMismatchError can occur. The numerator is
-      gamma = a sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p), with
-      gamma_{i_k}(Z_p) = -C_{i_k, p}^{i_k} read from ``h_structure``. So
-      i_k is in phi exactly when i_k <= n < j_k and that sum is nonzero
-      (``_plain_phi``, tested exactly at each point). If j_k <= n, y_{j_k}
-      lies in n and i_k is not in phi. In the ambient 'n' there are no h
-      coordinates and phi is ().
+    On a keyed layer (``_case_table``) the key is read off the jump data
+    alone, in either ambient, and ``section_vectors`` is not run. With
+    p = pivot_k of ``_skew_reduce``, the pairing l[V_k, U_k] is -|p|^2 for
+    a pair in class (0), -|p|^4 in class (1) and -|p|^2/4 in class (3), so
+    none vanishes, and phi (the i_k with a nonzero b value) follows from
+    the reduction's h coordinates. The argument, at a real point l (every
+    ``Functional`` is real), with omega(x, y) = l[x, y] on the complexified
+    ambient:
 
-    Non-plain layers run ``section_vectors``. At a float point the layer
-    then rests on the pivot test of ``jump_data``.
+    - Reduction. At step k the active positions A_k are those not yet
+      paired, and the reduced M is R_k[g][h] = omega(y_g, y_h) on A_k,
+      with the y vectors of ``_skew_reduce``. W'_k = span{y_{i_m}, y_{j_m}
+      : m < k} is nondegenerate (the pivots are nonzero), and I_k =
+      span{y_{i_m} : m < k} is Lagrangian in it and orthogonal to every
+      y_g, g in A_k. As y_g - Z_g lies in W'_k, the symplectic projection
+      rho' along W'_k has rho' Z_g = y_g - w with w in I_k, so
+      omega(rho' Z_g, rho' Z_h) = R_k[g][h] on A_k, and rho' Z_q = 0 for
+      q paired. A row found zero when it is scanned stays zero, so j_k is
+      the first active column with R_k[i_k][j_k] != 0, and j_k > i_k.
+    - h coordinates. Call step m an h-step when j_m > n. Row i_m is zero
+      on every active column below j_m, so an h-step reduces no position
+      g <= n, and every other step subtracts some y_{j_m} with j_m <= n.
+      By induction every y_g with g <= n lies in n, and only h-steps move
+      h coordinates.
+    - Induction. rho (of ``section_vectors``) is the symplectic projection
+      along W_k = span{V_m, U_m : m < k}; write x_g = rho Z_g. Let G be
+      the radical of omega and N = G cap n. The hypothesis is: W_k is real
+      and W_k + N = W'_k + N. It holds for k = 1. It gives W_k^perp =
+      W'_k^perp, so rho x - rho' x lies in N for every x and
+      omega(x_g, x_h) = R_k[g][h] on A_k; and, W_k being real,
+      conj x_g = x_{sigma(g)} and omega(conj x, conj y) = conj omega(x, y).
+    - Step k, with i = i_k, j = j_k, p = R_k[i][j] and P = omega(V_k, Z_j).
+      If V_k is real, then a = l[Re Z_j, V_k] and b = l[Im Z_j, V_k] are
+      real, z_j = a Re Z_j + b Im Z_j and U_k = rho z_j are real, and
+      l[V_k, U_k] = l[V_k, z_j] = -a^2 - b^2 = -|P|^2, as P = -a - ib.
+      (0) Z_i is real: V_k = x_i is real and P = R_k[i][j] = p.
+      (1) i + 1 is outside e, so active and not j: R_k[i][i+1] = 0. As
+          Z_j is real, R_k[j][i+1] = conj R_k[j][i] = -conj p, so z_i =
+          (-conj p Z_i - p Z_{i+1}) / 2 is real, V_k = rho z_i, and
+          P = -|p|^2.
+      (3) V_k = rho Im Z_i = (x_i - x_j) / 2i is real, and P = p / 2i.
+      So each pairing is the one stated, and case 0, 1 or 3 never reaches
+      UnsupportedCaseError. z_i and z_j lie in span{Z_i, Z_j, Z_s}, with
+      s the conjugate position outside the pair, if any: i + 1 in (1),
+      sigma(j) in (0). s is outside e and below i_{k+1} (by the key in
+      (0); in (1) by case 1 and i_{k+1} > i), so s is scanned before
+      step k + 1 and found zero: its row of R_{k+1} vanishes,
+      rho'_{k+1} Z_s is in G, and it is in n, since s <= n and every
+      i_m <= i_k lies in n. So V_k and U_k lie in W'_{k+1} + N.
+      W_{k+1} is real and nondegenerate, so it meets N in 0, and both
+      sides of the hypothesis at k + 1 have dimension 2k + dim N: it
+      holds.
+    - b values. The b value at i = i_k <= n is gamma / (M U_k)_i. Every
+      i_m, m < k, is in n, so I_k lies in n, and U_k has the h part of
+      rho' z_j. If j <= n, z_j lies in n (which is conj-stable), so does
+      rho' z_j, and gamma = 0. If j > n, Z_j is real, z_j = -P Z_j, and
+      the h part of U_k is -P y_j^h. So gamma = -P sum_{p > n} (y_j)_p
+      gamma_i(Z_p), with gamma_i(Z_p) = -C_{i, p}^{i} read from
+      ``h_structure``, and i is in phi exactly when i <= n < j and that
+      sum is nonzero (``_reduction_phi``, tested exactly at each point).
+      The denominator l[Z_i, U_k] = omega(x_i, U_k) is -|p|^2 in (0) and
+      |p|^2 p in (1) (case 3 has j <= n), so neither LayerMismatchError
+      can occur. In the ambient 'n' there are no h coordinates and phi
+      is ().
+
+    Other layers run ``section_vectors``. At a float point a keyed layer
+    rests on the pivot test of ``jump_data``.
     """
     if basis is None:
         basis = l.basis
     jd = jump_data(l, basis, ambient)
-    stable, primes, cases, _, plain, h_pairs = _case_table(jd)
-    if plain:
-        phi = _plain_phi(jd, h_pairs, l.tol)
+    stable, primes, cases, _, keyed, h_pairs = _case_table(jd)
+    if keyed:
+        phi = _reduction_phi(jd, h_pairs, l.tol)
     else:
         phi = tuple(sorted(section_vectors(l, basis, jd, ambient).b_at))
-    # copies, so that no descriptor shares the memo's mappings
     return LayerDescriptor(ambient=ambient, e_set=jd.e_set, i_seq=jd.i_seq,
-                           j_seq=jd.j_seq, stable_set=stable,
-                           primes=dict(primes), case_sets=dict(cases), phi=phi)
+                           j_seq=jd.j_seq, stable_set=stable, primes=primes,
+                           case_sets=cases, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +732,10 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     support = "n" if ambient == "n" else "g"
-    outcomes: Dict[tuple, Tuple[int, LayerDescriptor]] = {}
+    # samples per key, and the first descriptor of each: every descriptor
+    # field is a function of the key
+    counts: Dict[tuple, int] = {}
+    first: Dict[tuple, LayerDescriptor] = {}
     for _ in range(trials):
         f = sample_functional(basis, rng, support=support)
         if f.is_zero():
@@ -684,19 +745,22 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
         except LayerMismatchError:
             continue
         key = desc.key()
-        count, _ = outcomes.get(key, (0, desc))
-        outcomes[key] = (count + 1, desc)
-    if not outcomes:
+        counts[key] = counts.get(key, 0) + 1
+        first.setdefault(key, desc)
+    if not counts:
         raise InconsistentSamplingError("no sample produced a usable layer")
-    best_key = min(outcomes, key=lambda k: (-len(k[0]), k[0], k[1]))
-    count, desc = outcomes[best_key]
+    best_key = min(counts, key=lambda k: (-len(k[0]), k[0], k[1]))
+    count = counts[best_key]
     agreement = count / trials
     if agreement <= 0.5:
         raise InconsistentSamplingError(
             f"winning layer holds only {count}/{trials} samples; more than "
             f"half of the samples must agree with it")
-    desc.consistency = agreement
-    return desc
+    # the one descriptor returned, with copies, so that it shares no
+    # mapping with the memo
+    desc = first[best_key]
+    return replace(desc, primes=dict(desc.primes),
+                   case_sets=dict(desc.case_sets), consistency=agreement)
 
 
 # ---------------------------------------------------------------------------

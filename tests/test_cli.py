@@ -194,7 +194,7 @@ def test_pipeline_failures_map_to_exit_codes(monkeypatch, capsys, corpus_dir,
                                              target, exc, command, code):
     # a failure inside the pipeline leaves by its documented exit code, not
     # as a traceback (whose exit 1 would read as "not admissible"); the n*
-    # layer of spiral-heisenberg is not plain, so both commands reach
+    # layer of spiral-heisenberg is not keyed, so both commands reach
     # section_vectors
     from solvlie import cli
     monkeypatch.setattr(target, _raise(exc))

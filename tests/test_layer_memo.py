@@ -94,8 +94,8 @@ def test_case_table_is_read_only_and_per_basis():
     desc = generic_layer(basis, "n", seed=3, trials=64)
     key = ("n", desc.i_seq, desc.j_seq)
     assert key in basis.layer_tables
-    _, primes, cases, members, plain, h_pairs = basis.layer_tables[key]
-    assert isinstance(plain, bool)
+    _, primes, cases, members, keyed, h_pairs = basis.layer_tables[key]
+    assert isinstance(keyed, bool)
     assert h_pairs == ()
     for table in (primes, cases, members):
         with pytest.raises(TypeError):

@@ -1,9 +1,10 @@
 """Plain layers: the layer key read off the jump reduction alone.
 
-A layer is plain when every pair k is in case 0 and sigma(j_k) = j_k. There
-``strata.layer_descriptor`` skips the section vectors in either ambient,
-since each pairing l[V_k, U_k] is -pivot_k^2, with the pivots of
-``_skew_reduce``, and so never vanishes. On g* the b denominator
+A layer is plain when every pair k is in case 0 and sigma(j_k) = j_k. Plain
+layers are keyed (``strata._case_table``), so ``strata.layer_descriptor``
+skips the section vectors there in either ambient, since each pairing
+l[V_k, U_k] is -pivot_k^2, with the pivots of ``_skew_reduce``, and so
+never vanishes. ``test_keyed_layers.py`` covers the other keyed classes. On g* the b denominator
 (M U_k)_{i_k} is -pivot_k^2 too, and for i_k <= n the h part of U_k is
 -pivot_k times the h part of the reduced vector y_{j_k}, so phi follows
 from the reduction's h coordinates. The rule and these identities are
@@ -21,7 +22,7 @@ from conftest import VALID_IDS, wb_for
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional
 from solvlie.linalg import identity
-from solvlie.strata import (JumpData, _case_table, _orbit_form, _plain_phi,
+from solvlie.strata import (JumpData, _case_table, _orbit_form, _reduction_phi,
                             _skew_reduce, jump_data, layer_descriptor,
                             section_vectors)
 from solvlie.workbench import Workbench
@@ -44,6 +45,13 @@ def _outcome(descriptor, f, basis, ambient):
         return descriptor(f, basis, ambient).as_dict()
     except ValueError as exc:
         return type(exc).__name__
+
+
+def _plain(jd):
+    """Whether every pair of jd is in case 0 with Z_{j_k} real."""
+    case_0 = _case_table(jd)[3][0]
+    return all(k in case_0 and jd.basis.sigma[jk] == jk
+               for k, jk in enumerate(jd.j_seq, start=1))
 
 
 def _reduced_vectors(jd):
@@ -79,8 +87,9 @@ def _check(wb, seed):
             assert got == _outcome(oracle_descriptor, f, basis, ambient), \
                 (ambient, f.values)
             jd = jump_data(f, basis, ambient)
-            if not _case_table(jd)[4]:
+            if not _plain(jd):
                 continue
+            assert _case_table(jd)[4], f.values
             seen[ambient] += 1
             _, form, _ = _orbit_form(f, basis, basis.ambient(ambient))
             pivots = _skew_reduce([list(row) for row in form], None)[3]
@@ -121,7 +130,7 @@ def test_plain_phi_reads_the_weight_not_the_positions():
     for jk, want in ((4, ()), (5, (1,))):
         jd = JumpData((1,), (jk,), "g", basis)
         assert _case_table(jd)[5] == ((1, jk),)
-        assert _plain_phi(jd, ((1, jk),), None) == want
+        assert _reduction_phi(jd, ((1, jk),), None) == want
 
 
 def test_plain_phi_replays_the_h_steps():
@@ -135,7 +144,7 @@ def test_plain_phi_replays_the_h_steps():
     f = Functional(basis, [1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
                    exact=True)
     jd = jump_data(f, basis, "g")
-    assert _case_table(jd)[4]
+    assert _plain(jd)
     assert (jd.i_seq, jd.j_seq) == ((1, 5, 6, 9, 10), (14, 12, 7, 13, 11))
     assert (8, 12) not in basis.h_structure
     assert dict(jd.reductions[1]).get(13)
@@ -145,16 +154,17 @@ def test_plain_phi_replays_the_h_steps():
 
 def test_plain_flag_follows_case_zero_and_real_j():
     # heisenberg-2param: one pair, Z_i and Z_j real, case 0; its n* layer
-    # is plain. spiral-heisenberg rotates the pair, so Z_j is complex.
+    # is plain. spiral-heisenberg rotates the pair, so Z_j is complex. Every
+    # plain layer is keyed.
     for entry_id, want in (("heisenberg-2param", True),
                            ("spiral-heisenberg", False)):
-        wb = wb_for(entry_id)
-        desc = wb.n_layer
-        key = ("n", desc.i_seq, desc.j_seq)
-        assert wb.basis.layer_tables[key][4] is want, entry_id
+        desc = wb_for(entry_id).n_layer
+        jd = JumpData(desc.i_seq, desc.j_seq, "n", wb_for(entry_id).basis)
+        assert _plain(jd) is want, entry_id
     for entry_id in VALID_IDS:
         wb = wb_for(entry_id)
         desc = wb.g_layer
-        key = ("g", desc.i_seq, desc.j_seq)
-        assert wb.canonical_basis.layer_tables[key][4] is \
-            (entry_id in PLAIN_G), entry_id
+        jd = JumpData(desc.i_seq, desc.j_seq, "g", wb.canonical_basis)
+        assert _plain(jd) is (entry_id in PLAIN_G), entry_id
+        if entry_id in PLAIN_G:
+            assert _case_table(jd)[4], entry_id
