@@ -30,11 +30,13 @@ its own copies.
 
 A layer key is (e, j, phi). On a keyed layer, one whose dual pairs stay
 real at a real point (every pair in case 0, in case 1 with Z_{j_k} real,
-or in case 3; see ``_case_table``), ``layer_descriptor`` reads the key off
-the jump reduction alone, in either ambient: each pairing is -|p|^2,
--|p|^4 or -|p|^2/4 there, with p a pivot of the reduction, so none
-vanishes, and phi follows from the reduction's h coordinates. Only the
-other layers build section vectors per sampled point.
+in case 3, or in a case-4/5 block; see ``_case_table``),
+``layer_descriptor`` reads the key off the jump reduction alone, in either
+ambient: each pairing is -|p|^2, -|p|^4 or -|p|^2/4 there, with p a pivot
+of the reduction, and a block's two pairings multiply to
+|p_k p_{k+1}|^2 / 16, so none vanishes; phi follows from the reduction's h
+coordinates. Every valid corpus entry's generic layer is keyed in both
+ambients; only the other layers build section vectors per sampled point.
 
 All decisions are exact over Q(i). The kernels also run at a float point
 (one moved by a dilation flow, which the membership oracles may be asked
@@ -51,7 +53,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .adapted import AdaptableBasis
 from .functionals import (Functional, NeedsFloatError, adapted_values,
@@ -318,10 +321,20 @@ class LayerDescriptor:
         }
 
 
-def _case_table(jd: JumpData):
-    """(conj-stable positions, primes, case sets, case membership sets,
-    keyed, h pairs) of the jump pairs of jd, built once per key and kept on
-    the basis. Every point of the layer shares it, so its mappings are
+class CaseTable(NamedTuple):
+    """The case table of one (ambient, i_seq, j_seq); see ``_case_table``."""
+    stable: Tuple[int, ...]                  # conj-stable positions, incl 0
+    primes: Mapping[int, Tuple[int, int]]    # j -> (j', j'')
+    cases: Mapping[int, Tuple[int, ...]]     # 0..5 -> pair indices k
+    in_case: Mapping[int, frozenset]         # the same, as sets
+    keyed: bool
+    h_pairs: Tuple[Tuple[int, int], ...]     # (i_k, j_k), i_k <= n < j_k
+    blocks: Tuple[int, ...]                  # k opening a case-4/5 block
+
+
+def _case_table(jd: JumpData) -> CaseTable:
+    """The case table of the jump pairs of jd, built once per key and kept
+    on the basis. Every point of the layer shares it, so its mappings are
     read-only views.
 
     The layer is keyed when every pair k, taken in the case order of
@@ -330,15 +343,17 @@ def _case_table(jd: JumpData):
           conjugate position sigma(j_k) is outside e and below i_{k+1};
       (1) case 1, where sigma(i_k) = i_k + 1 is outside e, with Z_{j_k}
           real;
-      (3) case 3 with j_k = i_k + 1 = sigma(i_k).
+      (3) case 3 with j_k = i_k + 1 = sigma(i_k);
+      (4) a case-4/5 block: pair k in case 4 (so sigma(i_k) = i_k + 1),
+          then pair k + 1 with i_{k+1} = i_k + 1 and sigma(j_{k+1}) = j_k.
     Then the dual pairs V_k, U_k stay real at a real point, and
-    ``layer_descriptor`` reads the key without section vectors. Cases 2, 4
-    and 5, and case 1 with Z_{j_k} complex, are left out, since no such
-    argument covers them: spiral-heisenberg and double-heisenberg share
-    the case sets {4: (1,), 5: (2,)}, yet only the spiral pairings are
-    functions of the pivots. The h pairs are the (i_k, j_k) with
-    i_k <= n < j_k, the only pairs whose b value can be nonzero on a keyed
-    layer."""
+    ``layer_descriptor`` reads the key without section vectors. Case 2,
+    case 1 with Z_{j_k} complex and a case-4 pair outside a block are left
+    out, since no such argument covers them. ``blocks`` lists the k that
+    open a block on any layer, keyed or not: there ``section_vectors``
+    takes Z_{i_{k+1}} from the pending combination of pair k. The h pairs
+    are the (i_k, j_k) with i_k <= n < j_k, the only pairs whose b value
+    can be nonzero on a keyed layer."""
     basis = jd.basis
     key = (jd.ambient, jd.i_seq, jd.j_seq)
     table = basis.layer_tables.get(key)
@@ -371,25 +386,35 @@ def _case_table(jd: JumpData):
         if ik - 1 in i_set and ik - 1 not in stable_set:
             cases[5].append(k)
     sigma = basis.sigma
-    bounds = jd.i_seq[1:] + (top + 1,)     # i_{k+1}, past the end for k = d
-
-    def stays_real(k, ik, jk, nxt):
+    # i_{k+1} and j_{k+1}, past the end for k = d
+    nxt_i = jd.i_seq[1:] + (top + 1,)
+    nxt_j = jd.j_seq[1:] + (0,)
+    keyed, blocks = True, []
+    for k, (ik, jk, ni, nj) in enumerate(
+            zip(jd.i_seq, jd.j_seq, nxt_i, nxt_j), start=1):
+        if blocks and blocks[-1] == k - 1:
+            continue                        # the second pair of a block
         sj = sigma[jk]
         if k in cases[0]:
-            return sj == jk or (sj not in e_set and sj < nxt)
-        if k in cases[1]:
-            return sj == jk
-        return k not in cases[2] and k in cases[3] and jk == ik + 1
-
-    keyed = all(stays_real(k, *pair) for k, pair in
-                enumerate(zip(jd.i_seq, jd.j_seq, bounds), start=1))
+            keyed &= sj == jk or (sj not in e_set and sj < ni)
+        elif k in cases[1]:
+            keyed &= sj == jk
+        elif k in cases[2]:
+            keyed = False
+        elif k in cases[3]:
+            keyed &= jk == ik + 1
+        elif k in cases[4] and ni == ik + 1 and sigma[nj] == jk:
+            blocks.append(k)
+        else:
+            keyed = False
     nd = basis.n
     h_pairs = tuple((ik, jk) for ik, jk in zip(jd.i_seq, jd.j_seq)
                     if ik <= nd < jk)
-    table = (tuple(stable), MappingProxyType(primes),
-             MappingProxyType({c: tuple(v) for c, v in cases.items()}),
-             MappingProxyType({c: frozenset(v) for c, v in cases.items()}),
-             keyed, h_pairs)
+    table = CaseTable(
+        tuple(stable), MappingProxyType(primes),
+        MappingProxyType({c: tuple(v) for c, v in cases.items()}),
+        MappingProxyType({c: frozenset(v) for c, v in cases.items()}),
+        keyed, h_pairs, tuple(blocks))
     basis.layer_tables[key] = table
     return table
 
@@ -442,7 +467,8 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         cols = jd.columns
     else:
         _, _, cols = _orbit_form(l, basis, basis.ambient(ambient))
-    in_case = _case_table(jd)[3]
+    table = _case_table(jd)
+    in_case = table.in_case
     vanishes = zero_test(tol)
     if tol is None:
         zero, one, half, minus_half_i = ZERO, GR1, HALF, MINUS_HALF_I
@@ -556,8 +582,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         z_ad[ik] = z_ik
         z_ad[jk] = z_jk
 
-        if (k in in_case[4] and k + 1 <= jd.d and jd.i_seq[k] == ik + 1
-                and sigma[jd.j_seq[k]] == jk):
+        if k in table.blocks:
             num = pair(uk, im_i)
             den = pair(uk, re_i)
             if vanishes(den):
@@ -590,13 +615,14 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
                           pairings=pairings)
 
 
-def _reduction_phi(jd: JumpData, h_pairs: Tuple[Tuple[int, int], ...],
-                   tol: Optional[float]) -> Tuple[int, ...]:
+def _reduction_phi(jd: JumpData,
+                   h_pairs: Tuple[Tuple[int, int], ...]) -> Tuple[int, ...]:
     """phi on a keyed layer, from the h coordinates of the y vectors of the
     reduction (see ``layer_descriptor``): the i_k of the h pairs
     (i_k, j_k), i_k <= n < j_k, with
-    sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p) != 0. () without h pairs, as
-    in the ambient 'n', where no j_k exceeds n."""
+    sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p) != 0, in the mode of
+    ``jd.point``. () without h pairs, as in the ambient 'n', where no j_k
+    exceeds n."""
     if not h_pairs:
         return ()
     basis = jd.basis
@@ -612,12 +638,12 @@ def _reduction_phi(jd: JumpData, h_pairs: Tuple[Tuple[int, int], ...],
             y_g = yh[g]
             for p, x in y_j.items():
                 y_g[p] = y_g[p] - c * x if p in y_g else -(c * x)
-    vanishes = zero_test(tol)
+    vanishes = zero_test(jd.point.tol)
     phi = []
     for ik, jk in h_pairs:
         # gamma_{i_k}(Z_p) is minus this diagonal coefficient; the sign does
         # not change whether the sum vanishes
-        total = 0
+        total = jd.point.zero
         for p, x in yh[jk].items():
             c = basis.h_structure.get((ik - 1, p - 1), {}).get(ik - 1)
             if c is not None:
@@ -638,10 +664,14 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
     alone, in either ambient, and ``section_vectors`` is not run. With
     p = pivot_k of ``_skew_reduce``, the pairing l[V_k, U_k] is -|p|^2 for
     a pair in class (0), -|p|^4 in class (1) and -|p|^2/4 in class (3), so
-    none vanishes, and phi (the i_k with a nonzero b value) follows from
-    the reduction's h coordinates. The argument, at a real point l (every
-    ``Functional`` is real), with omega(x, y) = l[x, y] on the complexified
-    ambient:
+    none vanishes. On a case-4/5 block (class (4)) at pairs k, k + 1 they
+    are -|P|^2 and -|p_k p_{k+1}|^2 / (16 |P|^2), where 2 P is the sum of
+    the entries (i_k, j_k) and (i_k + 1, j_k) of the reduced form at step
+    k. |2 P| >= |p_{k+1}|, so neither vanishes either, and the point needs
+    no test beyond the pivots. phi (the i_k with a nonzero b value)
+    follows from the reduction's h coordinates. The argument, at a real
+    point l (every ``Functional`` is real), with omega(x, y) = l[x, y] on
+    the complexified ambient:
 
     - Reduction. At step k the active positions A_k are those not yet
       paired, and the reduced M is R_k[g][h] = omega(y_g, y_h) on A_k,
@@ -686,6 +716,34 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
       W_{k+1} is real and nondegenerate, so it meets N in 0, and both
       sides of the hypothesis at k + 1 have dimension 2k + dim N: it
       holds.
+    - Block (4), with i = i_k, i' = i + 1 = sigma(i) = i_{k+1}, j = j_k
+      and j' = sigma(j) = j_{k+1} != j. Z_j is complex, so j, j' <= n; all
+      four positions are active at step k. Write p = R_k[i][j],
+      q = R_k[i][j'] and p' = pivot_{k+1}. As i' < j is active,
+      R_k[i][i'] = 0; and R_k[i'][g] = omega(conj x_i, x_g) =
+      conj R_k[i][sigma(g)], so R_k[i'][j] = conj q and R_k[i'][j'] =
+      conj p. Step k leaves y_{i'} alone and sets y_{j'} <- y_{j'} -
+      (q / p) y_j, so p' = conj p - |q|^2 / p and p p' = |p|^2 - |q|^2.
+      V_k = rho Re Z_i = (x_i + x_{i'}) / 2 is real, and P =
+      omega(V_k, x_j) = (p + conj q) / 2, so l[V_k, U_k] = -|P|^2 and
+      U_k = -(conj P x_j + P x_{j'}) / 2. P does not vanish:
+      |2 P| >= ||p| - |q|| = |p'|. So the pending denominator
+      l[U_k, Re Z_i] = omega(U_k, V_k) = |P|^2 is nonzero, and
+      UnsupportedCaseError is not reached. rho_{k+1} kills Re Z_i, which
+      is V_k modulo W_k, so V_{k+1} = rho_{k+1} Im Z_i, whatever the
+      pending coefficient: real, with l[V_{k+1}, U_{k+1}] = -|P'|^2 and
+      P' = omega(V_{k+1}, x_{j'}). Write Im x_i = rho Im Z_i =
+      (x_i - x_{i'}) / 2i. From omega(Im x_i, V_k) = 0 (as R_k[i][i'] =
+      0), omega(Im x_i, U_k) = -Im(p q) / 2 and omega(V_k, x_{j'}) =
+      conj P follows P' = i (|p|^2 - |q|^2) / (4 P), so the pairings
+      multiply to |p p'|^2 / 16 and neither vanishes. V_k, U_k, V_{k+1}
+      and U_{k+1} lie in W_k + span{Z_i, Z_{i'}, Z_j, Z_{j'}}, which is in
+      W'_{k+2} + N (each y_g - Z_g is in W'_m, m the step that pairs g).
+      W_{k+2} is real and nondegenerate, so the hypothesis holds at k + 2
+      by the same dimension count, 2 (k + 1) + dim N. U_k and U_{k+1} are
+      rho_k of vectors of span{Z_i, Z_{i'}, Z_j, Z_{j'}}, inside n, plus
+      multiples of V_k and U_k, so they lie in n as rho' z_j does below,
+      and gamma = 0 at i and at i'.
     - b values. The b value at i = i_k <= n is gamma / (M U_k)_i. Every
       i_m, m < k, is in n, so I_k lies in n, and U_k has the h part of
       rho' z_j. If j <= n, z_j lies in n (which is conj-stable), so does
@@ -695,9 +753,9 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
       ``h_structure``, and i is in phi exactly when i <= n < j and that
       sum is nonzero (``_reduction_phi``, tested exactly at each point).
       The denominator l[Z_i, U_k] = omega(x_i, U_k) is -|p|^2 in (0) and
-      |p|^2 p in (1) (case 3 has j <= n), so neither LayerMismatchError
-      can occur. In the ambient 'n' there are no h coordinates and phi
-      is ().
+      |p|^2 p in (1) (classes (3) and (4) have j <= n), so neither
+      LayerMismatchError can occur. In the ambient 'n' there are no h
+      coordinates and phi is ().
 
     Other layers run ``section_vectors``. At a float point a keyed layer
     rests on the pivot test of ``jump_data``.
@@ -705,14 +763,15 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
     if basis is None:
         basis = l.basis
     jd = jump_data(l, basis, ambient)
-    stable, primes, cases, _, keyed, h_pairs = _case_table(jd)
-    if keyed:
-        phi = _reduction_phi(jd, h_pairs, l.tol)
+    table = _case_table(jd)
+    if table.keyed:
+        phi = _reduction_phi(jd, table.h_pairs)
     else:
         phi = tuple(sorted(section_vectors(l, basis, jd, ambient).b_at))
     return LayerDescriptor(ambient=ambient, e_set=jd.e_set, i_seq=jd.i_seq,
-                           j_seq=jd.j_seq, stable_set=stable, primes=primes,
-                           case_sets=cases, phi=phi)
+                           j_seq=jd.j_seq, stable_set=table.stable,
+                           primes=table.primes, case_sets=table.cases,
+                           phi=phi)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("target, exc", [
-    ("solvlie.strata.section_vectors",
+    ("solvlie.sections.section_vectors",
      UnsupportedCaseError("pair 1 falls in no supported case")),
     ("solvlie.workbench.build_adaptable_basis",
      ConstructionFailedError("CONSTRUCTION_FAILED: no adapted basis")),
@@ -193,9 +193,9 @@ def _raise(exc):
 def test_pipeline_failures_map_to_exit_codes(monkeypatch, capsys, corpus_dir,
                                              target, exc, command, code):
     # a failure inside the pipeline leaves by its documented exit code, not
-    # as a traceback (whose exit 1 would read as "not admissible"); the n*
-    # layer of spiral-heisenberg is not keyed, so both commands reach
-    # section_vectors
+    # as a traceback (whose exit 1 would read as "not admissible"); both
+    # commands build section vectors on spiral-heisenberg through the
+    # membership oracles (SectionOracle.contains)
     from solvlie import cli
     monkeypatch.setattr(target, _raise(exc))
     assert cli.main([command, str(corpus_dir / "spiral-heisenberg.json")]) == code

@@ -2,21 +2,27 @@
 
 A layer is keyed (``strata._case_table``) when every pair k, in the case
 order of ``section_vectors``, is in case 0, in case 1 with Z_{j_k} real, or
-in case 3 with j_k = i_k + 1; a case-0 pair with Z_{j_k} complex also needs
-sigma(j_k) outside e and below i_{k+1}. ``strata.layer_descriptor`` then
-reads the key without section vectors. Its docstring proves, with p the
-pivot of step k of ``_skew_reduce``, that the pairing l[V_k, U_k] is -|p|^2
-in case 0, -|p|^4 in case 1 and -|p|^2/4 in case 3, and that the b
-denominator (M U_k)_{i_k} is -|p|^2 in case 0 and p |p|^2 in case 1. These
-identities, phi and the whole descriptor (against
-``test_layer_memo.oracle_descriptor``) are checked here at degenerate
-points with coordinates in {-1, 0, 1} and 30 % zeros, on both ambients:
-on the valid corpus entries and on hand-made specs outside the corpus, two
-for each newly keyed class. Plain layers (every pair in case 0 with
-Z_{j_k} real) are covered by ``test_plain_layers.py``.
+in case 3 with j_k = i_k + 1, or opens or closes a case-4/5 block (pair k
+in case 4, then i_{k+1} = i_k + 1 and sigma(j_{k+1}) = j_k); a case-0 pair
+with Z_{j_k} complex also needs sigma(j_k) outside e and below i_{k+1}.
+``strata.layer_descriptor`` then reads the key without section vectors.
+Its docstring proves, with p the pivot of step k of ``_skew_reduce``, that
+the pairing l[V_k, U_k] is -|p|^2 in case 0, -|p|^4 in case 1 and -|p|^2/4
+in case 3, that the b denominator (M U_k)_{i_k} is -|p|^2 in case 0 and
+p |p|^2 in case 1, and that a block's pairings are -|P|^2 and
+-|p_k p_{k+1}|^2 / (16 |P|^2), where 2 P is the sum of the entries
+(i_k, j_k) and (i_k + 1, j_k) of the reduced form at step k and
+|2 P| >= |p_{k+1}|. These identities, phi and the whole descriptor
+(against ``test_layer_memo.oracle_descriptor``) are checked here at
+degenerate points with coordinates in {-1, 0, 1} and 30 % zeros, on both
+ambients: on the valid corpus entries and on hand-made specs outside the
+corpus, two for each newly keyed class, and at float points moved by the
+dilation flow. Plain layers (every pair in case 0 with Z_{j_k} real) are
+covered by ``test_plain_layers.py``.
 
-Cases 4 and 5 stay unkeyed: spiral-heisenberg and double-heisenberg share
-their case table, but only the spiral pairings follow from the pivots.
+The pivots alone do not fix a block's pairings: spiral-heisenberg and
+double-heisenberg share their case table and can share their pivots, and
+only the reduced form tells their pairings apart.
 """
 
 import random
@@ -26,7 +32,7 @@ import pytest
 from conftest import VALID_IDS, wb_for
 from section_oracle import layer_data as oracle_layer_data
 from solvlie.algebra import spec_from_dict
-from solvlie.functionals import Functional
+from solvlie.functionals import Functional, exp_h_coadjoint
 from solvlie.strata import (_case_table, _orbit_form, _skew_reduce, jump_data,
                             layer_descriptor, section_vectors)
 from solvlie.workbench import Workbench
@@ -34,18 +40,23 @@ from test_layer_memo import oracle_descriptor
 from test_plain_layers import _degenerate_points, _outcome
 
 # the valid entries whose generic layer is keyed, in n* and in g* alike
-KEYED = set(VALID_IDS) - {"double-heisenberg", "spiral-heisenberg"}
+KEYED = set(VALID_IDS)
 
 
 def _classes(jd):
     """The class of each pair from the oracle case table: '0' (case 0,
     Z_{j_k} real), '0c' (case 0, Z_{j_k} complex), '1' (case 1, Z_{j_k}
-    real), '3' (case 3, j_k = i_k + 1), or the effective case otherwise."""
+    real), '3' (case 3, j_k = i_k + 1), '4' and '5' (the two pairs of a
+    case-4/5 block), or the effective case otherwise."""
     basis = jd.basis
+    sigma = basis.sigma
     cases = oracle_layer_data(basis, jd, basis.ambient(jd.ambient))[2]
     out = []
     for k, (ik, jk) in enumerate(zip(jd.i_seq, jd.j_seq), start=1):
-        real_j = basis.sigma[jk] == jk
+        if out and out[-1] == "4":
+            out.append("5")
+            continue
+        real_j = sigma[jk] == jk
         case = next((c for c in range(5) if k in cases[c]), None)
         if case == 0:
             out.append("0" if real_j else "0c")
@@ -53,9 +64,24 @@ def _classes(jd):
             out.append("1")
         elif case == 3 and jk == ik + 1:
             out.append("3")
+        elif (case == 4 and k < jd.d and jd.i_seq[k] == ik + 1
+              and sigma[jd.j_seq[k]] == jk):
+            out.append("4")
         else:
             out.append(f"case {case}")
     return out
+
+
+def _check_block(f, k, jd, reduced, pivots, pairings):
+    """The pairings of the block opened by pair k (1-based), against 2 P
+    read off the reduced form of the reduction."""
+    ik, jk = jd.i_seq[k - 1], jd.j_seq[k - 1]
+    two_p = reduced[ik - 1][jk - 1] + reduced[ik][jk - 1]
+    p, p_next = pivots[k - 1], pivots[k]
+    assert pairings[k - 1] == -two_p.abs2() / 4, f.values
+    assert pairings[k - 1] * pairings[k] == (p * p_next).abs2() / 16, f.values
+    # the bound that keeps 2 P away from 0: |2 P| >= ||p| - |q|| = |p'|
+    assert two_p.abs2() >= p_next.abs2() > 0, f.values
 
 
 def _check(wb, seed):
@@ -69,18 +95,27 @@ def _check(wb, seed):
                 (ambient, f.values)
             jd = jump_data(f, basis, ambient)
             classes = _classes(jd)
-            if not _case_table(jd)[4]:
+            table = _case_table(jd)
+            # the blocks of the table are the ones section_vectors opens
+            assert table.blocks == tuple(
+                k for k, cls in enumerate(classes, start=1) if cls == "4")
+            if not table.keyed:
                 # an unkeyed layer has a pair outside the keyed classes, or
                 # a complex Z_{j_k} whose conjugate is not dead in time
-                assert set(classes) - {"0", "1", "3"}, f.values
+                assert set(classes) - {"0", "1", "3", "4", "5"}, f.values
                 continue
-            assert set(classes) <= {"0", "0c", "1", "3"}, f.values
+            assert set(classes) <= {"0", "0c", "1", "3", "4", "5"}, f.values
             seen[ambient].update(classes)
             _, form, _ = _orbit_form(f, basis, basis.ambient(ambient))
-            pivots = _skew_reduce([list(row) for row in form], None)[3]
+            reduced = [list(row) for row in form]
+            pivots = _skew_reduce(reduced, None)[3]
             sv = section_vectors(f, basis, jd, ambient)
+            for k in table.blocks:
+                _check_block(f, k, jd, reduced, pivots, sv.pairings)
             for cls, piv, pairing, ik, uk in zip(classes, pivots, sv.pairings,
                                                   jd.i_seq, sv.u_adapted):
+                if cls in ("4", "5"):
+                    continue
                 mod2 = piv.abs2()
                 assert pairing == {"0": -mod2, "0c": -mod2, "1": -mod2 * mod2,
                                    "3": -mod2 / 4}[cls], (cls, f.values)
@@ -156,6 +191,70 @@ def _spiral_plane(a, b, d):
                            + _real("X"))}
 
 
+def _complex_heisenberg():
+    """[X, Y] = Z on X = X1 + iX2, Y = Y1 + iY2, Z = Z1 + iZ2."""
+    return [{"x": "X1", "y": "Y1", "value": [{"c": "1", "b": "Z1"}]},
+            {"x": "X2", "y": "Y2", "value": [{"c": "-1", "b": "Z1"}]},
+            {"x": "X1", "y": "Y2", "value": [{"c": "1", "b": "Z2"}]},
+            {"x": "X2", "y": "Y1", "value": [{"c": "1", "b": "Z2"}]}]
+
+
+_COMPLEX_HINT = (_complex_pair("Z1", "Z2") + _complex_pair("Y1", "Y2")
+                 + _complex_pair("X1", "X2"))
+
+
+def _turned_heisenberg(a, b, c, d):
+    """The complex Heisenberg algebra with X turned by a + ib and Y by
+    c + id (so Z by a + c + i(b + d)); spiral-heisenberg has (1 + i)/2 on
+    both: a block on n* and on g*, after a case-1 pair on g*."""
+    return {
+        "name": f"turned-heisenberg-{a}-{b}-{c}-{d}",
+        "n_basis": ["Z1", "Z2", "Y1", "Y2", "X1", "X2"], "h_basis": ["A"],
+        "brackets": (_complex_heisenberg() + _rotation("X1", "X2", a, b)
+                     + _rotation("Y1", "Y2", c, d)
+                     + _rotation("Z1", "Z2", a + c, b + d)),
+        "adaptable_hint": _COMPLEX_HINT}
+
+
+def _block_then_dilation(a, b, d):
+    """The complex Heisenberg algebra, X turned by a + ib and Y by its
+    opposite (so Z is central in g), then U of weight d: on g* the block
+    comes before the h pair (U, A), which carries phi."""
+    return {
+        "name": f"block-then-dilation-{a}-{b}-{d}",
+        "n_basis": ["Z1", "Z2", "Y1", "Y2", "X1", "X2", "U"], "h_basis": ["A"],
+        "brackets": (_complex_heisenberg() + _rotation("X1", "X2", a, b)
+                     + _rotation("Y1", "Y2", -a, -b)
+                     + [{"x": "A", "y": "U",
+                         "value": [{"c": str(d), "b": "U"}]}]),
+        "adaptable_hint": _COMPLEX_HINT + _real("U")}
+
+
+def _block_beside_heisenberg(real_first):
+    """The complex Heisenberg algebra beside a real one (X3, Y3, Z3), with
+    the real flag positions before or after each complex pair: the block
+    next to a case-0 pair on n*."""
+    real = [{"x": "X3", "y": "Y3", "value": [{"c": "1", "b": "Z3"}]},
+            {"x": "A", "y": "Z3", "value": [{"c": "2", "b": "Z3"}]},
+            {"x": "A", "y": "X3", "value": [{"c": "1", "b": "X3"}]},
+            {"x": "A", "y": "Y3", "value": [{"c": "1", "b": "Y3"}]}]
+    hint = []
+    for level in ("Z", "Y", "X"):
+        pair = _complex_pair(f"{level}1", f"{level}2")
+        real_part = _real(f"{level}3")
+        hint += real_part + pair if real_first else pair + real_part
+    first = "real" if real_first else "complex"
+    return {
+        "name": f"block-beside-heisenberg-{first}-first",
+        "n_basis": ["Z1", "Z2", "Z3", "Y1", "Y2", "Y3", "X1", "X2", "X3"],
+        "h_basis": ["A"],
+        "brackets": (_complex_heisenberg() + real
+                     + _rotation("X1", "X2", 1, 2)
+                     + _rotation("Y1", "Y2", 1, -1)
+                     + _rotation("Z1", "Z2", 2, 1)),
+        "adaptable_hint": hint}
+
+
 # (spec, classes its keyed n* and g* layers must show)
 HAND_MADE = [
     (_coupled_pairs(2, 3, 0), {"0c"}, {"0c", "1"}),
@@ -164,6 +263,12 @@ HAND_MADE = [
     (_complex_dilation(3, -1), {"3"}, {"0", "3"}),
     (_spiral_plane(1, 1, 0), {"0"}, {"0", "1"}),
     (_spiral_plane(2, -3, 1), {"0"}, {"0", "1"}),
+    (_turned_heisenberg(1, 2, 3, -1), {"4", "5"}, {"1", "4", "5"}),
+    (_turned_heisenberg(2, 0, -1, 3), {"4", "5"}, {"1", "4", "5"}),
+    (_block_then_dilation(1, 2, 1), {"4", "5"}, {"0", "4", "5"}),
+    (_block_then_dilation(-3, 1, 2), {"4", "5"}, {"0", "4", "5"}),
+    (_block_beside_heisenberg(True), {"0", "4", "5"}, {"0", "4", "5"}),
+    (_block_beside_heisenberg(False), {"0", "4", "5"}, {"0", "1", "4", "5"}),
 ]
 
 
@@ -172,8 +277,8 @@ def test_keyed_classes_on_corpus_degenerate_points():
     for seed, entry_id in enumerate(VALID_IDS):
         for ambient, classes in _check(wb_for(entry_id), seed).items():
             seen[ambient] |= classes
-    assert seen["n"] >= {"0", "0c", "3"}
-    assert seen["g"] >= {"0", "0c", "1", "3"}
+    assert seen["n"] >= {"0", "0c", "3", "4", "5"}
+    assert seen["g"] >= {"0", "0c", "1", "3", "4", "5"}
 
 
 @pytest.mark.parametrize("doc, want_n, want_g", HAND_MADE,
@@ -186,7 +291,18 @@ def test_keyed_classes_on_hand_made_specs(doc, want_n, want_g):
     for ambient, basis, desc in (("n", wb.basis, wb.n_layer),
                                  ("g", wb.canonical_basis, wb.g_layer)):
         table = basis.layer_tables[(ambient, desc.i_seq, desc.j_seq)]
-        assert table[4], ambient
+        assert table.keyed, ambient
+
+
+def test_phi_after_a_block():
+    # the generic g* layer of block-then-dilation: the block (3, 5), (4, 6),
+    # then the h pair (7, 8) of U and A, whose b value is nonzero
+    wb = Workbench(spec_from_dict(_block_then_dilation(1, 2, 1)))
+    desc = wb.g_layer
+    assert (desc.i_seq, desc.j_seq, desc.phi) == ((3, 4, 7), (5, 6, 8), (7,))
+    table = wb.canonical_basis.layer_tables[("g", desc.i_seq, desc.j_seq)]
+    assert table.keyed and table.blocks == (1,)
+    assert table.h_pairs == ((7, 8),)
 
 
 def test_keyed_flag_of_corpus_generic_layers():
@@ -195,29 +311,45 @@ def test_keyed_flag_of_corpus_generic_layers():
         for ambient, basis, desc in (("n", wb.basis, wb.n_layer),
                                      ("g", wb.canonical_basis, wb.g_layer)):
             table = basis.layer_tables[(ambient, desc.i_seq, desc.j_seq)]
-            assert table[4] is (entry_id in KEYED), (entry_id, ambient)
+            assert table.keyed is (entry_id in KEYED), (entry_id, ambient)
 
 
-def _pairings_and_pivots(f, basis):
-    """l[V_k, U_k] and the pivots at f, on the n* layer (3, 4), (5, 6)."""
+def _counting_section_vectors(monkeypatch):
+    """Patches strata.section_vectors to record the point of each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return section_vectors(*args, **kwargs)
+    monkeypatch.setattr("solvlie.strata.section_vectors", counting)
+    return calls
+
+
+def _block_data(f, basis):
+    """l[V_k, U_k], the pivots and 2 P at f, on the n* layer (3, 4), (5, 6):
+    2 P is the sum of the entries (3, 5) and (4, 5) of the reduced form."""
     jd = jump_data(f, basis, "n")
     assert (jd.i_seq, jd.j_seq) == ((3, 4), (5, 6)), f.values
     _, form, _ = _orbit_form(f, basis, basis.n)
-    pivots = _skew_reduce([list(row) for row in form], None)[3]
-    return section_vectors(f, basis, jd, "n").pairings, pivots
+    reduced = [list(row) for row in form]
+    pivots = _skew_reduce(reduced, None)[3]
+    return (section_vectors(f, basis, jd, "n").pairings, pivots,
+            reduced[2][4] + reduced[3][4])
 
 
 def test_cases_four_and_five_are_not_keyed_on_the_case_table_alone(monkeypatch):
     # spiral-heisenberg and double-heisenberg: the same n* jump pairs and
     # the same case sets, {4: (1,), 5: (2,)}. The spiral pairings are
     # -|p|^2/4 in the pivots p; the double-heisenberg ones are not functions
-    # of the pivots, so a rule on the case table alone cannot key them.
+    # of the pivots, so the case table and the pivots alone cannot key
+    # them. The reduced form can: the first pairing is -|P|^2.
     spiral = wb_for("spiral-heisenberg").basis
     double = wb_for("double-heisenberg").basis
     for entry_id, basis in (("spiral-heisenberg", spiral),
                             ("double-heisenberg", double)):
         desc = wb_for(entry_id).n_layer
-        assert not basis.layer_tables[("n", desc.i_seq, desc.j_seq)][4]
+        table = basis.layer_tables[("n", desc.i_seq, desc.j_seq)]
+        assert table.keyed and table.blocks == (1,)
         assert (desc.i_seq, desc.j_seq) == ((3, 4), (5, 6))
         assert {c: v for c, v in desc.case_sets.items() if v} == \
             {4: (1,), 5: (2,)}
@@ -225,27 +357,98 @@ def test_cases_four_and_five_are_not_keyed_on_the_case_table_alone(monkeypatch):
     for _ in range(8):
         vals = [rng.choice((-2, -1, 1, 2)) for _ in range(spiral.n)]
         f = Functional(spiral, vals + [0] * (spiral.dim - spiral.n), exact=True)
-        pairings, pivots = _pairings_and_pivots(f, spiral)
+        pairings, pivots, two_p = _block_data(f, spiral)
         assert pairings == [-p.abs2() / 4 for p in pivots], vals
+        assert pairings[0] == -two_p.abs2() / 4, vals
     # double-heisenberg at l(Z1, Z2) = (3, 2) and (-2, -3): the pivots agree,
-    # and the pairings, -l(Z1)^2 and -l(Z2)^2, do not
-    (pairings_a, pivots_a), (pairings_b, pivots_b) = (
-        _pairings_and_pivots(Functional(double, [z1, z2, 1, 0, 1, 0],
-                                        exact=True), double)
+    # and the pairings, -l(Z1)^2 and -l(Z2)^2, do not; 2 P = -2 l(Z1)
+    (pairings_a, pivots_a, two_p_a), (pairings_b, pivots_b, two_p_b) = (
+        _block_data(Functional(double, [z1, z2, 1, 0, 1, 0], exact=True),
+                    double)
         for z1, z2 in ((3, 2), (-2, -3)))
     assert pivots_a == pivots_b
     assert pairings_a == [-9, -4] and pairings_b == [-4, -9]
+    assert (two_p_a, two_p_b) == (-6, 4)
 
-    # both layers still reach section_vectors from layer_descriptor
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return section_vectors(*args, **kwargs)
-    monkeypatch.setattr("solvlie.strata.section_vectors", counting)
+    # neither layer reaches section_vectors from layer_descriptor
+    calls = _counting_section_vectors(monkeypatch)
     for basis in (spiral, double):
         f = Functional(basis, [3, 2, 1, 0, 1, 0] + [0] * (basis.dim - 6),
                        exact=True)
-        layer_descriptor(f, basis, "n")
-        assert calls and calls[-1] is f
-    assert len(calls) == 2
+        desc = layer_descriptor(f, basis, "n")
+        assert (desc.i_seq, desc.j_seq) == ((3, 4), (5, 6))
+    assert calls == []
+
+
+def test_no_block_where_two_p_vanishes():
+    # double-heisenberg at l(Z1) = 0: 2 P = -2 l(Z1) = 0 forces the second
+    # pivot to 0, so the pair (4, 6) never forms, and both paths agree
+    basis = wb_for("double-heisenberg").basis
+    f = Functional(basis, [0, 2, 1, 0, 1, 0], exact=True)
+    jd = jump_data(f, basis, "n")
+    assert (jd.i_seq, jd.j_seq) == ((3,), (5,))
+    assert not _case_table(jd).blocks
+    assert _outcome(layer_descriptor, f, basis, "n") == \
+        _outcome(oracle_descriptor, f, basis, "n")
+
+
+def test_case_four_outside_a_block_stays_unkeyed(monkeypatch):
+    # double-heisenberg with a real V, [V, Y2] = Z1: at l(Z1) = 1, l(Z2) = 0
+    # the second pivot of the block vanishes, and Y1 - iY2 (position 4)
+    # pairs with V instead: pair 1 is in case 4 with sigma(j_2) = 7 != j_1 = 5. The
+    # layer is unkeyed, and section_vectors has no case for pair 2.
+    doc = {
+        "name": "double-heisenberg-with-v",
+        "n_basis": ["Z1", "Z2", "Y1", "Y2", "X1", "X2", "V"], "h_basis": [],
+        "brackets": [{"x": "X1", "y": "Y1", "value": [{"c": "1", "b": "Z1"}]},
+                     {"x": "X2", "y": "Y2", "value": [{"c": "1", "b": "Z2"}]},
+                     {"x": "V", "y": "Y2", "value": [{"c": "1", "b": "Z1"}]}],
+        "adaptable_hint": _COMPLEX_HINT + _real("V")}
+    basis = Workbench(spec_from_dict(doc)).basis
+    f = Functional(basis, [1, 0, 0, 0, 0, 0, 0], exact=True)
+    jd = jump_data(f, basis, "n")
+    assert (jd.i_seq, jd.j_seq) == ((3, 4), (5, 7))
+    assert _classes(jd) == ["case 4", "case None"]
+    table = _case_table(jd)
+    assert not table.keyed and not table.blocks
+    want = _outcome(oracle_descriptor, f, basis, "n")
+    assert want == "UnsupportedCaseError"
+    calls = _counting_section_vectors(monkeypatch)
+    assert _outcome(layer_descriptor, f, basis, "n") == want
+    assert calls == [f]
+    # its degenerate points agree with the oracle on both ambients (h is
+    # 0 here). generic_layer lets the UnsupportedCaseError of a sample on
+    # this layer through, so the spec has no n* layer and no canonical
+    # basis to check
+    for ambient in ("n", "g"):
+        for f in _degenerate_points(basis, ambient, seed=4):
+            assert _outcome(layer_descriptor, f, basis, ambient) == \
+                _outcome(oracle_descriptor, f, basis, ambient), f.values
+
+
+def test_blocks_at_float_points_follow_section_vectors():
+    # spiral-heisenberg points moved by the dilation flow are float points;
+    # on their keyed block layers layer_descriptor accepts or rejects as
+    # section_vectors does, and gives the oracle's descriptor
+    wb = wb_for("spiral-heisenberg")
+    spec = wb.spec
+    seen = 0
+    for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
+        for k, f in enumerate(_degenerate_points(basis, ambient, seed=11)):
+            a = [0] * spec.n_dim + [(k % 5 - 2) / 3]
+            moved = exp_h_coadjoint(basis, a, f, mode="float")
+            assert not moved.exact
+            jd = jump_data(moved, basis, ambient)
+            table = _case_table(jd)
+            if not (table.keyed and table.blocks):
+                continue
+            seen += 1
+            got = _outcome(layer_descriptor, moved, basis, ambient)
+            try:
+                phi = sorted(section_vectors(moved, basis, jd, ambient).b_at)
+            except ValueError as exc:
+                assert got == type(exc).__name__, moved.values
+            else:
+                assert got["phi"] == phi, moved.values
+            assert got == _outcome(oracle_descriptor, moved, basis, ambient)
+    assert seen >= 8

@@ -94,12 +94,17 @@ def test_case_table_is_read_only_and_per_basis():
     desc = generic_layer(basis, "n", seed=3, trials=64)
     key = ("n", desc.i_seq, desc.j_seq)
     assert key in basis.layer_tables
-    _, primes, cases, members, keyed, h_pairs = basis.layer_tables[key]
-    assert isinstance(keyed, bool)
-    assert h_pairs == ()
-    for table in (primes, cases, members):
+    table = basis.layer_tables[key]
+    assert table._fields == ("stable", "primes", "cases", "in_case", "keyed",
+                             "h_pairs", "blocks")
+    assert table.h_pairs == ()
+    # the layer (3, 4), (5, 6) is one case-4/5 block, opened by pair 1
+    assert table.keyed and table.blocks == (1,)
+    for mapping in (table.primes, table.cases, table.in_case):
         with pytest.raises(TypeError):
-            table[0] = ()
+            mapping[0] = ()
+    with pytest.raises(AttributeError):
+        table.keyed = False
     other = basis.with_h_part(basis.hvecs)
     assert other.layer_tables == {}
     assert basis.layer_tables

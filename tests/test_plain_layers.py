@@ -20,7 +20,7 @@ import pytest
 
 from conftest import VALID_IDS, wb_for
 from solvlie.algebra import spec_from_dict
-from solvlie.functionals import Functional
+from solvlie.functionals import Functional, exp_h_coadjoint
 from solvlie.linalg import identity
 from solvlie.strata import (JumpData, _case_table, _orbit_form, _reduction_phi,
                             _skew_reduce, jump_data, layer_descriptor,
@@ -49,7 +49,7 @@ def _outcome(descriptor, f, basis, ambient):
 
 def _plain(jd):
     """Whether every pair of jd is in case 0 with Z_{j_k} real."""
-    case_0 = _case_table(jd)[3][0]
+    case_0 = _case_table(jd).in_case[0]
     return all(k in case_0 and jd.basis.sigma[jk] == jk
                for k, jk in enumerate(jd.j_seq, start=1))
 
@@ -89,7 +89,7 @@ def _check(wb, seed):
             jd = jump_data(f, basis, ambient)
             if not _plain(jd):
                 continue
-            assert _case_table(jd)[4], f.values
+            assert _case_table(jd).keyed, f.values
             seen[ambient] += 1
             _, form, _ = _orbit_form(f, basis, basis.ambient(ambient))
             pivots = _skew_reduce([list(row) for row in form], None)[3]
@@ -127,10 +127,27 @@ def test_plain_phi_reads_the_weight_not_the_positions():
     # out of the shared basis's case-table memo.
     shared = wb_for("heisenberg-2param").canonical_basis
     basis = shared.with_h_part(shared.hvecs)
+    origin = Functional(basis, [0] * basis.dim, exact=True)
     for jk, want in ((4, ()), (5, (1,))):
-        jd = JumpData((1,), (jk,), "g", basis)
-        assert _case_table(jd)[5] == ((1, jk),)
-        assert _reduction_phi(jd, ((1, jk),), None) == want
+        jd = JumpData((1,), (jk,), "g", basis, point=origin)
+        assert _case_table(jd).h_pairs == ((1, jk),)
+        assert _reduction_phi(jd, ((1, jk),)) == want
+
+
+def test_plain_phi_at_float_points():
+    # points moved by the dilation flow are float points; phi on their
+    # plain g* layer, which has the h pair (1, 5), is read with the float
+    # zero test and agrees with the oracle
+    wb = wb_for("heisenberg-2param")
+    basis = wb.canonical_basis
+    plain = 0
+    for k, f in enumerate(_degenerate_points(basis, "g", seed=5)):
+        a = [0] * wb.spec.n_dim + [(k % 3 - 1) / 2, (k % 4 - 1) / 3]
+        moved = exp_h_coadjoint(basis, a, f, mode="float")
+        got = _outcome(layer_descriptor, moved, basis, "g")
+        assert got == _outcome(oracle_descriptor, moved, basis, "g"), k
+        plain += isinstance(got, dict) and got["phi"] == [1]
+    assert plain
 
 
 def test_plain_phi_replays_the_h_steps():
@@ -167,4 +184,4 @@ def test_plain_flag_follows_case_zero_and_real_j():
         jd = JumpData(desc.i_seq, desc.j_seq, "g", wb.canonical_basis)
         assert _plain(jd) is (entry_id in PLAIN_G), entry_id
         if entry_id in PLAIN_G:
-            assert _case_table(jd)[4], entry_id
+            assert _case_table(jd).keyed, entry_id
