@@ -32,7 +32,7 @@ from .functionals import Functional
 from .gaussian import GaussianRational, ZERO
 from .linalg import Subspace, kernel, rank, rref
 from .sections import StabilizerData, UnsupportedLayerError
-from .strata import LayerDescriptor, jump_data
+from .strata import LayerDescriptor, jump_data, pfaffian
 
 INFINITE = math.inf
 
@@ -336,142 +336,78 @@ def verdict_from_parts(unimodular: bool, dim_z_cap_h: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# disintegration ratio check (Monte Carlo)
+# disintegration constant
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RatioReport:
-    lhs: Tuple[float, float]
-    rhs: Tuple[float, float]
-    ratios: Tuple[float, float]
-    ratio_of_ratios: float
-    samples: int
-    seed: int
-
-    def as_dict(self):
-        return {
-            "lhs": list(self.lhs), "rhs": list(self.rhs),
-            "ratios": list(self.ratios),
-            "ratio_of_ratios": self.ratio_of_ratios,
-            "samples": self.samples, "seed": self.seed,
-        }
+class DisintegrationError(ValueError):
+    """A hypothesis of the exact disintegration constant fails."""
 
 
-class MCVarianceError(RuntimeError):
-    pass
+def disintegration_check(basis: AdaptableBasis, n_layer: LayerDescriptor,
+                         stab: StabilizerData) -> Fraction:
+    """The exact constant c of the orbit-wise disintegration of the
+    Plancherel density against the dilation orbits:
 
+      int F(x) |Pf(x)| dx = c sum_s |Pf(s)| int F(x(t, s)) e^{-t.tr ad} dt
 
-def disintegration_check(spec: LieAlgebraSpec, basis: AdaptableBasis,
-                         n_layer: LayerDescriptor, stab: StabilizerData,
-                         test_functions=None, mc_samples: int = 10 ** 6,
-                         seed: int = 1234) -> RatioReport:
-    """Monte-Carlo comparison of the two sides of the orbit-wise
-    disintegration of the Plancherel density against dilation orbits.
+    for every integrable F of the free coordinates x = (x_j), j in nu. Pf(x)
+    is the Pfaffian of M(x)_ab = sum_{j in nu} C_ab^j x_j over a, b in e,
+    the orbit form on the section variety, where every other adapted
+    coordinate vanishes. s runs over the finite section {+1, -1}^nu, t over
+    R^r, and t.tr ad = tr ad(sum_u t_u A_u).
 
-    Both sides are estimated for two bump functions; the two left/right
-    ratios must agree (the identity holds up to one global constant).
-    Supported for layers whose dense section part has all-real free
-    coordinates and a finite dilation-orbit section. It is the one user of
-    numpy in the package and imports it here, so that importing solvlie
-    does not load numpy.
+    Conventions (README "Conventions"): [A, Z_j] = gamma_j(A) Z_j and
+    (g.l)(X) = l(Ad_{g^-1} X), so exp(sum_u t_u A_u) moves s to
+    x(t, s)_j = s_j e^{-(tW)_j}, with W_uj = Re gamma_j(A_u) over the
+    A_1..A_r of ``stab.a_basis`` and j in nu. On a real Z_j the weight is
+    real. The derivation needs phi = nu, so W is square:
+
+    1. t -> x(t, s) maps R^r onto the orthant of s, and dx_j/dt_u =
+       -W_uj x_j gives dx = |det W| e^{-t.sum_nu Re gamma} dt.
+    2. Weight compatibility: C_ab^j != 0 only when gamma_a + gamma_b =
+       gamma_j. Then M(x(t, s)) = D M(s) D with D = diag(e^{-t.gamma_a}),
+       a in e, so |Pf(x(t, s))| = e^{-t.sum_e Re gamma} |Pf(s)|.
+    3. Trace identity: sum_e Re gamma + sum_nu Re gamma = tr ad on h.
+
+    Substituting 1 and 2 into the left side orthant by orthant, and then 3,
+    gives c = |det W|. Both hypotheses are checked exactly: 2 per
+    structure constant over e, 3 on each h basis vector. DisintegrationError
+    names the one that fails. |det W| is read off the Pfaffian of
+    [[0, W], [-W^T, 0]], which is (-1)^{r(r-1)/2} det W.
+
+    W is the identity: ``stabilizer_data`` solves Re gamma_{phi_t}(A_u) =
+    delta_tu, and phi = nu, both in increasing order. So c = 1 on every
+    supported layer, and computing it checks that normalization.
+
+    Raises UnsupportedLayerError unless phi = nu (a finite dilation-orbit
+    section) and every free coordinate is real.
     """
-    import numpy as np
-
-    nu = stab.nu
-    e_idx = list(n_layer.e_set)
+    nu, e_set, spec, gamma = stab.nu, n_layer.e_set, basis.spec, basis.weights
     if set(stab.phi) != set(nu):
         raise UnsupportedLayerError(
             "finite section needed: every free coordinate must carry a "
             "modulus constraint")
     if any(basis.sigma[j] != j for j in nu):
         raise UnsupportedLayerError("free coordinates must be real")
-
-    rng = np.random.default_rng(seed)
-    n_nu = len(nu)
+    for i, a in enumerate(e_set):
+        for b in e_set[i + 1:]:
+            for k in basis.structure.get((a - 1, b - 1), ()):
+                if any(x + y != z for x, y, z in
+                       zip(gamma[a - 1], gamma[b - 1], gamma[k])):
+                    raise DisintegrationError(
+                        f"C is not weight-compatible: [Z_{a}, Z_{b}] has a "
+                        f"Z_{k + 1} term of another weight")
+    for u, name in enumerate(spec.h_names):
+        total = sum(gamma[j - 1][u].re for j in e_set + nu)
+        if total != trace_ad(spec, name):
+            raise DisintegrationError(
+                f"the real weights over e and nu sum to {total} on {name}, "
+                f"not to tr ad({name})")
     r = stab.r
-
-    if test_functions is None:
-        def f1(x):  # x: array (m, n_nu)
-            return np.exp(-((x - 1.3) ** 2).sum(axis=1) / 0.8)
-
-        def f2(x):
-            return np.exp(-((x + 0.7) ** 2).sum(axis=1) / 0.5) + \
-                0.5 * np.exp(-((x - 2.1) ** 2).sum(axis=1) / 1.1)
-        test_functions = (f1, f2)
-    f1, f2 = test_functions
-
-    # |Pf| on the section variety: the skew matrix entry over (Z_a, Z_b) is
-    # the adapted expansion of [Z_a, Z_b] (the basis's C) paired with the
-    # free coordinates (all other adapted coordinates vanish on the variety)
-    lin_forms = {}
-    for a, ja in enumerate(e_idx):
-        for b, jb in enumerate(e_idx):
-            if a >= b:
-                continue
-            cab = basis.structure.get((ja - 1, jb - 1), {})
-            lin_forms[(a, b)] = np.array(
-                [complex(cab.get(j - 1, ZERO)) for j in nu])
-
-    def skew_entries(coords: np.ndarray) -> np.ndarray:
-        m = coords.shape[0]
-        mat = np.zeros((m, len(e_idx), len(e_idx)), dtype=complex)
-        for (a, b), form in lin_forms.items():
-            vals = coords @ form
-            mat[:, a, b] = vals
-            mat[:, b, a] = -vals
-        return mat
-
-    def pf_abs(coords: np.ndarray) -> np.ndarray:
-        mats = skew_entries(coords)
-        dets = np.linalg.det(mats)
-        return np.sqrt(np.abs(dets))
-
-    # left side: integral over the free coordinates of F * |Pf|
-    box = 6.0
-    pts = rng.uniform(-box, box, size=(mc_samples, n_nu))
-    vol = (2 * box) ** n_nu
-    weights = pf_abs(pts)
-    lhs1 = float(np.mean(f1(pts) * weights) * vol)
-    lhs2 = float(np.mean(f2(pts) * weights) * vol)
-
-    # right side: sum over the finite section, integral over the dilation
-    # parameters with the modular weight
-    signs = [np.array(s) for s in _sign_patterns(n_nu)]
-    traces = []
-    re_weights = np.zeros((r, n_nu))
-    for t, a in enumerate(stab.a_basis):
-        avec = [Fraction(0)] * basis.dim
-        for u, c in enumerate(a):
-            avec[spec.n_dim + u] = c
-        traces.append(float(trace_ad(spec, [GaussianRational(c) for c in avec])))
-        for pos, j in enumerate(nu):
-            w = basis.weights[j - 1]
-            re_weights[t, pos] = float(sum(Fraction(w[u].re) * a[u]
-                                           for u in range(spec.h_dim)))
-    tbox = 8.0
-    ts = rng.uniform(-tbox, tbox, size=(mc_samples, r))
-    tvol = (2 * tbox) ** r
-    modular = np.exp(-(ts @ np.array(traces)))
-    # flowed coordinates: x_j(t) = e^{-sum_t t_u Re w_j(A_u)} * s_j
-    scale = np.exp(-(ts @ re_weights))
-    rhs1 = rhs2 = 0.0
-    for s in signs:
-        flowed = scale * s
-        pf_sigma = float(pf_abs(s.reshape(1, -1))[0])
-        rhs1 += float(np.mean(f1(flowed) * modular) * tvol) * pf_sigma
-        rhs2 += float(np.mean(f2(flowed) * modular) * tvol) * pf_sigma
-
-    for name, val in (("lhs1", lhs1), ("lhs2", lhs2),
-                      ("rhs1", rhs1), ("rhs2", rhs2)):
-        if not np.isfinite(val) or abs(val) < 1e-12:
-            raise MCVarianceError(f"estimate {name} unusable: {val}")
-    r1, r2 = lhs1 / rhs1, lhs2 / rhs2
-    return RatioReport(lhs=(lhs1, lhs2), rhs=(rhs1, rhs2), ratios=(r1, r2),
-                       ratio_of_ratios=r1 / r2, samples=mc_samples, seed=seed)
-
-
-def _sign_patterns(n: int):
-    out = [[]]
-    for _ in range(n):
-        out = [p + [s] for p in out for s in (1.0, -1.0)]
-    return out
+    w = [[GaussianRational(sum(gamma[j - 1][u].re * a[u]
+                               for u in range(spec.h_dim))) for j in nu]
+         for a in stab.a_basis]
+    zeros = [ZERO] * r
+    block = [zeros + row for row in w] + \
+        [[-w[t][j] for t in range(r)] + zeros for j in range(r)]
+    return abs(pfaffian(block).re)

@@ -56,7 +56,9 @@ class UnsupportedLayerError(ValueError):
 class StabilizerData:
     nu: Tuple[int, ...]                    # adapted indices off the jump set
     k_subalg: Subspace                     # subspace of h (rational rows)
-    a_basis: List[Tuple[Fraction, ...]]    # normalized complement, A_1..A_r
+    # A_1..A_r, normalized to Re gamma_{phi_t}(A_u) = delta_tu: this makes
+    # W = I in admissibility.disintegration_check
+    a_basis: List[Tuple[Fraction, ...]]
     phi: Tuple[int, ...]                   # indices i_{s_1} < ... < i_{s_r}
 
     @property

@@ -786,6 +786,13 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     Raises InconsistentSamplingError unless more than half of the samples
     agree with the winner (exactly half is not enough), or when no sample
     gives a usable layer.
+
+    A sample on a layer that ``section_vectors`` has no case for
+    (UnsupportedCaseError) is skipped like a mismatch when its (e, j), read
+    off ``jump_data``, sorts after the winner: it lies on a lower layer.
+    When its key sorts at or before the winner, or no sample is usable, the
+    first such error is raised again: the generic layer may be one the
+    tool cannot describe.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -795,6 +802,7 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     # field is a function of the key
     counts: Dict[tuple, int] = {}
     first: Dict[tuple, LayerDescriptor] = {}
+    unsupported: List[Tuple[tuple, UnsupportedCaseError]] = []
     for _ in range(trials):
         f = sample_functional(basis, rng, support=support)
         if f.is_zero():
@@ -803,12 +811,24 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
             desc = layer_descriptor(f, basis, ambient)
         except LayerMismatchError:
             continue
+        except UnsupportedCaseError as err:
+            unsupported.append((jump_data(f, basis, ambient).key(), err))
+            continue
         key = desc.key()
         counts[key] = counts.get(key, 0) + 1
         first.setdefault(key, desc)
+
+    def order(key):
+        return (-len(key[0]), key[0], key[1])
+
     if not counts:
+        if unsupported:
+            raise unsupported[0][1]
         raise InconsistentSamplingError("no sample produced a usable layer")
-    best_key = min(counts, key=lambda k: (-len(k[0]), k[0], k[1]))
+    best_key = min(counts, key=order)
+    for key, err in unsupported:
+        if order(key) <= order(best_key):
+            raise err
     count = counts[best_key]
     agreement = count / trials
     if agreement <= 0.5:

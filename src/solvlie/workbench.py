@@ -9,6 +9,7 @@ functions of (spec, seed, trials).
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import admissibility as adm
@@ -222,10 +223,11 @@ class Workbench:
         return h_project(f, self.stabilizer, self.oracle_lambda_nu,
                          self.oracle_sigma_circ)
 
-    def disintegration(self, mc_samples: int = 10 ** 6, seed: int = 1234):
-        return adm.disintegration_check(
-            self.spec, self.canonical_basis, self.n_layer, self.stabilizer,
-            mc_samples=mc_samples, seed=seed)
+    def disintegration(self) -> Fraction:
+        """The exact constant |det W| of the Plancherel disintegration
+        (``admissibility.disintegration_check``)."""
+        return adm.disintegration_check(self.canonical_basis, self.n_layer,
+                                        self.stabilizer)
 
     # -- the report document -------------------------------------------------
 

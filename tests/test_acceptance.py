@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import VALID_IDS, point, sample_element, wb_for
+from disintegration_oracle import (within_standard_errors,
+                                   workbench_disintegration)
 from pfaffian_oracle import det
 from section_oracle import pointwise_stabilizer, real_section_vectors
 from solvlie import admissibility as adm
@@ -256,10 +258,12 @@ def test_criterion_6e_stabilizer_constant_over_50_samples():
 def test_criterion_7_disintegration_ratio():
     wb = wb_for("heisenberg-2param")
     t0 = time.perf_counter()
-    rep = wb.disintegration(mc_samples=10 ** 6, seed=1234)
+    rep = workbench_disintegration(wb, mc_samples=10 ** 6, seed=1234)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     assert abs(rep.ratio_of_ratios - 1.0) <= 0.02
+    # each Monte-Carlo ratio estimates the exact constant |det W|
+    assert within_standard_errors(rep, wb.disintegration())
     print(f"\nPASS criterion 7: disintegration ratio {rep.ratio_of_ratios:.5f} "
           f"(|r1/r2 - 1| <= 2%) at 1e6 samples in {elapsed:.1f}s")
 

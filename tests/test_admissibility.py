@@ -1,17 +1,22 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+import disintegration_oracle
 from conftest import VALID_IDS, point, wb_for
+from disintegration_oracle import (within_standard_errors,
+                                   workbench_disintegration)
 from solvlie import admissibility as adm
 from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import HypothesisViolation, spec_from_dict
 from solvlie.corpus import corpus_entry
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational as G
-from solvlie.sections import sample_sigma_circ
+from solvlie.sections import UnsupportedLayerError, sample_sigma_circ
 from solvlie.workbench import Workbench
+from test_pfaffian_equivalence import _dense_center_spec
 
 
 # -- center ---------------------------------------------------------------------
@@ -222,27 +227,113 @@ def test_unimodular_finite_multiplicity_divergence_flag():
     assert ver.divergence_note and "INFINITE_MASS" in ver.divergence_note
 
 
-# -- disintegration ratio test ------------------------------------------------------
+# -- disintegration: the exact constant, and the Monte-Carlo oracle ---------------
+
+# corpus layers with a finite dilation-orbit section and real free coordinates
+DISINTEGRATION_IDS = ["anisotropic-heisenberg", "filiform-dilations-repaired",
+                      "heisenberg-2param", "heisenberg-complex-dilation",
+                      "three-dilations-repaired"]
+
+
+def _heisenberg_power_spec(m):
+    """H_3^m with one dilation A_i per copy: weight 2 on Z_i, 1 on X_i and
+    Y_i. The free coordinates are the Z_i, and r = m."""
+    copies = range(1, m + 1)
+    brackets = []
+    for i in copies:
+        brackets.append({"x": f"X{i}", "y": f"Y{i}",
+                         "value": [{"c": "1", "b": f"Z{i}"}]})
+        brackets += [{"x": f"A{i}", "y": f"{v}{i}",
+                      "value": [{"c": c, "b": f"{v}{i}"}]}
+                     for v, c in (("Z", "2"), ("Y", "1"), ("X", "1"))]
+    return spec_from_dict({
+        "name": f"heisenberg-power-{m}",
+        "n_basis": [f"{v}{i}" for v in "ZYX" for i in copies],
+        "h_basis": [f"A{i}" for i in copies], "brackets": brackets})
+
+
+def _tampered_basis(wb, **fields):
+    """A copy of the workbench's canonical basis with some fields replaced."""
+    basis = copy.copy(wb.canonical_basis)
+    for name, value in fields.items():
+        setattr(basis, name, value)
+    return basis
+
 
 def test_disintegration_identity_functions_ratio_one():
     wb = wb_for("heisenberg-2param")
     def f(x):
         import numpy as np
         return np.exp(-(x ** 2).sum(axis=1))
-    rep = adm.disintegration_check(wb.spec, wb.canonical_basis, wb.n_layer,
-                                   wb.stabilizer, test_functions=(f, f),
-                                   mc_samples=20000, seed=5)
+    rep = disintegration_oracle.disintegration_check(
+        wb.spec, wb.canonical_basis, wb.n_layer, wb.stabilizer,
+        test_functions=(f, f), mc_samples=20000, seed=5)
     assert rep.ratio_of_ratios == pytest.approx(1.0, abs=1e-12)
+    assert within_standard_errors(rep, wb.disintegration())
 
 
 def test_disintegration_ratio_small_run():
     wb = wb_for("heisenberg-2param")
-    rep = wb.disintegration(mc_samples=200000, seed=99)
+    rep = workbench_disintegration(wb, mc_samples=200000, seed=99)
     assert abs(rep.ratio_of_ratios - 1.0) < 0.05
+    assert within_standard_errors(rep, wb.disintegration())
 
 
 def test_disintegration_unsupported_layer():
-    wb = wb_for("spiral-heisenberg")   # complex free coordinate
-    from solvlie.sections import UnsupportedLayerError
+    wb = wb_for("spiral-heisenberg")   # free coordinates without a modulus
     with pytest.raises(UnsupportedLayerError):
-        wb.disintegration(mc_samples=1000)
+        wb.disintegration()
+
+
+@pytest.mark.parametrize("entry_id", DISINTEGRATION_IDS)
+def test_disintegration_constant_is_one_on_corpus(entry_id):
+    wb = wb_for(entry_id)
+    assert wb.stabilizer.phi == wb.stabilizer.nu
+    assert adm.disintegration_check(wb.canonical_basis, wb.n_layer,
+                                    wb.stabilizer) == Fraction(1)
+
+
+@pytest.mark.parametrize("entry_id",
+                         sorted(set(VALID_IDS) - set(DISINTEGRATION_IDS)))
+def test_disintegration_unsupported_corpus_layers(entry_id):
+    with pytest.raises(UnsupportedLayerError):
+        wb_for(entry_id).disintegration()
+
+
+@pytest.mark.parametrize("m", [8, 10, 12, 14, 16])
+def test_disintegration_constant_dense_center(m):
+    wb = Workbench(_dense_center_spec(m), trials=16)
+    assert len(wb.n_layer.e_set) == m
+    assert wb.disintegration() == 1
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_disintegration_constant_heisenberg_power(m):
+    wb = Workbench(_heisenberg_power_spec(m), trials=16)
+    assert wb.stabilizer.r == m and len(wb.stabilizer.nu) == m
+    assert wb.disintegration() == 1
+
+
+def test_disintegration_rejects_weight_incompatible_brackets():
+    # [Z_a, Z_b] gains a term on a coordinate whose weight is not
+    # gamma_a + gamma_b
+    wb = wb_for("heisenberg-2param")
+    e_set, gamma = wb.n_layer.e_set, wb.canonical_basis.weights
+    structure = dict(wb.canonical_basis.structure)
+    (a, b), row = next(((p, q), row) for (p, q), row in structure.items()
+                       if p + 1 in e_set and q + 1 in e_set)
+    target = tuple(x + y for x, y in zip(gamma[a], gamma[b]))
+    k = next(k for k in range(wb.spec.n_dim) if gamma[k] != target)
+    structure[(a, b)] = {**row, k: G(1)}
+    basis = _tampered_basis(wb, structure=structure)
+    with pytest.raises(adm.DisintegrationError, match="weight-compatible"):
+        adm.disintegration_check(basis, wb.n_layer, wb.stabilizer)
+
+
+def test_disintegration_rejects_a_broken_trace_identity():
+    # doubled weights keep C weight-compatible but no longer sum to tr ad
+    wb = wb_for("heisenberg-2param")
+    doubled = [tuple(x + x for x in w) for w in wb.canonical_basis.weights]
+    basis = _tampered_basis(wb, weights=doubled)
+    with pytest.raises(adm.DisintegrationError, match="tr ad"):
+        adm.disintegration_check(basis, wb.n_layer, wb.stabilizer)

@@ -14,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import point, wb_for
+from disintegration_oracle import (within_standard_errors,
+                                   workbench_disintegration)
 from section_oracle import real_vector
 from solvlie.gaussian import GaussianRational as G
 from solvlie.strata import (LayerMismatchError, jump_data, section_vectors)
@@ -119,6 +121,7 @@ def test_b_value_exact_complex_dilation():
 def test_disintegration_rank_two_example():
     # two free coordinates, two dilation parameters, four section points
     wb = wb_for("filiform-dilations-repaired")
-    rep = wb.disintegration(mc_samples=4 * 10 ** 6, seed=777)
+    rep = workbench_disintegration(wb, mc_samples=4 * 10 ** 6, seed=777)
     assert abs(rep.ratio_of_ratios - 1.0) <= 0.02
     assert len(rep.lhs) == 2 and all(v > 0 for v in rep.rhs)
+    assert within_standard_errors(rep, wb.disintegration())

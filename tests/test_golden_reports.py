@@ -56,19 +56,21 @@ import contextlib, hashlib, io, json, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import solvlie
 from solvlie import cli
+from solvlie.corpus import corpus_entry
 digests = {}
 for path in sys.argv[1:]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         cli.main(["analyze", path, "--format", "json", "--seed", "42"])
     digests[path] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+assert solvlie.Workbench(corpus_entry("heisenberg-2param").spec()).disintegration() == 1
 print(json.dumps(digests))
 """
 
 
 def test_reports_without_numpy():
-    # numpy is loaded only by the Monte-Carlo disintegration check: the
-    # package, the weights and every report work with numpy unimportable
+    # the package has no runtime dependency: the weights, every report and
+    # the exact disintegration constant work with numpy unimportable
     paths = [str(CORPUS_DIR / f"{e}.json") for e in ENTRY_IDS]
     src = str(Path(solvlie.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *paths],

@@ -33,8 +33,9 @@ from conftest import VALID_IDS, wb_for
 from section_oracle import layer_data as oracle_layer_data
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
-from solvlie.strata import (_case_table, _orbit_form, _skew_reduce, jump_data,
-                            layer_descriptor, section_vectors)
+from solvlie.strata import (UnsupportedCaseError, _case_table, _orbit_form,
+                            _skew_reduce, jump_data, layer_descriptor,
+                            section_vectors)
 from solvlie.workbench import Workbench
 from test_layer_memo import oracle_descriptor
 from test_plain_layers import _degenerate_points, _outcome
@@ -417,13 +418,31 @@ def test_case_four_outside_a_block_stays_unkeyed(monkeypatch):
     assert _outcome(layer_descriptor, f, basis, "n") == want
     assert calls == [f]
     # its degenerate points agree with the oracle on both ambients (h is
-    # 0 here). generic_layer lets the UnsupportedCaseError of a sample on
-    # this layer through, so the spec has no n* layer and no canonical
-    # basis to check
+    # 0 here)
     for ambient in ("n", "g"):
         for f in _degenerate_points(basis, ambient, seed=4):
             assert _outcome(layer_descriptor, f, basis, ambient) == \
                 _outcome(oracle_descriptor, f, basis, ambient), f.values
+    # the unsupported layer ((3, 4, 5, 7), (5, 7)) sorts after the keyed
+    # block layer ((3, 4, 5, 6), (5, 6)), so generic_layer skips its
+    # samples (1-6 of 64 on seeds 0-9) and finds the block layer
+    unsupported = []
+    real_descriptor = layer_descriptor
+
+    def counting(f, basis, ambient):
+        try:
+            return real_descriptor(f, basis, ambient)
+        except UnsupportedCaseError:
+            unsupported.append(f)
+            raise
+    monkeypatch.setattr("solvlie.strata.layer_descriptor", counting)
+    for seed in range(10):
+        wb = Workbench(spec_from_dict(doc), seed=seed)
+        layer = wb.n_layer
+        assert (layer.e_set, layer.j_seq) == ((3, 4, 5, 6), (5, 6))
+        table = wb.basis.layer_tables[("n", layer.i_seq, layer.j_seq)]
+        assert table.keyed and table.blocks
+    assert unsupported
 
 
 def test_blocks_at_float_points_follow_section_vectors():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -400,21 +402,33 @@ def test_generic_layer_propagates_zero_division(monkeypatch):
 
 def _stub_samples(monkeypatch, outcomes):
     """Make layer_descriptor answer the samples in turn from outcomes: a
-    descriptor, or None for a sample outside the layer."""
+    descriptor, None for a sample outside the layer, or an exception to
+    raise."""
     answers = iter(outcomes)
 
     def stub(f, basis, ambient):
         desc = next(answers)
         if desc is None:
             raise LayerMismatchError("stubbed mismatch")
+        if isinstance(desc, Exception):
+            raise desc
         return LayerDescriptor(ambient, desc.e_set, desc.i_seq, desc.j_seq,
                                desc.stable_set, {}, {}, desc.phi)
     monkeypatch.setattr("solvlie.strata.layer_descriptor", stub)
     return answers
 
 
+def _stub_jump_key(monkeypatch, key):
+    """Make jump_data give every sample the layer key (e, j)."""
+    monkeypatch.setattr("solvlie.strata.jump_data",
+                        lambda f, basis, ambient: SimpleNamespace(key=lambda: key))
+
+
 WIDE = LayerDescriptor("n", (1, 2, 3, 4), (1, 2), (3, 4), (0,), {}, {}, ())
 NARROW = LayerDescriptor("n", (1, 2), (1,), (2,), (0,), {}, {}, ())
+UNSUPPORTED = UnsupportedCaseError("stubbed: pair 2 falls in no supported case")
+# (e, j) keys at and before WIDE in the winner order (-card e, e, j)
+NOT_BELOW_WIDE = [(WIDE.e_set, WIDE.j_seq), ((1, 2, 3, 4, 5, 6), (4, 5, 6))]
 
 
 @pytest.mark.parametrize("wide, rejects", [(32, True), (33, False)])
@@ -443,6 +457,52 @@ def test_generic_layer_without_usable_samples(monkeypatch):
                        match="no sample produced a usable layer"):
         generic_layer(basis, "n", seed=7, trials=64)
     assert next(left, None) is None
+
+
+def test_generic_layer_skips_unsupported_samples_below_the_winner(monkeypatch):
+    # a sample that section_vectors has no case for, on a layer that sorts
+    # after the winner, is skipped like a mismatch; the agreement stays
+    # count/trials
+    basis = wb_for("heisenberg-2param").basis
+    _stub_jump_key(monkeypatch, (NARROW.e_set, NARROW.j_seq))
+    left = _stub_samples(monkeypatch, [UNSUPPORTED] * 3 + [WIDE] * 61)
+    desc = generic_layer(basis, "n", seed=7, trials=64)
+    assert desc.key() == WIDE.key()
+    assert desc.consistency == 61 / 64
+    assert next(left, None) is None
+
+
+@pytest.mark.parametrize("key", NOT_BELOW_WIDE)
+def test_generic_layer_raises_unsupported_samples_not_below_the_winner(
+        monkeypatch, key):
+    # the generic layer may be the one the tool cannot describe
+    basis = wb_for("heisenberg-2param").basis
+    _stub_jump_key(monkeypatch, key)
+    left = _stub_samples(monkeypatch, [WIDE] * 63 + [UNSUPPORTED])
+    with pytest.raises(UnsupportedCaseError, match="stubbed"):
+        generic_layer(basis, "n", seed=7, trials=64)
+    assert next(left, None) is None
+
+
+def test_generic_layer_raises_unsupported_without_usable_samples(monkeypatch):
+    basis = wb_for("heisenberg-2param").basis
+    _stub_jump_key(monkeypatch, (NARROW.e_set, NARROW.j_seq))
+    left = _stub_samples(monkeypatch, [None, UNSUPPORTED] * 32)
+    with pytest.raises(UnsupportedCaseError, match="stubbed"):
+        generic_layer(basis, "n", seed=7, trials=64)
+    assert next(left, None) is None
+
+
+@pytest.mark.parametrize("command, code", [("analyze", 4), ("admissible", 2)])
+def test_unsupported_sample_above_the_winner_keeps_exit_code(
+        monkeypatch, capsys, command, code):
+    from solvlie import cli
+    path = Path(cli.__file__).parent / "corpus" / "heisenberg-2param.json"
+    _stub_jump_key(monkeypatch, NOT_BELOW_WIDE[1])
+    _stub_samples(monkeypatch, [WIDE] * 63 + [UNSUPPORTED])
+    assert cli.main([command, str(path)]) == code
+    out = capsys.readouterr()
+    assert f"UnsupportedCaseError: {UNSUPPORTED}" in out.out + out.err
 
 
 def test_generic_layer_adds_dilation_pair_on_g():
