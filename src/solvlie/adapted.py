@@ -10,8 +10,9 @@ An adapted basis Z_1..Z_n (+ the h part) satisfies, for every k:
      member, with weight of the form lambda*(1 + i*alpha_j).
 
 Constructed bases are exact joint eigenbases ordered along the ascending
-central series of n. The series comes from the sparse structure constants
-(``LieAlgebraSpec.bracket_sparse``). Each level is h-invariant, so it
+central series of n, which ``LieAlgebraSpec.central_series`` builds once
+per spec from the sparse structure constants and shares with validation (a
+series that stalls fails the construction). Each level is h-invariant, so it
 splits by weight in one pass: its rows are expressed once over the joint
 eigenbasis (through the inverse ``LieAlgebraSpec.eigenbasis`` keeps, one
 inversion per spec), and the coordinates of each weight
@@ -41,9 +42,10 @@ import copy
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import DiagonalizationError, LieAlgebraSpec, Vector, root_factor
+from .algebra import (DiagonalizationError, HypothesisViolation,
+                      LieAlgebraSpec, Vector, root_factor)
 from .gaussian import GaussianRational, ZERO
-from .linalg import invert, kernel, rref
+from .linalg import invert, rref
 
 
 class HintInvalidError(ValueError):
@@ -374,8 +376,12 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
         raise ConstructionFailedError(
             f"CONSTRUCTION_FAILED: {exc}; supply an adaptable hint") from exc
 
+    try:
+        levels = spec.central_series()
+    except HypothesisViolation as exc:
+        raise ConstructionFailedError(
+            "CONSTRUCTION_FAILED: central series stalls (n not nilpotent?)") from exc
     nd = spec.n_dim
-    levels = _central_series(spec)
 
     # order weight spaces deterministically; conjugate partners grouped
     indexed = sorted(range(len(spaces)), key=lambda i: _weight_key(spaces[i].weights))
@@ -418,38 +424,6 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
         raise ConstructionFailedError(
             f"CONSTRUCTION_FAILED: placed {len(placed)} of {nd} vectors")
     return AdaptableBasis(spec, placed)
-
-
-def _central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
-    """The ascending central series of n, each level as RREF rows over n.
-
-    v is in the next level iff [n, v] lies in the previous one, i.e. every
-    annihilator a of the previous level has a([e_i, v]) = 0 for every i;
-    a([e_i, e_p]) sums over the nonzero structure constants only.
-    """
-    nd = spec.n_dim
-    consts = [[(p, m, c) for p in range(nd) for m, c in spec.bracket_sparse(i, p)]
-              for i in range(nd)]
-    levels: List[List[List[GaussianRational]]] = []
-    prev: List[List[GaussianRational]] = []
-    while len(prev) < nd:
-        ann = kernel(prev, nd)
-        cond_rows = []
-        for terms in consts:
-            for a in ann:
-                row = [ZERO] * nd
-                for p, m, c in terms:
-                    if not a[m].is_zero():
-                        row[p] = row[p] + a[m] * c
-                if any(not x.is_zero() for x in row):
-                    cond_rows.append(row)
-        level, _ = rref(kernel(cond_rows, nd))
-        if len(level) <= len(prev):
-            raise ConstructionFailedError(
-                "CONSTRUCTION_FAILED: central series stalls (n not nilpotent?)")
-        levels.append(level)
-        prev = level
-    return levels
 
 
 def _weight_splitter(spec: LieAlgebraSpec):

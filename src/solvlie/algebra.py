@@ -22,6 +22,9 @@ Spec file format (JSON):
 Rational coefficients are strings "p/q"; hint coefficients may be Gaussian
 rationals "p/q+r/s i" (ASCII minus). Omitted brackets are zero and the
 antisymmetric completion is automatic.
+
+The ascending central series of n and the weight spaces are built once per
+spec, shared by validation and the adapted-basis construction.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ class HypothesisViolation(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.detail = message
 
 
 class LieAlgebraSpec:
@@ -78,8 +82,7 @@ class LieAlgebraSpec:
         # canonical table: key (i, j) with i < j, value = coord tuple over n
         self._table: Dict[Tuple[int, int], Vector] = {}
         self._bsparse_cache: Dict[Tuple[int, int], tuple] = {}
-        self._weight_spaces = None
-        self._eigenbasis = None
+        self._computed: Dict[str, object] = {}
         ndim = len(self.n_names)
         for (x, y), combo in brackets.items():
             for lab in (x, y):
@@ -97,18 +100,18 @@ class LieAlgebraSpec:
             if i >= ndim and j >= ndim:
                 self.h_bracket_entries.append((x, y))
                 continue
-            sign = 1
-            if i > j:
-                i, j, sign = j, i, -1
             if i == j:
                 self.antisymmetry_conflicts.append((x, y))
                 continue
-            coords = tuple(Fraction(sign) * c for c in coords)
+            if i > j:
+                i, j = j, i
+                coords = [-c for c in coords]
+            coords = tuple(coords)
             if (i, j) in self._table:
-                if any(a != b for a, b in zip(self._table[(i, j)], coords)):
+                if self._table[(i, j)] != coords:
                     self.antisymmetry_conflicts.append((x, y))
                 continue
-            self._table[(i, j)] = tuple(coords)
+            self._table[(i, j)] = coords
 
     # -- dimensions -----------------------------------------------------
 
@@ -131,20 +134,12 @@ class LieAlgebraSpec:
 
     def bracket_sparse(self, i: int, j: int):
         """[e_i, e_j] as a tuple of (coordinate index, coefficient)."""
-        cached = self._bsparse_cache.get((i, j))
-        if cached is not None:
-            return cached
-        sign = 1
-        a, b = i, j
-        if a > b:
-            a, b, sign = b, a, -1
-        entry = self._table.get((a, b)) if a != b else None
-        if entry is None:
-            out = ()
-        else:
-            out = tuple((m, GaussianRational(sign * c))
-                        for m, c in enumerate(entry) if c != 0)
-        self._bsparse_cache[(i, j)] = out
+        out = self._bsparse_cache.get((i, j))
+        if out is None:
+            sign = 1 if i < j else -1
+            entry = self._table.get((min(i, j), max(i, j)), ())
+            out = self._bsparse_cache[(i, j)] = tuple(
+                (m, GaussianRational(sign * c)) for m, c in enumerate(entry) if c)
         return out
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
@@ -180,27 +175,32 @@ class LieAlgebraSpec:
             out[self._index[lab]] = out[self._index[lab]] + GaussianRational(c)
         return tuple(out)
 
-    def weight_spaces(self) -> List["WeightSpace"]:
-        """The joint weight decomposition of n_C, computed once per spec.
-
-        Every call raises the same DiagonalizationError when there is none.
-        """
-        if self._weight_spaces is None:
+    def _once(self, key: str, compute, errors=()):
+        """compute(self), on first use only; an exception of type ``errors``
+        is kept and raised again on every call."""
+        if key not in self._computed:
             try:
-                self._weight_spaces = weight_decomposition(self)
-            except DiagonalizationError as exc:
-                self._weight_spaces = exc
-        if isinstance(self._weight_spaces, DiagonalizationError):
-            raise self._weight_spaces
-        return self._weight_spaces
+                self._computed[key] = compute(self)
+            except errors as exc:
+                self._computed[key] = exc
+        out = self._computed[key]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def central_series(self) -> List[List[List[GaussianRational]]]:
+        """The ascending central series of n (which may raise NOT_NILPOTENT)."""
+        return self._once("central_series", central_series, HypothesisViolation)
+
+    def weight_spaces(self) -> List["WeightSpace"]:
+        """The joint weight decomposition of n_C (may raise DiagonalizationError)."""
+        return self._once("weight_spaces", weight_decomposition,
+                          DiagonalizationError)
 
     def eigenbasis(self) -> "EigenBasis":
-        """The joint eigenbasis of the weight spaces and the inverse of its
-        n block, built once per spec on first use: the one inversion that
-        both the basis construction and the dilation flow read."""
-        if self._eigenbasis is None:
-            self._eigenbasis = eigenbasis(self)
-        return self._eigenbasis
+        """The joint eigenbasis of the weight spaces and the inverse of its n
+        block, the one inversion the basis construction and the flow read."""
+        return self._once("eigenbasis", eigenbasis)
 
     def n_is_commutative(self) -> bool:
         nd = self.n_dim
@@ -597,8 +597,46 @@ class ValidationReport:
         return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
 
 
+def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
+    """The ascending central series of n up to n, each level as RREF rows.
+
+    v is in the next level iff [n, v] lies in the previous one, i.e. every
+    annihilator a of the previous level has a([e_i, v]) = 0 for every i;
+    a([e_i, e_p]) sums over the nonzero structure constants only. A level
+    that does not grow raises NOT_NILPOTENT, naming where the series stops.
+    """
+    nd = spec.n_dim
+    consts = [[(p, m, c) for p in range(nd) for m, c in spec.bracket_sparse(i, p)]
+              for i in range(nd)]
+    levels, prev = [], []
+    while len(prev) < nd:
+        ann = kernel(prev, nd)
+        cond_rows = []
+        for terms in consts:
+            for a in ann:
+                row = [ZERO] * nd
+                for p, m, c in terms:
+                    if a[m]:
+                        row[p] = row[p] + a[m] * c
+                if any(row):
+                    cond_rows.append(row)
+        level, _ = rref(kernel(cond_rows, nd))
+        if len(level) <= len(prev):
+            raise HypothesisViolation(
+                "NOT_NILPOTENT", f"ascending central series of n stalls at "
+                                 f"dimension {len(prev)} of {nd}")
+        levels.append(level)
+        prev = level
+    return levels
+
+
 def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
-    """Run the standing-hypothesis checks; failures are itemized with witnesses."""
+    """Run the standing-hypothesis checks; failures are itemized with witnesses.
+
+    n is nilpotent iff ``spec.central_series()`` reaches n. For a Lie algebra
+    that is the lower central series reaching 0; the two rules may differ
+    only where Jacobi fails, which is reported first.
+    """
     report = ValidationReport()
     add = report.checks.append
 
@@ -616,15 +654,19 @@ def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
     else:
         add(CheckResult("h_abelian", True))
 
-    # Jacobi on all basis triples, from the sparse structure constants
+    # Jacobi on the basis triples with a nonzero bracket (the table holds
+    # each as (i, j), i < j), from the sparse structure constants
     jac_witness = None
+    table = spec._table
     for a, b, c in itertools.combinations(range(spec.dim), 3):
+        if (a, b) not in table and (b, c) not in table and (a, c) not in table:
+            continue
         total: Dict[int, GaussianRational] = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             for k, u in spec.bracket_sparse(x, y):      # [[e_x, e_y], e_z]
                 for m, w in spec.bracket_sparse(k, z):
                     total[m] = total.get(m, ZERO) + u * w
-        if any(not t.is_zero() for t in total.values()):
+        if any(total.values()):
             jac_witness = (spec.names[a], spec.names[b], spec.names[c])
             break
     if jac_witness:
@@ -634,32 +676,11 @@ def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
     else:
         add(CheckResult("jacobi", True))
 
-    # n nilpotent: lower central series terminates
-    nd = spec.n_dim
-    current = Subspace([spec.basis_vector(i) for i in range(nd)], spec.dim)
-    nilpotent = True
-    for _ in range(nd + 1):
-        gens = []
-        for i in range(nd):
-            for row in current.rows:
-                img = _combine(((x, spec.bracket_sparse(i, p))
-                                for p, x in enumerate(row)), spec.dim)
-                if any(img):
-                    gens.append(img)
-        nxt = Subspace(gens, spec.dim)
-        if nxt.dim == 0:
-            break
-        if nxt.dim == current.dim:
-            nilpotent = False
-            break
-        current = nxt
-    else:
-        nilpotent = False
-    if nilpotent:
+    try:
+        spec.central_series()
         add(CheckResult("n_nilpotent", True))
-    else:
-        add(CheckResult("n_nilpotent", False, "NOT_NILPOTENT",
-                        "lower central series of n does not terminate"))
+    except HypothesisViolation as exc:
+        add(CheckResult("n_nilpotent", False, exc.code, exc.detail))
 
     # carrying on with eigen-structure only makes sense on a Lie algebra
     if jac_witness is None and not spec.antisymmetry_conflicts:
