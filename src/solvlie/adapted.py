@@ -381,6 +381,7 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
     except HypothesisViolation as exc:
         raise ConstructionFailedError(
             "CONSTRUCTION_FAILED: central series stalls (n not nilpotent?)") from exc
+
     nd = spec.n_dim
 
     # order weight spaces deterministically; conjugate partners grouped

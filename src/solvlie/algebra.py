@@ -678,9 +678,10 @@ def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
 
     try:
         spec.central_series()
-        add(CheckResult("n_nilpotent", True))
     except HypothesisViolation as exc:
         add(CheckResult("n_nilpotent", False, exc.code, exc.detail))
+    else:
+        add(CheckResult("n_nilpotent", True))
 
     # carrying on with eigen-structure only makes sense on a Lie algebra
     if jac_witness is None and not spec.antisymmetry_conflicts:
