@@ -58,9 +58,7 @@ def test_validation_report_matches_pin(entry_id):
 def _jacobi_failures(spec):
     """Every basis triple (in itertools.combinations order) on which the
     Jacobi sum of dense brackets is nonzero."""
-    def br(u, v):
-        return spec.bracket(u, v)
-
+    br = spec.bracket
     out = []
     for a, b, c in itertools.combinations(range(spec.dim), 3):
         x, y, z = (spec.basis_vector(i) for i in (a, b, c))
@@ -92,6 +90,17 @@ def test_jacobi_witness_is_first_of_two_failures_after_zero_triples():
     assert (jac.ok, jac.code, jac.witness) == (False, "JACOBI_FAIL", ("U", "V", "S"))
     assert jac.detail == "Jacobi identity fails on ('U', 'V', 'S')"
     assert rep.codes() == ["JACOBI_FAIL"]
+
+
+def test_jacobi_failure_with_only_the_outer_bracket_nonzero():
+    # on (U, V, S) only [U, S] = W is nonzero, and [[S, U], V] = -P
+    spec = LieAlgebraSpec("outer-pair-jacobi-failure", ["P", "U", "V", "W", "S"], [], {
+        ("U", "S"): {"W": Fraction(1)},
+        ("W", "V"): {"P": Fraction(1)},
+    })
+    assert _jacobi_failures(spec) == [("U", "V", "S")]
+    jac = next(c for c in validate_spec(spec).checks if c.name == "jacobi")
+    assert (jac.ok, jac.witness) == (False, ("U", "V", "S"))
 
 
 def test_jacobi_witness_matches_dense_oracle_on_corpus():
