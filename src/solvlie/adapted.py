@@ -15,9 +15,10 @@ per spec from the sparse structure constants and shares with validation (a
 series that stalls fails the construction). Each level is h-invariant, so it
 splits by weight in one pass: its rows are expressed once over the joint
 eigenbasis (through the inverse ``LieAlgebraSpec.eigenbasis`` keeps, one
-inversion per spec), and the coordinates of each weight
-space give that space's piece of the level. A user hint overrides the
-construction.
+inversion per spec), and the coordinates of each weight space give that
+space's piece of the level, reduced to RREF. A row of a piece is placed
+when it extends the echelon of what was placed from its weight space
+(``linalg.extend_echelon``). A user hint overrides the construction.
 
 Every basis, built or hinted, is verified through its adapted structure
 constants: one inversion of the n block of the basis matrix gives C_pq^k,
@@ -45,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (DiagonalizationError, HypothesisViolation,
                       LieAlgebraSpec, Vector, root_factor)
 from .gaussian import GaussianRational, ZERO
-from .linalg import invert, rref
+from .linalg import extend_echelon, invert, rref
 
 
 class HintInvalidError(ValueError):
@@ -396,10 +397,11 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
 
     # each placed vector lies in one weight space, and the weight spaces are
     # independent, so a candidate from W_i is in the span of everything
-    # placed iff it is in the span of what was placed from W_i
+    # placed iff it is in the span of what was placed from W_i: one echelon
+    # (rows, pivots) per weight space
     split = _weight_splitter(spec)
     placed: List[Vector] = []
-    spans: Dict[int, list] = {}
+    spans: Dict[int, tuple] = {}
     pad = (ZERO,) * spec.h_dim
     for level in levels:
         pieces = split(level)
@@ -415,7 +417,7 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
             if partner == i:
                 rows = _real_rows(rows)
             for row in rows:
-                if not _extend(spans.setdefault(i, []), row):
+                if not any(extend_echelon(*spans.setdefault(i, ([], [])), row)):
                     continue
                 vec = tuple(row) + pad
                 placed.append(vec)
@@ -461,17 +463,3 @@ def _weight_splitter(spec: LieAlgebraSpec):
         return pieces
     return split
 
-
-def _extend(echelon: list, row) -> bool:
-    """Add row to an echelon basis [(pivot, normalized row)] unless in its span."""
-    v = list(row)
-    for c, basis_row in echelon:
-        x = v[c]
-        if not x.is_zero():
-            v = [a - x * b for a, b in zip(v, basis_row)]
-    lead = next((c for c, x in enumerate(v) if not x.is_zero()), None)
-    if lead is None:
-        return False
-    inv = v[lead]
-    echelon.append((lead, [x / inv for x in v]))
-    return True

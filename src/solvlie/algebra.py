@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO, parse_gaussian
-from .linalg import Subspace, identity, invert, is_zero, kernel, rref
+from .gaussian import GaussianRational, ZERO, parse_gaussian
+from .linalg import (extend_echelon, identity, invert, is_zero, kernel,
+                     reduce_row, rref, rref_kernel)
 
 Vector = Tuple[GaussianRational, ...]
 
@@ -287,30 +288,20 @@ def _triangular_diagonal(mat) -> Optional[List[GaussianRational]]:
 def _krylov_polynomial(mat, v) -> List[GaussianRational]:
     """The monic minimal polynomial of the row vector v under x -> x mat,
     coefficients from the constant term up. The Krylov vectors v, v mat,
-    v mat^2, ... are reduced in turn against the echelon rows of the
-    earlier ones, each row carrying its combination of Krylov vectors, and
-    the first that reduces to zero stops the sequence: its combination,
-    with coefficient 1 on itself, is the polynomial.
+    v mat^2, ... extend an echelon in turn, the k-th carrying the unit
+    vector e_k in an appended block, so that its remainder carries its
+    combination of Krylov vectors there. The first whose remainder is zero
+    outside the block stops the sequence: its combination, with
+    coefficient 1 on itself, is the polynomial.
     """
     size = len(mat)
-    echelon = []        # (pivot column, row, combination); row[pivot] = 1
+    rows: list = []
+    pivots: List[int] = []
     u = v
-    while True:
-        row = list(u)
-        comb = [ZERO] * len(echelon) + [ONE]
-        for c, e_row, e_comb in echelon:
-            x = row[c]
-            if x:
-                row = [a - x * b if b else a for a, b in zip(row, e_row)]
-                for i, b in enumerate(e_comb):
-                    if b:
-                        comb[i] = comb[i] - x * b
-        c = next((c for c, x in enumerate(row) if x), None)
-        if c is None:
-            return comb
-        inv = row[c]
-        echelon.append((c, [x / inv if x else x for x in row],
-                        [x / inv if x else x for x in comb]))
+    for k, unit in enumerate(identity(size + 1)):
+        rem = extend_echelon(rows, pivots, list(u) + unit)
+        if not any(rem[:size]):
+            return rem[size:size + k + 1]
         u = [sum((u[i] * mat[i][j] for i in range(size) if u[i]), ZERO)
              for j in range(size)]
 
@@ -409,16 +400,19 @@ def _eigenspaces(mat, eigenspace) -> List[Tuple[GaussianRational, list]]:
         return [(r, eigenspace(r)) for r in diagonal]
     size = len(mat)
     found: List[Tuple[GaussianRational, list]] = []
-    span = Subspace([], size)
-    while span.dim < size:
-        v = next(u for u in identity(size) if not span.contains_vector(u))
+    span: list = []         # echelon rows of the eigenspaces found so far
+    pivots: List[int] = []
+    while len(span) < size:
+        v = next(u for u in identity(size) if any(reduce_row(span, pivots, u)))
         known = [r for r, _ in found]
         roots = _gaussian_roots(_krylov_polynomial(mat, v))
         new = [(r, eigenspace(r)) for r in roots if r not in known]
         if not new:
             break
         found += new
-        span = Subspace(span.rows + [x for _, null in new for x in null], size)
+        for _, null in new:
+            for x in null:
+                extend_echelon(span, pivots, x)
     return found
 
 
@@ -598,19 +592,26 @@ class ValidationReport:
 
 
 def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
-    """The ascending central series of n up to n, each level as RREF rows.
+    """The ascending central series of n up to n, one basis per level.
 
     v is in the next level iff [n, v] lies in the previous one, i.e. every
     annihilator a of the previous level has a([e_i, v]) = 0 for every i;
     a([e_i, e_p]) sums over the nonzero structure constants only. A level
-    that does not grow raises NOT_NILPOTENT, naming where the series stops.
+    is the kernel of its condition rows C, and ker C has annihilator the
+    row space of C, so the one ``rref`` of C per level also gives the next
+    level's annihilator (all of n* for the zero level). A level that does
+    not grow raises NOT_NILPOTENT, naming where the series stops.
+
+    A level comes back as that kernel basis, not as RREF rows. Only its span
+    counts: ``_weight_splitter`` reduces each weight piece of a level
+    again, so the adapted basis is the same for any basis of the level.
     """
     nd = spec.n_dim
     consts = [[(p, m, c) for p in range(nd) for m, c in spec.bracket_sparse(i, p)]
               for i in range(nd)]
-    levels, prev = [], []
-    while len(prev) < nd:
-        ann = kernel(prev, nd)
+    levels: List[List[List[GaussianRational]]] = []
+    ann, dim = identity(nd), 0
+    while dim < nd:
         cond_rows = []
         for terms in consts:
             for a in ann:
@@ -620,13 +621,13 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
                         row[p] = row[p] + a[m] * c
                 if any(row):
                     cond_rows.append(row)
-        level, _ = rref(kernel(cond_rows, nd))
-        if len(level) <= len(prev):
+        ann, pivots = rref(cond_rows)
+        if nd - len(pivots) <= dim:
             raise HypothesisViolation(
                 "NOT_NILPOTENT", f"ascending central series of n stalls at "
-                                 f"dimension {len(prev)} of {nd}")
-        levels.append(level)
-        prev = level
+                                 f"dimension {dim} of {nd}")
+        levels.append(rref_kernel(ann, pivots, nd))
+        dim = nd - len(pivots)
     return levels
 
 
@@ -710,48 +711,65 @@ def require_noncommutative(spec: LieAlgebraSpec) -> None:
 # JSON input format
 # ---------------------------------------------------------------------------
 
-def _parse_combo(items, what: str) -> Dict[str, Fraction]:
-    combo: Dict[str, Fraction] = {}
-    for item in items:
+def _checked(value, kind, what: str):
+    """value, which must be a JSON array (kind list) or string (kind str)."""
+    if not isinstance(value, kind):
+        raise SpecFormatError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _labels(value, what: str) -> List[str]:
+    return [_checked(x, str, f"{what} entry") for x in _checked(value, list, what)]
+
+
+def _terms(items, what: str):
+    """The (c, b) pairs of a JSON list of {"c": ..., "b": label} terms."""
+    for item in _checked(items, list, f"{what}: value"):
         if not isinstance(item, dict) or "c" not in item or "b" not in item:
             raise SpecFormatError(f"{what}: each term needs 'c' and 'b'")
+        yield item["c"], _checked(item["b"], str, f"{what}: term label 'b'")
+
+
+def _parse_combo(items, what: str) -> Dict[str, Fraction]:
+    combo: Dict[str, Fraction] = {}
+    for c, b in _terms(items, what):
         try:
-            c = Fraction(str(item["c"]))
+            c = Fraction(str(c))
         except (ValueError, ZeroDivisionError) as exc:
-            raise SpecFormatError(f"{what}: bad rational {item['c']!r}: {exc}")
-        combo[item["b"]] = combo.get(item["b"], Fraction(0)) + c
+            raise SpecFormatError(f"{what}: bad rational {c!r}: {exc}")
+        combo[b] = combo.get(b, Fraction(0)) + c
     return combo
 
 
 def _parse_gaussian_combo(items, labels, what: str) -> List[GaussianRational]:
     out = [ZERO] * len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    for item in items:
-        if not isinstance(item, dict) or "c" not in item or "b" not in item:
-            raise SpecFormatError(f"{what}: each term needs 'c' and 'b'")
-        if item["b"] not in index:
-            raise SpecFormatError(f"{what}: unknown basis label {item['b']!r}")
+    for c, b in _terms(items, what):
+        if b not in index:
+            raise SpecFormatError(f"{what}: unknown basis label {b!r}")
         try:
-            c = parse_gaussian(str(item["c"]))
+            c = parse_gaussian(str(c))
         except ValueError as exc:
             raise SpecFormatError(f"{what}: {exc}")
-        out[index[item["b"]]] = out[index[item["b"]]] + c
+        out[index[b]] = out[index[b]] + c
     return out
 
 
 def spec_from_dict(doc: dict) -> LieAlgebraSpec:
+    """The spec of a parsed spec document; SpecFormatError when it does not
+    have the documented shape."""
     if not isinstance(doc, dict):
         raise SpecFormatError("spec document must be a JSON object")
-    for key in ("n_basis",):
-        if key not in doc:
-            raise SpecFormatError(f"missing required field {key!r}")
-    n_names = list(doc["n_basis"])
-    h_names = list(doc.get("h_basis", []))
+    if "n_basis" not in doc:
+        raise SpecFormatError("missing required field 'n_basis'")
+    n_names = _labels(doc["n_basis"], "n_basis")
+    h_names = _labels(doc.get("h_basis", []), "h_basis")
     brackets: Dict[Tuple[str, str], Dict[str, Fraction]] = {}
-    for ent in doc.get("brackets", []):
+    for ent in _checked(doc.get("brackets", []), list, "brackets"):
         if not isinstance(ent, dict) or "x" not in ent or "y" not in ent:
             raise SpecFormatError("each bracket needs 'x' and 'y'")
-        key = (ent["x"], ent["y"])
+        key = (_checked(ent["x"], str, "bracket x"),
+               _checked(ent["y"], str, "bracket y"))
         combo = _parse_combo(ent.get("value", []), f"bracket [{key[0]},{key[1]}]")
         if key in brackets:
             raise SpecFormatError(f"duplicate bracket entry for {key}")
@@ -759,7 +777,7 @@ def spec_from_dict(doc: dict) -> LieAlgebraSpec:
     hint = None
     if "adaptable_hint" in doc:
         hint = []
-        for ent in doc["adaptable_hint"]:
+        for ent in _checked(doc["adaptable_hint"], list, "adaptable_hint"):
             if not isinstance(ent, dict) or "label" not in ent:
                 raise SpecFormatError("each hint entry needs 'label' and 'value'")
             vec = _parse_gaussian_combo(ent.get("value", []), n_names,
@@ -778,5 +796,10 @@ def parse_spec_text(text: str) -> LieAlgebraSpec:
 
 
 def load_spec(path) -> LieAlgebraSpec:
+    """The spec in a file; SpecFormatError when it is not UTF-8 or not a spec."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_spec_text(text)

@@ -6,11 +6,13 @@
     solvlie corpus    list | run [ID ...]
 
 Exit codes: validate 0 pass / 2 hypothesis violation or invalid hint /
-3 parse error; analyze adds 4 for sampling or pipeline failures (a failed
+3 unreadable file or parse error (a malformed spec or non-UTF-8 text
+included); analyze adds 4 for sampling or pipeline failures (a failed
 basis construction, a layer outside the supported section cases or a
 polarization that fails its isotropy checks included); admissible 0
-admissible, 1 not admissible, 2 invalid input (an invalid hint included)
-or one of the same sampling or pipeline failures.
+admissible, 1 not admissible, 2 invalid input (an unreadable or malformed
+file and an invalid hint included) or one of the same sampling or
+pipeline failures.
 A malformed command line, --trials below 1 included, prints the usage and
 exits 2.
 """
@@ -40,9 +42,11 @@ PIPELINE_FAILURES = (ConstructionFailedError, InconsistentSamplingError,
 
 
 def _load(path):
+    """(spec, None), or (None, (3, message)) when the file cannot be read
+    (a missing file or a directory) or does not parse (not UTF-8 included)."""
     try:
         return load_spec(path), None
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return None, (3, f"cannot read {path}: {exc}")
     except SpecFormatError as exc:
         loc = ""

@@ -73,18 +73,6 @@ def corpus_entries() -> List[CorpusEntry]:
     return out
 
 
-def corpus_entry(entry_id: str) -> CorpusEntry:
-    for e in corpus_entries():
-        if e.entry_id == entry_id:
-            return e
-    raise KeyError(f"no corpus entry named {entry_id!r}")
-
-
-def corpus_file_text(entry_id: str) -> str:
-    return resources.files("solvlie").joinpath(
-        "corpus", f"{entry_id}.json").read_text(encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # evaluation of the expectation checks
 # ---------------------------------------------------------------------------

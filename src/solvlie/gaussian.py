@@ -272,15 +272,6 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def gr(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor; accepts ints, Fractions and 'p/q' strings."""
-    if isinstance(re, str):
-        re = Fraction(re)
-    if isinstance(im, str):
-        im = Fraction(im)
-    return GaussianRational(re, im)
-
-
 _FRAC = r"[+-]?\d+(?:/\d+)?"
 _BOTH_RE = re.compile(
     rf"^\s*(?P<real>{_FRAC})\s*(?P<sign>[+-])\s*(?P<imag>\d+(?:/\d+)?)?\s*i\s*$")

@@ -1,9 +1,15 @@
 """Row-echelon linear algebra over Q(i), exact only.
 
 Matrices are lists of row lists of GaussianRational (reduced integer
-triples (n + m i)/d). Every rank, kernel and solve is exact, which is what
-makes the jump index machinery reproducible; an entry is zero when it is
-falsy (``not x``), the exact zero test.
+triples (n + m i)/d). Every rank, kernel and inverse is exact, which is
+what makes the jump index machinery reproducible; an entry is zero when it
+is falsy (``not x``), the exact zero test.
+
+Two routines do row operations: ``rref``, Gauss-Jordan elimination of a
+whole matrix (``rank``, ``kernel``, ``invert`` and ``Subspace`` build on
+it), and ``reduce_row``, one row against a growing echelon, which
+``extend_echelon`` appends to. Every independence and membership test of
+the package grows or reads such an echelon; no other module eliminates.
 
 Float values appear only at float points of g* (such as points moved by a
 dilation flow, whose coordinates pick up factors e^{t}), and nothing here
@@ -83,7 +89,12 @@ def rank(rows: Matrix) -> int:
 
 def kernel(rows: Matrix, ncols: int) -> Matrix:
     """Basis of {x : rows @ x = 0} as row vectors of length ncols."""
-    red, pivots = rref(rows)
+    return rref_kernel(*rref(rows), ncols)
+
+
+def rref_kernel(red: Matrix, pivots: List[int], ncols: int) -> Matrix:
+    """``kernel`` of rows already in RREF with the given pivots: one vector
+    per free column f, 1 at f and minus column f of ``red`` at the pivots."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -95,17 +106,30 @@ def kernel(rows: Matrix, ncols: int) -> Matrix:
     return basis
 
 
-def solve(rows: Matrix, rhs: Row) -> Optional[Row]:
-    """One solution x of rows @ x = rhs, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    x = [ZERO] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None  # pivot in the constant column
-        x[p] = row[-1]
-    return x
+def reduce_row(rows: Matrix, pivots: List[int], vec: Row) -> Row:
+    """vec minus its combination of the echelon ``rows``: row k is 1 at
+    ``pivots[k]`` and 0 at the pivots of the rows before it (as RREF rows
+    are), so subtracting the rows in order clears each pivot for good, and
+    vec lies in their span iff nothing is left."""
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        x = v[c]
+        if x:
+            v = [a - x * b if b else a for a, b in zip(v, row)]
+    return v
+
+
+def extend_echelon(rows: Matrix, pivots: List[int], vec: Row) -> Row:
+    """``reduce_row`` vec and append what is left, if anything, scaled to 1
+    at its first nonzero entry, that column being its pivot. Returns the
+    remainder before scaling, nonzero iff vec was independent."""
+    v = reduce_row(rows, pivots, vec)
+    lead = next((c for c, x in enumerate(v) if x), None)
+    if lead is not None:
+        inv = v[lead]
+        rows.append([x / inv if x else x for x in v])
+        pivots.append(lead)
+    return v
 
 
 def invert(rows: Matrix) -> Optional[Matrix]:
@@ -137,15 +161,8 @@ class Subspace:
         return len(self.rows)
 
     def contains_vector(self, vec: Row) -> bool:
-        """Reduce vec against the held RREF rows: each pivot entry is 1 and
-        the only nonzero entry of its column, so vec is in the span iff
-        nothing is left."""
-        v = list(vec)
-        for row, c in zip(self.rows, self.pivots):
-            x = v[c]
-            if x:
-                v = [a - x * b if b else a for a, b in zip(v, row)]
-        return not any(v)
+        """Whether vec reduces to zero against the held RREF rows."""
+        return not any(reduce_row(self.rows, self.pivots, vec))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # S cap T = annihilator of (ann S + ann T); ann is an involution.

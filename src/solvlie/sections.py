@@ -30,8 +30,7 @@ from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
 from .functionals import Functional, exp_h_coadjoint
 from .gaussian import GaussianRational, ZERO
-from .linalg import (Subspace, identity, is_zero, kernel, rank, rref, solve,
-                     zero_test)
+from .linalg import Subspace, extend_echelon, invert, is_zero, kernel, zero_test
 from .strata import (LayerDescriptor, LayerMismatchError, jump_data,
                      section_vectors)
 
@@ -87,7 +86,12 @@ def stabilizer_data(spec: LieAlgebraSpec, basis: AdaptableBasis,
     plus a normalized complement pairing with the phi coordinates.
 
     k is the joint kernel of the weights on the off-jump-set coordinates.
-    The complement basis A_t satisfies Re weight_{phi_t}(A_u) = delta_{tu}.
+    phi walks nu upward and keeps each j whose real weight extends the
+    echelon of those kept. A_1..A_r, with Re weight_{phi_s}(A_t) =
+    delta_st, are the columns of the inverse of the kept real weights on
+    the echelon's pivot columns (invertible, as the echelon is triangular
+    there). No nonzero element of their span is in k, so with dim k + r =
+    dim h, k and the A_t form a basis of h.
     """
     nd, hd = spec.n_dim, spec.h_dim
     nu = tuple(j for j in range(1, nd + 1) if j not in set(n_layer.e_set))
@@ -96,18 +100,14 @@ def stabilizer_data(spec: LieAlgebraSpec, basis: AdaptableBasis,
         w = basis.weights[j - 1]
         rows.append([GaussianRational(x.re) for x in w])
         rows.append([GaussianRational(x.im) for x in w])
-    k_rows = kernel(rows, hd) if rows else identity(hd)
-    k_sub = Subspace(k_rows, hd)
+    k_sub = Subspace(kernel(rows, hd), hd)
 
-    # phi indices: walk nu upward, keep those whose real weight is new
-    sel: List[List[GaussianRational]] = []
+    echelon: List[List[GaussianRational]] = []
+    pivots: List[int] = []
     phi: List[int] = []
     for j in nu:
-        row = [GaussianRational(x.re) for x in basis.weights[j - 1]]
-        if all(x.is_zero() for x in row):
-            continue
-        if rank(sel + [row]) > len(phi):
-            sel.append(row)
+        real = [GaussianRational(x.re) for x in basis.weights[j - 1]]
+        if any(extend_echelon(echelon, pivots, real)):
             phi.append(j)
 
     r = len(phi)
@@ -115,40 +115,25 @@ def stabilizer_data(spec: LieAlgebraSpec, basis: AdaptableBasis,
         raise NormalizationFailedError(
             f"complement mismatch: dim k = {k_sub.dim}, r = {r}, dim h = {hd}")
 
+    inv = invert([[GaussianRational(basis.weights[j - 1][p].re) for p in pivots]
+                  for j in phi])
     a_basis: List[Tuple[Fraction, ...]] = []
-    if r:
-        mat = [[basis.weights[j - 1][t].re for t in range(hd)] for j in phi]
-        gmat = [[GaussianRational(x) for x in row] for row in mat]
-        _, pivots = rref([list(row) for row in gmat])
-        if len(pivots) < r:
-            raise NormalizationFailedError("real weights on phi are dependent")
-        for t in range(r):
-            rhs = [GaussianRational(1 if u == t else 0) for u in range(r)]
-            cols = [[gmat[u][p] for p in pivots] for u in range(r)]
-            x = solve(cols, rhs)
-            if x is None:
-                raise NormalizationFailedError("normalization system is singular")
-            full = [Fraction(0)] * hd
-            for p, val in zip(pivots, x):
-                if not val.is_real():
-                    raise NormalizationFailedError("complex normalization")
-                full[p] = val.re
-            a_basis.append(tuple(full))
+    for t in range(r):
+        full = [Fraction(0)] * hd
+        for p, row in zip(pivots, inv):
+            full[p] = row[t].re
+        a_basis.append(tuple(full))
     return StabilizerData(nu=nu, k_subalg=k_sub, a_basis=a_basis, phi=tuple(phi))
 
 
 def canonical_h_vectors(spec: LieAlgebraSpec, stab: StabilizerData):
-    """h-part vectors in the order: k-part first, then A_r, ..., A_1."""
-    nd, hd = spec.n_dim, spec.h_dim
-    out = []
-    for row in stab.k_subalg.rows:
-        out.append(tuple([ZERO] * nd
-                         + [GaussianRational(x.re) for x in row]))
-    for a in reversed(stab.a_basis):
-        out.append(tuple([ZERO] * nd + [GaussianRational(c) for c in a]))
-    if rank([list(v) for v in out]) != hd:
-        raise NormalizationFailedError("k-part plus complement is not a basis of h")
-    return out
+    """h-part vectors in the order: k-part first, then A_r, ..., A_1 (a
+    basis of h, by ``stabilizer_data``)."""
+    pad = [ZERO] * spec.n_dim
+    return ([tuple(pad + [GaussianRational(x.re) for x in row])
+             for row in stab.k_subalg.rows] +
+            [tuple(pad + [GaussianRational(c) for c in a])
+             for a in reversed(stab.a_basis)])
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,23 @@ from typing import List, Optional, Sequence, Tuple
 from solvlie.adapted import ConstructionFailedError, HintInvalidError
 from solvlie.algebra import DiagonalizationError, weight_decomposition
 from solvlie.gaussian import GaussianRational, ZERO
-from solvlie.linalg import Subspace, kernel, rank, rref, solve
+from solvlie.linalg import Subspace, kernel, rank, rref
 
 GR1 = GaussianRational(1)
+
+
+def solve(rows, rhs):
+    """One solution x of rows @ x = rhs, or None if inconsistent, from the
+    RREF of the augmented matrix (the oracles' and tests' solver; the
+    library inverts instead)."""
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    x = [ZERO] * ncols
+    for row, p in zip(red, pivots):
+        if p == ncols:
+            return None  # pivot in the constant column
+        x[p] = row[-1]
+    return x
 
 
 def _conj_vec(vec):

@@ -1,15 +1,30 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from solvlie.corpus import corpus_entries, corpus_entry
+from solvlie.corpus import CorpusEntry, corpus_entries
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
 from solvlie.workbench import Workbench
 
 _WB_CACHE = {}
+
+
+def corpus_entry(entry_id: str) -> CorpusEntry:
+    """The bundled corpus entry of the given id (KeyError if none)."""
+    for e in corpus_entries():
+        if e.entry_id == entry_id:
+            return e
+    raise KeyError(f"no corpus entry named {entry_id!r}")
+
+
+def corpus_file_text(entry_id: str) -> str:
+    """The text of the bundled corpus file of the given id."""
+    return resources.files("solvlie").joinpath(
+        "corpus", f"{entry_id}.json").read_text(encoding="utf-8")
 
 
 def wb_for(entry_id: str, seed: int = 42, trials: int = 16) -> Workbench:

@@ -16,13 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from adapted_oracle import bracket_basis
+from adapted_oracle import bracket_basis, solve
 from solvlie.adapted import AdaptableBasis
 from solvlie.admissibility import CenterData, IsotropyError, PolarizationData
 from solvlie.algebra import LieAlgebraSpec
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
-from solvlie.linalg import Subspace, kernel, rank, solve
+from solvlie.linalg import Subspace, kernel, rank
 from solvlie.strata import JumpData, jump_data
 from unipotent_oracle import ad_matrix
 

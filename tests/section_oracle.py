@@ -10,18 +10,24 @@ compare the two on corpus points, seeded points and flowed float points,
 reading the library's adapted coordinates over the real basis through
 ``real_vector`` (sum_p x_p Z_{p+1}) and ``real_section_vectors``.
 ``pointwise_stabilizer`` is the little group read at one point.
+``stabilizer_data`` is the little-group data as the library computed it
+with one ``rank`` per candidate phi index and one ``solve`` per complement
+vector, before it grew an echelon and read the complement off one inverse.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from adapted_oracle import solve
 from solvlie.adapted import AdaptableBasis
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
-from solvlie.linalg import Subspace, identity, is_zero, kernel
+from solvlie.linalg import Subspace, identity, is_zero, kernel, rank, rref
+from solvlie.sections import NormalizationFailedError, StabilizerData
 from solvlie.strata import (JumpData, LayerMismatchError, UnsupportedCaseError,
                             jump_data)
 
@@ -58,6 +64,57 @@ def pointwise_stabilizer(f: Functional, basis: AdaptableBasis) -> Subspace:
             rows.append([GaussianRational(x.re) for x in w])
             rows.append([GaussianRational(x.im) for x in w])
     return Subspace(kernel(rows, hd) if rows else identity(hd), hd)
+
+
+def stabilizer_data(spec, basis: AdaptableBasis, n_layer) -> StabilizerData:
+    """k, the joint kernel of the weights on nu; phi, the j in nu (upward)
+    whose real weight raises the rank of those kept; A_t with
+    Re weight_{phi_u}(A_t) = delta_ut on the RREF pivot columns of the kept
+    real weights, one ``solve`` per t."""
+    nd, hd = spec.n_dim, spec.h_dim
+    nu = tuple(j for j in range(1, nd + 1) if j not in set(n_layer.e_set))
+    rows = []
+    for j in nu:
+        w = basis.weights[j - 1]
+        rows.append([GaussianRational(x.re) for x in w])
+        rows.append([GaussianRational(x.im) for x in w])
+    k_sub = Subspace(kernel(rows, hd) if rows else identity(hd), hd)
+
+    sel: List[List[GaussianRational]] = []
+    phi: List[int] = []
+    for j in nu:
+        row = [GaussianRational(x.re) for x in basis.weights[j - 1]]
+        if all(x.is_zero() for x in row):
+            continue
+        if rank(sel + [row]) > len(phi):
+            sel.append(row)
+            phi.append(j)
+
+    r = len(phi)
+    if k_sub.dim + r != hd:
+        raise NormalizationFailedError(
+            f"complement mismatch: dim k = {k_sub.dim}, r = {r}, dim h = {hd}")
+
+    a_basis: List[Tuple[Fraction, ...]] = []
+    if r:
+        gmat = [[GaussianRational(basis.weights[j - 1][t].re) for t in range(hd)]
+                for j in phi]
+        _, pivots = rref(gmat)
+        if len(pivots) < r:
+            raise NormalizationFailedError("real weights on phi are dependent")
+        cols = [[gmat[u][p] for p in pivots] for u in range(r)]
+        for t in range(r):
+            x = solve(cols, [GaussianRational(1 if u == t else 0)
+                             for u in range(r)])
+            if x is None:
+                raise NormalizationFailedError("normalization system is singular")
+            full = [Fraction(0)] * hd
+            for p, val in zip(pivots, x):
+                if not val.is_real():
+                    raise NormalizationFailedError("complex normalization")
+                full[p] = val.re
+            a_basis.append(tuple(full))
+    return StabilizerData(nu=nu, k_subalg=k_sub, a_basis=a_basis, phi=tuple(phi))
 
 
 def real_vector(basis: AdaptableBasis, coords: dict) -> list:

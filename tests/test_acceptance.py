@@ -10,14 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import VALID_IDS, point, sample_element, wb_for
+from conftest import VALID_IDS, corpus_entry, point, sample_element, wb_for
 from disintegration_oracle import (within_standard_errors,
                                    workbench_disintegration)
 from pfaffian_oracle import det
 from section_oracle import pointwise_stabilizer, real_section_vectors
 from solvlie import admissibility as adm
 from solvlie.algebra import validate_spec
-from solvlie.corpus import corpus_entry
 from solvlie.functionals import (Functional, exp_unipotent_coadjoint,
                                  sample_functional)
 from solvlie.gaussian import GaussianRational as G

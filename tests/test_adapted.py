@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import corpus_entry
 from jump_oracle import flag
 from solvlie.adapted import HintInvalidError, build_adaptable_basis
 from solvlie.algebra import spec_from_dict
-from solvlie.corpus import corpus_entry
 from solvlie.gaussian import GaussianRational as G
 
 

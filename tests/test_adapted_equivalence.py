@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 from adapted_oracle import construct, verify
-from conftest import VALID_IDS, wb_for
+from conftest import VALID_IDS, corpus_entry, wb_for
 from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import SpecFormatError, spec_from_dict
-from solvlie.corpus import corpus_entries, corpus_entry
+from solvlie.corpus import corpus_entries
 from solvlie.gaussian import GaussianRational as G
 
 _SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"

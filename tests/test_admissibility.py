@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 import disintegration_oracle
-from conftest import VALID_IDS, point, wb_for
+from conftest import VALID_IDS, corpus_entry, point, wb_for
 from disintegration_oracle import (within_standard_errors,
                                    workbench_disintegration)
 from solvlie import admissibility as adm
 from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import HypothesisViolation, spec_from_dict
-from solvlie.corpus import corpus_entry
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import UnsupportedLayerError, sample_sigma_circ

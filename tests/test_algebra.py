@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import corpus_entry, corpus_file_text
 from solvlie.algebra import (HypothesisViolation, LieAlgebraSpec,
                              SpecFormatError, parse_spec_text,
                              require_noncommutative, spec_from_dict, trace_ad,
                              validate_spec)
-from solvlie.corpus import corpus_entry, corpus_file_text
 from unipotent_oracle import ad_matrix
 
 

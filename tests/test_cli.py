@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+from conftest import corpus_file_text
 from solvlie.adapted import ConstructionFailedError
 from solvlie.admissibility import IsotropyError
-from solvlie.corpus import corpus_entries, corpus_file_text
+from solvlie.corpus import corpus_entries
 from solvlie.sections import UnsupportedLayerError
 from solvlie.strata import UnsupportedCaseError
 
@@ -217,3 +218,70 @@ def test_parser_is_built_once_and_still_reports_usage(capsys, corpus_dir):
     err = capsys.readouterr().err
     assert "usage:" in err and "--trials" in err
     assert cli.main(["validate", path]) == 0
+
+
+def _heisenberg_doc():
+    return json.loads(corpus_file_text("heisenberg-2param"))
+
+
+def _malformed(edit):
+    doc = _heisenberg_doc()
+    edit(doc)
+    return doc
+
+
+# spec documents of the wrong shape, each of which once escaped the parser
+# as a TypeError (or, for a string n_basis, was read as one label per
+# character)
+MALFORMED_SPECS = {
+    "n_basis-a-number": {"n_basis": 5},
+    "h_basis-null": _malformed(lambda d: d.update(h_basis=None)),
+    "bracket-value-a-number":
+        _malformed(lambda d: d["brackets"][0].update(value=3)),
+    "hint-value-a-number": _malformed(lambda d: d.update(
+        adaptable_hint=[{"label": "Z1", "value": 7}])),
+    "n_basis-label-a-list":
+        _malformed(lambda d: d.update(n_basis=[["Z"], "Y", "X"])),
+    "bracket-x-a-list": _malformed(lambda d: d["brackets"][0].update(x=["X"])),
+    "bracket-b-a-list":
+        _malformed(lambda d: d["brackets"][0]["value"][0].update(b=["Z"])),
+    "n_basis-a-string": _malformed(lambda d: d.update(n_basis="ZYX")),
+}
+
+# validate and analyze exit 3 on an unreadable or unparsable file,
+# admissible 2
+LOAD_FAILURE_CODES = [("validate", 3), ("analyze", 3), ("admissible", 2)]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+@pytest.mark.parametrize("command, code", LOAD_FAILURE_CODES)
+def test_malformed_spec_exit_codes(capsys, tmp_path, name, command, code):
+    from solvlie import cli
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_SPECS[name]), encoding="utf-8")
+    assert cli.main([command, str(path)]) == code
+    out = capsys.readouterr()
+    assert f"parse error in {path}" in out.err
+    assert "all checks passed" not in out.out
+
+
+@pytest.mark.parametrize("name", ["", "absent.json"])  # a directory, no file
+@pytest.mark.parametrize("command, code", LOAD_FAILURE_CODES)
+def test_unreadable_file_exit_codes(capsys, tmp_path, name, command, code):
+    from solvlie import cli
+    path = tmp_path / name
+    assert cli.main([command, str(path)]) == code
+    assert f"cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code", LOAD_FAILURE_CODES)
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path, command, code):
+    from solvlie import cli
+    path = tmp_path / "latin1.json"
+    path.write_bytes(corpus_file_text("heisenberg-2param")
+                     .replace('"heisenberg-2param"', '"Heisenberg é"')
+                     .encode("latin-1"))
+    assert cli.main([command, str(path)]) == code
+    err = capsys.readouterr().err
+    assert f"parse error in {path}" in err and "not UTF-8" in err
+

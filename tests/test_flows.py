@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import unipotent_oracle
-from conftest import VALID_IDS, point, sample_element, wb_for
-from solvlie.corpus import corpus_entry
+from adapted_oracle import solve
+from conftest import VALID_IDS, corpus_entry, point, sample_element, wb_for
 from solvlie.functionals import (Functional, NeedsFloatError, NotUnipotentError,
                                  RealityError, exp_h_coadjoint,
                                  exp_unipotent_coadjoint, sample_functional)
 from solvlie.gaussian import GaussianRational as G
-from solvlie.linalg import solve
 
 
 def _nilpotent_exp_oracle(spec, x_vec, l):

@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from solvlie.gaussian import GaussianRational, gr, parse_gaussian
+from solvlie.gaussian import GaussianRational, parse_gaussian
+
+
+def gr(re=0, im=0) -> GaussianRational:
+    """Shorthand constructor; accepts ints, Fractions and 'p/q' strings."""
+    if isinstance(re, str):
+        re = Fraction(re)
+    if isinstance(im, str):
+        im = Fraction(im)
+    return GaussianRational(re, im)
 
 
 def test_field_operations_exact():

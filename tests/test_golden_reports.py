@@ -56,7 +56,8 @@ import contextlib, hashlib, io, json, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import solvlie
 from solvlie import cli
-from solvlie.corpus import corpus_entry
+from solvlie.corpus import corpus_entries
+corpus_entry = {e.entry_id: e for e in corpus_entries()}.__getitem__
 digests = {}
 for path in sys.argv[1:]:
     out = io.StringIO()

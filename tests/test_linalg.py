@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+from adapted_oracle import solve
 from pfaffian_oracle import det
 from solvlie.gaussian import GaussianRational
-from solvlie.linalg import (FLOAT_TOL, Subspace, identity, invert, is_zero,
-                            kernel, rank, rref, solve, zero_test)
+from solvlie.linalg import (FLOAT_TOL, Subspace, extend_echelon, identity,
+                            invert, is_zero, kernel, rank, reduce_row, rref,
+                            zero_test)
 
 
 def rand_mat(rng, rows, cols, complex_entries=True):
@@ -111,7 +113,9 @@ def test_full_space_contains_everything():
 
 def test_contains_vector_agrees_with_rank_test():
     # reduction against the RREF rows decides membership as a rank of rows
-    # plus vector did, on the zero subspace, the full space and random ones
+    # plus vector did, on the zero subspace, the full space and random ones;
+    # extending an echelon of the same span by the vector appends a row
+    # exactly when the rank grows
     rng = random.Random(9)
     zero = GaussianRational(0)
     checked = inside = 0
@@ -132,6 +136,9 @@ def test_contains_vector_agrees_with_rank_test():
             for vec in vecs:
                 want = rank(sub.rows + [vec]) == sub.dim
                 assert sub.contains_vector(vec) == want, (sub.rows, vec)
+                rows, pivots = list(sub.rows), list(sub.pivots)
+                added = any(extend_echelon(rows, pivots, vec))
+                assert added == (not want) == (len(rows) == sub.dim + 1)
                 checked += 1
                 inside += want
     assert checked == 640 and 0 < inside < checked
@@ -164,4 +171,30 @@ def test_zero_test_is_bound_once_per_tolerance():
     near = zero_test(FLOAT_TOL)
     assert near(complex(FLOAT_TOL / 2, 0))
     assert not near(complex(0, 2 * FLOAT_TOL))
+
+
+
+def test_extend_echelon_builds_a_triangular_basis_of_the_span():
+    # rows appended in any order: each is 1 at its pivot and 0 at the
+    # pivots of the rows before it, the pivot set is the RREF's, the span
+    # is the span of the input, and membership by reduce_row agrees with
+    # the RREF subspace on random vectors
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = rand_mat(rng, rng.randint(0, n + 2), n, complex_entries=rng.random() < 0.5)
+        if m and rng.random() < 0.3:
+            m.append([x * GaussianRational(2) for x in m[0]])
+        rows, pivots = [], []
+        for vec in m:
+            extend_echelon(rows, pivots, vec)
+        for k, (row, c) in enumerate(zip(rows, pivots)):
+            assert row[c] == GaussianRational(1)
+            assert all(not row[p] for p in pivots[:k])
+            assert all(not x for x in row[:c])
+        sub = Subspace(m, n)
+        assert sorted(pivots) == sub.pivots
+        assert Subspace(rows, n) == sub
+        for vec in rand_mat(rng, 4, n) + m:
+            assert (not any(reduce_row(rows, pivots, vec))) == sub.contains_vector(vec)
 

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SAMPLABLE_IDS, VALID_IDS, point, wb_for
+from conftest import SAMPLABLE_IDS, VALID_IDS, corpus_entry, point, wb_for
 from section_oracle import pointwise_stabilizer
-from solvlie.corpus import corpus_entry
 from solvlie.functionals import exp_h_coadjoint
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import (NotInSectionError, UnsupportedLayerError,

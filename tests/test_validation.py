@@ -17,8 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import corpus_entry
 from solvlie.algebra import LieAlgebraSpec, SpecFormatError, validate_spec
-from solvlie.corpus import corpus_entries, corpus_entry
+from solvlie.corpus import corpus_entries
 
 PINNED = Path(__file__).resolve().parent / "validation_reports.json"
 

@@ -16,13 +16,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import corpus_entry
 import weight_oracle
 from solvlie import admissibility as adm
 from solvlie import algebra
 from solvlie.algebra import (DiagonalizationError, LieAlgebraSpec,
                              SpecFormatError, spec_from_dict, validate_spec,
                              weight_decomposition)
-from solvlie.corpus import corpus_entries, corpus_entry
+from solvlie.corpus import corpus_entries
 from solvlie.gaussian import GaussianRational as G
 from solvlie.linalg import invert, rref
 from solvlie.workbench import Workbench

@@ -68,7 +68,7 @@ def test_workbench_caches_are_pure():
 def test_one_weight_decomposition_per_spec(monkeypatch):
     # validation, the basis construction and the dilation flow share it
     from solvlie import algebra
-    from solvlie.corpus import corpus_entry
+    from conftest import corpus_entry
     from solvlie.workbench import Workbench
 
     calls = []
@@ -84,7 +84,7 @@ def test_one_weight_decomposition_per_spec(monkeypatch):
 
 def test_canonical_basis_skips_the_n_part_verification(monkeypatch):
     from solvlie.adapted import AdaptableBasis
-    from solvlie.corpus import corpus_entry
+    from conftest import corpus_entry
     from solvlie.workbench import Workbench
 
     wb = Workbench(corpus_entry("five-dilations-repaired").spec(), trials=12)
