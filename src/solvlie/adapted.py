@@ -108,8 +108,9 @@ class AdaptableBasis:
       m of the inverse of the n block and of the h block of the basis
       matrix (the rows of the blocks are the Z_j).
 
-    ``layer_tables`` memoizes the case table of ``strata`` per (ambient,
-    i_seq, j_seq), built on first use; ``with_h_part`` starts it empty.
+    ``layer_tables`` memoizes, on first use, the case table of ``strata``
+    per (ambient, i_seq, j_seq) and its orbit-form table under
+    "orbit_form"; ``with_h_part`` starts it empty.
     """
 
     def __init__(self, spec: LieAlgebraSpec, nvecs: Sequence[Vector],
@@ -143,7 +144,7 @@ class AdaptableBasis:
         self.hvecs = hvecs
         self.vectors = self.nvecs + hvecs
         self.terms = [_terms(v) for v in self.vectors]
-        self.layer_tables: Dict[tuple, tuple] = {}
+        self.layer_tables: Dict[object, tuple] = {}
 
     # -- structure -------------------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
-from .functionals import Functional, exp_h_coadjoint
+from .functionals import Functional, adapted_values, exp_h_coadjoint
 from .gaussian import GaussianRational, ZERO
 from .linalg import Subspace, extend_echelon, invert, is_zero, kernel, zero_test
 from .strata import (LayerDescriptor, LayerMismatchError, jump_data,
@@ -218,8 +218,8 @@ class SectionOracle:
 
     def contains(self, f: Functional) -> bool:
         """Evaluate the oracle's equations at f. The jump, nonzero and
-        modulus equations read the adapted values f(Z_j) that the jump
-        data of f has read."""
+        modulus equations read the adapted values f(Z_j), j <= n, once the
+        jump pairs of f match the layer's."""
         vanishes = zero_test(f.tol)
         basis = self.basis
         e_set = self.n_layer.e_set
@@ -230,7 +230,8 @@ class SectionOracle:
             sv = section_vectors(f, basis, jd, "n")
         except LayerMismatchError:
             return False
-        zvals, zero = jd.zvals, f.zero   # f(Z_{p+1})
+        zvals = adapted_values(f, basis.terms[:basis.n])   # f(Z_{p+1})
+        zero = f.zero
         for j in e_set:
             if not vanishes(sum((x * zvals[p] for p, x in sv.z_adapted[j].items()),
                                 zero)):

@@ -13,18 +13,22 @@ pivots; the Plancherel density |Pf| is read that way. On a fixed layer,
 point-dependent vectors V_k, U_k (dual pairs of the form) and combinations
 Z_j(l) are produced case by case; they cut out the orbit cross-sections.
 
-M is filled once per point from the basis's adapted structure constants,
-M[p][q] = sum_k C_pq^k l(Z_k), so a point is read only through its values
-l(Z_k), k <= n. Both the jump pairs and the section vectors read M: the
-section vectors are computed in coordinates over the adapted vectors, where
+M[p][q] = sum_k C_pq^k l(Z_k) is, through the adapted structure constants
+and the adapted vectors, an integer linear form in the values of l on the
+real basis, over one denominator. These forms are composed once per basis
+(``_form_table``), so a point is read only through its real coordinates
+and M is filled once per point into sparse rows and columns, one entry per
+nonzero bracket, with no dense matrix and no adapted values. The jump
+reduction runs on the rows. The section vectors are computed in
+coordinates over the adapted vectors, where
 Re Z_i = (Z_i + Z_sigma(i)) / 2 and Im Z_i = (Z_i - Z_sigma(i)) / 2i, and
-paired through the sparse columns of M, which the fill records from the
-nonzero entries of C.
+paired through the columns.
 
 Which case of the section-vector table each pair falls in depends only on
 the jump pairs, not on the point. So the case table (conj-stable positions,
 primes, case sets) is built once per (ambient, i_seq, j_seq) and kept,
-read-only, on the basis (``AdaptableBasis.layer_tables``); the points of
+read-only, on the basis (``AdaptableBasis.layer_tables``, which also keeps
+the form table); the points of
 one layer share it, and only the descriptor ``generic_layer`` returns gets
 its own copies.
 
@@ -52,19 +56,22 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .adapted import AdaptableBasis
-from .functionals import (Functional, NeedsFloatError, adapted_values,
-                          sample_functional)
-from .gaussian import GaussianRational, ZERO
+from .functionals import Functional, NeedsFloatError, sample_functional
+from .gaussian import GaussianRational, ZERO, _reduced
 from .linalg import Subspace, identity, zero_test
 
 GR1 = GaussianRational(1)
 HALF = GaussianRational(Fraction(1, 2))
 MINUS_HALF_I = GaussianRational(0, Fraction(-1, 2))
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
 
 
 class LayerMismatchError(ValueError):
@@ -100,8 +107,7 @@ class JumpData:
     adapted vectors, and ``polarizing_subspace`` is the same over the real
     basis.
     ``columns[q]`` lists the nonzero (p, M[p][q]) of column q of the
-    unreduced orbit form M = (l[Z_p, Z_q]) at ``point``, by increasing p,
-    and ``zvals[k]`` is the value l(Z_{k+1}), k < n, M was filled from.
+    unreduced orbit form M = (l[Z_p, Z_q]) at ``point``, by increasing p.
     """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
@@ -110,7 +116,6 @@ class JumpData:
     reductions: Tuple[Tuple[Tuple[int, object], ...], ...] = field(
         default=(), repr=False, compare=False)
     point: Optional[Functional] = field(default=None, repr=False, compare=False)
-    zvals: Optional[list] = field(default=None, repr=False, compare=False)
     columns: Optional[List[list]] = field(default=None, repr=False,
                                           compare=False)
 
@@ -164,91 +169,138 @@ def _to_real(basis: AdaptableBasis, coords) -> list:
     return out
 
 
-def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
-    """(zvals, M, columns): the values zvals[k] = l(Z_{k+1}), k < n
-    (``functionals.adapted_values``), and
-    M[p][q] = l[Z_{p+1}, Z_{q+1}] = sum_k C_pq^k l(Z_{k+1}) on the first
-    n_amb adapted vectors, from the basis's adapted structure constants.
-    ``columns[q]`` lists the nonzero (p, M[p][q]) by increasing p; they are
-    recorded as M is filled, since only the entries with a row of C can be
-    nonzero."""
-    zero = l.zero
-    zvals = adapted_values(l, basis.terms[:basis.n])
-    form = [[zero] * n_amb for _ in range(n_amb)]
-    # keys run by q, then by p, so each column gets its rows in order:
-    # first p < q at key (p, q), then p > q at the later keys (q, p)
-    columns: List[list] = [[] for _ in range(n_amb)]
-    for table in (basis.structure, basis.h_structure):
-        for (p, q), row in table.items():
-            if q >= n_amb:
-                break
-            # sums start at their first nonzero product, saving an
-            # addition to zero
-            x = zero
+def _form_table(basis: AdaptableBasis) -> tuple:
+    """The orbit form as integer linear forms in a point's real
+    coordinates, built once per basis and kept in ``basis.layer_tables``.
+
+    Entry (p, q, re, im, d), p < q, stands for
+    M[p][q] = l[Z_{p+1}, Z_{q+1}] = sum_k C_pq^k l(Z_{k+1})
+    = (sum_m a_m x_m + i sum_m b_m x_m) / d, with (m, a_m) in re and
+    (m, b_m) in im the nonzero integer coefficients over the values x_m of
+    l on the real basis, composed from the adapted structure constants and
+    ``terms``. The entries run by q, then by p, as the keys of
+    ``structure`` and then ``h_structure`` do."""
+    table = basis.layer_tables.get("orbit_form")
+    if table is not None:
+        return table
+    entries = []
+    for rows in (basis.structure, basis.h_structure):
+        for (p, q), row in rows.items():
+            coef: Dict[int, GaussianRational] = {}
             for k, c in row.items():
-                zk = zvals[k]
-                if zk:
-                    x = c * zk if x is zero else x + c * zk
-            if x:
-                y = -x
-                form[p][q] = x
-                form[q][p] = y
-                columns[q].append((p, x))
-                columns[p].append((q, y))
-    return zvals, form, columns
+                for m, t in basis.terms[k]:
+                    coef[m] = coef.get(m, ZERO) + c * t
+            parts = [(m, x.re, x.im) for m, x in coef.items() if x]
+            d = lcm(*(y.denominator for _, a, b in parts for y in (a, b)))
+            entries.append((p, q,
+                            tuple((m, int(a * d)) for m, a, _ in parts if a),
+                            tuple((m, int(b * d)) for m, _, b in parts if b),
+                            d))
+    table = basis.layer_tables["orbit_form"] = tuple(entries)
+    return table
 
 
-def _skew_reduce(m: List[list], tol: Optional[float]):
-    """One symplectic reduction of the skew matrix m, in place.
+def _complex_entry(a: float, b: float, d: int) -> complex:
+    """(a + ib) / d at a float point."""
+    return complex(a, b) / d
+
+
+def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
+    """(rows, columns): the orbit form M[p][q] = l[Z_{p+1}, Z_{q+1}] on the
+    first n_amb adapted vectors, filled from ``_form_table``. ``rows[p]``
+    is {q: M[p][q]} over the nonzero entries of row p, and ``columns[q]``
+    lists the nonzero (p, M[p][q]) by increasing p.
+
+    At an exact point the values x_m are read as integers over one common
+    denominator (1 at every sampled point), and each entry takes one gcd;
+    at a float point the integer coefficients times the floats give
+    complex(a, b) / d."""
+    values = l.values
+    if l.exact:
+        den = lcm(*map(_DENOMINATOR, values))
+        xs = (list(map(_NUMERATOR, values)) if den == 1 else
+              [v.numerator * (den // v.denominator) for v in values])
+        entry = _reduced
+    else:
+        den, xs, entry = 1, values, _complex_entry
+    rows: List[dict] = [{} for _ in range(n_amb)]
+    # entries run by q, then by p, so each column gets its rows in order:
+    # first p < q at entry (p, q), then p > q at the later entries (q, p)
+    columns: List[list] = [[] for _ in range(n_amb)]
+    for p, q, re_terms, im_terms, d in _form_table(basis):
+        if q >= n_amb:
+            break
+        a = b = 0
+        for m, c in re_terms:
+            a += c * xs[m]
+        for m, c in im_terms:
+            b += c * xs[m]
+        if a or b:
+            x = entry(a, b, d * den)
+            y = -x
+            rows[p][q] = x
+            rows[q][p] = y
+            columns[q].append((p, x))
+            columns[p].append((q, y))
+    return rows, columns
+
+
+def _skew_reduce(rows: List[dict], tol: Optional[float]):
+    """One symplectic reduction of a skew matrix, in place on its sparse
+    rows {q: m[p][q]}; an entry missing from a row is zero.
 
     Positions g stay active while their reduced vector y_g can still pair.
     Step k takes the first active row i_k with a nonzero entry in an active
     column, and j_k as the first such column; every active g with
-    m[i_k][g] != 0 is reduced by y_g <- y_g - c * y_{j_k},
+    m[i_k][g] != 0 is reduced, by increasing g, by y_g <- y_g - c * y_{j_k},
     c = m[i_k][g] / m[i_k][j_k], which clears row i_k in the active
     columns other than j_k. Then i_k and j_k leave the active set. Each
-    step is a congruence of determinant 1.
+    step is a congruence of determinant 1. An entry that becomes zero stays
+    stored; the zero test reads it.
 
     Returns (i_seq, j_seq, reductions, pivots), positions 1-based:
     ``reductions[k - 1]`` lists the (g, c) of step k and ``pivots[k - 1]``
     is the reduced m[i_k][j_k].
     """
     zero = zero_test(tol)
-    active = list(range(len(m)))
+    active = set(range(len(rows)))
     # the active rows not yet seen to be zero in every active column; such a
     # row never changes again (zero in column i_k, it is not reduced; zero in
     # column j_k, it is not among the columns that move), so it leaves the
-    # scan for good
-    scan = list(active)
+    # scan for good. An empty row is such a row from the start.
+    scan = [p for p, row in enumerate(rows) if row]
     i_seq: List[int] = []
     j_seq: List[int] = []
     reductions = []
     pivots = []
     while scan:
         ik = scan.pop(0)
-        row_i = m[ik]
-        jk = next((q for q in active if not zero(row_i[q])), None)
+        row_i = rows[ik]
+        jk = None
+        for q, x in row_i.items():
+            if q in active and not zero(x) and (jk is None or q < jk):
+                jk = q
         if jk is None:
             continue
         active.remove(ik)
         active.remove(jk)
         scan.remove(jk)
-        row_j = m[jk]
+        row_j = rows[jk]
         piv = row_i[jk]
         # row j_k is fixed during the step; only its nonzero columns move
-        cols = [q for q in active if not zero(row_j[q])]
+        cols = [(q, x) for q, x in row_j.items()
+                if q in active and not zero(x)]
         steps = []
-        for g in active:
-            if zero(row_i[g]):
-                continue
+        for g in sorted(g for g, x in row_i.items()
+                        if g in active and not zero(x)):
             c = row_i[g] / piv
             steps.append((g + 1, c))
-            row_g = m[g]
-            for q in cols:
+            row_g = rows[g]
+            for q, x_j in cols:
                 if q != g:
-                    x = row_g[q] - c * row_j[q]
+                    x = row_g[q] - c * x_j if q in row_g else -(c * x_j)
                     row_g[q] = x
-                    m[q][g] = -x
+                    rows[q][g] = -x
         i_seq.append(ik + 1)
         j_seq.append(jk + 1)
         reductions.append(tuple(steps))
@@ -260,12 +312,13 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
               ambient: str = "g") -> JumpData:
     """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
 
-    The reduction (``_skew_reduce``) runs in place on the dense M that
-    ``_orbit_form`` builds; the result keeps M's sparse columns, which the
-    reduction does not touch. Positions g of the ambient flag stay active while their
-    reduced vector y_g can still pair; step k pairs the first active row
-    i_k that pairs with the first active column j_k it pairs with, and
-    y_{i_k} stays in h_k (in its radical) while y_{j_k} does not.
+    The reduction (``_skew_reduce``) runs in place on the sparse rows of
+    M that ``_orbit_form`` fills; the result keeps M's sparse columns,
+    which the reduction does not touch. Positions g of the ambient flag
+    stay active while their reduced vector y_g can still pair; step k
+    pairs the first active row i_k that pairs with the first active column
+    j_k it pairs with, and y_{i_k} stays in h_k (in its radical) while
+    y_{j_k} does not.
 
     This is the flag/annihilator recursion h_k = perp(h_{k-1} cap c_{i_k})
     cap h_{k-1}: by the choice of i_k, h_{k-1} cap c_{i_k - 1} already lies
@@ -278,10 +331,10 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """
     if basis is None:
         basis = l.basis
-    zvals, form, columns = _orbit_form(l, basis, basis.ambient(ambient))
-    i_seq, j_seq, reductions, _ = _skew_reduce(form, l.tol)
+    rows, columns = _orbit_form(l, basis, basis.ambient(ambient))
+    i_seq, j_seq, reductions, _ = _skew_reduce(rows, l.tol)
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis,
-                    tuple(reductions), l, zvals, columns)
+                    tuple(reductions), l, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +519,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
     if jd.point is l and jd.basis is basis and jd.ambient == ambient:
         cols = jd.columns
     else:
-        _, _, cols = _orbit_form(l, basis, basis.ambient(ambient))
+        _, cols = _orbit_form(l, basis, basis.ambient(ambient))
     table = _case_table(jd)
     in_case = table.in_case
     vanishes = zero_test(tol)
@@ -867,7 +920,8 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
         for j in range(i, n):
             if m[i][j] != -m[j][i]:
                 raise NotSkewError(f"entries ({i},{j}) and ({j},{i}) are not skew")
-    i_seq, j_seq, _, pivots = _skew_reduce(m, None)
+    rows = [{q: x for q, x in enumerate(row) if x} for row in m]
+    i_seq, j_seq, _, pivots = _skew_reduce(rows, None)
     if 2 * len(pivots) < n:
         return ZERO
     order = [p for pair in zip(i_seq, j_seq) for p in pair]
@@ -879,6 +933,12 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
 
 
 def skew_matrix(l: Functional, indices: Sequence[int]) -> List[List[GaussianRational]]:
-    """The matrix [ l[Z_i, Z_j] ] over the given adapted indices (1-based)."""
-    _, form, _ = _orbit_form(l, l.basis, max(indices, default=0))
-    return [[form[i - 1][j - 1] for j in indices] for i in indices]
+    """The matrix [ l[Z_i, Z_j] ] over the given adapted indices (1-based).
+    Raises ValueError unless every index is in 1..dim."""
+    dim = l.basis.dim
+    for i in indices:
+        if not 1 <= i <= dim:
+            raise ValueError(f"adapted index {i} is outside 1..{dim}")
+    rows, _ = _orbit_form(l, l.basis, max(indices, default=0))
+    zero = l.zero
+    return [[rows[i - 1].get(j - 1, zero) for j in indices] for i in indices]

@@ -10,6 +10,13 @@ compare the two on corpus points and seeded points, all exact.
 form the recursion is built on: the matrix of (X, Y) -> l[X, Y] on
 subspace bases, and the annihilator of a set of vectors inside a subspace.
 ``flag(basis, j)`` is the span of the first j adapted vectors.
+
+``_orbit_form`` and ``_skew_reduce`` are the dense kernel that
+``solvlie.strata`` replaced by sparse rows filled from integer linear forms:
+the orbit form as a dense n_amb x n_amb matrix filled from the adapted
+values l(Z_k), and the symplectic reduction in place on it. They are kept
+verbatim; the tests compare the sparse kernel with them exactly at exact
+points, and read the dense reduced form off them.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from solvlie.adapted import AdaptableBasis
-from solvlie.functionals import Functional
+from solvlie.functionals import Functional, adapted_values
 from solvlie.gaussian import ZERO
-from solvlie.linalg import Subspace, kernel
+from solvlie.linalg import Subspace, kernel, zero_test
 from solvlie.strata import LayerMismatchError
 
 
@@ -175,3 +182,99 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
         h_flag.append(hk)
 
     return JumpData(tuple(i_seq), tuple(j_seq), h_flag, ambient)
+
+
+# ---------------------------------------------------------------------------
+# the dense orbit form and its reduction
+# ---------------------------------------------------------------------------
+
+def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
+    """(zvals, M, columns): the values zvals[k] = l(Z_{k+1}), k < n
+    (``functionals.adapted_values``), and
+    M[p][q] = l[Z_{p+1}, Z_{q+1}] = sum_k C_pq^k l(Z_{k+1}) on the first
+    n_amb adapted vectors, from the basis's adapted structure constants.
+    ``columns[q]`` lists the nonzero (p, M[p][q]) by increasing p; they are
+    recorded as M is filled, since only the entries with a row of C can be
+    nonzero."""
+    zero = l.zero
+    zvals = adapted_values(l, basis.terms[:basis.n])
+    form = [[zero] * n_amb for _ in range(n_amb)]
+    # keys run by q, then by p, so each column gets its rows in order:
+    # first p < q at key (p, q), then p > q at the later keys (q, p)
+    columns: List[list] = [[] for _ in range(n_amb)]
+    for table in (basis.structure, basis.h_structure):
+        for (p, q), row in table.items():
+            if q >= n_amb:
+                break
+            # sums start at their first nonzero product, saving an
+            # addition to zero
+            x = zero
+            for k, c in row.items():
+                zk = zvals[k]
+                if zk:
+                    x = c * zk if x is zero else x + c * zk
+            if x:
+                y = -x
+                form[p][q] = x
+                form[q][p] = y
+                columns[q].append((p, x))
+                columns[p].append((q, y))
+    return zvals, form, columns
+
+
+def _skew_reduce(m: List[list], tol: Optional[float]):
+    """One symplectic reduction of the skew matrix m, in place.
+
+    Positions g stay active while their reduced vector y_g can still pair.
+    Step k takes the first active row i_k with a nonzero entry in an active
+    column, and j_k as the first such column; every active g with
+    m[i_k][g] != 0 is reduced by y_g <- y_g - c * y_{j_k},
+    c = m[i_k][g] / m[i_k][j_k], which clears row i_k in the active
+    columns other than j_k. Then i_k and j_k leave the active set. Each
+    step is a congruence of determinant 1.
+
+    Returns (i_seq, j_seq, reductions, pivots), positions 1-based:
+    ``reductions[k - 1]`` lists the (g, c) of step k and ``pivots[k - 1]``
+    is the reduced m[i_k][j_k].
+    """
+    zero = zero_test(tol)
+    active = list(range(len(m)))
+    # the active rows not yet seen to be zero in every active column; such a
+    # row never changes again (zero in column i_k, it is not reduced; zero in
+    # column j_k, it is not among the columns that move), so it leaves the
+    # scan for good
+    scan = list(active)
+    i_seq: List[int] = []
+    j_seq: List[int] = []
+    reductions = []
+    pivots = []
+    while scan:
+        ik = scan.pop(0)
+        row_i = m[ik]
+        jk = next((q for q in active if not zero(row_i[q])), None)
+        if jk is None:
+            continue
+        active.remove(ik)
+        active.remove(jk)
+        scan.remove(jk)
+        row_j = m[jk]
+        piv = row_i[jk]
+        # row j_k is fixed during the step; only its nonzero columns move
+        cols = [q for q in active if not zero(row_j[q])]
+        steps = []
+        for g in active:
+            if zero(row_i[g]):
+                continue
+            c = row_i[g] / piv
+            steps.append((g + 1, c))
+            row_g = m[g]
+            for q in cols:
+                if q != g:
+                    x = row_g[q] - c * row_j[q]
+                    row_g[q] = x
+                    m[q][g] = -x
+        i_seq.append(ik + 1)
+        j_seq.append(jk + 1)
+        reductions.append(tuple(steps))
+        pivots.append(piv)
+    return i_seq, j_seq, reductions, pivots

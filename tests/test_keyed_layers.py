@@ -20,6 +20,9 @@ corpus, two for each newly keyed class, and at float points moved by the
 dilation flow. Plain layers (every pair in case 0 with Z_{j_k} real) are
 covered by ``test_plain_layers.py``.
 
+The pivots and the reduced form are read off the dense kernel kept in
+``jump_oracle``, which reduces exactly as the sparse one does.
+
 The pivots alone do not fix a block's pairings: spiral-heisenberg and
 double-heisenberg share their case table and can share their pivots, and
 only the reduced form tells their pairings apart.
@@ -30,12 +33,12 @@ import random
 import pytest
 
 from conftest import VALID_IDS, wb_for
+from jump_oracle import _orbit_form, _skew_reduce
 from section_oracle import layer_data as oracle_layer_data
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
-from solvlie.strata import (UnsupportedCaseError, _case_table, _orbit_form,
-                            _skew_reduce, jump_data, layer_descriptor,
-                            section_vectors)
+from solvlie.strata import (UnsupportedCaseError, _case_table, jump_data,
+                            layer_descriptor, section_vectors)
 from solvlie.workbench import Workbench
 from test_layer_memo import oracle_descriptor
 from test_plain_layers import _degenerate_points, _outcome

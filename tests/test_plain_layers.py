@@ -11,7 +11,9 @@ from the reduction's h coordinates. The rule and these identities are
 checked here at degenerate points, where coordinates are drawn from
 {-1, 0, 1} with 30 % zeros, so that lower layers are hit as well as the
 generic one: on every valid corpus entry and on the specs
-``perfbench/specgen.py`` generates for seeds 1, 7 and 13.
+``perfbench/specgen.py`` generates for seeds 1, 7 and 13. The pivots and
+the orbit form are read off the dense kernel kept in ``jump_oracle``,
+which reduces exactly as the sparse one does.
 """
 
 import random
@@ -19,12 +21,12 @@ import random
 import pytest
 
 from conftest import VALID_IDS, wb_for
+from jump_oracle import _orbit_form, _skew_reduce
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
 from solvlie.linalg import identity
-from solvlie.strata import (JumpData, _case_table, _orbit_form, _reduction_phi,
-                            _skew_reduce, jump_data, layer_descriptor,
-                            section_vectors)
+from solvlie.strata import (JumpData, _case_table, _reduction_phi, jump_data,
+                            layer_descriptor, section_vectors)
 from solvlie.workbench import Workbench
 from test_layer_memo import GENERATED, oracle_descriptor, specgen
 

@@ -549,6 +549,19 @@ def test_pfaffian_heisenberg_density():
         assert pfaffian(mat).abs2() == z * z
 
 
+def test_skew_matrix_rejects_indices_outside_the_basis():
+    # heisenberg-2param has dim 5: Z_6 does not exist, and 0 and -1 would
+    # wrap through negative indexing
+    wb = wb_for("heisenberg-2param")
+    l = point(wb, Z=3)
+    for indices, bad in (([2, 3, 6], 6), ([0, 2], 0), ([-1, 2], -1)):
+        with pytest.raises(ValueError, match=f"index {bad} is outside 1..5"):
+            skew_matrix(l, indices)
+    full = skew_matrix(l, [1, 2, 3, 4, 5])
+    assert [row[1:3] for row in full[1:3]] == skew_matrix(l, [2, 3])
+    assert skew_matrix(l, []) == []
+
+
 def test_pfaffian_squared_is_det_random():
     rng = random.Random(39)
     for _ in range(60):
