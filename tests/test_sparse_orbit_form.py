@@ -10,8 +10,9 @@ j_seq, the reductions and the pivots. The points are the 64 samples
 ``generic_layer`` draws at seed 42 on every valid corpus entry in both
 ambients, the specs ``perfbench/specgen.py`` generates for seeds 1-10,
 degenerate points with coordinates in {-1, 0, 1}, the dense-center family
-at m = 10, and rational points with non-unit denominators, from
-``Functional.from_adapted`` and drawn directly. At float points (integer
+at m = 10, and rational points with non-unit denominators: section points
+scaled and rebuilt through ``Functional.from_adapted``, and points drawn
+directly. At float points (integer
 valued, and moved by the dilation flow) the keys must be equal and the
 values within 1e-12 relative.
 """
@@ -128,9 +129,15 @@ def test_sparse_kernel_matches_dense_at_rational_points(entry_id):
     rng = random.Random(300 + VALID_IDS.index(entry_id))
     points = []
     if entry_id != "coupled-pairs":
-        # section points: integer adapted values, rational real coordinates
-        points += [sample_lambda_nu(wb.oracle_lambda_nu, rng)
-                   for _ in range(4)]
+        # section points with their adapted values divided by 2..7, rebuilt
+        # through from_adapted: the real coordinates get denominators
+        basis = wb.canonical_basis
+        for _ in range(4):
+            f = sample_lambda_nu(wb.oracle_lambda_nu, rng)
+            k = rng.randint(2, 7)
+            points.append(Functional.from_adapted(
+                basis, [z / k for z in f.zvalues()]))
+        assert any(v.denominator != 1 for f in points for v in f.values)
     for ambient, basis in _layers(wb):
         drawn = basis.ambient(ambient)
         for _ in range(4):
