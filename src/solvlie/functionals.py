@@ -277,11 +277,44 @@ def _integer(v: int) -> Fraction:
     return Fraction(v)
 
 
-def sample_functional(basis: AdaptableBasis, rng: random.Random,
-                      bound: int = 9, support: str = "g") -> Functional:
-    """Random exact functional with integer coordinates in [-bound, bound]."""
-    drawn = basis.n if support == "n" else basis.dim
-    vals = [_integer(rng.randint(-bound, bound)) for _ in range(drawn)]
-    vals += [_integer(0)] * (basis.dim - drawn)
+def _draw_integers(rng: random.Random, bound: int, k: int) -> List[int]:
+    """k integers in [-bound, bound]: the values, and the random stream,
+    of k calls ``rng.randint(-bound, bound)``.
+
+    The randint of ``random.Random`` draws r = getrandbits(w), with w the
+    bit length of the width 2 bound + 1, until r < 2 bound + 1, and
+    returns r - bound; this loop does the same without the randrange
+    layers. A subclass whose randint does not draw through getrandbits
+    gets another stream. Raises ValueError when bound < 0, where randint
+    has an empty range."""
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    width = 2 * bound + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(k):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        out.append(r - bound)
+    return out
+
+
+def _integer_point(basis: AdaptableBasis, xs: Sequence[int]) -> Functional:
+    """The exact functional with integer values xs on the leading real
+    basis vectors, and 0 on the rest."""
+    vals = [_integer(v) for v in xs]
+    vals += [_integer(0)] * (basis.dim - len(vals))
     return Functional(basis, vals, exact=True)
 
+
+def sample_functional(basis: AdaptableBasis, rng: random.Random,
+                      bound: int = 9, support: str = "g") -> Functional:
+    """Random exact functional with integer coordinates in [-bound, bound]
+    on the real basis of the ambient ``support``, 'n' or 'g', and 0 past
+    it. The coordinates are those of ``rng.randint(-bound, bound)`` called
+    once per coordinate, in order (``_draw_integers``). Raises ValueError
+    for an unknown support or a negative bound."""
+    return _integer_point(
+        basis, _draw_integers(rng, bound, basis.ambient(support)))

@@ -226,6 +226,10 @@ class GaussianRational:
         # int / int is correctly rounded, as Fraction.__float__ is
         return complex(self._n / self._d, self._m / self._d)
 
+    def __abs__(self) -> float:
+        """|z| in floats, as the float zero test |x| <= tol reads it."""
+        return abs(complex(self))
+
     def __float__(self):
         if self._m:
             raise ValueError(f"{self} has a nonzero imaginary part")

@@ -42,6 +42,12 @@ of the reduction, and a block's two pairings multiply to
 coordinates. Every valid corpus entry's generic layer is keyed in both
 ambients; only the other layers build section vectors per sampled point.
 
+``generic_layer`` keys each sample from its integer coordinates
+(``_sample_key``): the same fill, reduction and key rule
+(``_layer_key``), with no Functional, columns, JumpData or descriptor per
+sample. A full ``layer_descriptor`` runs once per distinct key, and on the
+samples of layers that are not keyed.
+
 All decisions are exact over Q(i). The kernels also run at a float point
 (one moved by a dilation flow, which the membership oracles may be asked
 about): the mode is the point's, and every zero test here uses ``l.tol``,
@@ -63,7 +69,8 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .adapted import AdaptableBasis
-from .functionals import Functional, NeedsFloatError, sample_functional
+from .functionals import (Functional, NeedsFloatError, _draw_integers,
+                          _integer_point)
 from .gaussian import GaussianRational, ZERO, _reduced
 from .linalg import Subspace, identity, zero_test
 
@@ -205,28 +212,15 @@ def _complex_entry(a: float, b: float, d: int) -> complex:
     return complex(a, b) / d
 
 
-def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
-    """(rows, columns): the orbit form M[p][q] = l[Z_{p+1}, Z_{q+1}] on the
-    first n_amb adapted vectors, filled from ``_form_table``. ``rows[p]``
-    is {q: M[p][q]} over the nonzero entries of row p, and ``columns[q]``
-    lists the nonzero (p, M[p][q]) by increasing p.
-
-    At an exact point the values x_m are read as integers over one common
-    denominator (1 at every sampled point), and each entry takes one gcd;
-    at a float point the integer coefficients times the floats give
-    complex(a, b) / d."""
-    values = l.values
-    if l.exact:
-        den = lcm(*map(_DENOMINATOR, values))
-        xs = (list(map(_NUMERATOR, values)) if den == 1 else
-              [v.numerator * (den // v.denominator) for v in values])
-        entry = _reduced
-    else:
-        den, xs, entry = 1, values, _complex_entry
+def _fill(basis: AdaptableBasis, n_amb: int, xs: Sequence, den: int,
+          entry) -> List[dict]:
+    """The sparse rows of the orbit form M[p][q] = l[Z_{p+1}, Z_{q+1}] on
+    the first n_amb adapted vectors, at the point whose values on the real
+    basis are xs / den, filled from ``_form_table``: ``rows[p]`` is
+    {q: M[p][q]} over the nonzero entries of row p, each built as
+    entry(a, b, d * den) from the integer coefficients. The entries run by
+    q, then by p, so every row gets its keys in increasing order."""
     rows: List[dict] = [{} for _ in range(n_amb)]
-    # entries run by q, then by p, so each column gets its rows in order:
-    # first p < q at entry (p, q), then p > q at the later entries (q, p)
-    columns: List[list] = [[] for _ in range(n_amb)]
     for p, q, re_terms, im_terms, d in _form_table(basis):
         if q >= n_amb:
             break
@@ -237,11 +231,34 @@ def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
             b += c * xs[m]
         if a or b:
             x = entry(a, b, d * den)
-            y = -x
             rows[p][q] = x
-            rows[q][p] = y
+            rows[q][p] = -x
+    return rows
+
+
+def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
+    """(rows, columns): the orbit form M[p][q] = l[Z_{p+1}, Z_{q+1}] on the
+    first n_amb adapted vectors, filled by ``_fill``. ``rows[p]`` is
+    {q: M[p][q]} over the nonzero entries of row p, and ``columns[q]``
+    lists the nonzero (p, M[p][q]) by increasing p, read off the rows
+    before any reduction moves them.
+
+    At an exact point the values x_m are read as integers over one common
+    denominator (1 at every sampled point), and each entry takes one gcd;
+    at a float point the integer coefficients times the floats give
+    complex(a, b) / d."""
+    values = l.values
+    if l.exact:
+        den = lcm(*map(_DENOMINATOR, values))
+        xs = (list(map(_NUMERATOR, values)) if den == 1 else
+              [v.numerator * (den // v.denominator) for v in values])
+        rows = _fill(basis, n_amb, xs, den, _reduced)
+    else:
+        rows = _fill(basis, n_amb, values, 1, _complex_entry)
+    columns: List[list] = [[] for _ in rows]
+    for p, row in enumerate(rows):
+        for q, x in row.items():
             columns[q].append((p, x))
-            columns[p].append((q, y))
     return rows, columns
 
 
@@ -385,10 +402,11 @@ class CaseTable(NamedTuple):
     blocks: Tuple[int, ...]                  # k opening a case-4/5 block
 
 
-def _case_table(jd: JumpData) -> CaseTable:
-    """The case table of the jump pairs of jd, built once per key and kept
-    on the basis. Every point of the layer shares it, so its mappings are
-    read-only views.
+def _case_table(basis: AdaptableBasis, ambient: str,
+                i_seq: Tuple[int, ...], j_seq: Tuple[int, ...]) -> CaseTable:
+    """The case table of the jump pairs (i_seq, j_seq) in the ambient,
+    built once per key and kept on the basis. Every point of the layer
+    shares it, so its mappings are read-only views.
 
     The layer is keyed when every pair k, taken in the case order of
     ``section_vectors``, is in
@@ -407,12 +425,11 @@ def _case_table(jd: JumpData) -> CaseTable:
     takes Z_{i_{k+1}} from the pending combination of pair k. The h pairs
     are the (i_k, j_k) with i_k <= n < j_k, the only pairs whose b value
     can be nonzero on a keyed layer."""
-    basis = jd.basis
-    key = (jd.ambient, jd.i_seq, jd.j_seq)
+    key = (ambient, i_seq, j_seq)
     table = basis.layer_tables.get(key)
     if table is not None:
         return table
-    top = basis.ambient(jd.ambient)
+    top = basis.ambient(ambient)
     stable = [j for j in basis.self_conjugate_steps() if j <= top]
     stable_set = set(stable)
     primes = {}
@@ -420,11 +437,11 @@ def _case_table(jd: JumpData) -> CaseTable:
         # stable is sorted and starts at 0: the nearest positions around j
         at = bisect_left(stable, j)
         primes[j] = (stable[at - 1], stable[at] if at < len(stable) else top)
-    e_set = set(jd.e_set)
-    i_set = set(jd.i_seq)
-    j_set = set(jd.j_seq)
+    i_set = set(i_seq)
+    j_set = set(j_seq)
+    e_set = i_set | j_set
     cases: Dict[int, List[int]] = {c: [] for c in range(6)}
-    for k, ik in enumerate(jd.i_seq, start=1):
+    for k, ik in enumerate(i_seq, start=1):
         lo, hi = primes[ik]
         if hi - lo == 1:
             cases[0].append(k)
@@ -440,11 +457,11 @@ def _case_table(jd: JumpData) -> CaseTable:
             cases[5].append(k)
     sigma = basis.sigma
     # i_{k+1} and j_{k+1}, past the end for k = d
-    nxt_i = jd.i_seq[1:] + (top + 1,)
-    nxt_j = jd.j_seq[1:] + (0,)
+    nxt_i = i_seq[1:] + (top + 1,)
+    nxt_j = j_seq[1:] + (0,)
     keyed, blocks = True, []
     for k, (ik, jk, ni, nj) in enumerate(
-            zip(jd.i_seq, jd.j_seq, nxt_i, nxt_j), start=1):
+            zip(i_seq, j_seq, nxt_i, nxt_j), start=1):
         if blocks and blocks[-1] == k - 1:
             continue                        # the second pair of a block
         sj = sigma[jk]
@@ -461,7 +478,7 @@ def _case_table(jd: JumpData) -> CaseTable:
         else:
             keyed = False
     nd = basis.n
-    h_pairs = tuple((ik, jk) for ik, jk in zip(jd.i_seq, jd.j_seq)
+    h_pairs = tuple((ik, jk) for ik, jk in zip(i_seq, j_seq)
                     if ik <= nd < jk)
     table = CaseTable(
         tuple(stable), MappingProxyType(primes),
@@ -520,7 +537,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
         cols = jd.columns
     else:
         _, cols = _orbit_form(l, basis, basis.ambient(ambient))
-    table = _case_table(jd)
+    table = _case_table(jd.basis, jd.ambient, jd.i_seq, jd.j_seq)
     in_case = table.in_case
     vanishes = zero_test(tol)
     if tol is None:
@@ -668,22 +685,23 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
                           pairings=pairings)
 
 
-def _reduction_phi(jd: JumpData,
-                   h_pairs: Tuple[Tuple[int, int], ...]) -> Tuple[int, ...]:
+def _reduction_phi(basis: AdaptableBasis, ambient: str,
+                   j_seq: Tuple[int, ...], reductions,
+                   h_pairs: Tuple[Tuple[int, int], ...],
+                   tol: Optional[float]) -> Tuple[int, ...]:
     """phi on a keyed layer, from the h coordinates of the y vectors of the
     reduction (see ``layer_descriptor``): the i_k of the h pairs
     (i_k, j_k), i_k <= n < j_k, with
-    sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p) != 0, in the mode of
-    ``jd.point``. () without h pairs, as in the ambient 'n', where no j_k
-    exceeds n."""
+    sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p) != 0, by the zero test of tol
+    (None at an exact point). () without h pairs, as in the ambient 'n',
+    where no j_k exceeds n."""
     if not h_pairs:
         return ()
-    basis = jd.basis
     nd = basis.n
     # yh[g]: the h coordinates {p: x} of y_g, g > n, replayed through the
     # h-steps (j_p > n), the only steps that move them
-    yh = {g: {g: 1} for g in range(nd + 1, basis.ambient(jd.ambient) + 1)}
-    for jp, steps in zip(jd.j_seq, jd.reductions):
+    yh = {g: {g: 1} for g in range(nd + 1, basis.ambient(ambient) + 1)}
+    for jp, steps in zip(j_seq, reductions):
         if jp <= nd:
             continue
         y_j = yh[jp]
@@ -691,12 +709,12 @@ def _reduction_phi(jd: JumpData,
             y_g = yh[g]
             for p, x in y_j.items():
                 y_g[p] = y_g[p] - c * x if p in y_g else -(c * x)
-    vanishes = zero_test(jd.point.tol)
+    vanishes = zero_test(tol)
     phi = []
     for ik, jk in h_pairs:
         # gamma_{i_k}(Z_p) is minus this diagonal coefficient; the sign does
         # not change whether the sum vanishes
-        total = jd.point.zero
+        total = 0
         for p, x in yh[jk].items():
             c = basis.h_structure.get((ik - 1, p - 1), {}).get(ik - 1)
             if c is not None:
@@ -704,6 +722,19 @@ def _reduction_phi(jd: JumpData,
         if not vanishes(total):
             phi.append(ik)
     return tuple(phi)
+
+
+def _layer_key(basis: AdaptableBasis, ambient: str, i_seq: Tuple[int, ...],
+               j_seq: Tuple[int, ...], reductions, tol: Optional[float]):
+    """(table, key): the case table of the jump pairs (i_seq, j_seq) found
+    by a reduction, and the layer key (e, j, phi). On a keyed layer phi is
+    read off the reductions (``_reduction_phi``); on any other it is None,
+    since it needs section vectors. The one key rule of
+    ``layer_descriptor`` and of the per-sample kernel ``_sample_key``."""
+    table = _case_table(basis, ambient, i_seq, j_seq)
+    phi = (_reduction_phi(basis, ambient, j_seq, reductions, table.h_pairs,
+                          tol) if table.keyed else None)
+    return table, (tuple(sorted(i_seq + j_seq)), j_seq, phi)
 
 
 def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
@@ -816,13 +847,12 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
     if basis is None:
         basis = l.basis
     jd = jump_data(l, basis, ambient)
-    table = _case_table(jd)
-    if table.keyed:
-        phi = _reduction_phi(jd, table.h_pairs)
-    else:
+    table, (e_set, j_seq, phi) = _layer_key(basis, ambient, jd.i_seq,
+                                            jd.j_seq, jd.reductions, l.tol)
+    if phi is None:
         phi = tuple(sorted(section_vectors(l, basis, jd, ambient).b_at))
-    return LayerDescriptor(ambient=ambient, e_set=jd.e_set, i_seq=jd.i_seq,
-                           j_seq=jd.j_seq, stable_set=table.stable,
+    return LayerDescriptor(ambient=ambient, e_set=e_set, i_seq=jd.i_seq,
+                           j_seq=j_seq, stable_set=table.stable,
                            primes=table.primes, case_sets=table.cases,
                            phi=phi)
 
@@ -830,6 +860,19 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
 # ---------------------------------------------------------------------------
 # generic layer by seeded sampling
 # ---------------------------------------------------------------------------
+
+def _sample_key(basis: AdaptableBasis, ambient: str,
+                xs: Sequence[int]):
+    """The layer key (e, j, phi) at the exact point with integer values xs
+    on the leading real basis vectors of the ambient (0 past them), phi
+    None on a layer that is not keyed: the fill, the reduction and the key
+    rule of ``layer_descriptor`` (``_layer_key``), with no Functional, no
+    columns, no JumpData and no descriptor."""
+    rows = _fill(basis, basis.ambient(ambient), xs, 1, _reduced)
+    i_seq, j_seq, reductions, _ = _skew_reduce(rows, None)
+    return _layer_key(basis, ambient, tuple(i_seq), tuple(j_seq),
+                      reductions, None)[1]
+
 
 def generic_layer(basis: AdaptableBasis, ambient: str = "g",
                   seed: int = 42, trials: int = 64) -> LayerDescriptor:
@@ -840,9 +883,16 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     agree with the winner (exactly half is not enough), or when no sample
     gives a usable layer.
 
+    The coordinates are drawn as ``sample_functional`` draws them, and
+    ``_sample_key`` reads one key per sample off them, building no
+    Functional or descriptor. ``layer_descriptor`` runs on the first
+    sample of each key, whose descriptor is the one returned for that key
+    (every descriptor field is a function of the key), and on each sample
+    of a layer that is not keyed, where phi needs section vectors.
+
     A sample on a layer that ``section_vectors`` has no case for
     (UnsupportedCaseError) is skipped like a mismatch when its (e, j), read
-    off ``jump_data``, sorts after the winner: it lies on a lower layer.
+    off the reduction, sorts after the winner: it lies on a lower layer.
     When its key sorts at or before the winner, or no sample is usable, the
     first such error is raised again: the generic layer may be one the
     tool cannot describe.
@@ -850,26 +900,28 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    support = "n" if ambient == "n" else "g"
-    # samples per key, and the first descriptor of each: every descriptor
-    # field is a function of the key
+    drawn = basis.ambient(ambient)
+    # samples per key, and the descriptor of each key, from its first sample
     counts: Dict[tuple, int] = {}
     first: Dict[tuple, LayerDescriptor] = {}
     unsupported: List[Tuple[tuple, UnsupportedCaseError]] = []
     for _ in range(trials):
-        f = sample_functional(basis, rng, support=support)
-        if f.is_zero():
+        xs = _draw_integers(rng, 9, drawn)
+        if not any(xs):
             continue
-        try:
-            desc = layer_descriptor(f, basis, ambient)
-        except LayerMismatchError:
-            continue
-        except UnsupportedCaseError as err:
-            unsupported.append((jump_data(f, basis, ambient).key(), err))
-            continue
-        key = desc.key()
+        key = _sample_key(basis, ambient, xs)
+        if key[2] is None or key not in first:
+            try:
+                desc = layer_descriptor(_integer_point(basis, xs), basis,
+                                        ambient)
+            except LayerMismatchError:
+                continue
+            except UnsupportedCaseError as err:
+                unsupported.append((key[:2], err))
+                continue
+            key = desc.key()
+            first.setdefault(key, desc)
         counts[key] = counts.get(key, 0) + 1
-        first.setdefault(key, desc)
 
     def order(key):
         return (-len(key[0]), key[0], key[1])

@@ -8,6 +8,7 @@ import pytest
 from solvlie.corpus import CorpusEntry, corpus_entries
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
+from solvlie.strata import _case_table
 from solvlie.workbench import Workbench
 
 _WB_CACHE = {}
@@ -49,6 +50,11 @@ def sample_element(spec, rng, bound: int = 5, support: str = "n"):
     hi = spec.dim if support in ("h", "g") else spec.n_dim
     return tuple(GaussianRational(rng.randint(-bound, bound))
                  if lo <= m < hi else ZERO for m in range(spec.dim))
+
+
+def case_table(jd):
+    """The case table the basis of jd keeps for its ambient and jump pairs."""
+    return _case_table(jd.basis, jd.ambient, jd.i_seq, jd.j_seq)
 
 
 @pytest.fixture(scope="session")

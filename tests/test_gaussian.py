@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from solvlie.gaussian import GaussianRational, parse_gaussian
+from solvlie.linalg import is_zero
 
 
 def gr(re=0, im=0) -> GaussianRational:
@@ -242,6 +243,15 @@ def test_conversions_bit_identical_to_fraction_route():
         else:
             with pytest.raises(ValueError):
                 float(z)
+
+
+def test_abs_is_the_float_modulus():
+    # the float zero test |x| <= tol reads it
+    assert abs(gr(3, -4)) == 5.0
+    assert abs(gr("1/3", 0)) == abs(complex(gr("1/3", 0)))
+    assert abs(GaussianRational(0)) == 0.0
+    assert is_zero(gr("1/10", "-1/10") ** 12, 1e-9)
+    assert not is_zero(gr("1/10", 0), 1e-9)
 
 
 def test_zero_division_and_float_argument():

@@ -32,13 +32,13 @@ import random
 
 import pytest
 
-from conftest import VALID_IDS, wb_for
+from conftest import VALID_IDS, case_table, wb_for
 from jump_oracle import _orbit_form, _skew_reduce
 from section_oracle import layer_data as oracle_layer_data
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
-from solvlie.strata import (UnsupportedCaseError, _case_table, jump_data,
-                            layer_descriptor, section_vectors)
+from solvlie.strata import (UnsupportedCaseError, jump_data, layer_descriptor,
+                            section_vectors)
 from solvlie.workbench import Workbench
 from test_layer_memo import oracle_descriptor
 from test_plain_layers import _degenerate_points, _outcome
@@ -99,7 +99,7 @@ def _check(wb, seed):
                 (ambient, f.values)
             jd = jump_data(f, basis, ambient)
             classes = _classes(jd)
-            table = _case_table(jd)
+            table = case_table(jd)
             # the blocks of the table are the ones section_vectors opens
             assert table.blocks == tuple(
                 k for k, cls in enumerate(classes, start=1) if cls == "4")
@@ -391,9 +391,20 @@ def test_no_block_where_two_p_vanishes():
     f = Functional(basis, [0, 2, 1, 0, 1, 0], exact=True)
     jd = jump_data(f, basis, "n")
     assert (jd.i_seq, jd.j_seq) == ((3,), (5,))
-    assert not _case_table(jd).blocks
+    assert not case_table(jd).blocks
     assert _outcome(layer_descriptor, f, basis, "n") == \
         _outcome(oracle_descriptor, f, basis, "n")
+
+
+def double_heisenberg_with_v():
+    """double-heisenberg with a real V and [V, Y2] = Z1."""
+    return {
+        "name": "double-heisenberg-with-v",
+        "n_basis": ["Z1", "Z2", "Y1", "Y2", "X1", "X2", "V"], "h_basis": [],
+        "brackets": [{"x": "X1", "y": "Y1", "value": [{"c": "1", "b": "Z1"}]},
+                     {"x": "X2", "y": "Y2", "value": [{"c": "1", "b": "Z2"}]},
+                     {"x": "V", "y": "Y2", "value": [{"c": "1", "b": "Z1"}]}],
+        "adaptable_hint": _COMPLEX_HINT + _real("V")}
 
 
 def test_case_four_outside_a_block_stays_unkeyed(monkeypatch):
@@ -401,19 +412,13 @@ def test_case_four_outside_a_block_stays_unkeyed(monkeypatch):
     # the second pivot of the block vanishes, and Y1 - iY2 (position 4)
     # pairs with V instead: pair 1 is in case 4 with sigma(j_2) = 7 != j_1 = 5. The
     # layer is unkeyed, and section_vectors has no case for pair 2.
-    doc = {
-        "name": "double-heisenberg-with-v",
-        "n_basis": ["Z1", "Z2", "Y1", "Y2", "X1", "X2", "V"], "h_basis": [],
-        "brackets": [{"x": "X1", "y": "Y1", "value": [{"c": "1", "b": "Z1"}]},
-                     {"x": "X2", "y": "Y2", "value": [{"c": "1", "b": "Z2"}]},
-                     {"x": "V", "y": "Y2", "value": [{"c": "1", "b": "Z1"}]}],
-        "adaptable_hint": _COMPLEX_HINT + _real("V")}
+    doc = double_heisenberg_with_v()
     basis = Workbench(spec_from_dict(doc)).basis
     f = Functional(basis, [1, 0, 0, 0, 0, 0, 0], exact=True)
     jd = jump_data(f, basis, "n")
     assert (jd.i_seq, jd.j_seq) == ((3, 4), (5, 7))
     assert _classes(jd) == ["case 4", "case None"]
-    table = _case_table(jd)
+    table = case_table(jd)
     assert not table.keyed and not table.blocks
     want = _outcome(oracle_descriptor, f, basis, "n")
     assert want == "UnsupportedCaseError"
@@ -461,7 +466,7 @@ def test_blocks_at_float_points_follow_section_vectors():
             moved = exp_h_coadjoint(basis, a, f, mode="float")
             assert not moved.exact
             jd = jump_data(moved, basis, ambient)
-            table = _case_table(jd)
+            table = case_table(jd)
             if not (table.keyed and table.blocks):
                 continue
             seen += 1

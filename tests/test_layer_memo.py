@@ -1,15 +1,18 @@
-"""The generic layer through the per-key case table and sparse kernels.
+"""The generic layer through the per-sample key, the per-key case table
+and the sparse kernels.
 
-``strata.layer_descriptor`` reads its case table from a memo on the basis
-(one table per ambient and jump pairs) and its section vectors from the
-sparse columns of the orbit form. The oracle path below evaluates every
-sample afresh instead: the real-basis section vectors of
-``section_oracle`` and a new ``section_oracle.layer_data`` table per
-sample. ``generic_layer`` must pick the same layer either way, in both
-ambients: on every valid corpus entry at three sampling seeds, and on the
-specs that ``perfbench/specgen.py`` generates for three seeds at the
-default sampling seed. Nothing a caller does to a returned descriptor may
-reach a later result.
+``strata.generic_layer`` keys each sample with ``strata._sample_key`` and
+builds a descriptor once per key; ``strata.layer_descriptor`` reads its
+case table from a memo on the basis (one table per ambient and jump pairs)
+and its section vectors from the sparse columns of the orbit form. The
+oracle path below evaluates every sample afresh instead: the per-sample
+``generic_layer`` of ``generic_layer_oracle``, with a full descriptor per
+sample built from the real-basis section vectors of ``section_oracle`` and
+a new ``section_oracle.layer_data`` table. The two must pick the same
+layer, in both ambients: on every valid corpus entry at three sampling
+seeds, and on the specs that ``perfbench/specgen.py`` generates for three
+seeds at the default sampling seed. Nothing a caller does to a returned
+descriptor may reach a later result.
 """
 
 import importlib.util
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import generic_layer_oracle
 from conftest import VALID_IDS, wb_for
 from section_oracle import layer_data as oracle_layer_data
 from section_oracle import section_vectors as oracle_section_vectors
@@ -44,9 +48,9 @@ def oracle_descriptor(f, basis, ambient):
                            case_sets=cases, phi=tuple(sorted(sv.b_at)))
 
 
-def _outcome(basis, ambient, seed):
+def _outcome(layer, basis, ambient, seed):
     try:
-        return generic_layer(basis, ambient, seed=seed, trials=64).as_dict()
+        return layer(basis, ambient, seed=seed, trials=64).as_dict()
     except ValueError as exc:
         return type(exc).__name__, str(exc)
 
@@ -54,10 +58,12 @@ def _outcome(basis, ambient, seed):
 def _assert_matches_oracle(monkeypatch, wb, seeds):
     for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
         for seed in seeds:
-            got = _outcome(basis, ambient, seed)
+            got = _outcome(generic_layer, basis, ambient, seed)
             with monkeypatch.context() as m:
-                m.setattr("solvlie.strata.layer_descriptor", oracle_descriptor)
-                want = _outcome(basis, ambient, seed)
+                m.setattr(generic_layer_oracle, "layer_descriptor",
+                          oracle_descriptor)
+                want = _outcome(generic_layer_oracle.generic_layer, basis,
+                                ambient, seed)
             assert got == want, (ambient, seed)
 
 

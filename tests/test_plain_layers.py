@@ -20,12 +20,12 @@ import random
 
 import pytest
 
-from conftest import VALID_IDS, wb_for
+from conftest import VALID_IDS, case_table, wb_for
 from jump_oracle import _orbit_form, _skew_reduce
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
 from solvlie.linalg import identity
-from solvlie.strata import (JumpData, _case_table, _reduction_phi, jump_data,
+from solvlie.strata import (JumpData, _reduction_phi, jump_data,
                             layer_descriptor, section_vectors)
 from solvlie.workbench import Workbench
 from test_layer_memo import GENERATED, oracle_descriptor, specgen
@@ -51,7 +51,7 @@ def _outcome(descriptor, f, basis, ambient):
 
 def _plain(jd):
     """Whether every pair of jd is in case 0 with Z_{j_k} real."""
-    case_0 = _case_table(jd).in_case[0]
+    case_0 = case_table(jd).in_case[0]
     return all(k in case_0 and jd.basis.sigma[jk] == jk
                for k, jk in enumerate(jd.j_seq, start=1))
 
@@ -91,7 +91,7 @@ def _check(wb, seed):
             jd = jump_data(f, basis, ambient)
             if not _plain(jd):
                 continue
-            assert _case_table(jd).keyed, f.values
+            assert case_table(jd).keyed, f.values
             seen[ambient] += 1
             _, form, _ = _orbit_form(f, basis, basis.ambient(ambient))
             pivots = _skew_reduce([list(row) for row in form], None)[3]
@@ -132,8 +132,9 @@ def test_plain_phi_reads_the_weight_not_the_positions():
     origin = Functional(basis, [0] * basis.dim, exact=True)
     for jk, want in ((4, ()), (5, (1,))):
         jd = JumpData((1,), (jk,), "g", basis, point=origin)
-        assert _case_table(jd).h_pairs == ((1, jk),)
-        assert _reduction_phi(jd, ((1, jk),)) == want
+        assert case_table(jd).h_pairs == ((1, jk),)
+        assert _reduction_phi(jd.basis, jd.ambient, jd.j_seq, jd.reductions,
+                              ((1, jk),), jd.point.tol) == want
 
 
 def test_plain_phi_at_float_points():
@@ -186,4 +187,4 @@ def test_plain_flag_follows_case_zero_and_real_j():
         jd = JumpData(desc.i_seq, desc.j_seq, "g", wb.canonical_basis)
         assert _plain(jd) is (entry_id in PLAIN_G), entry_id
         if entry_id in PLAIN_G:
-            assert _case_table(jd).keyed, entry_id
+            assert case_table(jd).keyed, entry_id

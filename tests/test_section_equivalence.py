@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from adapted_oracle import verify
-from conftest import VALID_IDS, wb_for
+from conftest import VALID_IDS, case_table, wb_for
 from section_oracle import layer_data as oracle_layer_data
 from section_oracle import real_section_vectors
 from section_oracle import section_vectors as oracle_section_vectors
@@ -32,7 +32,7 @@ from solvlie.functionals import Functional, exp_h_coadjoint, sample_functional
 from solvlie.gaussian import ZERO
 from solvlie.linalg import FLOAT_TOL
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
-                            _case_table, jump_data, section_vectors)
+                            jump_data, section_vectors)
 
 
 def _assert_close(got, want, exact):
@@ -79,7 +79,7 @@ def _check_point(l, basis, ambient, jd=None) -> bool:
     if jd is None:
         jd = _check_form(l, basis, ambient)
     n_amb = basis.ambient(ambient)
-    assert _case_table(jd)[:3] == oracle_layer_data(basis, jd, n_amb)
+    assert case_table(jd)[:3] == oracle_layer_data(basis, jd, n_amb)
     try:
         old = oracle_section_vectors(l, basis, jd, ambient)
     except (LayerMismatchError, UnsupportedCaseError) as exc:

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -390,38 +389,55 @@ def test_generic_layer_deterministic():
 
 
 def test_generic_layer_propagates_zero_division(monkeypatch):
-    # every division in layer_descriptor is guarded, so one that raises is
+    # every division in the per-sample key is guarded, so one that raises is
     # a defect to surface, not a rejected sample
     def divide_by_zero(*args, **kwargs):
         raise ZeroDivisionError("unguarded division")
     wb = wb_for("heisenberg-2param")
-    monkeypatch.setattr("solvlie.strata.layer_descriptor", divide_by_zero)
+    monkeypatch.setattr("solvlie.strata._sample_key", divide_by_zero)
     with pytest.raises(ZeroDivisionError):
         generic_layer(wb.canonical_basis, "n", seed=7, trials=4)
 
 
-def _stub_samples(monkeypatch, outcomes):
-    """Make layer_descriptor answer the samples in turn from outcomes: a
-    descriptor, None for a sample outside the layer, or an exception to
-    raise."""
-    answers = iter(outcomes)
+# the (e, j) that the stubbed per-sample key gives a sample whose layer is
+# not keyed
+_UNKEYED = {"key": ((), ())}
 
-    def stub(f, basis, ambient):
-        desc = next(answers)
+
+def _stub_samples(monkeypatch, outcomes):
+    """Make the per-sample key answer the samples in turn from outcomes: a
+    descriptor, None for a sample outside the layer, or an exception to
+    raise. A descriptor is a keyed sample: the kernel gives its key, and
+    layer_descriptor, run on the first sample of the key, gives the
+    descriptor. None and an exception come from a layer that is not keyed
+    (the kernel gives (e, j) and no phi), whose layer_descriptor raises."""
+    answers = iter(outcomes)
+    current = []
+
+    def kernel(basis, ambient, xs):
+        current[:] = [next(answers)]
+        desc = current[0]
+        if isinstance(desc, LayerDescriptor):
+            return desc.key()
+        return _UNKEYED["key"] + (None,)
+
+    def descriptor(f, basis, ambient):
+        desc = current[0]
         if desc is None:
             raise LayerMismatchError("stubbed mismatch")
         if isinstance(desc, Exception):
             raise desc
         return LayerDescriptor(ambient, desc.e_set, desc.i_seq, desc.j_seq,
                                desc.stable_set, {}, {}, desc.phi)
-    monkeypatch.setattr("solvlie.strata.layer_descriptor", stub)
+    monkeypatch.setattr("solvlie.strata._sample_key", kernel)
+    monkeypatch.setattr("solvlie.strata.layer_descriptor", descriptor)
     return answers
 
 
 def _stub_jump_key(monkeypatch, key):
-    """Make jump_data give every sample the layer key (e, j)."""
-    monkeypatch.setattr("solvlie.strata.jump_data",
-                        lambda f, basis, ambient: SimpleNamespace(key=lambda: key))
+    """Make the per-sample key give every sample whose layer is not keyed
+    the layer key (e, j)."""
+    monkeypatch.setitem(_UNKEYED, "key", key)
 
 
 WIDE = LayerDescriptor("n", (1, 2, 3, 4), (1, 2), (3, 4), (0,), {}, {}, ())
