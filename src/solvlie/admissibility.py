@@ -94,8 +94,10 @@ def center_data(spec: LieAlgebraSpec) -> CenterData:
 # ---------------------------------------------------------------------------
 
 def unimodularity(spec: LieAlgebraSpec) -> Tuple[bool, Dict[str, Fraction]]:
-    """tr(ad w) per basis element; the group is unimodular iff all vanish."""
-    table = {name: trace_ad(spec, name) for name in spec.names}
+    """tr(ad w) per basis element, read off ``spec.ad_traces()`` (one pass
+    over the structure constants, which hold every diagonal entry of every
+    ad e_p); the group is unimodular iff all vanish."""
+    table = dict(zip(spec.names, spec.ad_traces()))
     return all(v == 0 for v in table.values()), table
 
 

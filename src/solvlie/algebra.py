@@ -203,6 +203,10 @@ class LieAlgebraSpec:
         block, the one inversion the basis construction and the flow read."""
         return self._once("eigenbasis", eigenbasis)
 
+    def ad_traces(self) -> Tuple[Fraction, ...]:
+        """tr(ad e_p) for each basis element, in basis order."""
+        return self._once("ad_traces", ad_traces)
+
     def n_is_commutative(self) -> bool:
         nd = self.n_dim
         return all(not (i < nd and j < nd) for (i, j) in self._table)
@@ -212,27 +216,37 @@ class LieAlgebraSpec:
 # traces of ad
 # ---------------------------------------------------------------------------
 
+def ad_traces(spec: LieAlgebraSpec) -> Tuple[Fraction, ...]:
+    """tr(ad e_p) for every basis element, in one pass over the structure
+    constants: [e_i, e_j] (i < j) puts its e_j-coordinate on the diagonal
+    of ad e_i and minus its e_i-coordinate on that of ad e_j (as [e_j, e_i]
+    = -[e_i, e_j]), and no other entry of the table reaches a diagonal."""
+    traces = [Fraction(0)] * spec.dim
+    nd = spec.n_dim
+    for (i, j), coords in spec._table.items():
+        if j < nd:
+            traces[i] += coords[j]
+        if i < nd:
+            traces[j] -= coords[i]
+    return tuple(traces)
+
+
 def trace_ad(spec: LieAlgebraSpec, w) -> Fraction:
-    """tr(ad w) = sum_p w_p sum_i [e_p, e_i]_i, from the diagonal structure
-    constants. ``w`` is a coordinate vector, a label or a label dict, and
-    ad w must be real."""
+    """tr(ad w) = sum_p w_p tr(ad e_p), read off ``spec.ad_traces()`` (the
+    trace is linear in w). ``w`` is a coordinate vector, a label or a label
+    dict, and ad w must be real: when w has a non-real coordinate, ad of
+    its imaginary part must vanish, and then that part adds no trace."""
     if isinstance(w, str):
         w = spec.basis_vector(w)
     elif isinstance(w, dict):
         w = spec.vector_from_labels(w)
     w = [GaussianRational.coerce(x) for x in w]
-    im = [GaussianRational(x.im) for x in w]
-    if any(im) and any(any(spec.bracket(im, spec.basis_vector(m)))
-                       for m in range(spec.dim)):
-        raise ValueError("ad matrix of a real element must be real")
-    total = ZERO
-    for p, wp in enumerate(w):
-        if wp:
-            for i in range(spec.dim):
-                for m, c in spec.bracket_sparse(p, i):
-                    if m == i:
-                        total = total + wp * c
-    return total.re
+    if not all(x.is_real() for x in w):
+        im = [GaussianRational(x.im) for x in w]
+        if any(any(spec.bracket(im, spec.basis_vector(m))) for m in range(spec.dim)):
+            raise ValueError("ad matrix of a real element must be real")
+    return sum((x.re * t for x, t in zip(w, spec.ad_traces()) if x.re and t),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +287,13 @@ def _restricted(images, rows) -> List[List[GaussianRational]]:
     pivot."""
     pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
     return [[img[p] for p in pivots] for img in images]
+
+
+def _diagonal(mat) -> Optional[List[GaussianRational]]:
+    """The diagonal of mat when every entry off it is zero, else None."""
+    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(mat)):
+        return None
+    return [row[i] for i, row in enumerate(mat)]
 
 
 def _triangular_diagonal(mat) -> Optional[List[GaussianRational]]:
@@ -394,7 +415,10 @@ def _eigenspaces(mat, eigenspace) -> List[Tuple[GaussianRational, list]]:
     each with ``eigenspace(r)``, the rows x with x mat = r x: the diagonal
     of mat when it is triangular, else the roots of the Krylov minimal
     polynomial of a unit vector, taken outside the eigenspaces found so far
-    until they fill the space or a vector brings no new root."""
+    until they fill the space or a vector brings no new root.
+    ``weight_decomposition`` splits a diagonal mat itself, so here a
+    triangular mat has an entry off its diagonal: its eigenspaces need the
+    kernels, as a diagonal value no longer marks a row."""
     diagonal = _triangular_diagonal(mat)
     if diagonal is not None:
         return [(r, eigenspace(r)) for r in diagonal]
@@ -419,15 +443,21 @@ def _eigenspaces(mat, eigenspace) -> List[Tuple[GaussianRational, list]]:
 def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
     """Split n_C into joint eigenspaces of the commuting operators ad(A).
 
-    For each A_t and each space found so far, the matrix of ad(A_t) on the
-    space is read off the pivots of its RREF rows, and its eigenvalue
-    candidates are found exactly (``_eigenspaces``): the diagonal when that
-    matrix is triangular, else the Q(i) roots of Krylov minimal polynomials,
-    located by a float root search and accepted only as exact roots. Each
-    weight space is the exact kernel of ad(A_t) - candidate over n, computed
-    once per candidate and also read by the Krylov search, and the space
-    splits only when those kernels fill it. Raises DiagonalizationError
-    when no Gaussian-rational eigenbasis exists.
+    For each A_t and each space found so far, the matrix R of ad(A_t) on
+    the space is read off the pivots of its RREF rows. When R is diagonal
+    the space splits with no elimination: the weight space of a diagonal
+    value r is the space's own rows at the entries r, the values in order
+    of first appearance. That is exactly what the kernel route gives: the
+    kernel of the diagonal shift R - r is the unit vectors at its zero
+    entries, as ``rref_kernel`` returns them, so the rows come back as they
+    are, and a subset of RREF rows is already in RREF. Otherwise the
+    eigenvalue candidates are found exactly (``_eigenspaces``): the
+    diagonal when R is triangular, else the Q(i) roots of Krylov minimal
+    polynomials, located by a float root search and accepted only as exact
+    roots. Each weight space is then the exact kernel of ad(A_t) -
+    candidate over n, computed once per candidate and also read by the
+    Krylov search, and the space splits only when those kernels fill it.
+    Raises DiagonalizationError when no Gaussian-rational eigenbasis exists.
     """
     nd = spec.n_dim
     spaces = [WeightSpace(weights=(), rows=[[GaussianRational(1) if i == j else ZERO
@@ -442,6 +472,14 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
             # restriction of ad(A_t) to sp: sp is invariant since the ad(A)'s commute
             images = [_combine(((x, cols[c]) for c, x in enumerate(row)), nd)
                       for row in sp.rows]
+            restricted = _restricted(images, sp.rows)
+            diagonal = _diagonal(restricted)
+            if diagonal is not None:
+                for cand in dict.fromkeys(diagonal):
+                    new_spaces.append(WeightSpace(
+                        weights=sp.weights + (cand,),
+                        rows=[row for row, d in zip(sp.rows, diagonal) if d == cand]))
+                continue
 
             def eigenspace(cand):
                 """The kernel of (ad A - cand) inside sp, in sp-coordinates."""
@@ -452,7 +490,6 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
                                for c in range(nd)], len(sp.rows))
 
             found_dim = 0
-            restricted = _restricted(images, sp.rows)
             for cand, null in _eigenspaces(restricted, eigenspace):
                 if not null:
                     continue

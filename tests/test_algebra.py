@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import corpus_entry, corpus_file_text
+from solvlie.admissibility import center_data
 from solvlie.algebra import (HypothesisViolation, LieAlgebraSpec,
                              SpecFormatError, parse_spec_text,
                              require_noncommutative, spec_from_dict, trace_ad,
                              validate_spec)
+from solvlie.corpus import corpus_entries
+from solvlie.gaussian import GaussianRational as G
 from unipotent_oracle import ad_matrix
 
 
@@ -112,6 +116,43 @@ def test_ad_matrix_dilation_diagonal():
         for j in range(dim):
             assert mat[i][j] == expect.get((i, j), Fraction(0))
     assert trace_ad(spec, "A") == 2
+
+
+def test_trace_ad_rejects_an_element_with_non_real_ad():
+    spec = _heisenberg_2param()
+    w = [G(0)] * spec.dim
+    w[spec.index("A")] = G(0, 1)
+    with pytest.raises(ValueError, match="ad matrix of a real element must be real"):
+        trace_ad(spec, w)
+
+
+def _parsable_specs():
+    out = []
+    for e in corpus_entries():
+        try:
+            out.append(pytest.param(e.spec(), id=e.entry_id))
+        except SpecFormatError:
+            pass
+    return out
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("spec", _parsable_specs())
+def test_trace_ad_is_the_combination_of_the_basis_traces(spec):
+    # random real parts everywhere, imaginary parts on the center of g,
+    # where ad vanishes, so ad w is real and Im w adds no trace
+    rng = random.Random(spec.name)
+    center = center_data(spec).z_g.rows
+    singles = [trace_ad(spec, name) for name in spec.names]
+    for _ in range(8):
+        w = [G(_rational(rng)) for _ in range(spec.dim)]
+        for row in center:
+            s = G(0, _rational(rng))
+            w = [x + s * y for x, y in zip(w, row)]
+        assert trace_ad(spec, w) == sum((x * t for x, t in zip(w, singles)), G(0))
 
 
 def test_ad_matrix_central_element_zero():

@@ -11,7 +11,8 @@ the same exact p and the same ``as_dict()``, or raise the same
 IsotropyError. No such point makes p + conj p fail to be a subalgebra;
 jump data with the reductions dropped make p fail to be isotropic, and
 both raise the same error there. ``center_data`` and ``unimodularity`` are
-compared with the dense oracles on the same specs.
+compared with the dense oracles on the same specs and on the dense-center
+family at m = 10 and 16.
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, sample_functional
 from solvlie.sections import UnsupportedLayerError, sample_sigma_circ
 from solvlie.workbench import Workbench
+from test_pfaffian_equivalence import _dense_center_spec
 
 _SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
 _spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
@@ -102,10 +104,18 @@ def test_isotropy_failure_matches_oracle(monkeypatch):
     assert raised > 0
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_center_and_unimodularity_match_dense_oracles(case):
-    spec = _workbench(case).spec
+def _assert_center_and_unimodularity_match(spec):
     new, old = adm.center_data(spec), oracle.center_data(spec)
     assert (new.z_g, new.z_cap_h) == (old.z_g, old.z_cap_h)
     assert new.as_dict(spec) == old.as_dict(spec)
     assert adm.unimodularity(spec) == oracle.unimodularity(spec)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_center_and_unimodularity_match_dense_oracles(case):
+    _assert_center_and_unimodularity_match(_workbench(case).spec)
+
+
+@pytest.mark.parametrize("m", [10, 16])
+def test_center_and_unimodularity_match_dense_oracles_on_dense_centers(m):
+    _assert_center_and_unimodularity_match(_dense_center_spec(m))

@@ -77,16 +77,9 @@ def test_dense_center_weights_match_oracle(m):
     _assert_agree(_dense_center_spec(m))
 
 
-@pytest.mark.parametrize("entry_id, calls", [
-    ("spiral-heisenberg", 4), ("coupled-pairs", 3), ("free-two-step", 3),
-    ("heisenberg-complex-dilation", 3), ("five-dilations-repaired", 22)])
-def test_krylov_route_computes_each_eigenspace_once(monkeypatch, entry_id,
-                                                    calls):
-    # on these specs the restricted matrix is not triangular; the exact
-    # kernel over n that decides a weight space also grows the Krylov span,
-    # so each eigenspace costs one kernel (twice as many before, less the
-    # triangular splits of five-dilations-repaired)
-    spec = corpus_entry(entry_id).spec()
+def _kernel_calls(monkeypatch, spec):
+    """The ``algebra.kernel`` calls of one decomposition of spec, which must
+    match the oracle's weight spaces."""
     want = _outcome(weight_oracle.weight_decomposition, spec)
     count = [0]
     kernel = algebra.kernel
@@ -96,7 +89,30 @@ def test_krylov_route_computes_each_eigenspace_once(monkeypatch, entry_id,
         return kernel(*args)
     monkeypatch.setattr(algebra, "kernel", counted)
     assert _outcome(weight_decomposition, spec) == want
-    assert count[0] == calls
+    return count[0]
+
+
+@pytest.mark.parametrize("entry_id, calls", [
+    ("spiral-heisenberg", 4), ("coupled-pairs", 3), ("free-two-step", 3),
+    ("heisenberg-complex-dilation", 3), ("five-dilations-repaired", 3)])
+def test_krylov_route_computes_each_eigenspace_once(monkeypatch, entry_id,
+                                                    calls):
+    # on these specs some restricted matrix is not triangular; the exact
+    # kernel over n that decides a weight space also grows the Krylov span,
+    # so each eigenspace costs one kernel. five-dilations-repaired takes the
+    # Krylov route on its first split only (3 kernels); its later splits
+    # are diagonal and call none (19 more kernels when they went through
+    # the triangular route)
+    assert _kernel_calls(monkeypatch, corpus_entry(entry_id).spec()) == calls
+
+
+@pytest.mark.parametrize("spec", [corpus_entry("heisenberg-2param").spec()] + [
+    spec_from_dict(doc) for doc, _ in specgen.generate(1)],
+    ids=lambda spec: spec.name)
+def test_diagonal_restrictions_call_no_kernel(monkeypatch, spec):
+    # every restriction is diagonal: each weight space is the rows at its
+    # diagonal value, with no elimination
+    assert _kernel_calls(monkeypatch, spec) == 0
 
 
 def _krylov_all_columns(mat, v):
@@ -172,6 +188,33 @@ def test_large_denominators_accepted_with_a_verdict(spec, weights):
     assert {sp.weights[0] for sp in report.weight_spaces} == weights
     # nonunimodular, and A moves Z, so h meets the center trivially
     assert Workbench(spec).verdict().verdict == adm.VERDICT_ADMISSIBLE
+
+
+# -- a triangular, non-diagonal action: the kernel route -------------------
+
+def _triangular_heisenberg(upper):
+    """[X, Y] = Z with A acting by a triangular, non-diagonal matrix with
+    distinct diagonal entries 1, 2 and 3: A X = X, A Y = 2Y + X (upper) or
+    A Y = 2Y, A X = X + Y (lower), and A Z = 3Z, as ad(A) is a derivation."""
+    if upper:
+        return _heisenberg(([("X", 1)], [("X", 1), ("Y", 2)]), 3)
+    return _heisenberg(([("X", 1), ("Y", 1)], [("Y", 2)]), 3)
+
+
+@pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+def test_triangular_restriction_takes_the_kernel_route(monkeypatch, upper):
+    # the diagonal values are the weights, but a value no longer marks a
+    # row: each weight space is the kernel of ad(A) - weight, one per value
+    spec = _triangular_heisenberg(upper)
+    assert validate_spec(spec).ok
+    unit = algebra.identity(3)
+    images = [algebra._combine(((x, spec.bracket_sparse(3, c))
+                                for c, x in enumerate(row)), 3) for row in unit]
+    mat = algebra._restricted(images, unit)
+    assert algebra._diagonal(mat) is None
+    assert algebra._triangular_diagonal(mat) == [G(3), G(2), G(1)]
+    assert _kernel_calls(monkeypatch, spec) == 3
+    assert _multiset(spec) == [("1", 1), ("2", 1), ("3", 1)]
 
 
 # -- a dense action: the Krylov route -----------------------------------------
