@@ -245,8 +245,7 @@ def trace_ad(spec: LieAlgebraSpec, w) -> Fraction:
         im = [GaussianRational(x.im) for x in w]
         if any(any(spec.bracket(im, spec.basis_vector(m))) for m in range(spec.dim)):
             raise ValueError("ad matrix of a real element must be real")
-    return sum((x.re * t for x, t in zip(w, spec.ad_traces()) if x.re and t),
-               Fraction(0))
+    return sum((x.re * t for x, t in zip(w, spec.ad_traces())), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

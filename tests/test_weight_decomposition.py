@@ -100,9 +100,8 @@ def test_krylov_route_computes_each_eigenspace_once(monkeypatch, entry_id,
     # on these specs some restricted matrix is not triangular; the exact
     # kernel over n that decides a weight space also grows the Krylov span,
     # so each eigenspace costs one kernel. five-dilations-repaired takes the
-    # Krylov route on its first split only (3 kernels); its later splits
-    # are diagonal and call none (19 more kernels when they went through
-    # the triangular route)
+    # Krylov route on its first split only (3 kernels): its later splits
+    # are diagonal, and a diagonal split calls no kernel
     assert _kernel_calls(monkeypatch, corpus_entry(entry_id).spec()) == calls
 
 
@@ -113,6 +112,27 @@ def test_diagonal_restrictions_call_no_kernel(monkeypatch, spec):
     # every restriction is diagonal: each weight space is the rows at its
     # diagonal value, with no elimination
     assert _kernel_calls(monkeypatch, spec) == 0
+
+
+def _in_order(spec):
+    """The weight spaces as (weights, rows) in the order they come, or the
+    error."""
+    try:
+        return [(sp.weights, sp.rows) for sp in weight_decomposition(spec)]
+    except DiagonalizationError as exc:
+        return exc.code, str(exc)
+
+
+@pytest.mark.parametrize("spec", _parsed_specs() + [
+    pytest.param(spec_from_dict(doc), id=doc["name"])
+    for seed in (1, 7, 13) for doc, _ in specgen.generate(seed)] + [
+    pytest.param(_dense_center_spec(m), id=f"dense-center-{m}") for m in (10, 16)])
+def test_diagonal_split_matches_the_kernel_route_in_order(monkeypatch, spec):
+    # the same weights and rows in the same order as when every diagonal
+    # restriction goes through the kernels of the triangular route
+    fast = _in_order(spec)
+    monkeypatch.setattr(algebra, "_diagonal", lambda mat: None)
+    assert _in_order(spec) == fast
 
 
 def _krylov_all_columns(mat, v):
