@@ -9,10 +9,10 @@ matrix of the little group, or infinity).
 The traces sum the diagonal structure constants [e_p, e_i]_i, and the
 center is the kernel of the nonzero rows of w -> ([w, e_m])_m. The
 polarization runs in adapted coordinates over Z_1..Z_n: p is the jump
-reduction replayed on unit vectors, the form is x . M y with the point's
-orbit form M, conjugation is conjugate-and-sigma-permute, brackets read
-the basis's adapted structure constants C, and the pivot sets are read off
-the adapted rows.
+reduction replayed on unit vectors, the form is x . M y with M y read off
+the point's jump data (``JumpData.image``), conjugation is
+conjugate-and-sigma-permute, brackets read the basis's adapted structure
+constants C, and the pivot sets are read off the adapted rows.
 
 Verdict rule: a unimodular group never admits an admissible vector; a
 nonunimodular one does exactly when the dilation part meets the center
@@ -74,7 +74,7 @@ def center_data(spec: LieAlgebraSpec) -> CenterData:
 
     Row (m, k) of the system is w -> [w, e_m]_k = sum_p w_p [e_p, e_m]_k;
     only the nonzero rows are built. An element of h is central iff it is
-    in the kernel of the same rows restricted to the h columns.
+    in the kernel of the same rows restricted to the h coordinates.
     """
     dim, nd = spec.dim, spec.n_dim
     rows: Dict[Tuple[int, int], list] = {}
@@ -157,19 +157,12 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     (same dimension data); the conjugate is reported in that case.
     """
     jd = jump_data(lam, basis, "n")
-    nd, sigma, columns = basis.n, basis.sigma, jd.columns
-
-    def image(y):
-        """M y, over the nonzero coordinates of y and M's sparse columns."""
-        out = [ZERO] * nd
-        for q, yq in enumerate(y):
-            if yq:
-                for p, mpq in columns[q]:
-                    out[p] = out[p] + mpq * yq
-        return out
+    nd, sigma = basis.n, basis.sigma
 
     def dot(x, w):
-        return sum((a * b for a, b in zip(x, w) if a and b), ZERO)
+        """x . w, for x dense over Z_1..Z_n and w a sparse M y from
+        ``jd.image``."""
+        return sum((x[p] * c for p, c in w.items() if x[p] and c), ZERO)
 
     def conj(x):
         """conj(sum x_p Z_p) = sum conj(x_p) Z_sigma(p)."""
@@ -181,7 +174,7 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
 
     # isotropy, exact: lam[a, b] = a . M b
     rows = jd.polarizing_rows()
-    images = [image(b) for b in rows]
+    images = [jd.image(dict(enumerate(b))) for b in rows]
     for i, a in enumerate(rows):
         for mb in images[i + 1:]:
             if dot(a, mb):
@@ -213,7 +206,8 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
         x = [ZERO] * nd
         for k, xk in basis.coords(w).items():
             x[k] = xk
-        vals.append(GaussianRational(0, 1) * dot(x, image(conj(x))))
+        vals.append(GaussianRational(0, 1) *
+                    dot(x, jd.image(dict(enumerate(conj(x))))))
     pos = all(v.is_real() and v.re >= 0 for v in vals)
     if not pos and not is_real and all(v.is_real() and v.re <= 0 for v in vals):
         p = Subspace([[x.conjugate() for x in w] for w in p.rows], basis.dim)

@@ -295,16 +295,6 @@ def _diagonal(mat) -> Optional[List[GaussianRational]]:
     return [row[i] for i, row in enumerate(mat)]
 
 
-def _triangular_diagonal(mat) -> Optional[List[GaussianRational]]:
-    """The distinct diagonal entries of a triangular matrix in order, or
-    None when mat is neither upper nor lower triangular."""
-    size = len(mat)
-    if any(mat[i][j] for i in range(size) for j in range(i)) and \
-            any(mat[i][j] for i in range(size) for j in range(i + 1, size)):
-        return None
-    return list(dict.fromkeys(mat[i][i] for i in range(size)))
-
-
 def _krylov_polynomial(mat, v) -> List[GaussianRational]:
     """The monic minimal polynomial of the row vector v under x -> x mat,
     coefficients from the constant term up. The Krylov vectors v, v mat,
@@ -411,16 +401,11 @@ def _gaussian_roots(poly) -> List[GaussianRational]:
 
 def _eigenspaces(mat, eigenspace) -> List[Tuple[GaussianRational, list]]:
     """The eigenvalues r in Q(i) of the square matrix mat, found exactly,
-    each with ``eigenspace(r)``, the rows x with x mat = r x: the diagonal
-    of mat when it is triangular, else the roots of the Krylov minimal
-    polynomial of a unit vector, taken outside the eigenspaces found so far
-    until they fill the space or a vector brings no new root.
-    ``weight_decomposition`` splits a diagonal mat itself, so here a
-    triangular mat has an entry off its diagonal: its eigenspaces need the
-    kernels, as a diagonal value no longer marks a row."""
-    diagonal = _triangular_diagonal(mat)
-    if diagonal is not None:
-        return [(r, eigenspace(r)) for r in diagonal]
+    each with ``eigenspace(r)``, the rows x with x mat = r x: the roots of
+    the Krylov minimal polynomial of a unit vector, taken outside the
+    eigenspaces found so far until they fill the space or a vector brings
+    no new root. ``weight_decomposition`` splits a diagonal mat itself, so
+    here mat has an entry off its diagonal."""
     size = len(mat)
     found: List[Tuple[GaussianRational, list]] = []
     span: list = []         # echelon rows of the eigenspaces found so far
@@ -450,12 +435,12 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
     kernel of the diagonal shift R - r is the unit vectors at its zero
     entries, as ``rref_kernel`` returns them, so the rows come back as they
     are, and a subset of RREF rows is already in RREF. Otherwise the
-    eigenvalue candidates are found exactly (``_eigenspaces``): the
-    diagonal when R is triangular, else the Q(i) roots of Krylov minimal
-    polynomials, located by a float root search and accepted only as exact
-    roots. Each weight space is then the exact kernel of ad(A_t) -
-    candidate over n, computed once per candidate and also read by the
-    Krylov search, and the space splits only when those kernels fill it.
+    eigenvalue candidates are found exactly (``_eigenspaces``): the Q(i)
+    roots of Krylov minimal polynomials, located by a float root search
+    and accepted only as exact roots. Each weight space is then the exact
+    kernel of ad(A_t) - candidate over n, computed once per candidate and
+    also read by the Krylov search, and the space splits only when those
+    kernels fill it.
     Raises DiagonalizationError when no Gaussian-rational eigenbasis exists.
     """
     nd = spec.n_dim
@@ -632,7 +617,8 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
 
     v is in the next level iff [n, v] lies in the previous one, i.e. every
     annihilator a of the previous level has a([e_i, v]) = 0 for every i;
-    a([e_i, e_p]) sums over the nonzero structure constants only. A level
+    a([e_i, e_p]) sums over the nonzero structure constants only, read off
+    the entries (i, p), i < p, of ``spec._table`` with both signs. A level
     is the kernel of its condition rows C, and ker C has annihilator the
     row space of C, so the one ``rref`` of C per level also gives the next
     level's annihilator (all of n* for the zero level). A level that does
@@ -643,8 +629,15 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
     again, so the adapted basis is the same for any basis of the level.
     """
     nd = spec.n_dim
-    consts = [[(p, m, c) for p in range(nd) for m, c in spec.bracket_sparse(i, p)]
-              for i in range(nd)]
+    # consts[i]: the (p, m, C_ip^m) of the nonzero [e_i, e_p]_m within n
+    consts: List[list] = [[] for _ in range(nd)]
+    for (i, p), coords in spec._table.items():
+        if p < nd:
+            for m, c in enumerate(coords):
+                if c:
+                    x = GaussianRational(c)
+                    consts[i].append((p, m, x))
+                    consts[p].append((i, m, -x))
     levels: List[List[List[GaussianRational]]] = []
     ann, dim = identity(nd), 0
     while dim < nd:

@@ -164,13 +164,18 @@ def _case_of(j: int, layer: LayerDescriptor) -> int:
 
 
 class SectionOracle:
-    """Membership test for one of the nested cross-sections."""
+    """Membership test for one of the nested cross-sections.
+
+    The dilation-orbit sections ("SigmaCirc" and "Sigma") are cut out by the
+    little-group data: they raise ValueError without ``stab``."""
 
     def __init__(self, kind: str, basis: AdaptableBasis,
                  n_layer: LayerDescriptor,
                  stab: Optional[StabilizerData] = None):
         if kind not in ("Lambda", "LambdaNu", "SigmaCirc", "Sigma"):
             raise ValueError(f"unknown oracle kind {kind!r}")
+        if stab is None and kind in ("SigmaCirc", "Sigma"):
+            raise ValueError(f"oracle kind {kind!r} needs stabilizer data")
         self.kind = kind
         self.basis = basis
         self.n_layer = n_layer
@@ -249,8 +254,6 @@ class SectionOracle:
                 return False
         if self.kind == "SigmaCirc":
             return True
-        if self.stab is None:
-            raise ValueError("full-section oracle needs stabilizer data")
         nd_full = basis.spec.n_dim
         for a in self.stab.a_basis:
             vec = [ZERO] * nd_full + [GaussianRational(c) for c in a]

@@ -17,12 +17,13 @@ M[p][q] = sum_k C_pq^k l(Z_k) is, through the adapted structure constants
 and the adapted vectors, an integer linear form in the values of l on the
 real basis, over one denominator. These forms are composed once per basis
 (``_form_table``), so a point is read only through its real coordinates
-and M is filled once per point into sparse rows and columns, one entry per
-nonzero bracket, with no dense matrix and no adapted values. The jump
-reduction runs on the rows. The section vectors are computed in
-coordinates over the adapted vectors, where
-Re Z_i = (Z_i + Z_sigma(i)) / 2 and Im Z_i = (Z_i - Z_sigma(i)) / 2i, and
-paired through the columns.
+and M is filled once per point into sparse rows, one pair of entries per
+nonzero bracket, with no dense matrix and no adapted values. Those rows
+are the one copy of M a point keeps (``JumpData.form``); the jump
+reduction runs on a copy of them, and every product M y is read off them
+(``JumpData.image``). The section vectors are computed in coordinates over
+the adapted vectors, where Re Z_i = (Z_i + Z_sigma(i)) / 2 and
+Im Z_i = (Z_i - Z_sigma(i)) / 2i, and paired through that product.
 
 Which case of the section-vector table each pair falls in depends only on
 the jump pairs, not on the point. So the case table (conj-stable positions,
@@ -44,9 +45,9 @@ ambients; only the other layers build section vectors per sampled point.
 
 ``generic_layer`` keys each sample from its integer coordinates
 (``_sample_key``): the same fill, reduction and key rule
-(``_layer_key``), with no Functional, columns, JumpData or descriptor per
-sample. A full ``layer_descriptor`` runs once per distinct key, and on the
-samples of layers that are not keyed.
+(``_layer_key``), with no Functional, JumpData or descriptor per sample.
+A full ``layer_descriptor`` runs once per distinct key, and on the samples
+of layers that are not keyed.
 
 All decisions are exact over Q(i). The kernels also run at a float point
 (one moved by a dilation flow, which the membership oracles may be asked
@@ -113,8 +114,9 @@ class JumpData:
     Replaying them on unit vectors gives ``polarizing_rows``, h_d over the
     adapted vectors, and ``polarizing_subspace`` is the same over the real
     basis.
-    ``columns[q]`` lists the nonzero (p, M[p][q]) of column q of the
-    unreduced orbit form M = (l[Z_p, Z_q]) at ``point``, by increasing p.
+    ``form[p]`` is {q: M[p][q]} over the nonzero entries of row p of the
+    unreduced orbit form M = (l[Z_{p+1}, Z_{q+1}]) at ``point``, by
+    increasing q, as ``_orbit_form`` fills it; ``image`` pairs through it.
     """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
@@ -123,8 +125,7 @@ class JumpData:
     reductions: Tuple[Tuple[Tuple[int, object], ...], ...] = field(
         default=(), repr=False, compare=False)
     point: Optional[Functional] = field(default=None, repr=False, compare=False)
-    columns: Optional[List[list]] = field(default=None, repr=False,
-                                          compare=False)
+    form: Optional[List[dict]] = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -136,6 +137,28 @@ class JumpData:
 
     def key(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         return (self.e_set, self.j_seq)
+
+    def image(self, y: Mapping[int, object]) -> dict:
+        """M y for the coordinates {q: y_q} of y over the adapted vectors,
+        as {p: (M y)_p} over the p that some nonzero y_q reaches.
+        (M y)_p = sum_q M[p][q] y_q is read off row p of ``form``, over
+        the q of y in their order. ``_fill`` stores M[p][q] and M[q][p]
+        together, so the p reached from y_q are the keys of row q, taken
+        by increasing p."""
+        form = self.form
+        ys = [(q, yq) for q, yq in y.items() if yq]
+        out = {}
+        for q, _ in ys:
+            for p in form[q]:
+                if p not in out:
+                    row = form[p]
+                    total = None
+                    for r, yr in ys:
+                        if r in row:
+                            t = row[r] * yr
+                            total = t if total is None else total + t
+                    out[p] = total
+        return out
 
     def polarizing_rows(self) -> List[list]:
         """h_d, the last member of the flag h_0 > h_1 > ... > h_d, in
@@ -236,12 +259,11 @@ def _fill(basis: AdaptableBasis, n_amb: int, xs: Sequence, den: int,
     return rows
 
 
-def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
-    """(rows, columns): the orbit form M[p][q] = l[Z_{p+1}, Z_{q+1}] on the
-    first n_amb adapted vectors, filled by ``_fill``. ``rows[p]`` is
-    {q: M[p][q]} over the nonzero entries of row p, and ``columns[q]``
-    lists the nonzero (p, M[p][q]) by increasing p, read off the rows
-    before any reduction moves them.
+def _orbit_form(l: Functional, basis: AdaptableBasis,
+                n_amb: int) -> List[dict]:
+    """The sparse rows of the orbit form M[p][q] = l[Z_{p+1}, Z_{q+1}] on
+    the first n_amb adapted vectors, filled by ``_fill``: ``rows[p]`` is
+    {q: M[p][q]} over the nonzero entries of row p, by increasing q.
 
     At an exact point the values x_m are read as integers over one common
     denominator (1 at every sampled point), and each entry takes one gcd;
@@ -252,14 +274,8 @@ def _orbit_form(l: Functional, basis: AdaptableBasis, n_amb: int):
         den = lcm(*map(_DENOMINATOR, values))
         xs = (list(map(_NUMERATOR, values)) if den == 1 else
               [v.numerator * (den // v.denominator) for v in values])
-        rows = _fill(basis, n_amb, xs, den, _reduced)
-    else:
-        rows = _fill(basis, n_amb, values, 1, _complex_entry)
-    columns: List[list] = [[] for _ in rows]
-    for p, row in enumerate(rows):
-        for q, x in row.items():
-            columns[q].append((p, x))
-    return rows, columns
+        return _fill(basis, n_amb, xs, den, _reduced)
+    return _fill(basis, n_amb, values, 1, _complex_entry)
 
 
 def _skew_reduce(rows: List[dict], tol: Optional[float]):
@@ -329,13 +345,13 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
               ambient: str = "g") -> JumpData:
     """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
 
-    The reduction (``_skew_reduce``) runs in place on the sparse rows of
-    M that ``_orbit_form`` fills; the result keeps M's sparse columns,
-    which the reduction does not touch. Positions g of the ambient flag
-    stay active while their reduced vector y_g can still pair; step k
-    pairs the first active row i_k that pairs with the first active column
-    j_k it pairs with, and y_{i_k} stays in h_k (in its radical) while
-    y_{j_k} does not.
+    The reduction (``_skew_reduce``) runs on a copy of the sparse rows of
+    M that ``_orbit_form`` fills; the result keeps the rows themselves,
+    unreduced, as ``form``. Positions g of the ambient flag stay active
+    while their reduced vector y_g can still pair; step k pairs the first
+    active row i_k that pairs with the first active column j_k it pairs
+    with, and y_{i_k} stays in h_k (in its radical) while y_{j_k} does
+    not.
 
     This is the flag/annihilator recursion h_k = perp(h_{k-1} cap c_{i_k})
     cap h_{k-1}: by the choice of i_k, h_{k-1} cap c_{i_k - 1} already lies
@@ -348,10 +364,11 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """
     if basis is None:
         basis = l.basis
-    rows, columns = _orbit_form(l, basis, basis.ambient(ambient))
-    i_seq, j_seq, reductions, _ = _skew_reduce(rows, l.tol)
+    form = _orbit_form(l, basis, basis.ambient(ambient))
+    i_seq, j_seq, reductions, _ = _skew_reduce(list(map(dict.copy, form)),
+                                               l.tol)
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis,
-                    tuple(reductions), l, columns)
+                    tuple(reductions), l, form)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +518,8 @@ class SectionVectors:
     Z_{p+1} (``v_adapted``, ``u_adapted``, ``z_adapted``); the vector over
     the real basis of g is sum_p x_p Z_{p+1}, with Z_{p+1} =
     ``basis.vector(p + 1)``. Two of them pair as x . (M y) through the
-    orbit form M at the point, whose sparse columns are ``jd.columns`` when
-    jd is the point's own jump data.
+    orbit form M at the point, with M y = ``jd.image(y)`` when jd is the
+    point's own jump data.
     """
     jd: JumpData
     v_adapted: List[dict]
@@ -518,8 +535,9 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
     """Dual pairs V_k, U_k and the combinations Z_j(l), case by case.
 
     Works in sparse coordinates x over the adapted vectors of the ambient,
-    pairing x and y as x . (M y) through the sparse columns of the orbit
-    form M of ``jd`` (rebuilt when jd is not the jump data of l). There
+    pairing x and y as x . (M y), with M y from ``JumpData.image`` on the
+    orbit form M at l: that of ``jd`` when jd is the jump data of l, else
+    that of the jump data of l itself. There
     Re Z_i = (e_i + e_s) / 2 and Im Z_i = (e_i - e_s) / 2i with s = sigma(i),
     since the basis verified conj Z_i = Z_s; the b values read gamma_i of
     the h-part vectors off the diagonal of their rows of C.
@@ -533,10 +551,8 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
     if jd is None:
         jd = jump_data(l, basis, ambient)
     tol = l.tol
-    if jd.point is l and jd.basis is basis and jd.ambient == ambient:
-        cols = jd.columns
-    else:
-        _, cols = _orbit_form(l, basis, basis.ambient(ambient))
+    own = jd.point is l and jd.basis is basis and jd.ambient == ambient
+    image = (jd if own else jump_data(l, basis, ambient)).image
     table = _case_table(jd.basis, jd.ambient, jd.i_seq, jd.j_seq)
     in_case = table.in_case
     vanishes = zero_test(tol)
@@ -553,15 +569,6 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             return {i - 1: one}, {}
         return ({i - 1: half, s - 1: half},
                 {i - 1: minus_half_i, s - 1: -minus_half_i})
-
-    def image(y):
-        """M y, through the nonzero entries of M's columns."""
-        out = {}
-        for q, yq in y.items():
-            if yq:
-                for p, mpq in cols[q]:
-                    out[p] = out[p] + mpq * yq if p in out else mpq * yq
-        return out
 
     def dot(x, w):
         total = zero
@@ -867,7 +874,7 @@ def _sample_key(basis: AdaptableBasis, ambient: str,
     on the leading real basis vectors of the ambient (0 past them), phi
     None on a layer that is not keyed: the fill, the reduction and the key
     rule of ``layer_descriptor`` (``_layer_key``), with no Functional, no
-    columns, no JumpData and no descriptor."""
+    JumpData and no descriptor."""
     rows = _fill(basis, basis.ambient(ambient), xs, 1, _reduced)
     i_seq, j_seq, reductions, _ = _skew_reduce(rows, None)
     return _layer_key(basis, ambient, tuple(i_seq), tuple(j_seq),
@@ -991,6 +998,6 @@ def skew_matrix(l: Functional, indices: Sequence[int]) -> List[List[GaussianRati
     for i in indices:
         if not 1 <= i <= dim:
             raise ValueError(f"adapted index {i} is outside 1..{dim}")
-    rows, _ = _orbit_form(l, l.basis, max(indices, default=0))
+    rows = _orbit_form(l, l.basis, max(indices, default=0))
     zero = l.zero
     return [[rows[i - 1].get(j - 1, zero) for j in indices] for i in indices]

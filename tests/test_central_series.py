@@ -173,6 +173,19 @@ def test_series_stalls_like_three_elimination_oracle(make):
     _assert_series_matches_oracle(make())
 
 
+def test_series_reads_both_signs_of_a_bracket():
+    # [X, Y] = Z and [Y, W] = Z: the condition row of ad(Y) takes
+    # [Y, X] = -Z from the table entry (X, Y) and [Y, W] = Z from (Y, W),
+    # so the center is spanned by X + W and Z; with the sign of the first
+    # dropped it would be X - W and Z instead
+    spec = LieAlgebraSpec("two-sided", ["X", "Y", "W", "Z"], [], {
+        ("X", "Y"): {"Z": Fraction(1)}, ("Y", "W"): {"Z": Fraction(1)}})
+    one, zero = GaussianRational(1), GaussianRational(0)
+    center = Subspace([[one, zero, one, zero], [zero, zero, zero, one]], 4)
+    assert Subspace(algebra.central_series(spec)[0], 4) == center
+    _assert_series_matches_oracle(spec)
+
+
 def test_series_of_empty_n_is_empty():
     spec = _empty_n()
     assert central_series_oracle.central_series(spec) == []

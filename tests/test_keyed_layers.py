@@ -479,3 +479,26 @@ def test_blocks_at_float_points_follow_section_vectors():
                 assert got["phi"] == phi, moved.values
             assert got == _outcome(oracle_descriptor, moved, basis, ambient)
     assert seen >= 8
+
+
+# The float zero tests of the two routes part at a small pivot: the keyed
+# key tests the pivot p against FLOAT_TOL, section_vectors the pairing
+# -|p|^2 (case 0). No fix is made yet, so both cases must still fail.
+SMALL_PIVOT = ("at a float point a keyed layer rests on the pivot test of "
+               "jump_data (|p| > FLOAT_TOL) while section_vectors tests the "
+               "pairing (|pairing| > FLOAT_TOL), so layer_descriptor keys the "
+               "point on the generic layer and SectionOracle.contains rejects "
+               "it when the pivot is small")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SMALL_PIVOT)
+@pytest.mark.parametrize("entry_id, label", [("heisenberg-2param", "Z"),
+                                             ("spiral-heisenberg", "Z1")])
+def test_float_key_and_membership_agree_at_a_small_pivot(entry_id, label):
+    wb = wb_for(entry_id)
+    basis, spec = wb.canonical_basis, wb.spec
+    vals = [0.0] * spec.dim
+    vals[spec.index(label)] = 1e-5
+    f = Functional(basis, vals, exact=False)
+    on_layer = layer_descriptor(f, basis, "n").key() == wb.n_layer.key()
+    assert on_layer == wb.oracle_lambda.contains(f)

@@ -4,7 +4,7 @@ and the sparse kernels.
 ``strata.generic_layer`` keys each sample with ``strata._sample_key`` and
 builds a descriptor once per key; ``strata.layer_descriptor`` reads its
 case table from a memo on the basis (one table per ambient and jump pairs)
-and its section vectors from the sparse columns of the orbit form. The
+and its section vectors from the sparse rows of the orbit form. The
 oracle path below evaluates every sample afresh instead: the per-sample
 ``generic_layer`` of ``generic_layer_oracle``, with a full descriptor per
 sample built from the real-basis section vectors of ``section_oracle`` and

@@ -7,8 +7,8 @@ entries of the form occur) and float points moved by the dilation flow,
 the two must give the same V_k, U_k, Z_j(l) (the library's adapted
 coordinates read over the real basis), b values and pairings (exactly
 at exact points, within FLOAT_TOL times the size of the values at float
-points), or raise the same error; the orbit form rebuilt from the sparse
-columns kept on the jump data must be l[Z_p, Z_q] at every (p, q), and its
+points), or raise the same error; the orbit form rebuilt column by column
+through ``JumpData.image`` must be l[Z_p, Z_q] at every (p, q), and its
 case table the oracle's. Sparse points paired with the jump data of a generic
 point leave the layer the case table assumes, so both sides must raise
 there as well. One more input, a Heisenberg basis on which ad(A) has a term
@@ -58,12 +58,14 @@ def _check_form(l, basis, ambient):
     if not l.exact:
         vecs = [[complex(x) for x in v] for v in vecs]
     n_amb = basis.ambient(ambient)
-    assert len(jd.columns) == n_amb
-    # M from its sparse columns, zero off the recorded entries
+    assert len(jd.form) == n_amb
+    # M column by column, as the images of the unit vectors, zero off the
+    # recorded entries
     form = [[ZERO if l.exact else 0j] * n_amb for _ in range(n_amb)]
-    for q, col in enumerate(jd.columns):
-        assert [p for p, _ in col] == sorted({p for p, _ in col})
-        for p, x in col:
+    for q in range(n_amb):
+        col = jd.image({q: 1})
+        assert list(col) == sorted(col)
+        for p, x in col.items():
             assert x
             form[p][q] = x
     for p in range(n_amb):

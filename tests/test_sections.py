@@ -8,8 +8,9 @@ from conftest import SAMPLABLE_IDS, VALID_IDS, corpus_entry, point, wb_for
 from section_oracle import pointwise_stabilizer
 from solvlie.functionals import exp_h_coadjoint
 from solvlie.gaussian import GaussianRational as G
-from solvlie.sections import (NotInSectionError, UnsupportedLayerError,
-                              h_project, sample_lambda_nu, sample_sigma_circ)
+from solvlie.sections import (NotInSectionError, SectionOracle,
+                              UnsupportedLayerError, h_project,
+                              sample_lambda_nu, sample_sigma_circ)
 
 
 # -- membership oracles ---------------------------------------------------------
@@ -69,6 +70,22 @@ def test_sigma_circ_exactly_two_points_heisenberg():
     assert oracle.contains(point(wb, Z=-1))
     for z in (2, -2, 3, Fraction(1, 2)):
         assert not oracle.contains(point(wb, Z=z))
+
+
+@pytest.mark.parametrize("kind", ["SigmaCirc", "Sigma"])
+def test_dilation_section_oracle_needs_stabilizer_data(kind):
+    # without the little-group data phi would be empty, and a SigmaCirc
+    # oracle would accept l(Z) = -2, which the Workbench's own rejects
+    wb = wb_for("heisenberg-2param")
+    assert not wb.oracle_sigma_circ.contains(point(wb, Z=-2))
+    with pytest.raises(ValueError, match="needs stabilizer data"):
+        SectionOracle(kind, wb.canonical_basis, wb.n_layer)
+    built = SectionOracle(kind, wb.canonical_basis, wb.n_layer, wb.stabilizer)
+    assert not built.contains(point(wb, Z=-2))
+    assert built.contains(point(wb, Z=1))
+    for other in ("Lambda", "LambdaNu"):
+        assert SectionOracle(other, wb.canonical_basis,
+                             wb.n_layer).contains(point(wb, Z=-2))
 
 
 def test_sigma_oracle_spiral_modulus_constraint():

@@ -5,8 +5,10 @@ linear forms in a point's real coordinates (``strata._form_table``), and
 ``strata._skew_reduce`` reduces over the stored entries only. The dense
 kernel is kept verbatim as ``jump_oracle._orbit_form`` and
 ``jump_oracle._skew_reduce``. At exact points the two must agree exactly:
-the columns, the unreduced and the reduced form entry by entry, i_seq,
-j_seq, the reductions and the pivots. The points are the 64 samples
+the unreduced form entry by entry, and each column of it read through
+``JumpData.image`` against the oracle's columns, the reduced form entry by
+entry, i_seq, j_seq, the reductions and the pivots; the form kept on the
+jump data must still be the unreduced one. The points are the 64 samples
 ``generic_layer`` draws at seed 42 on every valid corpus entry in both
 ambients, the specs ``perfbench/specgen.py`` generates for seeds 1-10,
 degenerate points with coordinates in {-1, 0, 1}, the dense-center family
@@ -42,20 +44,27 @@ def _dense(rows, zero):
     return [[rows[p].get(q, zero) for q in range(n)] for p in range(n)]
 
 
+def _columns(jd):
+    """Column q of the form kept on jd, as the nonzero (p, M[p][q]) in the
+    order ``JumpData.image`` gives them for the unit vector at q."""
+    return [list(jd.image({q: 1}).items()) for q in range(len(jd.form))]
+
+
 def _assert_exact(f, basis, ambient):
     n_amb = basis.ambient(ambient)
-    rows, columns = _orbit_form(f, basis, n_amb)
+    rows = _orbit_form(f, basis, n_amb)
     _, form, want_columns = dense_orbit_form(f, basis, n_amb)
-    assert columns == want_columns, f.values
     assert _dense(rows, f.zero) == form, f.values
+    jd = jump_data(f, basis, ambient)
+    # the reduction ran on a copy: the kept form is the unreduced one
+    assert _dense(jd.form, f.zero) == form, f.values
+    assert _columns(jd) == want_columns, f.values
     got = _skew_reduce(rows, None)
     want = dense_skew_reduce(form, None)
     assert got == want, f.values
     assert _dense(rows, f.zero) == form, f.values
-    jd = jump_data(f, basis, ambient)
     assert [list(jd.i_seq), list(jd.j_seq), list(jd.reductions)] == \
         list(want[:3]), f.values
-    assert jd.columns == want_columns, f.values
 
 
 def _close(a, b):
@@ -64,8 +73,9 @@ def _close(a, b):
 
 def _assert_float(f, basis, ambient):
     n_amb = basis.ambient(ambient)
-    rows, columns = _orbit_form(f, basis, n_amb)
+    rows = _orbit_form(f, basis, n_amb)
     _, form, want_columns = dense_orbit_form(f, basis, n_amb)
+    columns = _columns(jump_data(f, basis, ambient))
     assert len(columns) == len(want_columns)
     for col, want_col in zip(columns, want_columns):
         assert [p for p, _ in col] == [p for p, _ in want_col], f.values

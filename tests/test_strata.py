@@ -344,7 +344,7 @@ def test_b_value_modulus_inverse_of_coordinate():
 
 def test_rho_orthogonality_exact():
     # the dual pairs in adapted coordinates, paired through the orbit form
-    # M rebuilt from the sparse columns of the jump data: for m < k,
+    # M rebuilt from the sparse rows kept on the jump data: for m < k,
     # x . M y = 0 for x in {V_k, U_k} and y in {V_m, U_m}, and
     # V_k . M U_k = l[V_k, U_k] is the recorded pairing
     rng = random.Random(38)
@@ -359,10 +359,8 @@ def test_rho_orthogonality_exact():
                     sv = section_vectors(l, basis, jd, ambient)
                 except (LayerMismatchError, UnsupportedCaseError):
                     continue
-                form = {}
-                for q, col in enumerate(jd.columns):
-                    for p, x in col:
-                        form[p, q] = x
+                form = {(p, q): x for p, row in enumerate(jd.form)
+                        for q, x in row.items()}
 
                 def pair(x, y):
                     return sum((xp * form[p, q] * yq for p, xp in x.items()
