@@ -145,6 +145,7 @@ class AdaptableBasis:
         self.vectors = self.nvecs + hvecs
         self.terms = [_terms(v) for v in self.vectors]
         self.layer_tables: Dict[object, tuple] = {}
+        self._description: Optional[Tuple[str, ...]] = None
 
     # -- structure -------------------------------------------------------
 
@@ -319,18 +320,21 @@ class AdaptableBasis:
         return out
 
     def describe(self) -> List[str]:
-        """Human-readable expansion of each basis vector."""
-        out = []
-        for v in self.vectors:
-            terms = []
-            for m, c in enumerate(v):
-                if c.is_zero():
-                    continue
-                cs = str(c)
-                name = self.spec.names[m]
-                terms.append(name if cs == "1" else f"({cs}) {name}")
-            out.append(" + ".join(terms) if terms else "0")
-        return out
+        """Human-readable expansion of each basis vector, built once per
+        basis (``_set_h_part`` resets it) and copied out on each call."""
+        if self._description is None:
+            out = []
+            for v in self.vectors:
+                terms = []
+                for m, c in enumerate(v):
+                    if c.is_zero():
+                        continue
+                    cs = str(c)
+                    name = self.spec.names[m]
+                    terms.append(name if cs == "1" else f"({cs}) {name}")
+                out.append(" + ".join(terms) if terms else "0")
+            self._description = tuple(out)
+        return list(self._description)
 
 # ---------------------------------------------------------------------------
 # construction

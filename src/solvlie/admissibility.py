@@ -180,13 +180,17 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
             if dot(a, mb):
                 raise IsotropyError("jump reduction output is not isotropic")
     conj_rows = [conj(a) for a in rows]
-    # p + pbar closed under bracket: [a, b] = sum a_p b_q C_pq over p < q
+    # p + pbar closed under bracket: [a, b] = sum a_p b_q C_pq over p < q,
+    # read over the C_pq where a_p b_q or a_q b_p is nonzero
     psum = Subspace(rows + conj_rows, nd)
     for i, a in enumerate(psum.rows):
         for b in psum.rows[i + 1:]:
             br = [ZERO] * nd
             for (p, q), cpq in basis.structure.items():
-                c = a[p] * b[q] - a[q] * b[p]
+                ap, bq, aq, bp = a[p], b[q], a[q], b[p]
+                if not ((ap and bq) or (aq and bp)):
+                    continue
+                c = ap * bq - aq * bp
                 if c:
                     for k, x in cpq.items():
                         br[k] = br[k] + c * x

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 
 def _parts(re, im):
@@ -106,7 +107,13 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return _made(-self._n, -self._m, self._d)
+        # _made inlined: every mirrored entry of an exact form pays a sign
+        # flip, and the call is about a tenth of its cost
+        z = _new(GaussianRational)
+        _set_n(z, -self._n)
+        _set_m(z, -self._m)
+        _set_d(z, self._d)
+        return z
 
     def __sub__(self, other):
         if isinstance(other, GaussianRational):
@@ -142,6 +149,9 @@ class GaussianRational:
             if not m and not q:
                 return _reduced(n * p, 0, self._d * other._d)
             return _reduced(n * p - m * q, n * q + m * p, self._d * other._d)
+        if type(other) is int:
+            # the exact kernels' integer entries
+            return _reduced(self._n * other, self._m * other, self._d)
         if isinstance(other, (int, Fraction)):
             p = other.numerator
             return _reduced(self._n * p, self._m * p,
@@ -246,6 +256,9 @@ _set_n = GaussianRational._n.__set__
 _set_m = GaussianRational._m.__set__
 _set_d = GaussianRational._d.__set__
 _new = object.__new__
+# the canonical fields (n, m, d) of a value, for kernels that work on the
+# integers themselves
+_FIELDS = attrgetter("_n", "_m", "_d")
 
 
 def _made(n: int, m: int, d: int) -> GaussianRational:

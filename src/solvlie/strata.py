@@ -18,12 +18,27 @@ and the adapted vectors, an integer linear form in the values of l on the
 real basis, over one denominator. These forms are composed once per basis
 (``_form_table``), so a point is read only through its real coordinates
 and M is filled once per point into sparse rows, one pair of entries per
-nonzero bracket, with no dense matrix and no adapted values. Those rows
-are the one copy of M a point keeps (``JumpData.form``); the jump
-reduction runs on a copy of them, and every product M y is read off them
-(``JumpData.image``). The section vectors are computed in coordinates over
-the adapted vectors, where Re Z_i = (Z_i + Z_sigma(i)) / 2 and
-Im Z_i = (Z_i - Z_sigma(i)) / 2i, and paired through that product.
+nonzero bracket, with no dense matrix and no adapted values. At an exact
+point the rows hold D M, D the table's denominator times the point's, as
+Gaussian integers built with no gcd: a plain int for a real entry, a
+GaussianRational with denominator 1 for any other; when D is not 1 the
+same pass also builds the rows of M itself. The jump reduction runs on the
+rows of D M, and the point keeps those of M (``JumpData.form``, the rows
+of D M themselves when D = 1, the reduction then running on a copy);
+every product M y is read off them (``JumpData.image``). The section vectors
+are computed in coordinates over the adapted vectors, where
+Re Z_i = (Z_i + Z_sigma(i)) / 2 and Im Z_i = (Z_i - Z_sigma(i)) / 2i, and
+paired through that product.
+
+At an exact point the reduction is fraction-free (``_skew_reduce``): a
+step scales the reduced vectors by the pivot entry, y_g <- p y_g -
+a_g y_j, instead of dividing by it, so each stored entry is the true
+reduced entry times a nonzero factor per vector and one common factor, and
+every zero test and pivot choice is that of the division path. The
+coefficients a_g / p and the pivots are kept as exact quotients and read
+as GaussianRationals only on demand (``JumpData.reductions``, ``pfaffian``).
+The entries stay bounded because, once a pivot entry grows past 2^64,
+they are divided back to the Pfaffian minors of D M, an exact division.
 
 Which case of the section-vector table each pair falls in depends only on
 the jump pairs, not on the point. So the case table (conj-stable positions,
@@ -52,9 +67,10 @@ of layers that are not keyed.
 All decisions are exact over Q(i). The kernels also run at a float point
 (one moved by a dilation flow, which the membership oracles may be asked
 about): the mode is the point's, and every zero test here uses ``l.tol``,
-None for an exact point and ``linalg.FLOAT_TOL`` for a float one. No
-elimination runs in floats; the polarizing rows, which feed exact
-subspaces, are available at exact points only.
+None for an exact point and ``linalg.FLOAT_TOL`` for a float one. A float
+point keeps the division path (``_skew_reduce_float``). No elimination
+runs in floats; the polarizing rows, which feed exact subspaces, are
+available at exact points only.
 """
 
 from __future__ import annotations
@@ -72,10 +88,13 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
 from .adapted import AdaptableBasis
 from .functionals import (Functional, NeedsFloatError, _draw_integers,
                           _integer_point)
-from .gaussian import GaussianRational, ZERO, _reduced
+from .gaussian import GaussianRational, ZERO, _FIELDS, _made, _reduced
 from .linalg import Subspace, identity, zero_test
 
 GR1 = GaussianRational(1)
+# the size of a pivot entry past which ``_skew_reduce`` divides its entries
+# back to the Pfaffian minors
+_LIMIT = 1 << 64
 HALF = GaussianRational(Fraction(1, 2))
 MINUS_HALF_I = GaussianRational(0, Fraction(-1, 2))
 _NUMERATOR = attrgetter("numerator")
@@ -110,20 +129,25 @@ class NotSkewError(ValueError):
 class JumpData:
     """Jump pairs (i_k, j_k) at a point, and the reduction that found them.
 
-    ``reductions[k - 1]`` lists the (g, c) of step k: y_g <- y_g - c * y_{j_k}.
-    Replaying them on unit vectors gives ``polarizing_rows``, h_d over the
-    adapted vectors, and ``polarizing_subspace`` is the same over the real
-    basis.
+    ``steps[k - 1]`` is ((p, d), ((g, num, den), ...)) for step k, over
+    the reduced g by increasing g: step k is y_g <- y_g - c y_{j_k} with
+    c = num / den, and its pivot is p / d (that of D M, D the denominator
+    of ``_orbit_form``, at an exact point): exact quotients of the
+    fraction-free integers of ``_skew_reduce`` at an exact point, of the
+    values of ``_skew_reduce_float`` at a float one. ``reductions`` lists
+    the (g, c), and replaying them on unit vectors gives
+    ``polarizing_rows``, h_d over the adapted vectors;
+    ``polarizing_subspace`` is the same over the real basis.
     ``form[p]`` is {q: M[p][q]} over the nonzero entries of row p of the
     unreduced orbit form M = (l[Z_{p+1}, Z_{q+1}]) at ``point``, by
-    increasing q, as ``_orbit_form`` fills it; ``image`` pairs through it.
+    increasing q, as ``_orbit_form`` fills it (plain ints for its real
+    entries when D = 1); ``image`` pairs through it.
     """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
     ambient: str
     basis: AdaptableBasis = field(repr=False, compare=False)
-    reductions: Tuple[Tuple[Tuple[int, object], ...], ...] = field(
-        default=(), repr=False, compare=False)
+    steps: Tuple[tuple, ...] = field(default=(), repr=False, compare=False)
     point: Optional[Functional] = field(default=None, repr=False, compare=False)
     form: Optional[List[dict]] = field(default=None, repr=False, compare=False)
 
@@ -137,6 +161,13 @@ class JumpData:
 
     def key(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         return (self.e_set, self.j_seq)
+
+    @property
+    def reductions(self) -> Tuple[Tuple[Tuple[int, object], ...], ...]:
+        """The (g, c) of each step, y_g <- y_g - c * y_{j_k}, read off
+        ``steps``: exact over Q(i) at an exact point. Built on each
+        access."""
+        return tuple(_coefficients(red) for _, red in self.steps)
 
     def image(self, y: Mapping[int, object]) -> dict:
         """M y for the coordinates {q: y_q} of y over the adapted vectors,
@@ -155,7 +186,8 @@ class JumpData:
                     total = None
                     for r, yr in ys:
                         if r in row:
-                            t = row[r] * yr
+                            # y_r first: a form entry may be a plain int
+                            t = yr * row[r]
                             total = t if total is None else total + t
                     out[p] = total
         return out
@@ -188,6 +220,13 @@ class JumpData:
         return Subspace(rows, self.basis.dim)
 
 
+def _coefficients(red) -> Tuple[Tuple[int, object], ...]:
+    """The (g, c) of one step of ``steps``, c = num / den: a
+    GaussianRational from integer or Gaussian-integer parts, a float from
+    floats."""
+    return tuple((g, GR1 * num / den) for g, num, den in red)
+
+
 def _to_real(basis: AdaptableBasis, coords) -> list:
     """sum_p x_p Z_{p+1} over the real basis of g, for the exact (p, x_p)
     pairs of coords."""
@@ -199,17 +238,25 @@ def _to_real(basis: AdaptableBasis, coords) -> list:
     return out
 
 
-def _form_table(basis: AdaptableBasis) -> tuple:
+class FormTable(NamedTuple):
+    """The orbit form of one basis as integer linear forms; see
+    ``_form_table``."""
+    entries: Tuple[tuple, ...]   # (p, q, re, im, d, den // d)
+    den: int                     # lcm of the entry denominators d
+
+
+def _form_table(basis: AdaptableBasis) -> FormTable:
     """The orbit form as integer linear forms in a point's real
     coordinates, built once per basis and kept in ``basis.layer_tables``.
 
-    Entry (p, q, re, im, d), p < q, stands for
+    Entry (p, q, re, im, d, s), p < q, stands for
     M[p][q] = l[Z_{p+1}, Z_{q+1}] = sum_k C_pq^k l(Z_{k+1})
     = (sum_m a_m x_m + i sum_m b_m x_m) / d, with (m, a_m) in re and
     (m, b_m) in im the nonzero integer coefficients over the values x_m of
     l on the real basis, composed from the adapted structure constants and
-    ``terms``. The entries run by q, then by p, as the keys of
-    ``structure`` and then ``h_structure`` do."""
+    ``terms``; s = den / d brings it over the table's one denominator
+    ``den``. The entries run by q, then by p, as the keys of ``structure``
+    and then ``h_structure`` do."""
     table = basis.layer_tables.get("orbit_form")
     if table is not None:
         return table
@@ -226,25 +273,30 @@ def _form_table(basis: AdaptableBasis) -> tuple:
                             tuple((m, int(a * d)) for m, a, _ in parts if a),
                             tuple((m, int(b * d)) for m, _, b in parts if b),
                             d))
-    table = basis.layer_tables["orbit_form"] = tuple(entries)
+    den = lcm(*(e[4] for e in entries))
+    table = basis.layer_tables["orbit_form"] = FormTable(
+        tuple(e + (den // e[4],) for e in entries), den)
     return table
 
 
-def _complex_entry(a: float, b: float, d: int) -> complex:
-    """(a + ib) / d at a float point."""
-    return complex(a, b) / d
+def _fill(table: FormTable, n_amb: int, xs: Sequence, exact: bool,
+          den: int = 1) -> Tuple[List[dict], List[dict]]:
+    """(rows, values): the sparse rows of the orbit form on the first
+    n_amb adapted vectors at the point whose values on the real basis are
+    xs (over a denominator the caller keeps, at an exact point), filled
+    from the table: ``rows[p]`` is {q: entry} over the nonzero entries of
+    row p. The entries run by q, then by p, so every row gets its keys in
+    increasing order.
 
-
-def _fill(basis: AdaptableBasis, n_amb: int, xs: Sequence, den: int,
-          entry) -> List[dict]:
-    """The sparse rows of the orbit form M[p][q] = l[Z_{p+1}, Z_{q+1}] on
-    the first n_amb adapted vectors, at the point whose values on the real
-    basis are xs / den, filled from ``_form_table``: ``rows[p]`` is
-    {q: M[p][q]} over the nonzero entries of row p, each built as
-    entry(a, b, d * den) from the integer coefficients. The entries run by
-    q, then by p, so every row gets its keys in increasing order."""
+    At an exact point the xs are integers and an entry is the Gaussian
+    integer D M[p][q], D = table.den times the caller's denominator: a
+    plain int when it is real, else a GaussianRational with denominator 1,
+    with no gcd either way. At a float point it is complex(a, b) / d.
+    ``values`` are the rows of M itself: ``rows`` when den, which is D,
+    is 1, else each entry over den, built in the same pass."""
     rows: List[dict] = [{} for _ in range(n_amb)]
-    for p, q, re_terms, im_terms, d in _form_table(basis):
+    values = rows if den == 1 else [{} for _ in range(n_amb)]
+    for p, q, re_terms, im_terms, d, s in table.entries:
         if q >= n_amb:
             break
         a = b = 0
@@ -253,59 +305,207 @@ def _fill(basis: AdaptableBasis, n_amb: int, xs: Sequence, den: int,
         for m, c in im_terms:
             b += c * xs[m]
         if a or b:
-            x = entry(a, b, d * den)
+            if not exact:
+                x = complex(a, b) / d
+            elif b:
+                x = _made(a * s, b * s, 1)
+            else:
+                x = a * s
             rows[p][q] = x
             rows[q][p] = -x
-    return rows
+            if values is not rows:
+                x = _reduced(a * s, b * s, den)
+                values[p][q] = x
+                values[q][p] = -x
+    return rows, values
 
 
 def _orbit_form(l: Functional, basis: AdaptableBasis,
-                n_amb: int) -> List[dict]:
-    """The sparse rows of the orbit form M[p][q] = l[Z_{p+1}, Z_{q+1}] on
-    the first n_amb adapted vectors, filled by ``_fill``: ``rows[p]`` is
-    {q: M[p][q]} over the nonzero entries of row p, by increasing q.
+                n_amb: int) -> Tuple[List[dict], int, List[dict]]:
+    """(rows, den, form): the sparse rows of den times the orbit form
+    M[p][q] = l[Z_{p+1}, Z_{q+1}] on the first n_amb adapted vectors, and
+    those of M itself, filled by ``_fill``: ``rows[p]`` is
+    {q: den M[p][q]} over the nonzero entries of row p, by increasing q,
+    and ``form`` is ``rows`` when den is 1, else ``rows`` over den.
 
-    At an exact point the values x_m are read as integers over one common
-    denominator (1 at every sampled point), and each entry takes one gcd;
-    at a float point the integer coefficients times the floats give
-    complex(a, b) / d."""
+    At an exact point the values x_m are read as integers over their
+    common denominator (1 at every sampled point), and den is that times
+    the table's denominator, so every entry of rows is a Gaussian integer,
+    built with no gcd; at a float point the integer coefficients times the
+    floats give complex(a, b) / d, and den is 1."""
+    table = _form_table(basis)
     values = l.values
     if l.exact:
         den = lcm(*map(_DENOMINATOR, values))
         xs = (list(map(_NUMERATOR, values)) if den == 1 else
               [v.numerator * (den // v.denominator) for v in values])
-        return _fill(basis, n_amb, xs, den, _reduced)
-    return _fill(basis, n_amb, values, 1, _complex_entry)
+        den *= table.den
+        rows, form = _fill(table, n_amb, xs, True, den)
+        return rows, den, form
+    rows, form = _fill(table, n_amb, values, False)
+    return rows, 1, form
 
 
-def _skew_reduce(rows: List[dict], tol: Optional[float]):
-    """One symplectic reduction of a skew matrix, in place on its sparse
-    rows {q: m[p][q]}; an entry missing from a row is zero.
+def _norm(z) -> int:
+    """|z|^2 of a Gaussian integer, an int or a GaussianRational with
+    denominator 1, in integers (no size overflows a float)."""
+    if type(z) is int:
+        return z * z
+    n, m, _ = _FIELDS(z)
+    return n * n + m * m
 
-    Positions g stay active while their reduced vector y_g can still pair.
-    Step k takes the first active row i_k with a nonzero entry in an active
-    column, and j_k as the first such column; every active g with
-    m[i_k][g] != 0 is reduced, by increasing g, by y_g <- y_g - c * y_{j_k},
+
+def _divide(x, y):
+    """x / y for Gaussian integers x, y with an integer quotient: floor
+    division on two ints, the GaussianRational quotient otherwise."""
+    if type(x) is int and type(y) is int:
+        return x // y
+    return x / y
+
+
+def _skew_reduce(rows: List[dict]):
+    """The symplectic reduction of a skew matrix with Gaussian-integer
+    entries, fraction-free, in place on its sparse rows {q: m[p][q]}; an
+    entry missing from a row is zero. The one reduction at exact points.
+
+    The positions, pairs and coefficients are those of the division path
+    (``_skew_reduce_float``, run exact): positions g stay active while
+    their reduced vector y_g can still pair; step k takes the first active
+    row i_k with a nonzero entry in an active column, and j_k as the first
+    such column; every active g with m[i_k][g] != 0 is reduced by
+    y_g <- y_g - c * y_{j_k}, c = m[i_k][g] / m[i_k][j_k]; then i_k and
+    j_k leave the active set. The reduced form after step k is the Schur
+    complement of the paired block, R_k[g][q] = omega(y_g, y_q) on the
+    active positions, and R_k[i_k][j_k] is the pivot of step k.
+
+    Here each y carries an integer factor. With p = m[i][j] and
+    a_g = m[i][g] as stored, step k takes y_g <- p y_g - a_g y_j on the
+    reduced g, with no division: row g becomes p m[g][q] - a_g m[j][q]
+    (its other entries are scaled by p), and column g with it, while every
+    other row keeps its entries. So each stored entry is the true entry
+    R_k[g][q] times a nonzero factor per vector and one common factor,
+    every zero test and every choice of (i, j) is the division path's, and
+    the true coefficient is c = (a_g kappa_j) / (p kappa_g), kappa_g the
+    product of the p that have scaled y_g.
+
+    Growth is bounded by the Pfaffian minors. Let P_k be the product of
+    the first k pivots, +-Pf(m_I) over the positions I paired so far, and
+    S_k = P_k R_k; by the Schur complement identity for Pfaffians,
+    S_k[g][q] = +-Pf(m_{I u {g, q}}) (Knuth, "Overlapping Pfaffians",
+    Electron. J. Combin. 3(2), 1996), a Gaussian integer. The stored
+    entries are S_k[g][q] kappa_g kappa_q P_t / P_k, with t the last step
+    at which they were brought back to S_k (and kappa reset to 1), so the
+    pivot of step k + 1 is p / (P_t kappa_i kappa_j). While the pivot
+    entries stay below 2^64 the entries are left as they are, which on
+    the sparse forms of a sampled point is always; past it, every active
+    entry is divided back to S_{k+1} (exactly: it is a minor). That is
+    Bareiss's division by the previous pivot (Math. Comp. 22, 1968) in its
+    Pfaffian form, so a dense form grows no faster than its minors. An
+    entry is a plain int when it is real and a GaussianRational with
+    denominator 1 otherwise. An entry that becomes zero stays stored; the
+    zero test reads it. The rows are left as working storage.
+
+    Returns (i_seq, j_seq, steps), positions 1-based: ``steps[k - 1]`` is
+    ((p, P_t kappa_i kappa_j), ((g, a_g kappa_j, p kappa_g), ...)) over
+    the reduced g of step k by increasing g, as ``JumpData.steps`` keeps
+    them: the pivot and the coefficients of step k as exact quotients.
+    """
+    limit = _LIMIT * _LIMIT
+    active = set(range(len(rows)))
+    # the active rows not yet seen to be zero in every active column; such a
+    # row never changes again (it is never reduced, and a reduced row adds
+    # nothing to its entries), so it leaves the scan for good. An empty row
+    # is such a row from the start.
+    scan = [p for p, row in enumerate(rows) if row]
+    kappa = [1] * len(rows)
+    pf_t = 1                           # P_t
+    since = []                         # the pivots of the steps after t
+    i_seq: List[int] = []
+    j_seq: List[int] = []
+    steps = []
+    while scan:
+        ik = scan.pop(0)
+        row_i = rows[ik]
+        jk = None
+        for q, x in row_i.items():
+            if x and q in active and (jk is None or q < jk):
+                jk = q
+        if jk is None:
+            continue
+        active.remove(ik)
+        active.remove(jk)
+        scan.remove(jk)
+        p = row_i[jk]
+        k_j = kappa[jk]
+        pivot = (p, pf_t * kappa[ik] * k_j)
+        coefs = []
+        reduced = sorted(g for g, x in row_i.items() if x and g in active)
+        if reduced:
+            # row j_k as it stands; b[g] follows y_g once g is reduced, so
+            # that a later g of the step pairs with the new y_g
+            b = {q: x for q, x in rows[jk].items() if x and q in active}
+            for g in reduced:
+                a_g = row_i[g]
+                # kappa_g of the new y_g; a factor 1, the usual case on a
+                # sparse form, is not multiplied in
+                k_g = p if kappa[g] == 1 else p * kappa[g]
+                coefs.append((g + 1, a_g if k_j == 1 else a_g * k_j, k_g))
+                row_g = rows[g]
+                new = {q: p * x for q, x in row_g.items() if q in active}
+                for q, b_q in b.items():
+                    if q != g:
+                        new[q] = (new[q] - a_g * b_q if q in new
+                                  else -(a_g * b_q))
+                for q, x in new.items():
+                    row_g[q] = x
+                    rows[q][g] = -x
+                if g in b:
+                    b[g] = p * b[g]
+                kappa[g] = k_g
+        i_seq.append(ik + 1)
+        j_seq.append(jk + 1)
+        steps.append((pivot, tuple(coefs)))
+        since.append(pivot)
+        if _norm(p) > limit:
+            # P_{k+1} from the pivots since t, then every active entry back
+            # to S_{k+1}
+            pf = pf_t
+            for num, den in since:
+                pf = _divide(pf * num, den)
+            for g in active:
+                row_g = rows[g]
+                k_g = pf_t * kappa[g]
+                for q, x in row_g.items():
+                    if x and q > g and q in active:
+                        x = _divide(x * pf, k_g * kappa[q])
+                        row_g[q] = x
+                        rows[q][g] = -x
+            kappa = [1] * len(rows)
+            pf_t = pf
+            since = []
+    return i_seq, j_seq, steps
+
+
+def _skew_reduce_float(rows: List[dict], tol: float):
+    """The symplectic reduction at a float point, with division, in place
+    on the sparse rows: the positions, pairs and coefficients of
+    ``_skew_reduce``, on the values themselves, every zero test
+    |x| <= tol. Each reduced g takes y_g <- y_g - c * y_{j_k},
     c = m[i_k][g] / m[i_k][j_k], which clears row i_k in the active
-    columns other than j_k. Then i_k and j_k leave the active set. Each
-    step is a congruence of determinant 1. An entry that becomes zero stays
-    stored; the zero test reads it.
+    columns other than j_k. Each step is a congruence of determinant 1.
+    An entry that becomes zero stays stored; the zero test reads it.
 
-    Returns (i_seq, j_seq, reductions, pivots), positions 1-based:
-    ``reductions[k - 1]`` lists the (g, c) of step k and ``pivots[k - 1]``
-    is the reduced m[i_k][j_k].
+    Returns (i_seq, j_seq, steps) as ``_skew_reduce`` does, with
+    steps[k - 1] = ((p, 1), ((g, m[i_k][g], p), ...)) for the pivot
+    p = m[i_k][j_k].
     """
     zero = zero_test(tol)
     active = set(range(len(rows)))
-    # the active rows not yet seen to be zero in every active column; such a
-    # row never changes again (zero in column i_k, it is not reduced; zero in
-    # column j_k, it is not among the columns that move), so it leaves the
-    # scan for good. An empty row is such a row from the start.
+    # as in _skew_reduce: a row found zero in every active column stays so
     scan = [p for p, row in enumerate(rows) if row]
     i_seq: List[int] = []
     j_seq: List[int] = []
-    reductions = []
-    pivots = []
+    steps = []
     while scan:
         ik = scan.pop(0)
         row_i = rows[ik]
@@ -323,11 +523,11 @@ def _skew_reduce(rows: List[dict], tol: Optional[float]):
         # row j_k is fixed during the step; only its nonzero columns move
         cols = [(q, x) for q, x in row_j.items()
                 if q in active and not zero(x)]
-        steps = []
+        red = []
         for g in sorted(g for g, x in row_i.items()
                         if g in active and not zero(x)):
             c = row_i[g] / piv
-            steps.append((g + 1, c))
+            red.append((g + 1, row_i[g], piv))
             row_g = rows[g]
             for q, x_j in cols:
                 if q != g:
@@ -336,22 +536,22 @@ def _skew_reduce(rows: List[dict], tol: Optional[float]):
                     rows[q][g] = -x
         i_seq.append(ik + 1)
         j_seq.append(jk + 1)
-        reductions.append(tuple(steps))
-        pivots.append(piv)
-    return i_seq, j_seq, reductions, pivots
+        steps.append(((piv, 1), tuple(red)))
+    return i_seq, j_seq, steps
 
 
 def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
               ambient: str = "g") -> JumpData:
     """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
 
-    The reduction (``_skew_reduce``) runs on a copy of the sparse rows of
-    M that ``_orbit_form`` fills; the result keeps the rows themselves,
-    unreduced, as ``form``. Positions g of the ambient flag stay active
-    while their reduced vector y_g can still pair; step k pairs the first
-    active row i_k that pairs with the first active column j_k it pairs
-    with, and y_{i_k} stays in h_k (in its radical) while y_{j_k} does
-    not.
+    The reduction (``_skew_reduce`` at an exact point,
+    ``_skew_reduce_float`` at a float one) runs on the sparse rows of D M
+    that ``_orbit_form`` fills (on a copy when D = 1 and they are M
+    itself); the result keeps M, unreduced, as ``form``. Positions g of the ambient flag
+    stay active while their reduced vector y_g can still pair; step k
+    pairs the first active row i_k that pairs with the first active column
+    j_k it pairs with, and y_{i_k} stays in h_k (in its radical) while
+    y_{j_k} does not.
 
     This is the flag/annihilator recursion h_k = perp(h_{k-1} cap c_{i_k})
     cap h_{k-1}: by the choice of i_k, h_{k-1} cap c_{i_k - 1} already lies
@@ -364,11 +564,15 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """
     if basis is None:
         basis = l.basis
-    form = _orbit_form(l, basis, basis.ambient(ambient))
-    i_seq, j_seq, reductions, _ = _skew_reduce(list(map(dict.copy, form)),
-                                               l.tol)
+    rows, _, form = _orbit_form(l, basis, basis.ambient(ambient))
+    if rows is form:
+        rows = list(map(dict.copy, rows))
+    if l.exact:
+        i_seq, j_seq, steps = _skew_reduce(rows)
+    else:
+        i_seq, j_seq, steps = _skew_reduce_float(rows, l.tol)
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis,
-                    tuple(reductions), l, form)
+                    tuple(steps), l, form)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +897,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
 
 
 def _reduction_phi(basis: AdaptableBasis, ambient: str,
-                   j_seq: Tuple[int, ...], reductions,
+                   j_seq: Tuple[int, ...], steps,
                    h_pairs: Tuple[Tuple[int, int], ...],
                    tol: Optional[float]) -> Tuple[int, ...]:
     """phi on a keyed layer, from the h coordinates of the y vectors of the
@@ -701,18 +905,19 @@ def _reduction_phi(basis: AdaptableBasis, ambient: str,
     (i_k, j_k), i_k <= n < j_k, with
     sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p) != 0, by the zero test of tol
     (None at an exact point). () without h pairs, as in the ambient 'n',
-    where no j_k exceeds n."""
+    where no j_k exceeds n. steps are the reduction's, as ``JumpData.steps``
+    keeps them; only the coefficients of the h-steps are read."""
     if not h_pairs:
         return ()
     nd = basis.n
     # yh[g]: the h coordinates {p: x} of y_g, g > n, replayed through the
     # h-steps (j_p > n), the only steps that move them
     yh = {g: {g: 1} for g in range(nd + 1, basis.ambient(ambient) + 1)}
-    for jp, steps in zip(j_seq, reductions):
+    for jp, (_, red) in zip(j_seq, steps):
         if jp <= nd:
             continue
         y_j = yh[jp]
-        for g, c in steps:
+        for g, c in _coefficients(red):
             y_g = yh[g]
             for p, x in y_j.items():
                 y_g[p] = y_g[p] - c * x if p in y_g else -(c * x)
@@ -732,15 +937,15 @@ def _reduction_phi(basis: AdaptableBasis, ambient: str,
 
 
 def _layer_key(basis: AdaptableBasis, ambient: str, i_seq: Tuple[int, ...],
-               j_seq: Tuple[int, ...], reductions, tol: Optional[float]):
+               j_seq: Tuple[int, ...], steps, tol: Optional[float]):
     """(table, key): the case table of the jump pairs (i_seq, j_seq) found
     by a reduction, and the layer key (e, j, phi). On a keyed layer phi is
-    read off the reductions (``_reduction_phi``); on any other it is None,
+    read off the reduction's steps (``_reduction_phi``); on any other it is None,
     since it needs section vectors. The one key rule of
     ``layer_descriptor`` and of the per-sample kernel ``_sample_key``."""
     table = _case_table(basis, ambient, i_seq, j_seq)
-    phi = (_reduction_phi(basis, ambient, j_seq, reductions, table.h_pairs,
-                          tol) if table.keyed else None)
+    phi = (_reduction_phi(basis, ambient, j_seq, steps, table.h_pairs, tol)
+           if table.keyed else None)
     return table, (tuple(sorted(i_seq + j_seq)), j_seq, phi)
 
 
@@ -753,7 +958,8 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
 
     On a keyed layer (``_case_table``) the key is read off the jump data
     alone, in either ambient, and ``section_vectors`` is not run. With
-    p = pivot_k of ``_skew_reduce``, the pairing l[V_k, U_k] is -|p|^2 for
+    p = pivot_k, the k-th pivot of the reduction (the true one, which
+    ``_skew_reduce`` holds as P_k / P_{k-1}), the pairing l[V_k, U_k] is -|p|^2 for
     a pair in class (0), -|p|^4 in class (1) and -|p|^2/4 in class (3), so
     none vanishes. On a case-4/5 block (class (4)) at pairs k, k + 1 they
     are -|P|^2 and -|p_k p_{k+1}|^2 / (16 |P|^2), where 2 P is the sum of
@@ -766,7 +972,8 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
 
     - Reduction. At step k the active positions A_k are those not yet
       paired, and the reduced M is R_k[g][h] = omega(y_g, y_h) on A_k,
-      with the y vectors of ``_skew_reduce``. W'_k = span{y_{i_m}, y_{j_m}
+      with the y vectors of the reduction (``_skew_reduce`` holds each
+      times a nonzero factor, which changes no zero test). W'_k = span{y_{i_m}, y_{j_m}
       : m < k} is nondegenerate (the pivots are nonzero), and I_k =
       span{y_{i_m} : m < k} is Lagrangian in it and orthogonal to every
       y_g, g in A_k. As y_g - Z_g lies in W'_k, the symplectic projection
@@ -855,7 +1062,7 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
         basis = l.basis
     jd = jump_data(l, basis, ambient)
     table, (e_set, j_seq, phi) = _layer_key(basis, ambient, jd.i_seq,
-                                            jd.j_seq, jd.reductions, l.tol)
+                                            jd.j_seq, jd.steps, l.tol)
     if phi is None:
         phi = tuple(sorted(section_vectors(l, basis, jd, ambient).b_at))
     return LayerDescriptor(ambient=ambient, e_set=e_set, i_seq=jd.i_seq,
@@ -874,11 +1081,13 @@ def _sample_key(basis: AdaptableBasis, ambient: str,
     on the leading real basis vectors of the ambient (0 past them), phi
     None on a layer that is not keyed: the fill, the reduction and the key
     rule of ``layer_descriptor`` (``_layer_key``), with no Functional, no
-    JumpData and no descriptor."""
-    rows = _fill(basis, basis.ambient(ambient), xs, 1, _reduced)
-    i_seq, j_seq, reductions, _ = _skew_reduce(rows, None)
-    return _layer_key(basis, ambient, tuple(i_seq), tuple(j_seq),
-                      reductions, None)[1]
+    JumpData and no descriptor: the rows hold table.den M as plain or
+    Gaussian integers, and ``_skew_reduce`` runs fraction-free on them."""
+    table = _form_table(basis)
+    rows, _ = _fill(table, basis.ambient(ambient), xs, True)
+    i_seq, j_seq, steps = _skew_reduce(rows)
+    return _layer_key(basis, ambient, tuple(i_seq), tuple(j_seq), steps,
+                      None)[1]
 
 
 def generic_layer(basis: AdaptableBasis, ambient: str = "g",
@@ -962,12 +1171,18 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
     """Exact Pfaffian of a skew matrix: the signed product of the pivots of
     its symplectic reduction.
 
-    Each step of ``_skew_reduce`` is a congruence of determinant 1, so it
+    Each step of the reduction is a congruence of determinant 1, so it
     keeps the Pfaffian, and after step k row i_k is zero on every column
     still active except j_k. Expanding along rows i_1, i_2, ... in turn
     leaves one term: Pf = sgn(i_1 j_1 i_2 j_2 ...) * prod_k piv_k. When the
     reduction finds fewer than n/2 pairs, what is left is a zero block and
-    Pf = 0. O(n^3) operations over Q(i).
+    Pf = 0.
+
+    The entries are brought over their common denominator D, and
+    ``_skew_reduce`` runs fraction-free on the Gaussian integers D m (plain
+    ints when m is real), giving each pivot of D m as an exact quotient.
+    Their product is +-Pf(D m) = +-D^(n/2) Pf(m), so one division at the
+    end gives Pf(m). O(n^3) integer operations, every one exact.
     """
     n = len(mat)
     if n % 2:
@@ -979,16 +1194,22 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
         for j in range(i, n):
             if m[i][j] != -m[j][i]:
                 raise NotSkewError(f"entries ({i},{j}) and ({j},{i}) are not skew")
-    rows = [{q: x for q, x in enumerate(row) if x} for row in m]
-    i_seq, j_seq, _, pivots = _skew_reduce(rows, None)
-    if 2 * len(pivots) < n:
+    fields = [[_FIELDS(x) for x in row] for row in m]
+    den = lcm(*(d for row in fields for _, _, d in row))
+    rows = [{q: (_made(re * (den // d), im * (den // d), 1) if im
+                 else re * (den // d))
+             for q, (re, im, d) in enumerate(row) if re or im}
+            for row in fields]
+    i_seq, j_seq, steps = _skew_reduce(rows)
+    if 2 * len(steps) < n:
         return ZERO
     order = [p for pair in zip(i_seq, j_seq) for p in pair]
     inversions = sum(a > b for x, a in enumerate(order) for b in order[x + 1:])
-    out = -GR1 if inversions % 2 else GR1
-    for piv in pivots:
-        out = out * piv
-    return out
+    out = GR1
+    for (num, d), _ in steps:
+        out = out * num / d
+    out = out / den ** (n // 2)
+    return -out if inversions % 2 else out
 
 
 def skew_matrix(l: Functional, indices: Sequence[int]) -> List[List[GaussianRational]]:
@@ -998,6 +1219,7 @@ def skew_matrix(l: Functional, indices: Sequence[int]) -> List[List[GaussianRati
     for i in indices:
         if not 1 <= i <= dim:
             raise ValueError(f"adapted index {i} is outside 1..{dim}")
-    rows = _orbit_form(l, l.basis, max(indices, default=0))
+    form = _orbit_form(l, l.basis, max(indices, default=0))[2]
     zero = l.zero
-    return [[rows[i - 1].get(j - 1, zero) for j in indices] for i in indices]
+    return [[zero + form[i - 1][j - 1] if j - 1 in form[i - 1] else zero
+             for j in indices] for i in indices]

@@ -57,6 +57,27 @@ def case_table(jd):
     return _case_table(jd.basis, jd.ambient, jd.i_seq, jd.j_seq)
 
 
+def form_values(rows, den, zero=ZERO):
+    """The entries of a form held as {q: den M[p][q]} rows (the rows and
+    den of ``strata._orbit_form``), as {q: M[p][q]}: exact over Q(i) when
+    the rows hold Gaussian integers, the floats themselves at a float
+    point (den 1). zero is the point's."""
+    return [{q: (zero + x) / den for q, x in row.items()} for row in rows]
+
+
+def exact_reduction(steps, den):
+    """(reductions, pivots) of the exact division path, recovered from the
+    fraction-free steps of ``strata._skew_reduce`` run on den M: each
+    reduced g has the coefficient num / d, and the pivot of step k of
+    den M is the quotient num / d that step k records, so that of M is
+    num / (d den)."""
+    one = GaussianRational(1)
+    reductions = [tuple((g, one * num / d) for g, num, d in red)
+                  for _, red in steps]
+    pivots = [one * num / (d * den) for (num, d), _ in steps]
+    return reductions, pivots
+
+
 @pytest.fixture(scope="session")
 def all_entries():
     return corpus_entries()

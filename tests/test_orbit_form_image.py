@@ -2,8 +2,9 @@
 dense product of the oracle.
 
 ``strata.jump_data`` keeps the unreduced sparse rows of
-M = (l[Z_{p+1}, Z_{q+1}]) as ``JumpData.form``, and ``JumpData.image(y)``
-reads M y off them row by row. The oracle is the dense M of
+M = (l[Z_{p+1}, Z_{q+1}]) as ``JumpData.form`` (plain ints for the real
+entries at an integer point), and ``JumpData.image(y)`` reads M y off them
+row by row. The oracle is the dense M of
 ``jump_oracle._orbit_form`` with the plain product
 (M y)_p = sum_q M[p][q] y_q over its nonzero entries. At exact points the
 two must be equal. At float points moved by a dilation flow the product

@@ -88,7 +88,7 @@ def test_isotropy_failure_matches_oracle(monkeypatch):
     real = strata.jump_data
 
     def unreduced(l, basis=None, ambient="g"):
-        return dataclasses.replace(real(l, basis, ambient), reductions=())
+        return dataclasses.replace(real(l, basis, ambient), steps=())
 
     monkeypatch.setattr(adm, "jump_data", unreduced)
     monkeypatch.setattr(oracle, "jump_data", unreduced)

@@ -1,14 +1,17 @@
 """The sparse orbit-form kernel against the dense one it replaced.
 
 ``strata._orbit_form`` fills the orbit form into sparse rows from integer
-linear forms in a point's real coordinates (``strata._form_table``), and
-``strata._skew_reduce`` reduces over the stored entries only. The dense
-kernel is kept verbatim as ``jump_oracle._orbit_form`` and
+linear forms in a point's real coordinates (``strata._form_table``), as
+Gaussian integers over one denominator at an exact point, and
+``strata._skew_reduce`` reduces them fraction-free over the stored entries
+only (``strata._skew_reduce_float`` at a float point, with division). The
+dense kernel is kept verbatim as ``jump_oracle._orbit_form`` and
 ``jump_oracle._skew_reduce``. At exact points the two must agree exactly:
 the unreduced form entry by entry, and each column of it read through
 ``JumpData.image`` against the oracle's columns, the reduced form entry by
-entry, i_seq, j_seq, the reductions and the pivots; the form kept on the
-jump data must still be the unreduced one. The points are the 64 samples
+entry, i_seq, j_seq, the reductions and the pivots, each value recovered
+from the fraction-free rows and steps; the form kept on the jump data must
+still be the unreduced one. The points are the 64 samples
 ``generic_layer`` draws at seed 42 on every valid corpus entry in both
 ambients, the specs ``perfbench/specgen.py`` generates for seeds 1-10,
 degenerate points with coordinates in {-1, 0, 1}, the dense-center family
@@ -24,13 +27,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import VALID_IDS, wb_for
+from conftest import VALID_IDS, exact_reduction, form_values, wb_for
 from jump_oracle import _orbit_form as dense_orbit_form
 from jump_oracle import _skew_reduce as dense_skew_reduce
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint, sample_functional
 from solvlie.sections import sample_lambda_nu
-from solvlie.strata import _orbit_form, _skew_reduce, jump_data
+from solvlie.strata import (_orbit_form, _skew_reduce,
+                            _skew_reduce_float, jump_data)
 from solvlie.workbench import Workbench
 from test_layer_memo import specgen
 from test_pfaffian_equivalence import _dense_center_spec
@@ -52,17 +56,17 @@ def _columns(jd):
 
 def _assert_exact(f, basis, ambient):
     n_amb = basis.ambient(ambient)
-    rows = _orbit_form(f, basis, n_amb)
+    rows, den, _ = _orbit_form(f, basis, n_amb)
     _, form, want_columns = dense_orbit_form(f, basis, n_amb)
-    assert _dense(rows, f.zero) == form, f.values
+    assert _dense(form_values(rows, den), f.zero) == form, f.values
     jd = jump_data(f, basis, ambient)
     # the reduction ran on a copy: the kept form is the unreduced one
     assert _dense(jd.form, f.zero) == form, f.values
     assert _columns(jd) == want_columns, f.values
-    got = _skew_reduce(rows, None)
+    i_seq, j_seq, steps = _skew_reduce(rows)
     want = dense_skew_reduce(form, None)
-    assert got == want, f.values
-    assert _dense(rows, f.zero) == form, f.values
+    assert [i_seq, j_seq, *exact_reduction(steps, den)] == list(want), \
+        f.values
     assert [list(jd.i_seq), list(jd.j_seq), list(jd.reductions)] == \
         list(want[:3]), f.values
 
@@ -73,14 +77,17 @@ def _close(a, b):
 
 def _assert_float(f, basis, ambient):
     n_amb = basis.ambient(ambient)
-    rows = _orbit_form(f, basis, n_amb)
+    rows, den, _ = _orbit_form(f, basis, n_amb)
+    assert den == 1
     _, form, want_columns = dense_orbit_form(f, basis, n_amb)
     columns = _columns(jump_data(f, basis, ambient))
     assert len(columns) == len(want_columns)
     for col, want_col in zip(columns, want_columns):
         assert [p for p, _ in col] == [p for p, _ in want_col], f.values
         assert all(_close(x, y) for (_, x), (_, y) in zip(col, want_col))
-    i_seq, j_seq, steps, pivots = _skew_reduce(rows, f.tol)
+    i_seq, j_seq, record = _skew_reduce_float(rows, f.tol)
+    steps = [[(g, a / p) for g, a, p in red] for _, red in record]
+    pivots = [p for (p, _), _ in record]
     w_i, w_j, w_steps, w_pivots = dense_skew_reduce(form, f.tol)
     assert (i_seq, j_seq) == (w_i, w_j), f.values
     assert [[g for g, _ in s] for s in steps] == \
