@@ -19,8 +19,7 @@ from .linalg import Subspace
 from .strata import (InconsistentSamplingError, JumpData, LayerDescriptor,
                      LayerMismatchError, NotSkewError, OddDimensionError,
                      SectionVectors, UnsupportedCaseError, generic_layer,
-                     jump_data, layer_descriptor, pfaffian, section_vectors,
-                     skew_matrix)
+                     jump_data, layer_descriptor, pfaffian, section_vectors)
 from .sections import (NormalizationFailedError, NotInSectionError,
                        SectionOracle, StabilizerData, UnsupportedLayerError,
                        h_project, sample_lambda_nu, sample_sigma_circ,

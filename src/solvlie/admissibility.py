@@ -73,15 +73,18 @@ def center_data(spec: LieAlgebraSpec) -> CenterData:
     """z(g) as the joint kernel of w -> [w, e_m], and z(g) cap h.
 
     Row (m, k) of the system is w -> [w, e_m]_k = sum_p w_p [e_p, e_m]_k;
-    only the nonzero rows are built. An element of h is central iff it is
+    only the nonzero rows are built, reading each entry c = [e_p, e_m]_k of
+    ``spec._table`` with both signs. An element of h is central iff it is
     in the kernel of the same rows restricted to the h coordinates.
     """
     dim, nd = spec.dim, spec.n_dim
     rows: Dict[Tuple[int, int], list] = {}
-    for m in range(dim):
-        for p in range(dim):
-            for k, c in spec.bracket_sparse(p, m):
-                rows.setdefault((m, k), [ZERO] * dim)[p] = c
+    for (p, m), coords in spec._table.items():
+        for k, c in enumerate(coords):
+            if c:
+                x = GaussianRational(c)
+                rows.setdefault((m, k), [ZERO] * dim)[p] = x
+                rows.setdefault((p, k), [ZERO] * dim)[m] = -x
     system = list(rows.values())
     z_g = Subspace(kernel(system, dim), dim)
     z_h = kernel([row[nd:] for row in system], spec.h_dim)
@@ -148,7 +151,7 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     representation domain: dim X = dim(n/e) + dim(e/d)/2.
 
     The subalgebra is h_d, the last annihilator of the jump reduction on n
-    (``JumpData.polarizing_rows``): h_k = h_{k-1} cap perp(y_{i_k}).
+    (``JumpData.polarization``): h_k = h_{k-1} cap perp(y_{i_k}).
     Everything but positivity works on its rows over Z_1..Z_n; e = p + conj
     p and d = p cap conj p, so dim d = 2 dim p - dim e and p is real iff
     e = p.
@@ -173,7 +176,7 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
         return out
 
     # isotropy, exact: lam[a, b] = a . M b
-    rows = jd.polarizing_rows()
+    rows, h_d = jd.polarization()
     images = [jd.image(dict(enumerate(b))) for b in rows]
     for i, a in enumerate(rows):
         for mb in images[i + 1:]:
@@ -204,9 +207,8 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
 
     # positivity: i*lam[w, conj w] >= 0 on the RREF rows w over the real
     # basis; lam[conj w, w] = -lam[w, conj w] decides it for conj(p)
-    p = jd.polarizing_subspace
     vals = []
-    for w in p.rows:
+    for w in h_d.rows:
         x = [ZERO] * nd
         for k, xk in basis.coords(w).items():
             x[k] = xk
@@ -214,7 +216,7 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
                     dot(x, jd.image(dict(enumerate(conj(x))))))
     pos = all(v.is_real() and v.re >= 0 for v in vals)
     if not pos and not is_real and all(v.is_real() and v.re <= 0 for v in vals):
-        p = Subspace([[x.conjugate() for x in w] for w in p.rows], basis.dim)
+        h_d = Subspace([[x.conjugate() for x in w] for w in h_d.rows], basis.dim)
         pos = True
 
     # domain coordinate indices: complement of e in the flag, plus one index
@@ -237,7 +239,7 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     x_indices = tuple(sorted(outside + half))
     if len(x_indices) != dim_x:
         raise IsotropyError("domain coordinate count mismatch")
-    return PolarizationData(p=p, dim_d=dim_d, dim_e=dim_e, dim_x=dim_x,
+    return PolarizationData(p=h_d, dim_d=dim_d, dim_e=dim_e, dim_x=dim_x,
                             x_indices=x_indices, real=is_real, positive=pos)
 
 

@@ -21,12 +21,13 @@ and M is filled once per point into sparse rows, one pair of entries per
 nonzero bracket, with no dense matrix and no adapted values. At an exact
 point the rows hold D M, D the table's denominator times the point's, as
 Gaussian integers built with no gcd: a plain int for a real entry, a
-GaussianRational with denominator 1 for any other; when D is not 1 the
-same pass also builds the rows of M itself. The jump reduction runs on the
-rows of D M, and the point keeps those of M (``JumpData.form``, the rows
-of D M themselves when D = 1, the reduction then running on a copy);
-every product M y is read off them (``JumpData.image``). The section vectors
-are computed in coordinates over the adapted vectors, where
+GaussianRational with denominator 1 for any other (at a float point D is
+1 and the rows hold M). These rows are the one copy of the form a point
+keeps (``JumpData.form``, with D as ``JumpData.den``): the jump reduction
+runs on a copy of them, every product M y is read off them with y taken
+over D (``JumpData.image``), and the Plancherel Pfaffian is read off the
+pivots of that reduction (``JumpData.pfaffian``). The section vectors are
+computed in coordinates over the adapted vectors, where
 Re Z_i = (Z_i + Z_sigma(i)) / 2 and Im Z_i = (Z_i - Z_sigma(i)) / 2i, and
 paired through that product.
 
@@ -88,7 +89,7 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
 from .adapted import AdaptableBasis
 from .functionals import (Functional, NeedsFloatError, _draw_integers,
                           _integer_point)
-from .gaussian import GaussianRational, ZERO, _FIELDS, _made, _reduced
+from .gaussian import GaussianRational, ZERO, _FIELDS, _made
 from .linalg import Subspace, identity, zero_test
 
 GR1 = GaussianRational(1)
@@ -129,19 +130,16 @@ class NotSkewError(ValueError):
 class JumpData:
     """Jump pairs (i_k, j_k) at a point, and the reduction that found them.
 
-    ``steps[k - 1]`` is ((p, d), ((g, num, den), ...)) for step k, over
-    the reduced g by increasing g: step k is y_g <- y_g - c y_{j_k} with
-    c = num / den, and its pivot is p / d (that of D M, D the denominator
-    of ``_orbit_form``, at an exact point): exact quotients of the
-    fraction-free integers of ``_skew_reduce`` at an exact point, of the
-    values of ``_skew_reduce_float`` at a float one. ``reductions`` lists
-    the (g, c), and replaying them on unit vectors gives
-    ``polarizing_rows``, h_d over the adapted vectors;
-    ``polarizing_subspace`` is the same over the real basis.
-    ``form[p]`` is {q: M[p][q]} over the nonzero entries of row p of the
+    ``form[p]`` is {q: D M[p][q]} over the nonzero entries of row p of the
     unreduced orbit form M = (l[Z_{p+1}, Z_{q+1}]) at ``point``, by
-    increasing q, as ``_orbit_form`` fills it (plain ints for its real
-    entries when D = 1); ``image`` pairs through it.
+    increasing q, as ``_orbit_form`` fills it, with D = ``den``: Gaussian
+    integers at an exact point, M itself (D = 1) at a float one. It is the
+    one copy of the form the point keeps. ``steps[k - 1]`` is
+    ((p, d), ((g, num, den), ...)) for step k, over the reduced g by
+    increasing g: step k is y_g <- y_g - c y_{j_k} with c = num / den, and
+    its pivot is p / d (that of D M): exact quotients of the fraction-free
+    integers of ``_skew_reduce`` at an exact point, of the values of
+    ``_skew_reduce_float`` at a float one. ``reductions`` lists the (g, c).
     """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
@@ -150,6 +148,7 @@ class JumpData:
     steps: Tuple[tuple, ...] = field(default=(), repr=False, compare=False)
     point: Optional[Functional] = field(default=None, repr=False, compare=False)
     form: Optional[List[dict]] = field(default=None, repr=False, compare=False)
+    den: int = field(default=1, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -172,12 +171,18 @@ class JumpData:
     def image(self, y: Mapping[int, object]) -> dict:
         """M y for the coordinates {q: y_q} of y over the adapted vectors,
         as {p: (M y)_p} over the p that some nonzero y_q reaches.
-        (M y)_p = sum_q M[p][q] y_q is read off row p of ``form``, over
-        the q of y in their order. ``_fill`` stores M[p][q] and M[q][p]
-        together, so the p reached from y_q are the keys of row q, taken
-        by increasing p."""
+        (M y)_p = sum_q (D M)[p][q] (y_q / D) is read off row p of
+        ``form``, over the q of y in their order, each y_q times the
+        GaussianRational 1 / D once per call (so an int or Fraction y_q
+        stays exact).
+        ``_fill`` stores M[p][q] and M[q][p] together, so the p reached
+        from y_q are the keys of row q, taken by increasing p."""
         form = self.form
-        ys = [(q, yq) for q, yq in y.items() if yq]
+        if self.den == 1:
+            ys = [(q, yq) for q, yq in y.items() if yq]
+        else:
+            s = _made(1, 0, self.den)
+            ys = [(q, yq * s) for q, yq in y.items() if yq]
         out = {}
         for q, _ in ys:
             for p in form[q]:
@@ -192,15 +197,19 @@ class JumpData:
                     out[p] = total
         return out
 
-    def polarizing_rows(self) -> List[list]:
-        """h_d, the last member of the flag h_0 > h_1 > ... > h_d, in
-        coordinates over the ambient's adapted vectors: the reduced vectors
-        y_g at the positions g outside j_seq, from the reductions replayed
-        on unit vectors. Each y_g is e_g plus terms at positions in j_seq,
-        so the rows are independent. Exact points only: raises
-        NeedsFloatError at a float point."""
+    def _require_exact(self, what: str):
         if not self.point.exact:
-            raise NeedsFloatError("polarizing_rows requires an exact functional")
+            raise NeedsFloatError(f"{what} requires an exact functional")
+
+    def polarization(self) -> Tuple[List[list], Subspace]:
+        """h_d, the last member of the flag h_0 > h_1 > ... > h_d, from one
+        replay of the reductions on unit vectors: (rows, subspace). The
+        rows, over the ambient's adapted vectors, are the reduced vectors
+        y_g at the positions g outside j_seq; each is e_g plus terms at
+        positions in j_seq, so they are independent. The subspace is their
+        span in g_C over the real basis. Exact points only: raises
+        NeedsFloatError at a float point."""
+        self._require_exact("polarization")
         ys = identity(self.basis.ambient(self.ambient))
         for jk, steps in zip(self.j_seq, self.reductions):
             y_j = ys[jk - 1]
@@ -208,16 +217,34 @@ class JumpData:
                 ys[g - 1] = [a - c * b if b else a
                              for a, b in zip(ys[g - 1], y_j)]
         dead = set(self.j_seq)
-        return [y for g, y in enumerate(ys, start=1) if g not in dead]
+        rows = [y for g, y in enumerate(ys, start=1) if g not in dead]
+        dim, terms = self.basis.dim, self.basis.terms
+        real = []
+        for y in rows:
+            # sum_p y_p Z_{p+1} over the real basis
+            out = [ZERO] * dim
+            for p, x in enumerate(y):
+                if x:
+                    for m, c in terms[p]:
+                        out[m] = out[m] + x * c
+            real.append(out)
+        return rows, Subspace(real, dim)
 
-    @property
-    def polarizing_subspace(self) -> Subspace:
-        """h_d as a subspace of g_C over the real basis: ``polarizing_rows``
-        mapped through the adapted vectors. Built on each access; exact
-        points only, like ``polarizing_rows``."""
-        rows = [_to_real(self.basis, enumerate(y))
-                for y in self.polarizing_rows()]
-        return Subspace(rows, self.basis.dim)
+    def pfaffian(self) -> GaussianRational:
+        """Pf(M_e) over e = ``e_set`` by increasing index:
+        sgn(i_1 j_1 i_2 j_2 ...) prod_k pivot_k / D^d, the tail that
+        ``pfaffian`` shares (``_pivot_pfaffian``). Exact points only.
+
+        These are the steps ``pfaffian`` takes on D M_e itself. A step
+        changes only the rows and columns of the positions it reduces, a
+        division back to the minors divides each entry by factors of its
+        own row and column, and a position outside e is never paired: its
+        row is zero on every active column when it is scanned. So the
+        entries on e x e go through the steps of the reduction of D M_e,
+        with the same (i_k, j_k), coefficients, kappa factors and divisions
+        back: the same pivots, and Pf(D M_e) = D^d Pf(M_e)."""
+        self._require_exact("pfaffian")
+        return _pivot_pfaffian(self.i_seq, self.j_seq, self.steps, self.den)
 
 
 def _coefficients(red) -> Tuple[Tuple[int, object], ...]:
@@ -225,17 +252,6 @@ def _coefficients(red) -> Tuple[Tuple[int, object], ...]:
     GaussianRational from integer or Gaussian-integer parts, a float from
     floats."""
     return tuple((g, GR1 * num / den) for g, num, den in red)
-
-
-def _to_real(basis: AdaptableBasis, coords) -> list:
-    """sum_p x_p Z_{p+1} over the real basis of g, for the exact (p, x_p)
-    pairs of coords."""
-    out = [ZERO] * basis.dim
-    for p, x in coords:
-        if x:
-            for m, c in basis.terms[p]:
-                out[m] = out[m] + x * c
-    return out
 
 
 class FormTable(NamedTuple):
@@ -279,23 +295,19 @@ def _form_table(basis: AdaptableBasis) -> FormTable:
     return table
 
 
-def _fill(table: FormTable, n_amb: int, xs: Sequence, exact: bool,
-          den: int = 1) -> Tuple[List[dict], List[dict]]:
-    """(rows, values): the sparse rows of the orbit form on the first
-    n_amb adapted vectors at the point whose values on the real basis are
-    xs (over a denominator the caller keeps, at an exact point), filled
-    from the table: ``rows[p]`` is {q: entry} over the nonzero entries of
-    row p. The entries run by q, then by p, so every row gets its keys in
-    increasing order.
+def _fill(table: FormTable, n_amb: int, xs: Sequence, exact: bool) -> List[dict]:
+    """The sparse rows of the orbit form on the first n_amb adapted vectors
+    at the point whose values on the real basis are xs (over a denominator
+    the caller keeps, at an exact point), filled from the table:
+    ``rows[p]`` is {q: entry} over the nonzero entries of row p. The
+    entries run by q, then by p, so every row gets its keys in increasing
+    order; they are the only copy of the form built.
 
     At an exact point the xs are integers and an entry is the Gaussian
     integer D M[p][q], D = table.den times the caller's denominator: a
     plain int when it is real, else a GaussianRational with denominator 1,
-    with no gcd either way. At a float point it is complex(a, b) / d.
-    ``values`` are the rows of M itself: ``rows`` when den, which is D,
-    is 1, else each entry over den, built in the same pass."""
+    with no gcd either way. At a float point it is complex(a, b) / d."""
     rows: List[dict] = [{} for _ in range(n_amb)]
-    values = rows if den == 1 else [{} for _ in range(n_amb)]
     for p, q, re_terms, im_terms, d, s in table.entries:
         if q >= n_amb:
             break
@@ -313,20 +325,15 @@ def _fill(table: FormTable, n_amb: int, xs: Sequence, exact: bool,
                 x = a * s
             rows[p][q] = x
             rows[q][p] = -x
-            if values is not rows:
-                x = _reduced(a * s, b * s, den)
-                values[p][q] = x
-                values[q][p] = -x
-    return rows, values
+    return rows
 
 
 def _orbit_form(l: Functional, basis: AdaptableBasis,
-                n_amb: int) -> Tuple[List[dict], int, List[dict]]:
-    """(rows, den, form): the sparse rows of den times the orbit form
-    M[p][q] = l[Z_{p+1}, Z_{q+1}] on the first n_amb adapted vectors, and
-    those of M itself, filled by ``_fill``: ``rows[p]`` is
-    {q: den M[p][q]} over the nonzero entries of row p, by increasing q,
-    and ``form`` is ``rows`` when den is 1, else ``rows`` over den.
+                n_amb: int) -> Tuple[List[dict], int]:
+    """(rows, den): the sparse rows of den times the orbit form
+    M[p][q] = l[Z_{p+1}, Z_{q+1}] on the first n_amb adapted vectors,
+    filled by ``_fill``: ``rows[p]`` is {q: den M[p][q]} over the nonzero
+    entries of row p, by increasing q.
 
     At an exact point the values x_m are read as integers over their
     common denominator (1 at every sampled point), and den is that times
@@ -339,11 +346,8 @@ def _orbit_form(l: Functional, basis: AdaptableBasis,
         den = lcm(*map(_DENOMINATOR, values))
         xs = (list(map(_NUMERATOR, values)) if den == 1 else
               [v.numerator * (den // v.denominator) for v in values])
-        den *= table.den
-        rows, form = _fill(table, n_amb, xs, True, den)
-        return rows, den, form
-    rows, form = _fill(table, n_amb, values, False)
-    return rows, 1, form
+        return _fill(table, n_amb, xs, True), den * table.den
+    return _fill(table, n_amb, values, False), 1
 
 
 def _norm(z) -> int:
@@ -545,10 +549,10 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
 
     The reduction (``_skew_reduce`` at an exact point,
-    ``_skew_reduce_float`` at a float one) runs on the sparse rows of D M
-    that ``_orbit_form`` fills (on a copy when D = 1 and they are M
-    itself); the result keeps M, unreduced, as ``form``. Positions g of the ambient flag
-    stay active while their reduced vector y_g can still pair; step k
+    ``_skew_reduce_float`` at a float one) runs on a copy of the sparse
+    rows of D M that ``_orbit_form`` fills; the result keeps those rows,
+    unreduced, as ``form`` and D as ``den``. Positions g of the ambient
+    flag stay active while their reduced vector y_g can still pair; step k
     pairs the first active row i_k that pairs with the first active column
     j_k it pairs with, and y_{i_k} stays in h_k (in its radical) while
     y_{j_k} does not.
@@ -564,15 +568,14 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """
     if basis is None:
         basis = l.basis
-    rows, _, form = _orbit_form(l, basis, basis.ambient(ambient))
-    if rows is form:
-        rows = list(map(dict.copy, rows))
+    form, den = _orbit_form(l, basis, basis.ambient(ambient))
+    rows = list(map(dict.copy, form))
     if l.exact:
         i_seq, j_seq, steps = _skew_reduce(rows)
     else:
         i_seq, j_seq, steps = _skew_reduce_float(rows, l.tol)
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis,
-                    tuple(steps), l, form)
+                    tuple(steps), l, form, den)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,8 +1087,8 @@ def _sample_key(basis: AdaptableBasis, ambient: str,
     JumpData and no descriptor: the rows hold table.den M as plain or
     Gaussian integers, and ``_skew_reduce`` runs fraction-free on them."""
     table = _form_table(basis)
-    rows, _ = _fill(table, basis.ambient(ambient), xs, True)
-    i_seq, j_seq, steps = _skew_reduce(rows)
+    i_seq, j_seq, steps = _skew_reduce(
+        _fill(table, basis.ambient(ambient), xs, True))
     return _layer_key(basis, ambient, tuple(i_seq), tuple(j_seq), steps,
                       None)[1]
 
@@ -1182,7 +1185,8 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
     ``_skew_reduce`` runs fraction-free on the Gaussian integers D m (plain
     ints when m is real), giving each pivot of D m as an exact quotient.
     Their product is +-Pf(D m) = +-D^(n/2) Pf(m), so one division at the
-    end gives Pf(m). O(n^3) integer operations, every one exact.
+    end gives Pf(m) (``_pivot_pfaffian``, which ``JumpData.pfaffian``
+    shares). O(n^3) integer operations, every one exact.
     """
     n = len(mat)
     if n % 2:
@@ -1203,23 +1207,17 @@ def pfaffian(mat: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
     i_seq, j_seq, steps = _skew_reduce(rows)
     if 2 * len(steps) < n:
         return ZERO
+    return _pivot_pfaffian(i_seq, j_seq, steps, den)
+
+
+def _pivot_pfaffian(i_seq, j_seq, steps, den: int) -> GaussianRational:
+    """sgn(i_1 j_1 i_2 j_2 ...) prod_k pivot_k / den^d over the d steps of
+    ``_skew_reduce`` run on den times a skew form: the Pfaffian of the form
+    on the positions the steps pair, by increasing position."""
     order = [p for pair in zip(i_seq, j_seq) for p in pair]
     inversions = sum(a > b for x, a in enumerate(order) for b in order[x + 1:])
     out = GR1
     for (num, d), _ in steps:
         out = out * num / d
-    out = out / den ** (n // 2)
+    out = out / den ** len(steps)
     return -out if inversions % 2 else out
-
-
-def skew_matrix(l: Functional, indices: Sequence[int]) -> List[List[GaussianRational]]:
-    """The matrix [ l[Z_i, Z_j] ] over the given adapted indices (1-based).
-    Raises ValueError unless every index is in 1..dim."""
-    dim = l.basis.dim
-    for i in indices:
-        if not 1 <= i <= dim:
-            raise ValueError(f"adapted index {i} is outside 1..{dim}")
-    form = _orbit_form(l, l.basis, max(indices, default=0))[2]
-    zero = l.zero
-    return [[zero + form[i - 1][j - 1] if j - 1 in form[i - 1] else zero
-             for j in indices] for i in indices]

@@ -21,7 +21,7 @@ from .gaussian import GaussianRational
 from .sections import (SectionOracle, StabilizerData, UnsupportedLayerError,
                        canonical_h_vectors, sample_lambda_nu, sample_sigma_circ,
                        stabilizer_data)
-from .strata import (LayerDescriptor, generic_layer, pfaffian, skew_matrix)
+from .strata import LayerDescriptor, generic_layer, jump_data
 
 SCHEMA = "solvlie-report/1"
 
@@ -198,8 +198,8 @@ class Workbench:
 
     def plancherel_samples(self, count: int = 3) -> dict:
         def one(f: Functional):
-            mat = skew_matrix(f, list(self.n_layer.e_set))
-            pf = pfaffian(mat)
+            # f lies on the n* layer, so its own reduction pairs exactly e
+            pf = jump_data(f, ambient="n").pfaffian()
             return {
                 "point": {f"Z{j}": str(GaussianRational.coerce(v))
                           for j, v in ((j, f.z(j)) for j in self.stabilizer.nu)},

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+import jump_oracle
 from solvlie.corpus import CorpusEntry, corpus_entries
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
@@ -59,10 +60,19 @@ def case_table(jd):
 
 def form_values(rows, den, zero=ZERO):
     """The entries of a form held as {q: den M[p][q]} rows (the rows and
-    den of ``strata._orbit_form``), as {q: M[p][q]}: exact over Q(i) when
+    den of ``strata._orbit_form``, or ``JumpData.form`` and
+    ``JumpData.den``), as {q: M[p][q]}: exact over Q(i) when
     the rows hold Gaussian integers, the floats themselves at a float
     point (den 1). zero is the point's."""
     return [{q: (zero + x) / den for q, x in row.items()} for row in rows]
+
+
+def sub_form(f, indices):
+    """The dense orbit form [l[Z_i, Z_j]] of the point f over the given
+    adapted indices (1-based, each in 1..dim), read off the dense form of
+    ``jump_oracle._orbit_form``."""
+    _, form, _ = jump_oracle._orbit_form(f, f.basis, max(indices, default=0))
+    return [[form[i - 1][j - 1] for j in indices] for i in indices]
 
 
 def exact_reduction(steps, den):

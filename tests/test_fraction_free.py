@@ -174,17 +174,18 @@ def test_every_step_division_keeps_the_bareiss_chain(complex_entries,
 def test_rows_over_a_denominator_keep_the_orbit_form():
     # heisenberg-2param has entries over 2 in its form table, and a point
     # with denominators scales them again: the kernel's rows are the
-    # integers 6 M, and the jump data keeps M itself
+    # integers 6 M, and the jump data keeps those rows, unreduced, with 6
     wb = wb_for("heisenberg-2param")
     basis = wb.canonical_basis
     assert _form_table(basis).den == 2
     f = Functional(basis, [Fraction(k + 1, 3) for k in range(basis.dim)],
                    exact=True)
-    rows, den, form_kept = strata._orbit_form(f, basis, basis.dim)
+    rows, den = strata._orbit_form(f, basis, basis.dim)
     assert den == 6
     assert all(isinstance(x, int) for row in rows for x in row.values())
+    jd = jump_data(f, basis, "g")
+    assert (jd.form, jd.den) == (rows, den)
     _, form, _ = jump_oracle._orbit_form(f, basis, basis.dim)
-    for kept in (form_values(rows, den), form_kept,
-                 jump_data(f, basis, "g").form):
+    for kept in (form_values(rows, den), form_values(jd.form, jd.den)):
         assert [[row.get(q, G(0)) for q in range(basis.dim)]
                 for row in kept] == form

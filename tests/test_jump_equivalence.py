@@ -25,7 +25,7 @@ def _assert_same(l, basis, ambient):
     old = recursion_jump_data(l, basis, ambient)
     assert (new.i_seq, new.j_seq) == (old.i_seq, old.j_seq), l
     if ambient == "n":
-        assert new.polarizing_subspace == old.h_flag[-1], l
+        assert new.polarization()[1] == old.h_flag[-1], l
 
 
 @pytest.mark.parametrize("entry_id", VALID_IDS)

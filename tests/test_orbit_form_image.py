@@ -1,10 +1,12 @@
 """``JumpData.image``, the one product M y with the orbit form, against the
 dense product of the oracle.
 
-``strata.jump_data`` keeps the unreduced sparse rows of
-M = (l[Z_{p+1}, Z_{q+1}]) as ``JumpData.form`` (plain ints for the real
-entries at an integer point), and ``JumpData.image(y)`` reads M y off them
-row by row. The oracle is the dense M of
+``strata.jump_data`` keeps the unreduced sparse rows of D M,
+M = (l[Z_{p+1}, Z_{q+1}]), as ``JumpData.form`` (Gaussian integers, plain
+ints for the real entries, over the denominator D = ``JumpData.den`` at an
+exact point; M itself, D = 1, at a float point), and ``JumpData.image(y)``
+reads M y off them row by row, with y taken over D. The oracle is the
+dense M of
 ``jump_oracle._orbit_form`` with the plain product
 (M y)_p = sum_q M[p][q] y_q over its nonzero entries. At exact points the
 two must be equal. At float points moved by a dilation flow the product
@@ -13,10 +15,11 @@ layout the rows replaced), sign of zero and key order included, and within
 1e-12 relative of the oracle's, whose entries are rounded another way. The
 vectors y are the unit vectors, sparse random vectors and the dual pairs
 V_k, U_k of ``section_vectors``. After ``jump_data`` returns, ``jd.form``
-must still be the oracle's unreduced form. The points are seeded samples
-and degenerate points on every valid corpus entry in both ambients, flowed
-points on every entry with a dilation, and samples on the specs of
-``perfbench/specgen.py`` at seeds 1-5.
+over ``jd.den`` must still be the oracle's unreduced form. The points are
+seeded samples and degenerate points on every valid corpus entry in both
+ambients, flowed points on every entry with a dilation, and samples on the
+specs of ``perfbench/specgen.py`` at seeds 1-5. At exact points with
+D != 1 the product of int and Fraction vectors must stay exact.
 """
 
 import random
@@ -24,10 +27,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import VALID_IDS, wb_for
+from conftest import VALID_IDS, form_values, wb_for
 from jump_oracle import _orbit_form as dense_orbit_form
 from solvlie.algebra import spec_from_dict
-from solvlie.functionals import exp_h_coadjoint, sample_functional
+from solvlie.functionals import (Functional, exp_h_coadjoint,
+                                 sample_functional)
 from solvlie.gaussian import GaussianRational
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
                             jump_data, section_vectors)
@@ -51,9 +55,9 @@ def _dense_image(form, y):
 
 
 def _column_image(jd, y):
-    """M y through the columns of M read off jd.form, each column by
-    increasing p, as the products were summed before the rows became the
-    only copy of M."""
+    """M y through the columns of M read off jd.form at a float point
+    (where D = 1 and the rows are M), each column by increasing p, as the
+    products were summed before the rows became the only copy of M."""
     columns = [[] for _ in jd.form]
     for p, row in enumerate(jd.form):
         for q, x in row.items():
@@ -111,7 +115,8 @@ def _check(f, basis, ambient, rng):
         assert sorted(got) == sorted(dense), f.values
         assert all(_close(got[p], dense[p]) for p in got), f.values
     # neither the reduction nor the products moved the kept form
-    dense = [[row.get(q, f.zero) for q in range(n_amb)] for row in jd.form]
+    dense = [[row.get(q, f.zero) for q in range(n_amb)]
+             for row in form_values(jd.form, jd.den, f.zero)]
     if f.exact:
         assert dense == form, f.values
     else:
@@ -157,3 +162,39 @@ def test_image_matches_dense_product_on_generated_specs(seed):
             for _ in range(3):
                 _check(sample_functional(basis, rng, support=ambient), basis,
                        ambient, rng)
+
+
+@pytest.mark.parametrize("entry_id", VALID_IDS)
+def test_image_stays_exact_over_a_denominator(entry_id):
+    # y is taken over D once per call; int and Fraction coordinates must
+    # not turn into floats on the way (int / int would), and the product
+    # must be the dense oracle's at every exact point with D != 1
+    wb = wb_for(entry_id)
+    rng = random.Random(650 + VALID_IDS.index(entry_id))
+    checked = 0
+    for ambient, basis in _layers(wb):
+        drawn = basis.ambient(ambient)
+        points = [sample_functional(basis, rng, support=ambient)
+                  for _ in range(3)]
+        for _ in range(3):
+            vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for _ in range(drawn)]
+            points.append(Functional(basis, vals + [0] * (basis.dim - drawn),
+                                     exact=True))
+        for f in points:
+            jd = jump_data(f, basis, ambient)
+            if jd.den == 1:
+                continue
+            _, form, _ = dense_orbit_form(f, basis, drawn)
+            ys = [{q: 1} for q in range(drawn)]
+            for _ in range(3):
+                ys.append({q: rng.randint(-9, 9) for q in range(drawn)})
+                ys.append({q: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                           for q in range(drawn)})
+            for y in ys:
+                got = jd.image(y)
+                assert not any(isinstance(x, (float, complex))
+                               for x in got.values()), (f.values, y)
+                assert got == _dense_image(form, y), (f.values, y)
+                checked += 1
+    assert checked

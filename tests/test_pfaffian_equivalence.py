@@ -3,10 +3,14 @@
 ``strata.pfaffian`` is the signed product of the pivots of the jump
 reduction. It must equal the expansion, sign included, on seeded dense,
 sparse and rank-deficient skew matrices over Q(i), on int and Fraction
-input, on the orbit forms ``skew_matrix(f, e)`` at Lambda_nu points of the
-corpus and of generated specs, and on a dense-center 2-step family where
-the expansion is exponential. Past the sizes where the expansion is cheap,
-|Pf|^2 is checked against ``pfaffian_oracle.det``.
+input, on the orbit forms on e at Lambda_nu points of the corpus and of
+generated specs (``conftest.sub_form``, from the dense oracle form), and on
+a dense-center 2-step family where the expansion is exponential. Past the
+sizes where the expansion is cheap, |Pf|^2 is checked against
+``pfaffian_oracle.det``. ``JumpData.pfaffian``, read off the point's own
+jump reduction on n, must equal the expansion on e(l), sign included, at
+the same points and at sampled points of the entry without a Lambda_nu
+sampler.
 """
 
 import importlib.util
@@ -17,11 +21,12 @@ from pathlib import Path
 import pytest
 
 import pfaffian_oracle
-from conftest import SAMPLABLE_IDS, wb_for
+from conftest import SAMPLABLE_IDS, VALID_IDS, sub_form, wb_for
 from solvlie.algebra import spec_from_dict
+from solvlie.functionals import sample_functional
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import sample_lambda_nu
-from solvlie.strata import pfaffian, skew_matrix
+from solvlie.strata import jump_data, pfaffian
 from solvlie.workbench import Workbench
 
 _SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
@@ -94,12 +99,26 @@ def test_pivot_product_matches_expansion_on_int_and_fraction_input():
     _assert_agree(m)
 
 
-def _lambda_nu_forms(wb, count, seed):
+def _lambda_nu_points(wb, count, seed):
     rng = random.Random(seed)
-    e = list(wb.n_layer.e_set)
     for _ in range(count):
-        f = sample_lambda_nu(wb.oracle_lambda_nu, rng)
-        yield skew_matrix(f, e)
+        yield sample_lambda_nu(wb.oracle_lambda_nu, rng)
+
+
+def _lambda_nu_forms(wb, count, seed):
+    e = list(wb.n_layer.e_set)
+    for f in _lambda_nu_points(wb, count, seed):
+        yield sub_form(f, e)
+
+
+def _assert_jump_pfaffian(f, e):
+    """Pf read off the jump reduction of f on n against the expansion on
+    the dense form on e, which must be e(l)."""
+    jd = jump_data(f, ambient="n")
+    assert jd.e_set == tuple(e), f.values
+    got = jd.pfaffian()
+    assert got != 0
+    assert got == pfaffian_oracle.pfaffian(sub_form(f, e)), f.values
 
 
 @pytest.mark.parametrize("entry_id", SAMPLABLE_IDS)
@@ -154,3 +173,38 @@ def test_dense_center_plancherel_samples_square_to_det():
         pf = pfaffian(m)
         assert pf ** 2 == pfaffian_oracle.det(m)
         assert str(pf.abs2()) == sample["pf_abs2"]
+
+
+@pytest.mark.parametrize("entry_id", VALID_IDS)
+def test_jump_pfaffian_matches_expansion_on_corpus_points(entry_id):
+    wb = wb_for(entry_id)
+    e = wb.n_layer.e_set
+    if entry_id in SAMPLABLE_IDS:
+        points = list(_lambda_nu_points(wb, 10, 840))
+    else:
+        # no Lambda_nu sampler here: sampled points of n* on the layer
+        rng = random.Random(840)
+        points = []
+        while len(points) < 10:
+            f = sample_functional(wb.basis, rng, support="n")
+            if jump_data(f, ambient="n").e_set == e:
+                points.append(f)
+    for f in points:
+        _assert_jump_pfaffian(f, e)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_jump_pfaffian_matches_expansion_on_generated_points(seed):
+    for doc, _ in specgen.generate(seed):
+        wb = Workbench(spec_from_dict(doc), trials=16)
+        for f in _lambda_nu_points(wb, 2, 850 + seed):
+            _assert_jump_pfaffian(f, wb.n_layer.e_set)
+
+
+def test_jump_pfaffian_matches_expansion_on_dense_center():
+    # 945 terms of the expansion at |e| = 10, 135,135 at |e| = 14
+    for m, count in ((10, 16), (14, 2)):
+        wb = Workbench(_dense_center_spec(m), trials=16)
+        assert len(wb.n_layer.e_set) == m
+        for f in _lambda_nu_points(wb, count, 860 + m):
+            _assert_jump_pfaffian(f, wb.n_layer.e_set)

@@ -27,8 +27,10 @@ import polarization_oracle as oracle
 from conftest import VALID_IDS, wb_for
 from solvlie import admissibility as adm
 from solvlie import strata
-from solvlie.algebra import spec_from_dict
+from solvlie.algebra import LieAlgebraSpec, spec_from_dict
 from solvlie.functionals import Functional, sample_functional
+from solvlie.gaussian import GaussianRational as G
+from solvlie.linalg import Subspace
 from solvlie.sections import UnsupportedLayerError, sample_sigma_circ
 from solvlie.workbench import Workbench
 from test_pfaffian_equivalence import _dense_center_spec
@@ -119,3 +121,19 @@ def test_center_and_unimodularity_match_dense_oracles(case):
 @pytest.mark.parametrize("m", [10, 16])
 def test_center_and_unimodularity_match_dense_oracles_on_dense_centers(m):
     _assert_center_and_unimodularity_match(_dense_center_spec(m))
+
+
+def test_center_reads_both_signs_of_a_bracket():
+    # [X, Y] = Z and [Y, W] = Z: the row of [w, Y]_Z takes +1 at X from the
+    # table entry (X, Y) and -1 at W from (Y, W), so X + W is central; with
+    # the sign of the second flipped it would be X - W instead. A brackets
+    # with nothing, so z(g) cap h is all of h
+    spec = LieAlgebraSpec("two-sided", ["X", "Y", "W", "Z"], ["A"], {
+        ("X", "Y"): {"Z": Fraction(1)}, ("Y", "W"): {"Z": Fraction(1)}})
+    one, zero = G(1), G(0)
+    got = adm.center_data(spec)
+    assert got.z_g == Subspace([[one, zero, one, zero, zero],
+                                [zero, zero, zero, one, zero],
+                                [zero, zero, zero, zero, one]], 5)
+    assert got.z_cap_h == Subspace([[zero] * 4 + [one]], 5)
+    _assert_center_and_unimodularity_match(spec)

@@ -8,10 +8,10 @@ only (``strata._skew_reduce_float`` at a float point, with division). The
 dense kernel is kept verbatim as ``jump_oracle._orbit_form`` and
 ``jump_oracle._skew_reduce``. At exact points the two must agree exactly:
 the unreduced form entry by entry, and each column of it read through
-``JumpData.image`` against the oracle's columns, the reduced form entry by
-entry, i_seq, j_seq, the reductions and the pivots, each value recovered
-from the fraction-free rows and steps; the form kept on the jump data must
-still be the unreduced one. The points are the 64 samples
+``JumpData.image`` against the oracle's columns, i_seq, j_seq, the
+reductions and the pivots, each value recovered from the fraction-free
+steps; the rows kept on the jump data, over its den, must still be the
+unreduced form. The points are the 64 samples
 ``generic_layer`` draws at seed 42 on every valid corpus entry in both
 ambients, the specs ``perfbench/specgen.py`` generates for seeds 1-10,
 degenerate points with coordinates in {-1, 0, 1}, the dense-center family
@@ -56,12 +56,13 @@ def _columns(jd):
 
 def _assert_exact(f, basis, ambient):
     n_amb = basis.ambient(ambient)
-    rows, den, _ = _orbit_form(f, basis, n_amb)
+    rows, den = _orbit_form(f, basis, n_amb)
     _, form, want_columns = dense_orbit_form(f, basis, n_amb)
     assert _dense(form_values(rows, den), f.zero) == form, f.values
     jd = jump_data(f, basis, ambient)
+    assert jd.den == den, f.values
     # the reduction ran on a copy: the kept form is the unreduced one
-    assert _dense(jd.form, f.zero) == form, f.values
+    assert _dense(form_values(jd.form, jd.den), f.zero) == form, f.values
     assert _columns(jd) == want_columns, f.values
     i_seq, j_seq, steps = _skew_reduce(rows)
     want = dense_skew_reduce(form, None)
@@ -77,10 +78,12 @@ def _close(a, b):
 
 def _assert_float(f, basis, ambient):
     n_amb = basis.ambient(ambient)
-    rows, den, _ = _orbit_form(f, basis, n_amb)
+    rows, den = _orbit_form(f, basis, n_amb)
     assert den == 1
     _, form, want_columns = dense_orbit_form(f, basis, n_amb)
-    columns = _columns(jump_data(f, basis, ambient))
+    jd = jump_data(f, basis, ambient)
+    assert jd.den == 1
+    columns = _columns(jd)
     assert len(columns) == len(want_columns)
     for col, want_col in zip(columns, want_columns):
         assert [p for p, _ in col] == [p for p, _ in want_col], f.values

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import VALID_IDS, point, sample_element, wb_for
+from conftest import (VALID_IDS, form_values, point, sample_element,
+                      sub_form, wb_for)
 from jump_oracle import bilinear_form, flag, perp
 from pfaffian_oracle import det
 from section_oracle import real_section_vectors
@@ -15,7 +16,7 @@ from solvlie.strata import (InconsistentSamplingError, LayerDescriptor,
                             LayerMismatchError, NotSkewError,
                             OddDimensionError, UnsupportedCaseError,
                             generic_layer, jump_data, layer_descriptor,
-                            pfaffian, section_vectors, skew_matrix)
+                            pfaffian, section_vectors)
 
 
 # -- bilinear form ------------------------------------------------------------
@@ -108,7 +109,8 @@ def test_jump_data_double_heisenberg_top_point():
 
 def test_polarizing_rows_need_an_exact_point():
     # the rows replay the reduction on exact unit vectors; at a float point
-    # the products would mix GaussianRational and complex, so they refuse
+    # the products would mix GaussianRational and complex, so they refuse;
+    # the Pfaffian, read off the same steps, is exact only as well
     wb = wb_for("heisenberg-2param")
     spec, basis = wb.spec, wb.canonical_basis
     l = point(wb, Z=1, Y=2, X=3)
@@ -119,14 +121,14 @@ def test_polarizing_rows_need_an_exact_point():
         jd = jump_data(moved, basis, ambient)
         assert jd.d >= 1
         with pytest.raises(NeedsFloatError, match="requires an exact functional"):
-            jd.polarizing_rows()
+            jd.polarization()
         with pytest.raises(NeedsFloatError, match="requires an exact functional"):
-            jd.polarizing_subspace
+            jd.pfaffian()
         exact = jump_data(l, basis, ambient)
         assert (exact.i_seq, exact.j_seq) == (jd.i_seq, jd.j_seq)
-        rows = exact.polarizing_rows()
+        rows, sub = exact.polarization()
         assert all(isinstance(x, G) for row in rows for x in row)
-        assert exact.polarizing_subspace.dim == len(rows)
+        assert sub.dim == len(rows)
 
 
 def test_jump_data_abelian_n_empty():
@@ -359,7 +361,8 @@ def test_rho_orthogonality_exact():
                     sv = section_vectors(l, basis, jd, ambient)
                 except (LayerMismatchError, UnsupportedCaseError):
                     continue
-                form = {(p, q): x for p, row in enumerate(jd.form)
+                form = {(p, q): x for p, row in
+                        enumerate(form_values(jd.form, jd.den))
                         for q, x in row.items()}
 
                 def pair(x, y):
@@ -559,21 +562,8 @@ def test_pfaffian_heisenberg_density():
     wb = wb_for("heisenberg-2param")
     for z in (3, -4, 7):
         l = point(wb, Z=z)
-        mat = skew_matrix(l, [2, 3])
+        mat = sub_form(l, [2, 3])
         assert pfaffian(mat).abs2() == z * z
-
-
-def test_skew_matrix_rejects_indices_outside_the_basis():
-    # heisenberg-2param has dim 5: Z_6 does not exist, and 0 and -1 would
-    # wrap through negative indexing
-    wb = wb_for("heisenberg-2param")
-    l = point(wb, Z=3)
-    for indices, bad in (([2, 3, 6], 6), ([0, 2], 0), ([-1, 2], -1)):
-        with pytest.raises(ValueError, match=f"index {bad} is outside 1..5"):
-            skew_matrix(l, indices)
-    full = skew_matrix(l, [1, 2, 3, 4, 5])
-    assert [row[1:3] for row in full[1:3]] == skew_matrix(l, [2, 3])
-    assert skew_matrix(l, []) == []
 
 
 def test_pfaffian_squared_is_det_random():
