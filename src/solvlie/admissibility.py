@@ -73,18 +73,15 @@ def center_data(spec: LieAlgebraSpec) -> CenterData:
     """z(g) as the joint kernel of w -> [w, e_m], and z(g) cap h.
 
     Row (m, k) of the system is w -> [w, e_m]_k = sum_p w_p [e_p, e_m]_k;
-    only the nonzero rows are built, reading each entry c = [e_p, e_m]_k of
-    ``spec._table`` with both signs. An element of h is central iff it is
+    only the nonzero rows are built, each entry c = [e_p, e_m]_k read off
+    ``spec.brackets``. An element of h is central iff it is
     in the kernel of the same rows restricted to the h coordinates.
     """
     dim, nd = spec.dim, spec.n_dim
     rows: Dict[Tuple[int, int], list] = {}
-    for (p, m), coords in spec._table.items():
-        for k, c in enumerate(coords):
-            if c:
-                x = GaussianRational(c)
-                rows.setdefault((m, k), [ZERO] * dim)[p] = x
-                rows.setdefault((p, k), [ZERO] * dim)[m] = -x
+    for (p, m), entry in spec.brackets.items():
+        for k, c in entry:
+            rows.setdefault((m, k), [ZERO] * dim)[p] = c
     system = list(rows.values())
     z_g = Subspace(kernel(system, dim), dim)
     z_h = kernel([row[nd:] for row in system], spec.h_dim)

@@ -23,6 +23,11 @@ Rational coefficients are strings "p/q"; hint coefficients may be Gaussian
 rationals "p/q+r/s i" (ASCII minus). Omitted brackets are zero and the
 antisymmetric completion is automatic.
 
+A spec holds its structure constants once, as ``LieAlgebraSpec.brackets``:
+(i, j) maps to the nonzero (m, C_ij^m) of [e_i, e_j], by increasing m, for
+both orders of every nonzero bracket, so every consumer reads C_ij^m and
+C_ji^m = -C_ij^m off the same table.
+
 The ascending central series of n and the weight spaces are built once per
 spec, shared by validation and the adapted-basis construction.
 """
@@ -35,7 +40,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ZERO, parse_gaussian
 from .linalg import (extend_echelon, identity, invert, is_zero, kernel,
@@ -63,7 +69,13 @@ class HypothesisViolation(ValueError):
 
 
 class LieAlgebraSpec:
-    """Structure constants of g = n x| h over a named real basis."""
+    """Structure constants of g = n x| h over a named real basis.
+
+    ``brackets`` is the read-only table of the constants: (i, j) maps to
+    ((m, C_ij^m), ...), the nonzero coordinates of [e_i, e_j] over n as
+    GaussianRationals by increasing m, under both (i, j) and (j, i) for
+    every nonzero bracket. A zero bracket, and every (i, i), has no key.
+    """
 
     def __init__(self, name: str, n_names: Sequence[str], h_names: Sequence[str],
                  brackets: Dict[Tuple[str, str], Dict[str, Fraction]],
@@ -80,9 +92,8 @@ class LieAlgebraSpec:
         self.antisymmetry_conflicts: List[Tuple[str, str]] = []
         self.h_bracket_entries: List[Tuple[str, str]] = []
 
-        # canonical table: key (i, j) with i < j, value = coord tuple over n
-        self._table: Dict[Tuple[int, int], Vector] = {}
-        self._bsparse_cache: Dict[Tuple[int, int], tuple] = {}
+        # the one table of structure constants, read-only as ``brackets``
+        table: Dict[Tuple[int, int], tuple] = {}
         self._computed: Dict[str, object] = {}
         ndim = len(self.n_names)
         for (x, y), combo in brackets.items():
@@ -104,15 +115,14 @@ class LieAlgebraSpec:
             if i == j:
                 self.antisymmetry_conflicts.append((x, y))
                 continue
-            if i > j:
-                i, j = j, i
-                coords = [-c for c in coords]
-            coords = tuple(coords)
-            if (i, j) in self._table:
-                if self._table[(i, j)] != coords:
+            entry = tuple((m, GaussianRational(c)) for m, c in enumerate(coords) if c)
+            if (i, j) in table:     # [y, x] came first
+                if table[(i, j)] != entry:
                     self.antisymmetry_conflicts.append((x, y))
                 continue
-            self._table[(i, j)] = coords
+            table[(i, j)] = entry
+            table[(j, i)] = tuple((m, -c) for m, c in entry)
+        self.brackets: Mapping[Tuple[int, int], tuple] = MappingProxyType(table)
 
     # -- dimensions -----------------------------------------------------
 
@@ -135,13 +145,7 @@ class LieAlgebraSpec:
 
     def bracket_sparse(self, i: int, j: int):
         """[e_i, e_j] as a tuple of (coordinate index, coefficient)."""
-        out = self._bsparse_cache.get((i, j))
-        if out is None:
-            sign = 1 if i < j else -1
-            entry = self._table.get((min(i, j), max(i, j)), ())
-            out = self._bsparse_cache[(i, j)] = tuple(
-                (m, GaussianRational(sign * c)) for m, c in enumerate(entry) if c)
-        return out
+        return self.brackets.get((i, j), ())
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
         """Bilinear extension of the bracket to coordinate vectors.
@@ -209,7 +213,7 @@ class LieAlgebraSpec:
 
     def n_is_commutative(self) -> bool:
         nd = self.n_dim
-        return all(not (i < nd and j < nd) for (i, j) in self._table)
+        return all(not (i < nd and j < nd) for (i, j) in self.brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +221,14 @@ class LieAlgebraSpec:
 # ---------------------------------------------------------------------------
 
 def ad_traces(spec: LieAlgebraSpec) -> Tuple[Fraction, ...]:
-    """tr(ad e_p) for every basis element, in one pass over the structure
-    constants: [e_i, e_j] (i < j) puts its e_j-coordinate on the diagonal
-    of ad e_i and minus its e_i-coordinate on that of ad e_j (as [e_j, e_i]
-    = -[e_i, e_j]), and no other entry of the table reaches a diagonal."""
+    """tr(ad e_i) = sum_j C_ij^j for every basis element, in one pass over
+    ``spec.brackets``: the e_j-coordinate of [e_i, e_j] is the diagonal
+    entry j of ad e_i, and no other constant reaches a diagonal."""
     traces = [Fraction(0)] * spec.dim
-    nd = spec.n_dim
-    for (i, j), coords in spec._table.items():
-        if j < nd:
-            traces[i] += coords[j]
-        if i < nd:
-            traces[j] -= coords[i]
+    for (i, j), entry in spec.brackets.items():
+        for m, c in entry:
+            if m == j:
+                traces[i] += c.re
     return tuple(traces)
 
 
@@ -596,7 +597,6 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     checks: List[CheckResult] = field(default_factory=list)
-    weight_spaces: Optional[List[WeightSpace]] = None
 
     @property
     def ok(self) -> bool:
@@ -618,7 +618,7 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
     v is in the next level iff [n, v] lies in the previous one, i.e. every
     annihilator a of the previous level has a([e_i, v]) = 0 for every i;
     a([e_i, e_p]) sums over the nonzero structure constants only, read off
-    the entries (i, p), i < p, of ``spec._table`` with both signs. A level
+    the entries (i, p) within n of ``spec.brackets``. A level
     is the kernel of its condition rows C, and ker C has annihilator the
     row space of C, so the one ``rref`` of C per level also gives the next
     level's annihilator (all of n* for the zero level). A level that does
@@ -631,13 +631,9 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
     nd = spec.n_dim
     # consts[i]: the (p, m, C_ip^m) of the nonzero [e_i, e_p]_m within n
     consts: List[list] = [[] for _ in range(nd)]
-    for (i, p), coords in spec._table.items():
-        if p < nd:
-            for m, c in enumerate(coords):
-                if c:
-                    x = GaussianRational(c)
-                    consts[i].append((p, m, x))
-                    consts[p].append((i, m, -x))
+    for (i, p), entry in spec.brackets.items():
+        if i < nd and p < nd:
+            consts[i] += ((p, m, c) for m, c in entry)
     levels: List[List[List[GaussianRational]]] = []
     ann, dim = identity(nd), 0
     while dim < nd:
@@ -684,10 +680,10 @@ def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
     else:
         add(CheckResult("h_abelian", True))
 
-    # Jacobi on the basis triples with a nonzero bracket (the table holds
-    # each as (i, j), i < j), from the sparse structure constants
+    # Jacobi on the basis triples with a nonzero bracket, from the sparse
+    # structure constants
     jac_witness = None
-    table = spec._table
+    table = spec.brackets
     for a, b, c in itertools.combinations(range(spec.dim), 3):
         if (a, b) not in table and (b, c) not in table and (a, c) not in table:
             continue
@@ -718,7 +714,6 @@ def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
         try:
             spaces = spec.weight_spaces()
             add(CheckResult("h_diagonalizable", True))
-            report.weight_spaces = spaces
             msg = check_exponential_roots(spaces)
             if msg is None:
                 add(CheckResult("exponential_roots", True))
@@ -809,11 +804,12 @@ def spec_from_dict(doc: dict) -> LieAlgebraSpec:
         for ent in _checked(doc["adaptable_hint"], list, "adaptable_hint"):
             if not isinstance(ent, dict) or "label" not in ent:
                 raise SpecFormatError("each hint entry needs 'label' and 'value'")
+            label = _checked(ent["label"], str, "hint label")
             vec = _parse_gaussian_combo(ent.get("value", []), n_names,
-                                        f"hint {ent['label']}")
+                                        f"hint {label}")
             hint.append(tuple(vec))
-    return LieAlgebraSpec(doc.get("name", "unnamed"), n_names, h_names,
-                          brackets, adaptable_hint=hint)
+    return LieAlgebraSpec(_checked(doc.get("name", "unnamed"), str, "name"),
+                          n_names, h_names, brackets, adaptable_hint=hint)
 
 
 def parse_spec_text(text: str) -> LieAlgebraSpec:

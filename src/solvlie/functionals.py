@@ -94,16 +94,12 @@ class Functional:
 
     def value(self, vec: Sequence) -> Scalar:
         """Evaluate on a coordinate vector of g_C (complex-linear extension),
-        in the mode of this point."""
-        if self.exact:
-            total = ZERO
-            for c, v in zip(vec, self.values):
-                if c and v:
-                    total = total + c * v
-            return total
-        total = 0j
+        in the mode of this point: the sum starts at the point's zero, and an
+        exact coordinate times a float value is the float product."""
+        total = self.zero
         for c, v in zip(vec, self.values):
-            total += complex(c) * complex(v)
+            if c and v:
+                total = total + c * v
         return total
 
     def z(self, j: int) -> Scalar:
@@ -188,14 +184,13 @@ def exp_unipotent_coadjoint(spec_or_basis, x_vec, l: Functional) -> Functional:
             raise NotUnipotentError("element has a nonzero h-component")
     x_vec = [GaussianRational.coerce(c) for c in x_vec]
     cols = _neg_ad_columns(spec, x_vec)
-    if not l.exact:
-        cols = [[(k, float(c)) for k, c in col] for col in cols]
-    zero = Fraction(0) if l.exact else 0.0
     term = list(l.values)
     out = list(term)
     k = 1
     while True:
-        term = [sum((c * term[p] for p, c in col), zero) / k for col in cols]
+        # a Fraction constant times a float value is the float product; the
+        # sum starts at Fraction(0), not 0, as 0 / k would be a float
+        term = [sum((c * term[p] for p, c in col), Fraction(0)) / k for col in cols]
         if not any(term):
             break
         if k > spec.dim + 1:

@@ -232,7 +232,7 @@ def _malformed(edit):
 
 # spec documents of the wrong shape, each of which once escaped the parser
 # as a TypeError (or, for a string n_basis, was read as one label per
-# character)
+# character, and for a name or hint label, was read as it stood)
 MALFORMED_SPECS = {
     "n_basis-a-number": {"n_basis": 5},
     "h_basis-null": _malformed(lambda d: d.update(h_basis=None)),
@@ -246,6 +246,9 @@ MALFORMED_SPECS = {
     "bracket-b-a-list":
         _malformed(lambda d: d["brackets"][0]["value"][0].update(b=["Z"])),
     "n_basis-a-string": _malformed(lambda d: d.update(n_basis="ZYX")),
+    "name-a-list": _malformed(lambda d: d.update(name=[1])),
+    "hint-label-a-number": _malformed(lambda d: d.update(
+        adaptable_hint=[{"label": 5, "value": [{"c": "1", "b": "Z"}]}])),
 }
 
 # validate and analyze exit 3 on an unreadable or unparsable file,

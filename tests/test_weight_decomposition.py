@@ -205,7 +205,7 @@ def test_large_denominators_accepted_with_a_verdict(spec, weights):
     assert err.value.code == "EIGEN_NOT_GAUSSIAN_RATIONAL"
     report = validate_spec(spec)
     assert report.ok
-    assert {sp.weights[0] for sp in report.weight_spaces} == weights
+    assert {sp.weights[0] for sp in spec.weight_spaces()} == weights
     # nonunimodular, and A moves Z, so h meets the center trivially
     assert Workbench(spec).verdict().verdict == adm.VERDICT_ADMISSIBLE
 
