@@ -45,8 +45,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (DiagonalizationError, HypothesisViolation,
                       LieAlgebraSpec, Vector, root_factor)
-from .gaussian import GaussianRational, ZERO
-from .linalg import extend_echelon, invert, rref
+from .gaussian import GaussianRational, ONE, ZERO
+from .linalg import Subspace, extend_echelon, invert, rref
 
 
 class HintInvalidError(ValueError):
@@ -71,6 +71,14 @@ def _terms(vec) -> Tuple[Tuple[int, GaussianRational], ...]:
     return tuple((m, c) for m, c in enumerate(vec) if c)
 
 
+def _conj_terms(terms) -> Tuple[Tuple[int, GaussianRational], ...]:
+    return tuple((m, c.conjugate()) for m, c in terms)
+
+
+def _is_real_terms(terms) -> bool:
+    return all(c.is_real() for _, c in terms)
+
+
 def _inverse_rows(rows: List[List[GaussianRational]]):
     """Sparse rows of the inverse of a square matrix, or None if singular.
 
@@ -81,14 +89,36 @@ def _inverse_rows(rows: List[List[GaussianRational]]):
     return None if inv is None else [_terms(row) for row in inv]
 
 
-def _coords(vec, inv) -> Dict[int, GaussianRational]:
-    """The nonzero coordinates k of vec over the rows whose inverse is inv."""
+def _coords(terms, inv) -> Dict[int, GaussianRational]:
+    """The nonzero coordinates k, over the rows whose inverse is inv, of the
+    vector whose coordinates over the real basis are the (m, c) of terms,
+    by increasing m; an m beyond inv, or a zero c, adds nothing. A dense
+    vector v is ``enumerate(v)``; a sparse one need list only its nonzero
+    coordinates."""
     out: Dict[int, GaussianRational] = {}
-    for m, c in enumerate(vec[:len(inv)]):
-        if c:
+    size = len(inv)
+    for m, c in terms:
+        if m < size and c:
             for k, x in inv[m]:
                 out[k] = out.get(k, ZERO) + c * x
     return {k: x for k, x in out.items() if x}
+
+
+def _bracket_terms(table, u, v) -> List[Tuple[int, GaussianRational]]:
+    """[u, v] for the vectors with the nonzero (i, a) of u and (j, b) of v
+    over the real basis, from the structure constants ``table`` (read as
+    ``LieAlgebraSpec.brackets``): its (m, c) by increasing m, a zero sum
+    included. That is the order of a dense expansion, so ``_coords`` fills
+    each row of C in the same key order."""
+    out: Dict[int, GaussianRational] = {}
+    for i, a in u:
+        for j, b in v:
+            entry = table.get((i, j))
+            if entry:
+                ab = a * b
+                for m, c in entry:
+                    out[m] = out[m] + ab * c if m in out else ab * c
+    return sorted(out.items())
 
 
 class AdaptableBasis:
@@ -164,7 +194,7 @@ class AdaptableBasis:
     def coords(self, vec) -> Dict[int, GaussianRational]:
         """The nonzero coordinates {p: x_p} of vec in n_C over Z_{p+1},
         0-based, from the stored inverse of the n block."""
-        return _coords(vec, self.n_inverse)
+        return _coords(enumerate(vec), self.n_inverse)
 
     def ambient(self, ambient: str) -> int:
         """Number of leading basis vectors spanning the ambient 'n' or 'g'."""
@@ -192,13 +222,16 @@ class AdaptableBasis:
         The basis matrix is block diagonal (n part, h part), so one inversion
         of the n block gives the adapted coordinates of everything in n_C:
         the brackets [Z_p, Z_q] (C), the brackets [A_t, Z_j] with the real
-        basis A_t of h, and conj Z_j. Condition 1 at j holds iff no such
-        bracket with Z_j has a coordinate beyond j: the brackets with the
-        h-part vectors are real combinations of those with the A_t, and for
-        j > n the flag contains n_C, which holds every bracket. So nothing
-        checked here depends on the h-part vectors.
+        basis A_t of h, and conj Z_j. Each is built sparse, from the nonzero
+        terms of the vectors (``terms``) and ``spec.brackets``, with no
+        dense vector. Condition 1 at j holds iff no such bracket with Z_j
+        has a coordinate beyond j: the brackets with the h-part vectors are
+        real combinations of those with the A_t, and for j > n the flag
+        contains n_C, which holds every bracket. So nothing checked here
+        depends on the h-part vectors.
         """
-        spec, nd, dim = self.spec, self.n, self.dim
+        spec, nd, dim, terms = self.spec, self.n, self.dim, self.terms
+        table = spec.brackets
         inv = _inverse_rows([list(v[:nd]) for v in self.nvecs])
         if inv is None:
             raise HintInvalidError(1, "vectors are not a basis")
@@ -210,7 +243,7 @@ class AdaptableBasis:
         first_bad = dim + 1         # the first j (1-based) failing condition 1
         for q in range(nd):
             for p in range(q):
-                row = _coords(spec.bracket(self.nvecs[p], self.nvecs[q]), inv)
+                row = _coords(_bracket_terms(table, terms[p], terms[q]), inv)
                 if not row:
                     continue
                 self.structure[(p, q)] = row
@@ -218,8 +251,9 @@ class AdaptableBasis:
                     first_bad = min(first_bad, p + 1)
         self._ad_h = ad_h = []      # ad_h[t][j]: coordinates of [A_t, Z_j]
         for t in range(spec.h_dim):
-            a = spec.basis_vector(nd + t)
-            ad_h.append([_coords(spec.bracket(a, z), inv) for z in self.nvecs])
+            a = ((nd + t, ONE),)
+            ad_h.append([_coords(_bracket_terms(table, a, z), inv)
+                         for z in terms[:nd]])
             for j, row in enumerate(ad_h[t]):
                 if row and max(row) > j:
                     first_bad = min(first_bad, j + 1)
@@ -228,9 +262,10 @@ class AdaptableBasis:
         # a coordinate beyond j; h-part vectors are real
         reach = 0
         conj_stable = [True]
-        for j, v in enumerate(self.vectors, start=1):
-            if j <= nd and not _is_real_vec(v):
-                reach = max(reach, max(_coords(_conj_vec(v), inv)) + 1)
+        for j, v in enumerate(terms, start=1):
+            if j <= nd and not _is_real_terms(v):
+                conj = ((m, c.conjugate()) for m, c in v)
+                reach = max(reach, max(_coords(conj, inv)) + 1)
             else:
                 reach = max(reach, j)
             conj_stable.append(reach <= j)
@@ -243,13 +278,12 @@ class AdaptableBasis:
             if not conj_stable[j]:
                 if j == dim:
                     raise HintInvalidError(2, "the full span must be conj-stable")
-                nxt = self.vectors[j]
-                if any(a != b for a, b in zip(_conj_vec(self.vectors[j - 1]), nxt)):
+                if _conj_terms(terms[j - 1]) != terms[j]:
                     raise HintInvalidError(
                         2, f"vector {j + 1} must be the conjugate of vector {j}")
             # condition 3: double-stable steps are real
             if conj_stable[j] and conj_stable[j - 1]:
-                if not _is_real_vec(self.vectors[j - 1]):
+                if not _is_real_terms(terms[j - 1]):
                     raise HintInvalidError(3, f"vector {j} must be real")
 
         sigma = [0] * (dim + 1)  # 1-based
@@ -262,8 +296,7 @@ class AdaptableBasis:
                 sigma[j] = j
         self.sigma = tuple(sigma)
         for j in range(1, dim + 1):
-            target = self.vectors[self.sigma[j] - 1]
-            if any(a != b for a, b in zip(_conj_vec(self.vectors[j - 1]), target)):
+            if _conj_terms(terms[j - 1]) != terms[self.sigma[j] - 1]:
                 raise HintInvalidError(2, f"conjugate of vector {j} is not "
                                           f"vector {self.sigma[j]}")
 
@@ -442,25 +475,26 @@ def _weight_splitter(spec: LieAlgebraSpec):
     The returned function maps RREF rows of an invariant subspace L to, per
     weight-space index i, the RREF rows of L cap W_i: each row of L is
     written over the joint eigenbasis, and its coordinates on W_i give its
-    component there, which lies in L since L is invariant.
+    component there, which lies in L since L is invariant. The components
+    are summed as sparse rows over the nonzero entries of the eigenbasis.
     """
     spaces = spec.weight_spaces()
     eig = spec.eigenbasis()
     owner = [i for i, sp in enumerate(spaces) for _ in sp.rows]
     nd = spec.n_dim
+    eig_terms = [_terms(row[:nd]) for row in eig.rows]
 
     def split(level):
         parts: List[list] = [[] for _ in spaces]
         for row in level:
-            comps: Dict[int, List[GaussianRational]] = {}
-            for k, y in _coords(row, eig.exact_inverse).items():
-                comp = comps.setdefault(owner[k], [ZERO] * nd)
-                for m, e in enumerate(eig.rows[k][:nd]):
-                    if e:
-                        comp[m] = comp[m] + y * e
+            comps: Dict[int, Dict[int, GaussianRational]] = {}
+            for k, y in _coords(enumerate(row), eig.exact_inverse).items():
+                comp = comps.setdefault(owner[k], {})
+                for m, e in eig_terms[k]:
+                    comp[m] = comp[m] + y * e if m in comp else y * e
             for i, comp in comps.items():
                 parts[i].append(comp)
-        pieces = [rref(rows)[0] if rows else [] for rows in parts]
+        pieces = [Subspace(rows, nd).rows if rows else [] for rows in parts]
         if sum(map(len, pieces)) != len(level):
             raise ConstructionFailedError(
                 "CONSTRUCTION_FAILED: a central series level is not "

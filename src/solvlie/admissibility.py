@@ -73,18 +73,20 @@ def center_data(spec: LieAlgebraSpec) -> CenterData:
     """z(g) as the joint kernel of w -> [w, e_m], and z(g) cap h.
 
     Row (m, k) of the system is w -> [w, e_m]_k = sum_p w_p [e_p, e_m]_k;
-    only the nonzero rows are built, each entry c = [e_p, e_m]_k read off
-    ``spec.brackets``. An element of h is central iff it is
-    in the kernel of the same rows restricted to the h coordinates.
+    only the nonzero rows are built, as sparse {p: c} rows with each
+    c = [e_p, e_m]_k read off ``spec.brackets``. An element of h is central
+    iff it is in the kernel of the same rows restricted to the h
+    coordinates.
     """
     dim, nd = spec.dim, spec.n_dim
-    rows: Dict[Tuple[int, int], list] = {}
+    rows: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
     for (p, m), entry in spec.brackets.items():
         for k, c in entry:
-            rows.setdefault((m, k), [ZERO] * dim)[p] = c
+            rows.setdefault((m, k), {})[p] = c
     system = list(rows.values())
     z_g = Subspace(kernel(system, dim), dim)
-    z_h = kernel([row[nd:] for row in system], spec.h_dim)
+    z_h = kernel([{p - nd: c for p, c in row.items() if p >= nd}
+                  for row in system], spec.h_dim)
     z_cap_h = Subspace([[ZERO] * nd + row for row in z_h], dim)
     return CenterData(z_g=z_g, z_cap_h=z_cap_h)
 
@@ -129,16 +131,19 @@ class PolarizationData:
 
 def _flag_pivots(p_rows, q_rows, nd: int):
     """Flag positions (1-based) where P + Q and where P cap Q grow, for
-    subspaces of n_C given by rows over Z_1..Z_n.
+    subspaces of n_C given by sparse rows {p: x_p} over Z_1..Z_n.
 
     One RREF of the Zassenhaus matrix [[p, p], [q, 0]] with every half
     written in reverse order: the leftmost pivots of a span in reversed
     coordinates are its rightmost pivots in the flag. Rows with a pivot in
     the left half span P + Q, the others P cap Q (in the right half).
     """
-    zeros = [ZERO] * nd
-    _, pivots = rref([a[::-1] + a[::-1] for a in p_rows] +
-                     [b[::-1] + zeros for b in q_rows])
+    def reversed_at(row, shift):
+        return {shift + nd - 1 - p: x for p, x in row.items()}
+
+    _, pivots = rref([{**reversed_at(a, 0), **reversed_at(a, nd)}
+                      for a in p_rows] +
+                     [reversed_at(b, 0) for b in q_rows])
     return ({nd - c for c in pivots if c < nd},
             {2 * nd - c for c in pivots if c >= nd})
 
@@ -157,43 +162,41 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     (same dimension data); the conjugate is reported in that case.
     """
     jd = jump_data(lam, basis, "n")
-    nd, sigma = basis.n, basis.sigma
+    nd, sigma, structure = basis.n, basis.sigma, basis.structure
 
     def dot(x, w):
-        """x . w, for x dense over Z_1..Z_n and w a sparse M y from
+        """x . w, for x sparse over Z_1..Z_n and w a sparse M y from
         ``jd.image``."""
-        return sum((x[p] * c for p, c in w.items() if x[p] and c), ZERO)
+        return sum((x[p] * c for p, c in w.items() if p in x and c), ZERO)
 
     def conj(x):
         """conj(sum x_p Z_p) = sum conj(x_p) Z_sigma(p)."""
-        out = [ZERO] * nd
-        for p, xp in enumerate(x):
-            if xp:
-                out[sigma[p + 1] - 1] = xp.conjugate()
-        return out
+        return {sigma[p + 1] - 1: xp.conjugate() for p, xp in x.items()}
 
-    # isotropy, exact: lam[a, b] = a . M b
+    # isotropy, exact: lam[a, b] = a . M b, over the sparse rows of p
     rows, h_d = jd.polarization()
-    images = [jd.image(dict(enumerate(b))) for b in rows]
+    rows = [{p: x for p, x in enumerate(a) if x} for a in rows]
+    images = [jd.image(b) for b in rows]
     for i, a in enumerate(rows):
         for mb in images[i + 1:]:
             if dot(a, mb):
                 raise IsotropyError("jump reduction output is not isotropic")
     conj_rows = [conj(a) for a in rows]
-    # p + pbar closed under bracket: [a, b] = sum a_p b_q C_pq over p < q,
-    # read over the C_pq where a_p b_q or a_q b_p is nonzero
+    # p + pbar closed under bracket: [a, b] = sum a_p b_q [Z_p, Z_q] over the
+    # nonzero a_p and b_q, with [Z_q, Z_p] = -C_pq for p < q
     psum = Subspace(rows + conj_rows, nd)
-    for i, a in enumerate(psum.rows):
-        for b in psum.rows[i + 1:]:
-            br = [ZERO] * nd
-            for (p, q), cpq in basis.structure.items():
-                ap, bq, aq, bp = a[p], b[q], a[q], b[p]
-                if not ((ap and bq) or (aq and bp)):
-                    continue
-                c = ap * bq - aq * bp
-                if c:
-                    for k, x in cpq.items():
-                        br[k] = br[k] + c * x
+    for i, a in enumerate(psum.sparse_rows):
+        for b in psum.sparse_rows[i + 1:]:
+            br: Dict[int, GaussianRational] = {}
+            for p, ap in a.items():
+                for q, bq in b.items():
+                    if p < q:
+                        cpq, c = structure.get((p, q)), ap * bq
+                    else:
+                        cpq, c = structure.get((q, p)), -(ap * bq)
+                    if cpq:
+                        for k, x in cpq.items():
+                            br[k] = br[k] + c * x if k in br else c * x
             if not psum.contains_vector(br):
                 raise IsotropyError("p + conj(p) is not a subalgebra")
 
@@ -206,14 +209,12 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     # basis; lam[conj w, w] = -lam[w, conj w] decides it for conj(p)
     vals = []
     for w in h_d.rows:
-        x = [ZERO] * nd
-        for k, xk in basis.coords(w).items():
-            x[k] = xk
-        vals.append(GaussianRational(0, 1) *
-                    dot(x, jd.image(dict(enumerate(conj(x))))))
+        x = basis.coords(w)
+        vals.append(GaussianRational(0, 1) * dot(x, jd.image(conj(x))))
     pos = all(v.is_real() and v.re >= 0 for v in vals)
     if not pos and not is_real and all(v.is_real() and v.re <= 0 for v in vals):
-        h_d = Subspace([[x.conjugate() for x in w] for w in h_d.rows], basis.dim)
+        h_d = Subspace([{k: x.conjugate() for k, x in w.items()}
+                        for w in h_d.sparse_rows], basis.dim)
         pos = True
 
     # domain coordinate indices: complement of e in the flag, plus one index

@@ -43,7 +43,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ZERO, parse_gaussian
+from .gaussian import GaussianRational, ONE, ZERO, parse_gaussian
 from .linalg import (extend_echelon, identity, invert, is_zero, kernel,
                      reduce_row, rref, rref_kernel)
 
@@ -618,9 +618,10 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
     v is in the next level iff [n, v] lies in the previous one, i.e. every
     annihilator a of the previous level has a([e_i, v]) = 0 for every i;
     a([e_i, e_p]) sums over the nonzero structure constants only, read off
-    the entries (i, p) within n of ``spec.brackets``. A level
-    is the kernel of its condition rows C, and ker C has annihilator the
-    row space of C, so the one ``rref`` of C per level also gives the next
+    the entries (i, p) within n of ``spec.brackets``. A level is the kernel
+    of its condition rows C, built as sparse {p: a([e_i, e_p])} rows from
+    the sparse annihilator rows, and ker C has annihilator the row space of
+    C, so the one ``rref`` of C per level also gives the next
     level's annihilator (all of n* for the zero level). A level that does
     not grow raises NOT_NILPOTENT, naming where the series stops.
 
@@ -635,16 +636,18 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
         if i < nd and p < nd:
             consts[i] += ((p, m, c) for m, c in entry)
     levels: List[List[List[GaussianRational]]] = []
-    ann, dim = identity(nd), 0
+    ann: List[dict] = [{m: ONE} for m in range(nd)]
+    dim = 0
     while dim < nd:
         cond_rows = []
         for terms in consts:
             for a in ann:
-                row = [ZERO] * nd
+                row: Dict[int, GaussianRational] = {}
                 for p, m, c in terms:
-                    if a[m]:
-                        row[p] = row[p] + a[m] * c
-                if any(row):
+                    x = a.get(m)
+                    if x is not None:
+                        row[p] = row[p] + x * c if p in row else x * c
+                if row:
                     cond_rows.append(row)
         ann, pivots = rref(cond_rows)
         if nd - len(pivots) <= dim:

@@ -1,15 +1,22 @@
 """Row-echelon linear algebra over Q(i), exact only.
 
-Matrices are lists of row lists of GaussianRational (reduced integer
-triples (n + m i)/d). Every rank, kernel and inverse is exact, which is
-what makes the jump index machinery reproducible; an entry is zero when it
-is falsy (``not x``), the exact zero test.
+Matrices are lists of rows of GaussianRational (reduced integer triples
+(n + m i)/d), each row a dense list or a sparse {column: value} dict of its
+nonzero entries. Every rank, kernel and inverse is exact, which is what
+makes the jump index machinery reproducible; an entry is zero when it is
+falsy (``not x``), the exact zero test.
 
-Two routines do row operations: ``rref``, Gauss-Jordan elimination of a
-whole matrix (``rank``, ``kernel``, ``invert`` and ``Subspace`` build on
-it), and ``reduce_row``, one row against a growing echelon, which
-``extend_echelon`` appends to. Every independence and membership test of
-the package grows or reads such an echelon; no other module eliminates.
+One routine does row operations: ``_reduce``, which subtracts multiples of
+echelon rows from a sparse row and touches only the entries stored.
+``rref`` is Gauss-Jordan elimination on it: each incoming row is reduced
+against the echelon, and what is left becomes a new pivot row, cleared
+from the rows before it. ``rank``, ``kernel``, ``invert`` and ``Subspace``
+build on ``rref``; ``reduce_row`` and ``extend_echelon`` run ``_reduce``
+against a growing echelon of dense rows. Dense results write every zero
+entry as the shared ``ZERO``. An RREF is unique, so the sparse route
+returns what dense elimination did. Every independence and membership
+test of the package grows or reads such an echelon; no other module
+eliminates.
 
 Float values appear only at float points of g* (such as points moved by a
 dilation flow, whose coordinates pick up factors e^{t}), and nothing here
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .gaussian import GaussianRational, ZERO
 
@@ -32,6 +39,7 @@ GR1 = GaussianRational(1)
 
 Row = List
 Matrix = List[Row]
+SparseRow = Dict[int, object]
 
 
 FLOAT_TOL = 1e-9
@@ -51,57 +59,106 @@ def is_zero(x, tol: Optional[float] = None) -> bool:
     return zero_test(tol)(x)
 
 
-def rref(rows: Matrix) -> tuple[Matrix, List[int]]:
-    """Reduced row echelon form. Returns (rows, pivot column indices).
+def _sparse(row) -> SparseRow:
+    """A new {column: value} row of the nonzero entries of a dense row or
+    of a sparse one."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: x for c, x in items if x}
 
-    The pivot of each column is its first nonzero entry at or below the
-    current row.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        pivot_row = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if pivot_row is None:
+
+def _dense(row: SparseRow, ncols: int) -> Row:
+    """The dense row of length ncols, ``ZERO`` off the keys of row."""
+    out = [ZERO] * ncols
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def _reduce(v: SparseRow, rows: Iterable[SparseRow], pivots: Iterable[int]) -> SparseRow:
+    """The one row update: v -= v[c] * row for each echelon row and its
+    pivot c in order, in place, touching only the entries stored. Row k is
+    1 at ``pivots[k]`` and 0 at the pivots of the rows before it (as RREF
+    rows are), so each step clears its pivot for good."""
+    for row, c in zip(rows, pivots):
+        x = v.pop(c, None)
+        if x is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv if x else x for x in rows[r]]
-        pivot_row_vals = rows[r]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b if b else a
-                           for a, b in zip(rows[k], pivot_row_vals)]
-        pivots.append(c)
-        r += 1
-    return rows[: len(pivots)], pivots
+        for k, b in row.items():
+            if k == c:
+                continue
+            a = v.get(k)
+            if a is None:
+                v[k] = -(x * b)
+            else:
+                a = a - x * b
+                if a:
+                    v[k] = a
+                else:
+                    del v[k]
+    return v
 
 
-def rank(rows: Matrix) -> int:
+def _pivot_row(v: SparseRow) -> Tuple[int, SparseRow]:
+    """The first column of a nonzero sparse row, and the row scaled to 1
+    there."""
+    lead = min(v)
+    inv = v[lead]
+    return lead, {c: x / inv for c, x in v.items()}
+
+
+def rref(rows: Matrix) -> tuple[Matrix, List[int]]:
+    """Gauss-Jordan elimination: the RREF of a list of rows, by increasing
+    pivot, and the pivot columns. Sparse {column: value} rows come back
+    sparse; dense rows come back dense, of the length of the first, each
+    zero entry the shared ``ZERO``.
+
+    Each incoming row is reduced against the echelon so far; what is left,
+    if anything, is scaled to 1 at its first column, which becomes its
+    pivot, and cleared from the other rows. So every held row is 1 at its
+    pivot and 0 at every other pivot, the one RREF of the span."""
+    red: List[SparseRow] = []
+    pivots: List[int] = []
+    for row in rows:
+        v = _reduce(_sparse(row), red, pivots)
+        if not v:
+            continue
+        lead, v = _pivot_row(v)
+        for r in red:
+            _reduce(r, (v,), (lead,))
+        red.append(v)
+        pivots.append(lead)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    red = [red[k] for k in order]
+    if rows and not isinstance(rows[0], dict):
+        red = [_dense(r, len(rows[0])) for r in red]
+    return red, [pivots[k] for k in order]
+
+
+def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def kernel(rows: Matrix, ncols: int) -> Matrix:
-    """Basis of {x : rows @ x = 0} as row vectors of length ncols."""
-    return rref_kernel(*rref(rows), ncols)
+def kernel(rows, ncols: int) -> Matrix:
+    """Basis of {x : rows @ x = 0} as dense row vectors of length ncols;
+    the rows may be dense or sparse."""
+    return rref_kernel(*rref([_sparse(r) for r in rows]), ncols)
 
 
-def rref_kernel(red: Matrix, pivots: List[int], ncols: int) -> Matrix:
-    """``kernel`` of rows already in RREF with the given pivots: one vector
-    per free column f, 1 at f and minus column f of ``red`` at the pivots."""
-    free = [c for c in range(ncols) if c not in pivots]
+def rref_kernel(red: List[SparseRow], pivots: List[int], ncols: int) -> Matrix:
+    """``kernel`` of sparse rows already in RREF with the given pivots: one
+    vector per free column f, 1 at f and minus column f of ``red`` at the
+    pivots."""
+    taken = set(pivots)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in taken:
+            continue
         vec = [ZERO] * ncols
         vec[f] = GR1
         for row, p in zip(red, pivots):
-            vec[p] = -row[f]
+            x = row.get(f)
+            if x is not None:
+                vec[p] = -x
         basis.append(vec)
     return basis
 
@@ -111,48 +168,46 @@ def reduce_row(rows: Matrix, pivots: List[int], vec: Row) -> Row:
     ``pivots[k]`` and 0 at the pivots of the rows before it (as RREF rows
     are), so subtracting the rows in order clears each pivot for good, and
     vec lies in their span iff nothing is left."""
-    v = list(vec)
-    for row, c in zip(rows, pivots):
-        x = v[c]
-        if x:
-            v = [a - x * b if b else a for a, b in zip(v, row)]
-    return v
+    return _dense(_reduce(_sparse(vec), map(_sparse, rows), pivots), len(vec))
 
 
 def extend_echelon(rows: Matrix, pivots: List[int], vec: Row) -> Row:
     """``reduce_row`` vec and append what is left, if anything, scaled to 1
     at its first nonzero entry, that column being its pivot. Returns the
     remainder before scaling, nonzero iff vec was independent."""
-    v = reduce_row(rows, pivots, vec)
-    lead = next((c for c, x in enumerate(v) if x), None)
-    if lead is not None:
-        inv = v[lead]
-        rows.append([x / inv if x else x for x in v])
+    v = _reduce(_sparse(vec), map(_sparse, rows), pivots)
+    if v:
+        lead, row = _pivot_row(v)
+        rows.append(_dense(row, len(vec)))
         pivots.append(lead)
-    return v
+    return _dense(v, len(vec))
 
 
 def invert(rows: Matrix) -> Optional[Matrix]:
     """The inverse of a square matrix by one elimination of [rows | I], or
     None if it is singular."""
     size = len(rows)
-    red, pivots = rref([list(r) + unit for r, unit in zip(rows, identity(size))])
+    red, pivots = rref([{**_sparse(row), size + i: GR1}
+                        for i, row in enumerate(rows)])
     if pivots[:size] != list(range(size)):
         return None
-    return [row[size:] for row in red]
+    return [[row.get(c, ZERO) for c in range(size, 2 * size)] for row in red]
 
 
 class Subspace:
     """A subspace of the coordinate space, held in canonical RREF form.
 
-    Equality is literal row comparison of the RREF basis.
+    ``rows`` are the dense RREF rows and ``sparse_rows`` the same rows as
+    {column: value} dicts (not to be modified); equality is literal
+    comparison of the rows. The rows given may be dense or sparse.
     """
 
-    __slots__ = ("rows", "ambient_dim", "pivots")
+    __slots__ = ("rows", "ambient_dim", "pivots", "sparse_rows")
 
-    def __init__(self, rows: Iterable[Row], ambient_dim: int):
-        red, pivots = rref([list(r) for r in rows])
-        self.rows = red
+    def __init__(self, rows: Iterable, ambient_dim: int):
+        red, pivots = rref([_sparse(r) for r in rows])
+        self.sparse_rows = red
+        self.rows = [_dense(r, ambient_dim) for r in red]
         self.pivots = pivots
         self.ambient_dim = ambient_dim
 
@@ -160,14 +215,15 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains_vector(self, vec: Row) -> bool:
-        """Whether vec reduces to zero against the held RREF rows."""
-        return not any(reduce_row(self.rows, self.pivots, vec))
+    def contains_vector(self, vec) -> bool:
+        """Whether vec (dense or sparse) reduces to zero against the held
+        RREF rows."""
+        return not _reduce(_sparse(vec), self.sparse_rows, self.pivots)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # S cap T = annihilator of (ann S + ann T); ann is an involution.
-        ann = kernel(self.rows, self.ambient_dim) + \
-            kernel(other.rows, self.ambient_dim)
+        ann = kernel(self.sparse_rows, self.ambient_dim) + \
+            kernel(other.sparse_rows, self.ambient_dim)
         return Subspace(kernel(ann, self.ambient_dim), self.ambient_dim)
 
     def __eq__(self, other):

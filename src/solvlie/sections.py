@@ -31,8 +31,8 @@ from .algebra import LieAlgebraSpec
 from .functionals import Functional, adapted_values, exp_h_coadjoint
 from .gaussian import GaussianRational, ZERO
 from .linalg import Subspace, extend_echelon, invert, is_zero, kernel, zero_test
-from .strata import (LayerDescriptor, LayerMismatchError, jump_data,
-                     section_vectors)
+from .strata import (JumpData, LayerDescriptor, LayerMismatchError,
+                     jump_data, section_vectors)
 
 
 class NormalizationFailedError(ValueError):
@@ -225,41 +225,47 @@ class SectionOracle:
         """Evaluate the oracle's equations at f. The jump, nonzero and
         modulus equations read the adapted values f(Z_j), j <= n, once the
         jump pairs of f match the layer's."""
+        return self._member(f) is not None
+
+    def _member(self, f: Functional) -> Optional[JumpData]:
+        """The n* jump data of f when f is in the section, else None: the
+        reduction that decided membership, for a caller that reads more off
+        it (the Pfaffian of a Plancherel sample)."""
         vanishes = zero_test(f.tol)
         basis = self.basis
         e_set = self.n_layer.e_set
         jd = jump_data(f, basis, "n")
         if jd.e_set != e_set or jd.j_seq != self.n_layer.j_seq:
-            return False
+            return None
         try:
             sv = section_vectors(f, basis, jd, "n")
         except LayerMismatchError:
-            return False
+            return None
         zvals = adapted_values(f, basis.terms[:basis.n])   # f(Z_{p+1})
         zero = f.zero
         for j in e_set:
             if not vanishes(sum((x * zvals[p] for p, x in sv.z_adapted[j].items()),
                                 zero)):
-                return False
+                return None
         if self.kind == "Lambda":
-            return True
+            return jd
         e = set(e_set)
         if any(vanishes(z) for j, z in enumerate(zvals, start=1) if j not in e):
-            return False
+            return None
         if self.kind == "LambdaNu":
-            return True
+            return jd
         for j in self.phi:
             zv = zvals[j - 1]
             if not vanishes(zv * zv.conjugate() - 1):
-                return False
+                return None
         if self.kind == "SigmaCirc":
-            return True
+            return jd
         nd_full = basis.spec.n_dim
         for a in self.stab.a_basis:
             vec = [ZERO] * nd_full + [GaussianRational(c) for c in a]
             if not vanishes(f.value(vec)):
-                return False
-        return True
+                return None
+        return jd
 
     def as_dict(self):
         out = {
@@ -290,16 +296,16 @@ def _rational_circle_point(rng: random.Random) -> GaussianRational:
     return GaussianRational((1 - t * t) / d, 2 * t / d)
 
 
-def _sample_section(oracle: SectionOracle, rng: random.Random,
-                    phi) -> Functional:
-    """Rejection-sample an exact point of the oracle's section.
+def _draws(oracle: SectionOracle, rng: random.Random, phi):
+    """The candidate points of a rejection sample of the oracle's section,
+    200 at most.
 
     Each free adapted coordinate Z_j, j outside e, gets a nonzero integer
     in [-9, 9] (a nonzero Gaussian integer with parts in [-9, 9] when
     conj Z_j = Z_s, s > j, and its conjugate at Z_s); for j in phi it gets
     a point of the unit circle instead, -1 or 1 when Z_j is conj-stable.
-    Draws that the oracle rejects (a lower layer) are drawn again, up to
-    200 draws in all.
+    The caller keeps the first draw the oracle accepts; the others fall in
+    a lower layer.
     """
     _assert_simple_layer(oracle)
     basis = oracle.basis
@@ -328,10 +334,24 @@ def _sample_section(oracle: SectionOracle, rng: random.Random,
                     z = GaussianRational(re, im)
                 zvals[j - 1] = z
                 zvals[s - 1] = z.conjugate()
-        f = Functional.from_adapted(basis, zvals)
-        if oracle.contains(f):
-            return f
+        yield Functional.from_adapted(basis, zvals)
     raise UnsupportedLayerError("could not hit the generic layer by sampling")
+
+
+def _sample_section(oracle: SectionOracle, rng: random.Random,
+                    phi) -> Functional:
+    """Rejection-sample an exact point of the oracle's section."""
+    return next(f for f in _draws(oracle, rng, phi) if oracle.contains(f))
+
+
+def sample_lambda_nu_member(oracle: SectionOracle,
+                            rng: random.Random) -> Tuple[Functional, JumpData]:
+    """``sample_lambda_nu`` with the n* jump data of the point, read off the
+    reduction that accepted it."""
+    for f in _draws(oracle, rng, ()):
+        jd = oracle._member(f)
+        if jd is not None:
+            return f, jd
 
 
 def sample_lambda_nu(oracle: SectionOracle, rng: random.Random) -> Functional:

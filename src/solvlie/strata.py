@@ -218,17 +218,17 @@ class JumpData:
                              for a, b in zip(ys[g - 1], y_j)]
         dead = set(self.j_seq)
         rows = [y for g, y in enumerate(ys, start=1) if g not in dead]
-        dim, terms = self.basis.dim, self.basis.terms
+        terms = self.basis.terms
         real = []
         for y in rows:
-            # sum_p y_p Z_{p+1} over the real basis
-            out = [ZERO] * dim
+            # sum_p y_p Z_{p+1} over the real basis, as a sparse row
+            out = {}
             for p, x in enumerate(y):
                 if x:
                     for m, c in terms[p]:
-                        out[m] = out[m] + x * c
+                        out[m] = out[m] + x * c if m in out else x * c
             real.append(out)
-        return rows, Subspace(real, dim)
+        return rows, Subspace(real, self.basis.dim)
 
     def pfaffian(self) -> GaussianRational:
         """Pf(M_e) over e = ``e_set`` by increasing index:

@@ -19,9 +19,9 @@ from .algebra import (HypothesisViolation, LieAlgebraSpec, ValidationReport,
 from .functionals import Functional
 from .gaussian import GaussianRational
 from .sections import (SectionOracle, StabilizerData, UnsupportedLayerError,
-                       canonical_h_vectors, sample_lambda_nu, sample_sigma_circ,
-                       stabilizer_data)
-from .strata import LayerDescriptor, generic_layer, jump_data
+                       canonical_h_vectors, sample_lambda_nu_member,
+                       sample_sigma_circ, stabilizer_data)
+from .strata import LayerDescriptor, generic_layer
 
 SCHEMA = "solvlie-report/1"
 
@@ -197,9 +197,10 @@ class Workbench:
     # -- density samples ----------------------------------------------------
 
     def plancherel_samples(self, count: int = 3) -> dict:
-        def one(f: Functional):
-            # f lies on the n* layer, so its own reduction pairs exactly e
-            pf = jump_data(f, ambient="n").pfaffian()
+        def one(f: Functional, jd):
+            # jd is the n* reduction that put f in Lambda_nu: it pairs
+            # exactly e, and its Pfaffian is Pf(f)
+            pf = jd.pfaffian()
             return {
                 "point": {f"Z{j}": str(GaussianRational.coerce(v))
                           for j, v in ((j, f.z(j)) for j in self.stabilizer.nu)},
@@ -209,7 +210,8 @@ class Workbench:
         samples = []
         try:
             for _ in range(count):
-                samples.append(one(sample_lambda_nu(self.oracle_lambda_nu, rng)))
+                samples.append(one(*sample_lambda_nu_member(
+                    self.oracle_lambda_nu, rng)))
         except UnsupportedLayerError:
             return {"density": "|Pf| d(section) d(little-group dual)",
                     "samples": None,

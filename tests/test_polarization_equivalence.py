@@ -27,6 +27,7 @@ import polarization_oracle as oracle
 from conftest import VALID_IDS, wb_for
 from solvlie import admissibility as adm
 from solvlie import strata
+from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import LieAlgebraSpec, spec_from_dict
 from solvlie.functionals import Functional, sample_functional
 from solvlie.gaussian import GaussianRational as G
@@ -137,3 +138,43 @@ def test_center_reads_both_signs_of_a_bracket():
                                 [zero, zero, zero, zero, one]], 5)
     assert got.z_cap_h == Subspace([[zero] * 4 + [one]], 5)
     _assert_center_and_unimodularity_match(spec)
+
+
+def _replayed(rows_at, steps):
+    """jump_data whose polarization replays the given steps at a zero point,
+    where every subspace is isotropic: the rows of p are y_g for g in
+    rows_at."""
+    real = strata.jump_data
+    dead = tuple(g for g in range(1, 5) if g not in rows_at)
+
+    def replayed(l, basis=None, ambient="g"):
+        jd = real(l, basis, ambient)
+        return dataclasses.replace(jd, i_seq=dead, j_seq=dead, steps=steps)
+    return replayed
+
+
+def test_closure_check_reads_both_orders_of_a_bracket(monkeypatch):
+    # n = span(E1..E4) with [E3, E4] = E1 only, the adapted basis in that
+    # order. With a = Z1 + Z3 + Z4 and b = Z2 + Z3 + Z4, [a, b] = [Z3, Z4]
+    # + [Z4, Z3] = 0, so p is closed; reading [Z4, Z3] with the sign of
+    # [Z3, Z4] would give 2 Z1, outside p. With p = span(Z3, Z4), [Z3, Z4]
+    # = Z1 leaves p.
+    one = Fraction(1)
+    spec = LieAlgebraSpec(
+        "closure", ["E1", "E2", "E3", "E4"], ["A"],
+        {("E3", "E4"): {"E1": one}, ("A", "E1"): {"E1": 2 * one},
+         ("A", "E2"): {"E2": one}, ("A", "E3"): {"E3": one},
+         ("A", "E4"): {"E4": one}})
+    basis = build_adaptable_basis(spec, hint=[spec.basis_vector(m)[:4]
+                                              for m in range(4)])
+    zero = Functional(basis, [Fraction(0)] * 5, exact=True)
+    minus_one = ((1, -1, 1), (2, -1, 1))
+    monkeypatch.setattr(adm, "jump_data", _replayed(
+        (1, 2), (((1, 1), minus_one), ((1, 1), minus_one))))
+    pol = adm.polarization_data(zero, basis)
+    rows = [{"E1": one, "E3": one, "E4": one}, {"E2": one, "E3": one, "E4": one}]
+    assert pol.p == Subspace(map(spec.vector_from_labels, rows), spec.dim)
+    monkeypatch.setattr(adm, "jump_data", _replayed(
+        (3, 4), (((1, 1), ()), ((1, 1), ()))))
+    with pytest.raises(adm.IsotropyError, match="p \\+ conj\\(p\\) is not a subalgebra"):
+        adm.polarization_data(zero, basis)

@@ -10,7 +10,9 @@ from solvlie.functionals import exp_h_coadjoint
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import (NotInSectionError, SectionOracle,
                               UnsupportedLayerError, h_project,
-                              sample_lambda_nu, sample_sigma_circ)
+                              sample_lambda_nu, sample_lambda_nu_member,
+                              sample_sigma_circ)
+from solvlie.strata import jump_data
 
 
 # -- membership oracles ---------------------------------------------------------
@@ -339,3 +341,37 @@ def test_lambda_nu_invariant_under_dilation_flow():
         a[spec.index("B")] = rng.uniform(-1.5, 1.5)
         moved = exp_h_coadjoint(spec, a, f, mode="float")
         assert wb.oracle_lambda_nu.contains(moved)
+
+
+@pytest.mark.parametrize("entry_id", SAMPLABLE_IDS)
+def test_member_sampler_returns_the_accepting_reduction(entry_id):
+    # the point of sample_lambda_nu, with the n* jump data contains computed
+    wb = wb_for(entry_id)
+    oracle, basis = wb.oracle_lambda_nu, wb.oracle_lambda_nu.basis
+    for seed in range(3):
+        f = sample_lambda_nu(oracle, random.Random(seed))
+        g, jd = sample_lambda_nu_member(oracle, random.Random(seed))
+        assert g.values == f.values
+        want = jump_data(g, basis, "n")
+        assert (jd.i_seq, jd.j_seq) == (want.i_seq, want.j_seq)
+        assert jd.pfaffian() == want.pfaffian()
+
+
+def test_member_sampler_skips_rejected_draws(monkeypatch):
+    # draws the oracle rejects are drawn again, as in sample_lambda_nu
+    wb = wb_for("heisenberg-2param")
+    oracle = wb.oracle_lambda_nu
+    member = type(oracle)._member
+    seen = []
+
+    def reject_two(self, f):
+        seen.append(f.values)
+        return None if len(seen) <= 2 else member(self, f)
+
+    monkeypatch.setattr(type(oracle), "_member", reject_two)
+    g, jd = sample_lambda_nu_member(oracle, random.Random(5))
+    assert len(seen) == 3 and g.values == seen[2]
+    seen.clear()
+    f = sample_lambda_nu(oracle, random.Random(5))
+    assert len(seen) == 3 and f.values == g.values
+    assert jd.pfaffian() == jump_data(g, oracle.basis, "n").pfaffian()

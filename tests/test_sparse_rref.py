@@ -1,0 +1,185 @@
+"""The sparse Gauss-Jordan routine of ``solvlie.linalg`` against the dense
+row operations it replaced (rref_oracle.py).
+
+An RREF is unique, so ``rref`` (of dense rows, and of the same rows given
+sparse, which come back sparse), ``rank``, ``kernel``, ``invert``,
+``Subspace`` (rows, pivots, ``contains_vector``, ``==``, ``hash``),
+``reduce_row`` and ``extend_echelon`` must agree with the oracle on seeded
+matrices: empty and all-zero ones, zero and duplicate rows, full and
+deficient rank, complex entries, Fraction and int entries. Every zero entry
+the library writes is the shared ``ZERO``, where the oracle kept the zero it
+found; that changes no comparison and no hash.
+"""
+
+import random
+from fractions import Fraction
+
+import rref_oracle
+from solvlie import linalg
+from solvlie.gaussian import GaussianRational as G, ZERO
+
+
+def _entry(rng, kind):
+    if kind == "complex":
+        return G(rng.randint(-4, 4), rng.randint(-4, 4))
+    if kind == "real":
+        return G(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+
+def _matrix(rng, rows, cols, kind, rank=None, zero_rows=0, duplicates=0):
+    """rows x cols with the given entry kind; rank (when given) bounds it by
+    building every row from ``rank`` random ones. Zero and duplicate rows
+    are mixed in at random places."""
+    if rank is None:
+        out = [[_entry(rng, kind) for _ in range(cols)] for _ in range(rows)]
+    else:
+        base = [[_entry(rng, kind) for _ in range(cols)] for _ in range(rank)]
+        out = []
+        for _ in range(rows):
+            coef = [_entry(rng, kind) for _ in range(rank)]
+            out.append([sum((c * b[k] for c, b in zip(coef, base)), 0)
+                        for k in range(cols)])
+    zero = ZERO if kind != "fraction" else Fraction(0)
+    for _ in range(zero_rows):
+        out.insert(rng.randint(0, len(out)), [zero] * cols)
+    for _ in range(duplicates):
+        if out:
+            out.insert(rng.randint(0, len(out)), list(rng.choice(out)))
+    return out
+
+
+def _cases():
+    rng = random.Random(2901)
+    cases = [([], 0), ([[]], 0), ([[ZERO] * 4] * 3, 4), ([[0, 0], [0, 0]], 2),
+             ([[Fraction(0)] * 3], 3)]
+    for kind in ("complex", "real", "fraction"):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+            rank = rng.choice([None, 0, 1, min(rows, cols) // 2 + 1])
+            cases.append((_matrix(rng, rows, cols, kind, rank,
+                                  rng.randint(0, 2), rng.randint(0, 2)), cols))
+    # int entries: scaled unit rows, zero and duplicate rows, so that the
+    # int / int divisions of either routine are exact
+    for _ in range(20):
+        cols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            row = [0] * cols
+            if rng.random() < 0.8:
+                row[rng.randrange(cols)] = rng.choice([-3, -1, 1, 2, 5])
+            rows.append(row)
+        rows += [list(r) for r in rng.sample(rows, rng.randint(0, len(rows)))]
+        cases.append((rows, cols))
+    # int zeros next to Gaussian rationals
+    for _ in range(20):
+        cols = rng.randint(2, 6)
+        cases.append(([[rng.choice([0, 0, G(rng.randint(-3, 3), 1)])
+                        for _ in range(cols)] for _ in range(rng.randint(1, 5))],
+                      cols))
+    return cases
+
+
+CASES = _cases()
+
+
+def _zeros_are_shared(rows):
+    return all(x is ZERO for row in rows for x in row if not x)
+
+
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def test_rref_rank_kernel_agree_with_the_dense_oracle():
+    for k, (mat, cols) in enumerate(CASES):
+        got, want = linalg.rref(mat), rref_oracle.rref(mat)
+        assert got == want, k
+        assert _zeros_are_shared(got[0]), k
+        assert linalg.rank(mat) == rref_oracle.rank(mat), k
+        if mat and mat[0]:
+            sparse = [_sparse(row) for row in mat]
+            red, pivots = linalg.rref(sparse)
+            assert all(isinstance(row, dict) for row in red), k
+            assert ([[row.get(c, ZERO) for c in range(cols)] for row in red],
+                    pivots) == got, k
+            want = rref_oracle.kernel(mat, cols)
+            assert linalg.kernel(mat, cols) == want, k
+            assert linalg.kernel(sparse, cols) == want, k
+            assert linalg.rank(sparse) == rref_oracle.rank(mat), k
+
+
+def test_subspace_agrees_with_the_dense_oracle():
+    rng = random.Random(2905)
+    for k, (mat, cols) in enumerate(CASES):
+        got, want = linalg.Subspace(mat, cols), rref_oracle.Subspace(mat, cols)
+        assert (got.rows, got.pivots, got.dim) == \
+            (want.rows, want.pivots, want.dim), k
+        assert got == want and hash(got) == hash(want), k
+        assert _zeros_are_shared(got.rows), k
+        assert linalg.Subspace([_sparse(row) for row in mat], cols) == got, k
+        probes = mat + [[G(rng.randint(-2, 2)) for _ in range(cols)]
+                        for _ in range(3)]
+        for vec in probes:
+            assert got.contains_vector(vec) == want.contains_vector(vec), k
+            assert got.contains_vector(_sparse(vec)) == want.contains_vector(vec), k
+
+
+def test_subspace_equality_and_hash_follow_the_span():
+    rng = random.Random(2902)
+    for _ in range(40):
+        cols = rng.randint(1, 6)
+        mat = _matrix(rng, rng.randint(1, 5), cols, "complex",
+                      rng.choice([None, 1, 2]))
+        mixed = [list(r) for r in mat]
+        rng.shuffle(mixed)
+        mixed.append([sum(x, ZERO) for x in zip(*mat)])
+        a, b = linalg.Subspace(mat, cols), linalg.Subspace(mixed, cols)
+        assert a == b and hash(a) == hash(b)
+        assert a == rref_oracle.Subspace(mixed, cols)
+
+
+def test_invert_agrees_with_the_dense_oracle():
+    for k, (mat, cols) in enumerate(CASES):
+        if not mat or len(mat) > cols:
+            continue
+        square = [row[:len(mat)] for row in mat]
+        got, want = linalg.invert(square), rref_oracle.invert(square)
+        assert got == want, k
+        assert got is None or _zeros_are_shared(got), k
+
+
+def test_invert_of_random_square_matrices():
+    rng = random.Random(2903)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        mat = _matrix(rng, n, n, rng.choice(["complex", "real", "fraction"]),
+                      rng.choice([None, None, n - 1]))
+        assert linalg.invert(mat) == rref_oracle.invert(mat)
+
+
+def test_reduce_row_and_extend_echelon_agree_with_the_dense_oracle():
+    rng = random.Random(2904)
+    for _ in range(60):
+        cols = rng.randint(1, 6)
+        kind = rng.choice(["complex", "real", "fraction"])
+        vecs = _matrix(rng, rng.randint(1, 7), cols, kind,
+                       rng.choice([None, 1, 2]), rng.randint(0, 1),
+                       rng.randint(0, 2))
+        got_rows, got_piv, want_rows, want_piv = [], [], [], []
+        for vec in vecs:
+            assert linalg.reduce_row(got_rows, got_piv, vec) == \
+                rref_oracle.reduce_row(want_rows, want_piv, vec)
+            got = linalg.extend_echelon(got_rows, got_piv, vec)
+            want = rref_oracle.extend_echelon(want_rows, want_piv, vec)
+            assert got == want
+            assert (got_rows, got_piv) == (want_rows, want_piv)
+            assert _zeros_are_shared([got]) and _zeros_are_shared(got_rows)
+
+
+def test_shared_zero_compares_and_hashes_like_every_zero():
+    for zero in (0, Fraction(0), G(0), G(Fraction(0), Fraction(0))):
+        assert zero == ZERO and ZERO == zero
+        assert hash(zero) == hash(ZERO)
+        assert [zero, G(1)] == [ZERO, G(1)]
+        assert hash((zero, G(1))) == hash((ZERO, G(1)))
