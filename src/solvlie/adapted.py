@@ -140,7 +140,9 @@ class AdaptableBasis:
 
     ``layer_tables`` memoizes, on first use, the case table of ``strata``
     per (ambient, i_seq, j_seq) and its orbit-form table under
-    "orbit_form"; ``with_h_part`` starts it empty.
+    "orbit_form"; ``with_h_part`` starts it empty. ``n_form_entries``
+    holds, once built, the orbit-form entries of ``structure``, which
+    depend on the n part alone; ``with_h_part`` keeps them.
     """
 
     def __init__(self, spec: LieAlgebraSpec, nvecs: Sequence[Vector],
@@ -149,6 +151,7 @@ class AdaptableBasis:
         if hvecs is None:
             hvecs = [spec.basis_vector(spec.n_dim + t) for t in range(spec.h_dim)]
         self.nvecs = [tuple(v) for v in nvecs]
+        self.n_form_entries: Optional[tuple] = None
         if len(self.nvecs) != spec.n_dim or len(hvecs) != spec.h_dim:
             raise HintInvalidError(1, "wrong number of basis vectors")
         if any(any(not v[m].is_zero() for m in range(spec.n_dim, spec.dim))
@@ -345,7 +348,9 @@ class AdaptableBasis:
         h, which also inverts the h block), and the rows of C for the
         brackets with them rebuilt: the n-part checks, sigma, the weights,
         alpha, ``structure`` and the n-block inverse do not depend on them.
-        The n-part flags built so far are kept; the case tables are not.
+        The orbit-form entries of ``structure`` built so far
+        (``n_form_entries``) are kept, so they are composed once for both
+        bases; the case tables and the orbit-form table are not.
         """
         out = copy.copy(self)
         out._set_h_part(hvecs)

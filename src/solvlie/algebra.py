@@ -35,7 +35,6 @@ spec, shared by validation and the adapted-basis construction.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO, parse_gaussian
+from .gaussian import GaussianRational, ONE, ZERO, _FIELDS, parse_gaussian
 from .linalg import (extend_echelon, identity, invert, is_zero, kernel,
                      reduce_row, rref, rref_kernel)
 
@@ -100,13 +99,14 @@ class LieAlgebraSpec:
             for lab in (x, y):
                 if lab not in self._index:
                     raise SpecFormatError(f"unknown basis label {lab!r}")
-            coords = [Fraction(0)] * ndim
+            coords: Dict[int, Fraction] = {}
             for blab, c in combo.items():
-                if blab not in self._index or self._index[blab] >= ndim:
+                m = self._index.get(blab)
+                if m is None or m >= ndim:
                     raise SpecFormatError(
                         f"bracket value label {blab!r} is not in the nilpotent basis")
-                coords[self._index[blab]] += c
-            if all(c == 0 for c in coords):
+                coords[m] = coords[m] + c if m in coords else c
+            if not any(coords.values()):
                 continue
             i, j = self._index[x], self._index[y]
             if i >= ndim and j >= ndim:
@@ -115,7 +115,8 @@ class LieAlgebraSpec:
             if i == j:
                 self.antisymmetry_conflicts.append((x, y))
                 continue
-            entry = tuple((m, GaussianRational(c)) for m, c in enumerate(coords) if c)
+            entry = tuple((m, GaussianRational(c))
+                          for m, c in sorted(coords.items()) if c)
             if (i, j) in table:     # [y, x] came first
                 if table[(i, j)] != entry:
                     self.antisymmetry_conflicts.append((x, y))
@@ -544,15 +545,16 @@ def root_factor(weights: Sequence[GaussianRational]):
     (None, why) when there is none, ``why`` being "imaginary" when Re gamma
     = 0 != Im gamma and "partly imaginary" when gamma is purely imaginary on
     part of h only."""
-    re_part = [w.re for w in weights]
-    im_part = [w.im for w in weights]
-    if all(x == 0 for x in re_part):
-        return (None, "imaginary") if any(im_part) else (None, None)
-    t0 = next(i for i, x in enumerate(re_part) if x != 0)
-    alpha = im_part[t0] / re_part[t0]
-    if any(im != alpha * re for re, im in zip(re_part, im_part)):
+    # w = (n + m i) / d: Re w = 0 iff n = 0, and Im w = alpha Re w with
+    # alpha = m0 / n0 iff m n0 = m0 n
+    fields = [_FIELDS(w)[:2] for w in weights]
+    t0 = next((t for t, (n, _) in enumerate(fields) if n), None)
+    if t0 is None:
+        return (None, "imaginary") if any(m for _, m in fields) else (None, None)
+    n0, m0 = fields[t0]
+    if any(m * n0 != m0 * n for n, m in fields):
         return None, "partly imaginary"
-    return alpha, None
+    return Fraction(m0, n0), None
 
 
 def check_exponential_roots(spaces: List[WeightSpace]) -> Optional[str]:
@@ -659,6 +661,45 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
     return levels
 
 
+def _jacobi_witness(spec: LieAlgebraSpec) -> Optional[Tuple[str, ...]]:
+    """The names of the first basis triple a < b < c, in
+    ``itertools.combinations`` order, whose Jacobi sum
+    [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b] is nonzero,
+    or None.
+
+    Only the products C_xy^k C_kz^m that exist are visited: for each
+    nonzero bracket (x, y) of ``spec.brackets``, each k of it and each z
+    with [e_k, e_z] nonzero. When (x, y, z) is a cyclic order of its sorted
+    triple, the product adds to that triple's sum at m; the other orders
+    are the same terms with the sign of [e_y, e_x], and are skipped."""
+    table = spec.brackets
+    # the (z, [e_k, e_z]) of each k
+    after: Dict[int, List[tuple]] = {}
+    for (k, z), entry in table.items():
+        after.setdefault(k, []).append((z, entry))
+    sums: Dict[Tuple[int, int, int], Dict[int, GaussianRational]] = {}
+    for (x, y), entry in table.items():
+        for k, u in entry:
+            for z, inner in after.get(k, ()):
+                if x < y:
+                    if z > y:
+                        triple = (x, y, z)
+                    elif z < x:
+                        triple = (z, x, y)
+                    else:
+                        continue
+                elif y < z < x:
+                    triple = (y, z, x)
+                else:
+                    continue
+                total = sums.setdefault(triple, {})
+                for m, w in inner:
+                    total[m] = total[m] + u * w if m in total else u * w
+    first = min((t for t, total in sums.items() if any(total.values())),
+                default=None)
+    return None if first is None else tuple(spec.names[i] for i in first)
+
+
 def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
     """Run the standing-hypothesis checks; failures are itemized with witnesses.
 
@@ -683,21 +724,7 @@ def validate_spec(spec: LieAlgebraSpec) -> ValidationReport:
     else:
         add(CheckResult("h_abelian", True))
 
-    # Jacobi on the basis triples with a nonzero bracket, from the sparse
-    # structure constants
-    jac_witness = None
-    table = spec.brackets
-    for a, b, c in itertools.combinations(range(spec.dim), 3):
-        if (a, b) not in table and (b, c) not in table and (a, c) not in table:
-            continue
-        total: Dict[int, GaussianRational] = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for k, u in spec.bracket_sparse(x, y):      # [[e_x, e_y], e_z]
-                for m, w in spec.bracket_sparse(k, z):
-                    total[m] = total.get(m, ZERO) + u * w
-        if any(total.values()):
-            jac_witness = (spec.names[a], spec.names[b], spec.names[c])
-            break
+    jac_witness = _jacobi_witness(spec)
     if jac_witness:
         add(CheckResult("jacobi", False, "JACOBI_FAIL",
                         f"Jacobi identity fails on {jac_witness}",

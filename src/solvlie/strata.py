@@ -16,18 +16,19 @@ Z_j(l) are produced case by case; they cut out the orbit cross-sections.
 M[p][q] = sum_k C_pq^k l(Z_k) is, through the adapted structure constants
 and the adapted vectors, an integer linear form in the values of l on the
 real basis, over one denominator. These forms are composed once per basis
-(``_form_table``), so a point is read only through its real coordinates
-and M is filled once per point into sparse rows, one pair of entries per
-nonzero bracket, with no dense matrix and no adapted values. At an exact
-point the rows hold D M, D the table's denominator times the point's, as
-Gaussian integers built with no gcd: a plain int for a real entry, a
-GaussianRational with denominator 1 for any other (at a float point D is
-1 and the rows hold M). These rows are the one copy of the form a point
-keeps (``JumpData.form``, with D as ``JumpData.den``): the jump reduction
-runs on a copy of them, every product M y is read off them with y taken
-over D (``JumpData.image``), and the Plancherel Pfaffian is read off the
-pivots of that reduction (``JumpData.pfaffian``). The section vectors are
-computed in coordinates over the adapted vectors, where
+(``_form_table``; those of the n part once per n part, kept by the
+``with_h_part`` copies), so a point is read only through its real
+coordinates and M is filled once per point into sparse rows, one pair of
+entries per nonzero bracket, with no dense matrix and no adapted values.
+At an exact point the rows hold D M, D the table's denominator times the
+point's, as Gaussian integers built with no gcd: a plain int for a real
+entry, a GaussianRational with denominator 1 for any other (at a float
+point D is 1 and the rows hold M). These rows are the one copy of the form
+a point keeps (``JumpData.form``, with D as ``JumpData.den``): the jump
+reduction runs on a copy of them, every product M y is read off them with
+y taken over D (``JumpData.image``), and the Plancherel Pfaffian is read
+off the pivots of that reduction (``JumpData.pfaffian``). The section
+vectors are computed in coordinates over the adapted vectors, where
 Re Z_i = (Z_i + Z_sigma(i)) / 2 and Im Z_i = (Z_i - Z_sigma(i)) / 2i, and
 paired through that product.
 
@@ -80,7 +81,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from types import MappingProxyType
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
@@ -261,6 +262,40 @@ class FormTable(NamedTuple):
     den: int                     # lcm of the entry denominators d
 
 
+def _compose(rows, terms) -> Tuple[tuple, ...]:
+    """The entries (p, q, re, im, d) of ``_form_table`` for the rows of C
+    in rows ({(p, q): {k: C_pq^k}}), composed with ``terms`` on the
+    integer fields of the GaussianRationals.
+
+    Each coefficient a_m + i b_m = sum_k C_pq^k t_km is summed over the one
+    denominator D of its products, in the order the m first appear; the
+    least denominator of the entry is d = D / g with g = gcd(D, every a_m
+    and b_m), since the least denominator of a_m / D is D / gcd(a_m, D).
+    The coefficients over d are a_m / g and b_m / g, each exact."""
+    out = []
+    for (p, q), row in rows.items():
+        prods = []
+        for k, c in row.items():
+            cn, cm, cd = _FIELDS(c)
+            for m, t in terms[k]:
+                tn, tm, td = _FIELDS(t)
+                prods.append((m, cn * tn - cm * tm, cn * tm + cm * tn,
+                              cd * td))
+        big = lcm(*(x[3] for x in prods))
+        coef: Dict[int, List[int]] = {}
+        for m, a, b, dd in prods:
+            s = big // dd
+            ab = coef.setdefault(m, [0, 0])
+            ab[0] += a * s
+            ab[1] += b * s
+        g = gcd(big, *(x for ab in coef.values() for x in ab))
+        out.append((p, q,
+                    tuple((m, a // g) for m, (a, _) in coef.items() if a),
+                    tuple((m, b // g) for m, (_, b) in coef.items() if b),
+                    big // g))
+    return tuple(out)
+
+
 def _form_table(basis: AdaptableBasis) -> FormTable:
     """The orbit form as integer linear forms in a point's real
     coordinates, built once per basis and kept in ``basis.layer_tables``.
@@ -270,25 +305,21 @@ def _form_table(basis: AdaptableBasis) -> FormTable:
     = (sum_m a_m x_m + i sum_m b_m x_m) / d, with (m, a_m) in re and
     (m, b_m) in im the nonzero integer coefficients over the values x_m of
     l on the real basis, composed from the adapted structure constants and
-    ``terms``; s = den / d brings it over the table's one denominator
-    ``den``. The entries run by q, then by p, as the keys of ``structure``
-    and then ``h_structure`` do."""
+    ``terms`` (``_compose``); s = den / d brings it over the table's one
+    denominator ``den``. The entries run by q, then by p, as the keys of
+    ``structure`` and then ``h_structure`` do.
+
+    The entries with q < n depend on ``structure`` and the n-part terms
+    only, which ``with_h_part`` keeps: they are composed once per n part
+    and kept in ``basis.n_form_entries``, which a copy made after that
+    keeps. A basis composes only its ``h_structure`` entries, then ``den``
+    and the scales s."""
     table = basis.layer_tables.get("orbit_form")
     if table is not None:
         return table
-    entries = []
-    for rows in (basis.structure, basis.h_structure):
-        for (p, q), row in rows.items():
-            coef: Dict[int, GaussianRational] = {}
-            for k, c in row.items():
-                for m, t in basis.terms[k]:
-                    coef[m] = coef.get(m, ZERO) + c * t
-            parts = [(m, x.re, x.im) for m, x in coef.items() if x]
-            d = lcm(*(y.denominator for _, a, b in parts for y in (a, b)))
-            entries.append((p, q,
-                            tuple((m, int(a * d)) for m, a, _ in parts if a),
-                            tuple((m, int(b * d)) for m, _, b in parts if b),
-                            d))
+    if basis.n_form_entries is None:
+        basis.n_form_entries = _compose(basis.structure, basis.terms)
+    entries = basis.n_form_entries + _compose(basis.h_structure, basis.terms)
     den = lcm(*(e[4] for e in entries))
     table = basis.layer_tables["orbit_form"] = FormTable(
         tuple(e + (den // e[4],) for e in entries), den)
