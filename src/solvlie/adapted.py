@@ -209,13 +209,7 @@ class AdaptableBasis:
 
     def self_conjugate_steps(self) -> Tuple[int, ...]:
         """1-based flag indices j (plus 0) with conj-stable span, over all of g."""
-        out = [0]
-        reach = 0   # the largest sigma(p) over p <= j
-        for j in range(1, self.dim + 1):
-            reach = max(reach, self.sigma[j])
-            if reach <= j:
-                out.append(j)
-        return tuple(out)
+        return self._conj_steps
 
     # -- verification ------------------------------------------------------
 
@@ -298,10 +292,7 @@ class AdaptableBasis:
             else:
                 sigma[j] = j
         self.sigma = tuple(sigma)
-        for j in range(1, dim + 1):
-            if _conj_terms(terms[j - 1]) != terms[self.sigma[j] - 1]:
-                raise HintInvalidError(2, f"conjugate of vector {j} is not "
-                                          f"vector {self.sigma[j]}")
+        self._conj_steps = tuple(j for j, s in enumerate(conj_stable) if s)
 
         # condition 4: gamma_j(A_t) is the diagonal coefficient of [A_t, Z_j];
         # the h-part vectors have weight 0 ([h, h] = 0)

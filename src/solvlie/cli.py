@@ -3,7 +3,7 @@
     solvlie validate  SPEC.json
     solvlie analyze   SPEC.json [--seed N] [--trials N] [--format json|text]
     solvlie admissible SPEC.json
-    solvlie corpus    list | run [ID ...]
+    solvlie corpus    list | run [ID ...] [--seed N]
 
 Exit codes: validate 0 pass / 2 hypothesis violation or invalid hint /
 3 unreadable file or parse error (a malformed spec or non-UTF-8 text
@@ -13,8 +13,8 @@ polarization that fails its isotropy checks included); admissible 0
 admissible, 1 not admissible, 2 invalid input (an unreadable or malformed
 file and an invalid hint included) or one of the same sampling or
 pipeline failures.
-A malformed command line, --trials below 1 included, prints the usage and
-exits 2.
+--trials is an option of analyze only. A malformed command line, --trials
+below 1 included, prints the usage and exits 2.
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ def cmd_corpus(args) -> int:
                   f"tags={','.join(tags)}{note}")
         return 0
     try:
-        rows = corpus_mod.run_corpus(args.ids or None, seed=args.seed,
-                                     trials=args.trials)
+        rows = corpus_mod.run_corpus(args.ids or None, seed=args.seed)
     except KeyError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -216,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("ids", nargs="*")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=_positive_int, default=24)
     p.set_defaults(fn=cmd_corpus)
     return ap
 

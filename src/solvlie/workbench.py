@@ -25,6 +25,10 @@ from .strata import LayerDescriptor, generic_layer
 
 SCHEMA = "solvlie-report/1"
 
+# the Plancherel density is reported at this many sampled points of the
+# section of Lambda_nu
+PLANCHEREL_SAMPLES = 3
+
 CITATIONS = {
     "validation": "standing hypotheses: nilpotent n, abelian h acting "
                   "diagonalizably with no purely imaginary root",
@@ -196,7 +200,7 @@ class Workbench:
 
     # -- density samples ----------------------------------------------------
 
-    def plancherel_samples(self, count: int = 3) -> dict:
+    def plancherel_samples(self) -> dict:
         def one(f: Functional, jd):
             # jd is the n* reduction that put f in Lambda_nu: it pairs
             # exactly e, and its Pfaffian is Pf(f)
@@ -209,7 +213,7 @@ class Workbench:
         rng = random.Random(self.seed + 5)
         samples = []
         try:
-            for _ in range(count):
+            for _ in range(PLANCHEREL_SAMPLES):
                 samples.append(one(*sample_lambda_nu_member(
                     self.oracle_lambda_nu, rng)))
         except UnsupportedLayerError:

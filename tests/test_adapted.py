@@ -1,10 +1,13 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import corpus_entry
+from conftest import VALID_IDS, corpus_entry, wb_for
 from jump_oracle import flag
+from section_oracle import _self_conjugate_steps
 from solvlie.adapted import HintInvalidError, build_adaptable_basis
 from solvlie.algebra import spec_from_dict
 from solvlie.gaussian import GaussianRational as G
@@ -184,3 +187,32 @@ def test_hint_failure_reports_condition_and_step(case):
         build_adaptable_basis(spec, hint=hint)
     assert err.value.condition == condition
     assert str(err.value) == f"adapted-basis condition {condition} fails: {message}"
+
+
+_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
+
+
+def _generated_specs(seeds):
+    gen = importlib.util.spec_from_file_location("specgen", _SPECGEN)
+    specgen = importlib.util.module_from_spec(gen)
+    gen.loader.exec_module(specgen)
+    return [spec_from_dict(doc) for seed in seeds
+            for doc, _ in specgen.generate(seed)]
+
+
+def test_self_conjugate_steps_are_the_verified_positions():
+    # the positions kept from verification are those the oracle reads off
+    # sigma: on the corpus bases (hinted, constructed and the Workbench's
+    # h-part swap) and the constructed bases of specgen seeds 1-3
+    bases = []
+    for entry_id in VALID_IDS:
+        spec = corpus_entry(entry_id).spec()
+        bases.append(build_adaptable_basis(spec))
+        if spec.adaptable_hint is not None:
+            bases.append(_basis(entry_id)[1])
+        bases.append(wb_for(entry_id).canonical_basis)
+    bases += [build_adaptable_basis(spec) for spec in _generated_specs((1, 2, 3))]
+    assert len(bases) == 10 + 6 + 10 + 21
+    assert any(len(b.self_conjugate_steps()) <= b.dim for b in bases)
+    for basis in bases:
+        assert basis.self_conjugate_steps() == _self_conjugate_steps(basis)

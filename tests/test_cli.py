@@ -169,9 +169,20 @@ def test_analyze_trials_below_one_is_a_usage_error(corpus_dir, trials):
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_corpus_run_trials_below_one_is_a_usage_error(trials):
+    # corpus run takes no --trials at all, so any count is refused
     proc = run_cli("corpus", "run", "--trials", trials)
     assert proc.returncode == 2
     assert "usage:" in proc.stderr and "--trials" in proc.stderr
+    assert "MISMATCHED" not in proc.stderr
+
+
+def test_corpus_run_has_no_trials_option():
+    # the corpus checks are exact, so corpus run samples at the package
+    # default; --trials belongs to analyze only
+    proc = run_cli("corpus", "run", "--trials", "5")
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "unrecognized arguments: --trials 5" in proc.stderr
     assert "MISMATCHED" not in proc.stderr
 
 
