@@ -79,9 +79,11 @@ def corpus_entries() -> List[CorpusEntry]:
 
 def _coords(spec, coords: Dict[str, str], offset: int = 0) -> List[Fraction]:
     """The vector of g with the given coordinates by label, or of h when
-    offset is n_dim."""
+    offset is n_dim. Raises ValueError for a label of n in h."""
     vals = [Fraction(0)] * (spec.dim - offset)
     for lab, v in coords.items():
+        if spec.index(lab) < offset:
+            raise ValueError(f"{lab!r} is not a coordinate of h")
         vals[spec.index(lab) - offset] = Fraction(v)
     return vals
 

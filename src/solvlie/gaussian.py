@@ -150,7 +150,10 @@ class GaussianRational:
                 return _reduced(n * p, 0, self._d * other._d)
             return _reduced(n * p - m * q, n * q + m * p, self._d * other._d)
         if type(other) is int:
-            # the exact kernels' integer entries
+            # the exact kernels' integer entries; a Gaussian integer times
+            # one stays in lowest terms over d = 1, with no gcd
+            if self._d == 1:
+                return _made(self._n * other, self._m * other, 1)
             return _reduced(self._n * other, self._m * other, self._d)
         if isinstance(other, (int, Fraction)):
             p = other.numerator
@@ -224,7 +227,8 @@ class GaussianRational:
 
     def __hash__(self):
         if not self._m:
-            return hash(self.re)
+            # an integer hashes as the int and the Fraction of its value
+            return hash(self._n) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
@@ -315,10 +319,17 @@ def parse_gaussian(text: str) -> GaussianRational:
     raise ValueError(f"not a Gaussian rational: {text!r}")
 
 
+def _format_part(p: int, d: int) -> str:
+    """p / d in lowest terms, as ``str(Fraction(p, d))`` prints it. The
+    fields of a value are in lowest terms jointly, not part by part
+    ((2 + i) / 2 has the real part 1), so each part takes its own gcd."""
+    g = gcd(p, d)
+    return str(p // g) if g == d else f"{p // g}/{d // g}"
+
+
 def format_gaussian(z: GaussianRational) -> str:
-    if z.im == 0:
-        return str(z.re)
-    if z.re == 0:
-        return f"{z.im} i"
-    sign = "+" if z.im > 0 else "-"
-    return f"{z.re}{sign}{abs(z.im)} i"
+    n, m, d = _FIELDS(z)
+    if not m:
+        return _format_part(n, d)
+    im = f"{_format_part(m, d)} i"          # signed: "-1/2 i"
+    return f"{_format_part(n, d)}{'+' if m > 0 else ''}{im}" if n else im

@@ -46,11 +46,17 @@ FLOAT_TOL = 1e-9
 
 
 @lru_cache(maxsize=16)
-def zero_test(tol: Optional[float] = None) -> Callable[[object], bool]:
+def zero_test(tol: Optional[float] = None, scaled=False) -> Callable:
     """The zero test as a one-argument predicate: exact (``not x``) without
-    a tolerance, else |x| <= tol. A kernel binds it once per call."""
+    a tolerance, else |x| <= tol. A kernel binds it once per call.
+
+    With scaled, the predicate takes (x, s) and tests x / s for a nonzero
+    scale s: exact, it tests x itself, since a nonzero factor changes no
+    exact zero test, and divides nothing; else |x / s| <= tol."""
     if tol is None:
-        return operator.not_
+        return (lambda x, s: not x) if scaled else operator.not_
+    if scaled:
+        return lambda x, s: abs(x / s) <= tol
     return lambda x: abs(x) <= tol
 
 

@@ -44,9 +44,9 @@ they are divided back to the Pfaffian minors of D M, an exact division.
 
 Which case of the section-vector table each pair falls in depends only on
 the jump pairs, not on the point. So the case table (conj-stable positions,
-primes, case sets) is built once per (ambient, i_seq, j_seq) and kept,
-read-only, on the basis (``AdaptableBasis.layer_tables``, which also keeps
-the form table); the points of
+primes, case sets, and e) is built once per (ambient, i_seq, j_seq) and
+kept, read-only, on the basis (``AdaptableBasis.layer_tables``, which also
+keeps the form table and the h-weight table); the points of
 one layer share it, and only the descriptor ``generic_layer`` returns gets
 its own copies.
 
@@ -64,7 +64,14 @@ ambients; only the other layers build section vectors per sampled point.
 (``_sample_key``): the same fill, reduction and key rule
 (``_layer_key``), with no Functional, JumpData or descriptor per sample.
 A full ``layer_descriptor`` runs once per distinct key, and on the samples
-of layers that are not keyed.
+of layers that are not keyed. The key is read in integers only: phi
+replays the h-steps fraction-free (``_reduction_phi``), each replayed
+vector carrying one nonzero scale, and sums over an integer table of the
+h weights (``_gamma_table``, built once per basis and kept in
+``basis.layer_tables``). A nonzero scale changes no exact zero test; at a
+float point the test divides each sum by its scale once. The form table,
+the ambient size and the case tables, which also hold the sorted e of the
+key, are looked up once per ``generic_layer`` call, not per sample.
 
 All decisions are exact over Q(i). The kernels also run at a float point
 (one moved by a dilation flow, which the membership oracles may be asked
@@ -165,9 +172,11 @@ class JumpData:
     @property
     def reductions(self) -> Tuple[Tuple[Tuple[int, object], ...], ...]:
         """The (g, c) of each step, y_g <- y_g - c * y_{j_k}, read off
-        ``steps``: exact over Q(i) at an exact point. Built on each
-        access."""
-        return tuple(_coefficients(red) for _, red in self.steps)
+        ``steps`` as c = num / den: a GaussianRational from integer or
+        Gaussian-integer parts at an exact point, a complex from floats.
+        Built on each access."""
+        return tuple(tuple((g, GR1 * num / den) for g, num, den in red)
+                     for _, red in self.steps)
 
     def image(self, y: Mapping[int, object]) -> dict:
         """M y for the coordinates {q: y_q} of y over the adapted vectors,
@@ -246,13 +255,6 @@ class JumpData:
         back: the same pivots, and Pf(D M_e) = D^d Pf(M_e)."""
         self._require_exact("pfaffian")
         return _pivot_pfaffian(self.i_seq, self.j_seq, self.steps, self.den)
-
-
-def _coefficients(red) -> Tuple[Tuple[int, object], ...]:
-    """The (g, c) of one step of ``steps``, c = num / den: a
-    GaussianRational from integer or Gaussian-integer parts, a float from
-    floats."""
-    return tuple((g, GR1 * num / den) for g, num, den in red)
 
 
 class FormTable(NamedTuple):
@@ -655,6 +657,7 @@ class CaseTable(NamedTuple):
     keyed: bool
     h_pairs: Tuple[Tuple[int, int], ...]     # (i_k, j_k), i_k <= n < j_k
     blocks: Tuple[int, ...]                  # k opening a case-4/5 block
+    e: Tuple[int, ...]                       # i_seq and j_seq, sorted
 
 
 def _case_table(basis: AdaptableBasis, ambient: str,
@@ -679,7 +682,8 @@ def _case_table(basis: AdaptableBasis, ambient: str,
     open a block on any layer, keyed or not: there ``section_vectors``
     takes Z_{i_{k+1}} from the pending combination of pair k. The h pairs
     are the (i_k, j_k) with i_k <= n < j_k, the only pairs whose b value
-    can be nonzero on a keyed layer."""
+    can be nonzero on a keyed layer. ``e`` is the union of the pairs,
+    sorted: the e of the layer key."""
     key = (ambient, i_seq, j_seq)
     table = basis.layer_tables.get(key)
     if table is not None:
@@ -739,8 +743,28 @@ def _case_table(basis: AdaptableBasis, ambient: str,
         tuple(stable), MappingProxyType(primes),
         MappingProxyType({c: tuple(v) for c, v in cases.items()}),
         MappingProxyType({c: frozenset(v) for c, v in cases.items()}),
-        keyed, h_pairs, tuple(blocks))
+        keyed, h_pairs, tuple(blocks), tuple(sorted(e_set)))
     basis.layer_tables[key] = table
+    return table
+
+
+def _gamma_table(basis: AdaptableBasis) -> Tuple[tuple, int]:
+    """(rows, den): the diagonal coefficients C_{i,p}^i = -gamma_i(Z_p) of
+    the brackets [Z_i, Z_p], i <= n < p (1-based), times their common
+    denominator den, built once per basis and kept in
+    ``basis.layer_tables``. ``rows[i - 1]`` lists the nonzero
+    (p, den C_{i,p}^i) by increasing p, as Gaussian integers: a plain int
+    when real, else a GaussianRational with denominator 1."""
+    table = basis.layer_tables.get("gamma")
+    if table is None:
+        rows = [[(p + 1,) + _FIELDS(row[i])
+                 for (k, p), row in sorted(basis.h_structure.items())
+                 if k == i and i in row] for i in range(basis.n)]
+        den = lcm(1, *(d for row in rows for _, _, _, d in row))
+        table = basis.layer_tables["gamma"] = (tuple(
+            tuple((p, _made(a * (den // d), b * (den // d), 1) if b
+                   else a * (den // d)) for p, a, b, d in row)
+            for row in rows), den)
     return table
 
 
@@ -930,8 +954,7 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
                           pairings=pairings)
 
 
-def _reduction_phi(basis: AdaptableBasis, ambient: str,
-                   j_seq: Tuple[int, ...], steps,
+def _reduction_phi(basis: AdaptableBasis, j_seq: Tuple[int, ...], steps,
                    h_pairs: Tuple[Tuple[int, int], ...],
                    tol: Optional[float]) -> Tuple[int, ...]:
     """phi on a keyed layer, from the h coordinates of the y vectors of the
@@ -940,47 +963,60 @@ def _reduction_phi(basis: AdaptableBasis, ambient: str,
     sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p) != 0, by the zero test of tol
     (None at an exact point). () without h pairs, as in the ambient 'n',
     where no j_k exceeds n. steps are the reduction's, as ``JumpData.steps``
-    keeps them; only the coefficients of the h-steps are read."""
+    keeps them; only the (g, num, den) of the h-steps are read.
+
+    The replay is fraction-free. Each y_g, g > n, is kept as s_g y_g with
+    one nonzero scale s_g (1 until g is reduced), and an h-step with pivot
+    position j takes s_g y_g <- den s_j (s_g y_g) - num s_g (s_j y_j), so
+    s_g <- den s_j s_g and no coefficient num / den is formed. The sum of
+    each h pair is taken over the integer table of ``_gamma_table``: it is
+    the true sum times s_{j_k} and the table's denominator, a nonzero
+    factor, which changes no exact zero test; at an exact point the
+    num, den and table entries are Gaussian integers, so every product is
+    one of integers. At a float point they are complex, and the zero test
+    divides the sum by that factor once (``zero_test`` with a scale), so
+    it reads |sum| <= tol on the true sum, as with division at each step."""
     if not h_pairs:
         return ()
-    nd = basis.n
-    # yh[g]: the h coordinates {p: x} of y_g, g > n, replayed through the
-    # h-steps (j_p > n), the only steps that move them
-    yh = {g: {g: 1} for g in range(nd + 1, basis.ambient(ambient) + 1)}
+    # yh[g] = (s_g, s_g y_g over the h coordinates {p: x}) for the g > n
+    # an h-step (j_p > n), the only steps that move them, has reduced; the
+    # other y_g are Z_g with s_g = 1
+    yh: Dict[int, tuple] = {}
     for jp, (_, red) in zip(j_seq, steps):
-        if jp <= nd:
-            continue
-        y_j = yh[jp]
-        for g, c in _coefficients(red):
-            y_g = yh[g]
-            for p, x in y_j.items():
-                y_g[p] = y_g[p] - c * x if p in y_g else -(c * x)
-    vanishes = zero_test(tol)
+        if jp > basis.n:
+            s_j, y_j = yh.get(jp, (1, {jp: 1}))
+            for g, num, den in red:
+                s_g, y_g = yh.get(g, (1, {g: 1}))
+                a, b = den * s_j, num * s_g
+                new = {p: a * x for p, x in y_g.items()}
+                for p, x in y_j.items():
+                    new[p] = new[p] - b * x if p in new else -(b * x)
+                yh[g] = (a * s_g, new)
+    vanishes = zero_test(tol, True)
+    rows, den = _gamma_table(basis)
     phi = []
     for ik, jk in h_pairs:
-        # gamma_{i_k}(Z_p) is minus this diagonal coefficient; the sign does
-        # not change whether the sum vanishes
+        # gamma_{i_k}(Z_p) is minus the coefficient c; the sign does not
+        # change whether the sum vanishes
+        s_j, y_j = yh.get(jk, (1, {jk: 1}))
         total = 0
-        for p, x in yh[jk].items():
-            c = basis.h_structure.get((ik - 1, p - 1), {}).get(ik - 1)
-            if c is not None:
-                total = total + x * c
-        if not vanishes(total):
+        for p, c in rows[ik - 1]:
+            total = total + y_j.get(p, 0) * c
+        if not vanishes(total, s_j * den):
             phi.append(ik)
     return tuple(phi)
 
 
-def _layer_key(basis: AdaptableBasis, ambient: str, i_seq: Tuple[int, ...],
+def _layer_key(basis: AdaptableBasis, table: CaseTable,
                j_seq: Tuple[int, ...], steps, tol: Optional[float]):
-    """(table, key): the case table of the jump pairs (i_seq, j_seq) found
-    by a reduction, and the layer key (e, j, phi). On a keyed layer phi is
-    read off the reduction's steps (``_reduction_phi``); on any other it is None,
-    since it needs section vectors. The one key rule of
-    ``layer_descriptor`` and of the per-sample kernel ``_sample_key``."""
-    table = _case_table(basis, ambient, i_seq, j_seq)
-    phi = (_reduction_phi(basis, ambient, j_seq, steps, table.h_pairs, tol)
+    """The layer key (e, j, phi) of a reduction with the jump pairs of the
+    case table. On a keyed layer phi is read off the reduction's steps
+    (``_reduction_phi``); on any other it is None, since it needs section
+    vectors. The one key rule of ``layer_descriptor`` and of the
+    per-sample kernel ``_sample_key``."""
+    phi = (_reduction_phi(basis, j_seq, steps, table.h_pairs, tol)
            if table.keyed else None)
-    return table, (tuple(sorted(i_seq + j_seq)), j_seq, phi)
+    return table.e, j_seq, phi
 
 
 def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
@@ -1081,9 +1117,10 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
       rho' z_j. If j <= n, z_j lies in n (which is conj-stable), so does
       rho' z_j, and gamma = 0. If j > n, Z_j is real, z_j = -P Z_j, and
       the h part of U_k is -P y_j^h. So gamma = -P sum_{p > n} (y_j)_p
-      gamma_i(Z_p), with gamma_i(Z_p) = -C_{i, p}^{i} read from
-      ``h_structure``, and i is in phi exactly when i <= n < j and that
-      sum is nonzero (``_reduction_phi``, tested exactly at each point).
+      gamma_i(Z_p), with gamma_i(Z_p) = -C_{i, p}^{i} from
+      ``h_structure`` (``_gamma_table``), and i is in phi exactly when
+      i <= n < j and that sum is nonzero (``_reduction_phi``, tested
+      exactly at each point).
       The denominator l[Z_i, U_k] = omega(x_i, U_k) is -|p|^2 in (0) and
       |p|^2 p in (1) (classes (3) and (4) have j <= n), so neither
       LayerMismatchError can occur. In the ambient 'n' there are no h
@@ -1095,8 +1132,8 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
     if basis is None:
         basis = l.basis
     jd = jump_data(l, basis, ambient)
-    table, (e_set, j_seq, phi) = _layer_key(basis, ambient, jd.i_seq,
-                                            jd.j_seq, jd.steps, l.tol)
+    table = _case_table(basis, ambient, jd.i_seq, jd.j_seq)
+    e_set, j_seq, phi = _layer_key(basis, table, jd.j_seq, jd.steps, l.tol)
     if phi is None:
         phi = tuple(sorted(section_vectors(l, basis, jd, ambient).b_at))
     return LayerDescriptor(ambient=ambient, e_set=e_set, i_seq=jd.i_seq,
@@ -1109,19 +1146,20 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
 # generic layer by seeded sampling
 # ---------------------------------------------------------------------------
 
-def _sample_key(basis: AdaptableBasis, ambient: str,
-                xs: Sequence[int]):
+def _sample_key(basis: AdaptableBasis, ambient: str, form: FormTable,
+                size: int, xs: Sequence[int]):
     """The layer key (e, j, phi) at the exact point with integer values xs
     on the leading real basis vectors of the ambient (0 past them), phi
     None on a layer that is not keyed: the fill, the reduction and the key
     rule of ``layer_descriptor`` (``_layer_key``), with no Functional, no
-    JumpData and no descriptor: the rows hold table.den M as plain or
-    Gaussian integers, and ``_skew_reduce`` runs fraction-free on them."""
-    table = _form_table(basis)
-    i_seq, j_seq, steps = _skew_reduce(
-        _fill(table, basis.ambient(ambient), xs, True))
-    return _layer_key(basis, ambient, tuple(i_seq), tuple(j_seq), steps,
-                      None)[1]
+    JumpData and no descriptor. form is the basis's form table and size
+    the ambient's, which ``generic_layer`` looks up once per call, not per
+    sample. The rows hold form.den M as plain or Gaussian integers, and
+    ``_skew_reduce`` and the phi replay run fraction-free on them."""
+    i_seq, j_seq, steps = _skew_reduce(_fill(form, size, xs, True))
+    j_seq = tuple(j_seq)
+    table = _case_table(basis, ambient, tuple(i_seq), j_seq)
+    return _layer_key(basis, table, j_seq, steps, None)
 
 
 def generic_layer(basis: AdaptableBasis, ambient: str = "g",
@@ -1151,6 +1189,7 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     drawn = basis.ambient(ambient)
+    form = _form_table(basis)
     # samples per key, and the descriptor of each key, from its first sample
     counts: Dict[tuple, int] = {}
     first: Dict[tuple, LayerDescriptor] = {}
@@ -1159,7 +1198,7 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
         xs = _draw_integers(rng, 9, drawn)
         if not any(xs):
             continue
-        key = _sample_key(basis, ambient, xs)
+        key = _sample_key(basis, ambient, form, drawn, xs)
         if key[2] is None or key not in first:
             try:
                 desc = layer_descriptor(_integer_point(basis, xs), basis,

@@ -17,7 +17,8 @@ import pytest
 
 from conftest import corpus_entry
 from solvlie.algebra import SpecFormatError
-from solvlie.corpus import Expectation, evaluate_check, run_entry
+from solvlie.corpus import (CorpusEntry, Expectation, evaluate_check,
+                            run_entry)
 from solvlie.workbench import PipelineError, Workbench
 
 GOLDEN = Path(__file__).with_name("corpus_run_golden.txt")
@@ -85,3 +86,30 @@ def test_a_getter_that_raises_is_an_error_row(monkeypatch):
     assert row.expected == "NOT_ADMISSIBLE_CENTER_MEETS_H"
     # the other expectations of the entry still run and match
     assert all(r.ok for check, r in rows.items() if check != "verdict")
+
+
+# heisenberg-2param: n = Z, Y, X; h = A, B. X sits one place before h, so
+# read as an h coordinate it was B; Z, at the start of n, was out of range.
+@pytest.mark.parametrize("label", ["X", "Z"])
+def test_k_contains_refuses_a_label_of_n(label):
+    with pytest.raises(ValueError, match=f"'{label}' is not a coordinate "
+                                         f"of h"):
+        _row("heisenberg-2param", "k_contains", {label: "1"})
+    base = corpus_entry("heisenberg-2param")
+    entry = CorpusEntry(base.entry_id, base.doc, None,
+                        [Expectation("k_contains", {label: "1"}, "DERIVED"),
+                         Expectation("k_contains", {"B": "1"}, "DERIVED")])
+    refused, member = run_entry(entry)
+    assert (refused.computed, refused.ok) == (
+        f"error: ValueError: '{label}' is not a coordinate of h", False)
+    # an h label still reads as before: B spans the little group
+    assert (member.computed, member.ok) == ("member", True)
+
+
+def test_center_contains_reads_every_label_of_g():
+    # z(g) of heisenberg-2param is spanned by B; a vector of g takes a label
+    # of n or of h, so nothing is refused
+    assert _row("heisenberg-2param", "center_contains", {"B": "1"}).ok
+    for label in ("X", "Z"):
+        row = _row("heisenberg-2param", "center_contains", {label: "1"})
+        assert (row.computed, row.ok) == ("not a member", False)

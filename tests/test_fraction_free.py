@@ -92,7 +92,8 @@ def _check_point(f, basis, ambient, with_recursion):
     _, form, _ = jump_oracle._orbit_form(f, basis, n_amb)
     want = jump_oracle._skew_reduce(form, None)
     e_j = (tuple(sorted(want[0] + want[1])), tuple(want[1]))
-    key = _sample_key(basis, ambient, [int(v) for v in f.values])
+    key = _sample_key(basis, ambient, _form_table(basis), n_amb,
+                      [int(v) for v in f.values])
     assert key[:2] == e_j, (ambient, f.values)
     jd = jump_data(f, basis, ambient)
     den = strata._orbit_form(f, basis, n_amb)[1]

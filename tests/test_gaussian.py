@@ -279,6 +279,49 @@ def test_repr_and_str_unchanged():
     assert repr(gr(0)) == "GaussianRational(Fraction(0, 1), Fraction(0, 1))"
 
 
+def _fraction_str(z: GaussianRational) -> str:
+    """str as it was formatted through the Fraction parts."""
+    if z.im == 0:
+        return str(z.re)
+    if z.re == 0:
+        return f"{z.im} i"
+    sign = "+" if z.im > 0 else "-"
+    return f"{z.re}{sign}{abs(z.im)} i"
+
+
+def test_str_matches_the_fraction_formatting():
+    rng = random.Random(11)
+    dens = (1, 1, 2, 3, 4, 6, 9, 12, 35, 10**20 + 1)
+
+    def part():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-60, 60), rng.choice(dens))
+
+    seen = set()
+    for _ in range(2000):
+        z = GaussianRational(part(), part())
+        # quotients too: their fields are in lowest terms only jointly
+        w = z / rng.choice((2, 3, -4, 6)) if rng.random() < 0.5 else z
+        assert str(w) == _fraction_str(w), (w.re, w.im)
+        seen.add((bool(w.re), bool(w.im), w.re.denominator == 1,
+                  w.im.denominator == 1))
+    assert str(gr(1, "1/2") * 2 / 2) == "1+1/2 i"
+    assert str(GaussianRational(Fraction(2, 2), Fraction(1, 2))) == "1+1/2 i"
+    assert len(seen) == 9          # every shape of zero, integer and ratio parts
+
+
+def test_hash_of_real_values_is_the_fraction_hash():
+    rng = random.Random(12)
+    for _ in range(2000):
+        q = Fraction(rng.randint(-10**30, 10**30), rng.choice((1, 1, 2, 7, 10**25)))
+        z = GaussianRational(q)
+        assert hash(z) == hash(q)
+        assert hash(z * 3 - z * 2) == hash(q)
+    for k in (-2, -1, 0, 1, 2**61 - 1, 2**61, -(2**64)):
+        assert hash(gr(k)) == hash(k) == hash(Fraction(k))
+
+
 def test_float_and_complex_operands_fall_through():
     z = gr("1/4", "-1/2")
     for other in (0.5, 2 + 1j):

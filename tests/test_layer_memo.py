@@ -102,7 +102,7 @@ def test_case_table_is_read_only_and_per_basis():
     assert key in basis.layer_tables
     table = basis.layer_tables[key]
     assert table._fields == ("stable", "primes", "cases", "in_case", "keyed",
-                             "h_pairs", "blocks")
+                             "h_pairs", "blocks", "e")
     assert table.h_pairs == ()
     # the layer (3, 4), (5, 6) is one case-4/5 block, opened by pair 1
     assert table.keyed and table.blocks == (1,)

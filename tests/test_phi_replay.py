@@ -38,7 +38,8 @@ from solvlie.functionals import (Functional, _draw_integers, _integer_point,
                                  exp_h_coadjoint)
 from solvlie.gaussian import GaussianRational
 from solvlie.linalg import FLOAT_TOL
-from solvlie.strata import _reduction_phi, _sample_key, jump_data
+from solvlie.strata import (_form_table, _reduction_phi, _sample_key,
+                            jump_data)
 from solvlie.workbench import Workbench
 from test_layer_memo import specgen
 
@@ -54,9 +55,9 @@ def _phi(f, basis):
     or not, since the replay does not depend on the case table."""
     jd = jump_data(f, basis, "g")
     table = case_table(jd)
-    args = (basis, "g", jd.j_seq, jd.steps, table.h_pairs, f.tol)
-    got = _reduction_phi(*args)
-    assert got == phi_oracle.reduction_phi(*args), f.values
+    args = (jd.j_seq, jd.steps, table.h_pairs, f.tol)
+    got = _reduction_phi(basis, *args)
+    assert got == phi_oracle.reduction_phi(basis, "g", *args), f.values
     return table.keyed, table.h_pairs, got
 
 
@@ -82,10 +83,11 @@ def _sample_layers():
 def test_phi_on_generic_layer_draws():
     seen = {"in": 0, "out": 0}
     for basis in _sample_layers():
+        layer = (basis, "g", _form_table(basis), basis.ambient("g"))
         for seed in (42, 7, 123):
             for xs in _drawn(basis, seed):
                 keyed, h_pairs, phi = _phi(_integer_point(basis, xs), basis)
-                key = _sample_key(basis, "g", xs)
+                key = _sample_key(*layer, xs)
                 assert key[2] == (phi if keyed else None), xs
                 _tally(seen, h_pairs, phi)
     assert seen["in"]
@@ -194,8 +196,9 @@ G = GaussianRational
 ])
 def test_phi_where_the_replayed_sum_cancels(c_a, c_c, k):
     basis, j_seq, steps = _cancelling_steps(c_a, c_c, k)
-    args = (basis, "g", j_seq, steps, H_PAIRS, None)
-    assert _reduction_phi(*args) == phi_oracle.reduction_phi(*args) == (3,)
+    args = (j_seq, steps, H_PAIRS, None)
+    assert _reduction_phi(basis, *args) == (3,)
+    assert phi_oracle.reduction_phi(basis, "g", *args) == (3,)
 
 
 def _floated(steps, scale):
@@ -211,7 +214,6 @@ def test_phi_where_the_replayed_sum_cancels_at_a_float_point(scale):
     for c_a, c_c in ((Fraction(2, 3), Fraction(5, 7)),
                      (G(Fraction(1, 2), 1), G(-1, Fraction(3, 5)))):
         basis, j_seq, steps = _cancelling_steps(c_a, c_c, 1)
-        args = (basis, "g", j_seq, _floated(steps, scale), H_PAIRS,
-                FLOAT_TOL)
-        assert _reduction_phi(*args) == phi_oracle.reduction_phi(*args) \
-            == (3,)
+        args = (j_seq, _floated(steps, scale), H_PAIRS, FLOAT_TOL)
+        assert _reduction_phi(basis, *args) == (3,)
+        assert phi_oracle.reduction_phi(basis, "g", *args) == (3,)

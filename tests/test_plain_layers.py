@@ -133,7 +133,7 @@ def test_plain_phi_reads_the_weight_not_the_positions():
     for jk, want in ((4, ()), (5, (1,))):
         jd = JumpData((1,), (jk,), "g", basis, point=origin)
         assert case_table(jd).h_pairs == ((1, jk),)
-        assert _reduction_phi(jd.basis, jd.ambient, jd.j_seq, jd.steps,
+        assert _reduction_phi(jd.basis, jd.j_seq, jd.steps,
                               ((1, jk),), jd.point.tol) == want
 
 

@@ -30,7 +30,8 @@ from conftest import VALID_IDS, wb_for
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import _draw_integers, sample_functional
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
-                            _sample_key, jump_data, layer_descriptor)
+                            _form_table, _sample_key, jump_data,
+                            layer_descriptor)
 from solvlie.workbench import Workbench
 from test_keyed_layers import double_heisenberg_with_v
 from test_layer_memo import specgen
@@ -49,7 +50,8 @@ def _check(f, basis, ambient):
     kernel's key, completed by layer_descriptor where phi is None) as by
     the full path; returns whether the kernel keyed it and the error
     raised, if any."""
-    key = _sample_key(basis, ambient, [int(v) for v in f.values])
+    key = _sample_key(basis, ambient, _form_table(basis),
+                      basis.ambient(ambient), [int(v) for v in f.values])
     got = key, None
     if key[2] is None:
         try:

@@ -415,7 +415,7 @@ def _stub_samples(monkeypatch, outcomes):
     answers = iter(outcomes)
     current = []
 
-    def kernel(basis, ambient, xs):
+    def kernel(basis, ambient, form, size, xs):
         current[:] = [next(answers)]
         desc = current[0]
         if isinstance(desc, LayerDescriptor):
