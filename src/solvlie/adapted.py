@@ -141,9 +141,9 @@ class AdaptableBasis:
     ``layer_tables`` memoizes, on first use, the case table of ``strata``
     per (ambient, i_seq, j_seq), its orbit-form table under "orbit_form"
     and its h-weight table under "gamma"; ``with_h_part`` starts it
-    empty. ``n_form_entries``
-    holds, once built, the orbit-form entries of ``structure``, which
-    depend on the n part alone; ``with_h_part`` keeps them.
+    empty. ``n_form_entries`` holds, once built, the orbit-form entries of
+    ``structure``, which depend on the n part alone; ``with_h_part`` keeps
+    them.
     """
 
     def __init__(self, spec: LieAlgebraSpec, nvecs: Sequence[Vector],

@@ -2,9 +2,11 @@
 
 A value is held as three ints (n + m i)/d with d > 0 and gcd(n, m, d) = 1,
 so equal values have equal fields, the zero test is two int tests, and each
-operation is integer arithmetic followed by one ``math.gcd``. ``Fraction``
-appears only at the boundary: the constructor's arguments and the ``re`` and
-``im`` parts read by parsers, reports and weight code.
+operation is integer arithmetic followed by one ``math.gcd`` (none where the
+result is a Gaussian integer times an int). ``Fraction`` appears only at the
+boundary: the constructor's arguments and the ``re`` and ``im`` parts read
+by parsers and weight code; ``str`` and the hash of an integer read the
+fields.
 """
 
 from __future__ import annotations

@@ -69,9 +69,10 @@ replays the h-steps fraction-free (``_reduction_phi``), each replayed
 vector carrying one nonzero scale, and sums over an integer table of the
 h weights (``_gamma_table``, built once per basis and kept in
 ``basis.layer_tables``). A nonzero scale changes no exact zero test; at a
-float point the test divides each sum by its scale once. The form table,
-the ambient size and the case tables, which also hold the sorted e of the
-key, are looked up once per ``generic_layer`` call, not per sample.
+float point the test divides each sum by its scale once. The form table
+and the ambient size are looked up once per ``generic_layer`` call, not
+per sample, and the case table of a sample's jump pairs holds the sorted e
+of its key.
 
 All decisions are exact over Q(i). The kernels also run at a float point
 (one moved by a dilation flow, which the membership oracles may be asked
