@@ -9,6 +9,10 @@ finds the pivot sets with one ``solve`` per row. ``center_data`` solves the
 dense dim^2 x dim system and meets its kernel with h by
 ``Subspace.intersect``; ``unimodularity`` sums the diagonals of dense
 ``ad_matrix`` matrices. The tests compare each with the production code.
+
+``polarizing_rows`` is ``JumpData.polarization`` as it was when it replayed
+the reductions densely on unit vectors, with one GaussianRational quotient
+per coefficient; kept verbatim.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
 from solvlie.linalg import Subspace, kernel, rank
 from solvlie.strata import JumpData, jump_data
+from rref_oracle import identity
 from unipotent_oracle import ad_matrix
 
 
@@ -39,6 +44,36 @@ def polarizing_subspace(jd: JumpData) -> Subspace:
     dead = set(jd.j_seq)
     rows = [y for g, y in enumerate(ys, start=1) if g not in dead]
     return Subspace(rows, jd.basis.dim)
+
+
+def polarizing_rows(jd: JumpData):
+    """h_d, the last member of the flag h_0 > h_1 > ... > h_d, from one
+    replay of the reductions on unit vectors: (rows, subspace). The
+    rows, over the ambient's adapted vectors, are the reduced vectors
+    y_g at the positions g outside j_seq; each is e_g plus terms at
+    positions in j_seq, so they are independent. The subspace is their
+    span in g_C over the real basis. Exact points only: raises
+    NeedsFloatError at a float point."""
+    jd._require_exact("polarization")
+    ys = identity(jd.basis.ambient(jd.ambient))
+    for jk, steps in zip(jd.j_seq, jd.reductions):
+        y_j = ys[jk - 1]
+        for g, c in steps:
+            ys[g - 1] = [a - c * b if b else a
+                         for a, b in zip(ys[g - 1], y_j)]
+    dead = set(jd.j_seq)
+    rows = [y for g, y in enumerate(ys, start=1) if g not in dead]
+    terms = jd.basis.terms
+    real = []
+    for y in rows:
+        # sum_p y_p Z_{p+1} over the real basis, as a sparse row
+        out = {}
+        for p, x in enumerate(y):
+            if x:
+                for m, c in terms[p]:
+                    out[m] = out[m] + x * c if m in out else x * c
+        real.append(out)
+    return rows, Subspace(real, jd.basis.dim)
 
 
 def _contains(sub: Subspace, vec) -> bool:
