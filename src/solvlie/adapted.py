@@ -452,7 +452,7 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
             if partner == i:
                 rows = _real_rows(rows)
             for row in rows:
-                if not any(extend_echelon(*spans.setdefault(i, ([], [])), row)):
+                if not extend_echelon(*spans.setdefault(i, ([], [])), row):
                     continue
                 vec = tuple(row) + pad
                 placed.append(vec)

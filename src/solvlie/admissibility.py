@@ -175,7 +175,6 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
 
     # isotropy, exact: lam[a, b] = a . M b, over the sparse rows of p
     rows, h_d = jd.polarization()
-    rows = [{p: x for p, x in enumerate(a) if x} for a in rows]
     images = [jd.image(b) for b in rows]
     for i, a in enumerate(rows):
         for mb in images[i + 1:]:

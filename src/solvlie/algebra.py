@@ -43,8 +43,8 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, _FIELDS, parse_gaussian
-from .linalg import (extend_echelon, identity, invert, is_zero, kernel,
-                     reduce_row, rref, rref_kernel)
+from .linalg import (extend_echelon, invert, is_zero, kernel, reduce_row,
+                     rref, rref_kernel)
 
 Vector = Tuple[GaussianRational, ...]
 
@@ -297,25 +297,24 @@ def _diagonal(mat) -> Optional[List[GaussianRational]]:
     return [row[i] for i, row in enumerate(mat)]
 
 
-def _krylov_polynomial(mat, v) -> List[GaussianRational]:
-    """The monic minimal polynomial of the row vector v under x -> x mat,
-    coefficients from the constant term up. The Krylov vectors v, v mat,
-    v mat^2, ... extend an echelon in turn, the k-th carrying the unit
-    vector e_k in an appended block, so that its remainder carries its
-    combination of Krylov vectors there. The first whose remainder is zero
-    outside the block stops the sequence: its combination, with
-    coefficient 1 on itself, is the polynomial.
+def _krylov_polynomial(mat, u) -> List[GaussianRational]:
+    """The monic minimal polynomial of the sparse row vector u under
+    x -> x mat, coefficients from the constant term up. The Krylov
+    vectors u, u mat, u mat^2, ... extend a sparse echelon in turn, the
+    k-th carrying one more entry, 1 at column size + k, so that its
+    remainder carries its combination of Krylov vectors in those columns.
+    The first whose remainder has no column below size stops the sequence:
+    its combination, with coefficient 1 on itself, is the polynomial.
     """
     size = len(mat)
     rows: list = []
     pivots: List[int] = []
-    u = v
-    for k, unit in enumerate(identity(size + 1)):
-        rem = extend_echelon(rows, pivots, list(u) + unit)
-        if not any(rem[:size]):
-            return rem[size:size + k + 1]
-        u = [sum((u[i] * mat[i][j] for i in range(size) if u[i]), ZERO)
-             for j in range(size)]
+    for k in range(size + 1):
+        rem = extend_echelon(rows, pivots, {**u, size + k: ONE})
+        if min(rem) >= size:
+            return [rem.get(size + i, ZERO) for i in range(k + 1)]
+        u = {j: sum((x * mat[i][j] for i, x in u.items() if x), ZERO)
+             for j in range(size)}
 
 
 def _horner(poly, x):
@@ -413,9 +412,9 @@ def _eigenspaces(mat, eigenspace) -> List[Tuple[GaussianRational, list]]:
     span: list = []         # echelon rows of the eigenspaces found so far
     pivots: List[int] = []
     while len(span) < size:
-        v = next(u for u in identity(size) if any(reduce_row(span, pivots, u)))
+        c = next(c for c in range(size) if reduce_row(span, pivots, {c: ONE}))
         known = [r for r, _ in found]
-        roots = _gaussian_roots(_krylov_polynomial(mat, v))
+        roots = _gaussian_roots(_krylov_polynomial(mat, {c: ONE}))
         new = [(r, eigenspace(r)) for r in roots if r not in known]
         if not new:
             break

@@ -12,11 +12,12 @@ echelon rows from a sparse row and touches only the entries stored.
 against the echelon, and what is left becomes a new pivot row, cleared
 from the rows before it. ``rank``, ``kernel``, ``invert`` and ``Subspace``
 build on ``rref``; ``reduce_row`` and ``extend_echelon`` run ``_reduce``
-against a growing echelon of dense rows. Dense results write every zero
-entry as the shared ``ZERO``. An RREF is unique, so the sparse route
-returns what dense elimination did. Every independence and membership
-test of the package grows or reads such an echelon; no other module
-eliminates.
+against a growing echelon of sparse rows and return the sparse remainder,
+empty iff the vector was dependent. Dense results of ``rref`` and
+``Subspace`` write every zero entry as the shared ``ZERO``. An RREF is
+unique, so the sparse route returns what dense elimination did. Every
+independence and membership test of the package grows or reads such an
+echelon; no other module eliminates.
 
 Float values appear only at float points of g* (such as points moved by a
 dilation flow, whose coordinates pick up factors e^{t}), and nothing here
@@ -146,8 +147,11 @@ def rank(rows) -> int:
 
 def kernel(rows, ncols: int) -> Matrix:
     """Basis of {x : rows @ x = 0} as dense row vectors of length ncols;
-    the rows may be dense or sparse."""
-    return rref_kernel(*rref([_sparse(r) for r in rows]), ncols)
+    the rows may be dense or sparse. Dense rows are made sparse, so that
+    ``rref`` returns sparse rows; sparse ones go as they are, since
+    ``rref`` copies each row it reads."""
+    return rref_kernel(*rref([r if isinstance(r, dict) else _sparse(r)
+                              for r in rows]), ncols)
 
 
 def rref_kernel(red: List[SparseRow], pivots: List[int], ncols: int) -> Matrix:
@@ -169,24 +173,26 @@ def rref_kernel(red: List[SparseRow], pivots: List[int], ncols: int) -> Matrix:
     return basis
 
 
-def reduce_row(rows: Matrix, pivots: List[int], vec: Row) -> Row:
-    """vec minus its combination of the echelon ``rows``: row k is 1 at
-    ``pivots[k]`` and 0 at the pivots of the rows before it (as RREF rows
-    are), so subtracting the rows in order clears each pivot for good, and
-    vec lies in their span iff nothing is left."""
-    return _dense(_reduce(_sparse(vec), map(_sparse, rows), pivots), len(vec))
+def reduce_row(rows: List[SparseRow], pivots: List[int], vec) -> SparseRow:
+    """The sparse remainder of vec (dense or sparse) after subtracting its
+    combination of the echelon ``rows``: row k is 1 at ``pivots[k]`` and 0
+    at the pivots of the rows before it (as RREF rows are), so subtracting
+    the rows in order clears each pivot for good, and vec lies in their
+    span iff the remainder is empty."""
+    return _reduce(_sparse(vec), rows, pivots)
 
 
-def extend_echelon(rows: Matrix, pivots: List[int], vec: Row) -> Row:
-    """``reduce_row`` vec and append what is left, if anything, scaled to 1
-    at its first nonzero entry, that column being its pivot. Returns the
-    remainder before scaling, nonzero iff vec was independent."""
-    v = _reduce(_sparse(vec), map(_sparse, rows), pivots)
+def extend_echelon(rows: List[SparseRow], pivots: List[int], vec) -> SparseRow:
+    """``reduce_row`` vec against the sparse echelon ``rows`` and append
+    what is left, if anything, scaled to 1 at its first column, that column
+    being its pivot. Returns the sparse remainder before scaling, empty iff
+    vec was dependent."""
+    v = reduce_row(rows, pivots, vec)
     if v:
         lead, row = _pivot_row(v)
-        rows.append(_dense(row, len(vec)))
+        rows.append(row)
         pivots.append(lead)
-    return _dense(v, len(vec))
+    return v
 
 
 def invert(rows: Matrix) -> Optional[Matrix]:
@@ -224,7 +230,7 @@ class Subspace:
     def contains_vector(self, vec) -> bool:
         """Whether vec (dense or sparse) reduces to zero against the held
         RREF rows."""
-        return not _reduce(_sparse(vec), self.sparse_rows, self.pivots)
+        return not reduce_row(self.sparse_rows, self.pivots, vec)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # S cap T = annihilator of (ann S + ann T); ann is an involution.
@@ -242,9 +248,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def identity(n: int) -> Matrix:
-    """The rows of the n x n identity matrix."""
-    return [[GR1 if i == j else ZERO for j in range(n)] for i in range(n)]
-

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
@@ -102,12 +102,12 @@ def stabilizer_data(spec: LieAlgebraSpec, basis: AdaptableBasis,
         rows.append([GaussianRational(x.im) for x in w])
     k_sub = Subspace(kernel(rows, hd), hd)
 
-    echelon: List[List[GaussianRational]] = []
+    echelon: List[Dict[int, GaussianRational]] = []
     pivots: List[int] = []
     phi: List[int] = []
     for j in nu:
         real = [GaussianRational(x.re) for x in basis.weights[j - 1]]
-        if any(extend_echelon(echelon, pivots, real)):
+        if extend_echelon(echelon, pivots, real):
             phi.append(j)
 
     r = len(phi)

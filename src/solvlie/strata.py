@@ -65,14 +65,19 @@ ambients; only the other layers build section vectors per sampled point.
 (``_layer_key``), with no Functional, JumpData or descriptor per sample.
 A full ``layer_descriptor`` runs once per distinct key, and on the samples
 of layers that are not keyed. The key is read in integers only: phi
-replays the h-steps fraction-free (``_reduction_phi``), each replayed
-vector carrying one nonzero scale, and sums over an integer table of the
-h weights (``_gamma_table``, built once per basis and kept in
-``basis.layer_tables``). A nonzero scale changes no exact zero test; at a
-float point the test divides each sum by its scale once. The form table
-and the ambient size are looked up once per ``generic_layer`` call, not
-per sample, and the case table of a sample's jump pairs holds the sorted e
-of its key.
+(``_reduction_phi``) sums over an integer table of the h weights
+(``_gamma_table``, built once per basis and kept in
+``basis.layer_tables``). The form table and the ambient size are looked up
+once per ``generic_layer`` call, not per sample, and the case table of a
+sample's jump pairs holds the sorted e of its key.
+
+The y vectors of the reduction are replayed by one routine,
+``_replay``: fraction-free, over sparse coordinates, each replayed vector
+kept as s_g y_g with one nonzero scale s_g. phi replays the h-steps alone
+and reads the scaled vectors; a nonzero scale changes no exact zero test,
+and at a float point the test divides each sum by its scale once.
+``JumpData.polarization`` replays every step and divides each row of h_d
+by its scale once, which gives sparse rows over the adapted vectors.
 
 All decisions are exact over Q(i). The kernels also run at a float point
 (one moved by a dilation flow, which the membership oracles may be asked
@@ -99,7 +104,7 @@ from .adapted import AdaptableBasis
 from .functionals import (Functional, NeedsFloatError, _draw_integers,
                           _integer_point)
 from .gaussian import GaussianRational, ZERO, _FIELDS, _made
-from .linalg import Subspace, identity, zero_test
+from .linalg import Subspace, zero_test
 
 GR1 = GaussianRational(1)
 # the size of a pivot entry past which ``_skew_reduce`` divides its entries
@@ -212,32 +217,33 @@ class JumpData:
         if not self.point.exact:
             raise NeedsFloatError(f"{what} requires an exact functional")
 
-    def polarization(self) -> Tuple[List[list], Subspace]:
+    def polarization(self) -> Tuple[List[dict], Subspace]:
         """h_d, the last member of the flag h_0 > h_1 > ... > h_d, from one
-        replay of the reductions on unit vectors: (rows, subspace). The
-        rows, over the ambient's adapted vectors, are the reduced vectors
-        y_g at the positions g outside j_seq; each is e_g plus terms at
-        positions in j_seq, so they are independent. The subspace is their
-        span in g_C over the real basis. Exact points only: raises
+        replay of the reductions (``_replay``): (rows, subspace). The rows
+        are the reduced vectors y_g at the positions g outside j_seq, each
+        a sparse {p: x} over the ambient's adapted vectors Z_{p+1}, keys
+        ascending, GaussianRational entries: the replay keeps s_g y_g, and
+        each row is divided by its scale s_g once. Each y_g is e_g plus
+        terms at positions in j_seq, so they are independent. The subspace
+        is their span in g_C over the real basis. Exact points only: raises
         NeedsFloatError at a float point."""
         self._require_exact("polarization")
-        ys = identity(self.basis.ambient(self.ambient))
-        for jk, steps in zip(self.j_seq, self.reductions):
-            y_j = ys[jk - 1]
-            for g, c in steps:
-                ys[g - 1] = [a - c * b if b else a
-                             for a, b in zip(ys[g - 1], y_j)]
+        ys = _replay(self.j_seq, self.steps, 0)
         dead = set(self.j_seq)
-        rows = [y for g, y in enumerate(ys, start=1) if g not in dead]
         terms = self.basis.terms
-        real = []
-        for y in rows:
+        rows, real = [], []
+        for g in range(1, self.basis.ambient(self.ambient) + 1):
+            if g in dead:
+                continue
+            s_g, y_g = ys.get(g, (1, {g: 1}))
+            inv = GR1 / s_g
+            y = {p - 1: inv * y_g[p] for p in sorted(y_g) if y_g[p]}
+            rows.append(y)
             # sum_p y_p Z_{p+1} over the real basis, as a sparse row
             out = {}
-            for p, x in enumerate(y):
-                if x:
-                    for m, c in terms[p]:
-                        out[m] = out[m] + x * c if m in out else x * c
+            for p, x in y.items():
+                for m, c in terms[p]:
+                    out[m] = out[m] + x * c if m in out else x * c
             real.append(out)
         return rows, Subspace(real, self.basis.dim)
 
@@ -955,6 +961,32 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
                           pairings=pairings)
 
 
+def _replay(j_seq: Tuple[int, ...], steps, low: int) -> Dict[int, tuple]:
+    """The y vectors of the reduction, replayed fraction-free over the
+    steps with pivot position j_k > low: {g: (s_g, s_g y_g)} for the g
+    those steps reduce, s_g y_g a sparse {p: x} over the 1-based positions
+    p; every other y_g is Z_g, with s_g = 1. steps are the reduction's, as
+    ``JumpData.steps`` keeps them; only their (g, num, den) are read.
+
+    Each y_g carries one nonzero scale s_g (1 until g is reduced), and a
+    step with pivot position j takes s_g y_g <- den s_j (s_g y_g) -
+    num s_g (s_j y_j), so s_g <- den s_j s_g and no coefficient num / den
+    is formed. At an exact point num and den are Gaussian integers, so
+    every product is one of integers; at a float point they are complex."""
+    ys: Dict[int, tuple] = {}
+    for jp, (_, red) in zip(j_seq, steps):
+        if jp > low:
+            s_j, y_j = ys.get(jp, (1, {jp: 1}))
+            for g, num, den in red:
+                s_g, y_g = ys.get(g, (1, {g: 1}))
+                a, b = den * s_j, num * s_g
+                new = {p: a * x for p, x in y_g.items()}
+                for p, x in y_j.items():
+                    new[p] = new[p] - b * x if p in new else -(b * x)
+                ys[g] = (a * s_g, new)
+    return ys
+
+
 def _reduction_phi(basis: AdaptableBasis, j_seq: Tuple[int, ...], steps,
                    h_pairs: Tuple[Tuple[int, int], ...],
                    tol: Optional[float]) -> Tuple[int, ...]:
@@ -964,35 +996,19 @@ def _reduction_phi(basis: AdaptableBasis, j_seq: Tuple[int, ...], steps,
     sum_{p > n} (y_{j_k})_p gamma_{i_k}(Z_p) != 0, by the zero test of tol
     (None at an exact point). () without h pairs, as in the ambient 'n',
     where no j_k exceeds n. steps are the reduction's, as ``JumpData.steps``
-    keeps them; only the (g, num, den) of the h-steps are read.
+    keeps them.
 
-    The replay is fraction-free. Each y_g, g > n, is kept as s_g y_g with
-    one nonzero scale s_g (1 until g is reduced), and an h-step with pivot
-    position j takes s_g y_g <- den s_j (s_g y_g) - num s_g (s_j y_j), so
-    s_g <- den s_j s_g and no coefficient num / den is formed. The sum of
-    each h pair is taken over the integer table of ``_gamma_table``: it is
-    the true sum times s_{j_k} and the table's denominator, a nonzero
-    factor, which changes no exact zero test; at an exact point the
-    num, den and table entries are Gaussian integers, so every product is
-    one of integers. At a float point they are complex, and the zero test
-    divides the sum by that factor once (``zero_test`` with a scale), so
-    it reads |sum| <= tol on the true sum, as with division at each step."""
+    Only the h-steps (j_k > n) move h coordinates, so ``_replay`` replays
+    those alone (low = n) and keeps each y_g as s_g y_g. The sum of each h
+    pair is taken over the integer table of ``_gamma_table``: it is the
+    true sum times s_{j_k} and the table's denominator, a nonzero factor,
+    which changes no exact zero test; at an exact point every product is
+    one of Gaussian integers. At a float point the zero test divides the
+    sum by that factor once (``zero_test`` with a scale), so it reads
+    |sum| <= tol on the true sum, as with division at each step."""
     if not h_pairs:
         return ()
-    # yh[g] = (s_g, s_g y_g over the h coordinates {p: x}) for the g > n
-    # an h-step (j_p > n), the only steps that move them, has reduced; the
-    # other y_g are Z_g with s_g = 1
-    yh: Dict[int, tuple] = {}
-    for jp, (_, red) in zip(j_seq, steps):
-        if jp > basis.n:
-            s_j, y_j = yh.get(jp, (1, {jp: 1}))
-            for g, num, den in red:
-                s_g, y_g = yh.get(g, (1, {g: 1}))
-                a, b = den * s_j, num * s_g
-                new = {p: a * x for p, x in y_g.items()}
-                for p, x in y_j.items():
-                    new[p] = new[p] - b * x if p in new else -(b * x)
-                yh[g] = (a * s_g, new)
+    yh = _replay(j_seq, steps, basis.n)
     vanishes = zero_test(tol, True)
     rows, den = _gamma_table(basis)
     phi = []

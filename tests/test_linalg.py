@@ -4,8 +4,9 @@ from fractions import Fraction
 from adapted_oracle import solve
 from pfaffian_oracle import det
 from solvlie.gaussian import GaussianRational
-from solvlie.linalg import (FLOAT_TOL, Subspace, extend_echelon, identity,
-                            invert, is_zero, kernel, rank, reduce_row, rref,
+from rref_oracle import identity
+from solvlie.linalg import (FLOAT_TOL, Subspace, extend_echelon, invert,
+                            is_zero, kernel, rank, reduce_row, rref,
                             zero_test)
 
 
@@ -136,8 +137,8 @@ def test_contains_vector_agrees_with_rank_test():
             for vec in vecs:
                 want = rank(sub.rows + [vec]) == sub.dim
                 assert sub.contains_vector(vec) == want, (sub.rows, vec)
-                rows, pivots = list(sub.rows), list(sub.pivots)
-                added = any(extend_echelon(rows, pivots, vec))
+                rows, pivots = list(sub.sparse_rows), list(sub.pivots)
+                added = bool(extend_echelon(rows, pivots, vec))
                 assert added == (not want) == (len(rows) == sub.dim + 1)
                 checked += 1
                 inside += want
@@ -188,13 +189,14 @@ def test_extend_echelon_builds_a_triangular_basis_of_the_span():
         rows, pivots = [], []
         for vec in m:
             extend_echelon(rows, pivots, vec)
+        # sparse rows: only the nonzero entries are held
         for k, (row, c) in enumerate(zip(rows, pivots)):
             assert row[c] == GaussianRational(1)
-            assert all(not row[p] for p in pivots[:k])
-            assert all(not x for x in row[:c])
+            assert all(p not in row for p in pivots[:k])
+            assert min(row) == c and all(row.values())
         sub = Subspace(m, n)
         assert sorted(pivots) == sub.pivots
         assert Subspace(rows, n) == sub
         for vec in rand_mat(rng, 4, n) + m:
-            assert (not any(reduce_row(rows, pivots, vec))) == sub.contains_vector(vec)
+            assert (not reduce_row(rows, pivots, vec)) == sub.contains_vector(vec)
 

@@ -217,3 +217,25 @@ def test_phi_where_the_replayed_sum_cancels_at_a_float_point(scale):
         args = (j_seq, _floated(steps, scale), H_PAIRS, FLOAT_TOL)
         assert _reduction_phi(basis, *args) == (3,)
         assert phi_oracle.reduction_phi(basis, "g", *args) == (3,)
+
+
+def test_phi_reads_the_h_steps_alone():
+    # a step with j_k <= n moves no h coordinate, so phi does not replay
+    # it: with the coefficients of those steps replaced by 0 / 0, which
+    # would wipe every vector they reduce, phi is unchanged
+    blanked = 0
+    for basis in _sample_layers():
+        for xs in itertools.islice(_drawn(basis, 42), 8):
+            jd = jump_data(_integer_point(basis, xs), basis, "g")
+            h_pairs = case_table(jd).h_pairs
+            n_steps = [(jp, red) for jp, (_, red) in zip(jd.j_seq, jd.steps)
+                       if jp <= basis.n]
+            steps = tuple((piv, tuple((g, 0, 0) for g, _, _ in red))
+                          if jp <= basis.n else (piv, red)
+                          for jp, (piv, red) in zip(jd.j_seq, jd.steps))
+            want = _reduction_phi(basis, jd.j_seq, jd.steps, h_pairs, None)
+            assert _reduction_phi(basis, jd.j_seq, steps, h_pairs,
+                                  None) == want, xs
+            reduced = {g for _, red in n_steps for g, _, _ in red}
+            blanked += any(jk in reduced for ik, jk in h_pairs if ik in want)
+    assert blanked

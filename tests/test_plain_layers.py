@@ -22,9 +22,9 @@ import pytest
 
 from conftest import VALID_IDS, case_table, wb_for
 from jump_oracle import _orbit_form, _skew_reduce
+from rref_oracle import identity
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
-from solvlie.linalg import identity
 from solvlie.strata import (JumpData, _reduction_phi, jump_data,
                             layer_descriptor, section_vectors)
 from solvlie.workbench import Workbench

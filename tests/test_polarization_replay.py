@@ -15,25 +15,30 @@ the subspace they span must equal the oracle's, in both ambients, at:
   ``Functional.from_adapted``;
 - the points with coordinates in {-1, 0, 1} whose reduction meets a
   Gaussian-integer pivot, on the three corpus entries whose bases pair
-  complex vectors.
+  complex vectors;
+- hand-made steps in which a kept row is reduced against a pivot vector
+  that an earlier step reduced, so that the scale of the pivot vector
+  enters the update (no sampled point needs it: their pivot vectors reach
+  their step with scale 1).
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import polarization_oracle
-from conftest import VALID_IDS, corpus_entry
+from conftest import VALID_IDS, corpus_entry, wb_for
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, _integer_point
-from solvlie.gaussian import ZERO
+from solvlie.gaussian import GaussianRational as G, ZERO
 from solvlie.sections import (UnsupportedLayerError, sample_lambda_nu_member,
                               sample_sigma_circ)
-from solvlie.strata import jump_data
+from solvlie.strata import JumpData, jump_data
 from solvlie.workbench import PLANCHEREL_SAMPLES, Workbench
 from test_layer_memo import specgen
-from test_phi_replay import GAUSSIAN, _drawn, _gaussian
+from test_phi_replay import GAUSSIAN, _drawn, _gaussian, _split
 
 
 def _dense(row, size):
@@ -146,3 +151,24 @@ def test_polarization_rows_carry_gaussian_entries():
         if any(_gaussian(x) for r in rows for x in _dense(r, size)):
             return
     pytest.fail("no row with a non-real entry")
+
+
+@pytest.mark.parametrize("c_a, c_b, c_c, k", [
+    (Fraction(2, 3), Fraction(-1, 4), Fraction(5, 7), 1),
+    (Fraction(2, 3), Fraction(-1, 4), Fraction(5, 7), 11),
+    (G(Fraction(1, 2), 1), G(3, -2), G(-1, Fraction(3, 5)), G(1, 1)),
+])
+def test_polarization_of_steps_with_a_reduced_pivot(c_a, c_b, c_c, k):
+    # step 1 (j = 2) reduces y_3 and y_4; step 2 (j = 3) reduces y_4 by
+    # the y_3 of step 1, so y_4 = Z_4 - c_a Z_2 - c_c (Z_3 - c_b Z_2) is
+    # right only if the scale of y_3 enters the update; i_seq is not read
+    basis = wb_for("heisenberg-2param").canonical_basis
+    steps = (((1, 1), ((3,) + _split(c_b, k), (4,) + _split(c_a, k))),
+             ((1, 1), ((4,) + _split(c_c, k),)))
+    origin = Functional(basis, [0] * basis.dim, exact=True)
+    jd = JumpData((1, 1), (2, 3), "g", basis, steps=steps, point=origin)
+    rows, sub = jd.polarization()
+    want_rows, want_sub = polarization_oracle.polarizing_rows(jd)
+    assert [_dense(r, basis.dim) for r in rows] == want_rows
+    assert sub == want_sub
+    assert want_rows[1][1] == -c_a + c_c * c_b

@@ -8,7 +8,10 @@ sparse, which come back sparse), ``rank``, ``kernel``, ``invert``,
 matrices: empty and all-zero ones, zero and duplicate rows, full and
 deficient rank, complex entries, Fraction and int entries. Every zero entry
 the library writes is the shared ``ZERO``, where the oracle kept the zero it
-found; that changes no comparison and no hash.
+found; that changes no comparison and no hash. ``reduce_row`` and
+``extend_echelon`` hold the echelon and return the remainder as sparse
+rows of the nonzero entries, which must equal the oracle's dense rows with
+their zeros dropped.
 """
 
 import random
@@ -166,15 +169,18 @@ def test_reduce_row_and_extend_echelon_agree_with_the_dense_oracle():
         vecs = _matrix(rng, rng.randint(1, 7), cols, kind,
                        rng.choice([None, 1, 2]), rng.randint(0, 1),
                        rng.randint(0, 2))
+        # the library holds the echelon and returns the remainders as sparse
+        # rows of the nonzero entries; the oracle's are dense
         got_rows, got_piv, want_rows, want_piv = [], [], [], []
         for vec in vecs:
-            assert linalg.reduce_row(got_rows, got_piv, vec) == \
-                rref_oracle.reduce_row(want_rows, want_piv, vec)
+            for given in (vec, _sparse(vec)):
+                assert linalg.reduce_row(got_rows, got_piv, given) == \
+                    _sparse(rref_oracle.reduce_row(want_rows, want_piv, vec))
             got = linalg.extend_echelon(got_rows, got_piv, vec)
             want = rref_oracle.extend_echelon(want_rows, want_piv, vec)
-            assert got == want
-            assert (got_rows, got_piv) == (want_rows, want_piv)
-            assert _zeros_are_shared([got]) and _zeros_are_shared(got_rows)
+            assert got == _sparse(want)
+            assert got_rows == [_sparse(r) for r in want_rows]
+            assert got_piv == want_piv
 
 
 def test_shared_zero_compares_and_hashes_like_every_zero():

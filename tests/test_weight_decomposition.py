@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import corpus_entry
+import rref_oracle
 import weight_oracle
 from solvlie import admissibility as adm
 from solvlie import algebra
@@ -138,9 +139,9 @@ def test_diagonal_split_matches_the_kernel_route_in_order(monkeypatch, spec):
 def _krylov_all_columns(mat, v):
     """The minimal polynomial from all size + 1 Krylov vectors, as columns
     of one RREF: the first column without a pivot writes its vector over
-    the earlier ones."""
+    the earlier ones. v is the sparse start vector {column: value}."""
     size = len(mat)
-    seq = [v]
+    seq = [[v.get(i, G(0)) for i in range(size)]]
     for _ in range(size):
         u = seq[-1]
         seq.append([sum((u[i] * mat[i][j] for i in range(size)), G(0))
@@ -228,7 +229,7 @@ def test_triangular_restriction_takes_the_kernel_route(monkeypatch, upper):
     # kernel of ad(A) - weight, one per value
     spec = _triangular_heisenberg(upper)
     assert validate_spec(spec).ok
-    unit = algebra.identity(3)
+    unit = rref_oracle.identity(3)
     images = [algebra._combine(((x, spec.bracket_sparse(3, c))
                                 for c, x in enumerate(row)), 3) for row in unit]
     mat = algebra._restricted(images, unit)
