@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (DiagonalizationError, HypothesisViolation,
                       LieAlgebraSpec, Vector, root_factor)
 from .gaussian import GaussianRational, ONE, ZERO
-from .linalg import Subspace, extend_echelon, invert, rref
+from .linalg import Subspace, extend_echelon, invert
 
 
 class HintInvalidError(ValueError):
@@ -86,15 +86,15 @@ def _inverse_rows(rows: List[List[GaussianRational]]):
     which is what ``_coords`` reads.
     """
     inv = invert(rows)
-    return None if inv is None else [_terms(row) for row in inv]
+    return None if inv is None else [tuple(row.items()) for row in inv]
 
 
 def _coords(terms, inv) -> Dict[int, GaussianRational]:
     """The nonzero coordinates k, over the rows whose inverse is inv, of the
     vector whose coordinates over the real basis are the (m, c) of terms,
-    by increasing m; an m beyond inv, or a zero c, adds nothing. A dense
-    vector v is ``enumerate(v)``; a sparse one need list only its nonzero
-    coordinates."""
+    each k keyed where the terms first reach it; an m beyond inv, or a
+    zero c, adds nothing. A dense vector v is ``enumerate(v)``; a sparse
+    row r is ``r.items()``, which need list only its nonzero coordinates."""
     out: Dict[int, GaussianRational] = {}
     size = len(inv)
     for m, c in terms:
@@ -385,8 +385,7 @@ def _real_rows(rows: List[List[GaussianRational]]) -> List[List[GaussianRational
     for r in rows:
         cand.append([GaussianRational(x.re) for x in r])
         cand.append([GaussianRational(x.im) for x in r])
-    red, _ = rref(cand)
-    return red
+    return Subspace(cand, len(rows[0])).rows
 
 
 def build_adaptable_basis(spec: LieAlgebraSpec,
@@ -485,7 +484,7 @@ def _weight_splitter(spec: LieAlgebraSpec):
         parts: List[list] = [[] for _ in spaces]
         for row in level:
             comps: Dict[int, Dict[int, GaussianRational]] = {}
-            for k, y in _coords(enumerate(row), eig.exact_inverse).items():
+            for k, y in _coords(row.items(), eig.exact_inverse).items():
                 comp = comps.setdefault(owner[k], {})
                 for m, e in eig_terms[k]:
                     comp[m] = comp[m] + y * e if m in comp else y * e

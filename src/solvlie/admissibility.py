@@ -87,7 +87,7 @@ def center_data(spec: LieAlgebraSpec) -> CenterData:
     z_g = Subspace(kernel(system, dim), dim)
     z_h = kernel([{p - nd: c for p, c in row.items() if p >= nd}
                   for row in system], spec.h_dim)
-    z_cap_h = Subspace([[ZERO] * nd + row for row in z_h], dim)
+    z_cap_h = Subspace([{nd + p: x for p, x in row.items()} for row in z_h], dim)
     return CenterData(z_g=z_g, z_cap_h=z_cap_h)
 
 

@@ -43,8 +43,8 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, _FIELDS, parse_gaussian
-from .linalg import (extend_echelon, invert, is_zero, kernel, reduce_row,
-                     rref, rref_kernel)
+from .linalg import (Subspace, extend_echelon, invert, is_zero, kernel,
+                     reduce_row, rref, rref_kernel)
 
 Vector = Tuple[GaussianRational, ...]
 
@@ -194,8 +194,9 @@ class LieAlgebraSpec:
             raise out
         return out
 
-    def central_series(self) -> List[List[List[GaussianRational]]]:
-        """The ascending central series of n (which may raise NOT_NILPOTENT)."""
+    def central_series(self) -> List[List[Dict[int, GaussianRational]]]:
+        """The ascending central series of n as sparse rows, one basis per
+        level (which may raise NOT_NILPOTENT)."""
         return self._once("central_series", central_series, HypothesisViolation)
 
     def weight_spaces(self) -> List["WeightSpace"]:
@@ -478,14 +479,13 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
             for cand, null in _eigenspaces(restricted, eigenspace):
                 if not null:
                     continue
-                rows = [_combine(((x, enumerate(sp.rows[i]))
-                                  for i, x in enumerate(combo)), nd)
-                        for combo in null]
-                red, _ = rref(rows)
-                if not red:
+                rows = Subspace([_combine(((x, enumerate(sp.rows[i]))
+                                           for i, x in combo.items()), nd)
+                                 for combo in null], nd).rows
+                if not rows:
                     continue
-                found_dim += len(red)
-                new_spaces.append(WeightSpace(weights=sp.weights + (cand,), rows=red))
+                found_dim += len(rows)
+                new_spaces.append(WeightSpace(weights=sp.weights + (cand,), rows=rows))
             if found_dim != sp.dim:
                 raise DiagonalizationError(
                     "EIGEN_NOT_GAUSSIAN_RATIONAL",
@@ -527,14 +527,14 @@ def eigenbasis(spec: LieAlgebraSpec) -> EigenBasis:
         for r in sp.rows:
             rows.append(tuple(r) + pad)
             weights.append(sp.weights)
-    inverse = invert([list(r[:nd]) for r in rows])
+    inverse = invert([r[:nd] for r in rows])
     return EigenBasis(tuple(rows),
                       tuple(tuple((m, complex(c)) for m, c in enumerate(r) if c)
                             for r in rows),
                       tuple(weights),
-                      tuple(tuple((k, x) for k, x in enumerate(row) if x)
-                            for row in inverse),
-                      tuple(tuple(complex(x) for x in row) for row in inverse))
+                      tuple(tuple(row.items()) for row in inverse),
+                      tuple(tuple(complex(row.get(k, ZERO)) for k in range(nd))
+                            for row in inverse))
 
 
 def root_factor(weights: Sequence[GaussianRational]):
@@ -613,7 +613,7 @@ class ValidationReport:
         return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
 
 
-def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
+def central_series(spec: LieAlgebraSpec) -> List[List[Dict[int, GaussianRational]]]:
     """The ascending central series of n up to n, one basis per level.
 
     v is in the next level iff [n, v] lies in the previous one, i.e. every
@@ -626,9 +626,10 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
     level's annihilator (all of n* for the zero level). A level that does
     not grow raises NOT_NILPOTENT, naming where the series stops.
 
-    A level comes back as that kernel basis, not as RREF rows. Only its span
-    counts: ``_weight_splitter`` reduces each weight piece of a level
-    again, so the adapted basis is the same for any basis of the level.
+    A level comes back as that kernel basis, sparse {p: x} rows as
+    ``rref_kernel`` makes them, not as RREF rows. Only its span counts:
+    ``_weight_splitter`` reduces each weight piece of a level again, so
+    the adapted basis is the same for any basis of the level.
     """
     nd = spec.n_dim
     # consts[i]: the (p, m, C_ip^m) of the nonzero [e_i, e_p]_m within n
@@ -636,7 +637,7 @@ def central_series(spec: LieAlgebraSpec) -> List[List[List[GaussianRational]]]:
     for (i, p), entry in spec.brackets.items():
         if i < nd and p < nd:
             consts[i] += ((p, m, c) for m, c in entry)
-    levels: List[List[List[GaussianRational]]] = []
+    levels: List[List[Dict[int, GaussianRational]]] = []
     ann: List[dict] = [{m: ONE} for m in range(nd)]
     dim = 0
     while dim < nd:

@@ -158,14 +158,22 @@ def _neg_ad_columns(spec: LieAlgebraSpec, x_vec) -> List[List[tuple]]:
     return cols
 
 
-def _flow_algebra(spec_or_basis, l: Functional):
-    """(basis, spec) of l, once spec_or_basis is checked to be one of them:
-    a flow acts on the algebra l lives on."""
+def _flow_args(spec_or_basis, vec, l: Functional):
+    """(basis, spec, vec) of a flow along vec at l, once spec_or_basis is
+    checked to be l.basis or l.basis.spec (a flow acts on the algebra l
+    lives on) and vec to have one coordinate per basis element of g; a
+    dict of labels is read by ``spec.vector_from_labels``."""
     basis = l.basis
-    if spec_or_basis is not basis and spec_or_basis is not basis.spec:
+    spec = basis.spec
+    if spec_or_basis is not basis and spec_or_basis is not spec:
         raise ValueError("a flow takes the basis of l or its spec, "
                          "l.basis or l.basis.spec")
-    return basis, basis.spec
+    if isinstance(vec, dict):
+        return basis, spec, spec.vector_from_labels(vec)
+    if len(vec) != spec.dim:
+        raise ValueError(f"a flow direction has dim g = {spec.dim} "
+                         f"coordinates, got {len(vec)}")
+    return basis, spec, vec
 
 
 def exp_unipotent_coadjoint(spec_or_basis, x_vec, l: Functional) -> Functional:
@@ -173,11 +181,10 @@ def exp_unipotent_coadjoint(spec_or_basis, x_vec, l: Functional) -> Functional:
 
     Sums the series l_0 = l, l_{k+1} = l_k (-ad x) / (k + 1) over the
     values of l on the real basis, where (l (-ad x))_j = -l([x, e_j]).
-    spec_or_basis must be l.basis or l.basis.spec (else ValueError).
+    spec_or_basis must be l.basis or l.basis.spec, and x_vec have dim g
+    coordinates or be a dict of labels (else ValueError).
     """
-    basis, spec = _flow_algebra(spec_or_basis, l)
-    if isinstance(x_vec, dict):
-        x_vec = spec.vector_from_labels(x_vec)
+    basis, spec, x_vec = _flow_args(spec_or_basis, x_vec, l)
     nd = spec.n_dim
     for m in range(nd, spec.dim):
         if not is_zero(x_vec[m]):
@@ -216,11 +223,10 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
     in double precision. The eigen rows and the inverse of their n block
     are computed exactly once per spec (``LieAlgebraSpec.eigenbasis``), so
     a call does no elimination. spec_or_basis must be l.basis or
-    l.basis.spec (else ValueError).
+    l.basis.spec, and a_vec have dim g coordinates or be a dict of labels
+    (else ValueError).
     """
-    basis, spec = _flow_algebra(spec_or_basis, l)
-    if isinstance(a_vec, dict):
-        a_vec = spec.vector_from_labels(a_vec)
+    basis, spec, a_vec = _flow_args(spec_or_basis, a_vec, l)
     for m in range(spec.n_dim):
         if not is_zero(a_vec[m]):
             raise ValueError("element has a nonzero n-component")

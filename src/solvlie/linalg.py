@@ -13,11 +13,12 @@ against the echelon, and what is left becomes a new pivot row, cleared
 from the rows before it. ``rank``, ``kernel``, ``invert`` and ``Subspace``
 build on ``rref``; ``reduce_row`` and ``extend_echelon`` run ``_reduce``
 against a growing echelon of sparse rows and return the sparse remainder,
-empty iff the vector was dependent. Dense results of ``rref`` and
-``Subspace`` write every zero entry as the shared ``ZERO``. An RREF is
-unique, so the sparse route returns what dense elimination did. Every
-independence and membership test of the package grows or reads such an
-echelon; no other module eliminates.
+empty iff the vector was dependent. Every routine reads dense or sparse
+rows and returns sparse ones; ``Subspace.rows`` is the one dense view,
+each zero entry the shared ``ZERO``. An RREF is unique, so the sparse
+route returns what dense elimination did. Every independence and
+membership test of the package grows or reads such an echelon; no other
+module eliminates.
 
 Float values appear only at float points of g* (such as points moved by a
 dilation flow, whose coordinates pick up factors e^{t}), and nothing here
@@ -39,7 +40,6 @@ from .gaussian import GaussianRational, ZERO
 GR1 = GaussianRational(1)
 
 Row = List
-Matrix = List[Row]
 SparseRow = Dict[int, object]
 
 
@@ -113,11 +113,10 @@ def _pivot_row(v: SparseRow) -> Tuple[int, SparseRow]:
     return lead, {c: x / inv for c, x in v.items()}
 
 
-def rref(rows: Matrix) -> tuple[Matrix, List[int]]:
-    """Gauss-Jordan elimination: the RREF of a list of rows, by increasing
-    pivot, and the pivot columns. Sparse {column: value} rows come back
-    sparse; dense rows come back dense, of the length of the first, each
-    zero entry the shared ``ZERO``.
+def rref(rows: Iterable) -> tuple[List[SparseRow], List[int]]:
+    """Gauss-Jordan elimination: the RREF of the rows, dense or sparse, as
+    sparse {column: value} rows by increasing pivot, and the pivot columns.
+    The rows are read once, each copied; none is modified.
 
     Each incoming row is reduced against the echelon so far; what is left,
     if anything, is scaled to 1 at its first column, which becomes its
@@ -135,36 +134,30 @@ def rref(rows: Matrix) -> tuple[Matrix, List[int]]:
         red.append(v)
         pivots.append(lead)
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    red = [red[k] for k in order]
-    if rows and not isinstance(rows[0], dict):
-        red = [_dense(r, len(rows[0])) for r in red]
-    return red, [pivots[k] for k in order]
+    return [red[k] for k in order], [pivots[k] for k in order]
 
 
 def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def kernel(rows, ncols: int) -> Matrix:
-    """Basis of {x : rows @ x = 0} as dense row vectors of length ncols;
-    the rows may be dense or sparse. Dense rows are made sparse, so that
-    ``rref`` returns sparse rows; sparse ones go as they are, since
-    ``rref`` copies each row it reads."""
-    return rref_kernel(*rref([r if isinstance(r, dict) else _sparse(r)
-                              for r in rows]), ncols)
+def kernel(rows, ncols: int) -> List[SparseRow]:
+    """Basis of {x : rows @ x = 0} in columns 0..ncols-1, as sparse rows;
+    the rows may be dense or sparse."""
+    return rref_kernel(*rref(rows), ncols)
 
 
-def rref_kernel(red: List[SparseRow], pivots: List[int], ncols: int) -> Matrix:
+def rref_kernel(red: List[SparseRow], pivots: List[int],
+                ncols: int) -> List[SparseRow]:
     """``kernel`` of sparse rows already in RREF with the given pivots: one
-    vector per free column f, 1 at f and minus column f of ``red`` at the
-    pivots."""
+    sparse vector per free column f, 1 at f and minus column f of ``red``
+    at the pivots, by increasing f."""
     taken = set(pivots)
     basis = []
     for f in range(ncols):
         if f in taken:
             continue
-        vec = [ZERO] * ncols
-        vec[f] = GR1
+        vec = {f: GR1}
         for row, p in zip(red, pivots):
             x = row.get(f)
             if x is not None:
@@ -195,29 +188,33 @@ def extend_echelon(rows: List[SparseRow], pivots: List[int], vec) -> SparseRow:
     return v
 
 
-def invert(rows: Matrix) -> Optional[Matrix]:
-    """The inverse of a square matrix by one elimination of [rows | I], or
-    None if it is singular."""
+def invert(rows) -> Optional[List[SparseRow]]:
+    """The inverse of a square matrix of dense or sparse rows by one
+    elimination of [rows | I], as sparse rows with their columns
+    ascending, or None if it is singular."""
     size = len(rows)
     red, pivots = rref([{**_sparse(row), size + i: GR1}
                         for i, row in enumerate(rows)])
     if pivots[:size] != list(range(size)):
         return None
-    return [[row.get(c, ZERO) for c in range(size, 2 * size)] for row in red]
+    return [{c - size: row[c] for c in range(size, 2 * size) if c in row}
+            for row in red]
 
 
 class Subspace:
     """A subspace of the coordinate space, held in canonical RREF form.
 
-    ``rows`` are the dense RREF rows and ``sparse_rows`` the same rows as
-    {column: value} dicts (not to be modified); equality is literal
-    comparison of the rows. The rows given may be dense or sparse.
+    ``sparse_rows`` are the RREF rows as {column: value} dicts (not to be
+    modified), and ``rows`` the same rows dense, of length ambient_dim:
+    the one dense view of a ``linalg`` result, for printing and padding.
+    Equality is literal comparison of the rows. The rows given may be
+    dense or sparse, in any iterable.
     """
 
     __slots__ = ("rows", "ambient_dim", "pivots", "sparse_rows")
 
     def __init__(self, rows: Iterable, ambient_dim: int):
-        red, pivots = rref([_sparse(r) for r in rows])
+        red, pivots = rref(rows)
         self.sparse_rows = red
         self.rows = [_dense(r, ambient_dim) for r in red]
         self.pivots = pivots

@@ -121,7 +121,7 @@ def stabilizer_data(spec: LieAlgebraSpec, basis: AdaptableBasis,
     for t in range(r):
         full = [Fraction(0)] * hd
         for p, row in zip(pivots, inv):
-            full[p] = row[t].re
+            full[p] = row.get(t, ZERO).re
         a_basis.append(tuple(full))
     return StabilizerData(nu=nu, k_subalg=k_sub, a_basis=a_basis, phi=tuple(phi))
 

@@ -38,7 +38,7 @@ a_g y_j, instead of dividing by it, so each stored entry is the true
 reduced entry times a nonzero factor per vector and one common factor, and
 every zero test and pivot choice is that of the division path. The
 coefficients a_g / p and the pivots are kept as exact quotients and read
-as GaussianRationals only on demand (``JumpData.reductions``, ``pfaffian``).
+as GaussianRationals only on demand (``JumpData.pfaffian``).
 The entries stay bounded because, once a pivot entry grows past 2^64,
 they are divided back to the Pfaffian minors of D M, an exact division.
 
@@ -153,7 +153,7 @@ class JumpData:
     increasing g: step k is y_g <- y_g - c y_{j_k} with c = num / den, and
     its pivot is p / d (that of D M): exact quotients of the fraction-free
     integers of ``_skew_reduce`` at an exact point, of the values of
-    ``_skew_reduce_float`` at a float one. ``reductions`` lists the (g, c).
+    ``_skew_reduce_float`` at a float one.
     """
     i_seq: Tuple[int, ...]
     j_seq: Tuple[int, ...]
@@ -174,15 +174,6 @@ class JumpData:
 
     def key(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         return (self.e_set, self.j_seq)
-
-    @property
-    def reductions(self) -> Tuple[Tuple[Tuple[int, object], ...], ...]:
-        """The (g, c) of each step, y_g <- y_g - c * y_{j_k}, read off
-        ``steps`` as c = num / den: a GaussianRational from integer or
-        Gaussian-integer parts at an exact point, a complex from floats.
-        Built on each access."""
-        return tuple(tuple((g, GR1 * num / den) for g, num, den in red)
-                     for _, red in self.steps)
 
     def image(self, y: Mapping[int, object]) -> dict:
         """M y for the coordinates {q: y_q} of y over the adapted vectors,

@@ -22,7 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 from solvlie.adapted import ConstructionFailedError, HintInvalidError
 from solvlie.algebra import DiagonalizationError, weight_decomposition
 from solvlie.gaussian import GaussianRational, ZERO
-from solvlie.linalg import Subspace, kernel, rank, rref
+from solvlie.linalg import Subspace
+from rref_oracle import kernel, rank, rref
 
 GR1 = GaussianRational(1)
 

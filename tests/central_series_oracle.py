@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from solvlie.algebra import HypothesisViolation, LieAlgebraSpec
 from solvlie.gaussian import ZERO
-from solvlie.linalg import Subspace, kernel, rref
+from solvlie.linalg import Subspace
+from rref_oracle import kernel, rref
 
 
 def lower_central_series_terminates(spec: LieAlgebraSpec) -> bool:

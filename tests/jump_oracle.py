@@ -28,8 +28,9 @@ from typing import List, Optional, Sequence, Tuple
 from solvlie.adapted import AdaptableBasis
 from solvlie.functionals import Functional, adapted_values
 from solvlie.gaussian import ZERO
-from solvlie.linalg import Subspace, kernel, zero_test
+from solvlie.linalg import Subspace, zero_test
 from solvlie.strata import LayerMismatchError
+from rref_oracle import kernel
 
 
 _FLAGS = weakref.WeakKeyDictionary()   # basis -> {j: flag subspace}

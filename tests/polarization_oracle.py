@@ -21,14 +21,15 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from adapted_oracle import bracket_basis, solve
+from conftest import exact_reduction
 from solvlie.adapted import AdaptableBasis
 from solvlie.admissibility import CenterData, IsotropyError, PolarizationData
 from solvlie.algebra import LieAlgebraSpec
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
-from solvlie.linalg import Subspace, kernel, rank
+from solvlie.linalg import Subspace
 from solvlie.strata import JumpData, jump_data
-from rref_oracle import identity
+from rref_oracle import identity, kernel, rank
 from unipotent_oracle import ad_matrix
 
 
@@ -37,7 +38,7 @@ def polarizing_subspace(jd: JumpData) -> Subspace:
     real basis, the rows at the positions outside j_seq."""
     n_amb = jd.basis.ambient(jd.ambient)
     ys = [list(v) for v in jd.basis.vectors[:n_amb]]
-    for jk, steps in zip(jd.j_seq, jd.reductions):
+    for jk, steps in zip(jd.j_seq, exact_reduction(jd.steps, jd.den)[0]):
         y_j = ys[jk - 1]
         for g, c in steps:
             ys[g - 1] = [a - c * b for a, b in zip(ys[g - 1], y_j)]
@@ -56,7 +57,7 @@ def polarizing_rows(jd: JumpData):
     NeedsFloatError at a float point."""
     jd._require_exact("polarization")
     ys = identity(jd.basis.ambient(jd.ambient))
-    for jk, steps in zip(jd.j_seq, jd.reductions):
+    for jk, steps in zip(jd.j_seq, exact_reduction(jd.steps, jd.den)[0]):
         y_j = ys[jk - 1]
         for g, c in steps:
             ys[g - 1] = [a - c * b if b else a

@@ -23,11 +23,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from adapted_oracle import solve
-from rref_oracle import identity
+from rref_oracle import identity, kernel, rank, rref
 from solvlie.adapted import AdaptableBasis
 from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
-from solvlie.linalg import Subspace, is_zero, kernel, rank, rref
+from solvlie.linalg import Subspace, is_zero
 from solvlie.sections import NormalizationFailedError, StabilizerData
 from solvlie.strata import (JumpData, LayerMismatchError, UnsupportedCaseError,
                             jump_data)

@@ -389,3 +389,17 @@ def test_flows_reject_another_algebra():
             exp_unipotent_coadjoint(other, x, l)
         with pytest.raises(ValueError, match="l.basis or l.basis.spec"):
             exp_h_coadjoint(other, a, l, mode="float")
+
+
+def test_flows_reject_a_direction_of_the_wrong_length():
+    # a direction has one coordinate per basis element of g (dim 5 here):
+    # one too many is not cut and one too few is not an IndexError
+    wb = wb_for("heisenberg-2param")
+    spec = wb.spec
+    l = point(wb, Z=3)
+    assert spec.dim == 5
+    for flow in (exp_unipotent_coadjoint, exp_h_coadjoint):
+        for vec in ([0, 0, 0, 1.0, 0, 5.0], [0, 0, 0, 1.0]):
+            with pytest.raises(ValueError, match=f"dim g = 5 coordinates, "
+                                                 f"got {len(vec)}"):
+                flow(spec, vec, l)

@@ -100,7 +100,6 @@ def _check_point(f, basis, ambient, with_recursion):
     reductions, pivots = exact_reduction(jd.steps, den)
     assert [list(jd.i_seq), list(jd.j_seq), reductions, pivots] == \
         list(want), (ambient, f.values)
-    assert list(jd.reductions) == want[2], (ambient, f.values)
     if with_recursion:
         slow = jump_oracle.jump_data(f, basis, ambient)
         assert (slow.i_seq, slow.j_seq) == (jd.i_seq, jd.j_seq), f.values

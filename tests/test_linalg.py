@@ -35,7 +35,7 @@ def test_kernel_annihilates():
         m = rand_mat(rng, rows, cols)
         for vec in kernel(m, cols):
             for r in m:
-                s = sum((a * b for a, b in zip(r, vec)), GaussianRational(0))
+                s = sum((r[c] * x for c, x in vec.items()), GaussianRational(0))
                 assert s.is_zero()
         assert rank(m) + len(kernel(m, cols)) == cols
 
@@ -65,6 +65,7 @@ def test_invert_is_a_two_sided_inverse_or_none():
             assert inv is None
             continue
         inverted += 1
+        inv = [[row.get(c, zero) for c in range(n)] for row in inv]
         for a, b in ((m, inv), (inv, m)):
             prod = [[sum((x * b[k][j] for k, x in enumerate(row)), zero)
                      for j in range(n)] for row in a]

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from conftest import VALID_IDS, case_table, wb_for
+from conftest import VALID_IDS, case_table, exact_reduction, wb_for
 from jump_oracle import _orbit_form, _skew_reduce
 from rref_oracle import identity
 from solvlie.algebra import spec_from_dict
@@ -60,7 +60,7 @@ def _reduced_vectors(jd):
     """Every y_g of the reduction, over the ambient's adapted vectors: the
     reductions replayed on unit vectors, j_seq positions included."""
     ys = identity(jd.basis.ambient(jd.ambient))
-    for jk, steps in zip(jd.j_seq, jd.reductions):
+    for jk, steps in zip(jd.j_seq, exact_reduction(jd.steps, jd.den)[0]):
         for g, c in steps:
             ys[g - 1] = [a - c * b for a, b in zip(ys[g - 1], ys[jk - 1])]
     return ys
@@ -167,7 +167,7 @@ def test_plain_phi_replays_the_h_steps():
     assert _plain(jd)
     assert (jd.i_seq, jd.j_seq) == ((1, 5, 6, 9, 10), (14, 12, 7, 13, 11))
     assert (8, 12) not in basis.h_structure
-    assert dict(jd.reductions[1]).get(13)
+    assert dict(exact_reduction(jd.steps, jd.den)[0][1]).get(13)
     want = sorted(section_vectors(f, basis, jd, "g").b_at)
     assert list(layer_descriptor(f, basis, "g").phi) == want == [1, 5, 9]
 

@@ -1,17 +1,16 @@
 """The sparse Gauss-Jordan routine of ``solvlie.linalg`` against the dense
 row operations it replaced (rref_oracle.py).
 
-An RREF is unique, so ``rref`` (of dense rows, and of the same rows given
-sparse, which come back sparse), ``rank``, ``kernel``, ``invert``,
-``Subspace`` (rows, pivots, ``contains_vector``, ``==``, ``hash``),
-``reduce_row`` and ``extend_echelon`` must agree with the oracle on seeded
-matrices: empty and all-zero ones, zero and duplicate rows, full and
-deficient rank, complex entries, Fraction and int entries. Every zero entry
-the library writes is the shared ``ZERO``, where the oracle kept the zero it
-found; that changes no comparison and no hash. ``reduce_row`` and
-``extend_echelon`` hold the echelon and return the remainder as sparse
+An RREF is unique, so ``rref``, ``rank``, ``kernel``, ``invert`` (each
+of dense rows and of the same rows given sparse), ``Subspace`` (rows,
+pivots, ``contains_vector``, ``==``, ``hash``), ``reduce_row`` and
+``extend_echelon`` must agree with the oracle on seeded matrices: empty
+and all-zero ones, zero and duplicate rows, full and deficient rank,
+complex entries, Fraction and int entries. Every routine returns sparse
 rows of the nonzero entries, which must equal the oracle's dense rows with
-their zeros dropped.
+their zeros dropped, and store no zero. The dense ``Subspace.rows`` write
+every zero entry as the shared ``ZERO``, where the oracle kept the zero it
+found; that changes no comparison and no hash.
 """
 
 import random
@@ -94,21 +93,29 @@ def _sparse(row):
     return {c: x for c, x in enumerate(row) if x}
 
 
+def _sparse_rows(rows):
+    """The oracle's dense rows with their zeros dropped."""
+    return [_sparse(row) for row in rows]
+
+
+def _stores_no_zero(rows):
+    return all(isinstance(row, dict) and all(row.values()) for row in rows)
+
+
 def test_rref_rank_kernel_agree_with_the_dense_oracle():
     for k, (mat, cols) in enumerate(CASES):
-        got, want = linalg.rref(mat), rref_oracle.rref(mat)
-        assert got == want, k
-        assert _zeros_are_shared(got[0]), k
+        red, pivots = rref_oracle.rref(mat)
+        got = linalg.rref(mat)
+        assert got == (_sparse_rows(red), pivots), k
+        assert _stores_no_zero(got[0]), k
         assert linalg.rank(mat) == rref_oracle.rank(mat), k
         if mat and mat[0]:
-            sparse = [_sparse(row) for row in mat]
-            red, pivots = linalg.rref(sparse)
-            assert all(isinstance(row, dict) for row in red), k
-            assert ([[row.get(c, ZERO) for c in range(cols)] for row in red],
-                    pivots) == got, k
-            want = rref_oracle.kernel(mat, cols)
-            assert linalg.kernel(mat, cols) == want, k
-            assert linalg.kernel(sparse, cols) == want, k
+            sparse = _sparse_rows(mat)
+            assert linalg.rref(sparse) == got, k
+            want = _sparse_rows(rref_oracle.kernel(mat, cols))
+            for given in (mat, sparse):
+                null = linalg.kernel(given, cols)
+                assert null == want and _stores_no_zero(null), k
             assert linalg.rank(sparse) == rref_oracle.rank(mat), k
 
 
@@ -126,6 +133,21 @@ def test_subspace_agrees_with_the_dense_oracle():
         for vec in probes:
             assert got.contains_vector(vec) == want.contains_vector(vec), k
             assert got.contains_vector(_sparse(vec)) == want.contains_vector(vec), k
+
+
+def test_rows_are_read_once_in_any_form_and_left_unchanged():
+    # dense rows, sparse rows and a one-shot iterator of either give the
+    # same subspace; rref reads the rows once and copies each
+    for k, (mat, cols) in enumerate(CASES):
+        sparse = _sparse_rows(mat)
+        kept = [dict(row) for row in sparse]
+        want = linalg.Subspace(mat, cols)
+        for given in (sparse, iter(mat), iter(sparse)):
+            got = linalg.Subspace(given, cols)
+            assert (got.sparse_rows, got.pivots, got.rows) == \
+                (want.sparse_rows, want.pivots, want.rows), k
+        assert linalg.rref(iter(sparse)) == linalg.rref(mat), k
+        assert sparse == kept, k
 
 
 def test_subspace_equality_and_hash_follow_the_span():
@@ -147,18 +169,29 @@ def test_invert_agrees_with_the_dense_oracle():
         if not mat or len(mat) > cols:
             continue
         square = [row[:len(mat)] for row in mat]
-        got, want = linalg.invert(square), rref_oracle.invert(square)
-        assert got == want, k
-        assert got is None or _zeros_are_shared(got), k
+        _check_invert(square, k)
 
 
 def test_invert_of_random_square_matrices():
     rng = random.Random(2903)
-    for _ in range(60):
+    for k in range(60):
         n = rng.randint(1, 5)
         mat = _matrix(rng, n, n, rng.choice(["complex", "real", "fraction"]),
                       rng.choice([None, None, n - 1]))
-        assert linalg.invert(mat) == rref_oracle.invert(mat)
+        _check_invert(mat, k)
+
+
+def _check_invert(mat, k):
+    """``invert`` of mat, dense and sparse, is None where the oracle's is,
+    else the oracle's rows with their zeros dropped, keys ascending."""
+    want = rref_oracle.invert(mat)
+    for given in (mat, _sparse_rows(mat)):
+        got = linalg.invert(given)
+        if want is None:
+            assert got is None, k
+            continue
+        assert got == _sparse_rows(want) and _stores_no_zero(got), k
+        assert all(list(row) == sorted(row) for row in got), k
 
 
 def test_reduce_row_and_extend_echelon_agree_with_the_dense_oracle():

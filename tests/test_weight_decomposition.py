@@ -26,7 +26,6 @@ from solvlie.algebra import (DiagonalizationError, LieAlgebraSpec,
                              weight_decomposition)
 from solvlie.corpus import corpus_entries
 from solvlie.gaussian import GaussianRational as G
-from solvlie.linalg import invert, rref
 from solvlie.workbench import Workbench
 from test_pfaffian_equivalence import _dense_center_spec
 
@@ -146,7 +145,7 @@ def _krylov_all_columns(mat, v):
         u = seq[-1]
         seq.append([sum((u[i] * mat[i][j] for i in range(size)), G(0))
                     for j in range(size)])
-    red, pivots = rref([list(row) for row in zip(*seq)])
+    red, pivots = rref_oracle.rref([list(row) for row in zip(*seq)])
     m = len(pivots)
     return [-red[i][m] for i in range(m)] + [G(1)]
 
@@ -263,7 +262,7 @@ def _conjugated(blocks, seed):
     rng = random.Random(seed)
     while True:
         p = [[G(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)]
-        p_inv = invert(p)
+        p_inv = rref_oracle.invert(p)
         if p_inv is not None:
             break
     mat = [[sum((p[i][k] * blocks[k][l] * p_inv[l][j]

@@ -20,7 +20,7 @@ import numpy as np
 
 from solvlie.algebra import DiagonalizationError, WeightSpace, _combine
 from solvlie.gaussian import GaussianRational, ZERO
-from solvlie.linalg import kernel, rref
+from rref_oracle import kernel, rref
 
 
 def _rational_candidates(value: float) -> List[Fraction]:
