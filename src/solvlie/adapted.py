@@ -139,9 +139,10 @@ class AdaptableBasis:
       matrix (the rows of the blocks are the Z_j).
 
     ``layer_tables`` memoizes, on first use, the case table of ``strata``
-    per (ambient, i_seq, j_seq), its orbit-form table under "orbit_form"
-    and its h-weight table under "gamma"; ``with_h_part`` starts it
-    empty. ``n_form_entries`` holds, once built, the orbit-form entries of
+    per (ambient, i_seq, j_seq), its orbit-form table under "orbit_form",
+    its h-weight table under "gamma" and its generic path per ambient
+    under ("pivots", ambient); ``with_h_part`` starts it empty.
+    ``n_form_entries`` holds, once built, the orbit-form entries of
     ``structure``, which depend on the n part alone; ``with_h_part`` keeps
     them.
     """

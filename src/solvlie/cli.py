@@ -153,6 +153,8 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.action == "list" and args.ids:
+        args.usage_error(f"corpus list takes no IDs, got {' '.join(args.ids)}")
     if args.action == "list":
         for e in corpus_mod.corpus_entries():
             tags = sorted({x.tag for x in e.expected})
@@ -163,7 +165,8 @@ def cmd_corpus(args) -> int:
     try:
         rows = corpus_mod.run_corpus(args.ids or None, seed=args.seed)
     except KeyError as exc:
-        print(str(exc), file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        print(exc.args[0], file=sys.stderr)
         return 2
     bad_entries = []
     for row in rows:
@@ -215,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("ids", nargs="*")
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(fn=cmd_corpus)
+    # IDs belong to run only; on list they are a usage error, reported by
+    # the corpus parser
+    p.set_defaults(fn=cmd_corpus, usage_error=p.error)
     return ap
 
 

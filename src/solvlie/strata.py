@@ -46,9 +46,9 @@ Which case of the section-vector table each pair falls in depends only on
 the jump pairs, not on the point. So the case table (conj-stable positions,
 primes, case sets, and e) is built once per (ambient, i_seq, j_seq) and
 kept, read-only, on the basis (``AdaptableBasis.layer_tables``, which also
-keeps the form table and the h-weight table); the points of
-one layer share it, and only the descriptor ``generic_layer`` returns gets
-its own copies.
+keeps the form table, the h-weight table and the generic path of each
+ambient); the points of one layer share it, and only the descriptor
+``generic_layer`` returns gets its own copies.
 
 A layer key is (e, j, phi). On a keyed layer, one whose dual pairs stay
 real at a real point (every pair in case 0, in case 1 with Z_{j_k} real,
@@ -61,10 +61,24 @@ coordinates. Every valid corpus entry's generic layer is keyed in both
 ambients; only the other layers build section vectors per sampled point.
 
 ``generic_layer`` keys each sample from its integer coordinates
-(``_sample_key``): the same fill, reduction and key rule
-(``_layer_key``), with no Functional, JumpData or descriptor per sample.
-A full ``layer_descriptor`` runs once per distinct key, and on the samples
-of layers that are not keyed. The key is read in integers only: phi
+(``_sample_key``), with no Functional, JumpData or descriptor per sample.
+Once per basis and ambient, ``_pivot_path`` runs ``_skew_reduce`` itself
+on the orbit form with polynomial entries over Z[i] in the coordinates
+(``_Poly``), and keeps the (e, j) of that generic path, its pivot
+polynomials and, on a keyed layer, the h-pair sums that decide phi. A
+sample at which no pivot polynomial vanishes takes the path's key, with
+phi read from the sums evaluated there. This is the key the reduction at
+the sample gives: evaluation is a ring homomorphism, the rows and
+columns the symbolic run passes over are the zero polynomial, and the
+pivots it takes are nonzero at the sample, so the reduction there makes
+every choice the symbolic run made and its vectors differ from the
+evaluated ones by nonzero factors. Any other sample takes the fill, the
+reduction and the key rule (``_layer_key``); so does every sample of a
+layer whose symbolic run passes its budget, ``_TERMS`` terms and degree
+``_DEGREE`` in one product (a dense form, whose pivots grow like its
+minors). A full ``layer_descriptor`` runs once per distinct key, and on
+the samples of layers that are not keyed. The key is read in integers
+only: phi
 (``_reduction_phi``) sums over an integer table of the h weights
 (``_gamma_table``, built once per basis and kept in
 ``basis.layer_tables``). The form table and the ambient size are looked up
@@ -398,7 +412,14 @@ def _divide(x, y):
     return x / y
 
 
-def _skew_reduce(rows: List[dict]):
+def _grown(p) -> bool:
+    """Whether the Gaussian-integer pivot entry p has passed 2^64, the size
+    past which ``_skew_reduce`` divides its entries back to the Pfaffian
+    minors."""
+    return _norm(p) > _LIMIT * _LIMIT
+
+
+def _skew_reduce(rows: List[dict], grown=_grown):
     """The symplectic reduction of a skew matrix with Gaussian-integer
     entries, fraction-free, in place on its sparse rows {q: m[p][q]}; an
     entry missing from a row is zero. The one reduction at exact points.
@@ -440,12 +461,17 @@ def _skew_reduce(rows: List[dict]):
     denominator 1 otherwise. An entry that becomes zero stays stored; the
     zero test reads it. The rows are left as working storage.
 
+    The entries are read only through their ring operations (``*``, ``-``
+    and the truth test) and the hook grown(p), which says when a pivot
+    entry p asks for the division back (``_divide``). So the same run
+    takes polynomial entries over Z[i] (``_Poly``, for ``_pivot_path``),
+    whose hook never asks for it: they are bounded by a term budget.
+
     Returns (i_seq, j_seq, steps), positions 1-based: ``steps[k - 1]`` is
     ((p, P_t kappa_i kappa_j), ((g, a_g kappa_j, p kappa_g), ...)) over
     the reduced g of step k by increasing g, as ``JumpData.steps`` keeps
     them: the pivot and the coefficients of step k as exact quotients.
     """
-    limit = _LIMIT * _LIMIT
     active = set(range(len(rows)))
     # the active rows not yet seen to be zero in every active column; such a
     # row never changes again (it is never reduced, and a reduced row adds
@@ -501,7 +527,7 @@ def _skew_reduce(rows: List[dict]):
         j_seq.append(jk + 1)
         steps.append((pivot, tuple(coefs)))
         since.append(pivot)
-        if _norm(p) > limit:
+        if grown(p):
             # P_{k+1} from the pivots since t, then every active entry back
             # to S_{k+1}
             pf = pf_t
@@ -1154,16 +1180,202 @@ def layer_descriptor(l: Functional, basis: Optional[AdaptableBasis] = None,
 # generic layer by seeded sampling
 # ---------------------------------------------------------------------------
 
+# the budget of the symbolic run of ``_pivot_path``: a product of more
+# terms or of a higher degree than these stops it, and the layer keeps the
+# fill and reduction per sample
+_TERMS = 8
+_DEGREE = 6
+
+
+class _OverBudget(Exception):
+    """A product of ``_Poly`` entries passed the budget."""
+
+
+class _Poly:
+    """A polynomial over Z[i] in the real coordinates x_0, x_1, ... of a
+    point, an entry of the symbolic run of ``_pivot_path``. ``terms`` is
+    {monomial: (a, b)} over the nonzero coefficients a + ib, a monomial the
+    sorted tuple of its variables, with repetition. It has the ring
+    operations of ``_skew_reduce`` and ``_replay``, an int on either side
+    of a product; a product of more than ``_TERMS`` terms or of degree
+    above ``_DEGREE`` raises _OverBudget."""
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __neg__(self):
+        return _Poly({m: (-a, -b) for m, (a, b) in self.terms.items()})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, (a, b) in other.terms.items():
+            c, d = out.pop(m, (0, 0))
+            if c + a or d + b:
+                out[m] = (c + a, d + b)
+        return _Poly(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _Poly({m: (a * other, b * other)
+                          for m, (a, b) in self.terms.items()} if other else {})
+        out: Dict[tuple, Tuple[int, int]] = {}
+        for m, (a, b) in self.terms.items():
+            for n, (c, d) in other.terms.items():
+                mn = tuple(sorted(m + n))
+                if len(mn) > _DEGREE:
+                    raise _OverBudget
+                e, f = out.pop(mn, (0, 0))
+                e, f = e + a * c - b * d, f + a * d + b * c
+                if e or f:
+                    out[mn] = (e, f)
+            if len(out) > _TERMS:
+                raise _OverBudget
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+    def compiled(self) -> Tuple[tuple, ...]:
+        """The real and imaginary parts, each a tuple of (coefficient,
+        monomial), the parts with no term left out: the form
+        ``_vanishes_at`` reads."""
+        parts = (tuple((a, m) for m, (a, _) in self.terms.items() if a),
+                 tuple((b, m) for m, (_, b) in self.terms.items() if b))
+        return tuple(part for part in parts if part)
+
+
+def _vanishes_at(parts: Tuple[tuple, ...], xs: Sequence[int]) -> bool:
+    """Whether the polynomial compiled into parts (``_Poly.compiled``) is
+    zero at the integer point xs: both its parts are."""
+    for part in parts:
+        total = 0
+        for c, m in part:
+            for v in m:
+                c *= xs[v]
+            total += c
+        if total:
+            return False
+    return True
+
+
+class _PivotPath(NamedTuple):
+    """The generic path of one basis and ambient; see ``_pivot_path``."""
+    e: Tuple[int, ...]
+    j_seq: Tuple[int, ...]
+    pivots: Tuple[tuple, ...]              # compiled pivot polynomials
+    sums: Optional[Tuple[tuple, ...]]      # (i_k, compiled h-pair sum)
+
+
+def _pivot_path(basis: AdaptableBasis, ambient: str, form: FormTable,
+                size: int):
+    """The path of the reduction at an indeterminate point of the ambient,
+    built once per basis and ambient and kept in ``basis.layer_tables``:
+    a _PivotPath, or False when the symbolic run passed the budget.
+
+    The form table is filled with ``_Poly`` entries, D M[p][q] as linear
+    forms in the coordinates x_0, ..., x_{size-1} of the real basis, and
+    ``_skew_reduce`` runs on them fraction-free, with no division back:
+    its zero tests ask whether a polynomial is zero, so it takes the path
+    of the division path over the field Q(i)(x). The _PivotPath keeps the
+    (e, j) of that path, its pivot entries p_k and, on a keyed layer, the
+    h-pair sums of ``_reduction_phi`` as polynomials, replayed by
+    ``_replay`` over the same steps (sums = None on a layer that is not
+    keyed, and only the sums that are not the zero polynomial kept). See
+    ``_sample_key`` for why a draw at which no p_k vanishes reads its key
+    off them."""
+    rows: List[dict] = [{} for _ in range(size)]
+    for p, q, re_terms, im_terms, _, s in form.entries:
+        if q >= size:
+            break
+        terms = {(m,): (c * s, 0) for m, c in re_terms}
+        for m, c in im_terms:
+            terms[(m,)] = (terms.get((m,), (0, 0))[0], c * s)
+        if terms:
+            x = rows[p][q] = _Poly(terms)
+            rows[q][p] = -x
+    try:
+        i_seq, j_seq, steps = _skew_reduce(rows, lambda p: False)
+        j_seq = tuple(j_seq)
+        table = _case_table(basis, ambient, tuple(i_seq), j_seq)
+        sums = None
+        if table.keyed:
+            ys = _replay(j_seq, steps, basis.n)
+            gamma, _ = _gamma_table(basis)
+            sums = []
+            for ik, jk in table.h_pairs:
+                _, y_j = ys.get(jk, (1, {jk: 1}))
+                total = _Poly({})
+                for p, c in gamma[ik - 1]:
+                    if p in y_j:
+                        c = (c, 0) if type(c) is int else _FIELDS(c)[:2]
+                        total = total + y_j[p] * _Poly({(): c})
+                if total:
+                    sums.append((ik, total.compiled()))
+            sums = tuple(sums)
+        path = _PivotPath(table.e, j_seq,
+                         tuple(p.compiled() for (p, _), _ in steps), sums)
+    except _OverBudget:
+        path = False
+    basis.layer_tables[("pivots", ambient)] = path
+    return path
+
+
 def _sample_key(basis: AdaptableBasis, ambient: str, form: FormTable,
                 size: int, xs: Sequence[int]):
     """The layer key (e, j, phi) at the exact point with integer values xs
     on the leading real basis vectors of the ambient (0 past them), phi
-    None on a layer that is not keyed: the fill, the reduction and the key
-    rule of ``layer_descriptor`` (``_layer_key``), with no Functional, no
-    JumpData and no descriptor. form is the basis's form table and size
-    the ambient's, which ``generic_layer`` looks up once per call, not per
-    sample. The rows hold form.den M as plain or Gaussian integers, and
-    ``_skew_reduce`` and the phi replay run fraction-free on them."""
+    None on a layer that is not keyed, with no Functional, no JumpData and
+    no descriptor. form is the basis's form table and size the ambient's,
+    which ``generic_layer`` looks up once per call, not per sample.
+
+    When no pivot polynomial of the generic path (``_pivot_path``)
+    vanishes at xs, the key is that path's (e, j), with phi the i_k whose
+    h-pair sum does not vanish at xs. Any other point, and every point
+    when the symbolic run passed its budget, takes the fill, the reduction
+    and the key rule of ``layer_descriptor`` (``_layer_key``): the rows
+    hold form.den M as plain or Gaussian integers, and ``_skew_reduce``
+    and the phi replay run fraction-free on them.
+
+    Both give the same key. Evaluation at xs is a ring homomorphism from
+    Z[i][x] to Z[i]. By induction over the steps, each stored entry of
+    the symbolic run evaluates to omega(y_g, y_q) at xs for vectors y
+    that are nonzero multiples of those of the division path at xs, as
+    the entries of the run at xs are (a division back there only rescales
+    them). A column the symbolic run passes over, and a row it finds zero,
+    is the zero polynomial, so it is zero at xs; the column it takes holds
+    the pivot, nonzero at xs. So the run at xs takes the same (i_k, j_k)
+    at every step, and skips the same rows. Where a coefficient a_g is a
+    nonzero polynomial that vanishes at xs, the symbolic step
+    y_g <- p y_g - a_g y_j evaluates to p y_g, a scaling by the nonzero
+    p(xs), while the run at xs leaves y_g alone (its coefficient is 0):
+    the factor of y_g changes, not the vector. So each replayed s_j y_j
+    evaluates to the true y_j at xs times a product of pivot entries,
+    nonzero at xs, and each h-pair sum to the true sum of
+    ``_reduction_phi`` times a nonzero factor: it vanishes exactly when
+    the true sum does.
+
+    The symbolic run is the budgeted one of ``_pivot_path``: a product of
+    more than ``_TERMS`` terms or of degree above ``_DEGREE`` stops it,
+    and then every sample of the basis and ambient takes the fill and
+    reduction."""
+    path = basis.layer_tables.get(("pivots", ambient))
+    if path is None:
+        path = _pivot_path(basis, ambient, form, size)
+    if path:
+        for p in path.pivots:
+            if _vanishes_at(p, xs):
+                break
+        else:
+            sums = path.sums
+            return path.e, path.j_seq, (
+                None if sums is None else
+                tuple(ik for ik, s in sums if not _vanishes_at(s, xs)))
     i_seq, j_seq, steps = _skew_reduce(_fill(form, size, xs, True))
     j_seq = tuple(j_seq)
     table = _case_table(basis, ambient, tuple(i_seq), j_seq)
@@ -1181,7 +1393,12 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
 
     The coordinates are drawn as ``sample_functional`` draws them, and
     ``_sample_key`` reads one key per sample off them, building no
-    Functional or descriptor. ``layer_descriptor`` runs on the first
+    Functional or descriptor: off the pivot polynomials of the generic
+    path (``_pivot_path``) when none vanishes at the sample, since the
+    reduction at such a sample makes every choice of the reduction at an
+    indeterminate point, and by the fill and reduction otherwise, and at
+    every sample of a layer whose symbolic run passes its term and degree
+    budget. ``layer_descriptor`` runs on the first
     sample of each key, whose descriptor is the one returned for that key
     (every descriptor field is a function of the key), and on each sample
     of a layer that is not keyed, where phi needs section vectors.

@@ -155,7 +155,19 @@ def test_corpus_run_single_verbatim_entry():
 
 def test_corpus_run_unknown_id():
     proc = run_cli("corpus", "run", "no-such-entry")
-    assert proc.returncode != 0
+    assert proc.returncode == 2
+    assert proc.stderr == "unknown corpus ids: ['no-such-entry']\n"
+    assert proc.stdout == ""
+
+
+def test_corpus_list_with_ids_is_a_usage_error():
+    proc = run_cli("corpus", "list", "heisenberg-2param")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: solvlie corpus")
+    assert proc.stderr.endswith(
+        "error: corpus list takes no IDs, got heisenberg-2param\n")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

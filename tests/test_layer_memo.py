@@ -1,8 +1,10 @@
 """The generic layer through the per-sample key, the per-key case table
 and the sparse kernels.
 
-``strata.generic_layer`` keys each sample with ``strata._sample_key`` and
-builds a descriptor once per key; ``strata.layer_descriptor`` reads its
+``strata.generic_layer`` keys each sample with ``strata._sample_key`` (off
+the pivot polynomials of the layer's generic path where none vanishes, by
+the fill and the reduction elsewhere) and builds a descriptor once per
+key; ``strata.layer_descriptor`` reads its
 case table from a memo on the basis (one table per ambient and jump pairs)
 and its section vectors from the sparse rows of the orbit form. The
 oracle path below evaluates every sample afresh instead: the per-sample

@@ -12,6 +12,10 @@ pivots; on the layers whose orbit form has complex entries; at a draw
 where a reduced coefficient of the reduction vanishes; and on the
 dense-center family, where ``generic_layer`` must also match
 ``generic_layer_oracle``.
+
+Every valid corpus layer stays on the generic path
+(``strata._pivot_path``), the {-1, 0, 1} points reach draws off it, and
+the dense-center layers pass the path's budget and fall back.
 """
 
 import random
@@ -24,8 +28,8 @@ from sample_key_oracle import sample_key
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import _draw_integers
 from solvlie.gaussian import GaussianRational
-from solvlie.strata import _fill, _form_table, _sample_key, _skew_reduce
-from solvlie.strata import generic_layer
+from solvlie.strata import (_fill, _form_table, _pivot_path, _sample_key,
+                            _skew_reduce, _vanishes_at, generic_layer)
 from solvlie.workbench import Workbench
 from test_layer_memo import specgen
 from test_pfaffian_equivalence import _dense_center_spec
@@ -49,15 +53,30 @@ def _draws(basis, ambient, seed):
     return [xs for xs in draws if any(xs)]
 
 
+def _path(basis, ambient):
+    """The generic path _sample_key reads, built on first use."""
+    path = basis.layer_tables.get(("pivots", ambient))
+    if path is None:
+        path = _pivot_path(basis, ambient, _form_table(basis),
+                           basis.ambient(ambient))
+    return path
+
+
+def _on_path(basis, ambient, xs):
+    """Whether _sample_key reads the point off the generic path."""
+    path = _path(basis, ambient)
+    return bool(path) and not any(_vanishes_at(p, xs) for p in path.pivots)
+
+
 def _check(basis, ambient, points):
     """Asserts that _sample_key equals the oracle at every point; returns
-    the number of points."""
+    the number of points on the generic path."""
     form = _form_table(basis)
     size = basis.ambient(ambient)
     for xs in points:
         assert _sample_key(basis, ambient, form, size, xs) == \
             sample_key(basis, ambient, form, size, xs), (ambient, xs)
-    return len(points)
+    return sum(_on_path(basis, ambient, xs) for xs in points)
 
 
 @pytest.mark.parametrize("entry_id", VALID_IDS)
@@ -89,6 +108,17 @@ def test_degenerate_points_match_the_oracle(entry_id):
     for ambient, basis in _layers(wb):
         for seed in (40, 41):
             _check(basis, ambient, _degenerate(basis, ambient, seed))
+
+
+def test_degenerate_points_reach_draws_off_the_path():
+    on = off = 0
+    for entry_id in VALID_IDS:
+        for ambient, basis in _layers(wb_for(entry_id)):
+            points = _degenerate(basis, ambient, 40)
+            on_path = _check(basis, ambient, points)
+            on += on_path
+            off += len(points) - on_path
+    assert on and off
 
 
 def _has_complex_entry(basis, ambient, xs):
@@ -128,7 +158,7 @@ def test_vanishing_reduced_coefficient_keeps_the_key():
                      ("generic", GENERIC)):
         i_seq, j_seq, steps[name] = _skew_reduce(_fill(form, 8, xs, True))
         assert (i_seq, j_seq) == ([1, 2, 3], [8, 4, 7])
-        _check(basis, "g", [xs])
+        assert _check(basis, "g", [xs]) == 1
         key = _sample_key(basis, "g", form, 8, xs)
         assert key == ((1, 2, 3, 4, 7, 8), (8, 4, 7), (1, 3))
     # the second step reduces position 7 at the generic point only
@@ -143,4 +173,5 @@ def test_dense_center_matches_the_oracles(m):
     got = generic_layer(basis, "n", seed=42)
     want = generic_layer_oracle.generic_layer(basis, "n", seed=42)
     assert got.as_dict() == want.as_dict()
-    _check(basis, "n", _draws(basis, "n", 42)[:16])
+    assert _path(basis, "n") is False
+    assert _check(basis, "n", _draws(basis, "n", 42)[:16]) == 0

@@ -2,10 +2,11 @@
 
 ``strata.generic_layer`` draws each sample's integer coordinates with
 ``functionals._draw_integers`` and keys the sample with
-``strata._sample_key``, which runs the fill, the reduction and the key rule
-of ``layer_descriptor`` without building a Functional or a descriptor; it
-gives phi = None where the layer is not keyed, and ``generic_layer`` then
-runs ``layer_descriptor``. At every sample the key read that way must be
+``strata._sample_key``, without building a Functional or a descriptor:
+off the pivot polynomials of the generic path of the basis and ambient
+when none vanishes at the sample, else by the fill, the reduction and the
+key rule of ``layer_descriptor``. It gives phi = None where the layer is
+not keyed, and ``generic_layer`` then runs ``layer_descriptor``. At every sample the key read that way must be
 ``layer_descriptor(f, basis, ambient).key()``, or both must raise the same
 error on the same (e, j). The samples are the 64 that ``generic_layer``
 draws on every valid corpus entry in both ambients at seeds 1, 7 and 42,
