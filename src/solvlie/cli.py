@@ -12,9 +12,13 @@ basis construction, a layer outside the supported section cases or a
 polarization that fails its isotropy checks included); admissible 0
 admissible, 1 not admissible, 2 invalid input (an unreadable or malformed
 file and an invalid hint included) or one of the same sampling or
-pipeline failures.
---trials is an option of analyze only. A malformed command line, --trials
-below 1 included, prints the usage and exits 2.
+pipeline failures; corpus run 0 all expectations matched, 1 mismatched
+entries, 2 an unknown ID. Every command exits 141 (128 + SIGPIPE, the
+shell's code) when its stdout is closed before its output is written, as
+in a pipe into head, and prints no more.
+--trials is an option of analyze only, and --seed of analyze and corpus
+run. A malformed command line, --trials below 1 and corpus list with IDs
+or --seed included, prints the usage and exits 2.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -155,6 +160,8 @@ def cmd_admissible(args) -> int:
 def cmd_corpus(args) -> int:
     if args.action == "list" and args.ids:
         args.usage_error(f"corpus list takes no IDs, got {' '.join(args.ids)}")
+    if args.action == "list" and args.seed is not None:
+        args.usage_error("corpus list takes no --seed")
     if args.action == "list":
         for e in corpus_mod.corpus_entries():
             tags = sorted({x.tag for x in e.expected})
@@ -163,7 +170,8 @@ def cmd_corpus(args) -> int:
                   f"tags={','.join(tags)}{note}")
         return 0
     try:
-        rows = corpus_mod.run_corpus(args.ids or None, seed=args.seed)
+        rows = corpus_mod.run_corpus(args.ids or None,
+                                     seed=42 if args.seed is None else args.seed)
     except KeyError as exc:
         # str() of a KeyError is the repr of its message, quotes included
         print(exc.args[0], file=sys.stderr)
@@ -217,16 +225,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="bundled examples with expectations")
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("ids", nargs="*")
-    p.add_argument("--seed", type=int, default=42)
-    # IDs belong to run only; on list they are a usage error, reported by
-    # the corpus parser
+    # IDs and --seed (42 when not given) belong to run only; on list they
+    # are a usage error, reported by the corpus parser
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_corpus, usage_error=p.error)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit writes nothing (the SIGPIPE recipe of the signal docs), and
+        # exit 128 + SIGPIPE, as a shell reports a process SIGPIPE killed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Union
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
 from .gaussian import GaussianRational, ZERO
-from .linalg import FLOAT_TOL, is_zero
+from .linalg import FLOAT_TOL, REALITY_TOL, is_zero
 
 Scalar = Union[GaussianRational, complex]
 
@@ -35,7 +35,8 @@ class NotUnipotentError(ValueError):
 
 
 class NeedsFloatError(ValueError):
-    pass
+    """Raised where an exact point is required and a float one is given:
+    by ``JumpData.polarization`` and ``JumpData.pfaffian``."""
 
 
 class RealityError(ValueError):
@@ -213,44 +214,27 @@ def exp_unipotent_coadjoint(spec_or_basis, x_vec, l: Functional) -> Functional:
 
 def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
                     mode: str = "float") -> Functional:
-    """Coadjoint action of exp(a), a in h.
-
-    Exact mode is only available when every eigen-coordinate of l that the
-    flow would rescale has weight value gamma(a) = 0 (then nothing moves).
-    Float mode reads the eigen coordinates y_i = l(row_i) from the nonzero
-    entries of each row (``EigenBasis.float_terms``), scales them by
-    e^{-gamma_i(a)}, and maps them back to real coordinates by x = inverse y
-    in double precision. The eigen rows and the inverse of their n block
+    """Coadjoint action of exp(a), a in h: a float map of any point, since
+    exp(a) scales l(Z_j) by e^{-gamma_j(a)}; mode must be "float" (else
+    ValueError). The flow reads the eigen coordinates y_i = l(row_i) from
+    the nonzero entries of each row (``EigenBasis.float_terms``), scales
+    them by e^{-gamma_i(a)}, and maps them back to real coordinates by
+    x = inverse y in double precision, raising RealityError past
+    ``linalg.REALITY_TOL``. The eigen rows and the inverse of their n block
     are computed exactly once per spec (``LieAlgebraSpec.eigenbasis``), so
     a call does no elimination. spec_or_basis must be l.basis or
     l.basis.spec, and a_vec have dim g coordinates or be a dict of labels
     (else ValueError).
     """
+    if mode != "float":
+        raise ValueError(f"mode must be 'float', got {mode!r}")
     basis, spec, a_vec = _flow_args(spec_or_basis, a_vec, l)
     for m in range(spec.n_dim):
         if not is_zero(a_vec[m]):
             raise ValueError("element has a nonzero n-component")
     eig = spec.eigenbasis()
     nd, hd = spec.n_dim, spec.h_dim
-
-    if mode == "exact":
-        if not l.exact:
-            raise NeedsFloatError("exact mode requires an exact functional")
-        for row, ws in zip(eig.rows, eig.weights):
-            gamma = ZERO
-            for t in range(hd):
-                gamma = gamma + GaussianRational.coerce(a_vec[nd + t]) * ws[t]
-            if gamma.is_zero():
-                continue
-            if not l.value(row).is_zero():
-                raise NeedsFloatError(
-                    "flow rescales a coordinate with nonzero weight; use float mode")
-        return l
-    if mode != "float":
-        raise ValueError("mode must be 'exact' or 'float'")
-
-    lf = l.to_float()
-    values = lf.values
+    values = l.to_float().values
     # eigen coordinates of the n-part, scaled by e^{-gamma(a)}
     y = []
     for terms, ws in zip(eig.float_terms, eig.weights):
@@ -260,9 +244,9 @@ def exp_h_coadjoint(spec_or_basis, a_vec, l: Functional,
         y.append(sum((c * values[m] for m, c in terms), 0j) * cmath.exp(-g))
     # recover the real coordinates: sum_m rows[i][m] x_m = y_i
     x = [sum(c * yi for c, yi in zip(row, y)) for row in eig.inverse]
-    new = list(lf.values)
+    new = list(values)
     for m in range(nd):
-        if abs(x[m].imag) > 1e-8 * (1 + abs(x[m])):
+        if abs(x[m].imag) > REALITY_TOL * (1 + abs(x[m])):
             raise RealityError("flow produced a non-real functional")
         new[m] = x[m].real
     return Functional(basis, new, exact=False)

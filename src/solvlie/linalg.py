@@ -20,13 +20,16 @@ route returns what dense elimination did. Every independence and
 membership test of the package grows or reads such an echelon; no other
 module eliminates.
 
-Float values appear only at float points of g* (such as points moved by a
+Float values appear only at float points of g* (points moved by the
 dilation flow, whose coordinates pick up factors e^{t}), and nothing here
-eliminates in floats. The zero test those points need lives here too:
-``FLOAT_TOL`` is the one float tolerance of the package, ``is_zero`` is the
-one zero test (exact without a tolerance, |x| <= tol with one), and
-``zero_test`` is the same test with the tolerance bound, for the inner
-loops of a kernel.
+eliminates in floats. Every float tolerance behind a decision lives here:
+``FLOAT_TOL``, the zero tolerance of a float point (``Functional.tol``),
+which every pivot, pairing and membership test there reads through
+``is_zero``, the one zero test (exact without a tolerance, |x| <= tol with
+one), or ``zero_test``, the same test with the tolerance bound, for the
+inner loops of a kernel; and ``REALITY_TOL``, the reality test of the
+dilation flow (``functionals.exp_h_coadjoint`` raises RealityError when a
+real coordinate x it recovers has |Im x| > REALITY_TOL (1 + |x|)).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ SparseRow = Dict[int, object]
 
 
 FLOAT_TOL = 1e-9
+REALITY_TOL = 1e-8
 
 
 @lru_cache(maxsize=16)

@@ -399,7 +399,7 @@ def h_project(f: Functional, stab: StabilizerData,
     for t, a in zip(params, stab.a_basis):
         for u, c in enumerate(a):
             x[spec.n_dim + u] += t * float(c)
-    sigma = exp_h_coadjoint(spec, x, f.to_float(), mode="float")
+    sigma = exp_h_coadjoint(spec, x, f)
     for j in oracle_sigma_circ.phi:
         zv = sigma.z(j)
         if not is_zero(zv * zv.conjugate() - 1, sigma.tol):

@@ -160,7 +160,7 @@ class JumpData:
 
     ``form[p]`` is {q: D M[p][q]} over the nonzero entries of row p of the
     unreduced orbit form M = (l[Z_{p+1}, Z_{q+1}]) at ``point``, by
-    increasing q, as ``_orbit_form`` fills it, with D = ``den``: Gaussian
+    increasing q, as ``jump_data`` fills it, with D = ``den``: Gaussian
     integers at an exact point, M itself (D = 1) at a float one. It is the
     one copy of the form the point keeps. ``steps[k - 1]`` is
     ((p, d), ((g, num, den), ...)) for step k, over the reduced g by
@@ -373,28 +373,6 @@ def _fill(table: FormTable, n_amb: int, xs: Sequence, exact: bool) -> List[dict]
     return rows
 
 
-def _orbit_form(l: Functional, basis: AdaptableBasis,
-                n_amb: int) -> Tuple[List[dict], int]:
-    """(rows, den): the sparse rows of den times the orbit form
-    M[p][q] = l[Z_{p+1}, Z_{q+1}] on the first n_amb adapted vectors,
-    filled by ``_fill``: ``rows[p]`` is {q: den M[p][q]} over the nonzero
-    entries of row p, by increasing q.
-
-    At an exact point the values x_m are read as integers over their
-    common denominator (1 at every sampled point), and den is that times
-    the table's denominator, so every entry of rows is a Gaussian integer,
-    built with no gcd; at a float point the integer coefficients times the
-    floats give complex(a, b) / d, and den is 1."""
-    table = _form_table(basis)
-    values = l.values
-    if l.exact:
-        den = lcm(*map(_DENOMINATOR, values))
-        xs = (list(map(_NUMERATOR, values)) if den == 1 else
-              [v.numerator * (den // v.denominator) for v in values])
-        return _fill(table, n_amb, xs, True), den * table.den
-    return _fill(table, n_amb, values, False), 1
-
-
 def _norm(z) -> int:
     """|z|^2 of a Gaussian integer, an int or a GaussianRational with
     denominator 1, in integers (no size overflows a float)."""
@@ -605,14 +583,19 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
               ambient: str = "g") -> JumpData:
     """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
 
-    The reduction (``_skew_reduce`` at an exact point,
-    ``_skew_reduce_float`` at a float one) runs on a copy of the sparse
-    rows of D M that ``_orbit_form`` fills; the result keeps those rows,
-    unreduced, as ``form`` and D as ``den``. Positions g of the ambient
-    flag stay active while their reduced vector y_g can still pair; step k
-    pairs the first active row i_k that pairs with the first active column
-    j_k it pairs with, and y_{i_k} stays in h_k (in its radical) while
-    y_{j_k} does not.
+    ``l.exact`` picks the mode, once. The reduction runs on a copy of the
+    sparse rows of D M that ``_fill`` fills from the form table; the
+    result keeps them, unreduced, as ``form`` and D as ``den``. At an
+    exact point D is the common denominator of the values (1 at every
+    sampled point) times the table's, every entry is a Gaussian integer
+    built with no gcd, and ``_skew_reduce`` reduces fraction-free; at a
+    float point D = 1 and ``_skew_reduce_float`` divides, testing zero by
+    ``l.tol``.
+
+    Positions g of the ambient flag stay active while their reduced vector
+    y_g can still pair; step k pairs the first active row i_k that pairs
+    with the first active column j_k it pairs with, and y_{i_k} stays in
+    h_k (in its radical) while y_{j_k} does not.
 
     This is the flag/annihilator recursion h_k = perp(h_{k-1} cap c_{i_k})
     cap h_{k-1}: by the choice of i_k, h_{k-1} cap c_{i_k - 1} already lies
@@ -625,12 +608,20 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """
     if basis is None:
         basis = l.basis
-    form, den = _orbit_form(l, basis, basis.ambient(ambient))
-    rows = list(map(dict.copy, form))
+    table = _form_table(basis)
+    n_amb = basis.ambient(ambient)
+    values = l.values
     if l.exact:
-        i_seq, j_seq, steps = _skew_reduce(rows)
+        den = lcm(*map(_DENOMINATOR, values))
+        xs = (list(map(_NUMERATOR, values)) if den == 1 else
+              [v.numerator * (den // v.denominator) for v in values])
+        form = _fill(table, n_amb, xs, True)
+        den *= table.den
+        i_seq, j_seq, steps = _skew_reduce(list(map(dict.copy, form)))
     else:
-        i_seq, j_seq, steps = _skew_reduce_float(rows, l.tol)
+        form, den = _fill(table, n_amb, values, False), 1
+        i_seq, j_seq, steps = _skew_reduce_float(list(map(dict.copy, form)),
+                                                 l.tol)
     return JumpData(tuple(i_seq), tuple(j_seq), ambient, basis,
                     tuple(steps), l, form, den)
 

@@ -58,10 +58,25 @@ def case_table(jd):
     return _case_table(jd.basis, jd.ambient, jd.i_seq, jd.j_seq)
 
 
+def moving_weights(f, a):
+    """The (j, gamma_j(a)) at the adapted j where the exact point f has
+    l(Z_j) != 0 and gamma_j(a) != 0, read exactly from ``basis.weights``
+    and ``f.z``. exp(a) scales l(Z_j) by e^{-gamma_j(a)}, so it fixes f
+    exactly when there is none (a, a vector of g, is zero on n)."""
+    basis = f.basis
+    nd = basis.spec.n_dim
+    out = []
+    for j, ws in enumerate(basis.weights, 1):
+        gamma = sum((GaussianRational.coerce(a[nd + t]) * w
+                     for t, w in enumerate(ws)), ZERO)
+        if gamma and f.z(j):
+            out.append((j, gamma))
+    return out
+
+
 def form_values(rows, den, zero=ZERO):
-    """The entries of a form held as {q: den M[p][q]} rows (the rows and
-    den of ``strata._orbit_form``, or ``JumpData.form`` and
-    ``JumpData.den``), as {q: M[p][q]}: exact over Q(i) when
+    """The entries of a form held as {q: den M[p][q]} rows (``JumpData.form``
+    and ``JumpData.den``), as {q: M[p][q]}: exact over Q(i) when
     the rows hold Gaussian integers, the floats themselves at a float
     point (den 1). zero is the point's."""
     return [{q: (zero + x) / den for q, x in row.items()} for row in rows]

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -168,6 +169,38 @@ def test_corpus_list_with_ids_is_a_usage_error():
     assert proc.stderr.endswith(
         "error: corpus list takes no IDs, got heisenberg-2param\n")
     assert "Traceback" not in proc.stderr
+
+
+def test_corpus_list_with_a_seed_is_a_usage_error():
+    proc = run_cli("corpus", "list", "--seed", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: solvlie corpus")
+    assert proc.stderr.endswith("error: corpus list takes no --seed\n")
+    assert "Traceback" not in proc.stderr
+
+
+def run_cli_into_closed_pipe(*args):
+    """The CLI run with its stdout the write end of a pipe whose read end
+    was closed before the child started: its first write to stdout fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "solvlie.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=600)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("args", [("admissible", "spiral-heisenberg.json"),
+                                  ("corpus", "run")])
+def test_closed_stdout_exits_141_without_a_traceback(corpus_dir, args):
+    if args[0] == "admissible":
+        args = (args[0], str(corpus_dir / args[1]))
+    proc = run_cli_into_closed_pipe(*args)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

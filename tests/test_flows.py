@@ -8,8 +8,9 @@ import pytest
 
 import unipotent_oracle
 from adapted_oracle import solve
-from conftest import VALID_IDS, corpus_entry, point, sample_element, wb_for
-from solvlie.functionals import (Functional, NeedsFloatError, NotUnipotentError,
+from conftest import (VALID_IDS, corpus_entry, moving_weights, point,
+                      sample_element, wb_for)
+from solvlie.functionals import (Functional, NotUnipotentError,
                                  RealityError, exp_h_coadjoint,
                                  exp_unipotent_coadjoint, sample_functional)
 from solvlie.gaussian import GaussianRational as G
@@ -150,28 +151,49 @@ def test_h_flow_zero_is_identity_exact():
     spec = wb.spec
     l = point(wb, Z=5, Y=1, X=2)
     a = [G(0)] * spec.dim
-    out = exp_h_coadjoint(spec, a, l, mode="exact")
-    assert list(out.values) == list(l.values)
+    assert moving_weights(l, a) == []
+    out = exp_h_coadjoint(spec, a, l)
+    assert not out.exact
+    assert list(out.values) == [float(v) for v in l.values]
 
 
 def test_h_flow_stabilizer_fixes_section_points_exactly():
+    # gamma_j(B) = 0 on every adapted j where l(Z_j) != 0, exactly, so the
+    # flow along the little-group direction moves nothing
     wb = wb_for("heisenberg-2param")
     spec = wb.spec
     l = point(wb, Z=9)
     a = [G(0)] * spec.dim
     a[spec.index("B")] = G(3)     # the little-group direction
-    out = exp_h_coadjoint(spec, a, l, mode="exact")
-    assert list(out.values) == list(l.values)
+    assert moving_weights(l, a) == []
+    out = exp_h_coadjoint(spec, a, l)
+    assert list(out.values) == [float(v) for v in l.values]
 
 
-def test_h_flow_exact_mode_refuses_moving_coordinates():
+def test_h_flow_moves_a_coordinate_of_nonzero_weight():
+    # gamma_1(A) = 1 and l(Z_1) = l(Z) = 1: the flow scales it by e^{-1}
     wb = wb_for("heisenberg-2param")
     spec = wb.spec
     l = point(wb, Z=1)
     a = [G(0)] * spec.dim
     a[spec.index("A")] = G(1)
-    with pytest.raises(NeedsFloatError):
-        exp_h_coadjoint(spec, a, l, mode="exact")
+    assert moving_weights(l, a) == [(1, G(1))]
+    moved = exp_h_coadjoint(spec, a, l)
+    assert moved.values[spec.index("Z")] == pytest.approx(math.exp(-1),
+                                                          rel=1e-12)
+
+
+def test_h_flow_has_no_exact_mode():
+    # the flow is a float map: "float" is the one mode, and the default
+    wb = wb_for("heisenberg-2param")
+    spec = wb.spec
+    a = [G(0)] * spec.dim
+    l = point(wb, Z=1)
+    for mode in ("exact", "Float", None):
+        with pytest.raises(ValueError, match="mode must be 'float'"):
+            exp_h_coadjoint(spec, a, l, mode=mode)
+    assert exp_h_coadjoint(spec, a, l, mode="float").values == \
+        exp_h_coadjoint(spec, a, l).values
 
 
 def test_h_flow_preserves_h_values():
@@ -236,7 +258,7 @@ def test_from_adapted_matches_solve_route(entry_id):
 
 def test_one_eigenbasis_per_spec(monkeypatch):
     # the dilation flow builds the eigen rows and the inverse of their n
-    # block once per spec, across float and exact flows
+    # block once per spec, across flows of float and exact points
     from solvlie import algebra
     from solvlie.workbench import Workbench
 
@@ -254,7 +276,7 @@ def test_one_eigenbasis_per_spec(monkeypatch):
         exp_h_coadjoint(spec, a, l, mode="float")
     b = [G(0)] * spec.dim
     b[spec.index("B")] = G(3)
-    exp_h_coadjoint(spec, b, point(wb, Z=9), mode="exact")
+    exp_h_coadjoint(spec, b, point(wb, Z=9))
     assert len(calls) == 1
 
 

@@ -96,8 +96,7 @@ def _check_point(f, basis, ambient, with_recursion):
                       [int(v) for v in f.values])
     assert key[:2] == e_j, (ambient, f.values)
     jd = jump_data(f, basis, ambient)
-    den = strata._orbit_form(f, basis, n_amb)[1]
-    reductions, pivots = exact_reduction(jd.steps, den)
+    reductions, pivots = exact_reduction(jd.steps, jd.den)
     assert [list(jd.i_seq), list(jd.j_seq), reductions, pivots] == \
         list(want), (ambient, f.values)
     if with_recursion:
@@ -180,12 +179,9 @@ def test_rows_over_a_denominator_keep_the_orbit_form():
     assert _form_table(basis).den == 2
     f = Functional(basis, [Fraction(k + 1, 3) for k in range(basis.dim)],
                    exact=True)
-    rows, den = strata._orbit_form(f, basis, basis.dim)
-    assert den == 6
-    assert all(isinstance(x, int) for row in rows for x in row.values())
     jd = jump_data(f, basis, "g")
-    assert (jd.form, jd.den) == (rows, den)
+    assert jd.den == 6
+    assert all(isinstance(x, int) for row in jd.form for x in row.values())
     _, form, _ = jump_oracle._orbit_form(f, basis, basis.dim)
-    for kept in (form_values(rows, den), form_values(jd.form, jd.den)):
-        assert [[row.get(q, G(0)) for q in range(basis.dim)]
-                for row in kept] == form
+    assert [[row.get(q, G(0)) for q in range(basis.dim)]
+            for row in form_values(jd.form, jd.den)] == form

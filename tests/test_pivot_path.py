@@ -15,7 +15,9 @@ dense-center family, where ``generic_layer`` must also match
 
 Every valid corpus layer stays on the generic path
 (``strata._pivot_path``), the {-1, 0, 1} points reach draws off it, and
-the dense-center layers pass the path's budget and fall back.
+the dense-center layers pass the path's budget and fall back. The (e, j)
+of the generic path is the (e, j) of the layer ``generic_layer`` picks
+by its vote, on the valid corpus and on the specgen specs of seeds 1-5.
 """
 
 import random
@@ -164,6 +166,25 @@ def test_vanishing_reduced_coefficient_keeps_the_key():
     # the second step reduces position 7 at the generic point only
     assert [g for g, _, _ in steps["generic"][1][1]] == [7]
     assert steps["vanishing"][1][1] == ()
+
+
+def test_symbolic_key_is_the_sampled_winner():
+    # the generic layer is the Zariski-open set where no pivot of the
+    # reduction vanishes, so the path at an indeterminate point keys the
+    # layer the samples vote for, in n* and in g*
+    wbs = [wb_for(entry_id) for entry_id in VALID_IDS]
+    wbs += [Workbench(spec_from_dict(doc)) for seed in range(1, 6)
+            for doc, _ in specgen.generate(seed)]
+    layers = 0
+    for wb in wbs:
+        for (ambient, basis), layer in zip(_layers(wb),
+                                           (wb.n_layer, wb.g_layer)):
+            path = _path(basis, ambient)
+            assert path, (wb.spec.name, ambient)
+            assert (path.e, path.j_seq) == (layer.e_set, layer.j_seq), \
+                (wb.spec.name, ambient)
+            layers += 1
+    assert layers == 90
 
 
 @pytest.mark.parametrize("m", (16, 24))

@@ -1,6 +1,6 @@
 """The sparse orbit-form kernel against the dense one it replaced.
 
-``strata._orbit_form`` fills the orbit form into sparse rows from integer
+``strata.jump_data`` fills the orbit form into sparse rows from integer
 linear forms in a point's real coordinates (``strata._form_table``), as
 Gaussian integers over one denominator at an exact point, and
 ``strata._skew_reduce`` reduces them fraction-free over the stored entries
@@ -33,8 +33,7 @@ from jump_oracle import _skew_reduce as dense_skew_reduce
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint, sample_functional
 from solvlie.sections import sample_lambda_nu
-from solvlie.strata import (_orbit_form, _skew_reduce,
-                            _skew_reduce_float, jump_data)
+from solvlie.strata import _skew_reduce, _skew_reduce_float, jump_data
 from solvlie.workbench import Workbench
 from test_layer_memo import specgen
 from test_pfaffian_equivalence import _dense_center_spec
@@ -56,17 +55,14 @@ def _columns(jd):
 
 def _assert_exact(f, basis, ambient):
     n_amb = basis.ambient(ambient)
-    rows, den = _orbit_form(f, basis, n_amb)
     _, form, want_columns = dense_orbit_form(f, basis, n_amb)
-    assert _dense(form_values(rows, den), f.zero) == form, f.values
     jd = jump_data(f, basis, ambient)
-    assert jd.den == den, f.values
     # the reduction ran on a copy: the kept form is the unreduced one
     assert _dense(form_values(jd.form, jd.den), f.zero) == form, f.values
     assert _columns(jd) == want_columns, f.values
-    i_seq, j_seq, steps = _skew_reduce(rows)
+    i_seq, j_seq, steps = _skew_reduce(list(map(dict.copy, jd.form)))
     want = dense_skew_reduce(form, None)
-    assert [i_seq, j_seq, *exact_reduction(steps, den)] == list(want), \
+    assert [i_seq, j_seq, *exact_reduction(steps, jd.den)] == list(want), \
         f.values
     assert [list(jd.i_seq), list(jd.j_seq),
             exact_reduction(jd.steps, jd.den)[0]] == list(want[:3]), f.values
@@ -78,8 +74,6 @@ def _close(a, b):
 
 def _assert_float(f, basis, ambient):
     n_amb = basis.ambient(ambient)
-    rows, den = _orbit_form(f, basis, n_amb)
-    assert den == 1
     _, form, want_columns = dense_orbit_form(f, basis, n_amb)
     jd = jump_data(f, basis, ambient)
     assert jd.den == 1
@@ -88,7 +82,8 @@ def _assert_float(f, basis, ambient):
     for col, want_col in zip(columns, want_columns):
         assert [p for p, _ in col] == [p for p, _ in want_col], f.values
         assert all(_close(x, y) for (_, x), (_, y) in zip(col, want_col))
-    i_seq, j_seq, record = _skew_reduce_float(rows, f.tol)
+    i_seq, j_seq, record = _skew_reduce_float(list(map(dict.copy, jd.form)),
+                                              f.tol)
     steps = [[(g, a / p) for g, a, p in red] for _, red in record]
     pivots = [p for (p, _), _ in record]
     w_i, w_j, w_steps, w_pivots = dense_skew_reduce(form, f.tol)
