@@ -12,8 +12,13 @@ Four nested membership oracles over a fixed generic layer:
     restriction, zero on the normalized dilation directions, free on the
     little-group dual).
 
-Membership always evaluates the defining equations directly at the point;
-the constraint lists only describe which simple form each equation takes.
+Membership evaluates the defining equations directly at the point, in cost
+order: the coordinate equations (nonzero off the jump set, unit modulus,
+zero on the normalized dilation directions) on the adapted values first,
+then the reduction of the point, the match of its jump pairs with the
+layer's, and the jump equations on its section vectors. A point that fails
+a coordinate equation is refused without a reduction. The constraint lists
+only describe which simple form each equation takes.
 An equation holds exactly at an exact point and up to ``linalg.FLOAT_TOL``
 at a float one (such as a point moved by a dilation flow).
 """
@@ -222,17 +227,31 @@ class SectionOracle:
     # -- the membership decision -------------------------------------------
 
     def contains(self, f: Functional) -> bool:
-        """Evaluate the oracle's equations at f. The jump, nonzero and
-        modulus equations read the adapted values f(Z_j), j <= n, once the
-        jump pairs of f match the layer's."""
+        """Evaluate the oracle's equations at f, in cost order
+        (``_member``): the coordinate equations of the kind on the adapted
+        values f(Z_j), j <= n, first; then, once the jump pairs of f match
+        the layer's, the jump equations on the section vectors."""
         return self._member(f) is not None
 
     def _member(self, f: Functional) -> Optional[JumpData]:
         """The n* jump data of f when f is in the section, else None: the
         reduction that decided membership, for a caller that reads more off
-        it (the Pfaffian of a Plancherel sample)."""
+        it (the Pfaffian of a Plancherel sample).
+
+        The tests run in cost order. The coordinate equations of the kind
+        (``_coordinates_hold``) come first, on the adapted values; only a
+        point that passes them is reduced (``jump_data``), matched with the
+        layer's jump pairs, and given its section vectors, on which the
+        jump equations are read. A point that fails a coordinate equation
+        is refused without a reduction, so nothing that ``jump_data`` or
+        ``section_vectors`` raises (UnsupportedCaseError) reaches the caller
+        for it. The answer is that of any order: the section is the
+        intersection of all the equations."""
         vanishes = zero_test(f.tol)
         basis = self.basis
+        zvals = adapted_values(f, basis.terms[:basis.n])   # f(Z_{p+1})
+        if not self._coordinates_hold(f, zvals, vanishes):
+            return None
         e_set = self.n_layer.e_set
         jd = jump_data(f, basis, "n")
         if jd.e_set != e_set or jd.j_seq != self.n_layer.j_seq:
@@ -241,31 +260,37 @@ class SectionOracle:
             sv = section_vectors(f, basis, jd, "n")
         except LayerMismatchError:
             return None
-        zvals = adapted_values(f, basis.terms[:basis.n])   # f(Z_{p+1})
         zero = f.zero
         for j in e_set:
             if not vanishes(sum((x * zvals[p] for p, x in sv.z_adapted[j].items()),
                                 zero)):
                 return None
+        return jd
+
+    def _coordinates_hold(self, f: Functional, zvals, vanishes) -> bool:
+        """Whether the coordinate equations of the kind hold at f, whose
+        adapted values are zvals: l(Z_j) != 0 off e (every kind but
+        Lambda), |l(Z_j)| = 1 on phi (SigmaCirc and Sigma), and zero on
+        the normalized dilation directions (Sigma)."""
         if self.kind == "Lambda":
-            return jd
-        e = set(e_set)
+            return True
+        e = set(self.n_layer.e_set)
         if any(vanishes(z) for j, z in enumerate(zvals, start=1) if j not in e):
-            return None
+            return False
         if self.kind == "LambdaNu":
-            return jd
+            return True
         for j in self.phi:
             zv = zvals[j - 1]
             if not vanishes(zv * zv.conjugate() - 1):
-                return None
+                return False
         if self.kind == "SigmaCirc":
-            return jd
-        nd_full = basis.spec.n_dim
+            return True
+        nd_full = self.basis.spec.n_dim
         for a in self.stab.a_basis:
             vec = [ZERO] * nd_full + [GaussianRational(c) for c in a]
             if not vanishes(f.value(vec)):
-                return None
-        return jd
+                return False
+        return True
 
     def as_dict(self):
         out = {

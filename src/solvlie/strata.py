@@ -76,9 +76,11 @@ evaluated ones by nonzero factors. Any other sample takes the fill, the
 reduction and the key rule (``_layer_key``); so does every sample of a
 layer whose symbolic run passes its budget, ``_TERMS`` terms and degree
 ``_DEGREE`` in one product (a dense form, whose pivots grow like its
-minors). A full ``layer_descriptor`` runs once per distinct key, and on
-the samples of layers that are not keyed. The key is read in integers
-only: phi
+minors). The samples are then described level by level, in the winner
+order of their (e, j), until a level counts one: a keyed winner gets one
+``layer_descriptor``, and each sample of an unkeyed level up to the
+winner's gets its own; no sample of a lower level is described. The key
+is read in integers only: phi
 (``_reduction_phi``) sums over an integer table of the h weights
 (``_gamma_table``, built once per basis and kept in
 ``basis.layer_tables``). The form table and the ambient size are looked up
@@ -87,7 +89,9 @@ sample's jump pairs holds the sorted e of its key.
 
 The y vectors of the reduction are replayed by one routine,
 ``_replay``: fraction-free, over sparse coordinates, each replayed vector
-kept as s_g y_g with one nonzero scale s_g. phi replays the h-steps alone
+kept as s_g y_g with one nonzero scale s_g, and at an exact point divided
+by the gcd of the integer parts of s_g and s_g y_g after each update, so
+that the integers stay bounded. phi replays the h-steps alone
 and reads the scaled vectors; a nonzero scale changes no exact zero test,
 and at a float point the test divides each sum by its scale once.
 ``JumpData.polarization`` replays every step and divides each row of h_d
@@ -109,7 +113,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -980,7 +984,12 @@ def _replay(j_seq: Tuple[int, ...], steps, low: int) -> Dict[int, tuple]:
     step with pivot position j takes s_g y_g <- den s_j (s_g y_g) -
     num s_g (s_j y_j), so s_g <- den s_j s_g and no coefficient num / den
     is formed. At an exact point num and den are Gaussian integers, so
-    every product is one of integers; at a float point they are complex."""
+    every product is one of integers, and each updated (s_g, s_g y_g) is
+    divided by the gcd of its integer parts (``_content``). That is a
+    positive integer, so y_g and every zero test on a scaled sum stay as
+    they were, and the integers no longer grow with every step that
+    reduces g. At a float point num and den are complex, and in
+    ``_pivot_path`` polynomials; neither is divided."""
     ys: Dict[int, tuple] = {}
     for jp, (_, red) in zip(j_seq, steps):
         if jp > low:
@@ -991,8 +1000,40 @@ def _replay(j_seq: Tuple[int, ...], steps, low: int) -> Dict[int, tuple]:
                 new = {p: a * x for p, x in y_g.items()}
                 for p, x in y_j.items():
                     new[p] = new[p] - b * x if p in new else -(b * x)
-                ys[g] = (a * s_g, new)
+                s_g = a * s_g
+                c = _content(s_g, new.values())
+                if c > 1:
+                    s_g = _over(s_g, c)
+                    new = {p: _over(x, c) for p, x in new.items()}
+                ys[g] = (s_g, new)
     return ys
+
+
+def _content(s, xs) -> int:
+    """The gcd of the integer parts of s and the xs when each is a Gaussian
+    integer (an int, or a GaussianRational with denominator 1), else 1."""
+    parts = []
+    for x in (s, *xs):
+        kind = type(x)
+        if kind is int:
+            parts.append(x)
+        elif kind is GaussianRational:
+            n, m, d = _FIELDS(x)
+            if d != 1:
+                return 1
+            parts += (n, m)
+        else:
+            return 1
+    return gcd(*parts)
+
+
+def _over(x, c: int):
+    """The Gaussian integer x divided by c, a positive int that divides
+    both its parts."""
+    if type(x) is int:
+        return x // c
+    n, m, _ = _FIELDS(x)
+    return _made(n // c, m // c, 1)
 
 
 def _reduction_phi(basis: AdaptableBasis, j_seq: Tuple[int, ...], steps,
@@ -1389,65 +1430,83 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     reduction at such a sample makes every choice of the reduction at an
     indeterminate point, and by the fill and reduction otherwise, and at
     every sample of a layer whose symbolic run passes its term and degree
-    budget. ``layer_descriptor`` runs on the first
-    sample of each key, whose descriptor is the one returned for that key
-    (every descriptor field is a function of the key), and on each sample
-    of a layer that is not keyed, where phi needs section vectors.
+    budget.
 
-    A sample on a layer that ``section_vectors`` has no case for
-    (UnsupportedCaseError) is skipped like a mismatch when its (e, j), read
-    off the reduction, sorts after the winner: it lies on a lower layer.
-    When its key sorts at or before the winner, or no sample is usable, the
-    first such error is raised again: the generic layer may be one the
-    tool cannot describe.
+    The samples are then described level by level, a level being the
+    (e, j) of a key, in the winner order (-card e, e, j), and in draw
+    order within a level; the first level that counts a sample wins, and
+    no later level is looked at. On a keyed level every sample counts
+    under its key, with no descriptor. On a level that is not keyed, where
+    phi needs section vectors, each sample gets a ``layer_descriptor`` and
+    counts under the descriptor's key; a sample that leaves the layer
+    (LayerMismatchError) is skipped, and one that ``section_vectors`` has
+    no case for (UnsupportedCaseError) is kept. The keys counted at the
+    winning level share its (e, j), and the winner is the one counted
+    first. A keyed winner gets one ``layer_descriptor``, on its first
+    sample (every descriptor field is a function of the key); a winner
+    that is not keyed returns the descriptor of its first sample.
+
+    A kept UnsupportedCaseError sorts at or before the winner, and the
+    first one in draw order is raised again, before the count is read, as
+    it is when no sample is usable: the generic layer may be one the tool
+    cannot describe. A sample on a lower layer is never described, so one
+    there that the tool cannot describe is passed over like a mismatch.
+    This is the result of describing every sample: the winner, its count,
+    its first sample and the errors that sort at or before it depend only
+    on the samples whose level sorts at or before the winner's, and the
+    order never reads phi.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     drawn = basis.ambient(ambient)
     form = _form_table(basis)
-    # samples per key, and the descriptor of each key, from its first sample
-    counts: Dict[tuple, int] = {}
-    first: Dict[tuple, LayerDescriptor] = {}
-    unsupported: List[Tuple[tuple, UnsupportedCaseError]] = []
-    for _ in range(trials):
+    # the samples of each level (e, j), in draw order, with their keys
+    levels: Dict[tuple, List[tuple]] = {}
+    for t in range(trials):
         xs = _draw_integers(rng, 9, drawn)
-        if not any(xs):
-            continue
-        key = _sample_key(basis, ambient, form, drawn, xs)
-        if key[2] is None or key not in first:
-            try:
-                desc = layer_descriptor(_integer_point(basis, xs), basis,
-                                        ambient)
-            except LayerMismatchError:
-                continue
-            except UnsupportedCaseError as err:
-                unsupported.append((key[:2], err))
-                continue
-            key = desc.key()
-            first.setdefault(key, desc)
-        counts[key] = counts.get(key, 0) + 1
+        if any(xs):
+            key = _sample_key(basis, ambient, form, drawn, xs)
+            levels.setdefault(key[:2], []).append((t, xs, key))
 
-    def order(key):
-        return (-len(key[0]), key[0], key[1])
+    def order(level):
+        return (-len(level[0]), level[0], level[1])
 
+    counts: Dict[tuple, int] = {}
+    unsupported: List[Tuple[int, UnsupportedCaseError]] = []
+    for level in sorted(levels, key=order):
+        for t, xs, key in levels[level]:
+            desc = None
+            if key[2] is None:
+                try:
+                    desc = layer_descriptor(_integer_point(basis, xs), basis,
+                                            ambient)
+                except LayerMismatchError:
+                    continue
+                except UnsupportedCaseError as err:
+                    unsupported.append((t, err))
+                    continue
+                key = desc.key()
+            if not counts:
+                winner = key, xs, desc
+            counts[key] = counts.get(key, 0) + 1
+        if counts:
+            break
+    if unsupported:
+        raise min(unsupported, key=itemgetter(0))[1]
     if not counts:
-        if unsupported:
-            raise unsupported[0][1]
         raise InconsistentSamplingError("no sample produced a usable layer")
-    best_key = min(counts, key=order)
-    for key, err in unsupported:
-        if order(key) <= order(best_key):
-            raise err
+    best_key, xs, desc = winner
     count = counts[best_key]
     agreement = count / trials
     if agreement <= 0.5:
         raise InconsistentSamplingError(
             f"winning layer holds only {count}/{trials} samples; more than "
             f"half of the samples must agree with it")
+    if desc is None:
+        desc = layer_descriptor(_integer_point(basis, xs), basis, ambient)
     # the one descriptor returned, with copies, so that it shares no
     # mapping with the memo
-    desc = first[best_key]
     return replace(desc, primes=dict(desc.primes),
                    case_sets=dict(desc.case_sets), consistency=agreement)
 

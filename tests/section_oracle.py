@@ -10,6 +10,9 @@ compare the two on corpus points, seeded points and flowed float points,
 reading the library's adapted coordinates over the real basis through
 ``real_vector`` (sum_p x_p Z_{p+1}) and ``real_section_vectors``.
 ``pointwise_stabilizer`` is the little group read at one point.
+``contains`` is section membership as the library decided it before it
+tested the coordinate equations first: the reduction and the section
+vectors come first, then every equation, each read over the real basis.
 ``stabilizer_data`` is the little-group data as the library computed it
 with one ``rank`` per candidate phi index and one ``solve`` per complement
 vector, before it grew an echelon and read the complement off one inverse.
@@ -314,3 +317,40 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             raise LayerMismatchError(f"b value at index {ik} is singular")
         sv.b_at[ik] = gamma / denom
     return sv
+
+
+def contains(oracle, f: Functional) -> bool:
+    """Whether f is in the section of oracle (a ``SectionOracle``): the
+    jump pairs of f must match the layer's and the section vectors of this
+    module must build, then every equation is evaluated at f in the order
+    of the section's definition, jump equations first, by the zero test of
+    f. Errors of ``section_vectors`` other than LayerMismatchError reach
+    the caller, whatever the point's coordinates."""
+    tol = f.tol
+    basis, layer = oracle.basis, oracle.n_layer
+    jd = jump_data(f, basis, "n")
+    if jd.e_set != layer.e_set or jd.j_seq != layer.j_seq:
+        return False
+    try:
+        sv = section_vectors(f, basis, jd, "n")
+    except LayerMismatchError:
+        return False
+    if not all(is_zero(f.value(sv.z_at[j]), tol) for j in layer.e_set):
+        return False
+    if oracle.kind == "Lambda":
+        return True
+    if any(is_zero(f.z(j), tol) for j in range(1, basis.n + 1)
+           if j not in layer.e_set):
+        return False
+    if oracle.kind == "LambdaNu":
+        return True
+    for j in oracle.phi:
+        z = f.z(j)
+        if not is_zero(z * z.conjugate() - 1, tol):
+            return False
+    if oracle.kind == "SigmaCirc":
+        return True
+    nd = basis.spec.n_dim
+    return all(is_zero(f.value([ZERO] * nd + [GaussianRational(c) for c in a]),
+                       tol)
+               for a in oracle.stab.a_basis)

@@ -25,6 +25,7 @@ from solvlie.sections import (UnsupportedLayerError, h_project,
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
                             jump_data, pfaffian, section_vectors)
 from solvlie.workbench import Workbench
+from test_pfaffian_equivalence import _dense_center_spec
 
 VERDICTS = {
     "heisenberg-2param": "NOT_ADMISSIBLE_CENTER_MEETS_H",
@@ -50,6 +51,21 @@ def test_criterion_1_verdict_reproduction_under_one_second_each():
         assert elapsed < 1.0, f"{entry_id} took {elapsed:.2f}s"
     print(f"\nPASS criterion 1: 7/7 corpus verdicts match, "
           f"worst case {worst * 1000:.0f} ms")
+
+
+def test_criterion_1_dense_center_verdict_at_32_under_one_second():
+    # the dense-center family at |e| = 32: a dense orbit form, whose
+    # fraction-free polarization replay must keep its integers bounded
+    best = float("inf")
+    for _ in range(2):
+        spec = _dense_center_spec(32)
+        t0 = time.perf_counter()
+        ver = Workbench(spec).verdict()
+        best = min(best, time.perf_counter() - t0)
+    assert ver.verdict == "ADMISSIBLE"
+    assert best < 1.0, f"dense-center |e| = 32 took {best:.2f}s"
+    print(f"\nPASS criterion 1, dense center: |e| = 32 verdict in "
+          f"{best * 1000:.0f} ms (best of 2)")
 
 
 def test_criterion_2_section_vector_formulas_exact():

@@ -37,8 +37,7 @@ from jump_oracle import _orbit_form, _skew_reduce
 from section_oracle import layer_data as oracle_layer_data
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
-from solvlie.strata import (UnsupportedCaseError, jump_data, layer_descriptor,
-                            section_vectors)
+from solvlie.strata import jump_data, layer_descriptor, section_vectors
 from solvlie.workbench import Workbench
 from test_layer_memo import oracle_descriptor
 from test_plain_layers import _degenerate_points, _outcome
@@ -432,16 +431,18 @@ def test_case_four_outside_a_block_stays_unkeyed(monkeypatch):
             assert _outcome(layer_descriptor, f, basis, ambient) == \
                 _outcome(oracle_descriptor, f, basis, ambient), f.values
     # the unsupported layer ((3, 4, 5, 7), (5, 7)) sorts after the keyed
-    # block layer ((3, 4, 5, 6), (5, 6)), so generic_layer skips its
-    # samples (1-6 of 64 on seeds 0-9) and finds the block layer
-    unsupported = []
+    # block layer ((3, 4, 5, 6), (5, 6)), which wins on seeds 0-9;
+    # generic_layer describes only the samples at or before the winning
+    # level, so its samples there (1-6 of 64) are never described and no
+    # layer_descriptor call raises
+    raised = []
     real_descriptor = layer_descriptor
 
     def counting(f, basis, ambient):
         try:
             return real_descriptor(f, basis, ambient)
-        except UnsupportedCaseError:
-            unsupported.append(f)
+        except Exception as exc:
+            raised.append(exc)
             raise
     monkeypatch.setattr("solvlie.strata.layer_descriptor", counting)
     for seed in range(10):
@@ -450,7 +451,7 @@ def test_case_four_outside_a_block_stays_unkeyed(monkeypatch):
         assert (layer.e_set, layer.j_seq) == ((3, 4, 5, 6), (5, 6))
         table = wb.basis.layer_tables[("n", layer.i_seq, layer.j_seq)]
         assert table.keyed and table.blocks
-    assert unsupported
+    assert raised == []
 
 
 def test_blocks_at_float_points_follow_section_vectors():

@@ -13,8 +13,11 @@ sample built from the real-basis section vectors of ``section_oracle`` and
 a new ``section_oracle.layer_data`` table. The two must pick the same
 layer, in both ambients: on every valid corpus entry at three sampling
 seeds, and on the specs that ``perfbench/specgen.py`` generates for three
-seeds at the default sampling seed. Nothing a caller does to a returned
-descriptor may reach a later result.
+seeds at the default sampling seed. On the specs of seeds 1-10 the
+library's ``generic_layer``, which describes the samples only up to the
+winning level, must also equal the oracle with the library's own
+descriptor, which describes every sample. Nothing a caller does to a
+returned descriptor may reach a later result.
 """
 
 import importlib.util
@@ -78,6 +81,21 @@ def test_generic_layer_matches_oracle_on_corpus(monkeypatch, entry_id):
 def test_generic_layer_matches_oracle_on_generated_specs(monkeypatch, doc):
     wb = Workbench(spec_from_dict(doc))
     _assert_matches_oracle(monkeypatch, wb, (wb.seed,))
+
+
+SPECGEN_1_10 = [doc for seed in range(1, 11) for doc, _ in specgen.generate(seed)]
+
+
+@pytest.mark.parametrize("doc", SPECGEN_1_10,
+                         ids=[d["name"] for d in SPECGEN_1_10])
+def test_generic_layer_describes_as_if_every_sample_were(doc):
+    # generic_layer describes only the samples up to the winning level;
+    # the oracle describes every sample with the library's descriptor
+    wb = Workbench(spec_from_dict(doc))
+    for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
+        assert _outcome(generic_layer, basis, ambient, wb.seed) == \
+            _outcome(generic_layer_oracle.generic_layer, basis, ambient,
+                     wb.seed), ambient
 
 
 def test_returned_descriptors_do_not_share_the_memo():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -407,25 +408,36 @@ def test_generic_layer_propagates_zero_division(monkeypatch):
 _UNKEYED = {"key": ((), ())}
 
 
-def _stub_samples(monkeypatch, outcomes):
+def _stub_samples(monkeypatch, outcomes, described=None):
     """Make the per-sample key answer the samples in turn from outcomes: a
     descriptor, None for a sample outside the layer, or an exception to
     raise. A descriptor is a keyed sample: the kernel gives its key, and
-    layer_descriptor, run on the first sample of the key, gives the
-    descriptor. None and an exception come from a layer that is not keyed
-    (the kernel gives (e, j) and no phi), whose layer_descriptor raises."""
+    layer_descriptor on the sample gives the descriptor. None and an
+    exception come from a layer that is not keyed (the kernel gives (e, j)
+    and no phi), whose layer_descriptor raises; a pair ((e, j), outcome)
+    is such a sample at that (e, j). The point of a sample is its outcome,
+    so layer_descriptor describes the sample it is handed, in whatever
+    order generic_layer describes them; each outcome it describes is
+    appended to described."""
     answers = iter(outcomes)
-    current = []
+    drawn = {}
 
     def kernel(basis, ambient, form, size, xs):
-        current[:] = [next(answers)]
-        desc = current[0]
+        desc = drawn[id(xs)] = next(answers)
         if isinstance(desc, LayerDescriptor):
             return desc.key()
+        if isinstance(desc, tuple):
+            return desc[0] + (None,)
         return _UNKEYED["key"] + (None,)
 
-    def descriptor(f, basis, ambient):
-        desc = current[0]
+    def sample_point(basis, xs):
+        return drawn[id(xs)]
+
+    def descriptor(desc, basis, ambient):
+        if described is not None:
+            described.append(desc)
+        if isinstance(desc, tuple):
+            desc = desc[1]
         if desc is None:
             raise LayerMismatchError("stubbed mismatch")
         if isinstance(desc, Exception):
@@ -433,6 +445,7 @@ def _stub_samples(monkeypatch, outcomes):
         return LayerDescriptor(ambient, desc.e_set, desc.i_seq, desc.j_seq,
                                desc.stable_set, {}, {}, desc.phi)
     monkeypatch.setattr("solvlie.strata._sample_key", kernel)
+    monkeypatch.setattr("solvlie.strata._integer_point", sample_point)
     monkeypatch.setattr("solvlie.strata.layer_descriptor", descriptor)
     return answers
 
@@ -510,6 +523,55 @@ def test_generic_layer_raises_unsupported_without_usable_samples(monkeypatch):
     with pytest.raises(UnsupportedCaseError, match="stubbed"):
         generic_layer(basis, "n", seed=7, trials=64)
     assert next(left, None) is None
+
+
+def test_generic_layer_passes_a_level_whose_samples_all_mismatch(monkeypatch):
+    # the unkeyed level of WIDE sorts first, but none of its samples is in
+    # the layer, so the next level wins; its keyed winner is described
+    # once, on its first sample, and the samples after it never are
+    basis = wb_for("heisenberg-2param").basis
+    _stub_jump_key(monkeypatch, (WIDE.e_set, WIDE.j_seq))
+    head = replace(NARROW)
+    described = []
+    _stub_samples(monkeypatch, [None] * 10 + [head] + [NARROW] * 53,
+                  described)
+    desc = generic_layer(basis, "n", seed=7, trials=64)
+    assert desc.key() == NARROW.key()
+    assert desc.consistency == 54 / 64
+    assert described[:10] == [None] * 10
+    assert len(described) == 11 and described[10] is head
+
+
+def test_generic_layer_raises_the_first_unsupported_sample_in_draw_order(
+        monkeypatch):
+    # both unsupported samples sort before the winner NARROW; the level of
+    # the second sorts first and is described first, but the first sample
+    # drawn is the one raised
+    basis = wb_for("heisenberg-2param").basis
+    first = UnsupportedCaseError("stubbed: the first drawn")
+    second = UnsupportedCaseError("stubbed: the first described")
+    described = []
+    left = _stub_samples(monkeypatch,
+                         [((WIDE.e_set, WIDE.j_seq), first),
+                          (NOT_BELOW_WIDE[1], second)] + [NARROW] * 62,
+                         described)
+    with pytest.raises(UnsupportedCaseError, match="the first drawn"):
+        generic_layer(basis, "n", seed=7, trials=64)
+    assert [d[1] for d in described] == [second, first]
+    assert next(left, None) is None
+
+
+def test_keyed_winner_is_described_once(monkeypatch):
+    # a keyed level counts its samples under their keys; only the winner's
+    # first sample gets a layer_descriptor, and no sample of a lower level
+    basis = wb_for("heisenberg-2param").basis
+    head = replace(WIDE)
+    described = []
+    _stub_samples(monkeypatch, [NARROW] * 20 + [head] + [WIDE] * 43,
+                  described)
+    desc = generic_layer(basis, "n", seed=7, trials=64)
+    assert desc.key() == WIDE.key() and desc.consistency == 44 / 64
+    assert len(described) == 1 and described[0] is head
 
 
 @pytest.mark.parametrize("command, code", [("analyze", 4), ("admissible", 2)])
