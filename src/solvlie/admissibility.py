@@ -30,9 +30,9 @@ from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec, trace_ad
 from .functionals import Functional
 from .gaussian import GaussianRational, ZERO
-from .linalg import Subspace, kernel, rank, rref
+from .linalg import Subspace, kernel, rank, reduce_row, rref
 from .sections import StabilizerData, UnsupportedLayerError
-from .strata import LayerDescriptor, jump_data, pfaffian
+from .strata import LayerDescriptor, jump_data
 
 INFINITE = math.inf
 
@@ -130,21 +130,29 @@ class PolarizationData:
 
 
 def _flag_pivots(p_rows, q_rows, nd: int):
-    """Flag positions (1-based) where P + Q and where P cap Q grow, for
-    subspaces of n_C given by sparse rows {p: x_p} over Z_1..Z_n.
+    """The RREF rows of E = P + Q with their pivot columns, and the flag
+    positions (1-based) where P cap Q grows, for subspaces of n_C given by
+    sparse rows {p: x_p} over Z_1..Z_n: one elimination of both.
 
     One RREF of the Zassenhaus matrix [[p, p], [q, 0]] with every half
     written in reverse order: the leftmost pivots of a span in reversed
     coordinates are its rightmost pivots in the flag. Rows with a pivot in
-    the left half span P + Q, the others P cap Q (in the right half).
+    the left half have left halves spanning P + Q, the others are zero
+    there and span P cap Q in the right half. Read back over Z_1..Z_n, in
+    flag order, the left halves are the RREF rows of E for the reversed
+    order: each is 1 at its pivot column, where the flag grows, and 0 at
+    the others (so ``linalg.reduce_row`` tests membership in E on them).
     """
     def reversed_at(row, shift):
         return {shift + nd - 1 - p: x for p, x in row.items()}
 
-    _, pivots = rref([{**reversed_at(a, 0), **reversed_at(a, nd)}
-                      for a in p_rows] +
-                     [reversed_at(b, 0) for b in q_rows])
-    return ({nd - c for c in pivots if c < nd},
+    red, pivots = rref([{**reversed_at(a, 0), **reversed_at(a, nd)}
+                        for a in p_rows] +
+                       [reversed_at(b, 0) for b in q_rows])
+    left = [(row, c) for row, c in zip(red, pivots) if c < nd][::-1]
+    return ([{nd - 1 - k: x for k, x in row.items() if k < nd}
+             for row, _ in left],
+            [nd - 1 - c for _, c in left],
             {2 * nd - c for c in pivots if c >= nd})
 
 
@@ -156,13 +164,15 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     (``JumpData.polarization``): h_k = h_{k-1} cap perp(y_{i_k}).
     Everything but positivity works on its rows over Z_1..Z_n; e = p + conj
     p and d = p cap conj p, so dim d = 2 dim p - dim e and p is real iff
-    e = p.
+    e = p. One elimination (``_flag_pivots``) gives the RREF rows of e, the
+    flag pivots of e and of d, and dim e as the count of those rows.
 
-    Closure of e under the bracket is checked on every pair of RREF rows
-    of e, exactly: for each row b, one map p -> [Z_p, b] = sum_q b_q [Z_p,
-    Z_q] is built from the nonzero structure constants alone (C_pq for p <
-    q, -C_qp for p > q), and [a, b] = sum_p a_p [Z_p, b] for each row a
-    before b must lie in e.
+    Closure of e under the bracket is checked on every pair of those rows,
+    exactly: for each row b, one map p -> [Z_p, b] = sum_q b_q [Z_p, Z_q]
+    is built from the nonzero structure constants alone (C_pq for p < q,
+    -C_qp for p > q), and [a, b] = sum_p a_p [Z_p, b] for each row a
+    before b must reduce to zero against the rows (``linalg.reduce_row``).
+    Closure is a property of the span, so any echelon basis of e decides it.
 
     When the isotropic subalgebra is not positive at lam, its conjugate is
     (same dimension data); the conjugate is reported in that case.
@@ -187,15 +197,15 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
             if dot(a, mb):
                 raise IsotropyError("jump reduction output is not isotropic")
     conj_rows = [conj(a) for a in rows]
+    e_rows, e_cols, d_pivots = _flag_pivots(rows, conj_rows, nd)
     # p + pbar closed under bracket (see the docstring): ad_b[p] = [Z_p, b];
     # partners[q] lists (p, C, flip) per nonzero [Z_p, Z_q] = (-1)^flip C
     partners: Dict[int, list] = {}
     for (p, q), cpq in structure.items():
         partners.setdefault(q, []).append((p, cpq, False))
         partners.setdefault(p, []).append((q, cpq, True))
-    psum = Subspace(rows + conj_rows, nd)
     seen = set()                # the indices p of the rows before b
-    for j, b in enumerate(psum.sparse_rows):
+    for j, b in enumerate(e_rows):
         ad_b: Dict[int, Dict[int, GaussianRational]] = {}
         for q, bq in b.items():
             for p, cpq, flip in partners.get(q, ()):
@@ -205,16 +215,16 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
                 col = ad_b.setdefault(p, {})
                 for k, x in cpq.items():
                     col[k] = col[k] + c * x if k in col else c * x
-        for a in psum.sparse_rows[:j]:
+        for a in e_rows[:j]:
             br: Dict[int, GaussianRational] = {}
             for p, ap in a.items():
                 for k, x in ad_b.get(p, {}).items():
                     br[k] = br[k] + ap * x if k in br else ap * x
-            if not psum.contains_vector(br):
+            if reduce_row(e_rows, e_cols, br):
                 raise IsotropyError("p + conj(p) is not a subalgebra")
         seen.update(b)
 
-    dim_e = psum.dim
+    dim_e = len(e_rows)
     dim_d = 2 * len(rows) - dim_e
     dim_x = (nd - dim_e) + (dim_e - dim_d) // 2
     is_real = dim_e == len(rows)
@@ -233,7 +243,7 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
 
     # domain coordinate indices: complement of e in the flag, plus one index
     # per conjugate pair from the e/d gap
-    e_pivots, d_pivots = _flag_pivots(rows, conj_rows, nd)
+    e_pivots = {c + 1 for c in e_cols}
     if not d_pivots <= e_pivots:
         raise IsotropyError("nested pivot sets expected")
     outside = [j for j in range(1, basis.n + 1) if j not in e_pivots]
@@ -386,12 +396,13 @@ def disintegration_check(basis: AdaptableBasis, n_layer: LayerDescriptor,
     Substituting 1 and 2 into the left side orthant by orthant, and then 3,
     gives c = |det W|. Both hypotheses are checked exactly: 2 per
     structure constant over e, 3 on each h basis vector. DisintegrationError
-    names the one that fails. |det W| is read off the Pfaffian of
-    [[0, W], [-W^T, 0]], which is (-1)^{r(r-1)/2} det W.
+    names the one that fails.
 
     W is the identity: ``stabilizer_data`` solves Re gamma_{phi_t}(A_u) =
     delta_tu, and phi = nu, both in increasing order. So c = 1 on every
-    supported layer, and computing it checks that normalization.
+    supported layer. W is read off the A_u exactly and required to be the
+    identity; DisintegrationError names the entry of that normalization
+    that fails.
 
     Raises UnsupportedLayerError unless phi = nu (a finite dilation-orbit
     section) and every free coordinate is real.
@@ -417,11 +428,11 @@ def disintegration_check(basis: AdaptableBasis, n_layer: LayerDescriptor,
             raise DisintegrationError(
                 f"the real weights over e and nu sum to {total} on {name}, "
                 f"not to tr ad({name})")
-    r = stab.r
-    w = [[GaussianRational(sum(gamma[j - 1][u].re * a[u]
-                               for u in range(spec.h_dim))) for j in nu]
-         for a in stab.a_basis]
-    zeros = [ZERO] * r
-    block = [zeros + row for row in w] + \
-        [[-w[t][j] for t in range(r)] + zeros for j in range(r)]
-    return abs(pfaffian(block).re)
+    for u, a in enumerate(stab.a_basis, start=1):
+        for t, j in enumerate(nu, start=1):
+            w = sum(g.re * c for g, c in zip(gamma[j - 1], a))
+            if w != int(t == u):
+                raise DisintegrationError(
+                    f"W is not the identity: stabilizer_data normalizes "
+                    f"Re gamma_{j}(A_{u}) to {int(t == u)}, but it is {w}")
+    return Fraction(1)

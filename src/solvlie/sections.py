@@ -21,6 +21,12 @@ a coordinate equation is refused without a reduction. The constraint lists
 only describe which simple form each equation takes.
 An equation holds exactly at an exact point and up to ``linalg.FLOAT_TOL``
 at a float one (such as a point moved by a dilation flow).
+
+The samplers (simple-equation layers only) share one rejection loop,
+``_sample``, over the draws of ``_draws``, which reads the coordinates to
+put on the unit circle off the oracle's own MODULUS_ONE constraints.
+``sample_lambda_nu`` and ``sample_sigma_circ`` decide each draw through
+``SectionOracle.contains``.
 """
 
 from __future__ import annotations
@@ -321,7 +327,7 @@ def _rational_circle_point(rng: random.Random) -> GaussianRational:
     return GaussianRational((1 - t * t) / d, 2 * t / d)
 
 
-def _draws(oracle: SectionOracle, rng: random.Random, phi):
+def _draws(oracle: SectionOracle, rng: random.Random):
     """The candidate points of a rejection sample of the oracle's section,
     200 at most.
 
@@ -329,12 +335,15 @@ def _draws(oracle: SectionOracle, rng: random.Random, phi):
     in [-9, 9] (a nonzero Gaussian integer with parts in [-9, 9] when
     conj Z_j = Z_s, s > j, and its conjugate at Z_s); for j in phi it gets
     a point of the unit circle instead, -1 or 1 when Z_j is conj-stable.
-    The caller keeps the first draw the oracle accepts; the others fall in
-    a lower layer.
+    phi is read off the oracle's MODULUS_ONE constraints: empty on Lambda
+    and Lambda_nu, the stabilizer's phi on Sigma-circ and Sigma. The
+    caller keeps the first draw the oracle accepts; the others fall in a
+    lower layer.
     """
     _assert_simple_layer(oracle)
     basis = oracle.basis
     e = set(oracle.n_layer.e_set)
+    phi = {c.index for c in oracle.constraints if c.kind == "MODULUS_ONE"}
     for _ in range(200):
         zvals: List[GaussianRational] = [ZERO] * basis.dim
         for j in range(1, basis.n + 1):
@@ -363,20 +372,14 @@ def _draws(oracle: SectionOracle, rng: random.Random, phi):
     raise UnsupportedLayerError("could not hit the generic layer by sampling")
 
 
-def _sample_section(oracle: SectionOracle, rng: random.Random,
-                    phi) -> Functional:
-    """Rejection-sample an exact point of the oracle's section."""
-    return next(f for f in _draws(oracle, rng, phi) if oracle.contains(f))
-
-
-def sample_lambda_nu_member(oracle: SectionOracle,
-                            rng: random.Random) -> Tuple[Functional, JumpData]:
-    """``sample_lambda_nu`` with the n* jump data of the point, read off the
-    reduction that accepted it."""
-    for f in _draws(oracle, rng, ()):
-        jd = oracle._member(f)
-        if jd is not None:
-            return f, jd
+def _sample(oracle: SectionOracle, rng: random.Random, accept):
+    """(f, accept(f)) for the first draw f of ``_draws`` at which accept
+    is truthy: ``oracle.contains`` for a point, ``oracle._member`` for the
+    point with the n* jump data of the reduction that accepted it."""
+    for f in _draws(oracle, rng):
+        got = accept(f)
+        if got:
+            return f, got
 
 
 def sample_lambda_nu(oracle: SectionOracle, rng: random.Random) -> Functional:
@@ -384,15 +387,14 @@ def sample_lambda_nu(oracle: SectionOracle, rng: random.Random) -> Functional:
 
     Draws free coordinates and rejects the (measure-zero) draws that fall
     into a lower layer; nonzero coordinates alone do not guarantee
-    genericity. The oracle's phi is ignored: no coordinate is put on the
-    unit circle.
+    genericity.
     """
-    return _sample_section(oracle, rng, ())
+    return _sample(oracle, rng, oracle.contains)[0]
 
 
 def sample_sigma_circ(oracle: SectionOracle, rng: random.Random) -> Functional:
     """Random exact point of the dilation-orbit section (rejection sampled)."""
-    return _sample_section(oracle, rng, set(oracle.phi))
+    return _sample(oracle, rng, oracle.contains)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from .algebra import (HypothesisViolation, LieAlgebraSpec, ValidationReport,
 from .functionals import Functional
 from .gaussian import GaussianRational
 from .sections import (SectionOracle, StabilizerData, UnsupportedLayerError,
-                       canonical_h_vectors, sample_lambda_nu_member,
-                       sample_sigma_circ, stabilizer_data)
+                       _sample, canonical_h_vectors, sample_sigma_circ,
+                       stabilizer_data)
 from .strata import LayerDescriptor, generic_layer
 
 SCHEMA = "solvlie-report/1"
@@ -213,9 +213,9 @@ class Workbench:
         rng = random.Random(self.seed + 5)
         samples = []
         try:
+            oracle = self.oracle_lambda_nu
             for _ in range(PLANCHEREL_SAMPLES):
-                samples.append(one(*sample_lambda_nu_member(
-                    self.oracle_lambda_nu, rng)))
+                samples.append(one(*_sample(oracle, rng, oracle._member)))
         except UnsupportedLayerError:
             return {"density": "|Pf| d(section) d(little-group dual)",
                     "samples": None,

@@ -5,6 +5,7 @@ a plain `pytest -s tests/test_acceptance.py` reads as a checklist.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from disintegration_oracle import (within_standard_errors,
                                    workbench_disintegration)
 from pfaffian_oracle import det
 from section_oracle import pointwise_stabilizer, real_section_vectors
-from solvlie import admissibility as adm
+from solvlie import admissibility as adm, gaussian, linalg, strata
 from solvlie.algebra import validate_spec
 from solvlie.functionals import (Functional, exp_unipotent_coadjoint,
                                  sample_functional)
@@ -66,6 +67,48 @@ def test_criterion_1_dense_center_verdict_at_32_under_one_second():
     assert best < 1.0, f"dense-center |e| = 32 took {best:.2f}s"
     print(f"\nPASS criterion 1, dense center: |e| = 32 verdict in "
           f"{best * 1000:.0f} ms (best of 2)")
+
+
+def test_criterion_1_dense_center_exact_work_at_32(monkeypatch):
+    # the same verdict as the timed test above, gated by counts that do not
+    # move with the host: integer arithmetic and the random streams are
+    # deterministic. Measured: 247,682 gcd-reduced results
+    # (gaussian._reduced calls), 18 linalg.rref calls and a largest
+    # _replay scale of 359 bits; the bounds are 1.25x the counts and 2x
+    # the bits (an unbounded replay reached 607,812 bits here)
+    work = {"reduced": 0, "rref": 0, "bits": 0}
+    reduced, rref, replay = gaussian._reduced, linalg.rref, strata._replay
+
+    def counted_reduced(n, m, d):
+        work["reduced"] += 1
+        return reduced(n, m, d)
+
+    def counted_rref(rows):
+        work["rref"] += 1
+        return rref(rows)
+
+    def measured_replay(*args):
+        ys = replay(*args)
+        for s, _ in ys.values():
+            parts = (s,) if isinstance(s, int) else (s.re.numerator,
+                                                     s.im.numerator)
+            work["bits"] = max([work["bits"]] +
+                               [abs(x).bit_length() for x in parts])
+        return ys
+
+    spec = _dense_center_spec(32)
+    monkeypatch.setattr(gaussian, "_reduced", counted_reduced)
+    monkeypatch.setattr(strata, "_replay", measured_replay)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("solvlie") and getattr(mod, "rref", None) is rref:
+            monkeypatch.setattr(mod, "rref", counted_rref)
+    assert Workbench(spec).verdict().verdict == "ADMISSIBLE"
+    assert work["reduced"] <= 309_602, work
+    assert work["rref"] <= 22, work
+    assert work["bits"] <= 718, work
+    print(f"\nPASS criterion 1, dense center: |e| = 32 verdict with "
+          f"{work['reduced']} gcd-reduced results, {work['rref']} rref "
+          f"calls, {work['bits']}-bit replay scales")
 
 
 def test_criterion_2_section_vector_formulas_exact():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -327,6 +328,17 @@ def test_disintegration_rejects_weight_incompatible_brackets():
     basis = _tampered_basis(wb, structure=structure)
     with pytest.raises(adm.DisintegrationError, match="weight-compatible"):
         adm.disintegration_check(basis, wb.n_layer, wb.stabilizer)
+
+
+def test_disintegration_rejects_an_unnormalized_little_group_basis():
+    # A_1 doubled: W = diag(2, 1, ...), which |det W| alone reported as a
+    # constant 2
+    wb = wb_for("heisenberg-2param")
+    a_basis = list(wb.stabilizer.a_basis)
+    a_basis[0] = tuple(2 * c for c in a_basis[0])
+    stab = dataclasses.replace(wb.stabilizer, a_basis=a_basis)
+    with pytest.raises(adm.DisintegrationError, match="A_1"):
+        adm.disintegration_check(wb.canonical_basis, wb.n_layer, stab)
 
 
 def test_disintegration_rejects_a_broken_trace_identity():

@@ -33,8 +33,7 @@ from conftest import VALID_IDS, corpus_entry, wb_for
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, _integer_point
 from solvlie.gaussian import GaussianRational as G, ZERO
-from solvlie.sections import (UnsupportedLayerError, sample_lambda_nu_member,
-                              sample_sigma_circ)
+from solvlie.sections import UnsupportedLayerError, _sample, sample_sigma_circ
 from solvlie.strata import JumpData, jump_data
 from solvlie.workbench import PLANCHEREL_SAMPLES, Workbench
 from test_layer_memo import specgen
@@ -76,10 +75,10 @@ def _sampled(wb, seed):
                                         random.Random(seed + 17)))
     except UnsupportedLayerError:
         pass
-    rng = random.Random(seed + 5)
+    rng, oracle = random.Random(seed + 5), wb.oracle_lambda_nu
     try:
         for _ in range(PLANCHEREL_SAMPLES):
-            points.append(sample_lambda_nu_member(wb.oracle_lambda_nu, rng)[0])
+            points.append(_sample(oracle, rng, oracle._member)[0])
     except UnsupportedLayerError:
         pass
     return points

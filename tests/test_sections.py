@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,12 +8,12 @@ import pytest
 from conftest import (SAMPLABLE_IDS, VALID_IDS, corpus_entry, moving_weights,
                       point, wb_for)
 from section_oracle import pointwise_stabilizer
+from solvlie import sections
 from solvlie.functionals import exp_h_coadjoint
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import (NotInSectionError, SectionOracle,
-                              UnsupportedLayerError, h_project,
-                              sample_lambda_nu, sample_lambda_nu_member,
-                              sample_sigma_circ)
+                              UnsupportedLayerError, _sample, h_project,
+                              sample_lambda_nu, sample_sigma_circ)
 from solvlie.strata import jump_data
 
 
@@ -214,6 +215,61 @@ def test_sampler_unsupported_on_case3_layer():
         sample_lambda_nu(wb.oracle_lambda_nu, random.Random(0))
 
 
+@pytest.mark.parametrize("sampler, kind", [(sample_lambda_nu, "LambdaNu"),
+                                            (sample_sigma_circ, "SigmaCirc")])
+def test_public_samplers_decide_each_draw_through_contains(monkeypatch,
+                                                           sampler, kind):
+    # one SectionOracle.contains call per draw of _draws, rejected draws
+    # included, and the point is the draw it accepted
+    drawn, calls = [], []
+    draws, contains = sections._draws, SectionOracle.contains
+
+    def counted_draws(*args):
+        for f in draws(*args):
+            drawn.append(f.values)
+            yield f
+
+    def reject_two(self, f):
+        calls.append(f.values)
+        return len(calls) > 2 and contains(self, f)
+
+    monkeypatch.setattr(sections, "_draws", counted_draws)
+    monkeypatch.setattr(SectionOracle, "contains", reject_two)
+    for entry_id in SAMPLABLE_IDS:
+        oracle = wb_for(entry_id)._oracle(kind)
+        drawn.clear()
+        calls.clear()
+        f = sampler(oracle, random.Random(3))
+        assert calls == drawn and len(calls) >= 3, entry_id
+        assert f.values == calls[-1]
+
+
+def test_draws_put_phi_on_the_unit_circle_on_sigma_circ_only():
+    # phi is read off the oracle's MODULUS_ONE constraints: the
+    # stabilizer's phi on Sigma-circ, none on Lambda and Lambda_nu, whose
+    # free coordinates are nonzero Gaussian integers (a coordinate of phi
+    # paired with a conjugate carries the conjugate circle point there)
+    for entry_id in SAMPLABLE_IDS:
+        wb = wb_for(entry_id)
+        sigma, e = wb.canonical_basis.sigma, set(wb.n_layer.e_set)
+        phi = {k for j in wb.stabilizer.phi for k in (j, sigma[j])}
+        free = [j for j in range(1, wb.spec.n_dim + 1) if j not in e]
+        for oracle in (wb.oracle_lambda, wb.oracle_lambda_nu,
+                       wb.oracle_sigma_circ):
+            off_circle = 0
+            for f in itertools.islice(
+                    sections._draws(oracle, random.Random(9)), 20):
+                for j in free:
+                    z = f.z(j)
+                    if oracle.kind == "SigmaCirc" and j in phi:
+                        assert z * z.conjugate() == 1, (entry_id, j)
+                        continue
+                    assert z and z.re.denominator == z.im.denominator == 1
+                    off_circle += j in phi and z * z.conjugate() != 1
+            assert bool(off_circle) == (oracle.kind != "SigmaCirc" and
+                                        bool(phi)), (entry_id, oracle.kind)
+
+
 # -- projection along dilation orbits ----------------------------------------------
 
 def test_h_project_heisenberg_log():
@@ -352,7 +408,7 @@ def test_member_sampler_returns_the_accepting_reduction(entry_id):
     oracle, basis = wb.oracle_lambda_nu, wb.oracle_lambda_nu.basis
     for seed in range(3):
         f = sample_lambda_nu(oracle, random.Random(seed))
-        g, jd = sample_lambda_nu_member(oracle, random.Random(seed))
+        g, jd = _sample(oracle, random.Random(seed), oracle._member)
         assert g.values == f.values
         want = jump_data(g, basis, "n")
         assert (jd.i_seq, jd.j_seq) == (want.i_seq, want.j_seq)
@@ -371,7 +427,7 @@ def test_member_sampler_skips_rejected_draws(monkeypatch):
         return None if len(seen) <= 2 else member(self, f)
 
     monkeypatch.setattr(type(oracle), "_member", reject_two)
-    g, jd = sample_lambda_nu_member(oracle, random.Random(5))
+    g, jd = _sample(oracle, random.Random(5), oracle._member)
     assert len(seen) == 3 and g.values == seen[2]
     seen.clear()
     f = sample_lambda_nu(oracle, random.Random(5))
