@@ -43,8 +43,8 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, ONE, ZERO, _FIELDS, parse_gaussian
-from .linalg import (Subspace, extend_echelon, invert, is_zero, kernel,
-                     reduce_row, rref, rref_kernel)
+from .linalg import (SWEEP_TOL, Subspace, extend_echelon, invert, is_zero,
+                     kernel, reduce_row, rref, rref_kernel)
 
 Vector = Tuple[GaussianRational, ...]
 
@@ -329,7 +329,7 @@ def _dk_sweep(lower, z, settle) -> bool:
     """One Durand-Kerner sweep, in place, over approximations z of the roots
     of the monic polynomial with lower coefficients ``lower`` (constant term
     first); ``settle`` rounds each new value. Returns whether a value moved
-    by more than a relative 1e-15."""
+    by more than a relative ``linalg.SWEEP_TOL``."""
     moved = False
     for k, zk in enumerate(z):
         val = 1
@@ -342,7 +342,7 @@ def _dk_sweep(lower, z, settle) -> bool:
         if den:
             step = val / den
             z[k] = settle(zk - step)
-            moved = moved or abs(complex(step)) > 1e-15 * abs(complex(zk))
+            moved = moved or abs(complex(step)) > SWEEP_TOL * abs(complex(zk))
     return moved
 
 

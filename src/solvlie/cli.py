@@ -1,7 +1,7 @@
 """Command line front end.
 
     solvlie validate  SPEC.json
-    solvlie analyze   SPEC.json [--seed N] [--trials N] [--format json|text]
+    solvlie analyze   SPEC.json [--seed N] [--format json|text]
     solvlie admissible SPEC.json
     solvlie corpus    list | run [ID ...] [--seed N]
 
@@ -16,9 +16,9 @@ pipeline failures; corpus run 0 all expectations matched, 1 mismatched
 entries, 2 an unknown ID. Every command exits 141 (128 + SIGPIPE, the
 shell's code) when its stdout is closed before its output is written, as
 in a pipe into head, and prints no more.
---trials is an option of analyze only, and --seed of analyze and corpus
-run. A malformed command line, --trials below 1 and corpus list with IDs
-or --seed included, prints the usage and exits 2.
+--seed is an option of analyze and corpus run; each generic layer is
+located from 64 points drawn from it. A malformed command line (corpus
+list with IDs or --seed included) prints the usage and exits 2.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def cmd_analyze(args) -> int:
     if err:
         print(err[1], file=sys.stderr)
         return err[0]
-    wb = Workbench(spec, seed=args.seed, trials=args.trials)
+    wb = Workbench(spec, seed=args.seed)
     try:
         doc = wb.report()
     except HypothesisViolation as exc:
@@ -188,17 +188,6 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1, such as --trials."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parsing leaves it
@@ -214,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full orbital and admissibility report")
     p.add_argument("path")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=_positive_int, default=64)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=cmd_analyze)
 

@@ -35,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .adapted import AdaptableBasis
@@ -193,6 +194,11 @@ class SectionOracle:
         self.stab = stab
         self.phi = tuple(stab.phi) if stab is not None else ()
         self.constraints = self._build_constraints()
+        # the indices of the coordinate equations, read off the constraints
+        self._nonzero = tuple(c.index for c in self.constraints
+                              if c.kind == "NONZERO")
+        self._modulus_one = tuple(c.index for c in self.constraints
+                                  if c.kind == "MODULUS_ONE")
 
     def _build_constraints(self) -> List[Constraint]:
         cons = [Constraint({1: "VANISH", 2: "CASE2_COMBO", 3: "CASE3_COMBO"}
@@ -273,28 +279,30 @@ class SectionOracle:
                 return None
         return jd
 
+    @cached_property
+    def _dilation_rows(self) -> Tuple[list, ...]:
+        """The normalized dilation directions as rows over the real basis
+        of g under H_PART_ZERO (Sigma only), built on first use."""
+        nd = self.basis.spec.n_dim
+        return tuple([ZERO] * nd + [GaussianRational(c) for c in a]
+                     for c in self.constraints if c.kind == "H_PART_ZERO"
+                     for a in self.stab.a_basis)
+
     def _coordinates_hold(self, f: Functional, zvals, vanishes) -> bool:
-        """Whether the coordinate equations of the kind hold at f, whose
-        adapted values are zvals: l(Z_j) != 0 off e (every kind but
-        Lambda), |l(Z_j)| = 1 on phi (SigmaCirc and Sigma), and zero on
-        the normalized dilation directions (Sigma)."""
-        if self.kind == "Lambda":
-            return True
-        e = set(self.n_layer.e_set)
-        if any(vanishes(z) for j, z in enumerate(zvals, start=1) if j not in e):
-            return False
-        if self.kind == "LambdaNu":
-            return True
-        for j in self.phi:
+        """Whether the coordinate equations of the constraints hold at f,
+        whose adapted values are zvals: l(Z_j) != 0 off e (NONZERO, every
+        kind but Lambda), |l(Z_j)| = 1 on phi (MODULUS_ONE, SigmaCirc and
+        Sigma), and zero on the normalized dilation directions
+        (H_PART_ZERO, Sigma)."""
+        for j in self._nonzero:
+            if vanishes(zvals[j - 1]):
+                return False
+        for j in self._modulus_one:
             zv = zvals[j - 1]
             if not vanishes(zv * zv.conjugate() - 1):
                 return False
-        if self.kind == "SigmaCirc":
-            return True
-        nd_full = self.basis.spec.n_dim
-        for a in self.stab.a_basis:
-            vec = [ZERO] * nd_full + [GaussianRational(c) for c in a]
-            if not vanishes(f.value(vec)):
+        for row in self._dilation_rows:
+            if not vanishes(f.value(row)):
                 return False
         return True
 
@@ -402,8 +410,7 @@ def sample_sigma_circ(oracle: SectionOracle, rng: random.Random) -> Functional:
 # ---------------------------------------------------------------------------
 
 def h_project(f: Functional, stab: StabilizerData,
-              oracle_lambda_nu: SectionOracle,
-              oracle_sigma_circ: SectionOracle) -> Tuple[Tuple[float, ...], Functional]:
+              oracle_lambda_nu: SectionOracle) -> Tuple[Tuple[float, ...], Functional]:
     """Unique dilation parameters (mod the little group) moving f onto the
     dilation-orbit section, and the landed point.
 
@@ -414,8 +421,9 @@ def h_project(f: Functional, stab: StabilizerData,
     H acts diagonally on the adapted basis, (exp X . l)(Z_j) =
     e^{-gamma_j(X)} l(Z_j), and Lambda_nu is H-invariant, so the landed
     point is in Lambda_nu too and lies in the dilation-orbit section exactly
-    when |l(Z_j)| = 1 on the oracle's phi. Only that modulus condition is
-    checked at the landing, with the landed point's zero test.
+    when |l(Z_j)| = 1 on the stabilizer's phi, the phi of that section's
+    oracle. Only that modulus condition is checked at the landing, with
+    the landed point's zero test.
     """
     if not oracle_lambda_nu.contains(f):
         raise NotInSectionError("point is not in the dense invariant section part")
@@ -427,7 +435,7 @@ def h_project(f: Functional, stab: StabilizerData,
         for u, c in enumerate(a):
             x[spec.n_dim + u] += t * float(c)
     sigma = exp_h_coadjoint(spec, x, f)
-    for j in oracle_sigma_circ.phi:
+    for j in stab.phi:
         zv = sigma.z(j)
         if not is_zero(zv * zv.conjugate() - 1, sigma.tol):
             raise NotInSectionError(

@@ -1414,14 +1414,19 @@ def _sample_key(basis: AdaptableBasis, ambient: str, form: FormTable,
     return _layer_key(basis, table, j_seq, steps, None)
 
 
+# the number of points ``generic_layer`` draws: it only locates the
+# generic layer, and the report states it as "trials"
+TRIALS = 64
+
+
 def generic_layer(basis: AdaptableBasis, ambient: str = "g",
-                  seed: int = 42, trials: int = 64) -> LayerDescriptor:
-    """Layer of a Zariski-dense set, found by exact evaluation at random
-    integer points with coordinates in [-9, 9]. The winner has maximal
-    card(e); ties break toward the lexicographically smallest (e, j).
-    Raises InconsistentSamplingError unless more than half of the samples
-    agree with the winner (exactly half is not enough), or when no sample
-    gives a usable layer.
+                  seed: int = 42) -> LayerDescriptor:
+    """Layer of a Zariski-dense set, found by exact evaluation at TRIALS
+    (64) random integer points drawn from ``seed``, with coordinates in
+    [-9, 9]. The winner has maximal card(e); ties break toward the
+    lexicographically smallest (e, j). Raises InconsistentSamplingError
+    unless more than half of the samples agree with the winner (exactly
+    half is not enough), or when no sample gives a usable layer.
 
     The coordinates are drawn as ``sample_functional`` draws them, and
     ``_sample_key`` reads one key per sample off them, building no
@@ -1456,14 +1461,12 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     on the samples whose level sorts at or before the winner's, and the
     order never reads phi.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     drawn = basis.ambient(ambient)
     form = _form_table(basis)
     # the samples of each level (e, j), in draw order, with their keys
     levels: Dict[tuple, List[tuple]] = {}
-    for t in range(trials):
+    for t in range(TRIALS):
         xs = _draw_integers(rng, 9, drawn)
         if any(xs):
             key = _sample_key(basis, ambient, form, drawn, xs)
@@ -1498,10 +1501,10 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
         raise InconsistentSamplingError("no sample produced a usable layer")
     best_key, xs, desc = winner
     count = counts[best_key]
-    agreement = count / trials
+    agreement = count / TRIALS
     if agreement <= 0.5:
         raise InconsistentSamplingError(
-            f"winning layer holds only {count}/{trials} samples; more than "
+            f"winning layer holds only {count}/{TRIALS} samples; more than "
             f"half of the samples must agree with it")
     if desc is None:
         desc = layer_descriptor(_integer_point(basis, xs), basis, ambient)

@@ -3,7 +3,8 @@
 Everything downstream of validation is derived lazily and cached, so a
 caller can ask for just the verdict (cheap) or the full report document
 (runs the layer sampling on both n* and g*). Reports are deterministic
-functions of (spec, seed, trials).
+functions of (spec, seed); each generic layer is located from
+``strata.TRIALS`` points drawn from the seed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .gaussian import GaussianRational
 from .sections import (SectionOracle, StabilizerData, UnsupportedLayerError,
                        _sample, canonical_h_vectors, sample_sigma_circ,
                        stabilizer_data)
-from .strata import LayerDescriptor, generic_layer
+from .strata import TRIALS, LayerDescriptor, generic_layer
 
 SCHEMA = "solvlie-report/1"
 
@@ -52,10 +53,9 @@ class PipelineError(RuntimeError):
 
 
 class Workbench:
-    def __init__(self, spec: LieAlgebraSpec, seed: int = 42, trials: int = 64):
+    def __init__(self, spec: LieAlgebraSpec, seed: int = 42):
         self.spec = spec
         self.seed = seed
-        self.trials = trials
         self._cache: Dict[str, object] = {}
 
     def _get(self, key, fn):
@@ -86,7 +86,7 @@ class Workbench:
     @property
     def n_layer(self) -> LayerDescriptor:
         return self._get("n_layer", lambda: generic_layer(
-            self.basis, "n", seed=self.seed, trials=self.trials))
+            self.basis, "n", seed=self.seed))
 
     @property
     def stabilizer(self) -> StabilizerData:
@@ -103,8 +103,7 @@ class Workbench:
     @property
     def g_layer(self) -> LayerDescriptor:
         def make():
-            layer = generic_layer(self.canonical_basis, "g",
-                                  seed=self.seed, trials=self.trials)
+            layer = generic_layer(self.canonical_basis, "g", seed=self.seed)
             if tuple(layer.phi) != tuple(self.stabilizer.phi):
                 raise PipelineError(
                     f"paired-index mismatch: layer phi {layer.phi} vs "
@@ -226,8 +225,7 @@ class Workbench:
     def project(self, f: Functional):
         """Dilation parameters and landing point of f on the orbit section."""
         from .sections import h_project
-        return h_project(f, self.stabilizer, self.oracle_lambda_nu,
-                         self.oracle_sigma_circ)
+        return h_project(f, self.stabilizer, self.oracle_lambda_nu)
 
     def disintegration(self) -> Fraction:
         """The exact constant |det W| of the Plancherel disintegration
@@ -244,7 +242,7 @@ class Workbench:
             "schema": SCHEMA,
             "name": self.spec.name,
             "seed": self.seed,
-            "trials": self.trials,
+            "trials": TRIALS,
             "validation": self.validation.as_dict(),
             "basis": {
                 "labels": list(self.spec.names),

@@ -29,11 +29,10 @@ def corpus_file_text(entry_id: str) -> str:
         "corpus", f"{entry_id}.json").read_text(encoding="utf-8")
 
 
-def wb_for(entry_id: str, seed: int = 42, trials: int = 16) -> Workbench:
-    key = (entry_id, seed, trials)
+def wb_for(entry_id: str, seed: int = 42) -> Workbench:
+    key = (entry_id, seed)
     if key not in _WB_CACHE:
-        _WB_CACHE[key] = Workbench(corpus_entry(entry_id).spec(),
-                                   seed=seed, trials=trials)
+        _WB_CACHE[key] = Workbench(corpus_entry(entry_id).spec(), seed=seed)
     return _WB_CACHE[key]
 
 

@@ -5,7 +5,9 @@ sample with ``strata._sample_key``: every sample is drawn by
 ``sample_functional`` through ``rng.randint``, becomes a ``Functional``,
 and gets a full ``layer_descriptor``, only to call ``.key()`` on it; an
 unsupported sample runs ``jump_data`` a second time for its (e, j). Both
-functions are kept verbatim. ``layer_descriptor`` and ``jump_data`` are
+functions are kept verbatim, apart from the sample size: like the
+library, ``generic_layer`` draws ``strata.TRIALS`` points, so that the two
+describe the same sample. ``layer_descriptor`` and ``jump_data`` are
 looked up in this module, so a test can swap them here for an oracle of
 its own without touching the library. The tests compare the library's
 ``generic_layer`` with this one on the corpus and on generated specs.
@@ -21,9 +23,9 @@ from typing import Dict, List, Tuple
 
 from solvlie.adapted import AdaptableBasis
 from solvlie.functionals import Functional
-from solvlie.strata import (InconsistentSamplingError, LayerDescriptor,
-                            LayerMismatchError, UnsupportedCaseError,
-                            jump_data, layer_descriptor)
+from solvlie.strata import (TRIALS, InconsistentSamplingError,
+                            LayerDescriptor, LayerMismatchError,
+                            UnsupportedCaseError, jump_data, layer_descriptor)
 
 
 @lru_cache(maxsize=256)
@@ -42,9 +44,9 @@ def sample_functional(basis: AdaptableBasis, rng: random.Random,
 
 
 def generic_layer(basis: AdaptableBasis, ambient: str = "g",
-                  seed: int = 42, trials: int = 64) -> LayerDescriptor:
-    """Layer of a Zariski-dense set, found by exact evaluation at random
-    integer points with coordinates in [-9, 9]. The winner has maximal
+                  seed: int = 42) -> LayerDescriptor:
+    """Layer of a Zariski-dense set, found by exact evaluation at TRIALS
+    random integer points with coordinates in [-9, 9]. The winner has maximal
     card(e); ties break toward the lexicographically smallest (e, j).
     Raises InconsistentSamplingError unless more than half of the samples
     agree with the winner (exactly half is not enough), or when no sample
@@ -57,8 +59,6 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     first such error is raised again: the generic layer may be one the
     tool cannot describe.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     support = "n" if ambient == "n" else "g"
     # samples per key, and the first descriptor of each: every descriptor
@@ -66,7 +66,7 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     counts: Dict[tuple, int] = {}
     first: Dict[tuple, LayerDescriptor] = {}
     unsupported: List[Tuple[tuple, UnsupportedCaseError]] = []
-    for _ in range(trials):
+    for _ in range(TRIALS):
         f = sample_functional(basis, rng, support=support)
         if f.is_zero():
             continue
@@ -93,10 +93,10 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
         if order(key) <= order(best_key):
             raise err
     count = counts[best_key]
-    agreement = count / trials
+    agreement = count / TRIALS
     if agreement <= 0.5:
         raise InconsistentSamplingError(
-            f"winning layer holds only {count}/{trials} samples; more than "
+            f"winning layer holds only {count}/{TRIALS} samples; more than "
             f"half of the samples must agree with it")
     # the one descriptor returned, with copies, so that it shares no
     # mapping with the memo

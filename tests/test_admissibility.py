@@ -220,7 +220,7 @@ def test_unimodular_finite_multiplicity_divergence_flag():
             {"x": "X", "y": "Y", "value": [{"c": "1", "b": "Z"}]},
             {"x": "A", "y": "X", "value": [{"c": "1", "b": "X"}]},
             {"x": "A", "y": "Y", "value": [{"c": "-1", "b": "Y"}]}]})
-    wb = Workbench(spec, trials=16)
+    wb = Workbench(spec)
     ver = wb.verdict()
     assert ver.verdict == "NOT_ADMISSIBLE_UNIMODULAR"
     assert ver.multiplicity == 2
@@ -302,14 +302,14 @@ def test_disintegration_unsupported_corpus_layers(entry_id):
 
 @pytest.mark.parametrize("m", [8, 10, 12, 14, 16])
 def test_disintegration_constant_dense_center(m):
-    wb = Workbench(_dense_center_spec(m), trials=16)
+    wb = Workbench(_dense_center_spec(m))
     assert len(wb.n_layer.e_set) == m
     assert wb.disintegration() == 1
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_disintegration_constant_heisenberg_power(m):
-    wb = Workbench(_heisenberg_power_spec(m), trials=16)
+    wb = Workbench(_heisenberg_power_spec(m))
     assert wb.stabilizer.r == m and len(wb.stabilizer.nu) == m
     assert wb.disintegration() == 1
 

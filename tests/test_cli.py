@@ -91,7 +91,7 @@ def test_invalid_hint_exit_2(bad_hint_path, command):
 
 def test_analyze_report_content(corpus_dir):
     proc = run_cli("analyze", str(corpus_dir / "heisenberg-2param.json"),
-                   "--format", "json", "--trials", "16")
+                   "--format", "json")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["schema"] == "solvlie-report/1"
@@ -103,7 +103,7 @@ def test_analyze_report_content(corpus_dir):
 
 def test_analyze_double_heisenberg_layer(corpus_dir):
     proc = run_cli("analyze", str(corpus_dir / "double-heisenberg.json"),
-                   "--format", "json", "--trials", "16")
+                   "--format", "json")
     doc = json.loads(proc.stdout)
     assert doc["n_layer"]["e"] == [3, 4, 5, 6]
     printable = doc["sections"]["lambda"].get("printable", "")
@@ -112,7 +112,7 @@ def test_analyze_double_heisenberg_layer(corpus_dir):
 
 def test_analyze_deterministic_bytes(corpus_dir):
     args = ("analyze", str(corpus_dir / "anisotropic-heisenberg.json"),
-            "--format", "json", "--seed", "7", "--trials", "12")
+            "--format", "json", "--seed", "7")
     out1 = run_cli(*args).stdout
     out2 = run_cli(*args).stdout
     assert out1 == out2
@@ -203,12 +203,14 @@ def test_closed_stdout_exits_141_without_a_traceback(corpus_dir, args):
     assert proc.stderr == ""
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_analyze_trials_below_one_is_a_usage_error(corpus_dir, trials):
+@pytest.mark.parametrize("trials", ["0", "-3", "64"])
+def test_analyze_has_no_trials_option(corpus_dir, trials):
+    # the sample size is strata.TRIALS; no count is accepted, not even 64
     proc = run_cli("analyze", str(corpus_dir / "spiral-heisenberg.json"),
                    "--trials", trials)
     assert proc.returncode == 2
-    assert "usage:" in proc.stderr and "--trials" in proc.stderr
+    assert "usage:" in proc.stderr
+    assert f"unrecognized arguments: --trials {trials}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -222,8 +224,8 @@ def test_corpus_run_trials_below_one_is_a_usage_error(trials):
 
 
 def test_corpus_run_has_no_trials_option():
-    # the corpus checks are exact, so corpus run samples at the package
-    # default; --trials belongs to analyze only
+    # the corpus checks are exact, and every command draws strata.TRIALS
+    # points per generic layer; no command takes --trials
     proc = run_cli("corpus", "run", "--trials", "5")
     assert proc.returncode == 2
     assert "usage:" in proc.stderr

@@ -266,7 +266,7 @@ def test_one_eigenbasis_per_spec(monkeypatch):
     real = algebra.eigenbasis
     monkeypatch.setattr(algebra, "eigenbasis",
                         lambda spec: calls.append(spec) or real(spec))
-    wb = Workbench(corpus_entry("heisenberg-2param").spec(), trials=12)
+    wb = Workbench(corpus_entry("heisenberg-2param").spec())
     spec, basis = wb.spec, wb.canonical_basis
     rng = random.Random(27)
     for t in (0.5, -1.25, 2.0):

@@ -116,7 +116,7 @@ def test_degenerate_points_on_the_corpus(entry_id, limit):
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_degenerate_points_on_generated_specs(seed, limit):
     for k, (doc, _) in enumerate(specgen.generate(seed)):
-        basis = Workbench(spec_from_dict(doc), trials=16).basis
+        basis = Workbench(spec_from_dict(doc)).basis
         for ambient in ("n", "g"):
             for f in _degenerate_points(basis, ambient, 10 * seed + k):
                 _check_point(f, basis, ambient, with_recursion=False)

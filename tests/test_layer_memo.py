@@ -55,7 +55,7 @@ def oracle_descriptor(f, basis, ambient):
 
 def _outcome(layer, basis, ambient, seed):
     try:
-        return layer(basis, ambient, seed=seed, trials=64).as_dict()
+        return layer(basis, ambient, seed=seed).as_dict()
     except ValueError as exc:
         return type(exc).__name__, str(exc)
 
@@ -102,13 +102,13 @@ def test_returned_descriptors_do_not_share_the_memo():
     wb = wb_for("double-heisenberg")
     basis = wb.canonical_basis
     for ambient in ("n", "g"):
-        first = generic_layer(basis, ambient, seed=3, trials=64)
+        first = generic_layer(basis, ambient, seed=3)
         want = first.as_dict()
         first.case_sets[0] = (99,)
         first.case_sets.clear()
         first.primes[1] = (7, 7)
         first.primes.clear()
-        again = generic_layer(basis, ambient, seed=3, trials=64)
+        again = generic_layer(basis, ambient, seed=3)
         assert again.as_dict() == want
         assert again.case_sets is not first.case_sets
         assert again.primes is not first.primes
@@ -117,7 +117,7 @@ def test_returned_descriptors_do_not_share_the_memo():
 def test_case_table_is_read_only_and_per_basis():
     wb = wb_for("double-heisenberg")
     basis = wb.basis
-    desc = generic_layer(basis, "n", seed=3, trials=64)
+    desc = generic_layer(basis, "n", seed=3)
     key = ("n", desc.i_seq, desc.j_seq)
     assert key in basis.layer_tables
     table = basis.layer_tables[key]

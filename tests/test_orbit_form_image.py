@@ -156,7 +156,7 @@ def test_image_matches_dense_product_on_corpus(entry_id):
 def test_image_matches_dense_product_on_generated_specs(seed):
     rng = random.Random(700 + seed)
     for doc, _ in specgen.generate(seed):
-        wb = Workbench(spec_from_dict(doc), trials=16)
+        wb = Workbench(spec_from_dict(doc))
         basis = wb.basis
         for ambient in ("n", "g"):
             for _ in range(3):

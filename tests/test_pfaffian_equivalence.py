@@ -131,7 +131,7 @@ def test_pivot_product_matches_expansion_on_corpus_orbit_forms(entry_id):
 @pytest.mark.parametrize("seed", [1, 7, 13])
 def test_pivot_product_matches_expansion_on_generated_orbit_forms(seed):
     for doc, _ in specgen.generate(seed):
-        wb = Workbench(spec_from_dict(doc), trials=16)
+        wb = Workbench(spec_from_dict(doc))
         for m in _lambda_nu_forms(wb, 3, seed):
             assert pfaffian(m) != 0
             _assert_agree(m)
@@ -158,7 +158,7 @@ def _dense_center_spec(m, seed=0):
 
 
 def test_dense_center_pfaffian_matches_expansion():
-    wb = Workbench(_dense_center_spec(10), trials=16)
+    wb = Workbench(_dense_center_spec(10))
     assert len(wb.n_layer.e_set) == 10
     for m in _lambda_nu_forms(wb, 3, 830):
         _assert_agree(m)
@@ -196,7 +196,7 @@ def test_jump_pfaffian_matches_expansion_on_corpus_points(entry_id):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_jump_pfaffian_matches_expansion_on_generated_points(seed):
     for doc, _ in specgen.generate(seed):
-        wb = Workbench(spec_from_dict(doc), trials=16)
+        wb = Workbench(spec_from_dict(doc))
         for f in _lambda_nu_points(wb, 2, 850 + seed):
             _assert_jump_pfaffian(f, wb.n_layer.e_set)
 
@@ -204,7 +204,7 @@ def test_jump_pfaffian_matches_expansion_on_generated_points(seed):
 def test_jump_pfaffian_matches_expansion_on_dense_center():
     # 945 terms of the expansion at |e| = 10, 135,135 at |e| = 14
     for m, count in ((10, 16), (14, 2)):
-        wb = Workbench(_dense_center_spec(m), trials=16)
+        wb = Workbench(_dense_center_spec(m))
         assert len(wb.n_layer.e_set) == m
         for f in _lambda_nu_points(wb, count, 860 + m):
             _assert_jump_pfaffian(f, wb.n_layer.e_set)

@@ -50,7 +50,7 @@ CASES = VALID_IDS + sorted(GENERATED)
 
 def _workbench(case) -> Workbench:
     if case in GENERATED:
-        return Workbench(spec_from_dict(GENERATED[case]), trials=16)
+        return Workbench(spec_from_dict(GENERATED[case]))
     return wb_for(case)
 
 
@@ -92,7 +92,7 @@ def test_polarization_matches_oracle_on_dense_centers(m):
     # every [X_a, X_b] is a nonzero multiple of Z, so the closure check
     # reads a structure constant in both orders for nearly every pair of
     # coordinates of its rows
-    wb = Workbench(_dense_center_spec(m), trials=16)
+    wb = Workbench(_dense_center_spec(m))
     basis = wb.canonical_basis
     rng = random.Random(m)
     for _ in range(3):

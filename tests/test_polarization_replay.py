@@ -103,7 +103,7 @@ def test_polarization_at_workbench_points(entry_id):
     rng = random.Random(700 + SAMPLED.index(entry_id))
     sampled = rational = 0
     for seed in (42, 7, 123):
-        wb = Workbench(spec, seed=seed, trials=16)
+        wb = Workbench(spec, seed=seed)
         basis = wb.canonical_basis
         points = _sampled(wb, seed)
         moved = _rational(basis, points, rng)

@@ -38,7 +38,7 @@ _WB = {}
 def _workbench(case) -> Workbench:
     if case in GENERATED:
         if case not in _WB:
-            _WB[case] = Workbench(spec_from_dict(GENERATED[case]), trials=16)
+            _WB[case] = Workbench(spec_from_dict(GENERATED[case]))
         return _WB[case]
     return wb_for(case)
 

@@ -275,21 +275,18 @@ def test_draws_put_phi_on_the_unit_circle_on_sigma_circ_only():
 def test_h_project_heisenberg_log():
     wb = wb_for("heisenberg-2param")
     f = point(wb, Z=4)
-    params, sigma = h_project(f, wb.stabilizer, wb.oracle_lambda_nu,
-                              wb.oracle_sigma_circ)
+    params, sigma = h_project(f, wb.stabilizer, wb.oracle_lambda_nu)
     assert params == pytest.approx((math.log(4),))
     assert complex(sigma.z(1)) == pytest.approx(1.0)
     f2 = point(wb, Z=-4)
-    _, sigma2 = h_project(f2, wb.stabilizer, wb.oracle_lambda_nu,
-                          wb.oracle_sigma_circ)
+    _, sigma2 = h_project(f2, wb.stabilizer, wb.oracle_lambda_nu)
     assert complex(sigma2.z(1)) == pytest.approx(-1.0)
 
 
 def test_h_project_identity_on_section():
     wb = wb_for("heisenberg-2param")
     f = point(wb, Z=1)
-    params, sigma = h_project(f, wb.stabilizer, wb.oracle_lambda_nu,
-                              wb.oracle_sigma_circ)
+    params, sigma = h_project(f, wb.stabilizer, wb.oracle_lambda_nu)
     assert params == pytest.approx((0.0,))
     assert complex(sigma.z(1)) == pytest.approx(1.0)
 
@@ -297,8 +294,7 @@ def test_h_project_identity_on_section():
 def test_h_project_spiral_rotation():
     wb = wb_for("spiral-heisenberg")
     f = point(wb, Z1=2)
-    params, sigma = h_project(f, wb.stabilizer, wb.oracle_lambda_nu,
-                              wb.oracle_sigma_circ)
+    params, sigma = h_project(f, wb.stabilizer, wb.oracle_lambda_nu)
     z = complex(sigma.z(1))
     assert abs(abs(z) - 1.0) < 1e-12
     assert math.atan2(z.imag, z.real) == pytest.approx(-math.log(2), abs=1e-9)
@@ -353,8 +349,7 @@ def test_project_lands_on_the_section_at_its_start(entry_id):
 def test_h_project_rejects_non_members():
     wb = wb_for("heisenberg-2param")
     with pytest.raises(NotInSectionError):
-        h_project(point(wb, Z=1, X=1), wb.stabilizer, wb.oracle_lambda_nu,
-                  wb.oracle_sigma_circ)
+        h_project(point(wb, Z=1, X=1), wb.stabilizer, wb.oracle_lambda_nu)
 
 
 def test_h_project_invariance_along_orbits():
@@ -364,14 +359,12 @@ def test_h_project_invariance_along_orbits():
     spec = wb.spec
     for _ in range(8):
         f = sample_lambda_nu(wb.oracle_lambda_nu, rng)
-        _, s1 = h_project(f, wb.stabilizer, wb.oracle_lambda_nu,
-                          wb.oracle_sigma_circ)
+        _, s1 = h_project(f, wb.stabilizer, wb.oracle_lambda_nu)
         a = [0.0] * spec.dim
         a[spec.index("A1")] = rng.uniform(-1.0, 1.0)
         a[spec.index("A2")] = rng.uniform(-1.0, 1.0)
         moved = exp_h_coadjoint(spec, a, f, mode="float")
-        _, s2 = h_project(moved, wb.stabilizer, wb.oracle_lambda_nu,
-                          wb.oracle_sigma_circ)
+        _, s2 = h_project(moved, wb.stabilizer, wb.oracle_lambda_nu)
         for v1, v2 in zip(s1.values, s2.values):
             assert v1 == pytest.approx(v2, abs=1e-8)
 
@@ -381,10 +374,8 @@ def test_h_project_idempotent():
     wb = wb_for("heisenberg-2param")
     for _ in range(8):
         f = sample_lambda_nu(wb.oracle_lambda_nu, rng)
-        params, sigma = h_project(f, wb.stabilizer, wb.oracle_lambda_nu,
-                                  wb.oracle_sigma_circ)
-        params2, _ = h_project(sigma, wb.stabilizer, wb.oracle_lambda_nu,
-                               wb.oracle_sigma_circ)
+        params, sigma = h_project(f, wb.stabilizer, wb.oracle_lambda_nu)
+        params2, _ = h_project(sigma, wb.stabilizer, wb.oracle_lambda_nu)
         assert all(abs(p) < 1e-9 for p in params2)
 
 

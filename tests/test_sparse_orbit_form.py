@@ -115,7 +115,7 @@ def test_sparse_kernel_matches_dense_on_corpus_samples(entry_id):
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_sparse_kernel_matches_dense_on_generated_specs(seed):
     for k, (doc, _) in enumerate(specgen.generate(seed)):
-        wb = Workbench(spec_from_dict(doc), trials=16)
+        wb = Workbench(spec_from_dict(doc))
         basis = wb.basis
         rng = random.Random(seed)
         for _ in range(16):
@@ -128,7 +128,7 @@ def test_sparse_kernel_matches_dense_on_generated_specs(seed):
 
 
 def test_sparse_kernel_matches_dense_on_dense_center():
-    wb = Workbench(_dense_center_spec(10), trials=16)
+    wb = Workbench(_dense_center_spec(10))
     for ambient, basis in _layers(wb):
         rng = random.Random(11)
         for _ in range(8):

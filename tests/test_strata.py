@@ -13,8 +13,9 @@ from section_oracle import real_section_vectors
 from solvlie.functionals import (Functional, NeedsFloatError, exp_h_coadjoint,
                                  exp_unipotent_coadjoint, sample_functional)
 from solvlie.gaussian import GaussianRational as G
-from solvlie.strata import (InconsistentSamplingError, LayerDescriptor,
-                            LayerMismatchError, NotSkewError,
+from solvlie import strata
+from solvlie.strata import (TRIALS, InconsistentSamplingError,
+                            LayerDescriptor, LayerMismatchError, NotSkewError,
                             OddDimensionError, UnsupportedCaseError,
                             generic_layer, jump_data, layer_descriptor,
                             pfaffian, section_vectors)
@@ -387,9 +388,25 @@ def test_rho_orthogonality_exact():
 
 def test_generic_layer_deterministic():
     wb = wb_for("heisenberg-2param")
-    d1 = generic_layer(wb.canonical_basis, "g", seed=7, trials=20)
-    d2 = generic_layer(wb.canonical_basis, "g", seed=7, trials=20)
+    d1 = generic_layer(wb.canonical_basis, "g", seed=7)
+    d2 = generic_layer(wb.canonical_basis, "g", seed=7)
     assert d1.as_dict() == d2.as_dict()
+
+
+def test_generic_layer_keys_trials_draws_and_the_report_states_them(
+        monkeypatch):
+    # one constant sizes the sample: a generic_layer call keys each of its
+    # TRIALS draws once, and the report's "trials" reads the same constant
+    wb = wb_for("heisenberg-2param")
+    assert wb.report()["trials"] == TRIALS
+    sample_key, keyed = strata._sample_key, []
+
+    def counted(*args):
+        keyed.append(args)
+        return sample_key(*args)
+    monkeypatch.setattr("solvlie.strata._sample_key", counted)
+    generic_layer(wb.canonical_basis, "g", seed=7)
+    assert len(keyed) == TRIALS == 64
 
 
 def test_generic_layer_propagates_zero_division(monkeypatch):
@@ -400,7 +417,7 @@ def test_generic_layer_propagates_zero_division(monkeypatch):
     wb = wb_for("heisenberg-2param")
     monkeypatch.setattr("solvlie.strata._sample_key", divide_by_zero)
     with pytest.raises(ZeroDivisionError):
-        generic_layer(wb.canonical_basis, "n", seed=7, trials=4)
+        generic_layer(wb.canonical_basis, "n", seed=7)
 
 
 # the (e, j) that the stubbed per-sample key gives a sample whose layer is
@@ -473,10 +490,10 @@ def test_generic_layer_needs_more_than_half(monkeypatch, wide, rejects):
         with pytest.raises(InconsistentSamplingError,
                            match="32/64 samples; more than half of the "
                                  "samples must agree") as err:
-            generic_layer(basis, "n", seed=7, trials=64)
+            generic_layer(basis, "n", seed=7)
         assert "bound" not in str(err.value)
     else:
-        desc = generic_layer(basis, "n", seed=7, trials=64)
+        desc = generic_layer(basis, "n", seed=7)
         assert desc.key() == WIDE.key()
         assert desc.consistency == 33 / 64
     assert next(left, None) is None      # no sample was skipped
@@ -487,18 +504,18 @@ def test_generic_layer_without_usable_samples(monkeypatch):
     left = _stub_samples(monkeypatch, [None] * 64)
     with pytest.raises(InconsistentSamplingError,
                        match="no sample produced a usable layer"):
-        generic_layer(basis, "n", seed=7, trials=64)
+        generic_layer(basis, "n", seed=7)
     assert next(left, None) is None
 
 
 def test_generic_layer_skips_unsupported_samples_below_the_winner(monkeypatch):
     # a sample that section_vectors has no case for, on a layer that sorts
     # after the winner, is skipped like a mismatch; the agreement stays
-    # count/trials
+    # count/TRIALS
     basis = wb_for("heisenberg-2param").basis
     _stub_jump_key(monkeypatch, (NARROW.e_set, NARROW.j_seq))
     left = _stub_samples(monkeypatch, [UNSUPPORTED] * 3 + [WIDE] * 61)
-    desc = generic_layer(basis, "n", seed=7, trials=64)
+    desc = generic_layer(basis, "n", seed=7)
     assert desc.key() == WIDE.key()
     assert desc.consistency == 61 / 64
     assert next(left, None) is None
@@ -512,7 +529,7 @@ def test_generic_layer_raises_unsupported_samples_not_below_the_winner(
     _stub_jump_key(monkeypatch, key)
     left = _stub_samples(monkeypatch, [WIDE] * 63 + [UNSUPPORTED])
     with pytest.raises(UnsupportedCaseError, match="stubbed"):
-        generic_layer(basis, "n", seed=7, trials=64)
+        generic_layer(basis, "n", seed=7)
     assert next(left, None) is None
 
 
@@ -521,7 +538,7 @@ def test_generic_layer_raises_unsupported_without_usable_samples(monkeypatch):
     _stub_jump_key(monkeypatch, (NARROW.e_set, NARROW.j_seq))
     left = _stub_samples(monkeypatch, [None, UNSUPPORTED] * 32)
     with pytest.raises(UnsupportedCaseError, match="stubbed"):
-        generic_layer(basis, "n", seed=7, trials=64)
+        generic_layer(basis, "n", seed=7)
     assert next(left, None) is None
 
 
@@ -535,7 +552,7 @@ def test_generic_layer_passes_a_level_whose_samples_all_mismatch(monkeypatch):
     described = []
     _stub_samples(monkeypatch, [None] * 10 + [head] + [NARROW] * 53,
                   described)
-    desc = generic_layer(basis, "n", seed=7, trials=64)
+    desc = generic_layer(basis, "n", seed=7)
     assert desc.key() == NARROW.key()
     assert desc.consistency == 54 / 64
     assert described[:10] == [None] * 10
@@ -556,7 +573,7 @@ def test_generic_layer_raises_the_first_unsupported_sample_in_draw_order(
                           (NOT_BELOW_WIDE[1], second)] + [NARROW] * 62,
                          described)
     with pytest.raises(UnsupportedCaseError, match="the first drawn"):
-        generic_layer(basis, "n", seed=7, trials=64)
+        generic_layer(basis, "n", seed=7)
     assert [d[1] for d in described] == [second, first]
     assert next(left, None) is None
 
@@ -569,7 +586,7 @@ def test_keyed_winner_is_described_once(monkeypatch):
     described = []
     _stub_samples(monkeypatch, [NARROW] * 20 + [head] + [WIDE] * 43,
                   described)
-    desc = generic_layer(basis, "n", seed=7, trials=64)
+    desc = generic_layer(basis, "n", seed=7)
     assert desc.key() == WIDE.key() and desc.consistency == 44 / 64
     assert len(described) == 1 and described[0] is head
 
@@ -600,7 +617,7 @@ def test_generic_layer_abelian_n_is_empty_everywhere():
         "name": "flat", "n_basis": ["X"], "h_basis": ["A"],
         "brackets": [{"x": "A", "y": "X", "value": [{"c": "1", "b": "X"}]}]})
     basis = build_adaptable_basis(spec)
-    desc = generic_layer(basis, "n", seed=1, trials=10)
+    desc = generic_layer(basis, "n", seed=1)
     assert desc.e_set == ()
 
 

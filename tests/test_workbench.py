@@ -15,7 +15,7 @@ REQUIRED_KEYS = ("schema", "name", "validation", "basis", "n_layer",
 
 def test_report_builds_for_every_valid_entry():
     for entry_id in VALID_IDS:
-        wb = wb_for(entry_id, trials=12)
+        wb = wb_for(entry_id)
         doc = wb.report()
         for key in REQUIRED_KEYS:
             assert key in doc, (entry_id, key)
@@ -35,7 +35,7 @@ def test_report_builds_for_every_valid_entry():
 def test_report_multiplicity_matches_direct_computation():
     for entry_id in ("anisotropic-heisenberg", "heisenberg-2param",
                      "five-dilations-repaired", "three-dilations-repaired"):
-        wb = wb_for(entry_id, trials=12)
+        wb = wb_for(entry_id)
         doc = wb.report()
         m = wb.multiplicity
         expected = "infinite" if m == adm.INFINITE else m
@@ -60,7 +60,7 @@ def test_jump_invariance_under_complex_weight_flow():
 
 
 def test_workbench_caches_are_pure():
-    wb = wb_for("heisenberg-2param", trials=12)
+    wb = wb_for("heisenberg-2param")
     assert wb.report() == wb.report()
     assert wb.verdict() is wb.verdict()
 
@@ -75,7 +75,7 @@ def test_one_weight_decomposition_per_spec(monkeypatch):
     real = algebra.weight_decomposition
     monkeypatch.setattr(algebra, "weight_decomposition",
                         lambda spec: calls.append(spec) or real(spec))
-    wb = Workbench(corpus_entry("heisenberg-2param").spec(), trials=12)
+    wb = Workbench(corpus_entry("heisenberg-2param").spec())
     wb.report()
     l = sample_functional(wb.canonical_basis, random.Random(3))
     exp_h_coadjoint(wb.spec, wb.spec.basis_vector(wb.spec.n_dim), l)
@@ -87,7 +87,7 @@ def test_canonical_basis_skips_the_n_part_verification(monkeypatch):
     from conftest import corpus_entry
     from solvlie.workbench import Workbench
 
-    wb = Workbench(corpus_entry("five-dilations-repaired").spec(), trials=12)
+    wb = Workbench(corpus_entry("five-dilations-repaired").spec())
     basis = wb.basis
     runs = []
     real = AdaptableBasis._verify
