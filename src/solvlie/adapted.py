@@ -12,13 +12,15 @@ An adapted basis Z_1..Z_n (+ the h part) satisfies, for every k:
 Constructed bases are exact joint eigenbases ordered along the ascending
 central series of n, which ``LieAlgebraSpec.central_series`` builds once
 per spec from the sparse structure constants and shares with validation (a
-series that stalls fails the construction). Each level is h-invariant, so it
-splits by weight in one pass: its rows are expressed once over the joint
-eigenbasis (through the inverse ``LieAlgebraSpec.eigenbasis`` keeps, one
-inversion per spec), and the coordinates of each weight space give that
-space's piece of the level, reduced to RREF. A row of a piece is placed
-when it extends the echelon of what was placed from its weight space
-(``linalg.extend_echelon``). A user hint overrides the construction.
+series that stalls fails the construction). Each level is h-invariant, so
+only its new rows are split by weight, each once: a new row is expressed
+over the joint eigenbasis (through the inverse ``LieAlgebraSpec.eigenbasis``
+keeps, one inversion per spec), and its coordinates on each weight space
+give its component there, which extends that space's piece of the level,
+held in RREF (``linalg.extend_rref``). Only a piece that grew is read: its
+rows are placed while they extend the echelon of what was placed from its
+weight space (``linalg.extend_echelon``), until the two have the same
+dimension. A user hint overrides the construction.
 
 Every basis, built or hinted, is verified through its adapted structure
 constants: one inversion of the n block of the basis matrix gives C_pq^k,
@@ -46,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (DiagonalizationError, HypothesisViolation,
                       LieAlgebraSpec, Vector, root_factor)
 from .gaussian import GaussianRational, ONE, ZERO
-from .linalg import Subspace, extend_echelon, invert
+from .linalg import extend_echelon, extend_rref, invert
 
 
 class HintInvalidError(ValueError):
@@ -159,6 +161,7 @@ class AdaptableBasis:
         if any(any(not v[m].is_zero() for m in range(spec.n_dim, spec.dim))
                for v in self.nvecs):
             raise HintInvalidError(1, "n-part vectors must be supported in n")
+        self.terms = [_terms(v) for v in self.nvecs]
         self._set_h_part(hvecs)
         self._verify()
         self._set_h_structure()
@@ -178,7 +181,7 @@ class AdaptableBasis:
         self.h_inverse = inv
         self.hvecs = hvecs
         self.vectors = self.nvecs + hvecs
-        self.terms = [_terms(v) for v in self.vectors]
+        self.terms = self.terms[:nd] + [_terms(v) for v in hvecs]
         self.layer_tables: Dict[object, tuple] = {}
         self._description: Optional[Tuple[str, ...]] = None
 
@@ -236,18 +239,25 @@ class AdaptableBasis:
             raise HintInvalidError(1, "vectors are not a basis")
 
         # C_pq^k for p < q < n as sparse rows; [Z_p, Z_q] leaves the flag at
-        # p + 1 (and then also at q + 1) iff it has a coordinate beyond p
+        # p + 1 (and then also at q + 1) iff it has a coordinate beyond p.
+        # Only the pairs whose terms meet a nonzero constant are bracketed,
+        # by increasing (q, p)
         self.n_inverse = inv
         self.structure: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
         first_bad = dim + 1         # the first j (1-based) failing condition 1
-        for q in range(nd):
-            for p in range(q):
-                row = _coords(_bracket_terms(table, terms[p], terms[q]), inv)
-                if not row:
-                    continue
-                self.structure[(p, q)] = row
-                if max(row) > p:
-                    first_bad = min(first_bad, p + 1)
+        holders: Dict[int, List[int]] = {}     # m -> the p with a term at m
+        for p in range(nd):
+            for m, _ in terms[p]:
+                holders.setdefault(m, []).append(p)
+        pairs = {(q, p) for i, j in table for p in holders.get(i, ())
+                 for q in holders.get(j, ()) if p < q}
+        for q, p in sorted(pairs):
+            row = _coords(_bracket_terms(table, terms[p], terms[q]), inv)
+            if not row:
+                continue
+            self.structure[(p, q)] = row
+            if max(row) > p:
+                first_bad = min(first_bad, p + 1)
         self._ad_h = ad_h = []      # ad_h[t][j]: coordinates of [A_t, Z_j]
         for t in range(spec.h_dim):
             a = ((nd + t, ONE),)
@@ -329,6 +339,10 @@ class AdaptableBasis:
             for p in range(nd):
                 row: Dict[int, GaussianRational] = {}
                 for ht, ad_t in zip(h[nd:], self._ad_h):
+                    if not ht:      # adds nothing, but keeps the key order
+                        for k in ad_t[p]:
+                            row.setdefault(k, ZERO)
+                        continue
                     for k, c in ad_t[p].items():
                         row[k] = row.get(k, ZERO) - ht * c
                 if any(row.values()):
@@ -375,20 +389,6 @@ def _weight_key(ws_weights: Tuple[GaussianRational, ...]):
     return tuple((w.re, w.im) for w in ws_weights)
 
 
-def _real_rows(rows: List[List[GaussianRational]]) -> List[List[GaussianRational]]:
-    """Real points of a conj-stable span given by RREF rows, as RREF rows.
-
-    Real RREF rows already are the answer: the RREF of a span is unique.
-    """
-    if all(_is_real_vec(r) for r in rows):
-        return rows
-    cand = []
-    for r in rows:
-        cand.append([GaussianRational(x.re) for x in r])
-        cand.append([GaussianRational(x.im) for x in r])
-    return Subspace(cand, len(rows[0])).rows
-
-
 def build_adaptable_basis(spec: LieAlgebraSpec,
                           hint: Optional[Sequence[Vector]] = None) -> AdaptableBasis:
     """Construct (or verify, when a hint is given) an adapted basis.
@@ -397,6 +397,14 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
     along the ascending central series of n, conjugate pairs adjacent, real
     vectors on conj-stable steps. A hint replaces the construction entirely
     and is only verified.
+
+    Level k of the series is L_{k-1} plus its new rows, and each L_k is
+    h-invariant, so L_k cap W_i is L_{k-1} cap W_i plus the W_i components
+    of the new rows (``_weight_splitter``): one RREF per weight space takes
+    them in, and only a piece that grew is read again. Its RREF rows are
+    placed in order while they extend the echelon of what was placed from
+    W_i; that echelon spans L_{k-1} cap W_i, so the rows stop as soon as it
+    is as large as the piece.
     """
     if hint is not None:
         nvecs = []
@@ -421,41 +429,56 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
     nd = spec.n_dim
 
     # order weight spaces deterministically; conjugate partners grouped
-    indexed = sorted(range(len(spaces)), key=lambda i: _weight_key(spaces[i].weights))
-    conj_of = {}
-    for i in indexed:
-        wconj = tuple(w.conjugate() for w in spaces[i].weights)
-        for k in indexed:
-            if spaces[k].weights == wconj:
-                conj_of[i] = k
-                break
+    keys = [_weight_key(sp.weights) for sp in spaces]
+    indexed = sorted(range(len(spaces)), key=keys.__getitem__)
+    where = {sp.weights: i for i, sp in enumerate(spaces)}
+    conj_of = [where.get(tuple(w.conjugate() for w in sp.weights)) for sp in spaces]
+    if levels and None in conj_of:
+        raise ConstructionFailedError(
+            "CONSTRUCTION_FAILED: weight spaces not closed under conjugation")
 
     # each placed vector lies in one weight space, and the weight spaces are
     # independent, so a candidate from W_i is in the span of everything
     # placed iff it is in the span of what was placed from W_i: one echelon
     # (rows, pivots) per weight space
     split = _weight_splitter(spec)
+    pieces: List[Dict[int, dict]] = [{} for _ in spaces]   # RREF of L_k cap W_i
+    spans = [([], []) for _ in spaces]
     placed: List[Vector] = []
-    spans: Dict[int, tuple] = {}
-    pad = (ZERO,) * spec.h_dim
+    pad = [ZERO] * spec.h_dim
+    seen: set = set()           # the last columns of the rows split so far
     for level in levels:
-        pieces = split(level)
+        grown = set()
+        for row in level:
+            f = max(row)
+            if f in seen:
+                continue        # a row of an earlier level, or one it became
+            seen.add(f)
+            for i, comp in split(row):
+                if extend_rref(pieces[i], comp):
+                    grown.add(i)
+        if sum(map(len, pieces)) != len(level):
+            raise ConstructionFailedError(
+                "CONSTRUCTION_FAILED: a central series level is not "
+                "h-invariant (Jacobi fails?)")
         for i in indexed:
-            ws = spaces[i]
-            partner = conj_of.get(i)
-            if partner is None:
-                raise ConstructionFailedError(
-                    "CONSTRUCTION_FAILED: weight spaces not closed under conjugation")
-            if partner != i and _weight_key(spaces[partner].weights) < _weight_key(ws.weights):
-                continue  # handled together with the partner
-            rows = pieces[i]
-            if partner == i:
-                rows = _real_rows(rows)
+            partner = conj_of[i]
+            if i not in grown or (partner != i and keys[partner] < keys[i]):
+                continue  # nothing new, or handled together with the partner
+            # the RREF rows of the piece; a real weight's piece is
+            # conj-stable, so its unique RREF rows are real already
+            piece = pieces[i]
+            rows = [piece[c] for c in sorted(piece)]
+            span = spans[i]
             for row in rows:
-                if not extend_echelon(*spans.setdefault(i, ([], [])), row):
+                if len(span[0]) == len(rows):
+                    break
+                if not extend_echelon(*span, row):
                     continue
-                vec = tuple(row) + pad
-                placed.append(vec)
+                vec = [ZERO] * nd + pad
+                for m, c in row.items():
+                    vec[m] = c
+                placed.append(tuple(vec))
                 if partner != i:
                     placed.append(_conj_vec(vec))
     if len(placed) != nd:
@@ -465,15 +488,15 @@ def build_adaptable_basis(spec: LieAlgebraSpec,
 
 
 def _weight_splitter(spec: LieAlgebraSpec):
-    """Split h-invariant subspaces of n_C by weight, through the inverse of
-    the joint eigenbasis that ``spec.eigenbasis()`` keeps (one inversion
-    per spec, shared with the dilation flow).
+    """Split vectors of h-invariant subspaces of n_C by weight, through the
+    inverse of the joint eigenbasis that ``spec.eigenbasis()`` keeps (one
+    inversion per spec, shared with the dilation flow).
 
-    The returned function maps RREF rows of an invariant subspace L to, per
-    weight-space index i, the RREF rows of L cap W_i: each row of L is
-    written over the joint eigenbasis, and its coordinates on W_i give its
-    component there, which lies in L since L is invariant. The components
-    are summed as sparse rows over the nonzero entries of the eigenbasis.
+    The returned function maps a sparse row v to the (i, component of v in
+    W_i) of its nonzero components: v is written over the joint
+    eigenbasis, and its coordinates on W_i give its component there, which
+    lies in any invariant subspace holding v. The components are summed as
+    sparse rows over the nonzero entries of the eigenbasis.
     """
     spaces = spec.weight_spaces()
     eig = spec.eigenbasis()
@@ -481,21 +504,11 @@ def _weight_splitter(spec: LieAlgebraSpec):
     nd = spec.n_dim
     eig_terms = [_terms(row[:nd]) for row in eig.rows]
 
-    def split(level):
-        parts: List[list] = [[] for _ in spaces]
-        for row in level:
-            comps: Dict[int, Dict[int, GaussianRational]] = {}
-            for k, y in _coords(row.items(), eig.exact_inverse).items():
-                comp = comps.setdefault(owner[k], {})
-                for m, e in eig_terms[k]:
-                    comp[m] = comp[m] + y * e if m in comp else y * e
-            for i, comp in comps.items():
-                parts[i].append(comp)
-        pieces = [Subspace(rows, nd).rows if rows else [] for rows in parts]
-        if sum(map(len, pieces)) != len(level):
-            raise ConstructionFailedError(
-                "CONSTRUCTION_FAILED: a central series level is not "
-                "h-invariant (Jacobi fails?)")
-        return pieces
+    def split(row):
+        comps: Dict[int, Dict[int, GaussianRational]] = {}
+        for k, y in _coords(row.items(), eig.exact_inverse).items():
+            comp = comps.setdefault(owner[k], {})
+            for m, e in eig_terms[k]:
+                comp[m] = comp[m] + y * e if m in comp else y * e
+        return comps.items()
     return split
-

@@ -38,12 +38,14 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, ONE, ZERO, _FIELDS, parse_gaussian
-from .linalg import (SWEEP_TOL, Subspace, extend_echelon, invert, is_zero,
+from .gaussian import (GaussianRational, ONE, ZERO, _FIELDS, _made,
+                       parse_gaussian)
+from .linalg import (SWEEP_TOL, extend_echelon, invert, is_zero,
                      kernel, reduce_row, rref, rref_kernel)
 
 Vector = Tuple[GaussianRational, ...]
@@ -74,10 +76,12 @@ class LieAlgebraSpec:
     ((m, C_ij^m), ...), the nonzero coordinates of [e_i, e_j] over n as
     GaussianRationals by increasing m, under both (i, j) and (j, i) for
     every nonzero bracket. A zero bracket, and every (i, i), has no key.
+    The constructor reads each bracket as a {label: c} combo, each c a
+    real rational (an int, a Fraction or a real GaussianRational).
     """
 
     def __init__(self, name: str, n_names: Sequence[str], h_names: Sequence[str],
-                 brackets: Dict[Tuple[str, str], Dict[str, Fraction]],
+                 brackets: Dict[Tuple[str, str], Dict[str, object]],
                  adaptable_hint: Optional[List[Vector]] = None):
         self.name = name
         self.n_names = tuple(n_names)
@@ -99,7 +103,7 @@ class LieAlgebraSpec:
             for lab in (x, y):
                 if lab not in self._index:
                     raise SpecFormatError(f"unknown basis label {lab!r}")
-            coords: Dict[int, Fraction] = {}
+            coords: Dict[int, object] = {}
             for blab, c in combo.items():
                 m = self._index.get(blab)
                 if m is None or m >= ndim:
@@ -115,7 +119,7 @@ class LieAlgebraSpec:
             if i == j:
                 self.antisymmetry_conflicts.append((x, y))
                 continue
-            entry = tuple((m, GaussianRational(c))
+            entry = tuple((m, GaussianRational.coerce(c))
                           for m, c in sorted(coords.items()) if c)
             if (i, j) in table:     # [y, x] came first
                 if table[(i, j)] != entry:
@@ -271,31 +275,33 @@ class DiagonalizationError(ValueError):
         self.code = code
 
 
-def _combine(terms, size: int) -> List[GaussianRational]:
-    """sum of x * v over (x, v) in terms, each v given by its (index, value) pairs."""
-    out = [ZERO] * size
+def _combine(terms) -> Dict[int, GaussianRational]:
+    """sum of x * v over (x, v) in terms, each v given by its (index,
+    value) pairs, as the sparse row of its nonzero entries."""
+    out: Dict[int, GaussianRational] = {}
     for x, vec in terms:
-        if not x.is_zero():
+        if x:
             for r, a in vec:
-                if not a.is_zero():
-                    out[r] = out[r] + a * x
-    return out
+                if a:
+                    out[r] = out[r] + a * x if r in out else a * x
+    return {r: a for r, a in out.items() if a}
 
 
-def _restricted(images, rows) -> List[List[GaussianRational]]:
-    """The matrix R of an operator on the span of the RREF ``rows``, given
-    the images of the rows, image_i = sum_j R[i][j] rows[j]. Row j is 1 at
-    its pivot and the only row nonzero there, so R[i][j] is image i at that
-    pivot."""
-    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
-    return [[img[p] for p in pivots] for img in images]
+def _restricted(images, rows) -> List[Dict[int, GaussianRational]]:
+    """The matrix R of an operator on the span of the sparse RREF ``rows``,
+    as sparse rows, given the sparse images of the rows, image_i = sum_j
+    R[i][j] rows[j]. Row j is 1 at its pivot and the only row nonzero
+    there, so R[i][j] is image i at that pivot."""
+    at = {min(row): j for j, row in enumerate(rows)}
+    return [{at[c]: x for c, x in img.items() if c in at} for img in images]
 
 
 def _diagonal(mat) -> Optional[List[GaussianRational]]:
-    """The diagonal of mat when every entry off it is zero, else None."""
-    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(mat)):
+    """The diagonal of the sparse square mat when every entry off it is
+    zero, else None."""
+    if any(row.keys() - {i} for i, row in enumerate(mat)):
         return None
-    return [row[i] for i, row in enumerate(mat)]
+    return [row.get(i, ZERO) for i, row in enumerate(mat)]
 
 
 def _krylov_polynomial(mat, u) -> List[GaussianRational]:
@@ -446,53 +452,55 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
     Raises DiagonalizationError when no Gaussian-rational eigenbasis exists.
     """
     nd = spec.n_dim
-    spaces = [WeightSpace(weights=(), rows=[[GaussianRational(1) if i == j else ZERO
-                                             for j in range(nd)] for i in range(nd)])]
+    # (weights, sparse RREF rows) of each space found so far
+    spaces: List[tuple] = [((), [{i: ONE} for i in range(nd)])]
     for t in range(spec.h_dim):
         # ad(A_t) on n, exact: column m is [A_t, e_m] as sparse (r, c)
         cols = [spec.bracket_sparse(nd + t, m) for m in range(nd)]
-        new_spaces: List[WeightSpace] = []
-        for sp in spaces:
-            if sp.dim == 0:
-                continue
-            # restriction of ad(A_t) to sp: sp is invariant since the ad(A)'s commute
-            images = [_combine(((x, cols[c]) for c, x in enumerate(row)), nd)
-                      for row in sp.rows]
-            restricted = _restricted(images, sp.rows)
+        new_spaces: List[tuple] = []
+        for weights, rows in spaces:
+            # restriction of ad(A_t) to the space, invariant since the
+            # ad(A)'s commute
+            images = [_combine((x, cols[c]) for c, x in row.items())
+                      for row in rows]
+            restricted = _restricted(images, rows)
             diagonal = _diagonal(restricted)
             if diagonal is not None:
                 for cand in dict.fromkeys(diagonal):
-                    new_spaces.append(WeightSpace(
-                        weights=sp.weights + (cand,),
-                        rows=[row for row, d in zip(sp.rows, diagonal) if d == cand]))
+                    new_spaces.append((weights + (cand,), [
+                        row for row, d in zip(rows, diagonal) if d == cand]))
                 continue
 
             def eigenspace(cand):
-                """The kernel of (ad A - cand) inside sp, in sp-coordinates."""
-                shifted = [[x if y.is_zero() else x - cand * y
-                            for x, y in zip(images[i], sp.rows[i])]
-                           for i in range(len(sp.rows))]
-                return kernel([[shifted[i][c] for i in range(len(sp.rows))]
-                               for c in range(nd)], len(sp.rows))
+                """The kernel of (ad A - cand) inside the space, in the
+                coordinates over its rows."""
+                shifted: Dict[int, Dict[int, GaussianRational]] = {}
+                for i, (img, row) in enumerate(zip(images, rows)):
+                    diff = dict(img)
+                    for c, y in row.items():
+                        diff[c] = diff[c] - cand * y if c in diff else -(cand * y)
+                    for c, x in diff.items():
+                        if x:
+                            shifted.setdefault(c, {})[i] = x
+                return kernel([shifted[c] for c in sorted(shifted)], len(rows))
 
+            size = len(rows)
+            mat = [[r.get(j, ZERO) for j in range(size)] for r in restricted]
             found_dim = 0
-            for cand, null in _eigenspaces(restricted, eigenspace):
-                if not null:
-                    continue
-                rows = Subspace([_combine(((x, enumerate(sp.rows[i]))
-                                           for i, x in combo.items()), nd)
-                                 for combo in null], nd).rows
-                if not rows:
-                    continue
-                found_dim += len(rows)
-                new_spaces.append(WeightSpace(weights=sp.weights + (cand,), rows=rows))
-            if found_dim != sp.dim:
+            for cand, null in _eigenspaces(mat, eigenspace):
+                space = rref([_combine((x, rows[i].items()) for i, x in combo.items())
+                              for combo in null])[0]
+                if space:
+                    found_dim += len(space)
+                    new_spaces.append((weights + (cand,), space))
+            if found_dim != size:
                 raise DiagonalizationError(
                     "EIGEN_NOT_GAUSSIAN_RATIONAL",
                     f"ad({spec.h_names[t]}) has no Gaussian-rational eigenbasis "
-                    f"on a {sp.dim}-dimensional invariant subspace")
+                    f"on a {size}-dimensional invariant subspace")
         spaces = new_spaces
-    return spaces
+    return [WeightSpace(weights, [[r.get(c, ZERO) for c in range(nd)] for r in rows])
+            for weights, rows in spaces]
 
 
 @dataclass(frozen=True)
@@ -503,17 +511,27 @@ class EigenBasis:
     gives gamma(A_t) for each t per row. ``exact_inverse[m]`` lists the
     nonzero (k, x) of row m of the inverse of the square matrix of the rows
     over n, so a vector v of n_C is sum_k (sum_m v_m x) rows[k]; the
-    adapted-basis construction splits by weight through it. ``inverse`` is
-    the same inverse, dense and complex: the flow maps eigen coordinates y
-    back to real coordinates by x = inverse y. ``float_terms[i]`` lists the
-    nonzero (m, complex(c)) of row i, from which the flow reads the eigen
+    adapted-basis construction splits by weight through it. The flow alone
+    reads the float views, built on first use: ``inverse`` is the same
+    inverse, dense and complex, which maps eigen coordinates y back to real
+    coordinates by x = inverse y, and ``float_terms[i]`` lists the nonzero
+    (m, complex(c)) of row i, from which the flow reads the eigen
     coordinates of a float point.
     """
     rows: Tuple[Tuple[GaussianRational, ...], ...]
-    float_terms: Tuple[Tuple[Tuple[int, complex], ...], ...]
     weights: Tuple[Tuple[GaussianRational, ...], ...]
     exact_inverse: Tuple[Tuple[Tuple[int, GaussianRational], ...], ...]
-    inverse: Tuple[Tuple[complex, ...], ...]
+
+    @cached_property
+    def float_terms(self) -> Tuple[Tuple[Tuple[int, complex], ...], ...]:
+        return tuple(tuple((m, complex(c)) for m, c in enumerate(r) if c)
+                     for r in self.rows)
+
+    @cached_property
+    def inverse(self) -> Tuple[Tuple[complex, ...], ...]:
+        size = len(self.exact_inverse)
+        return tuple(tuple(complex(dict(row).get(k, ZERO)) for k in range(size))
+                     for row in self.exact_inverse)
 
 
 def eigenbasis(spec: LieAlgebraSpec) -> EigenBasis:
@@ -528,13 +546,8 @@ def eigenbasis(spec: LieAlgebraSpec) -> EigenBasis:
             rows.append(tuple(r) + pad)
             weights.append(sp.weights)
     inverse = invert([r[:nd] for r in rows])
-    return EigenBasis(tuple(rows),
-                      tuple(tuple((m, complex(c)) for m, c in enumerate(r) if c)
-                            for r in rows),
-                      tuple(weights),
-                      tuple(tuple(row.items()) for row in inverse),
-                      tuple(tuple(complex(row.get(k, ZERO)) for k in range(nd))
-                            for row in inverse))
+    return EigenBasis(tuple(rows), tuple(weights),
+                      tuple(tuple(row.items()) for row in inverse))
 
 
 def root_factor(weights: Sequence[GaussianRational]):
@@ -616,48 +629,50 @@ class ValidationReport:
 def central_series(spec: LieAlgebraSpec) -> List[List[Dict[int, GaussianRational]]]:
     """The ascending central series of n up to n, one basis per level.
 
-    v is in the next level iff [n, v] lies in the previous one, i.e. every
-    annihilator a of the previous level has a([e_i, v]) = 0 for every i;
-    a([e_i, e_p]) sums over the nonzero structure constants only, read off
-    the entries (i, p) within n of ``spec.brackets``. A level is the kernel
-    of its condition rows C, built as sparse {p: a([e_i, e_p])} rows from
-    the sparse annihilator rows, and ker C has annihilator the row space of
-    C, so the one ``rref`` of C per level also gives the next
-    level's annihilator (all of n* for the zero level). A level that does
+    A level L comes back as the kernel basis ``rref_kernel`` gives of any
+    system with kernel L: for each f of a set F, the row whose last nonzero
+    entry is 1 at f, 0 at the other columns of F, by increasing f. The next
+    level is L plus the center of n/L, which has a basis over the columns J
+    off F: the v with [e_i, v] in L for every i in J ([L, n] lies in L, and
+    e_f for f in F is a vector over J modulo L). So a level costs one
+    ``rref`` of the [e_i, e_j] mod L with i, j in J, read off the nonzero
+    structure constants and reduced by the rows at the columns of F they
+    hold; its kernel over J gives the new rows, whose last columns join F,
+    and the old rows shed their entries at those columns. A level that does
     not grow raises NOT_NILPOTENT, naming where the series stops.
 
-    A level comes back as that kernel basis, sparse {p: x} rows as
-    ``rref_kernel`` makes them, not as RREF rows. Only its span counts:
-    ``_weight_splitter`` reduces each weight piece of a level again, so
-    the adapted basis is the same for any basis of the level.
+    A level shares its unchanged rows with the level before it. Only its
+    span counts: the adapted-basis construction splits each level's new
+    rows by weight and reduces each weight piece again.
     """
     nd = spec.n_dim
-    # consts[i]: the (p, m, C_ip^m) of the nonzero [e_i, e_p]_m within n
-    consts: List[list] = [[] for _ in range(nd)]
-    for (i, p), entry in spec.brackets.items():
-        if i < nd and p < nd:
-            consts[i] += ((p, m, c) for m, c in entry)
+    # the (i, j, [e_i, e_j]) of the nonzero brackets within n
+    within = [(i, j, entry) for (i, j), entry in spec.brackets.items()
+              if i < nd and j < nd]
     levels: List[List[Dict[int, GaussianRational]]] = []
-    ann: List[dict] = [{m: ONE} for m in range(nd)]
-    dim = 0
-    while dim < nd:
-        cond_rows = []
-        for terms in consts:
-            for a in ann:
-                row: Dict[int, GaussianRational] = {}
-                for p, m, c in terms:
-                    x = a.get(m)
-                    if x is not None:
-                        row[p] = row[p] + x * c if p in row else x * c
-                if row:
-                    cond_rows.append(row)
-        ann, pivots = rref(cond_rows)
-        if nd - len(pivots) <= dim:
+    held: Dict[int, Dict[int, GaussianRational]] = {}   # f -> its row
+    while len(held) < nd:
+        cond: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
+        for i, j, entry in within:
+            if i in held or j in held:
+                continue
+            hit = [m for m, _ in entry if m in held]
+            image = reduce_row([held[m] for m in hit], hit, dict(entry)).items() \
+                if hit else entry
+            for m, c in image:
+                cond.setdefault((i, m), {})[j] = c
+        new = {max(v): v for v in rref_kernel(*rref(list(cond.values())), nd)
+               if max(v) not in held}
+        if not new:
             raise HypothesisViolation(
                 "NOT_NILPOTENT", f"ascending central series of n stalls at "
-                                 f"dimension {dim} of {nd}")
-        levels.append(rref_kernel(ann, pivots, nd))
-        dim = nd - len(pivots)
+                                 f"dimension {len(held)} of {nd}")
+        for f, row in held.items():
+            hit = [g for g in row if g in new]
+            if hit:
+                held[f] = reduce_row([new[g] for g in hit], hit, row)
+        held.update(new)
+        levels.append([held[f] for f in sorted(held)])
     return levels
 
 
@@ -784,14 +799,27 @@ def _terms(items, what: str):
         yield item["c"], _checked(item["b"], str, f"{what}: term label 'b'")
 
 
-def _parse_combo(items, what: str) -> Dict[str, Fraction]:
-    combo: Dict[str, Fraction] = {}
+def _rational(c) -> GaussianRational:
+    """The rational ``Fraction(str(c))`` reads, as a GaussianRational; an
+    integer string (no underscore, which not every Fraction parser takes)
+    is read by ``int``, a tenth of the cost."""
+    text = str(c)
+    if "_" not in text:
+        try:
+            return _made(int(text), 0, 1)
+        except ValueError:
+            pass
+    return GaussianRational(Fraction(text))
+
+
+def _parse_combo(items, what: str) -> Dict[str, GaussianRational]:
+    combo: Dict[str, GaussianRational] = {}
     for c, b in _terms(items, what):
         try:
-            c = Fraction(str(c))
+            c = _rational(c)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"{what}: bad rational {c!r}: {exc}")
-        combo[b] = combo.get(b, Fraction(0)) + c
+        combo[b] = combo[b] + c if b in combo else c
     return combo
 
 
@@ -805,6 +833,9 @@ def _parse_gaussian_combo(items, labels, what: str) -> List[GaussianRational]:
             c = parse_gaussian(str(c))
         except ValueError as exc:
             raise SpecFormatError(f"{what}: {exc}")
+        except ZeroDivisionError:
+            raise SpecFormatError(
+                f"{what}: bad Gaussian rational {c!r}: zero denominator")
         out[index[b]] = out[index[b]] + c
     return out
 
@@ -818,7 +849,7 @@ def spec_from_dict(doc: dict) -> LieAlgebraSpec:
         raise SpecFormatError("missing required field 'n_basis'")
     n_names = _labels(doc["n_basis"], "n_basis")
     h_names = _labels(doc.get("h_basis", []), "h_basis")
-    brackets: Dict[Tuple[str, str], Dict[str, Fraction]] = {}
+    brackets: Dict[Tuple[str, str], Dict[str, GaussianRational]] = {}
     for ent in _checked(doc.get("brackets", []), list, "brackets"):
         if not isinstance(ent, dict) or "x" not in ent or "y" not in ent:
             raise SpecFormatError("each bracket needs 'x' and 'y'")

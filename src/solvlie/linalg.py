@@ -9,11 +9,13 @@ falsy (``not x``), the exact zero test.
 One routine does row operations: ``_reduce``, which subtracts multiples of
 echelon rows from a sparse row and touches only the entries stored.
 ``rref`` is Gauss-Jordan elimination on it: each incoming row is reduced
-against the echelon, and what is left becomes a new pivot row, cleared
-from the rows before it. ``rank``, ``kernel``, ``invert`` and ``Subspace``
-build on ``rref``; ``reduce_row`` and ``extend_echelon`` run ``_reduce``
-against a growing echelon of sparse rows and return the sparse remainder,
-empty iff the vector was dependent. Every routine reads dense or sparse
+by the echelon rows at the pivots it holds (an RREF row is 0 at the other
+pivots), and what is left becomes a new pivot row, cleared from the rows
+holding its column; ``extend_rref`` is that step on an RREF kept as
+{pivot: row} and grown in place. ``rank``, ``kernel``, ``invert`` and
+``Subspace`` build on ``rref``; ``reduce_row`` and ``extend_echelon`` run
+``_reduce`` against a growing echelon of sparse rows and return the sparse
+remainder, empty iff the vector was dependent. Every routine reads dense or sparse
 rows and returns sparse ones; ``Subspace.rows`` is the one dense view,
 each zero entry the shared ``ZERO``. An RREF is unique, so the sparse
 route returns what dense elimination did. Every independence and
@@ -114,9 +116,11 @@ def _reduce(v: SparseRow, rows: Iterable[SparseRow], pivots: Iterable[int]) -> S
 
 def _pivot_row(v: SparseRow) -> Tuple[int, SparseRow]:
     """The first column of a nonzero sparse row, and the row scaled to 1
-    there."""
+    there: v itself when it is 1 there already."""
     lead = min(v)
     inv = v[lead]
+    if inv == GR1:
+        return lead, v
     return lead, {c: x / inv for c, x in v.items()}
 
 
@@ -127,21 +131,34 @@ def rref(rows: Iterable) -> tuple[List[SparseRow], List[int]]:
 
     Each incoming row is reduced against the echelon so far; what is left,
     if anything, is scaled to 1 at its first column, which becomes its
-    pivot, and cleared from the other rows. So every held row is 1 at its
-    pivot and 0 at every other pivot, the one RREF of the span."""
-    red: List[SparseRow] = []
-    pivots: List[int] = []
+    pivot, and cleared from the other rows (``extend_rref``). So every held
+    row is 1 at its pivot and 0 at every other pivot, the one RREF of the
+    span."""
+    red: Dict[int, SparseRow] = {}
     for row in rows:
-        v = _reduce(_sparse(row), red, pivots)
-        if not v:
-            continue
-        lead, v = _pivot_row(v)
-        for r in red:
+        extend_rref(red, row)
+    pivots = sorted(red)
+    return [red[c] for c in pivots], pivots
+
+
+def extend_rref(red: Dict[int, SparseRow], row) -> bool:
+    """One step of ``rref``, in place on the RREF ``red``, which maps each
+    pivot to its row: row (dense or sparse) reduced by the rows at the
+    pivots it holds, in one pass, as each is 0 at every other pivot; what
+    is left, if anything, is scaled to 1 at its first column, cleared from
+    the rows holding that column and added. Returns whether the span grew."""
+    v = _sparse(row)
+    hit = [c for c in v if c in red]
+    if hit:
+        _reduce(v, map(red.__getitem__, hit), hit)
+    if not v:
+        return False
+    lead, v = _pivot_row(v)
+    for r in red.values():
+        if lead in r:
             _reduce(r, (v,), (lead,))
-        red.append(v)
-        pivots.append(lead)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [red[k] for k in order], [pivots[k] for k in order]
+    red[lead] = v
+    return True
 
 
 def rank(rows) -> int:
@@ -158,19 +175,15 @@ def rref_kernel(red: List[SparseRow], pivots: List[int],
                 ncols: int) -> List[SparseRow]:
     """``kernel`` of sparse rows already in RREF with the given pivots: one
     sparse vector per free column f, 1 at f and minus column f of ``red``
-    at the pivots, by increasing f."""
+    at the pivots, by increasing f; one pass over the stored entries."""
     taken = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in taken:
-            continue
-        vec = {f: GR1}
-        for row, p in zip(red, pivots):
-            x = row.get(f)
-            if x is not None:
+    basis = {f: {f: GR1} for f in range(ncols) if f not in taken}
+    for row, p in zip(red, pivots):
+        for f, x in row.items():
+            vec = basis.get(f)
+            if vec is not None:
                 vec[p] = -x
-        basis.append(vec)
-    return basis
+    return list(basis.values())
 
 
 def reduce_row(rows: List[SparseRow], pivots: List[int], vec) -> SparseRow:
@@ -186,7 +199,8 @@ def extend_echelon(rows: List[SparseRow], pivots: List[int], vec) -> SparseRow:
     """``reduce_row`` vec against the sparse echelon ``rows`` and append
     what is left, if anything, scaled to 1 at its first column, that column
     being its pivot. Returns the sparse remainder before scaling, empty iff
-    vec was dependent."""
+    vec was dependent (the appended row itself when no scaling was needed,
+    so not to be modified)."""
     v = reduce_row(rows, pivots, vec)
     if v:
         lead, row = _pivot_row(v)
@@ -204,7 +218,7 @@ def invert(rows) -> Optional[List[SparseRow]]:
                         for i, row in enumerate(rows)])
     if pivots[:size] != list(range(size)):
         return None
-    return [{c - size: row[c] for c in range(size, 2 * size) if c in row}
+    return [{c - size: row[c] for c in sorted(row) if c >= size}
             for row in red]
 
 

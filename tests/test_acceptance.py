@@ -4,10 +4,12 @@ Every tolerance is pinned here; the suite prints one line per criterion so
 a plain `pytest -s tests/test_acceptance.py` reads as a checklist.
 """
 
+import importlib.util
 import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,8 @@ from disintegration_oracle import (within_standard_errors,
 from pfaffian_oracle import det
 from section_oracle import pointwise_stabilizer, real_section_vectors
 from solvlie import admissibility as adm, gaussian, linalg, strata
-from solvlie.algebra import validate_spec
+from solvlie.adapted import build_adaptable_basis
+from solvlie.algebra import spec_from_dict, validate_spec
 from solvlie.functionals import (Functional, exp_unipotent_coadjoint,
                                  sample_functional)
 from solvlie.gaussian import GaussianRational as G
@@ -27,6 +30,11 @@ from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
                             jump_data, pfaffian, section_vectors)
 from solvlie.workbench import Workbench
 from test_pfaffian_equivalence import _dense_center_spec
+
+_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
+_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
+specgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(specgen)
 
 VERDICTS = {
     "heisenberg-2param": "NOT_ADMISSIBLE_CENTER_MEETS_H",
@@ -69,15 +77,9 @@ def test_criterion_1_dense_center_verdict_at_32_under_one_second():
           f"{best * 1000:.0f} ms (best of 2)")
 
 
-def test_criterion_1_dense_center_exact_work_at_32(monkeypatch):
-    # the same verdict as the timed test above, gated by counts that do not
-    # move with the host: integer arithmetic and the random streams are
-    # deterministic. Measured: 247,682 gcd-reduced results
-    # (gaussian._reduced calls), 18 linalg.rref calls and a largest
-    # _replay scale of 359 bits; the bounds are 1.25x the counts and 2x
-    # the bits (an unbounded replay reached 607,812 bits here)
-    work = {"reduced": 0, "rref": 0, "bits": 0}
-    reduced, rref, replay = gaussian._reduced, linalg.rref, strata._replay
+def _count_exact_work(monkeypatch, work):
+    """Count gaussian._reduced results and linalg.rref calls into work."""
+    reduced, rref = gaussian._reduced, linalg.rref
 
     def counted_reduced(n, m, d):
         work["reduced"] += 1
@@ -86,6 +88,22 @@ def test_criterion_1_dense_center_exact_work_at_32(monkeypatch):
     def counted_rref(rows):
         work["rref"] += 1
         return rref(rows)
+
+    monkeypatch.setattr(gaussian, "_reduced", counted_reduced)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("solvlie") and getattr(mod, "rref", None) is rref:
+            monkeypatch.setattr(mod, "rref", counted_rref)
+
+
+def test_criterion_1_dense_center_exact_work_at_32(monkeypatch):
+    # the same verdict as the timed test above, gated by counts that do not
+    # move with the host: integer arithmetic and the random streams are
+    # deterministic. Measured: 247,682 gcd-reduced results
+    # (gaussian._reduced calls), 18 linalg.rref calls and a largest
+    # _replay scale of 359 bits; the bounds are 1.25x the counts and 2x
+    # the bits (an unbounded replay reached 607,812 bits here)
+    work = {"reduced": 0, "rref": 0, "bits": 0}
+    replay = strata._replay
 
     def measured_replay(*args):
         ys = replay(*args)
@@ -97,11 +115,8 @@ def test_criterion_1_dense_center_exact_work_at_32(monkeypatch):
         return ys
 
     spec = _dense_center_spec(32)
-    monkeypatch.setattr(gaussian, "_reduced", counted_reduced)
+    _count_exact_work(monkeypatch, work)
     monkeypatch.setattr(strata, "_replay", measured_replay)
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("solvlie") and getattr(mod, "rref", None) is rref:
-            monkeypatch.setattr(mod, "rref", counted_rref)
     assert Workbench(spec).verdict().verdict == "ADMISSIBLE"
     assert work["reduced"] <= 309_602, work
     assert work["rref"] <= 22, work
@@ -109,6 +124,26 @@ def test_criterion_1_dense_center_exact_work_at_32(monkeypatch):
     print(f"\nPASS criterion 1, dense center: |e| = 32 verdict with "
           f"{work['reduced']} gcd-reduced results, {work['rref']} rref "
           f"calls, {work['bits']}-bit replay scales")
+
+
+def test_criterion_1_front_half_exact_work_on_filiform_60(monkeypatch):
+    # validation and the adapted basis of specgen's filiform chain at n = 60
+    # with a 2-dim torus, gated by counts as above. Measured: 2,070
+    # gcd-reduced results and 62 rref calls (the central series
+    # re-eliminating every level and the weight split re-splitting it made
+    # 14,771 and 1,833); the bounds are 1.25x the counts
+    doc, _ = specgen.make_spec(random.Random(1), "filiform", 60, 2,
+                               specgen.ADMISSIBLE, "filiform-60")
+    spec = spec_from_dict(doc)
+    work = {"reduced": 0, "rref": 0}
+    _count_exact_work(monkeypatch, work)
+    assert validate_spec(spec).ok
+    assert len(build_adaptable_basis(spec).nvecs) == 60
+    assert work["reduced"] <= 2_587, work
+    assert work["rref"] <= 77, work
+    print(f"\nPASS criterion 1, front half: filiform n = 60 validated and "
+          f"based with {work['reduced']} gcd-reduced results, "
+          f"{work['rref']} rref calls")
 
 
 def test_criterion_2_section_vector_formulas_exact():

@@ -7,6 +7,7 @@ and alpha, or raise the same error. The h-part swap of the
 Workbench's canonical basis is checked against a full oracle verification.
 """
 
+import hashlib
 import importlib.util
 import random
 from pathlib import Path
@@ -45,7 +46,30 @@ GENERATED = [
     ("two-step", (5, ((0, 1), (1, 2), (3, 4))), 2, specgen.CENTER, 5),
     ("two-step", (6, ((0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (0, 5))), 3,
      specgen.ADMISSIBLE, 6),
+    ("two-step", (8, tuple((a, a + 1) for a in range(7)) + ((0, 7), (1, 4), (2, 6))),
+     2, specgen.ADMISSIBLE, 9),
 ]
+
+# filiform chains past the reach of the oracle's construction (its dense
+# central series takes 6.8 s at n = 24 and 89 s at n = 40): the built basis
+# is checked by the oracle's verification, and its vectors against the
+# SHA-256 of what the construction that re-split every level gave
+FILIFORM_WIDE = [
+    (24, 2, specgen.ADMISSIBLE, 7,
+     "50b20ed362813719fd3ce220a9fb958e005275248bae7432309e5f3d6815ad70"),
+    (40, 2, specgen.CENTER, 8,
+     "444cb3e475ad4a72d10ce93d76cf053c66384274123741d759e90794f5270100"),
+]
+
+# the wider specs the central-series and weight-oracle tests also run
+WIDER = [c[:5] for c in GENERATED[-1:]] + [
+    ("filiform", n, r, verdict, seed) for n, r, verdict, seed, _ in FILIFORM_WIDE]
+
+
+def generated_spec(shape, structure, r, verdict, seed):
+    doc, _ = specgen.make_spec(random.Random(seed), shape, structure, r,
+                               verdict, f"gen-{shape}")
+    return spec_from_dict(doc)
 
 
 def _outcome(fn):
@@ -71,9 +95,21 @@ def test_corpus_basis_matches_oracle(entry_id, use_hint):
 
 @pytest.mark.parametrize("shape,structure,r,verdict,seed", GENERATED)
 def test_generated_basis_matches_oracle(shape, structure, r, verdict, seed):
-    doc, _ = specgen.make_spec(random.Random(seed), shape, structure, r,
-                               verdict, f"gen-{shape}")
-    _assert_agree(spec_from_dict(doc), None)
+    _assert_agree(generated_spec(shape, structure, r, verdict, seed), None)
+
+
+def _digest(vectors):
+    text = "\n".join(",".join(str(x) for x in v) for v in vectors)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("n,r,verdict,seed,digest", FILIFORM_WIDE,
+                         ids=[f"filiform-{c[0]}" for c in FILIFORM_WIDE])
+def test_wide_filiform_basis_verifies_and_is_unchanged(n, r, verdict, seed, digest):
+    spec = generated_spec("filiform", n, r, verdict, seed)
+    basis = build_adaptable_basis(spec)
+    assert _outcome(lambda: basis) == _outcome(lambda: verify(spec, basis.nvecs))
+    assert _digest(basis.vectors) == digest
 
 
 @pytest.mark.parametrize("entry_id", VALID_IDS)

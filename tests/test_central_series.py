@@ -34,6 +34,7 @@ from solvlie.gaussian import GaussianRational
 from solvlie.linalg import Subspace, extend_echelon
 from solvlie.sections import stabilizer_data
 from solvlie.workbench import Workbench
+from test_adapted_equivalence import WIDER, generated_spec
 
 _SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
 _spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
@@ -164,6 +165,13 @@ def test_series_matches_three_elimination_oracle_on_corpus(spec):
 def test_series_matches_three_elimination_oracle_on_generated_specs(seed):
     for doc, _ in specgen.generate(seed):
         _assert_series_matches_oracle(spec_from_dict(doc))
+
+
+@pytest.mark.parametrize("case", WIDER, ids=lambda c: f"{c[0]}-seed-{c[4]}")
+def test_series_matches_three_elimination_oracle_on_wider_specs(case):
+    spec = generated_spec(*case)
+    assert _nilpotent_row(spec).ok
+    _assert_series_matches_oracle(spec)
 
 
 @pytest.mark.parametrize("make", [_solv2, _solv2_plus_center])

@@ -307,6 +307,13 @@ MALFORMED_SPECS = {
     "name-a-list": _malformed(lambda d: d.update(name=[1])),
     "hint-label-a-number": _malformed(lambda d: d.update(
         adaptable_hint=[{"label": 5, "value": [{"c": "1", "b": "Z"}]}])),
+    # a zero denominator in a hint coefficient once escaped as a
+    # ZeroDivisionError traceback (exit 1)
+    "hint-coefficient-over-zero": _malformed(lambda d: d.update(
+        adaptable_hint=[{"label": "Z1", "value": [{"c": "1/0", "b": "Z"}]}])),
+    "hint-imaginary-part-over-zero": _malformed(lambda d: d.update(
+        adaptable_hint=[{"label": "Z1",
+                         "value": [{"c": "1/2+1/0 i", "b": "Z"}]}])),
 }
 
 # validate and analyze exit 3 on an unreadable or unparsable file,
@@ -323,6 +330,7 @@ def test_malformed_spec_exit_codes(capsys, tmp_path, name, command, code):
     assert cli.main([command, str(path)]) == code
     out = capsys.readouterr()
     assert f"parse error in {path}" in out.err
+    assert "Traceback" not in out.err
     assert "all checks passed" not in out.out
 
 

@@ -27,6 +27,7 @@ from solvlie.algebra import (DiagonalizationError, LieAlgebraSpec,
 from solvlie.corpus import corpus_entries
 from solvlie.gaussian import GaussianRational as G
 from solvlie.workbench import Workbench
+from test_adapted_equivalence import WIDER, generated_spec
 from test_pfaffian_equivalence import _dense_center_spec
 
 _SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
@@ -70,6 +71,11 @@ def test_corpus_weights_match_oracle(spec):
 def test_generated_weights_match_oracle(seed):
     for doc, _ in specgen.generate(seed):
         _assert_agree(spec_from_dict(doc))
+
+
+@pytest.mark.parametrize("case", WIDER, ids=lambda c: f"{c[0]}-seed-{c[4]}")
+def test_wider_generated_weights_match_oracle(case):
+    _assert_agree(generated_spec(*case))
 
 
 @pytest.mark.parametrize("m", range(10, 25, 2))
@@ -228,9 +234,9 @@ def test_triangular_restriction_takes_the_kernel_route(monkeypatch, upper):
     # kernel of ad(A) - weight, one per value
     spec = _triangular_heisenberg(upper)
     assert validate_spec(spec).ok
-    unit = rref_oracle.identity(3)
-    images = [algebra._combine(((x, spec.bracket_sparse(3, c))
-                                for c, x in enumerate(row)), 3) for row in unit]
+    unit = [{c: G(1)} for c in range(3)]
+    images = [algebra._combine((x, spec.bracket_sparse(3, c))
+                               for c, x in row.items()) for row in unit]
     mat = algebra._restricted(images, unit)
     assert algebra._diagonal(mat) is None
     assert _kernel_calls(monkeypatch, spec) == 3

@@ -18,9 +18,21 @@ from typing import List
 
 import numpy as np
 
-from solvlie.algebra import DiagonalizationError, WeightSpace, _combine
+from solvlie.algebra import DiagonalizationError, WeightSpace
 from solvlie.gaussian import GaussianRational, ZERO
 from rref_oracle import kernel, rref
+
+
+def _combine(terms, size: int) -> List[GaussianRational]:
+    """sum of x * v over (x, v) in terms, each v given by its (index, value)
+    pairs, as a dense row."""
+    out = [ZERO] * size
+    for x, vec in terms:
+        if not x.is_zero():
+            for r, a in vec:
+                if not a.is_zero():
+                    out[r] = out[r] + a * x
+    return out
 
 
 def _rational_candidates(value: float) -> List[Fraction]:
