@@ -34,7 +34,6 @@ spec, shared by validation and the adapted-basis construction.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,10 +42,10 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gaussian import (GaussianRational, ONE, ZERO, _FIELDS, _made,
+from .gaussian import (GaussianRational, ONE, ZERO, _FIELDS, _made, _reduced,
                        parse_gaussian)
-from .linalg import (SWEEP_TOL, extend_echelon, invert, is_zero,
-                     kernel, reduce_row, rref, rref_kernel)
+from .linalg import (extend_echelon, invert, is_zero, kernel, reduce_row, rref,
+                     rref_kernel)
 
 Vector = Tuple[GaussianRational, ...]
 
@@ -331,80 +330,89 @@ def _horner(poly, x):
     return val
 
 
-def _dk_sweep(lower, z, settle) -> bool:
-    """One Durand-Kerner sweep, in place, over approximations z of the roots
-    of the monic polynomial with lower coefficients ``lower`` (constant term
-    first); ``settle`` rounds each new value. Returns whether a value moved
-    by more than a relative ``linalg.SWEEP_TOL``."""
-    moved = False
-    for k, zk in enumerate(z):
-        val = 1
-        for x in reversed(lower):
-            val = val * zk + x
-        den = 1
-        for j, zj in enumerate(z):
-            if j != k:
-                den *= zk - zj
-        if den:
-            step = val / den
-            z[k] = settle(zk - step)
-            moved = moved or abs(complex(step)) > SWEEP_TOL * abs(complex(zk))
-    return moved
+def _poly_rem(f, g) -> list:
+    """The remainder of f by g over Q(i), coefficients from the constant
+    term up, g with a nonzero leading coefficient; [] is zero."""
+    f = list(f)
+    while len(f) >= len(g):
+        q = f.pop() / g[-1]
+        shift = len(f) - len(g) + 1
+        for k, b in enumerate(g[:-1], shift):
+            f[k] = f[k] - q * b
+        while f and not f[-1]:
+            f.pop()
+    return f
 
 
-def _round_gaussian(x: GaussianRational) -> GaussianRational:
-    return GaussianRational(round(x.re), round(x.im))
+def _poly_gcd(f, g) -> list:
+    """The monic gcd over Q(i) of the polynomials f != 0 and g, coefficients
+    from the constant term up, by Euclid's algorithm."""
+    while g:
+        f, g = g, _poly_rem(f, g)
+    return [a / f[-1] for a in f]
 
 
-_FLOAT_SWEEPS = 200
+def _eval_mod(f, x, q):
+    """f(x) mod q as a pair (re, im), for f in Z[i][x] given by the pairs
+    (re, im) of its coefficients from the constant term up, and x a pair."""
+    a, b = x
+    vr = vi = 0
+    for cr, ci in reversed(f):
+        vr, vi = (vr * a - vi * b + cr) % q, (vr * b + vi * a + ci) % q
+    return vr, vi
 
 
 def _gaussian_roots(poly) -> List[GaussianRational]:
     """The distinct roots in Q(i) of a monic polynomial over Q(i),
-    coefficients from the constant term up.
+    coefficients from the constant term up, by (Re ascending, Im
+    descending); none when it has a repeated root.
 
-    Scaled by c, the lcm of its denominators, poly lies in Z[i][x] with
-    leading coefficient c, and Z[i] is integrally closed, so every root in
-    Q(i) is w/c with w in Z[i]. Durand-Kerner sweeps in complex floats,
-    started on a circle that holds every root, approximate the roots; c z
-    is rounded to the nearest Gaussian integer w for each approximation z,
-    and w/c is kept only if it is a root exactly. When some approximation
-    does not give a root (c z too large for a float to fix w, or roots too
-    close for floats to part), the sweeps go on in exact arithmetic, each
-    value rounded to a grid fine enough to fix w, until every approximation
-    gives a root or as many sweeps as the grid has bits have run.
+    Scaled by L, the lcm of its denominators, poly is f in Z[i][x] with
+    leading coefficient L, and Z[i] is integrally closed, so every root in
+    Q(i) is w/L with w in Z[i], and |w| < L + max |f_k| (Cauchy's bound).
+    For a prime p = 3 (mod 4), Z[i]/p is the field with p^2 elements. The
+    first such p not dividing L at which every root of f mod p is simple
+    (f squarefree, so only the primes of its discriminant fail) is taken,
+    the roots mod p are found by exhaustion, and each is lifted by Newton
+    steps mod p^(2^k) to x mod q with q > 2 (L + max |f_k|). Every root
+    w/L reduces to one of them, so w is the symmetric residue of L x, and
+    w/L is kept when it is a root exactly (p-adic lifting; Loos, SIAM J.
+    Comput. 12, 1983).
     """
-    deg = len(poly) - 1
-    if deg == 1:
+    if len(poly) == 2:
         return [-poly[0]]
-    c = math.lcm(*(d for a in poly for d in (a.re.denominator, a.im.denominator)))
-    lower = poly[:-1]
-
-    def roots_at(z):
-        found = []
-        for x in z:
-            r = _round_gaussian(x * c) / c
-            if r not in found and not _horner(poly, r):
-                found.append(r)
-        return found
-
-    floats = [complex(x) for x in lower]
-    radius = 2 * max(abs(x) ** (1 / (deg - k)) for k, x in enumerate(floats)) or 1.0
-    z = [cmath.rect(radius, 0.4 + 2 * math.pi * k / deg) for k in range(deg)]
-    for _ in range(_FLOAT_SWEEPS):
-        if not _dk_sweep(floats, z, complex):
-            break
-    if not all(map(cmath.isfinite, z)):
+    if len(_poly_gcd(poly, [k * a for k, a in enumerate(poly)][1:])) > 1:
         return []
-    z = [GaussianRational(Fraction(x.real), Fraction(x.imag)) for x in z]
-    roots = roots_at(z)
-    grid = 1 << (c.bit_length() + 64)
-    for _ in range(grid.bit_length()):
-        if len(roots) == deg:
-            break
-        _dk_sweep(lower, z, lambda x: _round_gaussian(x * grid) / grid)
-        roots = roots_at(z)
-    return roots
+    fields = [_FIELDS(a) for a in poly]
+    lead = math.lcm(*(d for _, _, d in fields))
+    f = [(n * (lead // d), m * (lead // d)) for n, m, d in fields]
+    df = [(k * n, k * m) for k, (n, m) in enumerate(f)][1:]
+    bound = 2 * (lead + max(abs(n) + abs(m) for n, m in f[:-1]))
+    p = 3
+    while True:
+        if lead % p:
+            mod_roots = [(a, b) for a in range(p) for b in range(p)
+                         if _eval_mod(f, (a, b), p) == (0, 0)]
+            if all(_eval_mod(df, x, p) != (0, 0) for x in mod_roots):
+                break
+        p += 4
+        while any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
+            p += 4
+    lifted = []
+    for x in mod_roots:
+        q = p
+        while q <= bound:
+            q *= q
+            (vr, vi), (dr, di) = _eval_mod(f, x, q), _eval_mod(df, x, q)
+            # x - f(x)/f'(x), dividing by f'(x) as conj(f'(x)) / |f'(x)|^2
+            s = pow(dr * dr + di * di, -1, q)
+            x = ((x[0] - (vr * dr + vi * di) * s) % q,
+                 (x[1] - (vi * dr - vr * di) * s) % q)
+        lifted.append([c - q if 2 * c > q else c for c in (lead * x[0] % q,
+                                                           lead * x[1] % q)])
+    lifted.sort(key=lambda w: (w[0], -w[1]))
+    return [r for r in (_reduced(a, b, lead) for a, b in lifted)
+            if not _horner(poly, r)]
 
 
 def _eigenspaces(mat, eigenspace) -> List[Tuple[GaussianRational, list]]:
@@ -412,8 +420,10 @@ def _eigenspaces(mat, eigenspace) -> List[Tuple[GaussianRational, list]]:
     each with ``eigenspace(r)``, the rows x with x mat = r x: the roots of
     the Krylov minimal polynomial of a unit vector, taken outside the
     eigenspaces found so far until they fill the space or a vector brings
-    no new root. ``weight_decomposition`` splits a diagonal mat itself, so
-    here mat has an entry off its diagonal."""
+    no new root. A polynomial with a repeated root brings none, and the
+    search stops: it divides the minimal polynomial of mat, so mat is not
+    diagonalizable. ``weight_decomposition`` splits a diagonal mat itself,
+    so here mat has an entry off its diagonal."""
     size = len(mat)
     found: List[Tuple[GaussianRational, list]] = []
     span: list = []         # echelon rows of the eigenspaces found so far
@@ -444,11 +454,11 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
     entries, as ``rref_kernel`` returns them, so the rows come back as they
     are, and a subset of RREF rows is already in RREF. Otherwise the
     eigenvalue candidates are found exactly (``_eigenspaces``): the Q(i)
-    roots of Krylov minimal polynomials, located by a float root search
-    and accepted only as exact roots. Each weight space is then the exact
-    kernel of ad(A_t) - candidate over n, computed once per candidate and
-    also read by the Krylov search, and the space splits only when those
-    kernels fill it.
+    roots of Krylov minimal polynomials, found by p-adic lifting
+    (``_gaussian_roots``), none for a polynomial with a repeated root.
+    Each weight space is then the exact kernel of ad(A_t) - candidate over
+    n, computed once per candidate and also read by the Krylov search, and
+    the space splits only when those kernels fill it.
     Raises DiagonalizationError when no Gaussian-rational eigenbasis exists.
     """
     nd = spec.n_dim

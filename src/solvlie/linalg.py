@@ -31,9 +31,7 @@ which every pivot, pairing and membership test there reads through
 one), or ``zero_test``, the same test with the tolerance bound, for the
 inner loops of a kernel; and ``REALITY_TOL``, the reality test of the
 dilation flow (``functionals.exp_h_coadjoint`` raises RealityError when a
-real coordinate x it recovers has |Im x| > REALITY_TOL (1 + |x|)). So does
-``SWEEP_TOL``, which ends the float root search (``algebra._dk_sweep``) when
-no root moves by more than that relative step; each root is checked exactly.
+real coordinate x it recovers has |Im x| > REALITY_TOL (1 + |x|)).
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ SparseRow = Dict[int, object]
 
 FLOAT_TOL = 1e-9
 REALITY_TOL = 1e-8
-SWEEP_TOL = 1e-15
 
 
 @lru_cache(maxsize=16)

@@ -1,8 +1,9 @@
 """The rank-based adapted-basis construction and checks, kept as a test oracle.
 
 This is the code ``solvlie.adapted`` replaced by one change of coordinates.
-The ascending central series is built from dense brackets over all
-coordinates, each level meets each weight space through
+The ascending central series is built level by level from the annihilator
+of the last one, each condition entry read off the stored brackets
+``spec.bracket_sparse``; each level meets each weight space through
 ``Subspace.intersect``, and the placement tests every candidate with a rank.
 The four flag conditions are checked on the flag subspaces themselves: one
 ``Subspace.contains_vector`` per (real basis vector, flag step) for the
@@ -197,11 +198,8 @@ def construct(spec, hint=None) -> OracleBasis:
         cond_rows = []
         for i in range(nd):
             for a in ann:
-                row = []
-                for p in range(nd):
-                    img = bracket_basis(spec, i, p)
-                    row.append(sum((a[m] * img[m] for m in range(dim)), ZERO))
-                cond_rows.append(row)
+                cond_rows.append([sum((a[m] * c for m, c in spec.bracket_sparse(i, p)),
+                                      ZERO) for p in range(nd)])
         null = kernel(cond_rows, nd)
         level = Subspace([list(v) + [ZERO] * spec.h_dim for v in null], dim)
         if level.dim <= prev.dim:

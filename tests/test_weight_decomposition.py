@@ -6,7 +6,9 @@ those guesses reach the weights (small denominators) both must give the
 same weight spaces: the same weights with the same RREF rows. Weights with
 large denominators, which the guesses never reach, are accepted now, and an
 action that is not diagonalizable is still rejected with the same code and
-message.
+message. The exact root search is checked on its own against seeded
+products of linear factors over Z[i], and end to end on clustered and large
+integer weights moved by a change of basis.
 """
 
 import importlib.util
@@ -261,9 +263,11 @@ def _rotation(a, b):
     return [[a, -b], [b, a]]
 
 
-def _conjugated(blocks, seed):
+def _conjugated(blocks, seed, heisenberg=False):
     """Abelian n with A acting by P blocks P^-1 for a random integer P, so
-    that the matrix of ad(A) is dense, not triangular."""
+    that the matrix of ad(A) is dense, not triangular. With ``heisenberg``,
+    n is H_3 + that abelian part as its center, [X, Y] = Z, and A acts
+    trivially on H_3."""
     size = len(blocks)
     rng = random.Random(seed)
     while True:
@@ -275,9 +279,12 @@ def _conjugated(blocks, seed):
                  for k in range(size) for l in range(size)), G(0)).re
             for j in range(size)] for i in range(size)]
     names = [f"X{i}" for i in range(size)]
-    return LieAlgebraSpec("dense-action", names, ["A"], {
-        ("A", names[m]): {names[r]: mat[r][m] for r in range(size) if mat[r][m]}
-        for m in range(size)})
+    brackets = {("A", names[m]): {names[r]: mat[r][m] for r in range(size)
+                                  if mat[r][m]} for m in range(size)}
+    if heisenberg:
+        names = ["Z", "Y", "X"] + names
+        brackets[("X", "Y")] = {"Z": Fraction(1)}
+    return LieAlgebraSpec("dense-action", names, ["A"], brackets)
 
 
 def _multiset(spec):
@@ -294,8 +301,8 @@ def test_repeated_weights_match_oracle(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rotations_with_large_denominators_on_a_dense_action(seed):
-    # the minimal polynomial has leading coefficient about 10^36, so c z is
-    # past float precision and the exact sweeps fix the roots
+    # the minimal polynomial, scaled into Z[i][x], has leading coefficient
+    # about 10^36: the roots are lifted past that bound before they are read
     q = [10 ** 9 + 7, 10 ** 9 + 9, 10 ** 9 + 21, 10 ** 9 + 33]
     spec = _conjugated(_blocks(_rotation(Fraction(3, q[0]), Fraction(5, q[1])),
                                _rotation(Fraction(7, q[2]), Fraction(2, q[3]))),
@@ -329,3 +336,81 @@ def test_jordan_block_still_rejected(dense):
     assert got == ("EIGEN_NOT_GAUSSIAN_RATIONAL",
                    "ad(A) has no Gaussian-rational eigenbasis on a "
                    "3-dimensional invariant subspace")
+
+
+# -- clustered and large integer weights: the p-adic root search --------------
+
+@pytest.mark.parametrize("weights, seed", [
+    ([10 ** 6 + j for j in range(10)], 0),
+    ([10 ** 6 + j for j in range(10)], 1),
+    ([2 ** 40 + j for j in range(5)], 0),
+    ([2 ** 40 + j for j in range(5)], 1),
+    (list(range(6)) + [2 ** 40 + j for j in range(6)], 0),
+], ids=["1e6+j-seed-0", "1e6+j-seed-1", "2^40+j-seed-0", "2^40+j-seed-1",
+        "0..5-and-2^40+j-seed-0"])
+def test_clustered_and_large_integer_weights_are_found(weights, seed):
+    # H_3 + R^k with the center R^k moved by P D P^-1: every weight is an
+    # integer, and the roots of the Krylov polynomials are found exactly
+    spec = _conjugated(_blocks(*([[w]] for w in weights)), seed, heisenberg=True)
+    assert validate_spec(spec).ok
+    want = sorted((str(w), 1) for w in weights if w) + [("0", 3 + weights.count(0))]
+    assert _multiset(spec) == sorted(want)
+    report = Workbench(spec).report()
+    assert report["admissibility"]["verdict"] == adm.VERDICT_ADMISSIBLE
+    assert sorted(int(row[0]) for row in report["basis"]["weights"]) == \
+        sorted([0] * 4 + weights)   # Z, Y, X and A
+
+
+def _expand(factors):
+    """The monic product of the linear factors c x - w over Z[i], given as
+    (c, w) pairs, coefficients from the constant term up."""
+    poly = [G(1)]
+    for c, w in factors:
+        poly = [a * c - b * w for a, b in zip([G(0)] + poly, poly + [G(0)])]
+    return [a / poly[-1] for a in poly]
+
+
+def _factor_cases():
+    """Seeded lists of linear factors (c, w) over Z[i]: entries up to 5,
+    1000 or 2^40, c a unit, an integer or a Gaussian integer; every third
+    list a cluster within 3 of one centre, every third one closed under
+    conjugation."""
+    rng = random.Random(42)
+
+    def gaussian(size):
+        return G(rng.randint(-size, size), rng.randint(-size, size))
+    cases = []
+    for k in range(60):
+        size = rng.choice([5, 1000, 2 ** 40])
+        factors = []
+        for _ in range(rng.randint(2, 7)):
+            c = rng.choice([G(1), G(rng.randint(1, 9)),
+                            G(rng.randint(1, 4), rng.randint(1, 4))])
+            w = G(size) + gaussian(3) if k % 3 == 0 else gaussian(size)
+            factors.append((c, w))
+            if k % 3 == 1:
+                factors.append((c.conjugate(), w.conjugate()))
+        cases.append(factors)
+    # x (x - w) has Cauchy bound 1 + |w|, and p = 3 lifts to 81 < 2 * 50:
+    # a root at the edge of the bound, read right only past twice the bound
+    return cases + [[(G(1), G(0)), (G(1), G(50))], [(G(1), G(0)), (G(1), G(0, -50))]]
+
+
+@pytest.mark.parametrize("factors", _factor_cases())
+def test_gaussian_roots_match_brute_force(factors):
+    # the roots of a product of linear factors are read off the factors;
+    # a repeated one (a real w with its conjugate, say) leaves none
+    roots = {w / c for c, w in factors}
+    want = sorted(roots, key=lambda r: (r.re, -r.im)) \
+        if len(roots) == len(factors) else []
+    assert algebra._gaussian_roots(_expand(factors)) == want
+
+
+@pytest.mark.parametrize("poly", [
+    [G(-2), G(0), G(1)], [G(1), G(1), G(1)],
+    _expand([(G(1), G(1)), (G(1), G(1)), (G(1), G(2))]),
+], ids=["x^2-2", "x^2+x+1", "(x-1)^2(x-2)"])
+def test_gaussian_roots_none(poly):
+    # irrational roots, roots outside Q(i), and a repeated root, which
+    # proves the operator not diagonalizable
+    assert algebra._gaussian_roots(poly) == []
