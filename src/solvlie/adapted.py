@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (DiagonalizationError, HypothesisViolation,
                       LieAlgebraSpec, Vector, root_factor)
-from .gaussian import GaussianRational, ONE, ZERO
+from .gaussian import GaussianRational, ONE, ZERO, _FIELDS, _reduced
 from .linalg import extend_echelon, extend_rref, invert
 
 
@@ -142,8 +142,10 @@ class AdaptableBasis:
 
     ``layer_tables`` memoizes, on first use, the case table of ``strata``
     per (ambient, i_seq, j_seq), its orbit-form table under "orbit_form",
-    its h-weight table under "gamma" and its generic path per ambient
-    under ("pivots", ambient); ``with_h_part`` starts it empty.
+    its h-weight table under "gamma", its generic path per ambient under
+    ("pivots", ambient) and the block inverses on integers that
+    ``Functional.from_adapted`` reads under "inverse"; ``with_h_part``
+    starts it empty.
     ``n_form_entries`` holds, once built, the orbit-form entries of
     ``structure``, which depend on the n part alone; ``with_h_part`` keeps
     them.
@@ -331,22 +333,37 @@ class AdaptableBasis:
 
         For H = Z_q = sum_t H_t A_t, [Z_p, H] = -sum_t H_t [A_t, Z_p], from
         the coordinates of [A_t, Z_p] that ``_verify`` kept; its diagonal
-        coefficient is -gamma_p(H). [h, h] = 0.
+        coefficient is -gamma_p(H). [h, h] = 0. Each coordinate is summed
+        on the integer fields of its terms, the real H_t = a / s times
+        (n + m i) / d, with one gcd at the end.
         """
         nd = self.n
         self.h_structure: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
         for q, h in enumerate(self.hvecs, start=nd):
+            coeffs = [(_FIELDS(ht), ad_t) for ht, ad_t in zip(h[nd:], self._ad_h)]
             for p in range(nd):
-                row: Dict[int, GaussianRational] = {}
-                for ht, ad_t in zip(h[nd:], self._ad_h):
-                    if not ht:      # adds nothing, but keeps the key order
+                # k -> (n, m, d) of sum_t H_t [A_t, Z_p]_k so far
+                acc: Dict[int, Tuple[int, int, int]] = {}
+                for (a, _, s), ad_t in coeffs:
+                    if not a:       # adds nothing, but keeps the key order
                         for k in ad_t[p]:
-                            row.setdefault(k, ZERO)
+                            acc.setdefault(k, (0, 0, 1))
                         continue
                     for k, c in ad_t[p].items():
-                        row[k] = row.get(k, ZERO) - ht * c
-                if any(row.values()):
-                    self.h_structure[(p, q)] = {k: x for k, x in row.items() if x}
+                        n, m, d = _FIELDS(c)
+                        n, m, d = a * n, a * m, s * d
+                        prev = acc.get(k)
+                        if prev is not None:
+                            x, y, e = prev
+                            if e == d:
+                                n, m = x + n, y + m
+                            else:
+                                n, m, d = x * d + n * e, y * d + m * e, d * e
+                        acc[k] = (n, m, d)
+                row = {k: _reduced(-n, -m, d)
+                       for k, (n, m, d) in acc.items() if n or m}
+                if row:
+                    self.h_structure[(p, q)] = row
 
     def with_h_part(self, hvecs: Sequence[Vector]) -> "AdaptableBasis":
         """The same n part with new h vectors.

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec, trace_ad
 from .functionals import Functional
-from .gaussian import GaussianRational, ZERO
+from .gaussian import GaussianRational, ZERO, parts
 from .linalg import Subspace, kernel, rank, reduce_row, rref
 from .sections import StabilizerData, UnsupportedLayerError
 from .strata import LayerDescriptor, jump_data
@@ -74,20 +74,19 @@ def center_data(spec: LieAlgebraSpec) -> CenterData:
 
     Row (m, k) of the system is w -> [w, e_m]_k = sum_p w_p [e_p, e_m]_k;
     only the nonzero rows are built, as sparse {p: c} rows with each
-    c = [e_p, e_m]_k read off ``spec.brackets``. An element of h is central
-    iff it is in the kernel of the same rows restricted to the h
-    coordinates.
+    c = [e_p, e_m]_k read off ``spec.brackets``. z(g) cap h is spanned by
+    the RREF rows of z(g) whose pivot lies in h (p >= n): each is zero
+    before its pivot, so it lies in h, and a vector of z(g) that lies in h
+    is zero at every pivot in n, so it combines only those rows.
     """
     dim, nd = spec.dim, spec.n_dim
     rows: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
     for (p, m), entry in spec.brackets.items():
         for k, c in entry:
             rows.setdefault((m, k), {})[p] = c
-    system = list(rows.values())
-    z_g = Subspace(kernel(system, dim), dim)
-    z_h = kernel([{p - nd: c for p, c in row.items() if p >= nd}
-                  for row in system], spec.h_dim)
-    z_cap_h = Subspace([{nd + p: x for p, x in row.items()} for row in z_h], dim)
+    z_g = Subspace(kernel(rows.values(), dim), dim)
+    z_cap_h = Subspace([row for row, p in zip(z_g.sparse_rows, z_g.pivots)
+                        if p >= nd], dim)
     return CenterData(z_g=z_g, z_cap_h=z_cap_h)
 
 
@@ -279,7 +278,7 @@ def multiplicity(basis: AdaptableBasis, stab: StabilizerData,
         return INFINITE
     if pol.dim_x == 0:
         return 1
-    k_rows = [[GaussianRational(x.re) for x in row] for row in stab.k_subalg.rows]
+    k_rows = [[parts(x)[0] for x in row] for row in stab.k_subalg.rows]
     weight_rows = []
     for j in pol.x_indices:
         w = basis.weights[j - 1]
@@ -288,7 +287,7 @@ def multiplicity(basis: AdaptableBasis, stab: StabilizerData,
             val = sum((krow[t] * w[t] for t in range(len(krow))), ZERO)
             if not val.is_real():
                 return INFINITE
-            vals.append(GaussianRational(val.re))
+            vals.append(val)
         weight_rows.append(vals)
     if rank(weight_rows) == pol.dim_x:
         return 2 ** pol.dim_x

@@ -20,11 +20,12 @@ import cmath
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import List, Optional, Sequence, Union
 
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
-from .gaussian import GaussianRational, ZERO
+from .gaussian import GaussianRational, ZERO, _FIELDS
 from .linalg import FLOAT_TOL, REALITY_TOL, is_zero
 
 Scalar = Union[GaussianRational, complex]
@@ -74,17 +75,28 @@ class Functional:
         """Build from values on the adapted basis; enforces reality exactly.
 
         The basis matrix is block diagonal, so the values x on the real
-        basis are the stored block inverses applied to zvals.
+        basis are the stored block inverses applied to zvals: each x_m is
+        summed on integers, the table's numerators of row m of an inverse
+        (``_inverse_table``) against the numerators of zvals over their
+        lcm, and is real iff its imaginary sum is 0.
         """
-        zs = [GaussianRational.coerce(z) for z in zvals]
-        if len(zs) != basis.dim:
+        fields = [_FIELDS(GaussianRational.coerce(z)) for z in zvals]
+        if len(fields) != basis.dim:
             raise ValueError("need one value per adapted basis vector")
-        nd = basis.n
-        x = [sum((c * zs[k] for k, c in row), ZERO) for row in basis.n_inverse] + \
-            [sum((c * zs[nd + k] for k, c in row), ZERO) for row in basis.h_inverse]
-        if any(not xi.is_real() for xi in x):
-            raise RealityError("values violate l(conj Z) = conj l(Z)")
-        return cls(basis, [xi.re for xi in x], exact=True)
+        den = lcm(*(d for _, _, d in fields))
+        re = [n * (den // d) for n, _, d in fields]
+        im = [m * (den // d) for _, m, d in fields]
+        values = []
+        for scale, row in _inverse_table(basis):
+            x = y = 0
+            for k, a, b in row:
+                p, q = re[k], im[k]
+                x += a * p - b * q
+                y += a * q + b * p
+            if y:
+                raise RealityError("values violate l(conj Z) = conj l(Z)")
+            values.append(Fraction(x, scale * den))
+        return cls(basis, values, exact=True)
 
     def to_float(self) -> "Functional":
         if not self.exact:
@@ -120,6 +132,25 @@ class Functional:
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.values)
         return f"Functional[{'exact' if self.exact else 'float'}]({vals})"
+
+
+def _inverse_table(basis: AdaptableBasis) -> tuple:
+    """The block inverses of the basis matrix on integers, built once per
+    basis and kept in ``basis.layer_tables["inverse"]``: for each real
+    coordinate m, (D, ((k, a, b), ...)), where row m of the inverse of its
+    block is sum_k (a + b i) / D at the adapted index k (h-block indices
+    offset by n) and D is the lcm of the row's denominators."""
+    table = basis.layer_tables.get("inverse")
+    if table is None:
+        rows = []
+        for offset, inverse in ((0, basis.n_inverse), (basis.n, basis.h_inverse)):
+            for row in inverse:
+                fields = [(k, *_FIELDS(c)) for k, c in row]
+                den = lcm(*(d for _, _, _, d in fields))
+                rows.append((den, tuple((offset + k, n * (den // d), m * (den // d))
+                                        for k, n, m, d in fields)))
+        table = basis.layer_tables["inverse"] = tuple(rows)
+    return table
 
 
 def adapted_values(l: Functional, terms) -> List[Scalar]:

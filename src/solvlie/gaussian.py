@@ -3,10 +3,21 @@
 A value is held as three ints (n + m i)/d with d > 0 and gcd(n, m, d) = 1,
 so equal values have equal fields, the zero test is two int tests, and each
 operation is integer arithmetic followed by one ``math.gcd`` (none where the
-result is a Gaussian integer times an int). ``Fraction`` appears only at the
-boundary: the constructor's arguments and the ``re`` and ``im`` parts read
-by parsers and weight code; ``str`` and the hash of an integer read the
-fields.
+result is a Gaussian integer times an int). ``parts`` reads the real and
+imaginary parts as GaussianRationals, off the fields; ``str`` and the hash
+of an integer read the fields too.
+
+``Fraction`` appears only at the boundary: the constructor's arguments,
+``abs2`` and the ``re`` and ``im`` parts, read by the parsers and by the
+consumers whose results are rationals or ordered: the values of a point
+on the real basis (``Functional.values``), the trace table
+(``LieAlgebraSpec.ad_traces``), the normalized complement of the little
+group (``StabilizerData.a_basis``), the factor alpha of a weight
+(``algebra.root_factor``), the order of the weight spaces
+(``adapted._weight_key``), the sign test of the polarization's positivity
+(``admissibility.polarization_data``), the disintegration constant
+(``admissibility.disintegration_check``) and the rows printed by
+``CenterData.as_dict`` and ``StabilizerData.as_dict``.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ import re
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
+from typing import Tuple
 
 
 def _parts(re, im):
@@ -295,15 +307,30 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+def parts(z: GaussianRational) -> Tuple[GaussianRational, GaussianRational]:
+    """Re z and Im z as real GaussianRationals, with no ``Fraction``: the
+    parts n/d and m/d of (n + m i)/d, each in lowest terms; a real z is its
+    own real part."""
+    n, m, d = _FIELDS(z)
+    if not m:
+        return z, ZERO
+    if d == 1:
+        return _made(n, 0, 1), _made(m, 0, 1)
+    return _reduced(n, 0, d), _reduced(m, 0, d)
+
+
 _FRAC = r"[+-]?\d+(?:/\d+)?"
 _BOTH_RE = re.compile(
     rf"^\s*(?P<real>{_FRAC})\s*(?P<sign>[+-])\s*(?P<imag>\d+(?:/\d+)?)?\s*i\s*$")
-_IMAG_RE = re.compile(rf"^\s*(?P<imag>{_FRAC})?\s*i\s*$")
+# a sign may stand before the bare unit: "-i", "+i"
+_IMAG_RE = re.compile(
+    r"^\s*(?P<sign>[+-])?(?:(?P<imag>\d+(?:/\d+)?)\s*)?i\s*$")
 _REAL_RE = re.compile(rf"^\s*(?P<real>{_FRAC})\s*$")
 
 
 def parse_gaussian(text: str) -> GaussianRational:
-    """Parse 'p/q', 'p/q+r/s i', 'p/q-r/s i', 'r/s i' or 'i' (ASCII minus)."""
+    """Parse 'p/q', 'p/q+r/s i', 'p/q-r/s i', 'r/s i', 'i', '-i' or '+i'
+    (ASCII minus)."""
     m = _BOTH_RE.match(text)
     if m:
         mag = Fraction(m.group("imag")) if m.group("imag") else Fraction(1)
@@ -314,6 +341,8 @@ def parse_gaussian(text: str) -> GaussianRational:
     if m:
         raw = m.group("imag")
         mag = Fraction(raw) if raw is not None else Fraction(1)
+        if m.group("sign") == "-":
+            mag = -mag
         return GaussianRational(0, mag)
     m = _REAL_RE.match(text)
     if m:

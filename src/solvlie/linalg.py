@@ -12,8 +12,9 @@ echelon rows from a sparse row and touches only the entries stored.
 by the echelon rows at the pivots it holds (an RREF row is 0 at the other
 pivots), and what is left becomes a new pivot row, cleared from the rows
 holding its column; ``extend_rref`` is that step on an RREF kept as
-{pivot: row} and grown in place. ``rank``, ``kernel``, ``invert`` and
-``Subspace`` build on ``rref``; ``reduce_row`` and ``extend_echelon`` run
+{pivot: row} and grown in place. ``rank``, ``invert`` and ``Subspace``
+build on ``rref``, and ``kernel`` on ``extend_rref``, stopping once every
+column is a pivot; ``reduce_row`` and ``extend_echelon`` run
 ``_reduce`` against a growing echelon of sparse rows and return the sparse
 remainder, empty iff the vector was dependent. Every routine reads dense or sparse
 rows and returns sparse ones; ``Subspace.rows`` is the one dense view,
@@ -164,8 +165,15 @@ def rank(rows) -> int:
 
 def kernel(rows, ncols: int) -> List[SparseRow]:
     """Basis of {x : rows @ x = 0} in columns 0..ncols-1, as sparse rows;
-    the rows may be dense or sparse."""
-    return rref_kernel(*rref(rows), ncols)
+    the rows may be dense or sparse, supported in those columns. The rows
+    are eliminated as ``rref`` does, and read only until the echelon holds
+    every column: the kernel is then 0, whatever rows follow."""
+    red: Dict[int, SparseRow] = {}
+    for row in rows:
+        if extend_rref(red, row) and len(red) == ncols:
+            return []
+    pivots = sorted(red)
+    return rref_kernel([red[c] for c in pivots], pivots, ncols)
 
 
 def rref_kernel(red: List[SparseRow], pivots: List[int],

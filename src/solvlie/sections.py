@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
 from .functionals import Functional, adapted_values, exp_h_coadjoint
-from .gaussian import GaussianRational, ZERO
+from .gaussian import GaussianRational, ZERO, _reduced, parts
 from .linalg import Subspace, extend_echelon, invert, is_zero, kernel, zero_test
 from .strata import (JumpData, LayerDescriptor, LayerMismatchError,
                      jump_data, section_vectors)
@@ -106,29 +106,28 @@ def stabilizer_data(spec: LieAlgebraSpec, basis: AdaptableBasis,
     dim h, k and the A_t form a basis of h.
     """
     nd, hd = spec.n_dim, spec.h_dim
-    nu = tuple(j for j in range(1, nd + 1) if j not in set(n_layer.e_set))
-    rows = []
+    e_set = set(n_layer.e_set)
+    nu = tuple(j for j in range(1, nd + 1) if j not in e_set)
+    # the real and imaginary weight rows off e, each read once, for k, for
+    # phi and for the inverse
+    real, rows = {}, []
     for j in nu:
-        w = basis.weights[j - 1]
-        rows.append([GaussianRational(x.re) for x in w])
-        rows.append([GaussianRational(x.im) for x in w])
+        split = [parts(x) for x in basis.weights[j - 1]]
+        real[j] = [re for re, _ in split]
+        rows.append(real[j])
+        rows.append([im for _, im in split])
     k_sub = Subspace(kernel(rows, hd), hd)
 
     echelon: List[Dict[int, GaussianRational]] = []
     pivots: List[int] = []
-    phi: List[int] = []
-    for j in nu:
-        real = [GaussianRational(x.re) for x in basis.weights[j - 1]]
-        if extend_echelon(echelon, pivots, real):
-            phi.append(j)
+    phi = [j for j in nu if extend_echelon(echelon, pivots, real[j])]
 
     r = len(phi)
     if k_sub.dim + r != hd:
         raise NormalizationFailedError(
             f"complement mismatch: dim k = {k_sub.dim}, r = {r}, dim h = {hd}")
 
-    inv = invert([[GaussianRational(basis.weights[j - 1][p].re) for p in pivots]
-                  for j in phi])
+    inv = invert([[real[j][p] for p in pivots] for j in phi])
     a_basis: List[Tuple[Fraction, ...]] = []
     for t in range(r):
         full = [Fraction(0)] * hd
@@ -142,7 +141,7 @@ def canonical_h_vectors(spec: LieAlgebraSpec, stab: StabilizerData):
     """h-part vectors in the order: k-part first, then A_r, ..., A_1 (a
     basis of h, by ``stabilizer_data``)."""
     pad = [ZERO] * spec.n_dim
-    return ([tuple(pad + [GaussianRational(x.re) for x in row])
+    return ([tuple(pad + [parts(x)[0] for x in row])
              for row in stab.k_subalg.rows] +
             [tuple(pad + [GaussianRational(c) for c in a])
              for a in reversed(stab.a_basis)])
@@ -329,10 +328,10 @@ def _assert_simple_layer(oracle: SectionOracle):
 
 
 def _rational_circle_point(rng: random.Random) -> GaussianRational:
-    # (1-t^2, 2t)/(1+t^2) runs over rational points of the unit circle
-    t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    d = 1 + t * t
-    return GaussianRational((1 - t * t) / d, 2 * t / d)
+    # (1-t^2, 2t)/(1+t^2) for t = a/b runs over rational points of the unit
+    # circle; it is (b^2-a^2, 2ab)/(a^2+b^2), over b >= 1
+    a, b = rng.randint(-9, 9), rng.randint(1, 9)
+    return _reduced(b * b - a * a, 2 * a * b, a * a + b * b)
 
 
 def _draws(oracle: SectionOracle, rng: random.Random):

@@ -1,10 +1,14 @@
 """End-to-end pipeline: spec file to orbital data to admissibility report.
 
 Everything downstream of validation is derived lazily and cached, so a
-caller can ask for just the verdict (cheap) or the full report document
-(runs the layer sampling on both n* and g*). Reports are deterministic
-functions of (spec, seed); each generic layer is located from
-``strata.TRIALS`` points drawn from the seed.
+caller can ask for just the verdict or the full report document (which
+adds the layer sampling on g*). ``verdict()`` is not a cheap decision: it
+samples the n* generic layer, one Sigma-circ point for the polarization
+and ``PLANCHEREL_SAMPLES`` Lambda_nu points for the density, although the
+verdict code itself reads only unimodularity and z(g) cap h (deciding
+from those first is ROADMAP item 7). Reports are deterministic functions
+of (spec, seed); each generic layer is located from ``strata.TRIALS``
+points drawn from the seed.
 """
 
 from __future__ import annotations

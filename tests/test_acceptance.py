@@ -18,7 +18,7 @@ from disintegration_oracle import (within_standard_errors,
                                    workbench_disintegration)
 from pfaffian_oracle import det
 from section_oracle import pointwise_stabilizer, real_section_vectors
-from solvlie import admissibility as adm, gaussian, linalg, strata
+from solvlie import admissibility as adm, functionals, gaussian, linalg, strata
 from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import spec_from_dict, validate_spec
 from solvlie.functionals import (Functional, exp_unipotent_coadjoint,
@@ -144,6 +144,44 @@ def test_criterion_1_front_half_exact_work_on_filiform_60(monkeypatch):
     print(f"\nPASS criterion 1, front half: filiform n = 60 validated and "
           f"based with {work['reduced']} gcd-reduced results, "
           f"{work['rref']} rref calls")
+
+
+def test_criterion_1_verdict_exact_work_on_specgen_1(monkeypatch):
+    # Workbench(spec).verdict() on the specs of perfbench/specgen.py at
+    # seed 1, gated by counts as above: Fraction constructions (every
+    # Fraction.__new__, arithmetic on Fractions included) and
+    # linalg.extend_rref calls (every step of an exact elimination).
+    # Measured: 868 and 695; reading each weight part through a Fraction,
+    # summing from_adapted in GaussianRationals and running a second
+    # kernel for z(g) cap h, with no early stop, made 1,070 and 1,001. The
+    # bounds are 1.25x the counts. The samplers share one Fraction per
+    # integer drawn across the process, so that cache starts empty
+    specs = [spec_from_dict(doc) for doc, _ in specgen.generate(1)]
+    work = {"fraction": 0, "extend_rref": 0}
+    new, extend_rref = Fraction.__dict__["__new__"], linalg.extend_rref
+
+    def counted_new(cls, *args, **kwargs):
+        work["fraction"] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    def counted_extend_rref(red, row):
+        work["extend_rref"] += 1
+        return extend_rref(red, row)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("solvlie") and \
+                getattr(mod, "extend_rref", None) is extend_rref:
+            monkeypatch.setattr(mod, "extend_rref", counted_extend_rref)
+    functionals._integer.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    verdicts = [Workbench(spec).verdict().verdict for spec in specs]
+    monkeypatch.undo()
+    assert len(set(verdicts)) == 3, verdicts
+    assert work["fraction"] <= 1_085, work
+    assert work["extend_rref"] <= 868, work
+    print(f"\nPASS criterion 1, verdict: specgen seed 1 with "
+          f"{work['fraction']} Fraction constructions, "
+          f"{work['extend_rref']} extend_rref calls")
 
 
 def test_criterion_2_section_vector_formulas_exact():

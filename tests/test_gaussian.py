@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from solvlie.gaussian import GaussianRational, parse_gaussian
+from solvlie.gaussian import GaussianRational, parse_gaussian, parts
 from solvlie.linalg import is_zero
 
 
@@ -51,6 +51,11 @@ def test_i_squared():
     ("2 i", "0", "2"),
     ("-5/7 i", "0", "-5/7"),
     ("i", "0", "1"),
+    ("-i", "0", "-1"),
+    ("+i", "0", "1"),
+    ("+2 i", "0", "2"),
+    ("2-i", "2", "-1"),
+    ("-1 i", "0", "-1"),
     ("0", "0", "0"),
 ])
 def test_parse(text, re_, im_):
@@ -58,7 +63,8 @@ def test_parse(text, re_, im_):
     assert z.re == Fraction(re_) and z.im == Fraction(im_)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1+2", "1//2 i", "3/4 j"])
+@pytest.mark.parametrize("bad", ["", "x", "1+2", "1//2 i", "3/4 j", "--i",
+                                 "+-i", "- i"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_gaussian(bad)
@@ -331,3 +337,29 @@ def test_float_and_complex_operands_fall_through():
     assert z + 0.5 == complex(0.75, -0.5)
     assert 1.0 - z == complex(0.75, 0.5)
     assert z / 2.0 == complex(0.125, -0.25)
+
+
+def test_a_hint_may_write_the_bare_signed_unit():
+    # "-i" and "+i" read as "-1 i" and "1 i" in an adaptable_hint
+    import json
+
+    from conftest import corpus_file_text
+    from solvlie.algebra import spec_from_dict
+    doc = json.loads(corpus_file_text("spiral-heisenberg"))
+    bare = json.loads(json.dumps(doc).replace('"-1 i"', '"-i"')
+                      .replace('"1 i"', '"+i"'))
+    assert json.dumps(bare) != json.dumps(doc)
+    assert spec_from_dict(bare).adaptable_hint == spec_from_dict(doc).adaptable_hint
+
+
+def test_parts_are_the_fraction_parts():
+    # parts reads Re and Im off the fields, as GaussianRationals
+    rng = random.Random(4303)
+    for _ in range(200):
+        z = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                             Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 6))))
+        re, im = parts(z)
+        assert (re, im) == (GaussianRational(z.re), GaussianRational(z.im))
+        assert re.is_real() and im.is_real()
+        if z.is_real():
+            assert re is z

@@ -12,8 +12,9 @@ from solvlie import sections
 from solvlie.functionals import exp_h_coadjoint
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import (NotInSectionError, SectionOracle,
-                              UnsupportedLayerError, _sample, h_project,
-                              sample_lambda_nu, sample_sigma_circ)
+                              UnsupportedLayerError, _rational_circle_point,
+                              _sample, h_project, sample_lambda_nu,
+                              sample_sigma_circ)
 from solvlie.strata import jump_data
 
 
@@ -424,3 +425,16 @@ def test_member_sampler_skips_rejected_draws(monkeypatch):
     f = sample_lambda_nu(oracle, random.Random(5))
     assert len(seen) == 3 and f.values == g.values
     assert jd.pfaffian() == jump_data(g, oracle.basis, "n").pfaffian()
+
+
+def test_rational_circle_point_keeps_the_fraction_route_and_stream():
+    def fraction_route(rng):
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        d = 1 + t * t
+        return G((1 - t * t) / d, 2 * t / d)
+
+    a, b = random.Random(4304), random.Random(4304)
+    for _ in range(300):
+        z = _rational_circle_point(a)
+        assert z == fraction_route(b) and z * z.conjugate() == 1
+    assert a.random() == b.random()

@@ -222,3 +222,63 @@ def test_shared_zero_compares_and_hashes_like_every_zero():
         assert hash(zero) == hash(ZERO)
         assert [zero, G(1)] == [ZERO, G(1)]
         assert hash((zero, G(1))) == hash((ZERO, G(1)))
+
+
+def _sparse_system(rng, ncols):
+    """Up to 10 random sparse Q(i) rows in ncols columns: zero rows,
+    repeated rows and rows on one to three columns. Sometimes one column
+    is left out of every row, so that the echelon never fills."""
+    usable = list(range(ncols))
+    if rng.random() < 0.3:
+        usable.remove(rng.randrange(ncols))
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+        pick = rng.random()
+        if pick < 0.15 or not usable:
+            rows.append({})
+        elif pick < 0.3 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            cols = rng.sample(usable, rng.randint(1, min(3, len(usable))))
+            rows.append({c: G(rng.randint(-3, 3) or 1, rng.randint(-2, 2))
+                         for c in cols})
+    return rows
+
+
+def test_kernel_stops_at_a_full_echelon_and_agrees_with_full_elimination():
+    # the early stop reads the rows up to the first full echelon only, and
+    # returns what eliminating every row returns: full rank reached early
+    # (rows left unread), late (at the last row) or never
+    rng = random.Random(4301)
+    outcomes = {"early": 0, "late": 0, "never": 0}
+    for k in range(400):
+        ncols = rng.randint(1, 6)
+        rows = _sparse_system(rng, ncols)
+        full = linalg.rref_kernel(*linalg.rref(rows), ncols)
+        dense = [[row.get(c, ZERO) for c in range(ncols)] for row in rows]
+        assert full == _sparse_rows(rref_oracle.kernel(dense, ncols)), k
+        read = []
+
+        def counted():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        assert linalg.kernel(counted(), ncols) == full, k
+        first_full = next((i + 1 for i in range(len(rows))
+                           if linalg.rank(rows[:i + 1]) == ncols), None)
+        if first_full is None:
+            assert len(read) == len(rows), k
+            outcomes["never"] += 1
+        else:
+            assert full == [] and len(read) == first_full, k
+            outcomes["early" if first_full < len(rows) else "late"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_kernel_of_zero_rows_and_of_no_columns():
+    for ncols in range(4):
+        want = [{f: G(1)} for f in range(ncols)]
+        for rows in ([], [{}], [{}, {}], [[ZERO] * ncols], iter([{}] * 3)):
+            assert linalg.kernel(rows, ncols) == want
+    assert linalg.kernel([{}, [], {}], 0) == []
