@@ -11,8 +11,7 @@ of an integer read the fields too.
 ``abs2`` and the ``re`` and ``im`` parts, read by the parsers and by the
 consumers whose results are rationals or ordered: the values of a point
 on the real basis (``Functional.values``), the trace table
-(``LieAlgebraSpec.ad_traces``), the normalized complement of the little
-group (``StabilizerData.a_basis``), the factor alpha of a weight
+(``LieAlgebraSpec.ad_traces``), the factor alpha of a weight
 (``algebra.root_factor``), the order of the weight spaces
 (``adapted._weight_key``), the sign test of the polarization's positivity
 (``admissibility.polarization_data``), the disintegration constant

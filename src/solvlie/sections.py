@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
@@ -69,7 +68,7 @@ class StabilizerData:
     k_subalg: Subspace                     # subspace of h (rational rows)
     # A_1..A_r, normalized to Re gamma_{phi_t}(A_u) = delta_tu: this makes
     # W = I in admissibility.disintegration_check
-    a_basis: List[Tuple[Fraction, ...]]
+    a_basis: List[Tuple[GaussianRational, ...]]
     phi: Tuple[int, ...]                   # indices i_{s_1} < ... < i_{s_r}
 
     @property
@@ -128,11 +127,11 @@ def stabilizer_data(spec: LieAlgebraSpec, basis: AdaptableBasis,
             f"complement mismatch: dim k = {k_sub.dim}, r = {r}, dim h = {hd}")
 
     inv = invert([[real[j][p] for p in pivots] for j in phi])
-    a_basis: List[Tuple[Fraction, ...]] = []
+    a_basis: List[Tuple[GaussianRational, ...]] = []
     for t in range(r):
-        full = [Fraction(0)] * hd
+        full = [ZERO] * hd
         for p, row in zip(pivots, inv):
-            full[p] = row.get(t, ZERO).re
+            full[p] = row.get(t, ZERO)
         a_basis.append(tuple(full))
     return StabilizerData(nu=nu, k_subalg=k_sub, a_basis=a_basis, phi=tuple(phi))
 
@@ -143,8 +142,7 @@ def canonical_h_vectors(spec: LieAlgebraSpec, stab: StabilizerData):
     pad = [ZERO] * spec.n_dim
     return ([tuple(pad + [parts(x)[0] for x in row])
              for row in stab.k_subalg.rows] +
-            [tuple(pad + [GaussianRational(c) for c in a])
-             for a in reversed(stab.a_basis)])
+            [tuple(pad + list(a)) for a in reversed(stab.a_basis)])
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ class SectionOracle:
         """The normalized dilation directions as rows over the real basis
         of g under H_PART_ZERO (Sigma only), built on first use."""
         nd = self.basis.spec.n_dim
-        return tuple([ZERO] * nd + [GaussianRational(c) for c in a]
+        return tuple([ZERO] * nd + list(a)
                      for c in self.constraints if c.kind == "H_PART_ZERO"
                      for a in self.stab.a_basis)
 

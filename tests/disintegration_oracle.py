@@ -122,7 +122,8 @@ def disintegration_check(spec: LieAlgebraSpec, basis: AdaptableBasis,
         avec = [Fraction(0)] * basis.dim
         for u, c in enumerate(a):
             avec[spec.n_dim + u] = c
-        traces.append(float(trace_ad(spec, [GaussianRational(c) for c in avec])))
+        traces.append(float(trace_ad(
+            spec, [GaussianRational.coerce(c) for c in avec])))
         for pos, j in enumerate(nu):
             w = basis.weights[j - 1]
             re_weights[t, pos] = float(sum(Fraction(w[u].re) * a[u]

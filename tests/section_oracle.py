@@ -351,6 +351,6 @@ def contains(oracle, f: Functional) -> bool:
     if oracle.kind == "SigmaCirc":
         return True
     nd = basis.spec.n_dim
-    return all(is_zero(f.value([ZERO] * nd + [GaussianRational(c) for c in a]),
-                       tol)
+    return all(is_zero(f.value([ZERO] * nd +
+                               [GaussianRational.coerce(c) for c in a]), tol)
                for a in oracle.stab.a_basis)

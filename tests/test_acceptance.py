@@ -6,9 +6,9 @@ a plain `pytest -s tests/test_acceptance.py` reads as a checklist.
 
 import importlib.util
 import random
-import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,18 +18,19 @@ from disintegration_oracle import (within_standard_errors,
                                    workbench_disintegration)
 from pfaffian_oracle import det
 from section_oracle import pointwise_stabilizer, real_section_vectors
-from solvlie import admissibility as adm, functionals, gaussian, linalg, strata
+from solvlie import admissibility as adm, gaussian, linalg, strata
 from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import spec_from_dict, validate_spec
 from solvlie.functionals import (Functional, exp_unipotent_coadjoint,
                                  sample_functional)
-from solvlie.gaussian import GaussianRational as G
+from solvlie.gaussian import _FIELDS, GaussianRational as G
 from solvlie.sections import (UnsupportedLayerError, h_project,
                               sample_lambda_nu, stabilizer_data)
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
                             jump_data, pfaffian, section_vectors)
 from solvlie.workbench import Workbench
 from test_pfaffian_equivalence import _dense_center_spec
+from work_budget import Work
 
 _SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
 _spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
@@ -77,111 +78,133 @@ def test_criterion_1_dense_center_verdict_at_32_under_one_second():
           f"{best * 1000:.0f} ms (best of 2)")
 
 
-def _count_exact_work(monkeypatch, work):
-    """Count gaussian._reduced results and linalg.rref calls into work."""
-    reduced, rref = gaussian._reduced, linalg.rref
-
-    def counted_reduced(n, m, d):
-        work["reduced"] += 1
-        return reduced(n, m, d)
-
-    def counted_rref(rows):
-        work["rref"] += 1
-        return rref(rows)
-
-    monkeypatch.setattr(gaussian, "_reduced", counted_reduced)
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("solvlie") and getattr(mod, "rref", None) is rref:
-            monkeypatch.setattr(mod, "rref", counted_rref)
-
-
-def test_criterion_1_dense_center_exact_work_at_32(monkeypatch):
+def test_criterion_1_dense_center_exact_work_at_32():
     # the same verdict as the timed test above, gated by counts that do not
     # move with the host: integer arithmetic and the random streams are
-    # deterministic. Measured: 247,682 gcd-reduced results
-    # (gaussian._reduced calls), 18 linalg.rref calls and a largest
-    # _replay scale of 359 bits; the bounds are 1.25x the counts and 2x
-    # the bits (an unbounded replay reached 607,812 bits here)
-    work = {"reduced": 0, "rref": 0, "bits": 0}
-    replay = strata._replay
-
-    def measured_replay(*args):
-        ys = replay(*args)
-        for s, _ in ys.values():
-            parts = (s,) if isinstance(s, int) else (s.re.numerator,
-                                                     s.im.numerator)
-            work["bits"] = max([work["bits"]] +
-                               [abs(x).bit_length() for x in parts])
-        return ys
-
+    # deterministic. Measured: 245,781 gcd-reduced results
+    # (gaussian._reduced calls), 12 linalg.rref calls, a largest _replay
+    # scale of 359 bits and pivot entries p of _skew_reduce, the trigger of
+    # its division back to the minors (565 of them), with |p|^2 up to 380
+    # bits. The bounds are 1.25x the counts of an earlier verdict, 247,682
+    # and 18, and 2x the bits (an unbounded replay reached 607,812 bits)
     spec = _dense_center_spec(32)
-    _count_exact_work(monkeypatch, work)
-    monkeypatch.setattr(strata, "_replay", measured_replay)
-    assert Workbench(spec).verdict().verdict == "ADMISSIBLE"
-    assert work["reduced"] <= 309_602, work
+    with Work() as work:
+        work.calls(gaussian, "_reduced")
+        work.calls(linalg, "rref")
+        work.bits(strata, "_replay", lambda ys: [   # the scales s_g
+            x for s, _ in ys.values()
+            for x in ((s,) if isinstance(s, int) else _FIELDS(s)[:2])])
+        work.pivots()
+        assert Workbench(spec).verdict().verdict == "ADMISSIBLE"
+    assert work["_reduced"] <= 309_602, work
     assert work["rref"] <= 22, work
     assert work["bits"] <= 718, work
+    assert work["pivot_bits"] <= 760, work
     print(f"\nPASS criterion 1, dense center: |e| = 32 verdict with "
-          f"{work['reduced']} gcd-reduced results, {work['rref']} rref "
-          f"calls, {work['bits']}-bit replay scales")
+          f"{work['_reduced']} gcd-reduced results, {work['rref']} rref "
+          f"calls, {work['bits']}-bit replay scales, {work['pivot_bits']}-bit "
+          f"pivot norms ({work['divide_backs']} divisions back)")
 
 
-def test_criterion_1_front_half_exact_work_on_filiform_60(monkeypatch):
+def _specgen_spec(shape, structure, r):
+    """The ADMISSIBLE spec of perfbench/specgen.py of this shape and torus
+    rank r, drawn with Random(1)."""
+    doc, _ = specgen.make_spec(random.Random(1), shape, structure, r,
+                               specgen.ADMISSIBLE, f"{shape}-budget")
+    return spec_from_dict(doc)
+
+
+def test_criterion_1_front_half_exact_work_on_filiform_60():
     # validation and the adapted basis of specgen's filiform chain at n = 60
-    # with a 2-dim torus, gated by counts as above. Measured: 2,070
+    # with a 2-dim torus, gated by counts as above. Measured: 1,950
     # gcd-reduced results and 62 rref calls (the central series
     # re-eliminating every level and the weight split re-splitting it made
-    # 14,771 and 1,833); the bounds are 1.25x the counts
-    doc, _ = specgen.make_spec(random.Random(1), "filiform", 60, 2,
-                               specgen.ADMISSIBLE, "filiform-60")
-    spec = spec_from_dict(doc)
-    work = {"reduced": 0, "rref": 0}
-    _count_exact_work(monkeypatch, work)
-    assert validate_spec(spec).ok
-    assert len(build_adaptable_basis(spec).nvecs) == 60
-    assert work["reduced"] <= 2_587, work
+    # 14,771 and 1,833); the bounds are 1.25x the counts of an earlier
+    # basis construction, 2,070 and 62
+    spec = _specgen_spec("filiform", 60, 2)
+    with Work() as work:
+        work.calls(gaussian, "_reduced")
+        work.calls(linalg, "rref")
+        assert validate_spec(spec).ok
+        assert len(build_adaptable_basis(spec).nvecs) == 60
+    assert work["_reduced"] <= 2_587, work
     assert work["rref"] <= 77, work
     print(f"\nPASS criterion 1, front half: filiform n = 60 validated and "
-          f"based with {work['reduced']} gcd-reduced results, "
+          f"based with {work['_reduced']} gcd-reduced results, "
           f"{work['rref']} rref calls")
 
 
-def test_criterion_1_verdict_exact_work_on_specgen_1(monkeypatch):
+def test_criterion_1_verdict_exact_work_on_specgen_1():
     # Workbench(spec).verdict() on the specs of perfbench/specgen.py at
     # seed 1, gated by counts as above: Fraction constructions (every
     # Fraction.__new__, arithmetic on Fractions included) and
     # linalg.extend_rref calls (every step of an exact elimination).
-    # Measured: 868 and 695; reading each weight part through a Fraction,
+    # Measured: 844 and 695; reading each weight part through a Fraction,
     # summing from_adapted in GaussianRationals and running a second
-    # kernel for z(g) cap h, with no early stop, made 1,070 and 1,001. The
-    # bounds are 1.25x the counts. The samplers share one Fraction per
-    # integer drawn across the process, so that cache starts empty
+    # kernel for z(g) cap h, with no early stop, made 1,070 and 1,001, and
+    # holding the little group's complement in Fractions 868 and 695. The
+    # bounds are 1.25x 868 and 695
     specs = [spec_from_dict(doc) for doc, _ in specgen.generate(1)]
-    work = {"fraction": 0, "extend_rref": 0}
-    new, extend_rref = Fraction.__dict__["__new__"], linalg.extend_rref
-
-    def counted_new(cls, *args, **kwargs):
-        work["fraction"] += 1
-        return new.__func__(cls, *args, **kwargs)
-
-    def counted_extend_rref(red, row):
-        work["extend_rref"] += 1
-        return extend_rref(red, row)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("solvlie") and \
-                getattr(mod, "extend_rref", None) is extend_rref:
-            monkeypatch.setattr(mod, "extend_rref", counted_extend_rref)
-    functionals._integer.cache_clear()
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
-    verdicts = [Workbench(spec).verdict().verdict for spec in specs]
-    monkeypatch.undo()
+    with Work() as work:
+        work.fractions()
+        work.calls(linalg, "extend_rref")
+        verdicts = [Workbench(spec).verdict().verdict for spec in specs]
     assert len(set(verdicts)) == 3, verdicts
     assert work["fraction"] <= 1_085, work
     assert work["extend_rref"] <= 868, work
     print(f"\nPASS criterion 1, verdict: specgen seed 1 with "
           f"{work['fraction']} Fraction constructions, "
           f"{work['extend_rref']} extend_rref calls")
+
+
+def _dense_two_step_spec(m, k, seed=0):
+    """[X_a, X_b] = sum_c t_abc Z_c with each t_abc drawn from [-3, 3], and
+    one dilation with weight 1 on each X_a and 2 on each Z_c: a random
+    dense 2-step algebra on m + k basis vectors."""
+    rng = random.Random(seed)
+    xs = [f"X{a + 1}" for a in range(m)]
+    zs = [f"Z{c + 1}" for c in range(k)]
+    brackets = []
+    for a, b in combinations(range(m), 2):
+        value = [{"c": str(t), "b": z} for z in zs
+                 for t in [rng.randint(-3, 3)] if t]
+        if value:
+            brackets.append({"x": xs[a], "y": xs[b], "value": value})
+    brackets += [{"x": "A", "y": x, "value": [{"c": "1", "b": x}]} for x in xs]
+    brackets += [{"x": "A", "y": z, "value": [{"c": "2", "b": z}]} for z in zs]
+    return spec_from_dict({"name": f"dense-two-step-{m}-{k}",
+                           "n_basis": zs + xs, "h_basis": ["A"],
+                           "brackets": brackets})
+
+
+# one seeded spec per family (ROADMAP item 17), each with the bounds of
+# its gcd-reduced results and rref calls in one Workbench(spec).verdict(),
+# 1.25x the counts measured on the spec as built here
+FAMILIES = {
+    # measured 484,405 and 12
+    "dense-center-40": (lambda: _dense_center_spec(40), 605_506, 15),
+    # measured 120,764 and 12
+    "dense-two-step-24-6": (lambda: _dense_two_step_spec(24, 6), 150_955, 15),
+    # measured 3,430 and 69
+    "filiform-60": (lambda: _specgen_spec("filiform", 60, 2), 4_287, 86),
+    # all 28 pairs of 8 generators, a 3-dim torus; measured 4,990 and 12
+    "free-two-step-8": (lambda: _specgen_spec(
+        "two-step", (8, list(combinations(range(8), 2))), 3), 6_237, 15),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_criterion_1_verdict_exact_work_per_family(family):
+    make, max_reduced, max_rref = FAMILIES[family]
+    spec = make()
+    with Work() as work:
+        work.calls(gaussian, "_reduced")
+        work.calls(linalg, "rref")
+        assert Workbench(spec).verdict().verdict == "ADMISSIBLE"
+    assert work["_reduced"] <= max_reduced, work
+    assert work["rref"] <= max_rref, work
+    print(f"\nPASS criterion 1, {family}: verdict with {work['_reduced']} "
+          f"gcd-reduced results, {work['rref']} rref calls")
 
 
 def test_criterion_2_section_vector_formulas_exact():

@@ -206,7 +206,7 @@ def _assert_stabilizer_matches_oracle(wb):
     want = section_oracle.stabilizer_data(wb.spec, wb.basis, wb.n_layer)
     assert (got.nu, got.k_subalg, got.a_basis, got.phi) == \
         (want.nu, want.k_subalg, want.a_basis, want.phi)
-    assert all(isinstance(x, Fraction) for a in got.a_basis for x in a)
+    assert all(isinstance(x, GaussianRational) for a in got.a_basis for x in a)
 
 
 @pytest.mark.parametrize("entry_id", VALID_IDS)

@@ -62,8 +62,8 @@ def _failing(wb, f):
             out.append((name, Functional.from_adapted(basis, zs)))
     nd = basis.spec.n_dim
     for a in oracle.stab.a_basis:
-        out.append(("h part", Functional(basis, list(f.values[:nd]) + list(a),
-                                         exact=True)))
+        out.append(("h part", Functional(
+            basis, list(f.values[:nd]) + [c.re for c in a], exact=True)))
     return out
 
 
