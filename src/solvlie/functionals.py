@@ -44,14 +44,30 @@ class RealityError(ValueError):
     pass
 
 
+def _real_fraction(k: int, v) -> Fraction:
+    """values[k] of an exact point as a Fraction; a GaussianRational must
+    be real."""
+    try:
+        return Fraction(v)
+    except TypeError:
+        z = GaussianRational.coerce(v)
+    if not z.is_real():
+        raise RealityError(f"values[{k}] of an exact point is not real: {z}")
+    return z.re
+
+
 class Functional:
     __slots__ = ("basis", "values", "exact")
 
     def __init__(self, basis: AdaptableBasis, values: Sequence, exact: bool):
         self.basis = basis
         if exact:
-            self.values = tuple(Fraction(v) if not isinstance(v, Fraction) else v
-                                for v in values)
+            try:
+                self.values = tuple(v if isinstance(v, Fraction) else Fraction(v)
+                                    for v in values)
+            except TypeError:
+                self.values = tuple(_real_fraction(k, v)
+                                    for k, v in enumerate(values))
         else:
             self.values = tuple(float(v) for v in values)
         self.exact = exact

@@ -57,6 +57,15 @@ def case_table(jd):
     return _case_table(jd.basis, jd.ambient, jd.i_seq, jd.j_seq)
 
 
+def descriptor_outcome(descriptor, f, basis, ambient):
+    """descriptor(f, basis, ambient) as a dict, or the name of the
+    ValueError it raises."""
+    try:
+        return descriptor(f, basis, ambient).as_dict()
+    except ValueError as exc:
+        return type(exc).__name__
+
+
 def moving_weights(f, a):
     """The (j, gamma_j(a)) at the adapted j where the exact point f has
     l(Z_j) != 0 and gamma_j(a) != 0, read exactly from ``basis.weights``

@@ -9,6 +9,7 @@ the case table as it was before the per-key table of
 compare the two on corpus points, seeded points and flowed float points,
 reading the library's adapted coordinates over the real basis through
 ``real_vector`` (sum_p x_p Z_{p+1}) and ``real_section_vectors``.
+``layer_descriptor`` builds a sample's descriptor from both.
 ``pointwise_stabilizer`` is the little group read at one point.
 ``contains`` is section membership as the library decided it before it
 tested the coordinate equations first: the reduction and the section
@@ -32,8 +33,8 @@ from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational, ZERO
 from solvlie.linalg import Subspace, is_zero
 from solvlie.sections import NormalizationFailedError, StabilizerData
-from solvlie.strata import (JumpData, LayerMismatchError, UnsupportedCaseError,
-                            jump_data)
+from solvlie.strata import (JumpData, LayerDescriptor, LayerMismatchError,
+                            UnsupportedCaseError, jump_data)
 
 
 _PARTS = weakref.WeakKeyDictionary()   # basis -> {exact: _mode_parts}
@@ -317,6 +318,18 @@ def section_vectors(l: Functional, basis: Optional[AdaptableBasis] = None,
             raise LayerMismatchError(f"b value at index {ik} is singular")
         sv.b_at[ik] = gamma / denom
     return sv
+
+
+def layer_descriptor(f: Functional, basis: AdaptableBasis,
+                     ambient: str) -> LayerDescriptor:
+    """``strata.layer_descriptor`` with a fresh ``layer_data`` table and
+    the real-basis section vectors, for one sample."""
+    jd = jump_data(f, basis, ambient)
+    sv = section_vectors(f, basis, jd, ambient)
+    stable, primes, cases = layer_data(basis, jd, basis.ambient(ambient))
+    return LayerDescriptor(ambient=ambient, e_set=jd.e_set, i_seq=jd.i_seq,
+                           j_seq=jd.j_seq, stable_set=stable, primes=primes,
+                           case_sets=cases, phi=tuple(sorted(sv.b_at)))
 
 
 def contains(oracle, f: Functional) -> bool:

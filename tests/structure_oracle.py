@@ -10,10 +10,13 @@ eliminate with the dense routines of ``rref_oracle``. The library builds
 both from sparse rows (``AdaptableBasis.terms``, ``spec.brackets``);
 the tests compare the structure constants (keys and entries in order), the
 weights, sigma and alpha, and the levels, or the error raised.
+``jacobi_failures`` lists the triples on which the Jacobi sum of dense
+brackets is nonzero.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -190,3 +193,17 @@ def central_series(spec) -> List[List[List[GaussianRational]]]:
         levels.append(rref_kernel(ann, pivots, nd))
         dim = nd - len(pivots)
     return levels
+
+
+def jacobi_failures(spec):
+    """Every basis triple (in itertools.combinations order) on which the
+    Jacobi sum of dense brackets is nonzero."""
+    br = spec.bracket
+    out = []
+    for a, b, c in itertools.combinations(range(spec.dim), 3):
+        x, y, z = (spec.basis_vector(i) for i in (a, b, c))
+        total = [p + q + r for p, q, r in zip(br(br(x, y), z), br(br(y, z), x),
+                                              br(br(z, x), y))]
+        if any(total):
+            out.append(tuple(spec.names[i] for i in (a, b, c)))
+    return out

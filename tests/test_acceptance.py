@@ -4,18 +4,17 @@ Every tolerance is pinned here; the suite prints one line per criterion so
 a plain `pytest -s tests/test_acceptance.py` reads as a checklist.
 """
 
-import importlib.util
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
 from conftest import VALID_IDS, corpus_entry, point, sample_element, wb_for
 from disintegration_oracle import (within_standard_errors,
                                    workbench_disintegration)
+from gen_specs import dense_center_spec, generated_doc, specgen
 from pfaffian_oracle import det
 from section_oracle import pointwise_stabilizer, real_section_vectors
 from solvlie import admissibility as adm, gaussian, linalg, strata
@@ -29,13 +28,8 @@ from solvlie.sections import (UnsupportedLayerError, h_project,
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
                             jump_data, pfaffian, section_vectors)
 from solvlie.workbench import Workbench
-from test_pfaffian_equivalence import _dense_center_spec
 from work_budget import Work
 
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
 
 VERDICTS = {
     "heisenberg-2param": "NOT_ADMISSIBLE_CENTER_MEETS_H",
@@ -68,7 +62,7 @@ def test_criterion_1_dense_center_verdict_at_32_under_one_second():
     # fraction-free polarization replay must keep its integers bounded
     best = float("inf")
     for _ in range(2):
-        spec = _dense_center_spec(32)
+        spec = dense_center_spec(32)
         t0 = time.perf_counter()
         ver = Workbench(spec).verdict()
         best = min(best, time.perf_counter() - t0)
@@ -87,7 +81,7 @@ def test_criterion_1_dense_center_exact_work_at_32():
     # its division back to the minors (565 of them), with |p|^2 up to 380
     # bits. The bounds are 1.25x the counts of an earlier verdict, 247,682
     # and 18, and 2x the bits (an unbounded replay reached 607,812 bits)
-    spec = _dense_center_spec(32)
+    spec = dense_center_spec(32)
     with Work() as work:
         work.calls(gaussian, "_reduced")
         work.calls(linalg, "rref")
@@ -109,9 +103,8 @@ def test_criterion_1_dense_center_exact_work_at_32():
 def _specgen_spec(shape, structure, r):
     """The ADMISSIBLE spec of perfbench/specgen.py of this shape and torus
     rank r, drawn with Random(1)."""
-    doc, _ = specgen.make_spec(random.Random(1), shape, structure, r,
-                               specgen.ADMISSIBLE, f"{shape}-budget")
-    return spec_from_dict(doc)
+    return spec_from_dict(generated_doc(shape, structure, r, specgen.ADMISSIBLE,
+                                        1, f"{shape}-budget"))
 
 
 def test_criterion_1_front_half_exact_work_on_filiform_60():
@@ -182,7 +175,7 @@ def _dense_two_step_spec(m, k, seed=0):
 # 1.25x the counts measured on the spec as built here
 FAMILIES = {
     # measured 484,405 and 12
-    "dense-center-40": (lambda: _dense_center_spec(40), 605_506, 15),
+    "dense-center-40": (lambda: dense_center_spec(40), 605_506, 15),
     # measured 120,764 and 12
     "dense-two-step-24-6": (lambda: _dense_two_step_spec(24, 6), 150_955, 15),
     # measured 3,430 and 69

@@ -1,11 +1,10 @@
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from conftest import VALID_IDS, corpus_entry, wb_for
+from gen_specs import specgen
 from jump_oracle import flag
 from section_oracle import _self_conjugate_steps
 from solvlie.adapted import HintInvalidError, build_adaptable_basis
@@ -189,13 +188,7 @@ def test_hint_failure_reports_condition_and_step(case):
     assert str(err.value) == f"adapted-basis condition {condition} fails: {message}"
 
 
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-
-
 def _generated_specs(seeds):
-    gen = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-    specgen = importlib.util.module_from_spec(gen)
-    gen.loader.exec_module(specgen)
     return [spec_from_dict(doc) for seed in seeds
             for doc, _ in specgen.generate(seed)]
 

@@ -8,23 +8,16 @@ Workbench's canonical basis is checked against a full oracle verification.
 """
 
 import hashlib
-import importlib.util
-import random
-from pathlib import Path
 
 import pytest
 
 from adapted_oracle import construct, verify
 from conftest import VALID_IDS, corpus_entry, wb_for
+from gen_specs import FILIFORM_WIDE, SHAPES, generated_spec
 from solvlie.adapted import build_adaptable_basis
-from solvlie.algebra import SpecFormatError, spec_from_dict
+from solvlie.algebra import SpecFormatError
 from solvlie.corpus import corpus_entries
 from solvlie.gaussian import GaussianRational as G
-
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
 
 
 def _parses(entry):
@@ -37,38 +30,13 @@ def _parses(entry):
 
 PARSED_IDS = [e.entry_id for e in corpus_entries() if _parses(e)]
 
-# (shape, structure, r, verdict, seed); n_dim 6 to 12
-GENERATED = [
-    ("filiform", 6, 2, specgen.CENTER, 1),
-    ("filiform", 9, 1, specgen.ADMISSIBLE, 2),
-    ("filiform", 12, 2, specgen.UNIMODULAR, 3),
-    ("two-step", (4, ((0, 1), (2, 3))), 1, specgen.ADMISSIBLE, 4),
-    ("two-step", (5, ((0, 1), (1, 2), (3, 4))), 2, specgen.CENTER, 5),
-    ("two-step", (6, ((0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (0, 5))), 3,
-     specgen.ADMISSIBLE, 6),
-    ("two-step", (8, tuple((a, a + 1) for a in range(7)) + ((0, 7), (1, 4), (2, 6))),
-     2, specgen.ADMISSIBLE, 9),
-]
-
-# wider filiform chains: the built basis is checked against the oracle's
-# construction, and its vectors against the SHA-256 of what the construction
-# that re-split every level gave
-FILIFORM_WIDE = [
-    (24, 2, specgen.ADMISSIBLE, 7,
-     "50b20ed362813719fd3ce220a9fb958e005275248bae7432309e5f3d6815ad70"),
-    (40, 2, specgen.CENTER, 8,
-     "444cb3e475ad4a72d10ce93d76cf053c66384274123741d759e90794f5270100"),
-]
-
-# the wider specs the central-series and weight-oracle tests also run
-WIDER = [c[:5] for c in GENERATED[-1:]] + [
-    ("filiform", n, r, verdict, seed) for n, r, verdict, seed, _ in FILIFORM_WIDE]
-
-
-def generated_spec(shape, structure, r, verdict, seed):
-    doc, _ = specgen.make_spec(random.Random(seed), shape, structure, r,
-                               verdict, f"gen-{shape}")
-    return spec_from_dict(doc)
+# the wide filiform chains of FILIFORM_WIDE by n: the built basis is checked
+# against the oracle's construction, and its vectors against the SHA-256 of
+# what the construction that re-split every level gave
+DIGESTS = {
+    24: "50b20ed362813719fd3ce220a9fb958e005275248bae7432309e5f3d6815ad70",
+    40: "444cb3e475ad4a72d10ce93d76cf053c66384274123741d759e90794f5270100",
+}
 
 
 def _outcome(fn):
@@ -92,7 +60,7 @@ def test_corpus_basis_matches_oracle(entry_id, use_hint):
     _assert_agree(spec, spec.adaptable_hint if use_hint else None)
 
 
-@pytest.mark.parametrize("shape,structure,r,verdict,seed", GENERATED)
+@pytest.mark.parametrize("shape,structure,r,verdict,seed", SHAPES)
 def test_generated_basis_matches_oracle(shape, structure, r, verdict, seed):
     _assert_agree(generated_spec(shape, structure, r, verdict, seed), None)
 
@@ -102,13 +70,13 @@ def _digest(vectors):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("n,r,verdict,seed,digest", FILIFORM_WIDE,
+@pytest.mark.parametrize("n,r,verdict,seed", FILIFORM_WIDE,
                          ids=[f"filiform-{c[0]}" for c in FILIFORM_WIDE])
-def test_wide_filiform_basis_verifies_and_is_unchanged(n, r, verdict, seed, digest):
+def test_wide_filiform_basis_verifies_and_is_unchanged(n, r, verdict, seed):
     spec = generated_spec("filiform", n, r, verdict, seed)
     basis = build_adaptable_basis(spec)
     assert _outcome(lambda: basis) == _outcome(lambda: construct(spec))
-    assert _digest(basis.vectors) == digest
+    assert _digest(basis.vectors) == DIGESTS[n]
 
 
 @pytest.mark.parametrize("entry_id", VALID_IDS)

@@ -9,6 +9,7 @@ import disintegration_oracle
 from conftest import VALID_IDS, corpus_entry, point, wb_for
 from disintegration_oracle import (within_standard_errors,
                                    workbench_disintegration)
+from gen_specs import dense_center_spec
 from solvlie import admissibility as adm
 from solvlie.adapted import build_adaptable_basis
 from solvlie.algebra import HypothesisViolation, spec_from_dict
@@ -16,7 +17,6 @@ from solvlie.functionals import Functional
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import UnsupportedLayerError, sample_sigma_circ
 from solvlie.workbench import Workbench
-from test_pfaffian_equivalence import _dense_center_spec
 
 
 # -- center ---------------------------------------------------------------------
@@ -302,7 +302,7 @@ def test_disintegration_unsupported_corpus_layers(entry_id):
 
 @pytest.mark.parametrize("m", [8, 10, 12, 14, 16])
 def test_disintegration_constant_dense_center(m):
-    wb = Workbench(_dense_center_spec(m))
+    wb = Workbench(dense_center_spec(m))
     assert len(wb.n_layer.e_set) == m
     assert wb.disintegration() == 1
 

@@ -7,22 +7,16 @@ specs of perfbench/specgen.py at seeds 1-10 against the bracket list of each
 spec document, which is the oracle here.
 """
 
-import importlib.util
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from conftest import corpus_file_text
+from gen_specs import specgen
 from solvlie.algebra import LieAlgebraSpec, SpecFormatError, spec_from_dict
 from solvlie.corpus import corpus_entries
 from solvlie.gaussian import GaussianRational as G
-
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
 
 
 def _documents():

@@ -9,18 +9,12 @@ row for row the same, and the verdict must follow dim z(g) cap h on both
 verdict classes of the paper's rule that the center decides.
 """
 
-import importlib.util
-from pathlib import Path
 
 import center_oracle
+from gen_specs import specgen
 from solvlie import admissibility as adm
 from solvlie.algebra import SpecFormatError, spec_from_dict, validate_spec
 from solvlie.corpus import corpus_entries
-
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
 
 
 def _specs():

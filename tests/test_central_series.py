@@ -13,10 +13,8 @@ of its rank/solve construction (``section_oracle.stabilizer_data``)
 exactly on every valid corpus spec and on generated specs.
 """
 
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +23,7 @@ import central_series_oracle
 import section_oracle
 from central_series_oracle import lower_central_series_terminates
 from conftest import VALID_IDS, wb_for
+from gen_specs import WIDER, generated_spec, specgen
 from solvlie import algebra
 from solvlie.adapted import ConstructionFailedError, build_adaptable_basis
 from solvlie.algebra import (HypothesisViolation, LieAlgebraSpec,
@@ -34,12 +33,6 @@ from solvlie.gaussian import GaussianRational
 from solvlie.linalg import Subspace, extend_echelon
 from solvlie.sections import stabilizer_data
 from solvlie.workbench import Workbench
-from test_adapted_equivalence import WIDER, generated_spec
-
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
 
 
 def _solv2():

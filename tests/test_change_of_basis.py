@@ -16,12 +16,12 @@ import random
 from fractions import Fraction
 
 from conftest import VALID_IDS, corpus_entry
+from gen_specs import specgen
 from rref_oracle import invert
 from solvlie import algebra
 from solvlie.algebra import LieAlgebraSpec, spec_from_dict
 from solvlie.gaussian import GaussianRational, ZERO
 from solvlie.workbench import Workbench
-from test_layer_memo import specgen
 
 GR1 = GaussianRational(1)
 

@@ -14,6 +14,7 @@ from solvlie.functionals import (Functional, NotUnipotentError,
                                  RealityError, exp_h_coadjoint,
                                  exp_unipotent_coadjoint, sample_functional)
 from solvlie.gaussian import GaussianRational as G
+from work_budget import Work
 
 
 def _nilpotent_exp_oracle(spec, x_vec, l):
@@ -256,28 +257,26 @@ def test_from_adapted_matches_solve_route(entry_id):
                 Functional.from_adapted(basis, bad)
 
 
-def test_one_eigenbasis_per_spec(monkeypatch):
+def test_one_eigenbasis_per_spec():
     # the dilation flow builds the eigen rows and the inverse of their n
     # block once per spec, across flows of float and exact points
     from solvlie import algebra
     from solvlie.workbench import Workbench
 
-    calls = []
-    real = algebra.eigenbasis
-    monkeypatch.setattr(algebra, "eigenbasis",
-                        lambda spec: calls.append(spec) or real(spec))
-    wb = Workbench(corpus_entry("heisenberg-2param").spec())
-    spec, basis = wb.spec, wb.canonical_basis
-    rng = random.Random(27)
-    for t in (0.5, -1.25, 2.0):
-        l = sample_functional(basis, rng, support="g")
-        a = [0.0] * spec.dim
-        a[spec.index("A")] = t
-        exp_h_coadjoint(spec, a, l, mode="float")
-    b = [G(0)] * spec.dim
-    b[spec.index("B")] = G(3)
-    exp_h_coadjoint(spec, b, point(wb, Z=9))
-    assert len(calls) == 1
+    with Work() as work:
+        work.calls(algebra, "eigenbasis")
+        wb = Workbench(corpus_entry("heisenberg-2param").spec())
+        spec, basis = wb.spec, wb.canonical_basis
+        rng = random.Random(27)
+        for t in (0.5, -1.25, 2.0):
+            l = sample_functional(basis, rng, support="g")
+            a = [0.0] * spec.dim
+            a[spec.index("A")] = t
+            exp_h_coadjoint(spec, a, l, mode="float")
+        b = [G(0)] * spec.dim
+        b[spec.index("B")] = G(3)
+        exp_h_coadjoint(spec, b, point(wb, Z=9))
+    assert work["eigenbasis"] == 1
 
 
 def test_eigen_rows_inverted_once_per_spec(monkeypatch):

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import pytest
 
+from gen_specs import degenerate_points, specgen
 import jump_oracle
 import pfaffian_oracle
 from conftest import VALID_IDS, exact_reduction, form_values, wb_for
@@ -36,8 +37,7 @@ from solvlie.gaussian import GaussianRational
 from solvlie.strata import (OddDimensionError, _form_table, _sample_key,
                             _skew_reduce, jump_data, pfaffian)
 from solvlie.workbench import Workbench
-from test_layer_memo import specgen
-from test_plain_layers import _degenerate_points
+from work_budget import Work
 
 G = GaussianRational
 
@@ -109,7 +109,7 @@ def test_degenerate_points_on_the_corpus(entry_id, limit):
     wb = wb_for(entry_id)
     seed = 40 + VALID_IDS.index(entry_id)
     for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
-        for f in _degenerate_points(basis, ambient, seed):
+        for f in degenerate_points(basis, ambient, seed):
             _check_point(f, basis, ambient, with_recursion=True)
 
 
@@ -118,32 +118,25 @@ def test_degenerate_points_on_generated_specs(seed, limit):
     for k, (doc, _) in enumerate(specgen.generate(seed)):
         basis = Workbench(spec_from_dict(doc)).basis
         for ambient in ("n", "g"):
-            for f in _degenerate_points(basis, ambient, 10 * seed + k):
+            for f in degenerate_points(basis, ambient, 10 * seed + k):
                 _check_point(f, basis, ambient, with_recursion=False)
 
 
 @pytest.mark.parametrize("complex_entries", (False, True))
-def test_dense_forms_divide_back_to_the_minors(complex_entries, monkeypatch):
+def test_dense_forms_divide_back_to_the_minors(complex_entries):
     # dense 12 x 12 Gaussian-integer forms with entries up to 10^4 pass
     # the default threshold within a few steps; the division back to the
     # minors is counted through the one exact division the kernel uses
-    real_divide = strata._divide
-    calls = [0]
-
-    def counted(x, y):
-        calls[0] += 1
-        return real_divide(x, y)
-
-    monkeypatch.setattr(strata, "_divide", counted)
     rng = random.Random(31 + complex_entries)
     for _ in range(3):
         m = _random_skew(rng, 12, complex_entries, max_den=1,
                          bound=10 ** 4, zeros=0.0)
         rows = [{q: (x if complex_entries else int(x.re))
                  for q, x in enumerate(row) if x} for row in m]
-        calls[0] = 0
-        i_seq, j_seq, steps = _skew_reduce(rows)
-        assert calls[0] > 0
+        with Work() as work:
+            work.calls(strata, "_divide")
+            i_seq, j_seq, steps = _skew_reduce(rows)
+        assert work["_divide"] > 0
         want = jump_oracle._skew_reduce([list(row) for row in m], None)
         assert [i_seq, j_seq, *exact_reduction(steps, 1)] == list(want)
         assert pfaffian(m) ** 2 == pfaffian_oracle.det(m)

@@ -6,7 +6,9 @@ imaginary sums. The reference below is the replaced route: each value a
 ``GaussianRational`` sum over the stored inverse rows, reality tested on
 the sums, the values read back through ``re``. On the corpus bases (built
 and canonical), with int, ``Fraction`` and ``GaussianRational`` values,
-both must return the same values or both raise ``RealityError``.
+both must return the same values or both raise ``RealityError``. An
+exact ``Functional`` built directly takes real ``GaussianRational`` values
+as the Fractions of their values.
 """
 
 import random
@@ -88,3 +90,16 @@ def test_from_adapted_checks_its_arguments():
     with pytest.raises(TypeError):
         Functional.from_adapted(basis, [0.5] * basis.dim)
 
+
+
+def test_exact_functional_reads_real_gaussian_rationals():
+    # real values on the real basis, given as GaussianRationals, are kept
+    # as the Fractions of their values; a non-real one is named
+    basis = wb_for("spiral-heisenberg").basis
+    values = [G(Fraction(k, 3)) for k in range(basis.dim)]
+    f = Functional(basis, values, exact=True)
+    assert f.values == tuple(Fraction(k, 3) for k in range(basis.dim))
+    assert all(type(x) is Fraction for x in f.values)
+    values[2] = G(1, 1)
+    with pytest.raises(RealityError, match=r"values\[2\]"):
+        Functional(basis, values, exact=True)

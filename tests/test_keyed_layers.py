@@ -13,7 +13,7 @@ p |p|^2 in case 1, and that a block's pairings are -|P|^2 and
 -|p_k p_{k+1}|^2 / (16 |P|^2), where 2 P is the sum of the entries
 (i_k, j_k) and (i_k + 1, j_k) of the reduced form at step k and
 |2 P| >= |p_{k+1}|. These identities, phi and the whole descriptor
-(against ``test_layer_memo.oracle_descriptor``) are checked here at
+(against ``section_oracle.layer_descriptor``) are checked here at
 degenerate points with coordinates in {-1, 0, 1} and 30 % zeros, on both
 ambients: on the valid corpus entries and on hand-made specs outside the
 corpus, two for each newly keyed class, and at float points moved by the
@@ -32,15 +32,16 @@ import random
 
 import pytest
 
-from conftest import VALID_IDS, case_table, wb_for
+from conftest import VALID_IDS, case_table, descriptor_outcome, wb_for
+from gen_specs import (COMPLEX_HINT, degenerate_points,
+                       double_heisenberg_with_v, pair_hint, real_hint)
 from jump_oracle import _orbit_form, _skew_reduce
 from section_oracle import layer_data as oracle_layer_data
+from section_oracle import layer_descriptor as oracle_descriptor
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
 from solvlie.strata import jump_data, layer_descriptor, section_vectors
 from solvlie.workbench import Workbench
-from test_layer_memo import oracle_descriptor
-from test_plain_layers import _degenerate_points, _outcome
 
 # the valid entries whose generic layer is keyed, in n* and in g* alike
 KEYED = set(VALID_IDS)
@@ -92,10 +93,10 @@ def _check(wb, seed):
     keyed layers, per ambient."""
     seen = {"n": set(), "g": set()}
     for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
-        for f in _degenerate_points(basis, ambient, seed):
-            got = _outcome(layer_descriptor, f, basis, ambient)
-            assert got == _outcome(oracle_descriptor, f, basis, ambient), \
-                (ambient, f.values)
+        for f in degenerate_points(basis, ambient, seed):
+            got = descriptor_outcome(layer_descriptor, f, basis, ambient)
+            assert got == descriptor_outcome(oracle_descriptor, f, basis,
+                                             ambient), (ambient, f.values)
             jd = jump_data(f, basis, ambient)
             classes = _classes(jd)
             table = case_table(jd)
@@ -141,15 +142,6 @@ def _rotation(x, y, a, b):
                                          {"c": str(a), "b": y}]}]
 
 
-def _complex_pair(x, y):
-    return [{"label": f"{x}+", "value": [{"c": "1", "b": x}, {"c": "1 i", "b": y}]},
-            {"label": f"{x}-", "value": [{"c": "1", "b": x}, {"c": "-1 i", "b": y}]}]
-
-
-def _real(x):
-    return [{"label": f"{x}r", "value": [{"c": "1", "b": x}]}]
-
-
 def _coupled_pairs(a, b, c):
     """coupled-pairs with the X and Z planes turned by a + ib and Y of
     weight c (so Z by a + c + ib): case 0 with Z_{j_k} complex on n*, and
@@ -162,8 +154,8 @@ def _coupled_pairs(a, b, c):
             {"x": "X2", "y": "Y", "value": [{"c": "1", "b": "Z2"}]},
             {"x": "A", "y": "Y", "value": [{"c": str(c), "b": "Y"}]},
         ] + _rotation("X1", "X2", a, b) + _rotation("Z1", "Z2", a + c, b),
-        "adaptable_hint": (_complex_pair("Z1", "Z2") + _real("Y")
-                           + _complex_pair("X1", "X2"))}
+        "adaptable_hint": (pair_hint("Z1", "Z2") + real_hint("Y")
+                           + pair_hint("X1", "X2"))}
 
 
 def _complex_dilation(a, b):
@@ -176,7 +168,7 @@ def _complex_dilation(a, b):
             {"x": "X", "y": "Y", "value": [{"c": "1", "b": "Z"}]},
             {"x": "A", "y": "Z", "value": [{"c": str(2 * a), "b": "Z"}]},
         ] + _rotation("X", "Y", a, b),
-        "adaptable_hint": _real("Z") + _complex_pair("X", "Y")}
+        "adaptable_hint": real_hint("Z") + pair_hint("X", "Y")}
 
 
 def _spiral_plane(a, b, d):
@@ -190,8 +182,8 @@ def _spiral_plane(a, b, d):
         "name": f"spiral-plane-heisenberg-{a}-{b}-{d}",
         "n_basis": ["U1", "U2", "Z", "Y", "X"], "h_basis": ["A"],
         "brackets": brackets + _rotation("U1", "U2", a, b),
-        "adaptable_hint": (_complex_pair("U1", "U2") + _real("Z") + _real("Y")
-                           + _real("X"))}
+        "adaptable_hint": (pair_hint("U1", "U2") + real_hint("Z") + real_hint("Y")
+                           + real_hint("X"))}
 
 
 def _complex_heisenberg():
@@ -200,10 +192,6 @@ def _complex_heisenberg():
             {"x": "X2", "y": "Y2", "value": [{"c": "-1", "b": "Z1"}]},
             {"x": "X1", "y": "Y2", "value": [{"c": "1", "b": "Z2"}]},
             {"x": "X2", "y": "Y1", "value": [{"c": "1", "b": "Z2"}]}]
-
-
-_COMPLEX_HINT = (_complex_pair("Z1", "Z2") + _complex_pair("Y1", "Y2")
-                 + _complex_pair("X1", "X2"))
 
 
 def _turned_heisenberg(a, b, c, d):
@@ -216,7 +204,7 @@ def _turned_heisenberg(a, b, c, d):
         "brackets": (_complex_heisenberg() + _rotation("X1", "X2", a, b)
                      + _rotation("Y1", "Y2", c, d)
                      + _rotation("Z1", "Z2", a + c, b + d)),
-        "adaptable_hint": _COMPLEX_HINT}
+        "adaptable_hint": COMPLEX_HINT}
 
 
 def _block_then_dilation(a, b, d):
@@ -230,7 +218,7 @@ def _block_then_dilation(a, b, d):
                      + _rotation("Y1", "Y2", -a, -b)
                      + [{"x": "A", "y": "U",
                          "value": [{"c": str(d), "b": "U"}]}]),
-        "adaptable_hint": _COMPLEX_HINT + _real("U")}
+        "adaptable_hint": COMPLEX_HINT + real_hint("U")}
 
 
 def _block_beside_heisenberg(real_first):
@@ -243,8 +231,8 @@ def _block_beside_heisenberg(real_first):
             {"x": "A", "y": "Y3", "value": [{"c": "1", "b": "Y3"}]}]
     hint = []
     for level in ("Z", "Y", "X"):
-        pair = _complex_pair(f"{level}1", f"{level}2")
-        real_part = _real(f"{level}3")
+        pair = pair_hint(f"{level}1", f"{level}2")
+        real_part = real_hint(f"{level}3")
         hint += real_part + pair if real_first else pair + real_part
     first = "real" if real_first else "complex"
     return {
@@ -391,19 +379,8 @@ def test_no_block_where_two_p_vanishes():
     jd = jump_data(f, basis, "n")
     assert (jd.i_seq, jd.j_seq) == ((3,), (5,))
     assert not case_table(jd).blocks
-    assert _outcome(layer_descriptor, f, basis, "n") == \
-        _outcome(oracle_descriptor, f, basis, "n")
-
-
-def double_heisenberg_with_v():
-    """double-heisenberg with a real V and [V, Y2] = Z1."""
-    return {
-        "name": "double-heisenberg-with-v",
-        "n_basis": ["Z1", "Z2", "Y1", "Y2", "X1", "X2", "V"], "h_basis": [],
-        "brackets": [{"x": "X1", "y": "Y1", "value": [{"c": "1", "b": "Z1"}]},
-                     {"x": "X2", "y": "Y2", "value": [{"c": "1", "b": "Z2"}]},
-                     {"x": "V", "y": "Y2", "value": [{"c": "1", "b": "Z1"}]}],
-        "adaptable_hint": _COMPLEX_HINT + _real("V")}
+    assert descriptor_outcome(layer_descriptor, f, basis, "n") == \
+        descriptor_outcome(oracle_descriptor, f, basis, "n")
 
 
 def test_case_four_outside_a_block_stays_unkeyed(monkeypatch):
@@ -419,17 +396,17 @@ def test_case_four_outside_a_block_stays_unkeyed(monkeypatch):
     assert _classes(jd) == ["case 4", "case None"]
     table = case_table(jd)
     assert not table.keyed and not table.blocks
-    want = _outcome(oracle_descriptor, f, basis, "n")
+    want = descriptor_outcome(oracle_descriptor, f, basis, "n")
     assert want == "UnsupportedCaseError"
     calls = _counting_section_vectors(monkeypatch)
-    assert _outcome(layer_descriptor, f, basis, "n") == want
+    assert descriptor_outcome(layer_descriptor, f, basis, "n") == want
     assert calls == [f]
     # its degenerate points agree with the oracle on both ambients (h is
     # 0 here)
     for ambient in ("n", "g"):
-        for f in _degenerate_points(basis, ambient, seed=4):
-            assert _outcome(layer_descriptor, f, basis, ambient) == \
-                _outcome(oracle_descriptor, f, basis, ambient), f.values
+        for f in degenerate_points(basis, ambient, seed=4):
+            assert descriptor_outcome(layer_descriptor, f, basis, ambient) == \
+                descriptor_outcome(oracle_descriptor, f, basis, ambient), f.values
     # the unsupported layer ((3, 4, 5, 7), (5, 7)) sorts after the keyed
     # block layer ((3, 4, 5, 6), (5, 6)), which wins on seeds 0-9;
     # generic_layer describes only the samples at or before the winning
@@ -462,7 +439,7 @@ def test_blocks_at_float_points_follow_section_vectors():
     spec = wb.spec
     seen = 0
     for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
-        for k, f in enumerate(_degenerate_points(basis, ambient, seed=11)):
+        for k, f in enumerate(degenerate_points(basis, ambient, seed=11)):
             a = [0] * spec.n_dim + [(k % 5 - 2) / 3]
             moved = exp_h_coadjoint(basis, a, f, mode="float")
             assert not moved.exact
@@ -471,14 +448,15 @@ def test_blocks_at_float_points_follow_section_vectors():
             if not (table.keyed and table.blocks):
                 continue
             seen += 1
-            got = _outcome(layer_descriptor, moved, basis, ambient)
+            got = descriptor_outcome(layer_descriptor, moved, basis, ambient)
             try:
                 phi = sorted(section_vectors(moved, basis, jd, ambient).b_at)
             except ValueError as exc:
                 assert got == type(exc).__name__, moved.values
             else:
                 assert got["phi"] == phi, moved.values
-            assert got == _outcome(oracle_descriptor, moved, basis, ambient)
+            assert got == descriptor_outcome(oracle_descriptor, moved, basis,
+                                             ambient)
     assert seen >= 8
 
 

@@ -9,8 +9,9 @@ case table from a memo on the basis (one table per ambient and jump pairs)
 and its section vectors from the sparse rows of the orbit form. The
 oracle path below evaluates every sample afresh instead: the per-sample
 ``generic_layer`` of ``generic_layer_oracle``, with a full descriptor per
-sample built from the real-basis section vectors of ``section_oracle`` and
-a new ``section_oracle.layer_data`` table. The two must pick the same
+sample (``section_oracle.layer_descriptor``) built from the real-basis
+section vectors of ``section_oracle`` and a new ``section_oracle.layer_data``
+table. The two must pick the same
 layer, in both ambients: on every valid corpus entry at three sampling
 seeds, and on the specs that ``perfbench/specgen.py`` generates for three
 seeds at the default sampling seed. On the specs of seeds 1-10 the
@@ -20,37 +21,17 @@ descriptor, which describes every sample. Nothing a caller does to a
 returned descriptor may reach a later result.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 import generic_layer_oracle
 from conftest import VALID_IDS, wb_for
-from section_oracle import layer_data as oracle_layer_data
-from section_oracle import section_vectors as oracle_section_vectors
+from gen_specs import GENERATED, specgen
+from section_oracle import layer_descriptor as oracle_descriptor
 from solvlie.algebra import spec_from_dict
-from solvlie.strata import LayerDescriptor, generic_layer, jump_data
+from solvlie.strata import generic_layer
 from solvlie.workbench import Workbench
 
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
-
 CORPUS_SEEDS = (1, 7, 42)
-GENERATED = [doc for seed in (1, 7, 13) for doc, _ in specgen.generate(seed)]
-
-
-def oracle_descriptor(f, basis, ambient):
-    """layer_descriptor with a fresh case table and the real-basis section
-    vectors, for one sample."""
-    jd = jump_data(f, basis, ambient)
-    sv = oracle_section_vectors(f, basis, jd, ambient)
-    stable, primes, cases = oracle_layer_data(basis, jd, basis.ambient(ambient))
-    return LayerDescriptor(ambient=ambient, e_set=jd.e_set, i_seq=jd.i_seq,
-                           j_seq=jd.j_seq, stable_set=stable, primes=primes,
-                           case_sets=cases, phi=tuple(sorted(sv.b_at)))
 
 
 def _outcome(layer, basis, ambient, seed):

@@ -15,11 +15,11 @@ reported value. This also runs the closure check and the flag pivots of
 import random
 
 from conftest import VALID_IDS, wb_for
+from gen_specs import specgen
 from solvlie.admissibility import multiplicity, polarization_data
 from solvlie.algebra import spec_from_dict
 from solvlie.sections import UnsupportedLayerError, sample_sigma_circ
 from solvlie.workbench import Workbench
-from test_layer_memo import specgen
 
 POINTS = 10
 SEEDS = range(1, 6)

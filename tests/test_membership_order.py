@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from gen_specs import double_heisenberg_with_v
 import section_oracle
 from conftest import SAMPLABLE_IDS, VALID_IDS, case_table, point, wb_for
 from solvlie.algebra import spec_from_dict
@@ -21,7 +22,6 @@ from solvlie.functionals import Functional, adapted_values
 from solvlie.sections import SectionOracle, sample_lambda_nu, sample_sigma_circ
 from solvlie.strata import LayerDescriptor, jump_data
 from solvlie.workbench import Workbench
-from test_keyed_layers import double_heisenberg_with_v
 
 KINDS = ("Lambda", "LambdaNu", "SigmaCirc", "Sigma")
 # the kinds whose section is cut out by each coordinate equation
@@ -63,7 +63,7 @@ def _failing(wb, f):
     nd = basis.spec.n_dim
     for a in oracle.stab.a_basis:
         out.append(("h part", Functional(
-            basis, list(f.values[:nd]) + [c.re for c in a], exact=True)))
+            basis, list(f.values[:nd]) + list(a), exact=True)))
     return out
 
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import VALID_IDS, form_values, wb_for
+from gen_specs import degenerate_points, specgen
 from jump_oracle import _orbit_form as dense_orbit_form
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import (Functional, exp_h_coadjoint,
@@ -36,8 +37,6 @@ from solvlie.gaussian import GaussianRational
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
                             jump_data, section_vectors)
 from solvlie.workbench import Workbench
-from test_layer_memo import specgen
-from test_plain_layers import _degenerate_points
 
 REL = 1e-12
 
@@ -136,7 +135,7 @@ def test_image_matches_dense_product_on_corpus(entry_id):
         for _ in range(8):
             _check(sample_functional(basis, rng, support=ambient), basis,
                    ambient, rng)
-        for f in _degenerate_points(basis, ambient, 60):
+        for f in degenerate_points(basis, ambient, 60):
             _check(f, basis, ambient, rng)
     spec = wb.spec
     if not spec.h_dim:

@@ -13,26 +13,20 @@ the same points and at sampled points of the entry without a Lambda_nu
 sampler.
 """
 
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import pfaffian_oracle
 from conftest import SAMPLABLE_IDS, VALID_IDS, sub_form, wb_for
+from gen_specs import dense_center_spec, specgen
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import sample_functional
 from solvlie.gaussian import GaussianRational as G
 from solvlie.sections import sample_lambda_nu
 from solvlie.strata import jump_data, pfaffian
 from solvlie.workbench import Workbench
-
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
 
 
 def _entry(rng, density):
@@ -137,35 +131,15 @@ def test_pivot_product_matches_expansion_on_generated_orbit_forms(seed):
             _assert_agree(m)
 
 
-def _dense_center_spec(m, seed=0):
-    """[X_a, X_b] = c_ab Z with every c_ab a nonzero integer; one dilation
-    with weight 1 on each X_a and 2 on Z. The generic jump set is every X,
-    so |e| = m, and the orbit form on it is l(Z) c: dense."""
-    rng = random.Random(seed)
-    xs = [f"X{a + 1}" for a in range(m)]
-    brackets = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            c = 0
-            while c == 0:
-                c = rng.randint(-5, 5)
-            brackets.append({"x": xs[a], "y": xs[b],
-                             "value": [{"c": str(c), "b": "Z"}]})
-    brackets += [{"x": "A", "y": x, "value": [{"c": "1", "b": x}]} for x in xs]
-    brackets.append({"x": "A", "y": "Z", "value": [{"c": "2", "b": "Z"}]})
-    return spec_from_dict({"name": f"dense-center-{m}", "n_basis": ["Z"] + xs,
-                           "h_basis": ["A"], "brackets": brackets})
-
-
 def test_dense_center_pfaffian_matches_expansion():
-    wb = Workbench(_dense_center_spec(10))
+    wb = Workbench(dense_center_spec(10))
     assert len(wb.n_layer.e_set) == 10
     for m in _lambda_nu_forms(wb, 3, 830):
         _assert_agree(m)
 
 
 def test_dense_center_plancherel_samples_square_to_det():
-    wb = Workbench(_dense_center_spec(14))
+    wb = Workbench(dense_center_spec(14))
     assert len(wb.n_layer.e_set) == 14
     samples = wb.plancherel_samples()["samples"]
     forms = list(_lambda_nu_forms(wb, len(samples), wb.seed + 5))
@@ -204,7 +178,7 @@ def test_jump_pfaffian_matches_expansion_on_generated_points(seed):
 def test_jump_pfaffian_matches_expansion_on_dense_center():
     # 945 terms of the expansion at |e| = 10, 135,135 at |e| = 14
     for m, count in ((10, 16), (14, 2)):
-        wb = Workbench(_dense_center_spec(m))
+        wb = Workbench(dense_center_spec(m))
         assert len(wb.n_layer.e_set) == m
         for f in _lambda_nu_points(wb, count, 860 + m):
             _assert_jump_pfaffian(f, wb.n_layer.e_set)

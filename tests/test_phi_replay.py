@@ -26,27 +26,20 @@ family that checks the zero outcome.
 """
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
 import phi_oracle
 from conftest import VALID_IDS, case_table, wb_for
+from gen_specs import GAUSSIAN, generic_draws, non_real, specgen, split
 from solvlie.algebra import spec_from_dict
-from solvlie.functionals import (Functional, _draw_integers, _integer_point,
-                                 exp_h_coadjoint)
+from solvlie.functionals import Functional, _integer_point, exp_h_coadjoint
 from solvlie.gaussian import GaussianRational
 from solvlie.linalg import FLOAT_TOL
 from solvlie.strata import (_form_table, _reduction_phi, _sample_key,
                             jump_data)
 from solvlie.workbench import Workbench
-from test_layer_memo import specgen
-
-# corpus entries whose canonical basis has complex h-pair weights and whose
-# reductions meet non-real pivots
-GAUSSIAN = ("spiral-heisenberg", "coupled-pairs",
-            "heisenberg-complex-dilation")
 
 
 def _phi(f, basis):
@@ -66,15 +59,6 @@ def _tally(seen, h_pairs, phi):
     seen["out"] += len(h_pairs) - len(phi)
 
 
-def _drawn(basis, seed):
-    """The nonzero coordinates generic_layer(basis, "g", seed) draws."""
-    rng = random.Random(seed)
-    for _ in range(64):
-        xs = _draw_integers(rng, 9, basis.ambient("g"))
-        if any(xs):
-            yield xs
-
-
 def _sample_layers():
     """The canonical bases of the valid corpus entries."""
     return [wb_for(entry_id).canonical_basis for entry_id in VALID_IDS]
@@ -85,7 +69,7 @@ def test_phi_on_generic_layer_draws():
     for basis in _sample_layers():
         layer = (basis, "g", _form_table(basis), basis.ambient("g"))
         for seed in (42, 7, 123):
-            for xs in _drawn(basis, seed):
+            for xs in generic_draws(basis, seed):
                 keyed, h_pairs, phi = _phi(_integer_point(basis, xs), basis)
                 key = _sample_key(*layer, xs)
                 assert key[2] == (phi if keyed else None), xs
@@ -98,14 +82,10 @@ def test_phi_on_generated_specs(seed):
     seen = {"in": 0, "out": 0}
     for doc, _ in specgen.generate(seed):
         basis = Workbench(spec_from_dict(doc)).canonical_basis
-        for xs in _drawn(basis, seed):
+        for xs in generic_draws(basis, seed):
             _, h_pairs, phi = _phi(_integer_point(basis, xs), basis)
             _tally(seen, h_pairs, phi)
     assert seen["in"]
-
-
-def _gaussian(x):
-    return isinstance(x, GaussianRational) and not x.is_real()
 
 
 @pytest.mark.parametrize("entry_id", GAUSSIAN)
@@ -121,7 +101,7 @@ def test_phi_at_gaussian_integer_pivots(entry_id):
         f = Functional(basis, [v * scales[sum(vals) % 3] for v in vals],
                        exact=True)
         jd = jump_data(f, basis, "g")
-        if not any(_gaussian(p) for (p, _), _ in jd.steps):
+        if not any(non_real(p) for (p, _), _ in jd.steps):
             continue
         gaussian += 1
         _, h_pairs, phi = _phi(f, basis)
@@ -146,7 +126,7 @@ def test_phi_at_float_points():
         if basis.dim == basis.n:
             continue
         points = [_integer_point(basis, xs)
-                  for xs in itertools.islice(_drawn(basis, 42), 6)]
+                  for xs in itertools.islice(generic_draws(basis, 42), 6)]
         for f in points:
             for a in _flows(basis):
                 moved = exp_h_coadjoint(basis, a, f, mode="float")
@@ -155,17 +135,6 @@ def test_phi_at_float_points():
                 _tally(seen, h_pairs, phi)
     assert keyed_points
     assert seen["in"]
-
-
-def _split(c, k):
-    """(num, den) with num / den = c: Gaussian integers, an int when real,
-    both times the Gaussian integer k."""
-    c = GaussianRational.coerce(c)
-    den = c.re.denominator * c.im.denominator
-    num = c * den
-    if num.is_real():
-        num = int(num.re)
-    return k * num, k * den
 
 
 def _cancelling_steps(c_a, c_c, k):
@@ -178,8 +147,8 @@ def _cancelling_steps(c_a, c_c, k):
     basis = wb_for("three-dilations-repaired").canonical_basis
     coef = {p: basis.h_structure[(1, p - 1)][1] for p in (4, 5, 6)}
     c_b = (coef[6] - c_c * coef[5] + c_c * c_a * coef[4]) / coef[4]
-    steps = (((1, 1), ((5,) + _split(c_a, k), (6,) + _split(c_b, k))),
-             ((1, 1), ((6,) + _split(c_c, k),)),
+    steps = (((1, 1), ((5,) + split(c_a, k), (6,) + split(c_b, k))),
+             ((1, 1), ((6,) + split(c_c, k),)),
              ((1, 1), ()))
     return basis, (4, 5, 6), steps
 
@@ -225,7 +194,7 @@ def test_phi_reads_the_h_steps_alone():
     # would wipe every vector they reduce, phi is unchanged
     blanked = 0
     for basis in _sample_layers():
-        for xs in itertools.islice(_drawn(basis, 42), 8):
+        for xs in itertools.islice(generic_draws(basis, 42), 8):
             jd = jump_data(_integer_point(basis, xs), basis, "g")
             h_pairs = case_table(jd).h_pairs
             n_steps = [(jp, red) for jp, (_, red) in zip(jd.j_seq, jd.steps)

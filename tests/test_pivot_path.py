@@ -7,7 +7,7 @@ orbit form at the sample, reduces it and applies the key rule of
 ``layer_descriptor``. The two must give the same key at every draw of
 ``generic_layer`` on the valid corpus bases (both ambients, seeds 42, 7
 and 123) and on the specs ``perfbench/specgen.py`` generates for seeds
-1-10; at the {-1, 0, 1} points of ``test_plain_layers``, which zero
+1-10; at the {-1, 0, 1} points of ``gen_specs.degenerate_points``, which zero
 pivots; on the layers whose orbit form has complex entries; at a draw
 where a reduced coefficient of the reduction vanishes; and on the
 dense-center family, where ``generic_layer`` must also match
@@ -26,6 +26,7 @@ import pytest
 
 import generic_layer_oracle
 from conftest import VALID_IDS, wb_for
+from gen_specs import degenerate_points, dense_center_spec, specgen
 from sample_key_oracle import sample_key
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import _draw_integers
@@ -33,9 +34,6 @@ from solvlie.gaussian import GaussianRational
 from solvlie.strata import (_fill, _form_table, _pivot_path, _sample_key,
                             _skew_reduce, _vanishes_at, generic_layer)
 from solvlie.workbench import Workbench
-from test_layer_memo import specgen
-from test_pfaffian_equivalence import _dense_center_spec
-from test_plain_layers import _degenerate_points
 
 SEEDS = (42, 7, 123)
 COMPLEX_IDS = ("spiral-heisenberg", "coupled-pairs",
@@ -100,7 +98,7 @@ def test_generated_draws_match_the_oracle(seed):
 def _degenerate(basis, ambient, seed):
     size = basis.ambient(ambient)
     points = ([int(v) for v in f.values[:size]]
-              for f in _degenerate_points(basis, ambient, seed))
+              for f in degenerate_points(basis, ambient, seed))
     return [xs for xs in points if any(xs)]
 
 
@@ -189,7 +187,7 @@ def test_symbolic_key_is_the_sampled_winner():
 
 @pytest.mark.parametrize("m", (16, 24))
 def test_dense_center_matches_the_oracles(m):
-    wb = Workbench(_dense_center_spec(m))
+    wb = Workbench(dense_center_spec(m))
     basis = wb.basis
     got = generic_layer(basis, "n", seed=42)
     want = generic_layer_oracle.generic_layer(basis, "n", seed=42)

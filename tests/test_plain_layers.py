@@ -16,37 +16,19 @@ the orbit form are read off the dense kernel kept in ``jump_oracle``,
 which reduces exactly as the sparse one does.
 """
 
-import random
-
 import pytest
 
-from conftest import VALID_IDS, case_table, exact_reduction, wb_for
+from conftest import (VALID_IDS, case_table, descriptor_outcome,
+                      exact_reduction, wb_for)
+from gen_specs import GENERATED, degenerate_points, specgen
 from jump_oracle import _orbit_form, _skew_reduce
 from rref_oracle import identity
+from section_oracle import layer_descriptor as oracle_descriptor
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
 from solvlie.strata import (JumpData, _reduction_phi, jump_data,
                             layer_descriptor, section_vectors)
 from solvlie.workbench import Workbench
-from test_layer_memo import GENERATED, oracle_descriptor, specgen
-
-POINTS = 12
-
-
-def _degenerate_points(basis, support, seed):
-    rng = random.Random(seed)
-    drawn = basis.n if support == "n" else basis.dim
-    for _ in range(POINTS):
-        vals = [0 if rng.random() < 0.3 else rng.choice((-1, 1))
-                for _ in range(drawn)]
-        yield Functional(basis, vals + [0] * (basis.dim - drawn), exact=True)
-
-
-def _outcome(descriptor, f, basis, ambient):
-    try:
-        return descriptor(f, basis, ambient).as_dict()
-    except ValueError as exc:
-        return type(exc).__name__
 
 
 def _plain(jd):
@@ -84,10 +66,10 @@ def _check(wb, seed):
     """Checks one spec; returns how many plain (n*, g*) points it saw."""
     seen = {"n": 0, "g": 0}
     for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
-        for f in _degenerate_points(basis, ambient, seed):
-            got = _outcome(layer_descriptor, f, basis, ambient)
-            assert got == _outcome(oracle_descriptor, f, basis, ambient), \
-                (ambient, f.values)
+        for f in degenerate_points(basis, ambient, seed):
+            got = descriptor_outcome(layer_descriptor, f, basis, ambient)
+            assert got == descriptor_outcome(oracle_descriptor, f, basis,
+                                             ambient), (ambient, f.values)
             jd = jump_data(f, basis, ambient)
             if not _plain(jd):
                 continue
@@ -144,11 +126,12 @@ def test_plain_phi_at_float_points():
     wb = wb_for("heisenberg-2param")
     basis = wb.canonical_basis
     plain = 0
-    for k, f in enumerate(_degenerate_points(basis, "g", seed=5)):
+    for k, f in enumerate(degenerate_points(basis, "g", seed=5)):
         a = [0] * wb.spec.n_dim + [(k % 3 - 1) / 2, (k % 4 - 1) / 3]
         moved = exp_h_coadjoint(basis, a, f, mode="float")
-        got = _outcome(layer_descriptor, moved, basis, "g")
-        assert got == _outcome(oracle_descriptor, moved, basis, "g"), k
+        got = descriptor_outcome(layer_descriptor, moved, basis, "g")
+        assert got == descriptor_outcome(oracle_descriptor, moved, basis,
+                                         "g"), k
         plain += isinstance(got, dict) and got["phi"] == [1]
     assert plain
 

@@ -18,15 +18,14 @@ family at m = 10 and 16.
 """
 
 import dataclasses
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import polarization_oracle as oracle
 from conftest import VALID_IDS, wb_for
+from gen_specs import GENERATED, dense_center_spec
 from solvlie import admissibility as adm
 from solvlie import strata
 from solvlie.adapted import build_adaptable_basis
@@ -36,21 +35,15 @@ from solvlie.gaussian import GaussianRational as G
 from solvlie.linalg import Subspace
 from solvlie.sections import UnsupportedLayerError, sample_sigma_circ
 from solvlie.workbench import Workbench
-from test_pfaffian_equivalence import _dense_center_spec
 
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
 
-GENERATED = {doc["name"]: doc for seed in (1, 7, 13)
-             for doc, _ in specgen.generate(seed)}
-CASES = VALID_IDS + sorted(GENERATED)
+DOCS = {doc["name"]: doc for doc in GENERATED}
+CASES = VALID_IDS + sorted(DOCS)
 
 
 def _workbench(case) -> Workbench:
-    if case in GENERATED:
-        return Workbench(spec_from_dict(GENERATED[case]))
+    if case in DOCS:
+        return Workbench(spec_from_dict(DOCS[case]))
     return wb_for(case)
 
 
@@ -92,7 +85,7 @@ def test_polarization_matches_oracle_on_dense_centers(m):
     # every [X_a, X_b] is a nonzero multiple of Z, so the closure check
     # reads a structure constant in both orders for nearly every pair of
     # coordinates of its rows
-    wb = Workbench(_dense_center_spec(m))
+    wb = Workbench(dense_center_spec(m))
     basis = wb.canonical_basis
     rng = random.Random(m)
     for _ in range(3):
@@ -138,7 +131,7 @@ def test_center_and_unimodularity_match_dense_oracles(case):
 
 @pytest.mark.parametrize("m", [10, 16])
 def test_center_and_unimodularity_match_dense_oracles_on_dense_centers(m):
-    _assert_center_and_unimodularity_match(_dense_center_spec(m))
+    _assert_center_and_unimodularity_match(dense_center_spec(m))
 
 
 def test_center_reads_both_signs_of_a_bracket():

@@ -30,14 +30,13 @@ import pytest
 
 import polarization_oracle
 from conftest import VALID_IDS, corpus_entry, wb_for
+from gen_specs import GAUSSIAN, generic_draws, non_real, specgen, split
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, _integer_point
 from solvlie.gaussian import GaussianRational as G, ZERO
 from solvlie.sections import UnsupportedLayerError, _sample, sample_sigma_circ
 from solvlie.strata import JumpData, jump_data
 from solvlie.workbench import PLANCHEREL_SAMPLES, Workbench
-from test_layer_memo import specgen
-from test_phi_replay import GAUSSIAN, _drawn, _gaussian, _split
 
 
 def _dense(row, size):
@@ -120,7 +119,7 @@ def test_polarization_at_generated_points(seed):
     compared = 0
     for doc, _ in specgen.generate(seed):
         basis = Workbench(spec_from_dict(doc)).canonical_basis
-        for xs in itertools.islice(_drawn(basis, seed), 6):
+        for xs in itertools.islice(generic_draws(basis, seed), 6):
             compared += _check(_integer_point(basis, xs), basis)
     assert compared
 
@@ -132,7 +131,7 @@ def test_polarization_at_gaussian_integer_pivots(entry_id):
     for vals in itertools.product((-1, 0, 1), repeat=basis.dim):
         f = Functional(basis, list(vals), exact=True)
         jd = jump_data(f, basis, "g")
-        if not any(_gaussian(p) for (p, _), _ in jd.steps):
+        if not any(non_real(p) for (p, _), _ in jd.steps):
             continue
         gaussian += 1
         _check(f, basis)
@@ -147,7 +146,7 @@ def test_polarization_rows_carry_gaussian_entries():
         f = Functional(basis, list(vals), exact=True)
         rows, _ = jump_data(f, basis, "g").polarization()
         size = basis.ambient("g")
-        if any(_gaussian(x) for r in rows for x in _dense(r, size)):
+        if any(non_real(x) for r in rows for x in _dense(r, size)):
             return
     pytest.fail("no row with a non-real entry")
 
@@ -162,8 +161,8 @@ def test_polarization_of_steps_with_a_reduced_pivot(c_a, c_b, c_c, k):
     # the y_3 of step 1, so y_4 = Z_4 - c_a Z_2 - c_c (Z_3 - c_b Z_2) is
     # right only if the scale of y_3 enters the update; i_seq is not read
     basis = wb_for("heisenberg-2param").canonical_basis
-    steps = (((1, 1), ((3,) + _split(c_b, k), (4,) + _split(c_a, k))),
-             ((1, 1), ((4,) + _split(c_c, k),)))
+    steps = (((1, 1), ((3,) + split(c_b, k), (4,) + split(c_a, k))),
+             ((1, 1), ((4,) + split(c_c, k),)))
     origin = Functional(basis, [0] * basis.dim, exact=True)
     jd = JumpData((1, 1), (2, 3), "g", basis, steps=steps, point=origin)
     rows, sub = jd.polarization()

@@ -9,7 +9,7 @@ validation reads on integers.
   on the corpus and on the specs of perfbench/specgen.py at seeds 1-10.
 - The Jacobi witness visits only the products of brackets that exist; it
   must be the first failing triple of the dense check
-  (``test_validation._jacobi_failures``) on perturbed generated specs.
+  (``structure_oracle.jacobi_failures``) on perturbed generated specs.
   ``root_factor`` reads the integer fields of the weights; it must return
   what the Fraction parts gave.
 """
@@ -21,13 +21,13 @@ import pytest
 
 import form_table_oracle
 from conftest import VALID_IDS, wb_for
+from gen_specs import specgen
 from solvlie import strata
 from solvlie.algebra import (_jacobi_witness, root_factor, spec_from_dict,
                              validate_spec)
 from solvlie.gaussian import GaussianRational as G
 from solvlie.workbench import Workbench
-from test_bracket_table import specgen
-from test_validation import _jacobi_failures
+from structure_oracle import jacobi_failures
 
 GENERATED = {doc["name"]: doc for seed in range(1, 11)
              for doc, _ in specgen.generate(seed)}
@@ -109,7 +109,7 @@ def test_jacobi_witness_matches_dense_check_on_perturbed_specs():
         doc = GENERATED[name]
         for doc in (doc, _perturbed(doc, rng), _perturbed(doc, rng)):
             spec = spec_from_dict(doc)
-            failures = _jacobi_failures(spec)
+            failures = jacobi_failures(spec)
             witness = _jacobi_witness(spec)
             assert witness == (failures[0] if failures else None), name
             jac = next(c for c in validate_spec(spec).checks

@@ -28,15 +28,13 @@ import pytest
 
 import generic_layer_oracle
 from conftest import VALID_IDS, wb_for
+from gen_specs import degenerate_points, double_heisenberg_with_v, specgen
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import _draw_integers, sample_functional
 from solvlie.strata import (LayerMismatchError, UnsupportedCaseError,
                             _form_table, _sample_key, jump_data,
                             layer_descriptor)
 from solvlie.workbench import Workbench
-from test_keyed_layers import double_heisenberg_with_v
-from test_layer_memo import specgen
-from test_plain_layers import _degenerate_points
 
 def _full(f, basis, ambient):
     """(key or (e, j), error type or None) by the full descriptor path."""
@@ -146,7 +144,7 @@ def test_sample_key_matches_descriptor_at_degenerate_points():
     seen = set()
     for k, wb in enumerate(wbs):
         for ambient, basis in _layers(wb):
-            for f in _degenerate_points(basis, ambient, 40 + k):
+            for f in degenerate_points(basis, ambient, 40 + k):
                 if not f.is_zero():
                     keyed, error = _check(f, basis, ambient)
                     seen.add(error if error else keyed)

@@ -28,6 +28,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import VALID_IDS, exact_reduction, form_values, wb_for
+from gen_specs import degenerate_points, dense_center_spec, specgen
 from jump_oracle import _orbit_form as dense_orbit_form
 from jump_oracle import _skew_reduce as dense_skew_reduce
 from solvlie.algebra import spec_from_dict
@@ -35,9 +36,6 @@ from solvlie.functionals import Functional, exp_h_coadjoint, sample_functional
 from solvlie.sections import sample_lambda_nu
 from solvlie.strata import _skew_reduce, _skew_reduce_float, jump_data
 from solvlie.workbench import Workbench
-from test_layer_memo import specgen
-from test_pfaffian_equivalence import _dense_center_spec
-from test_plain_layers import _degenerate_points
 
 REL = 1e-12
 
@@ -108,7 +106,7 @@ def test_sparse_kernel_matches_dense_on_corpus_samples(entry_id):
             f = sample_functional(basis, rng, support=ambient)
             _assert_exact(f, basis, ambient)
             _assert_float(f.to_float(), basis, ambient)
-        for f in _degenerate_points(basis, ambient, 90):
+        for f in degenerate_points(basis, ambient, 90):
             _assert_exact(f, basis, ambient)
 
 
@@ -121,20 +119,20 @@ def test_sparse_kernel_matches_dense_on_generated_specs(seed):
         for _ in range(16):
             _assert_exact(sample_functional(basis, rng, support="n"),
                           basis, "n")
-        for f in _degenerate_points(basis, "n", 100 * seed + k):
+        for f in degenerate_points(basis, "n", 100 * seed + k):
             _assert_exact(f, basis, "n")
         for ambient in ("n", "g"):
             _assert_exact(sample_functional(basis, rng), basis, ambient)
 
 
 def test_sparse_kernel_matches_dense_on_dense_center():
-    wb = Workbench(_dense_center_spec(10))
+    wb = Workbench(dense_center_spec(10))
     for ambient, basis in _layers(wb):
         rng = random.Random(11)
         for _ in range(8):
             _assert_exact(sample_functional(basis, rng, support=ambient),
                           basis, ambient)
-        for f in _degenerate_points(basis, ambient, 12):
+        for f in degenerate_points(basis, ambient, 12):
             _assert_exact(f, basis, ambient)
 
 

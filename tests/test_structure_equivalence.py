@@ -11,22 +11,16 @@ swapping two adjacent vectors and by multiplying one vector by i. A series
 that stalls keeps its NOT_NILPOTENT text.
 """
 
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import structure_oracle
 from conftest import VALID_IDS, corpus_entry, wb_for
+from gen_specs import specgen
 from solvlie.adapted import AdaptableBasis, HintInvalidError, build_adaptable_basis
 from solvlie.algebra import HypothesisViolation, LieAlgebraSpec, spec_from_dict
 from solvlie.gaussian import GaussianRational as G
-
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
 
 
 def _ordered(rows):

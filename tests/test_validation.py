@@ -20,6 +20,7 @@ import pytest
 from conftest import corpus_entry
 from solvlie.algebra import LieAlgebraSpec, SpecFormatError, validate_spec
 from solvlie.corpus import corpus_entries
+from structure_oracle import jacobi_failures
 
 PINNED = Path(__file__).resolve().parent / "validation_reports.json"
 
@@ -56,20 +57,6 @@ def test_validation_report_matches_pin(entry_id):
 
 # -- Jacobi -------------------------------------------------------------------
 
-def _jacobi_failures(spec):
-    """Every basis triple (in itertools.combinations order) on which the
-    Jacobi sum of dense brackets is nonzero."""
-    br = spec.bracket
-    out = []
-    for a, b, c in itertools.combinations(range(spec.dim), 3):
-        x, y, z = (spec.basis_vector(i) for i in (a, b, c))
-        total = [p + q + r for p, q, r in zip(br(br(x, y), z), br(br(y, z), x),
-                                              br(br(z, x), y))]
-        if any(total):
-            out.append(tuple(spec.names[i] for i in (a, b, c)))
-    return out
-
-
 def test_jacobi_witness_is_first_of_two_failures_after_zero_triples():
     # [U, V] = W, [W, S] = P, [W, T] = Q: the Jacobi sums on (U, V, S) and
     # (U, V, T) are P and Q; P and Q are central, so most earlier triples
@@ -80,7 +67,7 @@ def test_jacobi_witness_is_first_of_two_failures_after_zero_triples():
                               ("W", "S"): {"P": Fraction(1)},
                               ("W", "T"): {"Q": Fraction(1)},
                           })
-    assert _jacobi_failures(spec) == [("U", "V", "S"), ("U", "V", "T")]
+    assert jacobi_failures(spec) == [("U", "V", "S"), ("U", "V", "T")]
     triples = list(itertools.combinations(range(spec.dim), 3))
     before = triples[:triples.index((2, 3, 5))]
     zero = [t for t in before if not any(spec.bracket_sparse(p, q)
@@ -99,7 +86,7 @@ def test_jacobi_failure_with_only_the_outer_bracket_nonzero():
         ("U", "S"): {"W": Fraction(1)},
         ("W", "V"): {"P": Fraction(1)},
     })
-    assert _jacobi_failures(spec) == [("U", "V", "S")]
+    assert jacobi_failures(spec) == [("U", "V", "S")]
     jac = next(c for c in validate_spec(spec).checks if c.name == "jacobi")
     assert (jac.ok, jac.witness) == (False, ("U", "V", "S"))
 
@@ -108,7 +95,7 @@ def test_jacobi_witness_matches_dense_oracle_on_corpus():
     for entry_id in PARSABLE_IDS:
         spec = corpus_entry(entry_id).spec()
         jac = next(c for c in validate_spec(spec).checks if c.name == "jacobi")
-        failures = _jacobi_failures(spec)
+        failures = jacobi_failures(spec)
         assert jac.ok == (not failures), entry_id
         if failures:
             assert jac.witness == failures[0], entry_id

@@ -11,14 +11,14 @@ products of linear factors over Z[i], and end to end on clustered and large
 integer weights moved by a change of basis.
 """
 
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from conftest import corpus_entry
+from gen_specs import (GENERATED, WIDER, dense_center_spec, generated_spec,
+                       specgen)
 import rref_oracle
 import weight_oracle
 from solvlie import admissibility as adm
@@ -29,13 +29,7 @@ from solvlie.algebra import (DiagonalizationError, LieAlgebraSpec,
 from solvlie.corpus import corpus_entries
 from solvlie.gaussian import GaussianRational as G
 from solvlie.workbench import Workbench
-from test_adapted_equivalence import WIDER, generated_spec
-from test_pfaffian_equivalence import _dense_center_spec
-
-_SPECGEN = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
-_spec = importlib.util.spec_from_file_location("specgen", _SPECGEN)
-specgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(specgen)
+from work_budget import Work
 
 
 def _outcome(decompose, spec):
@@ -82,44 +76,38 @@ def test_wider_generated_weights_match_oracle(case):
 
 @pytest.mark.parametrize("m", range(10, 25, 2))
 def test_dense_center_weights_match_oracle(m):
-    _assert_agree(_dense_center_spec(m))
+    _assert_agree(dense_center_spec(m))
 
 
-def _kernel_calls(monkeypatch, spec):
+def _kernel_calls(spec):
     """The ``algebra.kernel`` calls of one decomposition of spec, which must
     match the oracle's weight spaces."""
     want = _outcome(weight_oracle.weight_decomposition, spec)
-    count = [0]
-    kernel = algebra.kernel
-
-    def counted(*args):
-        count[0] += 1
-        return kernel(*args)
-    monkeypatch.setattr(algebra, "kernel", counted)
-    assert _outcome(weight_decomposition, spec) == want
-    return count[0]
+    with Work() as work:
+        work.calls(algebra, "kernel")
+        assert _outcome(weight_decomposition, spec) == want
+    return work["kernel"]
 
 
 @pytest.mark.parametrize("entry_id, calls", [
     ("spiral-heisenberg", 4), ("coupled-pairs", 3), ("free-two-step", 3),
     ("heisenberg-complex-dilation", 3), ("five-dilations-repaired", 3)])
-def test_krylov_route_computes_each_eigenspace_once(monkeypatch, entry_id,
-                                                    calls):
+def test_krylov_route_computes_each_eigenspace_once(entry_id, calls):
     # on these specs some restricted matrix is not diagonal; the exact
     # kernel over n that decides a weight space also grows the Krylov span,
     # so each eigenspace costs one kernel. five-dilations-repaired takes the
     # Krylov route on its first split only (3 kernels): its later splits
     # are diagonal, and a diagonal split calls no kernel
-    assert _kernel_calls(monkeypatch, corpus_entry(entry_id).spec()) == calls
+    assert _kernel_calls(corpus_entry(entry_id).spec()) == calls
 
 
 @pytest.mark.parametrize("spec", [corpus_entry("heisenberg-2param").spec()] + [
     spec_from_dict(doc) for doc, _ in specgen.generate(1)],
     ids=lambda spec: spec.name)
-def test_diagonal_restrictions_call_no_kernel(monkeypatch, spec):
+def test_diagonal_restrictions_call_no_kernel(spec):
     # every restriction is diagonal: each weight space is the rows at its
     # diagonal value, with no elimination
-    assert _kernel_calls(monkeypatch, spec) == 0
+    assert _kernel_calls(spec) == 0
 
 
 def _in_order(spec):
@@ -132,9 +120,8 @@ def _in_order(spec):
 
 
 @pytest.mark.parametrize("spec", _parsed_specs() + [
-    pytest.param(spec_from_dict(doc), id=doc["name"])
-    for seed in (1, 7, 13) for doc, _ in specgen.generate(seed)] + [
-    pytest.param(_dense_center_spec(m), id=f"dense-center-{m}") for m in (10, 16)])
+    pytest.param(spec_from_dict(doc), id=doc["name"]) for doc in GENERATED] + [
+    pytest.param(dense_center_spec(m), id=f"dense-center-{m}") for m in (10, 16)])
 def test_diagonal_split_matches_the_kernel_route_in_order(monkeypatch, spec):
     # the same weights and rows in the same order as when every diagonal
     # restriction goes through the Krylov search and its kernels
@@ -230,7 +217,7 @@ def _triangular_heisenberg(upper):
 
 
 @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
-def test_triangular_restriction_takes_the_kernel_route(monkeypatch, upper):
+def test_triangular_restriction_takes_the_kernel_route(upper):
     # the diagonal values are the weights, but a value no longer marks a
     # row: the Krylov search finds them, and each weight space is the
     # kernel of ad(A) - weight, one per value
@@ -241,7 +228,7 @@ def test_triangular_restriction_takes_the_kernel_route(monkeypatch, upper):
                                for c, x in row.items()) for row in unit]
     mat = algebra._restricted(images, unit)
     assert algebra._diagonal(mat) is None
-    assert _kernel_calls(monkeypatch, spec) == 3
+    assert _kernel_calls(spec) == 3
     assert _multiset(spec) == [("1", 1), ("2", 1), ("3", 1)]
 
 

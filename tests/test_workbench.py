@@ -7,6 +7,7 @@ from conftest import VALID_IDS, wb_for
 from solvlie import admissibility as adm
 from solvlie.functionals import exp_h_coadjoint, sample_functional
 from solvlie.strata import jump_data
+from work_budget import Work
 
 REQUIRED_KEYS = ("schema", "name", "validation", "basis", "n_layer",
                  "g_layer", "nu", "stabilizer", "sections", "center",
@@ -65,21 +66,19 @@ def test_workbench_caches_are_pure():
     assert wb.verdict() is wb.verdict()
 
 
-def test_one_weight_decomposition_per_spec(monkeypatch):
+def test_one_weight_decomposition_per_spec():
     # validation, the basis construction and the dilation flow share it
     from solvlie import algebra
     from conftest import corpus_entry
     from solvlie.workbench import Workbench
 
-    calls = []
-    real = algebra.weight_decomposition
-    monkeypatch.setattr(algebra, "weight_decomposition",
-                        lambda spec: calls.append(spec) or real(spec))
-    wb = Workbench(corpus_entry("heisenberg-2param").spec())
-    wb.report()
-    l = sample_functional(wb.canonical_basis, random.Random(3))
-    exp_h_coadjoint(wb.spec, wb.spec.basis_vector(wb.spec.n_dim), l)
-    assert len(calls) == 1
+    with Work() as work:
+        work.calls(algebra, "weight_decomposition")
+        wb = Workbench(corpus_entry("heisenberg-2param").spec())
+        wb.report()
+        l = sample_functional(wb.canonical_basis, random.Random(3))
+        exp_h_coadjoint(wb.spec, wb.spec.basis_vector(wb.spec.n_dim), l)
+    assert work["weight_decomposition"] == 1
 
 
 def test_canonical_basis_skips_the_n_part_verification(monkeypatch):

@@ -7,9 +7,9 @@ package function is replaced by a counting wrapper in every ``solvlie``
 module that binds it by name (``from .gaussian import _reduced`` too), and
 every binding is restored when the ``with`` block ends, also on an error.
 
-Run from the repository root as
-``PYTHONPATH=src:perfbench python tests/work_budget.py``, it prints the
-call counts of the CI step "Design counts".
+Run from the repository root as ``PYTHONPATH=src python tests/work_budget.py``,
+it prints the call counts of the CI step "Design counts", on the specs of
+``gen_specs``.
 """
 
 import sys
@@ -100,9 +100,7 @@ class Work(dict):
 
 
 def _design_counts():
-    import random
-
-    import specgen
+    from gen_specs import generated_doc, specgen
     from solvlie import algebra, gaussian, linalg
     from solvlie.adapted import build_adaptable_basis
     from solvlie.corpus import corpus_entries
@@ -116,8 +114,8 @@ def _design_counts():
             continue
     corpus = [spec for spec in corpus if algebra.validate_spec(spec).ok]
     docs = [doc for doc, _ in specgen.generate(1)]
-    filiform, _ = specgen.make_spec(random.Random(1), "filiform", 60, 2,
-                                    specgen.ADMISSIBLE, "filiform-60")
+    filiform = generated_doc("filiform", 60, 2, specgen.ADMISSIBLE, 1,
+                             "filiform-60")
 
     def generated():
         return [algebra.spec_from_dict(doc) for doc in docs]
