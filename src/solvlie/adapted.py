@@ -141,14 +141,15 @@ class AdaptableBasis:
       matrix (the rows of the blocks are the Z_j).
 
     ``layer_tables`` memoizes, on first use, the case table of ``strata``
-    per (ambient, i_seq, j_seq), its orbit-form table under "orbit_form",
-    its h-weight table under "gamma", its generic path per ambient under
-    ("pivots", ambient) and the block inverses on integers that
-    ``Functional.from_adapted`` reads under "inverse"; ``with_h_part``
-    starts it empty.
-    ``n_form_entries`` holds, once built, the orbit-form entries of
-    ``structure``, which depend on the n part alone; ``with_h_part`` keeps
-    them.
+    per (ambient, i_seq, j_seq), its g orbit-form table under
+    "orbit_form", its h-weight table under "gamma", its generic path per
+    ambient under ("pivots", ambient) and the block inverses on integers
+    that ``Functional.from_adapted`` reads under "inverse"; ``with_h_part``
+    starts it with the n* case tables of its source alone, which depend on
+    the n part only.
+    ``n_form`` holds, once built, the n orbit-form table of ``strata``
+    (the entries of ``structure``), which depends on the n part alone;
+    ``with_h_part`` keeps it.
     """
 
     def __init__(self, spec: LieAlgebraSpec, nvecs: Sequence[Vector],
@@ -157,7 +158,7 @@ class AdaptableBasis:
         if hvecs is None:
             hvecs = [spec.basis_vector(spec.n_dim + t) for t in range(spec.h_dim)]
         self.nvecs = [tuple(v) for v in nvecs]
-        self.n_form_entries: Optional[tuple] = None
+        self.n_form: Optional[tuple] = None
         if len(self.nvecs) != spec.n_dim or len(hvecs) != spec.h_dim:
             raise HintInvalidError(1, "wrong number of basis vectors")
         if any(any(not v[m].is_zero() for m in range(spec.n_dim, spec.dim))
@@ -372,13 +373,16 @@ class AdaptableBasis:
         h, which also inverts the h block), and the rows of C for the
         brackets with them rebuilt: the n-part checks, sigma, the weights,
         alpha, ``structure`` and the n-block inverse do not depend on them.
-        The orbit-form entries of ``structure`` built so far
-        (``n_form_entries``) are kept, so they are composed once for both
-        bases; the case tables and the orbit-form table are not.
+        The n orbit-form table (``n_form``) and the n* case tables built so
+        far are kept, so they are built once for both bases; the g* case
+        tables and the other tables of ``layer_tables`` are not.
         """
         out = copy.copy(self)
         out._set_h_part(hvecs)
         out._set_h_structure()
+        out.layer_tables.update(
+            (key, table) for key, table in self.layer_tables.items()
+            if isinstance(key, tuple) and key[0] == "n")
         return out
 
     def describe(self) -> List[str]:

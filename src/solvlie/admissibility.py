@@ -173,8 +173,14 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     before b must reduce to zero against the rows (``linalg.reduce_row``).
     Closure is a property of the span, so any echelon basis of e decides it.
 
-    When the isotropic subalgebra is not positive at lam, its conjugate is
-    (same dimension data); the conjugate is reported in that case.
+    Positivity asks i lam[w, conj w] >= 0 on the RREF rows w of p over
+    the real basis. When dim e = dim p, p equals conj p; the RREF rows of
+    a subspace are unique and conjugation fixes the real basis, so the
+    rows of conj p, the conjugates of those of p, are those of p: each
+    row is real, and i lam[w, conj w] = i lam[w, w] = 0 by skew symmetry.
+    So a real p is positive, and its values are not read. A non-real p
+    reads them; when it is not positive at lam, its conjugate is (same
+    dimension data), and the conjugate is reported in that case.
     """
     jd = jump_data(lam, basis, "n")
     nd, sigma, structure = basis.n, basis.sigma, basis.structure
@@ -229,16 +235,19 @@ def polarization_data(lam: Functional, basis: AdaptableBasis) -> PolarizationDat
     is_real = dim_e == len(rows)
 
     # positivity: i*lam[w, conj w] >= 0 on the RREF rows w over the real
-    # basis; lam[conj w, w] = -lam[w, conj w] decides it for conj(p)
-    vals = []
-    for w in h_d.rows:
-        x = basis.coords(w)
-        vals.append(GaussianRational(0, 1) * dot(x, jd.image(conj(x))))
-    pos = all(v.is_real() and v.re >= 0 for v in vals)
-    if not pos and not is_real and all(v.is_real() and v.re <= 0 for v in vals):
-        h_d = Subspace([{k: x.conjugate() for k, x in w.items()}
-                        for w in h_d.sparse_rows], basis.dim)
-        pos = True
+    # basis (see the docstring: a real p is positive with no value read);
+    # lam[conj w, w] = -lam[w, conj w] decides it for conj(p)
+    pos = True
+    if not is_real:
+        vals = []
+        for w in h_d.rows:
+            x = basis.coords(w)
+            vals.append(GaussianRational(0, 1) * dot(x, jd.image(conj(x))))
+        pos = all(v.is_real() and v.re >= 0 for v in vals)
+        if not pos and all(v.is_real() and v.re <= 0 for v in vals):
+            h_d = Subspace([{k: x.conjugate() for k, x in w.items()}
+                            for w in h_d.sparse_rows], basis.dim)
+            pos = True
 
     # domain coordinate indices: complement of e in the flag, plus one index
     # per conjugate pair from the e/d gap

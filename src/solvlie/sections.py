@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from .adapted import AdaptableBasis
 from .algebra import LieAlgebraSpec
 from .functionals import Functional, adapted_values, exp_h_coadjoint
-from .gaussian import GaussianRational, ZERO, _reduced, parts
+from .gaussian import GaussianRational, ZERO, _made, _reduced, parts
 from .linalg import Subspace, extend_echelon, invert, is_zero, kernel, zero_test
 from .strata import (JumpData, LayerDescriptor, LayerMismatchError,
                      jump_data, section_vectors)
@@ -357,12 +357,12 @@ def _draws(oracle: SectionOracle, rng: random.Random):
             s = basis.sigma[j]
             if s == j:
                 if j in phi:
-                    zvals[j - 1] = GaussianRational(rng.choice((-1, 1)))
+                    zvals[j - 1] = _made(rng.choice((-1, 1)), 0, 1)
                 else:
                     v = 0
                     while v == 0:
                         v = rng.randint(-9, 9)
-                    zvals[j - 1] = GaussianRational(v)
+                    zvals[j - 1] = _made(v, 0, 1)
             elif s > j:
                 if j in phi:
                     z = _rational_circle_point(rng)
@@ -370,7 +370,7 @@ def _draws(oracle: SectionOracle, rng: random.Random):
                     re = im = 0
                     while re == 0 and im == 0:
                         re, im = rng.randint(-9, 9), rng.randint(-9, 9)
-                    z = GaussianRational(re, im)
+                    z = _made(re, im, 1)
                 zvals[j - 1] = z
                 zvals[s - 1] = z.conjugate()
         yield Functional.from_adapted(basis, zvals)

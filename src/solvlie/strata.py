@@ -15,11 +15,12 @@ Z_j(l) are produced case by case; they cut out the orbit cross-sections.
 
 M[p][q] = sum_k C_pq^k l(Z_k) is, through the adapted structure constants
 and the adapted vectors, an integer linear form in the values of l on the
-real basis, over one denominator. These forms are composed once per basis
-(``_form_table``; those of the n part once per n part, kept by the
-``with_h_part`` copies), so a point is read only through its real
-coordinates and M is filled once per point into sparse rows, one pair of
-entries per nonzero bracket, with no dense matrix and no adapted values.
+real basis, over one denominator. These forms are composed once per
+ambient (``_form_table``): the n table once per n part, kept by the
+``with_h_part`` copies, and the g table once per basis, so a point is
+read only through its real coordinates and M is filled once per point
+into sparse rows, one pair of entries per nonzero bracket, with no dense
+matrix and no adapted values.
 At an exact point the rows hold D M, D the table's denominator times the
 point's, as Gaussian integers built with no gcd: a plain int for a real
 entry, a GaussianRational with denominator 1 for any other (at a float
@@ -46,9 +47,10 @@ Which case of the section-vector table each pair falls in depends only on
 the jump pairs, not on the point. So the case table (conj-stable positions,
 primes, case sets, and e) is built once per (ambient, i_seq, j_seq) and
 kept, read-only, on the basis (``AdaptableBasis.layer_tables``, which also
-keeps the form table, the h-weight table and the generic path of each
+keeps the g form table, the h-weight table and the generic path of each
 ambient); the points of one layer share it, and only the descriptor
-``generic_layer`` returns gets its own copies.
+``generic_layer`` returns gets its own copies. An n* case table depends on
+the n part alone, so a ``with_h_part`` copy keeps those of its source.
 
 A layer key is (e, j, phi). On a keyed layer, one whose dual pairs stay
 real at a real point (every pair in case 0, in case 1 with Z_{j_k} real,
@@ -274,8 +276,8 @@ class JumpData:
 
 
 class FormTable(NamedTuple):
-    """The orbit form of one basis as integer linear forms; see
-    ``_form_table``."""
+    """The orbit form of one basis on one ambient as integer linear forms;
+    see ``_form_table``."""
     entries: Tuple[tuple, ...]   # (p, q, re, im, d, den // d)
     den: int                     # lcm of the entry denominators d
 
@@ -314,9 +316,9 @@ def _compose(rows, terms) -> Tuple[tuple, ...]:
     return tuple(out)
 
 
-def _form_table(basis: AdaptableBasis) -> FormTable:
-    """The orbit form as integer linear forms in a point's real
-    coordinates, built once per basis and kept in ``basis.layer_tables``.
+def _form_table(basis: AdaptableBasis, ambient: str = "g") -> FormTable:
+    """The orbit form on the ambient as integer linear forms in a point's
+    real coordinates.
 
     Entry (p, q, re, im, d, s), p < q, stands for
     M[p][q] = l[Z_{p+1}, Z_{q+1}] = sum_k C_pq^k l(Z_{k+1})
@@ -327,21 +329,32 @@ def _form_table(basis: AdaptableBasis) -> FormTable:
     denominator ``den``. The entries run by q, then by p, as the keys of
     ``structure`` and then ``h_structure`` do.
 
-    The entries with q < n depend on ``structure`` and the n-part terms
-    only, which ``with_h_part`` keeps: they are composed once per n part
-    and kept in ``basis.n_form_entries``, which a copy made after that
-    keeps. A basis composes only its ``h_structure`` entries, then ``den``
-    and the scales s."""
+    The n table holds the entries with q < n over their own lcm. They
+    depend on ``structure`` and the n-part terms only, which
+    ``with_h_part`` keeps, so the n table is built once per n part and
+    kept in ``basis.n_form``, which a copy made after that keeps. The g
+    table, kept in ``basis.layer_tables``, takes the entries of the n
+    table, composes those of ``h_structure`` and sets ``den`` and the
+    scales s over all of them: only a g table composes h-part entries.
+    ``_fill`` stops at q >= n on either table, and a float fill reads
+    only each entry's own d."""
+    if ambient == "n":
+        if basis.n_form is None:
+            basis.n_form = _over_lcm(_compose(basis.structure, basis.terms))
+        return basis.n_form
     table = basis.layer_tables.get("orbit_form")
-    if table is not None:
-        return table
-    if basis.n_form_entries is None:
-        basis.n_form_entries = _compose(basis.structure, basis.terms)
-    entries = basis.n_form_entries + _compose(basis.h_structure, basis.terms)
-    den = lcm(*(e[4] for e in entries))
-    table = basis.layer_tables["orbit_form"] = FormTable(
-        tuple(e + (den // e[4],) for e in entries), den)
+    if table is None:
+        entries = tuple(e[:5] for e in _form_table(basis, "n").entries)
+        table = basis.layer_tables["orbit_form"] = _over_lcm(
+            entries + _compose(basis.h_structure, basis.terms))
     return table
+
+
+def _over_lcm(entries: Tuple[tuple, ...]) -> FormTable:
+    """The entries (p, q, re, im, d) of ``_compose`` as a FormTable over
+    the lcm of their denominators d."""
+    den = lcm(*(e[4] for e in entries))
+    return FormTable(tuple(e + (den // e[4],) for e in entries), den)
 
 
 def _fill(table: FormTable, n_amb: int, xs: Sequence, exact: bool) -> List[dict]:
@@ -588,13 +601,13 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """Jump pairs at l by one symplectic reduction of M = (l[Z_p, Z_q]).
 
     ``l.exact`` picks the mode, once. The reduction runs on a copy of the
-    sparse rows of D M that ``_fill`` fills from the form table; the
-    result keeps them, unreduced, as ``form`` and D as ``den``. At an
-    exact point D is the common denominator of the values (1 at every
-    sampled point) times the table's, every entry is a Gaussian integer
-    built with no gcd, and ``_skew_reduce`` reduces fraction-free; at a
-    float point D = 1 and ``_skew_reduce_float`` divides, testing zero by
-    ``l.tol``.
+    sparse rows of D M that ``_fill`` fills from the ambient's form table
+    (``_form_table``); the result keeps them, unreduced, as ``form`` and D
+    as ``den``. At an exact point D is the common denominator of the
+    values (1 at every sampled point) times the table's, every entry is a
+    Gaussian integer built with no gcd, and ``_skew_reduce`` reduces
+    fraction-free; at a float point D = 1 and ``_skew_reduce_float``
+    divides, testing zero by ``l.tol``.
 
     Positions g of the ambient flag stay active while their reduced vector
     y_g can still pair; step k pairs the first active row i_k that pairs
@@ -612,7 +625,7 @@ def jump_data(l: Functional, basis: Optional[AdaptableBasis] = None,
     """
     if basis is None:
         basis = l.basis
-    table = _form_table(basis)
+    table = _form_table(basis, ambient)
     n_amb = basis.ambient(ambient)
     values = l.values
     if l.exact:
@@ -1363,8 +1376,9 @@ def _sample_key(basis: AdaptableBasis, ambient: str, form: FormTable,
     """The layer key (e, j, phi) at the exact point with integer values xs
     on the leading real basis vectors of the ambient (0 past them), phi
     None on a layer that is not keyed, with no Functional, no JumpData and
-    no descriptor. form is the basis's form table and size the ambient's,
-    which ``generic_layer`` looks up once per call, not per sample.
+    no descriptor. form is the form table of the basis (that of the
+    ambient, or of g) and size the ambient's, which ``generic_layer``
+    looks up once per call, not per sample.
 
     When no pivot polynomial of the generic path (``_pivot_path``)
     vanishes at xs, the key is that path's (e, j), with phi the i_k whose
@@ -1463,7 +1477,7 @@ def generic_layer(basis: AdaptableBasis, ambient: str = "g",
     """
     rng = random.Random(seed)
     drawn = basis.ambient(ambient)
-    form = _form_table(basis)
+    form = _form_table(basis, ambient)
     # the samples of each level (e, j), in draw order, with their keys
     levels: Dict[tuple, List[tuple]] = {}
     for t in range(TRIALS):

@@ -21,7 +21,7 @@ from . import admissibility as adm
 from .adapted import AdaptableBasis, build_adaptable_basis
 from .algebra import (HypothesisViolation, LieAlgebraSpec, ValidationReport,
                       require_noncommutative, validate_spec)
-from .functionals import Functional
+from .functionals import Functional, adapted_values
 from .gaussian import GaussianRational
 from .sections import (SectionOracle, StabilizerData, UnsupportedLayerError,
                        _sample, canonical_h_vectors, sample_sigma_circ,
@@ -206,11 +206,14 @@ class Workbench:
     def plancherel_samples(self) -> dict:
         def one(f: Functional, jd):
             # jd is the n* reduction that put f in Lambda_nu: it pairs
-            # exactly e, and its Pfaffian is Pf(f)
+            # exactly e, and its Pfaffian is Pf(f); the values on nu are
+            # read in one pass
             pf = jd.pfaffian()
+            nu = self.stabilizer.nu
+            values = adapted_values(f, [f.basis.terms[j - 1] for j in nu])
             return {
                 "point": {f"Z{j}": str(GaussianRational.coerce(v))
-                          for j, v in ((j, f.z(j)) for j in self.stabilizer.nu)},
+                          for j, v in zip(nu, values)},
                 "pf_abs2": str(pf.abs2()),
             }
         rng = random.Random(self.seed + 5)

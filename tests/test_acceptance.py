@@ -136,15 +136,23 @@ def test_criterion_1_verdict_exact_work_on_specgen_1():
     # summing from_adapted in GaussianRationals and running a second
     # kernel for z(g) cap h, with no early stop, made 1,070 and 1,001, and
     # holding the little group's complement in Fractions 868 and 695. The
-    # bounds are 1.25x 868 and 695
+    # bounds are 1.25x 868 and 695. verdict() never reduces in g*, so it
+    # composes no h-part entries of the orbit form (``strata._compose`` on
+    # an h_structure): 0, where one g table per basis made 14
     specs = [spec_from_dict(doc) for doc, _ in specgen.generate(1)]
+    verdicts = []
     with Work() as work:
         work.fractions()
         work.calls(linalg, "extend_rref")
-        verdicts = [Workbench(spec).verdict().verdict for spec in specs]
+        work.calls(strata, "_compose", key="h-part _compose",
+                   when=lambda rows, terms: rows is not wb.basis.structure)
+        for spec in specs:
+            wb = Workbench(spec)
+            verdicts.append(wb.verdict().verdict)
     assert len(set(verdicts)) == 3, verdicts
     assert work["fraction"] <= 1_085, work
     assert work["extend_rref"] <= 868, work
+    assert work["h-part _compose"] == 0, work
     print(f"\nPASS criterion 1, verdict: specgen seed 1 with "
           f"{work['fraction']} Fraction constructions, "
           f"{work['extend_rref']} extend_rref calls")

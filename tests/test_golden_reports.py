@@ -4,10 +4,12 @@
 the SHA-256 recorded for it in perfbench/digests.json, and the same command
 at `--seed 7` to the one in tests/digests_seed7.json, so a change that is
 meant to leave the reports alone (a refactor, a speed-up) shows here the
-moment it alters one byte under either sampling seed. Regenerate the
-digests only when a report is meant to change:
-`python3 perfbench/make_digests.py` for seed 42 and
-`PYTHONPATH=src python3 tests/test_golden_reports.py` for seed 7.
+moment it alters one byte under either sampling seed. The default text
+output of `solvlie analyze FILE` on heisenberg-2param and spiral-heisenberg
+must equal tests/analyze_text_golden.txt. Regenerate these only when a
+report is meant to change: `python3 perfbench/make_digests.py` for seed 42
+and `PYTHONPATH=src python3 tests/test_golden_reports.py` for seed 7 and
+the text.
 """
 
 import contextlib
@@ -26,8 +28,10 @@ from solvlie import cli, corpus
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 SEED7_DIGESTS = Path(__file__).resolve().parent / "digests_seed7.json"
+TEXT_GOLDEN = Path(__file__).resolve().parent / "analyze_text_golden.txt"
 CORPUS_DIR = Path(corpus.__file__).resolve().parent / "corpus"
 ENTRY_IDS = sorted(p.stem for p in CORPUS_DIR.glob("*.json"))
+TEXT_IDS = ("heisenberg-2param", "spiral-heisenberg")
 
 
 def _report_digest(entry_id, seed):
@@ -37,6 +41,22 @@ def _report_digest(entry_id, seed):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         cli.main(argv)
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def _analyze_text() -> str:
+    """`solvlie analyze FILE`, with no --format, on each of TEXT_IDS, each
+    output under a line naming its file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for entry_id in TEXT_IDS:
+            print(f"$ solvlie analyze {entry_id}.json")
+            path = CORPUS_DIR / f"{entry_id}.json"
+            assert cli.main(["analyze", str(path)]) == 0
+    return out.getvalue()
+
+
+def test_analyze_text_matches_golden():
+    assert _analyze_text() == TEXT_GOLDEN.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)
@@ -99,3 +119,4 @@ if __name__ == "__main__":
     table = {e: _report_digest(e, 7) for e in ENTRY_IDS}
     SEED7_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
                              encoding="utf-8")
+    TEXT_GOLDEN.write_text(_analyze_text(), encoding="utf-8")

@@ -28,7 +28,9 @@ from conftest import VALID_IDS, wb_for
 from gen_specs import GENERATED, specgen
 from section_oracle import layer_descriptor as oracle_descriptor
 from solvlie.algebra import spec_from_dict
-from solvlie.strata import generic_layer
+from solvlie.functionals import Functional
+from solvlie.gaussian import GaussianRational as G
+from solvlie.strata import _case_table, generic_layer
 from solvlie.workbench import Workbench
 
 CORPUS_SEEDS = (1, 7, 42)
@@ -95,6 +97,20 @@ def test_returned_descriptors_do_not_share_the_memo():
         assert again.primes is not first.primes
 
 
+@pytest.mark.parametrize("entry_id", VALID_IDS)
+def test_kept_n_case_tables_equal_rebuilt_ones(entry_id):
+    # the n* case tables a with_h_part copy keeps are those it would build
+    # itself: they do not depend on the h part
+    canonical = wb_for(entry_id).canonical_basis
+    kept = {k: t for k, t in canonical.layer_tables.items()
+            if k[:1] == ("n",)}
+    assert kept
+    fresh = canonical.with_h_part(canonical.hvecs)
+    fresh.layer_tables.clear()
+    for (ambient, i_seq, j_seq), table in kept.items():
+        assert _case_table(fresh, ambient, i_seq, j_seq) == table
+
+
 def test_case_table_is_read_only_and_per_basis():
     wb = wb_for("double-heisenberg")
     basis = wb.basis
@@ -112,6 +128,22 @@ def test_case_table_is_read_only_and_per_basis():
             mapping[0] = ()
     with pytest.raises(AttributeError):
         table.keyed = False
-    other = basis.with_h_part(basis.hvecs)
-    assert other.layer_tables == {}
-    assert basis.layer_tables
+    # a copy with a new h part keeps the n* case tables of its source,
+    # which depend on the n part alone, and no other table: no g* case
+    # table, generic path, g orbit-form, h-weight ("gamma") or block
+    # inverse table
+    generic_layer(basis, "g", seed=3)
+    Functional.from_adapted(basis, [G(1)] * basis.dim)
+    assert {"orbit_form", "gamma", "inverse", ("pivots", "g")} <= \
+        set(basis.layer_tables)
+    assert ("g", desc.i_seq, desc.j_seq) in basis.layer_tables
+    n_keys = {k for k in basis.layer_tables if k[:1] == ("n",)}
+    assert key in n_keys
+    other = basis.with_h_part(list(reversed(basis.hvecs)))
+    assert set(other.layer_tables) == n_keys
+    for k in n_keys:
+        assert other.layer_tables[k] is basis.layer_tables[k]
+    # tables the copy builds later stay its own
+    generic_layer(other, "g", seed=3)
+    assert other.layer_tables["orbit_form"] is not \
+        basis.layer_tables["orbit_form"]

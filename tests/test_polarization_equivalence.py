@@ -14,7 +14,10 @@ both raise the same error there. On the dense-center family at m = 10 and
 16, where every [X_a, X_b] is nonzero, ``polarization_data`` is compared
 at three Sigma-circ points. ``center_data`` and ``unimodularity`` are
 compared with the dense oracles on the same specs and on the dense-center
-family at m = 10 and 16.
+family at m = 10 and 16. At every real Sigma-circ point of the corpus
+and of the specgen seeds 1-5, where ``polarization_data`` takes a real p
+as positive without reading its values, those values, recomputed over the
+real basis, are exactly 0.
 """
 
 import dataclasses
@@ -25,16 +28,17 @@ import pytest
 
 import polarization_oracle as oracle
 from conftest import VALID_IDS, wb_for
-from gen_specs import GENERATED, dense_center_spec
+from gen_specs import GENERATED, dense_center_spec, specgen
 from solvlie import admissibility as adm
 from solvlie import strata
-from solvlie.adapted import build_adaptable_basis
+from solvlie.adapted import AdaptableBasis, build_adaptable_basis
 from solvlie.algebra import LieAlgebraSpec, spec_from_dict
 from solvlie.functionals import Functional, sample_functional
 from solvlie.gaussian import GaussianRational as G
 from solvlie.linalg import Subspace
 from solvlie.sections import UnsupportedLayerError, sample_sigma_circ
 from solvlie.workbench import Workbench
+from work_budget import Work
 
 
 DOCS = {doc["name"]: doc for doc in GENERATED}
@@ -115,6 +119,44 @@ def test_isotropy_failure_matches_oracle(monkeypatch):
             raised += new == ("IsotropyError",
                               "jump reduction output is not isotropic")
     assert raised > 0
+
+
+def test_real_polarizations_have_zero_positivity_values():
+    # polarization_data reads positivity off realness: the RREF rows w of
+    # a real p are real, so i lam[w, conj w] = i lam[w, w] = 0, and it
+    # reads no value. Recompute the values the oracle's way
+    # (Functional.pair over the real basis) at every real Sigma-circ point
+    # of the corpus and of specgen seeds 1-5, five sampling seeds each (59
+    # is the one a verdict at seed 42 takes); the non-real points, all on
+    # the one non-real corpus layer, still read them (basis.coords per row)
+    wbs = [(case, wb_for(case)) for case in VALID_IDS]
+    wbs += [(doc["name"], Workbench(spec_from_dict(doc)))
+            for seed in range(1, 6) for doc, _ in specgen.generate(seed)]
+    real, non_real = 0, []
+    for case, wb in wbs:
+        basis = wb.canonical_basis
+        for seed in (59, 1, 2, 3, 4):
+            try:
+                lam = sample_sigma_circ(wb.oracle_sigma_circ,
+                                        random.Random(seed))
+            except UnsupportedLayerError:
+                break
+            with Work() as work:
+                work.calls(AdaptableBasis, "coords")
+                pol = adm.polarization_data(lam, basis)
+            if pol.real:
+                real += 1
+                assert work["coords"] == 0, case
+                for w in pol.p.rows:
+                    w_bar = [x.conjugate() for x in w]
+                    assert w_bar == w, (case, seed)
+                    assert (G(0, 1) * lam.pair(w, w_bar)).is_zero(), case
+            else:
+                non_real.append(case)
+                assert work["coords"] == pol.p.dim > 0, case
+                assert pol.positive
+    assert real == 215
+    assert non_real == ["heisenberg-complex-dilation"] * 5
 
 
 def _assert_center_and_unimodularity_match(spec):

@@ -2,11 +2,12 @@
 validation reads on integers.
 
 - ``strata._form_table`` composes the entries of ``structure`` once per n
-  part, on the integer fields of the GaussianRationals, and a
-  ``with_h_part`` copy keeps them; it rebuilds only its ``h_structure``
-  entries, the denominator and the scales. Every table must equal the old
-  composition (``form_table_oracle``) for ``basis`` and ``canonical_basis``
-  on the corpus and on the specs of perfbench/specgen.py at seeds 1-10.
+  part, on the integer fields of the GaussianRationals, into the n table,
+  and a ``with_h_part`` copy keeps it; a g table takes its entries and
+  composes only its ``h_structure`` entries, the denominator and the
+  scales. Every table of either ambient must equal the old composition
+  (``form_table_oracle``) for ``basis`` and ``canonical_basis`` on the
+  corpus and on the specs of perfbench/specgen.py at seeds 1-10.
 - The Jacobi witness visits only the products of brackets that exist; it
   must be the first failing triple of the dense check
   (``structure_oracle.jacobi_failures``) on perturbed generated specs.
@@ -50,9 +51,12 @@ def test_form_table_matches_the_old_composition(case):
     wb = _workbench(case)
     basis, canonical = wb.basis, wb.canonical_basis
     for b in (basis, canonical):
-        assert strata._form_table(b) == form_table_oracle.form_table(b)
-    # the copy keeps the n-part entries; its table is its own
-    assert canonical.n_form_entries is basis.n_form_entries
+        for ambient in ("n", "g"):
+            assert strata._form_table(b, ambient) == \
+                form_table_oracle.form_table(b, ambient)
+    # the copy keeps the n table; its g table is its own
+    assert strata._form_table(canonical, "n") is \
+        strata._form_table(basis, "n")
     assert basis.layer_tables["orbit_form"] is not \
         canonical.layer_tables["orbit_form"]
 
@@ -84,7 +88,9 @@ def test_n_part_is_composed_once_per_n_part(monkeypatch):
     assert strata._form_table(fresh) == tables[0]
     assert [rows is fresh.structure for rows in composed] == \
         [True, False, True, False]
-    assert early.n_form_entries == fresh.n_form_entries
+    assert strata._form_table(early, "n") == strata._form_table(fresh, "n")
+    assert strata._form_table(early, "n") is not \
+        strata._form_table(fresh, "n")
 
 
 # -- validation reads ------------------------------------------------------------

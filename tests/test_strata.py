@@ -17,8 +17,8 @@ from solvlie import strata
 from solvlie.strata import (TRIALS, InconsistentSamplingError,
                             LayerDescriptor, LayerMismatchError, NotSkewError,
                             OddDimensionError, UnsupportedCaseError,
-                            generic_layer, jump_data, layer_descriptor,
-                            pfaffian, section_vectors)
+                            generic_layer, jump_data, pfaffian,
+                            section_vectors)
 
 
 # -- bilinear form ------------------------------------------------------------

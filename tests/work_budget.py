@@ -155,10 +155,11 @@ def _design_counts():
     print("weight-decomposition kernel calls:", "; ".join(counts))
 
     # one Workbench(spec).verdict() per specgen seed-1 spec: reductions of
-    # a point, layer descriptions, compositions of the n-part entries of
-    # the orbit-form table, exact eliminations, gcd-reduced results (the
-    # funnel of every exact GaussianRational result that needs a gcd),
-    # conversions between dense and sparse rows, and Fraction constructions
+    # a point, layer descriptions, compositions of the n-part and of the
+    # h-part entries of the orbit-form table, exact eliminations,
+    # gcd-reduced results (the funnel of every exact GaussianRational
+    # result that needs a gcd), conversions between dense and sparse rows,
+    # and Fraction constructions
     specs = generated()
     with Work() as verdict:
         for owner, name in ((strata, "jump_data"),
@@ -168,6 +169,8 @@ def _design_counts():
             verdict.calls(owner, name)
         verdict.calls(strata, "_compose",
                       when=lambda rows, terms: rows is wb.basis.structure)
+        verdict.calls(strata, "_compose", key="h_compose",
+                      when=lambda rows, terms: rows is not wb.basis.structure)
         verdict.fractions()
         for spec in specs:
             wb = Workbench(spec)
@@ -175,7 +178,8 @@ def _design_counts():
     print(f"verdict() exact work on specgen seed 1: jump_data "
           f"{verdict['jump_data']}, layer_descriptor "
           f"{verdict['layer_descriptor']}, n-part form-table builds "
-          f"{verdict['_compose']}, rref {verdict['rref']}, gcd-reduced "
+          f"{verdict['_compose']}, h-part form-table builds "
+          f"{verdict['h_compose']}, rref {verdict['rref']}, gcd-reduced "
           f"results {verdict['_reduced']}")
 
     # the front half, validate_spec and then build_adaptable_basis
