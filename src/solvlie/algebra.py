@@ -39,12 +39,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import (GaussianRational, ONE, ZERO, _FIELDS, _made, _reduced,
                        parse_gaussian)
-from .linalg import (extend_echelon, invert, is_zero, kernel, reduce_row, rref,
+from .linalg import (extend_echelon, invert, is_zero, reduce_row, rref,
                      rref_kernel)
 
 Vector = Tuple[GaussianRational, ...]
@@ -303,22 +304,25 @@ def _diagonal(mat) -> Optional[List[GaussianRational]]:
     return [row.get(i, ZERO) for i, row in enumerate(mat)]
 
 
-def _krylov_polynomial(mat, u) -> List[GaussianRational]:
-    """The monic minimal polynomial of the sparse row vector u under
-    x -> x mat, coefficients from the constant term up. The Krylov
-    vectors u, u mat, u mat^2, ... extend a sparse echelon in turn, the
-    k-th carrying one more entry, 1 at column size + k, so that its
-    remainder carries its combination of Krylov vectors in those columns.
-    The first whose remainder has no column below size stops the sequence:
-    its combination, with coefficient 1 on itself, is the polynomial.
+def _krylov_polynomial(mat, u) -> Tuple[List[GaussianRational], list]:
+    """The monic minimal polynomial m_u of the sparse row vector u under
+    x -> x mat, coefficients from the constant term up, and the Krylov
+    vectors u, u mat, ..., u mat^(d-1) it was read from, d = deg m_u, as
+    {column: value} rows. The Krylov vectors extend a sparse echelon in
+    turn, the k-th carrying one more entry, 1 at column size + k, so that
+    its remainder carries its combination of Krylov vectors in those
+    columns. The first whose remainder has no column below size stops the
+    sequence: its combination, with coefficient 1 on itself, is m_u.
     """
     size = len(mat)
     rows: list = []
     pivots: List[int] = []
+    vectors: list = []
     for k in range(size + 1):
         rem = extend_echelon(rows, pivots, {**u, size + k: ONE})
         if min(rem) >= size:
-            return [rem.get(size + i, ZERO) for i in range(k + 1)]
+            return [rem.get(size + i, ZERO) for i in range(k + 1)], vectors
+        vectors.append(u)
         u = {j: sum((x * mat[i][j] for i, x in u.items() if x), ZERO)
              for j in range(size)}
 
@@ -415,31 +419,60 @@ def _gaussian_roots(poly) -> List[GaussianRational]:
             if not _horner(poly, r)]
 
 
-def _eigenspaces(mat, eigenspace) -> List[Tuple[GaussianRational, list]]:
+def _eigenspaces(mat) -> List[Tuple[GaussianRational, list]]:
     """The eigenvalues r in Q(i) of the square matrix mat, found exactly,
-    each with ``eigenspace(r)``, the rows x with x mat = r x: the roots of
-    the Krylov minimal polynomial of a unit vector, taken outside the
-    eigenspaces found so far until they fill the space or a vector brings
-    no new root. A polynomial with a repeated root brings none, and the
-    search stops: it divides the minimal polynomial of mat, so mat is not
-    diagonalizable. ``weight_decomposition`` splits a diagonal mat itself,
-    so here mat has an entry off its diagonal."""
+    each with independent sparse rows x, x mat = r x, that span its
+    eigenspace when mat is diagonalizable over Q(i).
+
+    Take the first unit vector u outside the span of the eigenvectors kept
+    so far, its Krylov minimal polynomial m_u and the Krylov vectors u
+    mat^k, k < d = deg m_u (``_krylov_polynomial``). For each root r of m_u
+    in Q(i) (``_gaussian_roots``), q_r = m_u / (x - r) gives q_r(mat) u =
+    sum_k q_r,k u mat^k, nonzero as deg q_r < d, and an eigenvector for r
+    as (x - r) q_r kills u: the Lagrange idempotents of a diagonalizable
+    operator, applied to u (Hoffman and Kunze, Linear Algebra, ch. 6). It
+    is kept under r when it extends the span. The search stops when the
+    span fills or a start vector adds nothing. m_u with a repeated root
+    brings no root: it divides the minimal polynomial of mat, which is then
+    not diagonalizable. When mat is diagonalizable over Q(i), u outside the
+    span has a component u_r outside the part of the span in the eigenspace
+    of r, and q_r(mat) u is a nonzero multiple of u_r, so every start
+    vector adds one, and the kept rows fill the space.
+
+    This gives what taking each eigenspace as the kernel of mat - r gave,
+    with the span grown by whole eigenspaces:
+
+    - the same roots in the same order. The first unit vector outside the
+      eigenvector span is either the kernel route's next start vector, and
+      then it brings the same new roots in the same order, or it lies in
+      the sum of the known eigenspaces, and then it brings no new root. A
+      new root's eigenvector lies outside the span, so it is kept at once;
+    - the same rows: the kept rows are independent and each lies in the
+      eigenspace of its root, so when they fill the space the rows of r
+      span that eigenspace, and RREF rows are unique;
+    - the same errors: the span falls short of the space exactly when mat
+      has no eigenbasis over Q(i) (a Jordan block, or a weight outside
+      Q(i)), as the kernels fell short.
+
+    ``weight_decomposition`` splits a diagonal mat itself, so here mat has
+    an entry off its diagonal."""
     size = len(mat)
-    found: List[Tuple[GaussianRational, list]] = []
-    span: list = []         # echelon rows of the eigenspaces found so far
+    found: Dict[GaussianRational, list] = {}
+    span: list = []         # echelon rows of the eigenvectors kept so far
     pivots: List[int] = []
     while len(span) < size:
         c = next(c for c in range(size) if reduce_row(span, pivots, {c: ONE}))
-        known = [r for r, _ in found]
-        roots = _gaussian_roots(_krylov_polynomial(mat, {c: ONE}))
-        new = [(r, eigenspace(r)) for r in roots if r not in known]
-        if not new:
+        poly, vectors = _krylov_polynomial(mat, {c: ONE})
+        before = len(span)
+        for r in _gaussian_roots(poly):
+            # q_r from its top coefficient down, by synthetic division
+            q = accumulate(reversed(poly[1:]), lambda b, a: a + r * b)
+            x = _combine(zip(q, (v.items() for v in reversed(vectors))))
+            if extend_echelon(span, pivots, x):
+                found.setdefault(r, []).append(x)
+        if len(span) == before:
             break
-        found += new
-        for _, null in new:
-            for x in null:
-                extend_echelon(span, pivots, x)
-    return found
+    return list(found.items())
 
 
 def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
@@ -449,16 +482,15 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
     the space is read off the pivots of its RREF rows. When R is diagonal
     the space splits with no elimination: the weight space of a diagonal
     value r is the space's own rows at the entries r, the values in order
-    of first appearance. That is exactly what the kernel route gives: the
-    kernel of the diagonal shift R - r is the unit vectors at its zero
-    entries, as ``rref_kernel`` returns them, so the rows come back as they
-    are, and a subset of RREF rows is already in RREF. Otherwise the
-    eigenvalue candidates are found exactly (``_eigenspaces``): the Q(i)
-    roots of Krylov minimal polynomials, found by p-adic lifting
-    (``_gaussian_roots``), none for a polynomial with a repeated root.
-    Each weight space is then the exact kernel of ad(A_t) - candidate over
-    n, computed once per candidate and also read by the Krylov search, and
-    the space splits only when those kernels fill it.
+    of first appearance. That is what the Krylov route gives on a diagonal
+    R: unit vector k is an eigenvector of its entry, and a subset of RREF
+    rows is already in RREF. Otherwise the weights and their eigenvectors
+    are read off Krylov vectors (``_eigenspaces``): the Q(i) roots of their
+    minimal polynomials, found by p-adic lifting (``_gaussian_roots``), and
+    for each root r the combination of the Krylov vectors that the
+    quotient of the polynomial by x - r gives. Each weight space is the
+    RREF over n of the eigenvectors of its root, and the space splits only
+    when they fill it.
     Raises DiagonalizationError when no Gaussian-rational eigenbasis exists.
     """
     nd = spec.n_dim
@@ -481,33 +513,17 @@ def weight_decomposition(spec: LieAlgebraSpec) -> List[WeightSpace]:
                         row for row, d in zip(rows, diagonal) if d == cand]))
                 continue
 
-            def eigenspace(cand):
-                """The kernel of (ad A - cand) inside the space, in the
-                coordinates over its rows."""
-                shifted: Dict[int, Dict[int, GaussianRational]] = {}
-                for i, (img, row) in enumerate(zip(images, rows)):
-                    diff = dict(img)
-                    for c, y in row.items():
-                        diff[c] = diff[c] - cand * y if c in diff else -(cand * y)
-                    for c, x in diff.items():
-                        if x:
-                            shifted.setdefault(c, {})[i] = x
-                return kernel([shifted[c] for c in sorted(shifted)], len(rows))
-
             size = len(rows)
             mat = [[r.get(j, ZERO) for j in range(size)] for r in restricted]
-            found_dim = 0
-            for cand, null in _eigenspaces(mat, eigenspace):
-                space = rref([_combine((x, rows[i].items()) for i, x in combo.items())
-                              for combo in null])[0]
-                if space:
-                    found_dim += len(space)
-                    new_spaces.append((weights + (cand,), space))
-            if found_dim != size:
+            found = _eigenspaces(mat)
+            if sum(len(vectors) for _, vectors in found) != size:
                 raise DiagonalizationError(
                     "EIGEN_NOT_GAUSSIAN_RATIONAL",
                     f"ad({spec.h_names[t]}) has no Gaussian-rational eigenbasis "
                     f"on a {size}-dimensional invariant subspace")
+            new_spaces += [(weights + (cand,), rref([
+                _combine((x, rows[i].items()) for i, x in v.items())
+                for v in vectors])[0]) for cand, vectors in found]
         spaces = new_spaces
     return [WeightSpace(weights, [[r.get(c, ZERO) for c in range(nd)] for r in rows])
             for weights, rows in spaces]

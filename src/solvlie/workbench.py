@@ -1,14 +1,14 @@
 """End-to-end pipeline: spec file to orbital data to admissibility report.
 
 Everything downstream of validation is derived lazily and cached, so a
-caller can ask for just the verdict or the full report document (which
-adds the layer sampling on g*). ``verdict()`` is not a cheap decision: it
-samples the n* generic layer, one Sigma-circ point for the polarization
-and ``PLANCHEREL_SAMPLES`` Lambda_nu points for the density, although the
-verdict code itself reads only unimodularity and z(g) cap h (deciding
-from those first is ROADMAP item 7). Reports are deterministic functions
-of (spec, seed); each generic layer is located from ``strata.TRIALS``
-points drawn from the seed.
+caller can ask for just the decision, the verdict or the full report
+document (which adds the layer sampling on g*). ``decision`` is the
+verdict code from exact data alone: the hypotheses, unimodularity and
+z(g) cap h. ``verdict()`` reads its code from there, and adds the layer
+data: it samples the n* generic layer, one Sigma-circ point for the
+polarization and ``PLANCHEREL_SAMPLES`` Lambda_nu points for the density.
+Reports are deterministic functions of (spec, seed); each generic layer
+is located from ``strata.TRIALS`` points drawn from the seed.
 """
 
 from __future__ import annotations
@@ -174,12 +174,23 @@ class Workbench:
             return adm.multiplicity(self.canonical_basis, self.stabilizer, pol)
         return self._get("multiplicity", make)
 
-    def verdict(self) -> adm.AdmissibilityReport:
+    @property
+    def decision(self) -> str:
+        """The verdict code of the paper's theorem, from the structure
+        constants alone: the hypotheses, then unimodularity, then dim z(g)
+        cap h (``adm.verdict_from_parts``). It builds no basis and draws
+        no sample."""
         def make():
             self.require_hypotheses()
+            return adm.verdict_from_parts(self.unimodular[0],
+                                          self.center.dim_z_cap_h)
+        return self._get("decision", make)
+
+    def verdict(self) -> adm.AdmissibilityReport:
+        def make():
+            code = self.decision
             uni, table = self.unimodular
             dim_zh = self.center.dim_z_cap_h
-            code = adm.verdict_from_parts(uni, dim_zh)
             mult = self.multiplicity
             pol = self.polarization
             note = None

@@ -11,6 +11,10 @@ seeded rounds of 2-step and filiform specs with their expected verdicts
 - ``GENERATED``: the specgen documents of seeds 1, 7 and 13;
 - ``dense_center_spec``: a 2-step algebra with a one-dimensional center
   and every bracket nonzero, so that the orbit form is dense;
+- ``heisenberg_power_spec``: H_3^m under one dilation of weights (2, 1, 1)
+  on each copy;
+- ``conjugated`` with ``blocks`` and ``rotation``: an action P D P^-1
+  moved off its block-diagonal form D by a seeded integer matrix P;
 - ``double_heisenberg_with_v`` and the hint builders ``pair_hint``,
   ``real_hint`` and ``COMPLEX_HINT`` of the complex Heisenberg shapes;
 - ``degenerate_points``: exact points with coordinates in {-1, 0, 1} and
@@ -26,9 +30,11 @@ module.
 
 import importlib.util
 import random
+from fractions import Fraction
 from pathlib import Path
 
-from solvlie.algebra import spec_from_dict
+import rref_oracle
+from solvlie.algebra import LieAlgebraSpec, spec_from_dict
 from solvlie.functionals import Functional, _draw_integers
 from solvlie.gaussian import GaussianRational
 
@@ -94,6 +100,72 @@ def dense_center_spec(m, seed=0):
     brackets.append({"x": "A", "y": "Z", "value": [{"c": "2", "b": "Z"}]})
     return spec_from_dict({"name": f"dense-center-{m}", "n_basis": ["Z"] + xs,
                            "h_basis": ["A"], "brackets": brackets})
+
+
+def heisenberg_power_spec(m):
+    """H_3^m, [X_k, Y_k] = Z_k over the basis Z_1..Z_m, Y_1..Y_m,
+    X_1..X_m, with one dilation A of weight 2 on each Z_k and 1 on each
+    Y_k and X_k: tr ad A = 4m and A moves the center, so ADMISSIBLE."""
+    ks = range(1, m + 1)
+    brackets = [{"x": f"X{k}", "y": f"Y{k}", "value": [{"c": "1", "b": f"Z{k}"}]}
+                for k in ks]
+    brackets += [{"x": "A", "y": f"{lab}{k}", "value": [{"c": c, "b": f"{lab}{k}"}]}
+                 for lab, c in (("Z", "2"), ("Y", "1"), ("X", "1")) for k in ks]
+    return spec_from_dict({
+        "name": f"heisenberg-power-{m}",
+        "n_basis": [f"{lab}{k}" for lab in "ZYX" for k in ks],
+        "h_basis": ["A"], "brackets": brackets})
+
+
+def blocks(*blocks):
+    """The block-diagonal matrix of the square blocks, as rows of Fractions."""
+    size = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                out[at + i][at + j] = Fraction(x)
+        at += len(b)
+    return out
+
+
+def rotation(a, b):
+    """The block of the weights a + ib and a - ib."""
+    return [[a, -b], [b, a]]
+
+
+def conjugated(blocks, seed, heisenberg=False):
+    """Abelian n with A acting by P blocks P^-1 for a random integer P, so
+    that the matrix of ad(A) is dense, not triangular. With ``heisenberg``,
+    n is H_3 + that abelian part as its center, [X, Y] = Z, and A acts
+    trivially on H_3."""
+    size = len(blocks)
+    rng = random.Random(seed)
+    while True:
+        p = [[GaussianRational(rng.randint(-3, 3)) for _ in range(size)]
+             for _ in range(size)]
+        p_inv = rref_oracle.invert(p)
+        if p_inv is not None:
+            break
+    zero = GaussianRational(0)
+    pb = [[sum((p[i][k] * blocks[k][l] for k in range(size)), zero)
+           for l in range(size)] for i in range(size)]
+    mat = [[sum((pb[i][l] * p_inv[l][j] for l in range(size)), zero).re
+            for j in range(size)] for i in range(size)]
+    names = [f"X{i}" for i in range(size)]
+    brackets = {("A", names[m]): {names[r]: mat[r][m] for r in range(size)
+                                  if mat[r][m]} for m in range(size)}
+    if heisenberg:
+        names = ["Z", "Y", "X"] + names
+        brackets[("X", "Y")] = {"Z": Fraction(1)}
+    return LieAlgebraSpec("dense-action", names, ["A"], brackets)
+
+
+def moved_distinct_weights(n, seed=0):
+    """The weights 1..n on abelian n, moved by ``conjugated``: one start
+    vector fills the space, and every split takes the Krylov route."""
+    return conjugated(blocks(*([[w]] for w in range(1, n + 1))), seed)
 
 
 def pair_hint(x, y):

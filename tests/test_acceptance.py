@@ -14,7 +14,8 @@ import pytest
 from conftest import VALID_IDS, corpus_entry, point, sample_element, wb_for
 from disintegration_oracle import (within_standard_errors,
                                    workbench_disintegration)
-from gen_specs import dense_center_spec, generated_doc, specgen
+from gen_specs import (dense_center_spec, generated_doc, moved_distinct_weights,
+                       specgen)
 from pfaffian_oracle import det
 from section_oracle import pointwise_stabilizer, real_section_vectors
 from solvlie import admissibility as adm, gaussian, linalg, strata
@@ -206,6 +207,27 @@ def test_criterion_1_verdict_exact_work_per_family(family):
     assert work["rref"] <= max_rref, work
     print(f"\nPASS criterion 1, {family}: verdict with {work['_reduced']} "
           f"gcd-reduced results, {work['rref']} rref calls")
+
+
+def test_criterion_1_validation_exact_work_on_a_moved_action():
+    # validate_spec on a cold spec whose action is P diag(1, ..., 30) P^-1
+    # for a seeded integer P (gen_specs.moved_distinct_weights, seed 0), so
+    # that the weight split takes the Krylov route. Measured: 154,217
+    # gcd-reduced results and 61 extend_echelon calls, and no kernel;
+    # taking each weight space as the kernel of ad(A) - r made 629,211
+    # results and 30 kernels. The bounds are 1.25x the counts
+    spec = moved_distinct_weights(30)
+    with Work() as work:
+        work.calls(gaussian, "_reduced")
+        work.calls(linalg, "extend_echelon")
+        work.calls(linalg, "kernel")
+        assert validate_spec(spec).ok
+    assert work["_reduced"] <= 192_771, work
+    assert work["extend_echelon"] <= 76, work
+    assert work["kernel"] == 0, work
+    print(f"\nPASS criterion 1, moved action: n = 30 validated with "
+          f"{work['_reduced']} gcd-reduced results, {work['extend_echelon']} "
+          f"extend_echelon calls, no kernel")
 
 
 def test_criterion_2_section_vector_formulas_exact():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -161,6 +162,26 @@ def test_corpus_run_unknown_id():
     assert proc.stdout == ""
 
 
+def test_corpus_run_mismatch_exits_1(monkeypatch, capsys):
+    # an expectation the computation does not meet: its row reads FAIL, the
+    # entry is named on stderr, and the exit code is 1
+    from solvlie import cli, corpus
+    entries = corpus.corpus_entries
+
+    def wrong_verdict():
+        out = entries()
+        for e in out:
+            e.expected = [dataclasses.replace(x, value="ADMISSIBLE")
+                          if x.check == "verdict" else x for x in e.expected]
+        return out
+    monkeypatch.setattr(corpus, "corpus_entries", wrong_verdict)
+    assert cli.main(["corpus", "run", "heisenberg-2param"]) == 1
+    out = capsys.readouterr()
+    assert "FAIL heisenberg-2param" in out.out
+    assert "all" not in out.out.splitlines()[-1]
+    assert out.err == "MISMATCHED ENTRIES: ['heisenberg-2param']\n"
+
+
 def test_corpus_list_with_ids_is_a_usage_error():
     proc = run_cli("corpus", "list", "heisenberg-2param")
     assert proc.returncode == 2
@@ -314,6 +335,25 @@ MALFORMED_SPECS = {
     "hint-imaginary-part-over-zero": _malformed(lambda d: d.update(
         adaptable_hint=[{"label": "Z1",
                          "value": [{"c": "1/2+1/0 i", "b": "Z"}]}])),
+    # one case for each other SpecFormatError the parser raises
+    "document-a-list": ["Z", "Y", "X"],
+    "n_basis-missing": _malformed(lambda d: d.pop("n_basis")),
+    "labels-not-unique": _malformed(lambda d: d.update(h_basis=["A", "A"])),
+    "bracket-without-y": _malformed(lambda d: d["brackets"][0].pop("y")),
+    "bracket-unknown-label": _malformed(lambda d: d["brackets"][0].update(x="W")),
+    "bracket-value-outside-n":
+        _malformed(lambda d: d["brackets"][0]["value"][0].update(b="A")),
+    "term-without-c": _malformed(lambda d: d["brackets"][0]["value"][0].pop("c")),
+    "bad-rational":
+        _malformed(lambda d: d["brackets"][0]["value"][0].update(c="one")),
+    "duplicate-bracket":
+        _malformed(lambda d: d["brackets"].append(dict(d["brackets"][0]))),
+    "hint-without-label": _malformed(lambda d: d.update(
+        adaptable_hint=[{"value": [{"c": "1", "b": "Z"}]}])),
+    "hint-unknown-label": _malformed(lambda d: d.update(
+        adaptable_hint=[{"label": "W1", "value": [{"c": "1", "b": "W"}]}])),
+    "hint-bad-gaussian-rational": _malformed(lambda d: d.update(
+        adaptable_hint=[{"label": "Z1", "value": [{"c": "one i", "b": "Z"}]}])),
 }
 
 # validate and analyze exit 3 on an unreadable or unparsable file,

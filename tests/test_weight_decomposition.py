@@ -17,12 +17,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import corpus_entry
-from gen_specs import (GENERATED, WIDER, dense_center_spec, generated_spec,
-                       specgen)
+from gen_specs import (GENERATED, WIDER, blocks, conjugated, dense_center_spec,
+                       generated_spec, rotation, specgen)
 import rref_oracle
 import weight_oracle
 from solvlie import admissibility as adm
-from solvlie import algebra
+from solvlie import algebra, linalg
 from solvlie.algebra import (DiagonalizationError, LieAlgebraSpec,
                              SpecFormatError, spec_from_dict, validate_spec,
                              weight_decomposition)
@@ -80,25 +80,23 @@ def test_dense_center_weights_match_oracle(m):
 
 
 def _kernel_calls(spec):
-    """The ``algebra.kernel`` calls of one decomposition of spec, which must
+    """The ``linalg.kernel`` calls of one decomposition of spec, which must
     match the oracle's weight spaces."""
     want = _outcome(weight_oracle.weight_decomposition, spec)
     with Work() as work:
-        work.calls(algebra, "kernel")
+        work.calls(linalg, "kernel")
         assert _outcome(weight_decomposition, spec) == want
     return work["kernel"]
 
 
-@pytest.mark.parametrize("entry_id, calls", [
-    ("spiral-heisenberg", 4), ("coupled-pairs", 3), ("free-two-step", 3),
-    ("heisenberg-complex-dilation", 3), ("five-dilations-repaired", 3)])
-def test_krylov_route_computes_each_eigenspace_once(entry_id, calls):
-    # on these specs some restricted matrix is not diagonal; the exact
-    # kernel over n that decides a weight space also grows the Krylov span,
-    # so each eigenspace costs one kernel. five-dilations-repaired takes the
-    # Krylov route on its first split only (3 kernels): its later splits
-    # are diagonal, and a diagonal split calls no kernel
-    assert _kernel_calls(corpus_entry(entry_id).spec()) == calls
+@pytest.mark.parametrize("entry_id", [
+    "spiral-heisenberg", "coupled-pairs", "free-two-step",
+    "heisenberg-complex-dilation", "five-dilations-repaired"])
+def test_krylov_route_computes_each_eigenspace_once(entry_id):
+    # on these specs some restricted matrix is not diagonal; each
+    # eigenvector is a combination of the Krylov vectors that found its
+    # weight, so no eigenspace costs a kernel
+    assert _kernel_calls(corpus_entry(entry_id).spec()) == 0
 
 
 @pytest.mark.parametrize("spec", [corpus_entry("heisenberg-2param").spec()] + [
@@ -124,7 +122,7 @@ def _in_order(spec):
     pytest.param(dense_center_spec(m), id=f"dense-center-{m}") for m in (10, 16)])
 def test_diagonal_split_matches_the_kernel_route_in_order(monkeypatch, spec):
     # the same weights and rows in the same order as when every diagonal
-    # restriction goes through the Krylov search and its kernels
+    # restriction goes through the Krylov search
     fast = _in_order(spec)
     monkeypatch.setattr(algebra, "_diagonal", lambda mat: None)
     assert _in_order(spec) == fast
@@ -150,15 +148,23 @@ def _krylov_all_columns(mat, v):
     "heisenberg-complex-dilation", "five-dilations-repaired"])
 def test_krylov_polynomial_stops_at_first_dependency(monkeypatch, entry_id):
     # the minimal polynomial is unique, so stopping at the first dependent
-    # Krylov vector gives the same coefficients as the full sequence
+    # Krylov vector gives the same coefficients as the full sequence; the
+    # vectors returned with it are the first deg m_u Krylov vectors
     seen = []
     krylov = algebra._krylov_polynomial
 
     def checked(mat, v):
-        got = krylov(mat, v)
+        got, vectors = krylov(mat, v)
         assert got == _krylov_all_columns(mat, v)
+        size, u = len(mat), v
+        assert len(vectors) == len(got) - 1
+        for vec in vectors:
+            assert [vec.get(j, G(0)) for j in range(size)] == \
+                [u.get(j, G(0)) for j in range(size)]
+            u = {j: sum((u.get(i, G(0)) * mat[i][j] for i in range(size)), G(0))
+                 for j in range(size)}
         seen.append(len(got) - 1)
-        return got
+        return got, vectors
     monkeypatch.setattr(algebra, "_krylov_polynomial", checked)
     weight_decomposition(corpus_entry(entry_id).spec())
     assert seen
@@ -205,7 +211,7 @@ def test_large_denominators_accepted_with_a_verdict(spec, weights):
     assert Workbench(spec).verdict().verdict == adm.VERDICT_ADMISSIBLE
 
 
-# -- a triangular, non-diagonal action: the Krylov and kernel route --------
+# -- a triangular, non-diagonal action: the Krylov route ---------------------
 
 def _triangular_heisenberg(upper):
     """[X, Y] = Z with A acting by a triangular, non-diagonal matrix with
@@ -217,10 +223,10 @@ def _triangular_heisenberg(upper):
 
 
 @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
-def test_triangular_restriction_takes_the_kernel_route(upper):
+def test_triangular_restriction_takes_the_krylov_route(upper):
     # the diagonal values are the weights, but a value no longer marks a
-    # row: the Krylov search finds them, and each weight space is the
-    # kernel of ad(A) - weight, one per value
+    # row: the Krylov search finds them, and each weight space is read off
+    # the Krylov vectors, with no kernel of ad(A) - weight
     spec = _triangular_heisenberg(upper)
     assert validate_spec(spec).ok
     unit = [{c: G(1)} for c in range(3)]
@@ -228,60 +234,35 @@ def test_triangular_restriction_takes_the_kernel_route(upper):
                                for c, x in row.items()) for row in unit]
     mat = algebra._restricted(images, unit)
     assert algebra._diagonal(mat) is None
-    assert _kernel_calls(spec) == 3
+    assert _kernel_calls(spec) == 0
     assert _multiset(spec) == [("1", 1), ("2", 1), ("3", 1)]
 
 
 # -- a dense action: the Krylov route -----------------------------------------
 
-def _blocks(*blocks):
-    size = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[at + i][at + j] = Fraction(x)
-        at += len(b)
-    return out
-
-
-def _rotation(a, b):
-    return [[a, -b], [b, a]]
-
-
-def _conjugated(blocks, seed, heisenberg=False):
-    """Abelian n with A acting by P blocks P^-1 for a random integer P, so
-    that the matrix of ad(A) is dense, not triangular. With ``heisenberg``,
-    n is H_3 + that abelian part as its center, [X, Y] = Z, and A acts
-    trivially on H_3."""
-    size = len(blocks)
-    rng = random.Random(seed)
-    while True:
-        p = [[G(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)]
-        p_inv = rref_oracle.invert(p)
-        if p_inv is not None:
-            break
-    mat = [[sum((p[i][k] * blocks[k][l] * p_inv[l][j]
-                 for k in range(size) for l in range(size)), G(0)).re
-            for j in range(size)] for i in range(size)]
-    names = [f"X{i}" for i in range(size)]
-    brackets = {("A", names[m]): {names[r]: mat[r][m] for r in range(size)
-                                  if mat[r][m]} for m in range(size)}
-    if heisenberg:
-        names = ["Z", "Y", "X"] + names
-        brackets[("X", "Y")] = {"Z": Fraction(1)}
-    return LieAlgebraSpec("dense-action", names, ["A"], brackets)
-
-
 def _multiset(spec):
     return sorted((str(sp.weights[0]), sp.dim) for sp in weight_decomposition(spec))
 
 
+def _repeated(seed):
+    """The weights 1 and 1 +- 2i twice each and 2 once, moved."""
+    return conjugated(blocks([[1]], [[1]], [[2]], rotation(1, 2),
+                             rotation(1, 2)), seed)
+
+
+Q = [10 ** 9 + 7, 10 ** 9 + 9, 10 ** 9 + 21, 10 ** 9 + 33]
+LARGE = [G(Fraction(3, Q[0]), Fraction(5, Q[1])),
+         G(Fraction(7, Q[2]), Fraction(2, Q[3]))]
+
+
+def _large_rotations(seed):
+    """The weights w and conj(w) for each w of LARGE, moved."""
+    return conjugated(blocks(*(rotation(w.re, w.im) for w in LARGE)), seed)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_repeated_weights_match_oracle(seed):
-    spec = _conjugated(_blocks([[1]], [[1]], [[2]], _rotation(1, 2),
-                               _rotation(1, 2)), seed)
+    spec = _repeated(seed)
     _assert_agree(spec)
     assert _multiset(spec) == [("1", 2), ("1+2 i", 2), ("1-2 i", 2), ("2", 1)]
 
@@ -290,34 +271,44 @@ def test_repeated_weights_match_oracle(seed):
 def test_rotations_with_large_denominators_on_a_dense_action(seed):
     # the minimal polynomial, scaled into Z[i][x], has leading coefficient
     # about 10^36: the roots are lifted past that bound before they are read
-    q = [10 ** 9 + 7, 10 ** 9 + 9, 10 ** 9 + 21, 10 ** 9 + 33]
-    spec = _conjugated(_blocks(_rotation(Fraction(3, q[0]), Fraction(5, q[1])),
-                               _rotation(Fraction(7, q[2]), Fraction(2, q[3]))),
-                       seed)
-    assert _multiset(spec) == sorted(
-        (str(w), 1) for w in (G(Fraction(3, q[0]), Fraction(5, q[1])),
-                              G(Fraction(3, q[0]), Fraction(-5, q[1])),
-                              G(Fraction(7, q[2]), Fraction(2, q[3])),
-                              G(Fraction(7, q[2]), Fraction(-2, q[3]))))
+    assert _multiset(_large_rotations(seed)) == sorted(
+        (str(v), 1) for w in LARGE for v in (w, w.conjugate()))
+
+
+@pytest.mark.parametrize("family, seed, want", [
+    (_repeated, seed, [("1+2 i", 2), ("1", 2), ("1-2 i", 2), ("2", 1)])
+    for seed in (0, 1)] + [
+    (_large_rotations, seed, [("3/1000000007+5/1000000009 i", 1),
+                              ("3/1000000007-5/1000000009 i", 1),
+                              ("7/1000000021+2/1000000033 i", 1),
+                              ("7/1000000021-2/1000000033 i", 1)])
+    for seed in (0, 1)], ids=["repeated-0", "repeated-1", "rotations-0",
+                              "rotations-1"])
+def test_weight_spaces_keep_their_order(family, seed, want):
+    # _assert_agree compares sorted spaces; this pins their order: the
+    # roots of the first start vector's Krylov polynomial, by (Re
+    # ascending, Im descending)
+    assert [(str(sp.weights[0]), sp.dim)
+            for sp in weight_decomposition(family(seed))] == want
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_weights_closer_than_float_precision_come_apart(seed):
     close = 1 + Fraction(1, 10 ** 12)
-    spec = _conjugated(_blocks([[1]], [[close]], [[2]]), seed)
+    spec = conjugated(blocks([[1]], [[close]], [[2]]), seed)
     assert _multiset(spec) == [("1", 1), (str(close), 1), ("2", 1)]
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["triangular", "dense"])
 def test_jordan_block_still_rejected(dense):
-    blocks = _blocks([[2, 1], [0, 2]], [[3]])
+    mat = blocks([[2, 1], [0, 2]], [[3]])
     if dense:
-        spec = _conjugated(blocks, 0)
+        spec = conjugated(mat, 0)
     else:
         names = ["X0", "X1", "X2"]
         spec = LieAlgebraSpec("jordan", names, ["A"], {
-            ("A", names[m]): {names[r]: blocks[r][m] for r in range(3)
-                              if blocks[r][m]} for m in range(3)})
+            ("A", names[m]): {names[r]: mat[r][m] for r in range(3)
+                              if mat[r][m]} for m in range(3)})
     got = _outcome(weight_decomposition, spec)
     assert got == _outcome(weight_oracle.weight_decomposition, spec)
     assert got == ("EIGEN_NOT_GAUSSIAN_RATIONAL",
@@ -338,7 +329,7 @@ def test_jordan_block_still_rejected(dense):
 def test_clustered_and_large_integer_weights_are_found(weights, seed):
     # H_3 + R^k with the center R^k moved by P D P^-1: every weight is an
     # integer, and the roots of the Krylov polynomials are found exactly
-    spec = _conjugated(_blocks(*([[w]] for w in weights)), seed, heisenberg=True)
+    spec = conjugated(blocks(*([[w]] for w in weights)), seed, heisenberg=True)
     assert validate_spec(spec).ok
     want = sorted((str(w), 1) for w in weights if w) + [("0", 3 + weights.count(0))]
     assert _multiset(spec) == sorted(want)

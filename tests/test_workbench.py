@@ -4,9 +4,12 @@ import random
 import pytest
 
 from conftest import VALID_IDS, wb_for
+from gen_specs import heisenberg_power_spec, specgen
 from solvlie import admissibility as adm
+from solvlie import workbench
+from solvlie.algebra import spec_from_dict
 from solvlie.functionals import exp_h_coadjoint, sample_functional
-from solvlie.strata import jump_data
+from solvlie.strata import InconsistentSamplingError, jump_data
 from work_budget import Work
 
 REQUIRED_KEYS = ("schema", "name", "validation", "basis", "n_layer",
@@ -102,3 +105,40 @@ def test_canonical_basis_skips_the_n_part_verification(monkeypatch):
     assert canonical.structure is basis.structure
     assert canonical.n_inverse is basis.n_inverse
     assert canonical.h_inverse != basis.h_inverse
+
+
+def _decided_specs():
+    """The valid corpus specs and the specgen specs of seeds 1 to 20."""
+    specs = [wb_for(entry_id).spec for entry_id in VALID_IDS]
+    return specs + [spec_from_dict(doc) for seed in range(1, 21)
+                    for doc, _ in specgen.generate(seed)]
+
+
+def test_decision_is_the_verdict_code():
+    specs = _decided_specs()
+    assert len(specs) == 150
+    for spec in specs:
+        wb = workbench.Workbench(spec)
+        assert wb.decision == wb.verdict().verdict, spec.name
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("the decision built a basis or drew a sample")
+
+
+def test_decision_builds_no_basis_and_draws_no_sample(monkeypatch):
+    for name in ("build_adaptable_basis", "generic_layer", "sample_sigma_circ"):
+        monkeypatch.setattr(workbench, name, _raises)
+    codes = {workbench.Workbench(spec).decision for spec in _decided_specs()}
+    assert codes == {adm.VERDICT_ADMISSIBLE, adm.VERDICT_UNIMODULAR,
+                     adm.VERDICT_CENTER}
+
+
+def test_decision_reads_admissible_where_the_sampled_verdict_fails():
+    # H_3^12 at seed 0: tr ad A = 48 and A moves the center, so the theorem
+    # says ADMISSIBLE, while the 64 samples of the n* layer split between
+    # two layers
+    spec = heisenberg_power_spec(12)
+    assert workbench.Workbench(spec, seed=0).decision == adm.VERDICT_ADMISSIBLE
+    with pytest.raises(InconsistentSamplingError):
+        workbench.Workbench(spec, seed=0).verdict()

@@ -100,7 +100,7 @@ class Work(dict):
 
 
 def _design_counts():
-    from gen_specs import generated_doc, specgen
+    from gen_specs import generated_doc, moved_distinct_weights, specgen
     from solvlie import algebra, gaussian, linalg
     from solvlie.adapted import build_adaptable_basis
     from solvlie.corpus import corpus_entries
@@ -153,6 +153,15 @@ def _design_counts():
                 algebra.weight_decomposition(spec)
         counts.append(f"{name}: {work['kernel']} over {len(specs)} specs")
     print("weight-decomposition kernel calls:", "; ".join(counts))
+
+    # validate_spec on a cold moved action, P diag(1, ..., 30) P^-1
+    moved = moved_distinct_weights(30)
+    with Work() as work:
+        work.calls(gaussian, "_reduced")
+        work.calls(linalg, "kernel")
+        algebra.validate_spec(moved)
+    print(f"moved action n = 30 validation: gcd-reduced results "
+          f"{work['_reduced']}, kernel {work['kernel']}")
 
     # one Workbench(spec).verdict() per specgen seed-1 spec: reductions of
     # a point, layer descriptions, compositions of the n-part and of the
