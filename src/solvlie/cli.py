@@ -9,13 +9,15 @@ Exit codes: validate 0 pass / 2 hypothesis violation or invalid hint /
 3 unreadable file or parse error (a malformed spec or non-UTF-8 text
 included); analyze adds 4 for sampling or pipeline failures (a failed
 basis construction, a layer outside the supported section cases or a
-polarization that fails its isotropy checks included); admissible 0
-admissible, 1 not admissible, 2 invalid input (an unreadable or malformed
-file and an invalid hint included) or one of the same sampling or
-pipeline failures; corpus run 0 all expectations matched, 1 mismatched
-entries, 2 an unknown ID. Every command exits 141 (128 + SIGPIPE, the
-shell's code) when its stdout is closed before its output is written, as
-in a pipe into head, and prints no more.
+polarization that fails its isotropy checks included); admissible prints
+the theorem's decision, read off the structure constants, and exits 0
+admissible, 1 not admissible, 2 invalid input (a hypothesis violation, an
+unreadable or malformed file and an invalid hint included); a sampling or
+pipeline failure of its multiplicity note keeps the verdict line and its
+exit code, and is named on stderr; corpus run 0 all expectations matched,
+1 mismatched entries, 2 an unknown ID. Every command exits 141 (128 +
+SIGPIPE, the shell's code) when its stdout is closed before its output is
+written, as in a pipe into head, and prints no more.
 --seed is an option of analyze and corpus run; each generic layer is
 located from 64 points drawn from it. A malformed command line (corpus
 list with IDs or --seed included) prints the usage and exits 2.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -39,8 +42,8 @@ from .sections import NormalizationFailedError, UnsupportedLayerError
 from .strata import InconsistentSamplingError, UnsupportedCaseError
 from .workbench import PipelineError, Workbench
 
-# sampling and pipeline failures past validation: analyze exits 4 on them,
-# admissible 2
+# sampling and pipeline failures past validation: analyze exits 4 on them;
+# admissible prints its verdict and names them on stderr
 PIPELINE_FAILURES = (ConstructionFailedError, InconsistentSamplingError,
                      adm.IsotropyError, NormalizationFailedError,
                      UnsupportedCaseError, UnsupportedLayerError, PipelineError)
@@ -112,6 +115,60 @@ def _format_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"the report holds no non-finite float, got {x!r}")
+    return float.__repr__(x)
+
+
+_quote = json.encoder.encode_basestring_ascii
+# the writer of each scalar type of a report, by exact type
+_SCALARS = {str: _quote, int: int.__repr__, float: _float,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _format_json(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``, written
+    in one pass: CPython takes its C encoder only without ``indent``, so
+    that call runs json's pure-Python encoder.
+
+    Keys are sorted, each dict or list item sits on its own line two
+    spaces deeper, ``{}`` and ``[]`` stand for empty containers, strings
+    go through json's own ``encode_basestring_ascii`` and numbers through
+    ``int.__repr__``/``float.__repr__``. Anything a report never holds (a
+    non-str key, a non-finite float, another type) raises instead of
+    taking json's branch for it."""
+    write = _SCALARS.get(type(doc))
+    return write(doc) if write is not None else _json_container(doc, "\n")
+
+
+def _json_container(value, newline: str) -> str:
+    """A dict, list or tuple whose closing bracket follows ``newline``;
+    each scalar item is written in line, without a recursive call."""
+    kind = type(value)
+    inner = newline + "  "
+    parts = []
+    if kind is dict:
+        if not value:
+            return "{}"
+        for key in sorted(value):
+            item = value[key]
+            write = _SCALARS.get(type(item))
+            parts.append(_quote(key) + ": " + (
+                write(item) if write is not None else _json_container(item, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        for item in value:
+            write = _SCALARS.get(type(item))
+            parts.append(write(item) if write is not None
+                         else _json_container(item, inner))
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    raise TypeError(f"the report holds no {kind.__name__}: {value!r}")
+
+
 def cmd_analyze(args) -> int:
     spec, err = _load(args.path)
     if err:
@@ -130,7 +187,7 @@ def cmd_analyze(args) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_format_json(doc))
     else:
         print(_format_text(doc))
     return 0
@@ -143,18 +200,26 @@ def cmd_admissible(args) -> int:
         return 2
     wb = Workbench(spec)
     try:
-        ver = wb.verdict()
+        code = wb.decision
     except HypothesisViolation as exc:
         print(f"INVALID: {exc}")
         return 2
-    except (HintInvalidError, *PIPELINE_FAILURES) as exc:
+    failure = None
+    try:
+        mult = wb.multiplicity
+    except HintInvalidError as exc:
         print(f"INVALID: {type(exc).__name__}: {exc}")
         return 2
+    except PIPELINE_FAILURES as exc:
+        # the theorem has decided; only the multiplicity note is lost
+        mult, failure = None, exc
     note = ""
-    if ver.multiplicity not in (None, adm.INFINITE):
-        note = f"  (multiplicity {ver.multiplicity})"
-    print(f"{ver.verdict}{note}")
-    return 0 if ver.verdict == adm.VERDICT_ADMISSIBLE else 1
+    if mult not in (None, adm.INFINITE):
+        note = f"  (multiplicity {mult})"
+    print(f"{code}{note}")
+    if failure is not None:
+        print(f"{type(failure).__name__}: {failure}", file=sys.stderr)
+    return 0 if code == adm.VERDICT_ADMISSIBLE else 1
 
 
 def cmd_corpus(args) -> int:

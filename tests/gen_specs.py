@@ -11,8 +11,8 @@ seeded rounds of 2-step and filiform specs with their expected verdicts
 - ``GENERATED``: the specgen documents of seeds 1, 7 and 13;
 - ``dense_center_spec``: a 2-step algebra with a one-dimensional center
   and every bracket nonzero, so that the orbit form is dense;
-- ``heisenberg_power_spec``: H_3^m under one dilation of weights (2, 1, 1)
-  on each copy;
+- ``heisenberg_power_spec`` (its document ``heisenberg_power_doc``): H_3^m
+  under one dilation of weights (2, 1, 1) on each copy;
 - ``conjugated`` with ``blocks`` and ``rotation``: an action P D P^-1
   moved off its block-diagonal form D by a seeded integer matrix P;
 - ``double_heisenberg_with_v`` and the hint builders ``pair_hint``,
@@ -102,19 +102,24 @@ def dense_center_spec(m, seed=0):
                            "h_basis": ["A"], "brackets": brackets})
 
 
-def heisenberg_power_spec(m):
-    """H_3^m, [X_k, Y_k] = Z_k over the basis Z_1..Z_m, Y_1..Y_m,
-    X_1..X_m, with one dilation A of weight 2 on each Z_k and 1 on each
-    Y_k and X_k: tr ad A = 4m and A moves the center, so ADMISSIBLE."""
+def heisenberg_power_doc(m):
+    """The spec document of H_3^m, [X_k, Y_k] = Z_k over the basis
+    Z_1..Z_m, Y_1..Y_m, X_1..X_m, with one dilation A of weight 2 on each
+    Z_k and 1 on each Y_k and X_k: tr ad A = 4m and A moves the center,
+    so ADMISSIBLE."""
     ks = range(1, m + 1)
     brackets = [{"x": f"X{k}", "y": f"Y{k}", "value": [{"c": "1", "b": f"Z{k}"}]}
                 for k in ks]
     brackets += [{"x": "A", "y": f"{lab}{k}", "value": [{"c": c, "b": f"{lab}{k}"}]}
                  for lab, c in (("Z", "2"), ("Y", "1"), ("X", "1")) for k in ks]
-    return spec_from_dict({
-        "name": f"heisenberg-power-{m}",
-        "n_basis": [f"{lab}{k}" for lab in "ZYX" for k in ks],
-        "h_basis": ["A"], "brackets": brackets})
+    return {"name": f"heisenberg-power-{m}",
+            "n_basis": [f"{lab}{k}" for lab in "ZYX" for k in ks],
+            "h_basis": ["A"], "brackets": brackets}
+
+
+def heisenberg_power_spec(m):
+    """H_3^m (``heisenberg_power_doc``)."""
+    return spec_from_dict(heisenberg_power_doc(m))
 
 
 def blocks(*blocks):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import corpus_file_text
+from gen_specs import heisenberg_power_doc
 from solvlie.adapted import ConstructionFailedError
 from solvlie.admissibility import IsotropyError
 from solvlie.corpus import corpus_entries
@@ -260,7 +261,7 @@ def _raise(exc):
     return stub
 
 
-@pytest.mark.parametrize("target, exc", [
+PIPELINE_STUBS = pytest.mark.parametrize("target, exc", [
     ("solvlie.sections.section_vectors",
      UnsupportedCaseError("pair 1 falls in no supported case")),
     ("solvlie.workbench.build_adaptable_basis",
@@ -269,18 +270,51 @@ def _raise(exc):
     ("solvlie.admissibility.polarization_data",
      IsotropyError("jump reduction output is not isotropic")),
 ])
-@pytest.mark.parametrize("command, code", [("analyze", 4), ("admissible", 2)])
+
+
+@PIPELINE_STUBS
+@pytest.mark.parametrize("command, code", [("analyze", 4)])
 def test_pipeline_failures_map_to_exit_codes(monkeypatch, capsys, corpus_dir,
                                              target, exc, command, code):
     # a failure inside the pipeline leaves by its documented exit code, not
-    # as a traceback (whose exit 1 would read as "not admissible"); both
-    # commands build section vectors on spiral-heisenberg through the
-    # membership oracles (SectionOracle.contains)
+    # as a traceback; analyze builds section vectors on spiral-heisenberg
+    # through the membership oracles (SectionOracle.contains)
     from solvlie import cli
     monkeypatch.setattr(target, _raise(exc))
     assert cli.main([command, str(corpus_dir / "spiral-heisenberg.json")]) == code
     out = capsys.readouterr()
     assert f"{type(exc).__name__}: {exc}" in out.out + out.err
+
+
+@PIPELINE_STUBS
+def test_admissible_keeps_the_decision_on_pipeline_failures(
+        monkeypatch, capsys, corpus_dir, target, exc):
+    # the theorem decides anisotropic-heisenberg from its structure
+    # constants; a failure of the layer data behind its multiplicity note
+    # (the basis, the n* layer, the Sigma-circ sample and its polarization)
+    # keeps the verdict line and its exit code, and is named on stderr, not
+    # as a traceback
+    from solvlie import cli
+    monkeypatch.setattr(target, _raise(exc))
+    path = corpus_dir / "anisotropic-heisenberg.json"
+    assert cli.main(["admissible", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out == "ADMISSIBLE\n"
+    assert out.err == f"{type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_admissible_prints_the_decision_where_sampling_fails(capsys, tmp_path, m):
+    # H_3^m: tr ad A = 4m and A moves the center, so the theorem says
+    # ADMISSIBLE; the n* layer sampled at the default seed splits 32/64, and
+    # only the multiplicity note is lost
+    from solvlie import cli
+    path = tmp_path / f"heisenberg-power-{m}.json"
+    path.write_text(json.dumps(heisenberg_power_doc(m)), encoding="utf-8")
+    assert cli.main(["admissible", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out == "ADMISSIBLE\n"
+    assert out.err.startswith("InconsistentSamplingError: ")
 
 
 def test_parser_is_built_once_and_still_reports_usage(capsys, corpus_dir):

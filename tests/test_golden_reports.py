@@ -9,7 +9,9 @@ output of `solvlie analyze FILE` on heisenberg-2param and spiral-heisenberg
 must equal tests/analyze_text_golden.txt. Regenerate these only when a
 report is meant to change: `python3 perfbench/make_digests.py` for seed 42
 and `PYTHONPATH=src python3 tests/test_golden_reports.py` for seed 7 and
-the text.
+the text. The JSON text is written by `cli._format_json`, which must equal
+`json.dumps(doc, indent=2, sort_keys=True)` on every corpus and specgen
+report and on edge documents.
 """
 
 import contextlib
@@ -24,7 +26,11 @@ from pathlib import Path
 import pytest
 
 import solvlie
+from conftest import VALID_IDS
+from gen_specs import specgen
 from solvlie import cli, corpus
+from solvlie.algebra import spec_from_dict
+from solvlie.workbench import Workbench
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 SEED7_DIGESTS = Path(__file__).resolve().parent / "digests_seed7.json"
@@ -53,6 +59,48 @@ def _analyze_text() -> str:
             path = CORPUS_DIR / f"{entry_id}.json"
             assert cli.main(["analyze", str(path)]) == 0
     return out.getvalue()
+
+
+def _reports():
+    """The report documents of the valid corpus entries and of the specgen
+    specs of seeds 1-5, each at sampling seeds 42 and 7."""
+    specs = [e.spec() for e in corpus.corpus_entries() if e.entry_id in VALID_IDS]
+    specs += [spec_from_dict(doc) for seed in range(1, 6)
+              for doc, _ in specgen.generate(seed)]
+    return [Workbench(spec, seed=seed).report() for spec in specs
+            for seed in (42, 7)]
+
+
+# documents past what a report holds: empty and nested empty containers,
+# escapes, long ints, float reprs, the literals and tuples
+EDGE_DOCUMENTS = [
+    {}, [], (), "", 0, -0.0, True, None,
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ([{}],), "f": {"g": {}}},
+    {"\u00e9t\u00e9": "\u00fcn\u00efcode \u2603 \U0001f600", "ctl": "\x00\x1f\t\n\r\"\\/\x7f"},
+    [-1, 0, 123456789012345678901234567890, -10 ** 30, 0.1, 1e-07, 1e16, -2.5, 1.5e300, 2.0 ** 53 + 2],
+    [True, False, None, [None]],
+    {"t": (1, "a", (None, True, ())), "mixed": [1, "a", 2.0, [3], {"k": False}]},
+    {"b": 1, "a": 2, "A": 3, "_": 4, "\u00e9": 5, "10": 6, "9": 7},
+]
+
+
+def test_format_json_is_json_dumps():
+    # cli._format_json writes what json.dumps(doc, indent=2, sort_keys=True)
+    # writes, byte for byte
+    docs = _reports() + EDGE_DOCUMENTS
+    assert len(docs) == 90 + len(EDGE_DOCUMENTS)
+    for doc in docs:
+        assert cli._format_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc, exc", [
+    ({1: "a"}, TypeError), ({"a": {None: 1}}, TypeError),
+    ([float("nan")], ValueError), ({"x": float("-inf")}, ValueError),
+    ({"s": {1, 2}}, TypeError), ([b"bytes"], TypeError),
+])
+def test_format_json_refuses_what_a_report_never_holds(doc, exc):
+    with pytest.raises(exc):
+        cli._format_json(doc)
 
 
 def test_analyze_text_matches_golden():

@@ -21,7 +21,11 @@ dilation flow. Plain layers (every pair in case 0 with Z_{j_k} real) are
 covered by ``test_plain_layers.py``.
 
 The pivots and the reduced form are read off the dense kernel kept in
-``jump_oracle``, which reduces exactly as the sparse one does.
+``jump_oracle``, which reduces exactly as the sparse one does. The closed
+forms of the docstring's induction (z_i, z_j and the pairings from the
+pivots of ``JumpData.steps``, and a block's pending combination and P')
+are checked against ``section_vectors`` itself, on the valid corpus and
+specgen seeds 1-5, at exact points and at points moved by the flow.
 
 The pivots alone do not fix a block's pairings: spiral-heisenberg and
 double-heisenberg share their case table and can share their pivots, and
@@ -33,14 +37,17 @@ import random
 import pytest
 
 from conftest import VALID_IDS, case_table, descriptor_outcome, wb_for
-from gen_specs import (COMPLEX_HINT, degenerate_points,
+from gen_specs import (COMPLEX_HINT, degenerate_points, specgen,
                        double_heisenberg_with_v, pair_hint, real_hint)
 from jump_oracle import _orbit_form, _skew_reduce
 from section_oracle import layer_data as oracle_layer_data
 from section_oracle import layer_descriptor as oracle_descriptor
 from solvlie.algebra import spec_from_dict
 from solvlie.functionals import Functional, exp_h_coadjoint
-from solvlie.strata import jump_data, layer_descriptor, section_vectors
+from solvlie.gaussian import I, GaussianRational
+from solvlie.linalg import FLOAT_TOL
+from solvlie.strata import (GR1, LayerMismatchError, jump_data,
+                            layer_descriptor, section_vectors)
 from solvlie.workbench import Workbench
 
 # the valid entries whose generic layer is keyed, in n* and in g* alike
@@ -458,6 +465,137 @@ def test_blocks_at_float_points_follow_section_vectors():
             assert got == descriptor_outcome(oracle_descriptor, moved, basis,
                                              ambient)
     assert seen >= 8
+
+
+# -- the section data of a keyed layer in closed form -----------------------------
+
+def _re_im(x):
+    return (x.re, x.im) if isinstance(x, GaussianRational) else (x.real, x.imag)
+
+
+def _abs2(x):
+    return x.abs2() if isinstance(x, GaussianRational) else abs(x) ** 2
+
+
+def _combination(sigma, j, a, b, i):
+    """a Re Z_j + b Im Z_j over the adapted positions, as {p - 1: x_p}:
+    Re Z_j = (e_j + e_s) / 2 and Im Z_j = (e_j - e_s) / 2i, s = sigma(j);
+    i is the point's imaginary unit."""
+    s = sigma[j]
+    if s == j:
+        return {j - 1: a}
+    return {j - 1: (a - i * b) / 2, s - 1: (a + i * b) / 2}
+
+
+def _closed_forms(jd, classes):
+    """The z_i, z_j and pairings of the keyed layer of jd in closed form
+    (``layer_descriptor``'s docstring), from its pivots p (the k-th, num /
+    den of ``jd.steps[k - 1][0]`` over ``jd.den``) and, for a block opened
+    at k, the step-k coefficient c of j' = sigma(j_k), q = c p."""
+    one, i_unit = (GR1, I) if jd.point.exact else (1 + 0j, 1j)
+    z, pairings = {}, []
+
+    def combination(j, a, b):
+        return _combination(jd.basis.sigma, j, a, b, i_unit)
+
+    for k, (cls, i, j) in enumerate(zip(classes, jd.i_seq, jd.j_seq), start=1):
+        (num, den), red = jd.steps[k - 1]
+        p = one * num / (den * jd.den)
+        if cls in ("0", "0c"):
+            z[i], big_p = combination(i, one, 0), p
+        elif cls == "1":
+            z[i], big_p = {i - 1: -p.conjugate() / 2, i: -p / 2}, -_abs2(p)
+        elif cls == "3":
+            z[i], big_p = combination(i, 0, one), p / (2 * i_unit)
+        elif cls == "4":
+            jp = jd.basis.sigma[j]
+            c = next((one * n / d for g, n, d in red if g == jp), 0 * one)
+            q = c * p
+            z[i], big_p = combination(i, one, 0), (p + q.conjugate()) / 2
+            # the pending combination of the block's second pair, and P'
+            z[i + 1] = combination(i + 1, -_re_im(p * q)[1] / (2 * _abs2(big_p)),
+                                   -one)
+            block_p = i_unit * (_abs2(p) - _abs2(q)) / (4 * big_p)
+        else:                                   # "5", the block's second pair
+            big_p = block_p
+        # z_j = a Re Z_j + b Im Z_j with P = -a - ib, and l[V_k, U_k] = -|P|^2
+        re_p, im_p = _re_im(big_p)
+        z[j] = combination(j, -re_p, -im_p)
+        pairings.append(-_abs2(big_p))
+    return z, pairings
+
+
+def _agree(got, want, exact):
+    if exact:
+        return got == want
+    return abs(got - want) <= FLOAT_TOL * max(1.0, abs(want))
+
+
+def _check_closed_forms(f, basis, ambient, seen, name):
+    """section_vectors at f against the closed forms, when f's layer is
+    keyed; records the classes met under (name, ambient). Returns the
+    number of points checked (0 or 1)."""
+    jd = jump_data(f, basis, ambient)
+    if not case_table(jd).keyed:
+        return 0
+    classes = _classes(jd)
+    seen.setdefault((name, ambient), set()).update(classes)
+    z, pairings = _closed_forms(jd, classes)
+    if not f.exact and min(map(abs, pairings), default=1) <= FLOAT_TOL:
+        # a pivot small enough that -|P|^2 falls under the float zero test,
+        # which the key does not apply: the point is rejected (SMALL_PIVOT)
+        with pytest.raises(LayerMismatchError):
+            section_vectors(f, basis, jd, ambient)
+        return 0
+    sv = section_vectors(f, basis, jd, ambient)
+    exact = f.exact
+    zero = 0 if exact else 0j
+    assert set(sv.z_adapted) == set(z), f.values
+    for pos, want in z.items():
+        got = sv.z_adapted[pos]
+        for p in set(got) | set(want):
+            assert _agree(got.get(p, zero), want.get(p, zero), exact), \
+                (name, ambient, classes, pos, f.values)
+    for got, want in zip(sv.pairings, pairings):
+        assert _agree(got, want, exact), (name, ambient, classes, f.values)
+    return 1
+
+
+def _identity_specs():
+    """(name, Workbench) of the valid corpus entries and the specgen specs
+    of seeds 1-5."""
+    for entry_id in VALID_IDS:
+        yield entry_id, wb_for(entry_id)
+    for seed in range(1, 6):
+        for doc, _ in specgen.generate(seed):
+            yield doc["name"], Workbench(spec_from_dict(doc))
+
+
+def test_keyed_section_vectors_have_the_closed_forms():
+    # the z_i, z_j and pairings section_vectors computes on a keyed layer
+    # are those layer_descriptor's docstring derives from the pivots,
+    # exactly at exact points and within FLOAT_TOL at points moved by the
+    # dilation flow
+    seen, exact_points, float_points = {}, 0, 0
+    for name, wb in _identity_specs():
+        h_dim = wb.spec.h_dim
+        for ambient, basis in (("n", wb.basis), ("g", wb.canonical_basis)):
+            points = [f for seed in (1, 2)
+                      for f in degenerate_points(basis, ambient, seed)]
+            for k, f in enumerate(points):
+                exact_points += _check_closed_forms(f, basis, ambient, seen, name)
+                a = [0] * wb.spec.n_dim + [(k % 5 - 2) / 3] * h_dim
+                moved = exp_h_coadjoint(basis, a, f, mode="float")
+                float_points += _check_closed_forms(moved, basis, ambient,
+                                                    seen, name)
+    assert exact_points >= 2000 and float_points >= 1800
+    where = {cls: {key for key, classes in seen.items() if cls in classes}
+             for cls in ("0", "1", "3", "4")}
+    assert where["0"]
+    assert where["1"] and {ambient for _, ambient in where["1"]} == {"g"}
+    assert {name for name, _ in where["3"]} == {"heisenberg-complex-dilation"}
+    assert {name for name, _ in where["4"]} == {"double-heisenberg",
+                                                 "spiral-heisenberg"}
 
 
 # The float zero tests of the two routes part at a small pivot: the keyed

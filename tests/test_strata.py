@@ -591,7 +591,7 @@ def test_keyed_winner_is_described_once(monkeypatch):
     assert len(described) == 1 and described[0] is head
 
 
-@pytest.mark.parametrize("command, code", [("analyze", 4), ("admissible", 2)])
+@pytest.mark.parametrize("command, code", [("analyze", 4)])
 def test_unsupported_sample_above_the_winner_keeps_exit_code(
         monkeypatch, capsys, command, code):
     from solvlie import cli
@@ -601,6 +601,20 @@ def test_unsupported_sample_above_the_winner_keeps_exit_code(
     assert cli.main([command, str(path)]) == code
     out = capsys.readouterr()
     assert f"UnsupportedCaseError: {UNSUPPORTED}" in out.out + out.err
+
+
+def test_unsupported_sample_above_the_winner_keeps_the_decision(
+        monkeypatch, capsys):
+    # admissible prints the theorem's verdict and its exit code, and names
+    # the layer failure behind the multiplicity note on stderr
+    from solvlie import cli
+    path = Path(cli.__file__).parent / "corpus" / "heisenberg-2param.json"
+    _stub_jump_key(monkeypatch, NOT_BELOW_WIDE[1])
+    _stub_samples(monkeypatch, [WIDE] * 63 + [UNSUPPORTED])
+    assert cli.main(["admissible", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "NOT_ADMISSIBLE_CENTER_MEETS_H\n"
+    assert out.err == f"UnsupportedCaseError: {UNSUPPORTED}\n"
 
 
 def test_generic_layer_adds_dilation_pair_on_g():
